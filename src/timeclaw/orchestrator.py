@@ -283,9 +283,8 @@ class _EpisodeRunner:
         trace_path = None
         if deps.trace_dir is not None:
             trace_path = Path(deps.trace_dir) / f"{_safe_name(instance.id)}.jsonl"
-        fp = prompts.fingerprint(instance)
-        self.fp = fp
-        self.selection = deps.store.retrieve(instance.scope, fp) if deps.store else None
+        self.fp = prompts.fingerprint(instance)
+        self.selection = deps.store.retrieve(instance.scope, self.fp) if deps.store else None
         self.prior_exists = bool(self.selection and self.selection.rules)
         header = {
             "engine": "timeclaw",
@@ -369,6 +368,7 @@ def _run_branch(
     declared = [deps.toolkit.tool_schema(t) for t in sorted(slot.visible_tools) if deps.toolkit.has(t)]
     bundle = prompts.build_branch_prompt(
         instance,
+        runner.fp,
         slot,
         declared,
         selection=runner.selection,
@@ -491,6 +491,7 @@ def run_exploration_episode(
     ]
     bundle = prompts.build_exploration_prompt(
         instance,
+        runner.fp,
         runner.selection,
         slots,
         exploration_tools,
@@ -818,6 +819,7 @@ def run_inference(
     declared = [deps.toolkit.tool_schema(t) for t in visible]
     bundle = prompts.build_inference_prompt(
         view,
+        fp,
         selection,
         declared,
         soul=deps.store.soul_text() if deps.store else "",

@@ -2,12 +2,14 @@
 Decision -> Available Tools), sample fingerprints, and applicability
 matching for memory rules.
 
-Prompt construction is pure: it profiles the series with the shared numeric
-helpers directly and never touches ground truth (which is sealed anyway).
+Prompt construction is pure and never touches ground truth (which is sealed
+anyway). fingerprint() profiles an instance once with the shared numeric
+helpers; the builders only format that profile.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
@@ -25,8 +27,10 @@ LENGTH_BANDS = ((100, "short"), (500, "medium"))
 
 @dataclass(frozen=True)
 class SampleFingerprint:
-    """Compact numeric fingerprint of one instance, used for applicability
-    matching and for the Observation section of every prompt."""
+    """Profile of one instance, computed once per exploration episode or
+    inference sample: the compact fingerprint used for applicability
+    matching, plus the statistics the Observation section of every prompt
+    renders under Profiling."""
 
     length: int
     first: float
@@ -40,6 +44,12 @@ class SampleFingerprint:
     trend_class: str
     boundary_event: bool
     task_subtype: str
+    period_r: Optional[float]  # lagged correlation at dominant_period
+    trend_slope: float
+    trend_normalized: float
+    stationary: bool
+    mean_shift: float
+    n_anomalies: int
 
     @property
     def seasonal(self) -> bool:
@@ -71,29 +81,36 @@ def _boundary_event(instance: TaskInstance) -> bool:
     for block in instance.text_context:
         if block.date is None or not (t0 <= block.date <= t1):
             continue
-        pos = sum(1 for ts in instance.timestamps if ts <= block.date)
+        pos = bisect.bisect_right(instance.timestamps, block.date)
         if pos / n >= 0.9:
             return True
     return False
 
 
 def fingerprint(instance: TaskInstance) -> SampleFingerprint:
-    values = list(instance.series)
+    values = np.asarray(instance.series, dtype=float)
     period, significant = seriesops.dominant_period(values)
-    label, _slope, _norm = seriesops.trend_label(values)
+    label, slope, normalized = seriesops.trend_label(values)
+    stationarity = seriesops.split_half_stationarity(values)
     return SampleFingerprint(
         length=len(values),
         first=float(values[0]),
         last=float(values[-1]),
-        vmin=float(np.min(values)),
-        vmax=float(np.max(values)),
-        mean=float(np.mean(values)),
+        vmin=float(values.min()),
+        vmax=float(values.max()),
+        mean=float(values.mean()),
         std=seriesops.population_std(values),
         dominant_period=period,
         period_significant=significant,
         trend_class=label,
         boundary_event=_boundary_event(instance),
         task_subtype=instance.task_type.value,
+        period_r=None if period is None else seriesops.lagged_correlation(values, period)[0],
+        trend_slope=slope,
+        trend_normalized=normalized,
+        stationary=bool(stationarity["stationary"]),
+        mean_shift=float(stationarity["mean_shift"]),
+        n_anomalies=sum(1 for z in seriesops.zscores(values) if abs(z) > 3.0),
     )
 
 
@@ -222,25 +239,20 @@ def _fingerprint_lines(fp: SampleFingerprint) -> list[str]:
     ]
 
 
-def _profiling_lines(instance: TaskInstance, fp: SampleFingerprint) -> list[str]:
-    values = list(instance.series)
-    stationarity = seriesops.split_half_stationarity(values)
-    _label, slope, norm = seriesops.trend_label(values)
-    n_anomalies = sum(1 for z in seriesops.zscores(values) if abs(z) > 3.0)
+def _profiling_lines(fp: SampleFingerprint) -> list[str]:
     if fp.dominant_period is not None:
-        r, _ = seriesops.lagged_correlation(values, fp.dominant_period)
-        autocorr = f"best_lag = {fp.dominant_period}, r = {_fmt(r)}"
+        autocorr = f"best_lag = {fp.dominant_period}, r = {_fmt(fp.period_r)}"
     else:
         autocorr = "undefined"
     return [
         f"- basic_stats: mean = {_fmt(fp.mean)}, std = {_fmt(fp.std)}, min = {_fmt(fp.vmin)}, max = {_fmt(fp.vmax)}",
         f"- autocorrelation: {autocorr}",
+        f"- stationarity_check: stationary = {_fmt(fp.stationary)}, mean_shift = {_fmt(fp.mean_shift)}",
         (
-            f"- stationarity_check: stationary = {_fmt(stationarity['stationary'])}, "
-            f"mean_shift = {_fmt(stationarity['mean_shift'])}"
+            f"- detect_trend: label = {fp.trend_class}, slope = {_fmt(fp.trend_slope)}, "
+            f"normalized = {_fmt(fp.trend_normalized)}"
         ),
-        f"- detect_trend: label = {fp.trend_class}, slope = {_fmt(slope)}, normalized = {_fmt(norm)}",
-        f"- detect_anomaly: n_flagged = {n_anomalies}",
+        f"- detect_anomaly: n_flagged = {fp.n_anomalies}",
     ]
 
 
@@ -295,13 +307,11 @@ def _frame(objective: str, observation: str, decision: str, tools: str) -> str:
     return f"{objective}\n\n{observation}\n\n{decision}\n\n{tools}\n"
 
 
-def _observation_section(
-    instance: TaskInstance, fp: SampleFingerprint, selection: Any, limits: PromptLimits
-) -> str:
+def _observation_section(fp: SampleFingerprint, selection: Any, limits: PromptLimits) -> str:
     lines = ["## Observation", "### Sample Fingerprint"]
     lines.extend(_fingerprint_lines(fp))
     lines.append("### Profiling")
-    lines.extend(_profiling_lines(instance, fp))
+    lines.extend(_profiling_lines(fp))
     lines.append("### Support")
     lines.extend(_support_lines(selection, limits))
     return "\n".join(lines)
@@ -309,6 +319,7 @@ def _observation_section(
 
 def build_exploration_prompt(
     instance: TaskInstance,
+    fp: SampleFingerprint,
     selection: Any,
     slots: Sequence[Any],
     declared_tools: Sequence[Mapping[str, Any]],
@@ -318,7 +329,6 @@ def build_exploration_prompt(
 ) -> PromptBundle:
     """Main-agent exploration context: spawn/evaluate guidance, slot hints,
     and a learning_summary completion contract."""
-    fp = fingerprint(instance)
     rules = list(getattr(selection, "rules", ())) if selection is not None else []
     objective = _objective_section(
         instance,
@@ -326,7 +336,7 @@ def build_exploration_prompt(
         "- exploration episode: compare candidate executions before finishing",
         control_lines=[f"- branch_slots = {len(slots)}"],
     )
-    observation = _observation_section(instance, fp, selection, limits)
+    observation = _observation_section(fp, selection, limits)
 
     decision_lines = [
         "## Decision",
@@ -362,6 +372,7 @@ def build_exploration_prompt(
 
 def build_branch_prompt(
     instance: TaskInstance,
+    fp: SampleFingerprint,
     slot: Any,
     declared_tools: Sequence[Mapping[str, Any]],
     selection: Any = None,
@@ -370,7 +381,6 @@ def build_branch_prompt(
 ) -> PromptBundle:
     """Sub-agent variant: same frame plus a branch-local goal and slot-local
     tool hint; the branch finishes with an ordinary task answer."""
-    fp = fingerprint(instance)
     rules = list(getattr(selection, "rules", ())) if selection is not None else []
     objective = _objective_section(
         instance,
@@ -378,7 +388,7 @@ def build_branch_prompt(
         "- exploration branch: produce one candidate execution",
         control_lines=[f"- slot = {slot.slot}"],
     )
-    observation = _observation_section(instance, fp, selection, limits)
+    observation = _observation_section(fp, selection, limits)
     decision = "\n".join(
         [
             "## Decision",
@@ -398,6 +408,7 @@ def build_branch_prompt(
 
 def build_inference_prompt(
     instance: TaskInstance,
+    fp: SampleFingerprint,
     selection: Any,
     declared_tools: Sequence[Mapping[str, Any]],
     soul: str = "",
@@ -413,14 +424,13 @@ def build_inference_prompt(
     forbidden = {"spawn_subagent", "evaluate_against_gt", "evaluate_batch_against_gt"}
     if declared_names & forbidden:
         raise ContractError("exploration-only tools cannot be declared at inference")
-    fp = fingerprint(instance)
     objective = _objective_section(
         instance,
         instance.task_type.value,
         "- inference: solve the task with previously distilled experience",
         control_lines=[],
     )
-    observation = _observation_section(instance, fp, selection, limits)
+    observation = _observation_section(fp, selection, limits)
     decision = "\n".join(
         [
             "## Decision",

@@ -66,27 +66,64 @@ def lagged_correlation(values: Sequence[float], lag: int) -> tuple[float, bool]:
 # such lag wins so harmonics of the fundamental period are not reported
 _PERIOD_TIE_MARGIN = 0.01
 
+# The scan's r differs from lagged_correlation's by far less than this while
+# both segment variances exceed _VAR_FLOOR * n * max(c**2), c being the
+# centred series: its prefix sums and dot products of n terms err by about
+# n * eps * max(c**2), which a variance above the floor turns into an error
+# in r below 1e-8. A lag whose r lies within the tolerance of a decision
+# threshold, or whose variance is under the floor, is recomputed with
+# lagged_correlation.
+_R_TOLERANCE = 1e-7
+_VAR_FLOOR = 1e-6
+
 
 def dominant_period(values: Sequence[float]) -> tuple[Optional[int], bool]:
     """Max lagged correlation over lags 2..len/2, with a significance flag.
 
     Among near-maximal lags the smallest is returned, so a daily cycle reads
     as 24 rather than one of its multiples.
+
+    All lags are scored in one pass: prefix sums give each lag's segment
+    means and variances and one autocorrelation gives every lag's cross
+    products (Box & Jenkins, ch. 2). Every decision, including the zero
+    variance test, is the one the exact per-lag lagged_correlation makes.
     """
-    n = len(values)
-    scores: list[tuple[int, float]] = []
-    best_r = -math.inf
-    for lag in range(2, n // 2 + 1):
-        r, defined = lagged_correlation(values, lag)
-        if defined:
-            scores.append((lag, r))
-            best_r = max(best_r, r)
-    if not scores:
+    v = np.asarray(values, dtype=float)
+    n = len(v)
+    lags = np.arange(2, n // 2 + 1)
+    if not len(lags):
         return None, False
-    for lag, r in scores:  # ascending lag order
-        if r >= best_r - _PERIOD_TIE_MARGIN:
-            return lag, r >= PERIOD_SIGNIFICANCE
-    return None, False
+    c = v - v.mean()  # centring keeps offset series from cancelling
+    m = n - lags
+    s1 = np.concatenate(([0.0], np.cumsum(c)))
+    s2 = np.concatenate(([0.0], np.cumsum(c * c)))
+    cross = np.correlate(c, c, "full")[n - 1 + lags]
+    mean_a, mean_b = s1[m] / m, (s1[n] - s1[lags]) / m
+    var_a = s2[m] / m - mean_a * mean_a
+    var_b = (s2[n] - s2[lags]) / m - mean_b * mean_b
+    with np.errstate(all="ignore"):
+        r = (cross / m - mean_a * mean_b) / np.sqrt(var_a * var_b)
+    floor = _VAR_FLOOR * n * float(np.max(c * c))
+    exact = np.zeros(len(lags), dtype=bool)
+    defined = np.ones(len(lags), dtype=bool)
+
+    def settle(idx: np.ndarray) -> None:
+        for i in idx[~exact[idx]]:
+            r[i], defined[i] = lagged_correlation(v, int(lags[i]))
+            exact[i] = True
+
+    settle(np.flatnonzero(~np.isfinite(r) | (np.minimum(var_a, var_b) <= floor)))
+    if not defined.any():
+        return None, False
+    tol = np.where(exact, 0.0, _R_TOLERANCE)
+    lowest_best = np.max(np.where(defined, r - tol, -math.inf))
+    settle(np.flatnonzero(defined & (r + tol >= lowest_best)))
+    best_r = float(np.max(r[defined]))
+    cut = best_r - _PERIOD_TIE_MARGIN
+    settle(np.flatnonzero(defined & (np.abs(r - cut) <= _R_TOLERANCE)))
+    first = np.flatnonzero(defined & (r >= cut))[:1]  # ascending lag order
+    settle(first)
+    return int(lags[first[0]]), bool(r[first[0]] >= PERIOD_SIGNIFICANCE)
 
 
 def zscores(values: Sequence[float]) -> list[float]:

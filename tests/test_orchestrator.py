@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from timeclaw import prompts, seriesops
 from timeclaw.core import EvidenceClass, SealedAnswer, TaskInstance, TaskType
 from timeclaw.errors import ContractError
 from timeclaw.gateway import AssistantReply, PolicyGateway, ToolCallRequest
 from timeclaw.orchestrator import (
+    BranchSlot,
     EpisodeDeps,
     ExplorationConfig,
     assign_branch_slots,
@@ -424,3 +426,44 @@ class TestTraceDeterminism:
             outcome = run_exploration_episode(inst, ExplorationConfig(seed=9), deps)
             texts.append(open(outcome.trace_path).read())
         assert texts[0] == texts[1]
+
+
+def _count_calls(monkeypatch, names):
+    calls: list[str] = []
+    for name in names:
+        original = getattr(seriesops, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(seriesops, name, counted)
+    return calls
+
+
+class TestProfileOnce:
+    def test_exploration_episode_profiles_once(self, tmp_path, monkeypatch):
+        calls = _count_calls(monkeypatch, ["dominant_period"])
+        deps = _deps(tmp_path, policy_gateway("exploration"))
+        outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=9), deps)
+        assert len(outcome.candidates) == 2  # main and both branch prompts were built
+        assert calls == ["dominant_period"]
+
+    def test_inference_profiles_once(self, tmp_path, monkeypatch):
+        calls = _count_calls(monkeypatch, ["dominant_period"])
+        run_inference(_instance(), _deps(tmp_path, PolicyGateway(inference_policy)))
+        assert calls == ["dominant_period"]
+
+    def test_prompts_only_format_the_profile(self, monkeypatch):
+        inst = _instance(gt=[13.0] * 3)
+        fp = prompts.fingerprint(inst)
+        calls = _count_calls(
+            monkeypatch,
+            ["dominant_period", "trend_label", "zscores", "split_half_stationarity", "lagged_correlation"],
+        )
+        slot = BranchSlot(slot=0, goal="g", hint="naive", visible_tools=frozenset({"naive"}))
+        tools = [{"name": "naive", "description": ""}]
+        prompts.build_exploration_prompt(inst, fp, None, [slot], tools)
+        prompts.build_branch_prompt(inst, fp, slot, tools)
+        prompts.build_inference_prompt(inst, fp, None, tools)
+        assert calls == []

@@ -51,6 +51,10 @@ def _golden_instance():
     )
 
 
+def _golden_fp():
+    return prompts.fingerprint(_golden_instance())
+
+
 def _slots():
     return [
         BranchSlot(
@@ -129,6 +133,7 @@ class TestGoldenFrames:
     def test_exploration_frame_is_byte_stable(self):
         bundle = prompts.build_exploration_prompt(
             _golden_instance(),
+            _golden_fp(),
             _Selection([_rule()]),
             _slots(),
             [
@@ -151,6 +156,7 @@ class TestGoldenFrames:
         slot = _slots()[0]
         bundle = prompts.build_branch_prompt(
             _golden_instance(),
+            _golden_fp(),
             slot,
             [{"name": n, "description": ""} for n in sorted(slot.visible_tools)],
             selection=_Selection([_rule()]),
@@ -161,6 +167,7 @@ class TestGoldenFrames:
     def test_inference_frame_is_byte_stable(self):
         bundle = prompts.build_inference_prompt(
             _golden_instance(),
+            _golden_fp(),
             _Selection([_rule()]),
             [
                 {"name": n, "description": d}
@@ -191,6 +198,7 @@ class TestExplorationBundle:
     def test_fresh_scope_has_no_memory_but_spawn_guidance(self):
         bundle = prompts.build_exploration_prompt(
             _golden_instance(),
+            _golden_fp(),
             None,
             _slots(),
             [{"name": "spawn_subagent", "description": ""}, {"name": "naive", "description": ""}],
@@ -205,7 +213,11 @@ class TestExplorationBundle:
             _rule(rule_id="r0009", confidence=0.4, seq=9),
         ]
         bundle = prompts.build_exploration_prompt(
-            _golden_instance(), _Selection(rules), _slots(), [{"name": "naive", "description": ""}]
+            _golden_instance(),
+            _golden_fp(),
+            _Selection(rules),
+            _slots(),
+            [{"name": "naive", "description": ""}],
         )
         sys_text = bundle.system_text
         assert sys_text.index("r0002") < sys_text.index("r0005") < sys_text.index("r0009")
@@ -213,7 +225,11 @@ class TestExplorationBundle:
     def test_exploration_declares_spawn_and_evaluate(self):
         names = ["spawn_subagent", "evaluate_against_gt", "naive"]
         bundle = prompts.build_exploration_prompt(
-            _golden_instance(), None, _slots(), [{"name": n, "description": ""} for n in names]
+            _golden_instance(),
+            _golden_fp(),
+            None,
+            _slots(),
+            [{"name": n, "description": ""} for n in names],
         )
         assert "spawn_subagent" in bundle.declared_tool_names()
         assert "evaluate_against_gt" in bundle.declared_tool_names()
@@ -222,14 +238,17 @@ class TestExplorationBundle:
 class TestInferenceBundle:
     def test_empty_selection_still_valid(self):
         bundle = prompts.build_inference_prompt(
-            _golden_instance(), None, [{"name": "naive", "description": ""}]
+            _golden_instance(), _golden_fp(), None, [{"name": "naive", "description": ""}]
         )
         assert "### Support" in bundle.user_text
         assert "(none)" in bundle.user_text
 
     def test_focused_tool_notes_only_for_selected_tools(self):
         bundle = prompts.build_inference_prompt(
-            _golden_instance(), _Selection([_rule()]), [{"name": "naive", "description": ""}]
+            _golden_instance(),
+            _golden_fp(),
+            _Selection([_rule()]),
+            [{"name": "naive", "description": ""}],
         )
         assert "- seasonal_naive:" in bundle.user_text
         assert "- drift:" not in bundle.user_text
@@ -237,17 +256,24 @@ class TestInferenceBundle:
     def test_exploration_only_tools_cannot_be_declared(self):
         with pytest.raises(ContractError):
             prompts.build_inference_prompt(
-                _golden_instance(), None, [{"name": "evaluate_against_gt", "description": ""}]
+                _golden_instance(),
+                _golden_fp(),
+                None,
+                [{"name": "evaluate_against_gt", "description": ""}],
             )
         with pytest.raises(ContractError):
             prompts.build_inference_prompt(
-                _golden_instance(), None, [{"name": "spawn_subagent", "description": ""}]
+                _golden_instance(),
+                _golden_fp(),
+                None,
+                [{"name": "spawn_subagent", "description": ""}],
             )
 
     def test_non_injectable_rule_is_a_contract_error(self):
         with pytest.raises(ContractError):
             prompts.build_inference_prompt(
                 _golden_instance(),
+                _golden_fp(),
                 _Selection([_rule(injectable=False)]),
                 [{"name": "naive", "description": ""}],
             )
@@ -255,7 +281,10 @@ class TestInferenceBundle:
     def test_no_ground_truth_in_any_bundle_text(self):
         inst = _golden_instance()
         bundle = prompts.build_inference_prompt(
-            inst, _Selection([_rule()]), [{"name": "naive", "description": ""}]
+            inst,
+            prompts.fingerprint(inst),
+            _Selection([_rule()]),
+            [{"name": "naive", "description": ""}],
         )
         # the target [11.0, 13.0, 10.0, 12.0] must not be rendered anywhere
         for needle in ("[11.0, 13.0, 10.0, 12.0]", "11.0,13.0,10.0,12.0"):
@@ -287,3 +316,22 @@ class TestBoundaryEvent:
             text_context=(TextBlock(body="hail", date="2024-01-03"),),
         )
         assert not prompts.fingerprint(inst).boundary_event
+
+    @pytest.mark.parametrize(
+        "date, expected",
+        [
+            ("2024-01-09", True),  # 9 of 10 timestamps at or before it: exactly 90%
+            ("2024-01-08T12:00", False),  # between the 8th and 9th: 80%
+        ],
+    )
+    def test_ninety_percent_cutoff(self, date, expected):
+        inst = TaskInstance(
+            id="b3",
+            series=tuple(float(v) for v in range(10)),
+            task_type=TaskType.FORECAST,
+            horizon=2,
+            scope="s_f_s",
+            timestamps=tuple(f"2024-01-{d:02d}" for d in range(1, 11)),
+            text_context=(TextBlock(body="hail", date=date),),
+        )
+        assert prompts.fingerprint(inst).boundary_event is expected
