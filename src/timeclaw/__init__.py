@@ -8,5 +8,3 @@ inference time while keeping the base model frozen.
 """
 
 __version__ = "0.1.0"
-
-ENGINE_NAME = "timeclaw"

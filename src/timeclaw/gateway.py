@@ -50,18 +50,10 @@ class ChatMessage:
         return out
 
 
-@dataclass(frozen=True)
-class ChatParams:
-    temperature: float = 0.0
-    max_steps: int = 8
-    seed_tag: str = ""
-
-
 @dataclass
 class ChatExchange:
     messages: list[ChatMessage]
     declared_tools: list[dict[str, Any]] = field(default_factory=list)
-    params: ChatParams = ChatParams()
 
     def declared_tool_names(self) -> list[str]:
         return sorted(t["name"] for t in self.declared_tools)
@@ -209,7 +201,7 @@ class RemoteGateway(Gateway):
         payload: dict[str, Any] = {
             "model": self.model,
             "messages": messages,
-            "temperature": exchange.params.temperature,
+            "temperature": 0.0,
         }
         if exchange.declared_tools:
             payload["tools"] = [
@@ -242,7 +234,11 @@ class RemoteGateway(Gateway):
                 continue
             if resp.status_code >= 400:
                 raise GatewayError(f"gateway rejected the request: {resp.status_code} {resp.text[:200]}")
-            return self._parse(resp.json())
+            try:
+                data = resp.json()
+            except ValueError as exc:
+                raise GatewayError(f"completion response is not JSON: {exc}") from exc
+            return self._parse(data)
         raise GatewayError(f"gateway unavailable after {self.max_retries + 1} attempts: {last_error}")
 
     @staticmethod

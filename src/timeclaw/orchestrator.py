@@ -5,12 +5,20 @@ Exploration flow per instance:
 
     1. retrieve prior experience, sample slot-local visible tool subsets
     2. main exchange: the model spawns candidate branches
-    3. each branch runs a step loop (gateway call -> tool invoke -> observation)
-       until it finishes with a task-typed answer or hits the step cap
+    3. each branch runs the step loop until it finishes with a task-typed
+       answer or hits the step cap
     4. valid candidates are evaluated against ground truth and the best one
        is selected (ties: shorter substantive chain, then lower slot)
     5. the model must finish with a learning_summary; the outcome is handed
        to the experience pipeline and tool usage is recorded to the ledger
+
+Branches and inference share one step loop, ``_step_loop``: gateway call ->
+tool invoke -> observation, over the per-run state of an ``_EpisodeRunner``
+(trace, artifacts, invocation context, call ids, gateway totals). The two
+modes differ only in which tool requests they reject (a branch refuses
+spawn/evaluate tools and tools outside its slot's subset; inference refuses
+anything outside the inference-visible set) and in what they record from the
+loop's steps (branch candidates vs. an inference tool chain and context).
 
 Traces are JSONL, header in line 1, then one event per line with a logical
 timestamp so byte-identical reruns stay byte-identical.
@@ -21,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from . import __version__, prompts
 from .core import (
@@ -40,7 +48,6 @@ from .gateway import (
     AssistantReply,
     ChatExchange,
     ChatMessage,
-    ChatParams,
     Gateway,
     exchange_digest,
 )
@@ -126,7 +133,6 @@ class TraceWriter:
     def __init__(self, path: Optional[Path], header: Mapping[str, Any]):
         self.path = Path(path) if path is not None else None
         self.header = dict(header)
-        self.events: list[dict[str, Any]] = []
         self._ts = 0
         self._fh = None
         if self.path is not None:
@@ -145,7 +151,6 @@ class TraceWriter:
             "kind": kind,
             "payload": dict(payload),
         }
-        self.events.append(entry)
         if self._fh is not None:
             self._fh.write(canonical_json(entry) + "\n")
 
@@ -262,19 +267,19 @@ def _tool_message(artifact: Mapping[str, Any]) -> ChatMessage:
 
 
 class _EpisodeRunner:
-    """Bundles the per-episode state the exploration loop carries around."""
+    """Per-run state of one exploration episode (``config`` given) or one
+    inference sample (``config`` None): sample profile and retrieval, trace,
+    artifacts, invocation context, call ids, and gateway totals."""
 
     def __init__(
         self,
         instance: TaskInstance,
-        config: ExplorationConfig,
         deps: EpisodeDeps,
-        capability: EvaluatorCapability,
+        config: Optional[ExplorationConfig] = None,
     ):
         self.instance = instance
         self.config = config
         self.deps = deps
-        self.capability = capability
         self.artifacts = ArtifactStore(instance)
         self.call_counter = 0
         self.tokens_used = 0
@@ -289,20 +294,25 @@ class _EpisodeRunner:
         header = {
             "engine": "timeclaw",
             "version": __version__,
-            "config_digest": config.digest(),
-            "mode": "exploration",
+            "config_digest": "",
+            "mode": "inference",
             "episode": instance.id,
-            "seed": config.seed,
-            "prior_exists": self.prior_exists,
-            "require_prior_and_alternative": config.require_prior_and_alternative,
             "instance": instance.public_dict(),
-            "ground_truth": instance.answer_key(capability),
         }
+        if config is None:
+            self.ctx = InvocationContext(mode="inference", instance=instance)
+        else:
+            capability = EvaluatorCapability()
+            self.ctx = InvocationContext(mode="exploration", instance=instance, capability=capability)
+            header.update(
+                config_digest=config.digest(),
+                mode="exploration",
+                seed=config.seed,
+                prior_exists=self.prior_exists,
+                require_prior_and_alternative=config.require_prior_and_alternative,
+                ground_truth=instance.answer_key(capability),
+            )
         self.trace = TraceWriter(trace_path, header)
-
-    def next_call_id(self) -> str:
-        self.call_counter += 1
-        return f"c{self.call_counter:03d}"
 
     def complete(self, exchange: ChatExchange, branch: Optional[int]) -> AssistantReply:
         self.trace.event(
@@ -318,7 +328,8 @@ class _EpisodeRunner:
             {"reply": reply.to_dict(), "usage": reply.usage},
             branch=branch,
         )
-        if self.config.token_budget is not None and self.tokens_used > self.config.token_budget:
+        budget = self.config.token_budget if self.config is not None else None
+        if budget is not None and self.tokens_used > budget:
             raise GatewayError("episode token budget exhausted")
         return reply
 
@@ -327,10 +338,10 @@ class _EpisodeRunner:
         tool: str,
         args: Mapping[str, Any],
         inputs: Sequence[str],
-        ctx: InvocationContext,
         branch: Optional[int],
     ) -> dict[str, Any]:
-        call_id = self.next_call_id()
+        self.call_counter += 1
+        call_id = f"c{self.call_counter:03d}"
         self.trace.event(
             "tool_call",
             {"call_id": call_id, "tool": tool, "args": dict(args), "inputs": list(inputs)},
@@ -339,7 +350,7 @@ class _EpisodeRunner:
         artifact = self.deps.toolkit.invoke(
             ToolInvocation(tool_id=tool, args=dict(args), inputs=tuple(inputs)),
             self.artifacts,
-            ctx,
+            self.ctx,
         )
         art_dict = artifact.to_dict()
         self.trace.event("tool_result", {"call_id": call_id, "artifact": art_dict}, branch=branch)
@@ -359,12 +370,63 @@ def _split_call_args(raw_args: Mapping[str, Any]) -> tuple[dict[str, Any], list[
     return args, list(inputs)
 
 
-def _run_branch(
-    runner: _EpisodeRunner, slot: BranchSlot, ctx: InvocationContext
-) -> CandidateExecution:
+_Step = tuple[str, dict[str, Any], dict[str, Any]]  # tool, args, artifact
+
+
+def _step_loop(
+    runner: _EpisodeRunner,
+    bundle: prompts.PromptBundle,
+    declared: list[dict[str, Any]],
+    max_steps: int,
+    reject: Callable[[str], Optional[str]],
+    branch: Optional[int] = None,
+) -> tuple[list[_Step], Optional[dict[str, Any]], Optional[str]]:
+    """The gateway -> tool -> observation loop shared by branches and
+    inference. ``reject(tool)`` names the error fed back, instead of running
+    the tool, for a request the caller does not accept (None: run it).
+
+    Returns the invoked (tool, args, artifact) steps, the parsed final
+    message (None without one), and the failure reason: ``gateway_error: ...``,
+    ``step_cap``, or None once a final message arrived."""
+    messages = [
+        ChatMessage(role="system", content=bundle.system_text),
+        ChatMessage(role="user", content=bundle.user_text),
+    ]
+    steps: list[_Step] = []
+    for _step in range(max_steps):
+        exchange = ChatExchange(messages=messages, declared_tools=declared)
+        try:
+            reply = runner.complete(exchange, branch)
+        except ScriptMissError:
+            raise  # a stale replay script is a test-configuration error
+        except GatewayError as exc:
+            return steps, None, f"gateway_error: {exc}"
+        if reply.tool_calls:
+            call = reply.tool_calls[0]  # one tool call per gateway turn
+            messages.append(
+                ChatMessage(role="assistant", content=reply.content or "", tool_calls=(call,))
+            )
+            error = reject(call.tool)
+            if error is not None:
+                messages.append(
+                    ChatMessage(role="tool", content=canonical_json({"error": error, "tool": call.tool}))
+                )
+                continue
+            args, inputs = _split_call_args(call.args)
+            art = runner.invoke_tool(call.tool, args, inputs, branch)
+            steps.append((call.tool, args, art))
+            messages.append(_tool_message(art))
+            continue
+        final = parse_final(reply.content)
+        if final is not None:
+            return steps, final, None
+        messages.append(ChatMessage(role="assistant", content=reply.content or ""))
+    return steps, None, "step_cap"
+
+
+def _run_branch(runner: _EpisodeRunner, slot: BranchSlot) -> CandidateExecution:
     instance = runner.instance
     deps = runner.deps
-    branch_id = f"{instance.id}#b{slot.slot}"
     declared = [deps.toolkit.tool_schema(t) for t in sorted(slot.visible_tools) if deps.toolkit.has(t)]
     bundle = prompts.build_branch_prompt(
         instance,
@@ -374,56 +436,17 @@ def _run_branch(
         selection=runner.selection,
         soul=deps.store.soul_text() if deps.store else "",
     )
-    messages = [
-        ChatMessage(role="system", content=bundle.system_text),
-        ChatMessage(role="user", content=bundle.user_text),
-    ]
-    tool_records: list[ToolCallRecord] = []
-    final_answer: Any = None
-    reasoning = ""
-    failure_reason: Optional[str] = "step_cap"
-    for _step in range(runner.config.max_steps):
-        exchange = ChatExchange(messages=messages, declared_tools=declared, params=ChatParams())
-        try:
-            reply = runner.complete(exchange, branch=slot.slot)
-        except ScriptMissError:
-            raise  # a stale replay script is a test-configuration error
-        except GatewayError as exc:
-            failure_reason = f"gateway_error: {exc}"
-            break
-        if reply.tool_calls:
-            call = reply.tool_calls[0]  # one tool call per gateway turn
-            messages.append(
-                ChatMessage(role="assistant", content=reply.content or "", tool_calls=(call,))
-            )
-            if call.tool == SPAWN_TOOL or call.tool in EVALUATE_TOOLS:
-                messages.append(
-                    ChatMessage(
-                        role="tool",
-                        content=canonical_json({"error": "not_available_in_branch", "tool": call.tool}),
-                    )
-                )
-                continue
-            if call.tool not in slot.visible_tools:
-                messages.append(
-                    ChatMessage(
-                        role="tool",
-                        content=canonical_json({"error": "tool_not_visible", "tool": call.tool}),
-                    )
-                )
-                continue
-            args, inputs = _split_call_args(call.args)
-            art = runner.invoke_tool(call.tool, args, inputs, ctx, branch=slot.slot)
-            tool_records.append(ToolCallRecord(call.tool, args, art["artifact_id"]))
-            messages.append(_tool_message(art))
-            continue
-        final = parse_final(reply.content)
-        if final is not None:
-            final_answer = final.get("answer")
-            reasoning = str(final.get("reasoning", ""))
-            failure_reason = None
-            break
-        messages.append(ChatMessage(role="assistant", content=reply.content or ""))
+
+    def reject(tool: str) -> Optional[str]:
+        if tool == SPAWN_TOOL or tool in EVALUATE_TOOLS:
+            return "not_available_in_branch"
+        return None if tool in slot.visible_tools else "tool_not_visible"
+
+    steps, final, failure_reason = _step_loop(
+        runner, bundle, declared, runner.config.max_steps, reject, branch=slot.slot
+    )
+    final_answer = final.get("answer") if final else None
+    tool_records = tuple(ToolCallRecord(tool, args, art["artifact_id"]) for tool, args, art in steps)
     verdict = validate_answer(final_answer, instance)
     substantive = tuple(
         r.tool_id
@@ -431,12 +454,12 @@ def _run_branch(
         if (d := deps.registry.descriptor(r.tool_id)) is not None and d.substantive
     )
     return CandidateExecution(
-        branch_id=branch_id,
+        branch_id=f"{instance.id}#b{slot.slot}",
         slot=slot.slot,
-        tool_calls=tuple(tool_records),
+        tool_calls=tool_records,
         final_answer=final_answer,
         valid=verdict.valid,
-        reasoning_text=reasoning,
+        reasoning_text=str(final.get("reasoning", "")) if final else "",
         substantive_chain=substantive,
         prior_guided=slot.prior_guided,
         alternative=slot.alternative,
@@ -476,9 +499,7 @@ def run_exploration_episode(
     branches simply becomes a failure outcome."""
     if not instance.has_ground_truth:
         raise ContractError("exploration requires targets (ground truth) on every instance")
-    capability = EvaluatorCapability()
-    runner = _EpisodeRunner(instance, config, deps, capability)
-    ctx = InvocationContext(mode="exploration", instance=instance, capability=capability)
+    runner = _EpisodeRunner(instance, deps, config)
     episode_seed = stable_seed(config.seed, instance.id)
     slots = assign_branch_slots(
         instance, config, runner.prior_exists, deps.registry, runner.selection, episode_seed
@@ -521,7 +542,7 @@ def run_exploration_episode(
         )
     if spawned:
         for slot in slots:
-            candidates.append(_run_branch(runner, slot, ctx))
+            candidates.append(_run_branch(runner, slot))
 
     valid = [c for c in candidates if c.valid]
     eval_reports: dict[str, Any] = {}
@@ -536,11 +557,11 @@ def run_exploration_episode(
             eval_call = next((c for c in reply.tool_calls if c.tool in EVALUATE_TOOLS), None)
             if eval_call is not None:
                 answers = {c.branch_id: c.final_answer for c in valid}
-                ctx.candidates = answers
+                runner.ctx.candidates = answers
                 args = dict(eval_call.args)
                 if eval_call.tool == "evaluate_batch_against_gt":
                     args.setdefault("candidates", answers)
-                art = runner.invoke_tool(eval_call.tool, args, [ORIGINAL_INPUT], ctx, branch=None)
+                art = runner.invoke_tool(eval_call.tool, args, [ORIGINAL_INPUT], branch=None)
                 messages.append(_tool_message(art))
                 payload = art["payload"]
                 if "reports" in payload:
@@ -599,7 +620,7 @@ def run_exploration_episode(
             branch=c.slot,
         )
 
-    truth = instance.answer_key(capability)
+    truth = instance.answer_key(runner.ctx.capability)
     sensitive = [canonical_json(truth), json.dumps(truth)]
     for c in valid:
         sensitive.append(canonical_json(c.final_answer))
@@ -808,114 +829,47 @@ def run_inference(
     instance: TaskInstance,
     deps: EpisodeDeps,
     max_steps: int = 6,
-    config_digest: str = "",
 ) -> InferenceResult:
     """Solve one instance with reinjected experience and task-facing tools
     only. No store writes, no ledger writes, no ground-truth access."""
     view = replace(instance, ground_truth=None)
-    fp = prompts.fingerprint(view)
-    selection = deps.store.retrieve(view.scope, fp) if deps.store is not None else None
+    runner = _EpisodeRunner(view, deps)
     visible = [t for t in deps.registry.inference_visible() if deps.toolkit.has(t)]
     declared = [deps.toolkit.tool_schema(t) for t in visible]
     bundle = prompts.build_inference_prompt(
         view,
-        fp,
-        selection,
+        runner.fp,
+        runner.selection,
         declared,
         soul=deps.store.soul_text() if deps.store else "",
     )
-    trace_path = None
-    if deps.trace_dir is not None:
-        trace_path = Path(deps.trace_dir) / f"{_safe_name(view.id)}.jsonl"
-    trace = TraceWriter(
-        trace_path,
-        {
-            "engine": "timeclaw",
-            "version": __version__,
-            "config_digest": config_digest,
-            "mode": "inference",
-            "episode": view.id,
-            "instance": view.public_dict(),
-        },
-    )
-    ctx = InvocationContext(mode="inference", instance=view)
-    artifacts = ArtifactStore(view)
-    messages = [
-        ChatMessage(role="system", content=bundle.system_text),
-        ChatMessage(role="user", content=bundle.user_text),
-    ]
-    tool_chain: list[str] = []
-    context_lines: list[str] = []
-    final_answer: Any = None
-    degraded = False
-    call_counter = 0
-    for _step in range(max_steps):
-        exchange = ChatExchange(messages=messages, declared_tools=declared)
-        trace.event(
-            "gateway_request",
-            {"digest": exchange_digest(exchange), "tools": exchange.declared_tool_names()},
-        )
-        try:
-            reply = deps.gateway.complete(exchange)
-        except ScriptMissError:
-            raise  # a stale replay script is a test-configuration error
-        except GatewayError:
-            break
-        trace.event("gateway_response", {"reply": reply.to_dict(), "usage": reply.usage})
-        if reply.tool_calls:
-            call = reply.tool_calls[0]
-            messages.append(
-                ChatMessage(role="assistant", content=reply.content or "", tool_calls=(call,))
-            )
-            if call.tool not in visible:
-                # undeclared (or exploration-only) tool: feedback, no tool event
-                messages.append(
-                    ChatMessage(
-                        role="tool",
-                        content=canonical_json({"error": "tool_not_available", "tool": call.tool}),
-                    )
-                )
-                continue
-            args, inputs = _split_call_args(call.args)
-            call_counter += 1
-            call_id = f"c{call_counter:03d}"
-            trace.event(
-                "tool_call",
-                {"call_id": call_id, "tool": call.tool, "args": args, "inputs": inputs},
-            )
-            artifact = deps.toolkit.invoke(
-                ToolInvocation(tool_id=call.tool, args=args, inputs=tuple(inputs)), artifacts, ctx
-            )
-            art = artifact.to_dict()
-            trace.event("tool_result", {"call_id": call_id, "artifact": art})
-            messages.append(_tool_message(art))
-            tool_chain.append(call.tool)
-            context_lines.append(_context_line(len(context_lines) + 1, call.tool, art))
-            continue
-        final = parse_final(reply.content)
-        if final is not None:
-            final_answer = final.get("answer")
-            if final.get("reasoning"):
-                context_lines.append(f"{len(context_lines) + 1}. final: {final['reasoning']}")
-            break
-        messages.append(ChatMessage(role="assistant", content=reply.content or ""))
 
-    if not validate_answer(final_answer, view).valid:
+    def reject(tool: str) -> Optional[str]:
+        # undeclared (or exploration-only) tool: feedback, no tool event
+        return None if tool in visible else "tool_not_available"
+
+    steps, final, _failure = _step_loop(runner, bundle, declared, max_steps, reject)
+    tool_chain = [tool for tool, _args, _art in steps]
+    context_lines = [_context_line(i, tool, art) for i, (tool, _args, art) in enumerate(steps, 1)]
+    final_answer = final.get("answer") if final else None
+    if final and final.get("reasoning"):
+        context_lines.append(f"{len(context_lines) + 1}. final: {final['reasoning']}")
+    degraded = not validate_answer(final_answer, view).valid
+    if degraded:
         final_answer = _fallback_answer(view)
-        degraded = True
         context_lines.append(
             f"{len(context_lines) + 1}. fallback: degraded default answer used."
         )
-    trace.event(
+    runner.trace.event(
         "outcome",
         {"prediction_valid": not degraded, "degraded": degraded, "tool_chain": tool_chain},
     )
-    trace.close()
+    runner.trace.close()
     return InferenceResult(
         instance_id=view.id,
         prediction=final_answer,
         tool_chain=tuple(tool_chain),
         execution_context="\n".join(context_lines),
         degraded=degraded,
-        trace_path=str(trace.path) if trace.path else None,
+        trace_path=str(runner.trace.path) if runner.trace.path else None,
     )

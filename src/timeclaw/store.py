@@ -24,7 +24,7 @@ import re
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from .core import EpisodeOutcome, EvidenceClass, TaskInstance
 from .errors import ContractError
@@ -216,7 +216,6 @@ def summarize_episode(
     outcome: EpisodeOutcome,
     instance: TaskInstance,
     fp: SampleFingerprint,
-    summary_gateway: Optional[Callable[[str], Mapping[str, str]]] = None,
 ) -> LearningNote:
     """Build the sample-level learning record for one finished episode.
 
@@ -251,15 +250,6 @@ def summarize_episode(
 
     insight = outcome.learning_summary.insight
     recommendation = outcome.learning_summary.recommendation
-    if summary_gateway is not None:
-        try:
-            produced = summary_gateway(
-                canonical_json({"winner": winner_tools, "losers": loser_tools, "chi": chi})
-            )
-            insight = produced.get("insight", insight)
-            recommendation = produced.get("recommendation", recommendation)
-        except Exception:
-            pass  # template fallback below
     if not insight or not recommendation:
         if outcome.evidence_class == EvidenceClass.COMPARATIVE:
             qualities = sorted(
@@ -532,11 +522,9 @@ class ExperienceStore:
     def __init__(
         self,
         root: Path,
-        summary_gateway: Optional[Callable[[str], Mapping[str, str]]] = None,
         auto_snapshot: bool = True,
     ):
         self.root = Path(root)
-        self.summary_gateway = summary_gateway
         self.auto_snapshot = auto_snapshot
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
@@ -732,7 +720,7 @@ class ExperienceStore:
         """The episode handoff: summarize, commit when evidence-backed, and
         run any due distillation. Failure episodes without evaluation
         evidence are summarized but not committed."""
-        note = summarize_episode(outcome, instance, fp, self.summary_gateway)
+        note = summarize_episode(outcome, instance, fp)
         if note.trace_refs:
             # keep only file names so store trees stay path-independent
             note = replace(note, trace_refs=tuple(Path(t).name for t in note.trace_refs))

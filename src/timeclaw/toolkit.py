@@ -681,7 +681,12 @@ class RemoteToolAdapter:
                 continue
             if resp.status_code >= 400:
                 raise ToolError("remote_rejected", f"remote tool rejected the call: {resp.status_code}")
-            data = resp.json()
+            try:
+                data = resp.json()
+            except ValueError:
+                data = None
+            if not isinstance(data, dict):
+                raise ToolError("remote_schema", "remote response is not a JSON object")
             try:
                 kind = ArtifactKind(data["kind"])
             except (KeyError, ValueError):

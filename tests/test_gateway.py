@@ -82,13 +82,21 @@ class TestScriptedGateway:
 
 class _Flaky(BaseHTTPRequestHandler):
     calls = 0
-    mode = "retry"  # retry | bad_tool_json
+    mode = "retry"  # retry | bad_tool_json | not_json
 
     def do_POST(self):
         type(self).calls += 1
         if type(self).mode == "retry" and type(self).calls == 1:
             self.send_response(500)
             self.end_headers()
+            return
+        if type(self).mode == "not_json":
+            body = b"<html>upstream proxy page</html>"
+            self.send_response(200)
+            self.send_header("Content-Type", "text/html")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
             return
         if type(self).mode == "bad_tool_json":
             message = {
@@ -134,6 +142,13 @@ class TestRemoteGateway:
         gw = RemoteGateway(base_url=stub_server, api_key="k", backoff=0.01)
         with pytest.raises(ToolCallParseError):
             gw.complete(_exchange("hi"))
+
+    def test_non_json_body_is_gateway_error(self, stub_server):
+        _Flaky.mode = "not_json"
+        gw = RemoteGateway(base_url=stub_server, api_key="k", backoff=0.01)
+        with pytest.raises(GatewayError, match="not JSON"):
+            gw.complete(_exchange("hi"))
+        assert _Flaky.calls == 1
 
     def test_exhausted_retries_raise_gateway_error(self):
         gw = RemoteGateway(

@@ -6,7 +6,7 @@ import pytest
 
 from timeclaw import prompts, seriesops
 from timeclaw.core import EvidenceClass, SealedAnswer, TaskInstance, TaskType
-from timeclaw.errors import ContractError
+from timeclaw.errors import ContractError, GatewayError
 from timeclaw.gateway import AssistantReply, PolicyGateway, ToolCallRequest
 from timeclaw.orchestrator import (
     BranchSlot,
@@ -18,7 +18,7 @@ from timeclaw.orchestrator import (
     run_exploration_episode,
     run_inference,
 )
-from timeclaw.policy import inference_policy, policy_gateway
+from timeclaw.policy import exploration_policy, inference_policy, policy_gateway
 from timeclaw.registry import ToolRegistry, ToolUsageLedger
 from timeclaw.store import ExperienceStore
 from timeclaw.toolkit import builtin_toolkit
@@ -184,6 +184,80 @@ class TestEpisodeOutcomes:
         run_exploration_episode(inst, ExplorationConfig(seed=3), deps)
         counts = deps.registry.ledger.counts(inst.scope)
         assert counts == {"naive": 1, "drift": 1}
+
+
+def _branch_loop_policy(branch_fn):
+    """The built-in exploration policy for the main exchanges; branch turns
+    go to branch_fn(slot, exchange)."""
+
+    def fn(exchange):
+        first_user = next(m.content for m in exchange.messages if m.role == "user")
+        if "### Branch Goal" in first_user:
+            return branch_fn(int(first_user.split("- slot = ")[1].split("\n")[0]), exchange)
+        return exploration_policy(exchange)
+
+    return PolicyGateway(fn)
+
+
+def _forecast_reply(answer):
+    return AssistantReply(content=json.dumps({"answer_type": "forecast", "answer": answer}))
+
+
+class TestBranchLoop:
+    def _run(self, tmp_path, branch_fn, monkeypatch=None, visible=None):
+        deps = _deps(tmp_path, _branch_loop_policy(branch_fn))
+        if visible is not None:
+            monkeypatch.setattr(
+                deps.registry, "sample_visible_subset", lambda *a, **k: frozenset(visible)
+            )
+        outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=3), deps)
+        _header, events = read_trace(outcome.trace_path)
+        return outcome, events
+
+    @pytest.mark.parametrize(
+        "tool, error",
+        [("spawn_subagent", "not_available_in_branch"), ("holt", "tool_not_visible")],
+    )
+    def test_rejected_request_gets_feedback_not_execution(self, tmp_path, monkeypatch, tool, error):
+        feedback = []
+
+        def branch_fn(slot, exchange):
+            last = exchange.messages[-1]
+            if last.role == "user":
+                return AssistantReply(content="", tool_calls=(ToolCallRequest(tool=tool, args={}),))
+            feedback.append(last.content)
+            return _forecast_reply([13.0] * 3)
+
+        outcome, events = self._run(tmp_path, branch_fn, monkeypatch, visible={"naive", "drift"})
+        expected = json.dumps({"error": error, "tool": tool}, separators=(",", ":"))
+        assert feedback == [expected, expected]  # one per branch
+        assert all(c.valid and c.tool_calls == () for c in outcome.candidates)
+        called = [e["payload"]["tool"] for e in events if e["kind"] == "tool_call"]
+        assert called == ["evaluate_batch_against_gt"]
+
+    def test_gateway_error_mid_loop_ends_the_branch(self, tmp_path):
+        def branch_fn(slot, exchange):
+            if exchange.messages[-1].role == "tool":
+                raise GatewayError("backend went away")
+            return AssistantReply(
+                content="", tool_calls=(ToolCallRequest(tool="naive", args={"horizon": 3}),)
+            )
+
+        outcome, _events = self._run(tmp_path, branch_fn)
+        for c in outcome.candidates:
+            assert c.failure_reason == "gateway_error: backend went away"
+            assert not c.valid and [r.tool_id for r in c.tool_calls] == ["naive"]
+
+    def test_branch_that_never_finishes_hits_the_step_cap(self, tmp_path):
+        turns = []
+
+        def branch_fn(slot, exchange):
+            turns.append(slot)
+            return AssistantReply(content="still thinking")
+
+        outcome, _events = self._run(tmp_path, branch_fn)
+        assert [c.failure_reason for c in outcome.candidates] == ["step_cap", "step_cap"]
+        assert turns == [0] * 6 + [1] * 6  # ExplorationConfig.max_steps turns per branch
 
 
 class TestContractVerdicts:
@@ -374,6 +448,7 @@ class TestInference:
 
     def test_exploration_only_tool_requests_get_feedback_not_execution(self, tmp_path):
         calls = {"n": 0}
+        feedback = []
 
         def fn(exchange):
             calls["n"] += 1
@@ -382,6 +457,7 @@ class TestInference:
                     content="",
                     tool_calls=(ToolCallRequest(tool="evaluate_against_gt", args={}),),
                 )
+            feedback.append(exchange.messages[-1].content)
             return AssistantReply(
                 content=json.dumps({"answer_type": "forecast", "answer": [1.0, 1.0, 1.0]})
             )
@@ -391,6 +467,7 @@ class TestInference:
         header, events = read_trace(result.trace_path)
         tool_events = [e for e in events if e["kind"] == "tool_call"]
         assert tool_events == []  # the forbidden request never became a tool event
+        assert feedback == ['{"error":"tool_not_available","tool":"evaluate_against_gt"}']
         assert result.prediction == [1.0, 1.0, 1.0]
 
 

@@ -1,0 +1,70 @@
+"""Checked-in trace goldens: the bytes of one exploration episode and one
+inference sample, both against the built-in policy mock, must not drift.
+
+``TestTraceDeterminism`` compares two runs of the same code; these goldens
+compare against the bytes an earlier version of the engine wrote. After an
+intended trace change, regenerate them with::
+
+    PYTHONPATH=src python tests/test_trace_golden.py
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+from pathlib import Path
+
+from timeclaw.corpus import FamilySpec, generate_sample
+from timeclaw.orchestrator import EpisodeDeps, ExplorationConfig, run_exploration_episode, run_inference
+from timeclaw.policy import policy_gateway
+from timeclaw.registry import ToolRegistry, ToolUsageLedger
+from timeclaw.store import ExperienceStore
+from timeclaw.toolkit import builtin_toolkit
+
+GOLDEN = Path(__file__).parent / "data" / "traces"
+FAMILY = FamilySpec(
+    name="seasonal", kind="seasonal", learn_count=4, eval_count=2, length=96, horizon=24, period=24
+)
+
+
+def _deps(root: Path, policy: str) -> EpisodeDeps:
+    toolkit = builtin_toolkit()
+    return EpisodeDeps(
+        registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger(root / "ledger.json")),
+        toolkit=toolkit,
+        gateway=policy_gateway(policy),
+        store=ExperienceStore(root / "store", auto_snapshot=False),
+        trace_dir=root / policy,
+    )
+
+
+def render_traces(root: Path) -> dict[str, bytes]:
+    """Run the golden exploration episode, then the golden inference sample
+    against the store it wrote; return each trace's bytes by golden name."""
+    learn, _source, _future = generate_sample(FAMILY, "learning", 0, seed=11)
+    outcome = run_exploration_episode(learn, ExplorationConfig(seed=5), _deps(root, "exploration"))
+    probe, _source, _future = generate_sample(FAMILY, "eval", 0, seed=11)
+    result = run_inference(probe, _deps(root, "inference"))
+    return {
+        "exploration.jsonl": Path(outcome.trace_path).read_bytes(),
+        "inference.jsonl": Path(result.trace_path).read_bytes(),
+    }
+
+
+def test_golden_exploration_episode_spawns_evaluates_and_finishes(tmp_path):
+    text = render_traces(tmp_path)["exploration.jsonl"].decode()
+    for needle in ('"tool":"spawn_subagent"', '"tool":"evaluate_batch_against_gt"', "learning_summary"):
+        assert needle in text
+
+
+def test_traces_match_checked_in_goldens(tmp_path):
+    for name, data in render_traces(tmp_path).items():
+        assert data == (GOLDEN / name).read_bytes(), f"{name} drifted from its golden"
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in render_traces(Path(tmp)).items():
+            (GOLDEN / name).write_bytes(data)
+            print(f"wrote {GOLDEN / name} ({len(data)} bytes)", file=sys.stderr)
