@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--max-steps", type=int)
     p.add_argument("--trace-dir")
-    p.add_argument("--out", required=True, help="predictions JSONL path")
+    p.add_argument("--out", required=True, help="predictions JSONL path; infer_summary.json and traces_infer/ go beside it")
     _add_gateway_flags(p)
     p.set_defaults(fn=cmd_infer)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ContractError
-from .util import stable_rng
+from .util import stable_rng, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -198,10 +198,10 @@ class ToolUsageLedger:
         if self.path is None:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(self._counts, sort_keys=True, indent=1) + "\n")
+        write_atomic(self.path, json.dumps(self._counts, sort_keys=True, indent=1) + "\n")
         hist = self._history_path()
         if hist is not None:
-            hist.write_text(json.dumps(self._history, sort_keys=True) + "\n")
+            write_atomic(hist, json.dumps(self._history, sort_keys=True) + "\n")
 
 
 # Non-protected survivors below this floor are force-included (lowest counts

@@ -19,6 +19,7 @@ gapless and committed notes are never modified.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import threading
@@ -29,7 +30,7 @@ from typing import Any, Mapping, Optional, Sequence
 from .core import EpisodeOutcome, EvidenceClass, TaskInstance
 from .errors import ContractError
 from .prompts import SampleFingerprint, match, task_prompt
-from .util import canonical_json, digest_obj, digest_text
+from .util import canonical_json, digest_obj, digest_text, write_atomic
 
 MEMORY_CAP = 30
 DISTILL_EVERY = 10
@@ -503,7 +504,50 @@ def update_memory(state: MemoryState, ev: CleanEvidence) -> str:
 # The on-disk store
 # ---------------------------------------------------------------------------
 
-_NOTE_OPEN = re.compile(r"^<!-- note (\d+) -->$")
+_NOTE_OPEN = re.compile(r"^<!-- note (\d+) -->$", re.M)
+_NOTE_BLOCK = re.compile(r"^<!-- note (\d+) -->\n(.*?)^<!-- end note \1 -->$", re.M | re.S)
+
+# Files the store only ever writes whole; it keeps their text in memory.
+_REWRITTEN = ("soul.md", "memory/*.json", "fingerprints/*", "skills/*.md", "skills_decision/*.md",
+              "tools/*.md", "snapshots/*/index.json")
+
+# A note's shard block: (key, LearningNote attribute, JSON read when the key
+# is missing), in the order the block lists them.
+_NOTE_FIELDS = (
+    ("instance", "instance_id", '""'),
+    ("prompt_digest", "prompt_digest", '""'),
+    ("evidence_class", "evidence_class", '"failure"'),
+    ("winner_tools", "winner_tools", "[]"),
+    ("loser_tools", "loser_tools", "[]"),
+    ("applicability", "applicability", "{}"),
+    ("metrics", "metrics", "{}"),
+    ("trace", "trace_refs", "[]"),
+    ("sensitive", "sensitive", "[]"),
+    ("eval_evidence", "eval_evidence", "false"),
+    ("insight", "insight", '""'),
+    ("recommendation", "recommendation", '""'),
+)
+
+
+def _note_from_block(scope: str, seq: int, block: Mapping[str, str]) -> LearningNote:
+    values = {attr: json.loads(block.get(key, missing)) for key, attr, missing in _NOTE_FIELDS}
+    for attr in ("winner_tools", "loser_tools", "trace_refs", "sensitive"):
+        values[attr] = tuple(values[attr])
+    return LearningNote(scope=scope, sequence=seq, **values)
+
+
+def _parse_notes(scope: str, text: str, after: int = 0) -> tuple[int, list[LearningNote]]:
+    """Parse a notes shard: how many notes it opens, and the notes with a
+    sequence number above ``after``."""
+    seqs = [int(seq) for seq in _NOTE_OPEN.findall(text)]
+    if seqs != list(range(1, len(seqs) + 1)):
+        raise ContractError(f"notes shard for {scope} has non-gapless sequences")
+    notes = []
+    for m in _NOTE_BLOCK.finditer(text):
+        if int(m[1]) > after:
+            block = dict(line.split(": ", 1) for line in m[2].splitlines() if ": " in line)
+            notes.append(_note_from_block(scope, int(m[1]), block))
+    return len(seqs), notes
 
 
 @dataclass
@@ -516,120 +560,92 @@ class Selection:
     tool_notes: dict[str, str] = field(default_factory=dict)
 
 
-class ExperienceStore:
-    """Disk-backed hierarchical experience, one writer per scope."""
+@dataclass
+class _Scope:
+    """The in-memory state of one scope. ``memory`` is replaced whole on
+    publish, never mutated, so a reader may keep what it got."""
 
-    def __init__(
-        self,
-        root: Path,
-        auto_snapshot: bool = True,
-    ):
+    memory: MemoryState = field(default_factory=MemoryState)
+    note_count: int = 0
+    pending: list[LearningNote] = field(default_factory=list)  # committed, not yet distilled
+    lock: threading.Lock = field(default_factory=threading.Lock)  # serializes commits and batches
+
+
+class ExperienceStore:
+    """Disk-backed hierarchical experience, one writer per scope.
+
+    The store reads its files once, when it opens, and from then on holds
+    every scope's state and the text of every file it rewrites in memory,
+    writing each change through to disk. It assumes no other process writes
+    the same root meanwhile.
+    """
+
+    def __init__(self, root: Path, auto_snapshot: bool = True):
         self.root = Path(root)
         self.auto_snapshot = auto_snapshot
-        self._locks: dict[str, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
-        self._note_counts: dict[str, int] = {}
-        self._distilled_through: dict[str, int] = {}
+        self._scopes: dict[str, _Scope] = {}
+        self._scopes_guard = threading.Lock()
+        # Held to publish a scope's memory and rebuild the layers derived from
+        # it, so the tool cards, which read every scope, see whole states.
+        # Every change to ``_files`` and to a scope's ``memory`` holds it.
+        self._publish = threading.RLock()
+        self._files: dict[str, str] = {}
         for sub in ("notes", "memory", "tools", "skills", "skills_decision", "snapshots", "fingerprints"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
-        soul = self.root / "soul.md"
-        if not soul.exists():
-            soul.write_text(DEFAULT_SOUL)
+        for pattern in _REWRITTEN:
+            for path in sorted(self.root.glob(pattern)):
+                self._files[path.relative_to(self.root).as_posix()] = path.read_text()
+        for path in sorted((self.root / "memory").glob("*.json")):
+            self._scope(path.stem).memory = MemoryState.from_dict(json.loads(self._files[f"memory/{path.name}"]))
+        for path in sorted((self.root / "notes").glob("*.md")):
+            held = self._scope(path.stem)
+            held.note_count, held.pending = _parse_notes(path.stem, path.read_text(), held.memory.distilled_through)
+        if "soul.md" not in self._files:
+            self._write("soul.md", DEFAULT_SOUL)
 
-    def _lock(self, scope: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._locks.setdefault(scope, threading.Lock())
+    def _scope(self, scope: str) -> _Scope:
+        with self._scopes_guard:
+            return self._scopes.setdefault(scope, _Scope())
 
-    # -- paths ------------------------------------------------------------
-
-    def _notes_path(self, scope: str) -> Path:
-        return self.root / "notes" / f"{scope}.md"
-
-    def _memory_path(self, scope: str) -> Path:
-        return self.root / "memory" / f"{scope}.json"
-
-    def _fingerprint_path(self, scope: str) -> Path:
-        return self.root / "fingerprints" / scope
+    def _write(self, rel: str, text: str) -> None:
+        """Rewrite one file under the root, on disk and in memory."""
+        with self._publish:
+            if self._files.get(rel) != text:
+                write_atomic(self.root / rel, text)
+                self._files[rel] = text
 
     # -- layers -----------------------------------------------------------
 
     def soul_text(self) -> str:
-        return (self.root / "soul.md").read_text()
+        return self._files["soul.md"]
 
     def memory_state(self, scope: str) -> MemoryState:
-        path = self._memory_path(scope)
-        if not path.exists():
-            return MemoryState()
-        return MemoryState.from_dict(json.loads(path.read_text()))
+        """The scope's published memory; shared, so callers must not mutate it."""
+        held = self._scopes.get(scope)
+        return held.memory if held is not None else MemoryState()
 
     def _write_memory(self, scope: str, state: MemoryState) -> None:
-        self._memory_path(scope).write_text(
-            json.dumps(state.to_dict(), sort_keys=True, indent=1) + "\n"
-        )
+        """Publish ``state`` as the scope's memory, on disk and in memory."""
+        with self._publish:
+            self._write(f"memory/{scope}.json", json.dumps(state.to_dict(), sort_keys=True, indent=1) + "\n")
+            self._scope(scope).memory = state
 
     def memory_fingerprint(self, scope: str) -> str:
         return self.memory_state(scope).content_fingerprint()
 
     def scopes(self) -> list[str]:
-        return sorted(p.stem for p in (self.root / "notes").glob("*.md"))
+        return [name for name, held in self._sorted_scopes() if held.note_count]
+
+    def _sorted_scopes(self) -> list[tuple[str, _Scope]]:
+        with self._scopes_guard:
+            return sorted(self._scopes.items())
 
     # -- notes ------------------------------------------------------------
 
     def notes(self, scope: str) -> list[LearningNote]:
-        path = self._notes_path(scope)
-        if not path.exists():
-            return []
-        notes: list[LearningNote] = []
-        block: dict[str, str] = {}
-        seq: Optional[int] = None
-        for line in path.read_text().splitlines():
-            m = _NOTE_OPEN.match(line)
-            if m:
-                block = {}
-                seq = int(m.group(1))
-                continue
-            if line.startswith("<!-- end note"):
-                notes.append(self._note_from_block(scope, seq, block))
-                seq = None
-                continue
-            if seq is not None and ": " in line:
-                key, value = line.split(": ", 1)
-                block[key] = value
-        expected = list(range(1, len(notes) + 1))
-        if [n.sequence for n in notes] != expected:
-            raise ContractError(f"notes shard for {scope} has non-gapless sequences")
-        return notes
-
-    @staticmethod
-    def _note_from_block(scope: str, seq: Optional[int], block: Mapping[str, str]) -> LearningNote:
-        def j(key: str, default: Any) -> Any:
-            return json.loads(block[key]) if key in block else default
-
-        return LearningNote(
-            scope=scope,
-            instance_id=j("instance", ""),
-            prompt_digest=j("prompt_digest", ""),
-            winner_tools=tuple(j("winner_tools", [])),
-            loser_tools=tuple(j("loser_tools", [])),
-            metrics=j("metrics", {}),
-            evidence_class=j("evidence_class", "failure"),
-            insight=j("insight", ""),
-            recommendation=j("recommendation", ""),
-            trace_refs=tuple(j("trace", [])),
-            applicability=j("applicability", {}),
-            sensitive=tuple(j("sensitive", [])),
-            eval_evidence=j("eval_evidence", False),
-            sequence=seq,
-        )
-
-    def _note_count(self, scope: str) -> int:
-        if scope not in self._note_counts:
-            path = self._notes_path(scope)
-            count = 0
-            if path.exists():
-                count = sum(1 for line in path.read_text().splitlines() if _NOTE_OPEN.match(line))
-            self._note_counts[scope] = count
-        return self._note_counts[scope]
+        """Every committed note of the scope, parsed from its shard."""
+        path = self.root / "notes" / f"{scope}.md"
+        return _parse_notes(scope, path.read_text())[1] if path.exists() else []
 
     def commit_note(self, note: LearningNote) -> LearningNote:
         """Append one note to its scope shard. Only episodes that produced
@@ -638,81 +654,68 @@ class ExperienceStore:
             raise ContractError(
                 "a note is committed only when the trace contains evaluation evidence"
             )
-        with self._lock(note.scope):
-            seq = self._note_count(note.scope) + 1
-            committed = replace(note, sequence=seq)
+        held = self._scope(note.scope)
+        with held.lock:
+            seq = held.note_count + 1
+            block = {key: json.dumps(getattr(note, attr), sort_keys=True) for key, attr, _ in _NOTE_FIELDS}
             lines = [
                 f"<!-- note {seq} -->",
-                f"instance: {json.dumps(committed.instance_id)}",
-                f"prompt_digest: {json.dumps(committed.prompt_digest)}",
-                f"evidence_class: {json.dumps(committed.evidence_class)}",
-                f"winner_tools: {json.dumps(list(committed.winner_tools))}",
-                f"loser_tools: {json.dumps(list(committed.loser_tools))}",
-                f"applicability: {json.dumps(committed.applicability, sort_keys=True)}",
-                f"metrics: {json.dumps(committed.metrics, sort_keys=True)}",
-                f"trace: {json.dumps(list(committed.trace_refs))}",
-                f"sensitive: {json.dumps(list(committed.sensitive))}",
-                f"eval_evidence: {json.dumps(committed.eval_evidence)}",
-                f"insight: {json.dumps(committed.insight)}",
-                f"recommendation: {json.dumps(committed.recommendation)}",
+                *(f"{key}: {value}" for key, value in block.items()),
                 f"<!-- end note {seq} -->",
                 "",
             ]
-            with self._notes_path(note.scope).open("a") as fh:
+            with (self.root / "notes" / f"{note.scope}.md").open("a") as fh:
                 fh.write("\n".join(lines))
-            self._note_counts[note.scope] = seq
-            return committed
+            held.note_count = seq
+            # the note as a reopened store would parse it back
+            held.pending.append(_note_from_block(note.scope, seq, block))
+            return replace(note, sequence=seq)
 
     # -- distillation -----------------------------------------------------
 
-    def _distilled_cursor(self, scope: str) -> int:
-        if scope not in self._distilled_through:
-            self._distilled_through[scope] = self.memory_state(scope).distilled_through
-        return self._distilled_through[scope]
-
     def pending_count(self, scope: str) -> int:
-        return self._note_count(scope) - self._distilled_cursor(scope)
+        return len(self.pending_notes(scope))
 
     def pending_notes(self, scope: str) -> list[LearningNote]:
-        cursor = self._distilled_cursor(scope)
-        return [n for n in self.notes(scope) if n.sequence > cursor]
+        held = self._scopes.get(scope)
+        return list(held.pending) if held is not None else []
 
     def maybe_trigger_distillation(self, scope: str) -> list[str]:
         """Notes -> Memory fires on every DISTILL_EVERY-th pending note;
         downstream layers rebuild only when the memory fingerprint changed."""
-        with self._lock(scope):
-            if self.pending_count(scope) < DISTILL_EVERY:
-                return []
-            return self._distill_batch(scope, self.pending_notes(scope))
+        return self._distill_batch(scope, DISTILL_EVERY)
 
     def finalize(self, scope: str) -> list[str]:
         """Flush a shorter-than-batch tail of pending notes."""
-        with self._lock(scope):
-            if self.pending_count(scope) == 0:
-                return []
-            return self._distill_batch(scope, self.pending_notes(scope))
+        return self._distill_batch(scope, 1)
 
-    def _distill_batch(self, scope: str, pending: Sequence[LearningNote]) -> list[str]:
-        state = self.memory_state(scope)
-        before = state.content_fingerprint()
-        for note in pending:
-            ev = clean(note)
-            if ev.has_tool_stance:
-                update_memory(state, ev)
-        state.distilled_through = pending[-1].sequence
-        self._distilled_through[scope] = state.distilled_through
-        self._write_memory(scope, state)
-        after = state.content_fingerprint()
-        self._fingerprint_path(scope).write_text(after + "\n")
-        stages = ["notes_to_memory"]
-        if after != before:
-            self._rebuild_tool_notes()
-            self._rebuild_skills(scope, state)
-            self._rebuild_skills_decision(scope, state)
-            stages += ["memory_to_tool_notes", "memory_to_skills", "memory_to_skills_decision"]
-            if self.auto_snapshot:
-                self.snapshot(scope)
-        return stages
+    def _distill_batch(self, scope: str, min_pending: int) -> list[str]:
+        held = self._scope(scope)
+        with held.lock:
+            if len(held.pending) < min_pending:
+                return []
+            # work on a copy and publish it whole, so readers never see a half update
+            state = MemoryState.from_dict(held.memory.to_dict())
+            before = held.memory.content_fingerprint()
+            for note in held.pending:
+                ev = clean(note)
+                if ev.has_tool_stance:
+                    update_memory(state, ev)
+            state.distilled_through = held.pending[-1].sequence
+            after = state.content_fingerprint()
+            with self._publish:
+                self._write_memory(scope, state)
+                held.pending = []
+                self._write(f"fingerprints/{scope}", after + "\n")
+                stages = ["notes_to_memory"]
+                if after != before:
+                    self._rebuild_tool_notes()
+                    self._rebuild_skills(scope, state)
+                    self._rebuild_skills_decision(scope, state)
+                    stages += ["memory_to_tool_notes", "memory_to_skills", "memory_to_skills_decision"]
+                    if self.auto_snapshot:
+                        self.snapshot(scope)
+            return stages
 
     def record_episode(
         self, outcome: EpisodeOutcome, instance: TaskInstance, fp: SampleFingerprint
@@ -732,33 +735,22 @@ class ExperienceStore:
 
     # -- derived layers ---------------------------------------------------
 
-    def _all_memory_states(self) -> dict[str, MemoryState]:
-        out: dict[str, MemoryState] = {}
-        for path in sorted((self.root / "memory").glob("*.json")):
-            out[path.stem] = MemoryState.from_dict(json.loads(path.read_text()))
-        return out
-
     def _rebuild_tool_notes(self) -> None:
         per_tool: dict[str, list[str]] = {}
-        for scope, state in self._all_memory_states().items():
-            for rule in state.rules:
-                for tool in rule.preferred_tools:
-                    per_tool.setdefault(tool, []).append(
-                        f"- {scope}: preferred ({rule.kind}, confidence {rule.confidence:.2f}, "
-                        f"when {json.dumps(rule.applicability, sort_keys=True)})"
-                    )
-                for tool in rule.avoided_tools:
-                    per_tool.setdefault(tool, []).append(
-                        f"- {scope}: avoided ({rule.kind}, confidence {rule.confidence:.2f}, "
-                        f"when {json.dumps(rule.applicability, sort_keys=True)})"
-                    )
-        tools_dir = self.root / "tools"
-        for stale in tools_dir.glob("*.md"):
-            if stale.stem not in per_tool:
-                stale.unlink()
+        for scope, h in self._sorted_scopes():
+            for rule in h.memory.rules:
+                for stance, tools in (("preferred", rule.preferred_tools), ("avoided", rule.avoided_tools)):
+                    for tool in tools:
+                        per_tool.setdefault(tool, []).append(
+                            f"- {scope}: {stance} ({rule.kind}, confidence {rule.confidence:.2f}, "
+                            f"when {json.dumps(rule.applicability, sort_keys=True)})"
+                        )
+        for rel in [rel for rel in self._files if rel.startswith("tools/")]:
+            if Path(rel).stem not in per_tool:
+                (self.root / rel).unlink()
+                del self._files[rel]
         for tool, lines in sorted(per_tool.items()):
-            body = "\n".join([f"# Tool notes: {tool}", *sorted(lines)]) + "\n"
-            (tools_dir / f"{tool}.md").write_text(body)
+            self._write(f"tools/{tool}.md", "\n".join([f"# Tool notes: {tool}", *sorted(lines)]) + "\n")
 
     @staticmethod
     def _top_rules(state: MemoryState, limit: int = 8) -> list[MemoryRule]:
@@ -780,7 +772,7 @@ class ExperienceStore:
             lines.append(line)
         if len(lines) == 2:
             lines.append("(no stable procedures yet)")
-        (self.root / "skills" / f"{scope}.md").write_text("\n".join(lines) + "\n")
+        self._write(f"skills/{scope}.md", "\n".join(lines) + "\n")
 
     def _rebuild_skills_decision(self, scope: str, state: MemoryState) -> None:
         lines = [f"# Decision guidance: {scope}", ""]
@@ -796,86 +788,73 @@ class ExperienceStore:
                     f"- When {json.dumps(rule.applicability, sort_keys=True)}: avoid "
                     f"{_chain_text(sorted(rule.avoided_tools))}."
                 )
-        (self.root / "skills_decision" / f"{scope}.md").write_text("\n".join(lines) + "\n")
+        self._write(f"skills_decision/{scope}.md", "\n".join(lines) + "\n")
 
     # -- retrieval ----------------------------------------------------------
 
     def retrieve(self, scope: str, fp: SampleFingerprint) -> Selection:
         """Injectable rules matching the fingerprint, plus skills and the
         tool notes focused on the selected rules' preferred tools."""
-        state = self.memory_state(scope)
-        rules = [r for r in state.rules if r.injectable and match(r.applicability, fp)]
-        rules.sort(key=lambda r: (-r.confidence, r.seq))
-        skills_path = self.root / "skills" / f"{scope}.md"
-        decision_path = self.root / "skills_decision" / f"{scope}.md"
-        tool_notes: dict[str, str] = {}
-        for tool in sorted({t for r in rules for t in r.preferred_tools}):
-            note_path = self.root / "tools" / f"{tool}.md"
-            if note_path.exists():
-                tool_notes[tool] = note_path.read_text()
-        return Selection(
-            rules=rules,
-            skills_text=skills_path.read_text() if skills_path.exists() else "",
-            skills_decision_text=decision_path.read_text() if decision_path.exists() else "",
-            tool_notes=tool_notes,
-        )
+        with self._publish:
+            state = self.memory_state(scope)
+            rules = [r for r in state.rules if r.injectable and match(r.applicability, fp)]
+            rules.sort(key=lambda r: (-r.confidence, r.seq))
+            tools = sorted({t for r in rules for t in r.preferred_tools})
+            tool_notes = {t: self._files[f"tools/{t}.md"] for t in tools if f"tools/{t}.md" in self._files}
+            return Selection(
+                rules=rules,
+                skills_text=self._files.get(f"skills/{scope}.md", ""),
+                skills_decision_text=self._files.get(f"skills_decision/{scope}.md", ""),
+                tool_notes=tool_notes,
+            )
 
     # -- snapshots and audit ------------------------------------------------
 
-    def _scope_files(self, scope: str) -> list[Path]:
-        files = [self.root / "soul.md"]
-        for rel in (
-            f"notes/{scope}.md",
-            f"memory/{scope}.json",
-            f"skills/{scope}.md",
-            f"skills_decision/{scope}.md",
-        ):
-            files.append(self.root / rel)
-        files.extend(sorted((self.root / "tools").glob("*.md")))
-        return [f for f in files if f.exists()]
-
     def snapshot(self, scope: str) -> str:
         """Content-addressed copy of every layer for one scope."""
-        files = self._scope_files(scope)
-        content = [(str(f.relative_to(self.root)), f.read_text()) for f in files]
-        digest = digest_obj(content, 16)
-        snap_dir = self.root / "snapshots" / scope / digest
-        if not snap_dir.exists():
-            for rel, text in content:
-                target = snap_dir / rel
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_text(text)
-        index_path = self.root / "snapshots" / scope / "index.json"
-        index = json.loads(index_path.read_text()) if index_path.exists() else []
-        index.append({"seq": len(index) + 1, "digest": digest})
-        index_path.write_text(json.dumps(index, indent=1) + "\n")
-        return digest
+        with self._publish:
+            files = dict(self._files)
+            notes_path = self.root / "notes" / f"{scope}.md"
+            if notes_path.exists():
+                files[f"notes/{scope}.md"] = notes_path.read_text()
+            layers = ["soul.md", f"notes/{scope}.md", f"memory/{scope}.json", f"skills/{scope}.md",
+                      f"skills_decision/{scope}.md", *sorted(rel for rel in files if rel.startswith("tools/"))]
+            content = [(rel, files[rel]) for rel in layers if rel in files]
+            digest = digest_obj(content, 16)
+            snap_dir = self.root / "snapshots" / scope / digest
+            if not snap_dir.exists():
+                for rel, text in content:
+                    target = snap_dir / rel
+                    target.parent.mkdir(parents=True, exist_ok=True)
+                    target.write_text(text)
+            index = self.snapshot_timeline(scope)
+            index.append({"seq": len(index) + 1, "digest": digest})
+            self._write(f"snapshots/{scope}/index.json", json.dumps(index, indent=1) + "\n")
+            return digest
 
     def snapshot_timeline(self, scope: str) -> list[dict[str, Any]]:
-        index_path = self.root / "snapshots" / scope / "index.json"
-        if not index_path.exists():
-            return []
-        return json.loads(index_path.read_text())
+        return json.loads(self._files.get(f"snapshots/{scope}/index.json", "[]"))
 
     def tree_digest(self) -> str:
         """Digest over every file in the store; unchanged digest means an
         untouched store."""
-        entries = []
+        h = hashlib.sha256()
         for path in sorted(self.root.rglob("*")):
             if path.is_file():
-                entries.append((str(path.relative_to(self.root)), path.read_bytes().hex()))
-        return digest_obj(entries, 32)
+                # length prefixes keep bytes from shifting across a file boundary
+                for part in (path.relative_to(self.root).as_posix().encode(), path.read_bytes()):
+                    h.update(len(part).to_bytes(8, "big"))
+                    h.update(part)
+        return h.hexdigest()[:32]
 
     def report(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
-        scopes = set(self.scopes()) | {p.stem for p in (self.root / "memory").glob("*.json")}
-        for scope in sorted(scopes):
-            state = self.memory_state(scope)
-            notes = self.notes(scope)
+        for scope, h in self._sorted_scopes():
+            state = h.memory
             n_rules = len(state.rules)
             injectable = sum(1 for r in state.rules if r.injectable)
             out[scope] = {
-                "notes": len(notes),
+                "notes": h.note_count,
                 "rules": n_rules,
                 "open_conflicts": sum(1 for c in state.conflicts if c.open),
                 "injectable_fraction": (injectable / n_rules) if n_rules else 0.0,

@@ -1,10 +1,13 @@
-"""Small deterministic helpers: canonical JSON, digests, seeded RNG."""
+"""Small deterministic helpers: canonical JSON, digests, seeded RNG, atomic
+file rewrites."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+from pathlib import Path
 from typing import Any
 
 
@@ -29,3 +32,16 @@ def stable_seed(*parts: Any) -> int:
 
 def stable_rng(*parts: Any) -> random.Random:
     return random.Random(stable_seed(*parts))
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a temp file and ``os.replace``, so
+    a reader or a killed process finds the old file or the new one, never a
+    truncated one. No fsync: this covers a crashed process, not a power cut."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import shutil
+import sys
 
 import pytest
 
 from timeclaw.cli import main
+from timeclaw.store import ExperienceStore
 
 SPEC = {
     "seed": 11,
@@ -86,6 +89,52 @@ class TestExplore:
         assert [n.sequence for n in notes] == list(range(1, len(notes) + 1))
         summary = json.loads((store.parent / "run_summary.json").read_text())
         assert sum(summary["episodes"].values()) == 12
+
+    def test_parallel_exploration_over_two_scopes(self, tmp_path):
+        families = [
+            {**SPEC["families"][0], "learn_count": 14},
+            {"name": "lbl", "kind": "trend_label", "learn_count": 12, "eval_count": 2, "length": 96, "horizon": 24},
+        ]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 11, "families": families}))
+        assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(tmp_path / "corpus")]) == 0
+        store = tmp_path / "store"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a missing lock shows
+        try:
+            code = main(
+                [
+                    "explore",
+                    "--corpus",
+                    str(tmp_path / "corpus" / "learning.jsonl"),
+                    "--store",
+                    str(store),
+                    "--seed",
+                    "3",
+                    "--parallel",
+                    "3",
+                ]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        reopened = ExperienceStore(store)
+        assert reopened.scopes() == ["synth_forecast_short", "synth_trend_short"]
+        for scope in reopened.scopes():
+            notes = reopened.notes(scope)
+            assert [n.sequence for n in notes] == list(range(1, len(notes) + 1))
+            assert reopened.memory_state(scope).distilled_through == len(notes)
+        # the tool cards on disk are the ones the final memory of every scope gives
+        rebuilt = tmp_path / "rebuilt"
+        shutil.copytree(store, rebuilt)
+        for card in (rebuilt / "tools").glob("*.md"):
+            card.unlink()
+        ExperienceStore(rebuilt)._rebuild_tool_notes()
+        cards = sorted(p.name for p in (store / "tools").glob("*.md"))
+        assert cards
+        assert cards == sorted(p.name for p in (rebuilt / "tools").glob("*.md"))
+        for name in cards:
+            assert (store / "tools" / name).read_text() == (rebuilt / "tools" / name).read_text()
 
     def test_script_misses_are_partial_failures_not_crashes(self, corpus_dir, tmp_path):
         empty_script = tmp_path / "empty.json"

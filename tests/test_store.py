@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from timeclaw.core import (
 )
 from timeclaw.errors import ContractError
 from timeclaw.prompts import fingerprint
+from timeclaw.registry import ToolUsageLedger
 from timeclaw.store import (
     CONFIDENCE_INIT,
     DISTILL_EVERY,
@@ -468,3 +470,125 @@ class TestLeakageInvariant:
         for rule in state.rules:
             assert gt_rendering not in rule.rationale
             assert gt_rendering not in rule.summary
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _commit_and_distill(store, notes):
+    for note in notes:
+        store.commit_note(note)
+        store.maybe_trigger_distillation(note.scope)
+
+
+class TestInMemoryState:
+    def test_reopened_store_matches_one_that_never_closed(self, tmp_path):
+        notes = [_note(seq=None, winner=(f"tool_{i % 3}",)) for i in range(25)]
+        whole = ExperienceStore(tmp_path / "whole")
+        _commit_and_distill(whole, notes)
+        _commit_and_distill(ExperienceStore(tmp_path / "split"), notes[:13])
+        split = ExperienceStore(tmp_path / "split")  # reopened between the two distillations
+        _commit_and_distill(split, notes[13:])
+        assert _tree(tmp_path / "split") == _tree(tmp_path / "whole")
+        assert len(whole.snapshot_timeline(SCOPE)) == 2
+        assert split.memory_state(SCOPE) == whole.memory_state(SCOPE)
+        assert split.pending_notes(SCOPE) == whole.pending_notes(SCOPE) == whole.notes(SCOPE)[20:]
+
+    def test_distill_and_retrieve_read_no_files_after_open(self, tmp_path, seasonal_instance, monkeypatch):
+        _commit_and_distill(ExperienceStore(tmp_path, auto_snapshot=False), [_note(seq=None) for _ in range(10)])
+        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        for _ in range(10):
+            store.commit_note(_note(seq=None, winner=("holt",), losers=()))
+        fp = fingerprint(seasonal_instance)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the store re-read its own files")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        monkeypatch.setattr(json, "loads", refuse)
+        stages = store.maybe_trigger_distillation(SCOPE)
+        selection = store.retrieve(SCOPE, fp)
+        monkeypatch.undo()
+        assert "memory_to_tool_notes" in stages
+        assert {"holt", "seasonal_naive"} <= set(selection.tool_notes)
+
+    def test_distillation_leaves_a_held_selection_unchanged(self, tmp_path, seasonal_instance):
+        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        _commit_and_distill(store, [_note(seq=None) for _ in range(10)])
+        fp = fingerprint(seasonal_instance)
+        selection = store.retrieve(SCOPE, fp)
+        held = [rule.to_dict() for rule in selection.rules]
+        _commit_and_distill(store, [_note(seq=None) for _ in range(10)])  # strengthens the same rule
+        assert [rule.to_dict() for rule in selection.rules] == held
+        assert store.retrieve(SCOPE, fp).rules[0].confidence > selection.rules[0].confidence
+
+
+class TestAtomicRewrites:
+    @staticmethod
+    def _fail_midway(monkeypatch):
+        real_write = Path.write_text
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            real_write(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+
+    def test_failed_memory_rewrite_keeps_previous_file(self, tmp_path, monkeypatch):
+        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        _commit_and_distill(store, [_note(seq=None) for _ in range(10)])
+        memory_path = tmp_path / "memory" / f"{SCOPE}.json"
+        before = memory_path.read_text()
+        for _ in range(10):
+            store.commit_note(_note(seq=None, winner=("holt",), losers=()))
+        self._fail_midway(monkeypatch)
+        with pytest.raises(OSError):
+            store.maybe_trigger_distillation(SCOPE)
+        monkeypatch.undo()
+        assert memory_path.read_text() == before
+        assert store.memory_state(SCOPE).distilled_through == 10  # nothing published
+        assert len(store.pending_notes(SCOPE)) == 10
+        assert ExperienceStore(tmp_path).memory_state(SCOPE).distilled_through == 10
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+    def test_failed_ledger_rewrite_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.json"
+        ToolUsageLedger(path).record("s", ["a", "b"])
+        before = path.read_text()
+        self._fail_midway(monkeypatch)
+        with pytest.raises(OSError):
+            ToolUsageLedger(path).record("s", ["a"])
+        monkeypatch.undo()
+        assert path.read_text() == before
+        assert ToolUsageLedger(path).counts("s") == {"a": 1, "b": 1}
+
+    def test_rewrites_leave_no_temp_files(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        ledger = ToolUsageLedger(tmp_path / "ledger.json")
+        for _ in range(10):
+            store.commit_note(_note(seq=None))
+            ledger.record(SCOPE, ["seasonal_naive"])
+        assert store.maybe_trigger_distillation(SCOPE)
+        assert (tmp_path / "snapshots" / SCOPE / "index.json").exists()
+        assert (tmp_path / "ledger_history.json").exists()
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+class TestTreeDigest:
+    @staticmethod
+    def _digest(root, files):
+        store = ExperienceStore(root)
+        for rel, text in files.items():
+            (root / rel).write_text(text)
+        return store.tree_digest()
+
+    def test_equal_trees_equal_digests(self, tmp_path):
+        files = {"a": "xy", "b": ""}
+        assert self._digest(tmp_path / "1", files) == self._digest(tmp_path / "2", files)
+
+    def test_byte_moved_across_a_file_boundary_changes_digest(self, tmp_path):
+        assert self._digest(tmp_path / "1", {"a": "xy", "b": ""}) != self._digest(tmp_path / "2", {"a": "x", "b": "y"})
+
+    def test_renamed_file_changes_digest(self, tmp_path):
+        assert self._digest(tmp_path / "1", {"a": "xy"}) != self._digest(tmp_path / "2", {"c": "xy"})
