@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import __version__, corpus as corpus_mod, metrics, simulate
-from .core import CLASSIFICATION_TYPES, TaskInstance, TaskType, validate_answer
+from .core import CLASSIFICATION_TYPES, TaskInstance, validate_answer
 from .errors import ContractError, CorpusError, TimeclawError
 from .gateway import Gateway, RecordingGateway, RemoteGateway, ScriptedGateway
 from .orchestrator import (
@@ -27,7 +27,7 @@ from .orchestrator import (
     run_inference,
 )
 from .policy import policy_gateway
-from .registry import ToolRegistry, ToolUsageLedger, load_registry
+from .registry import LEDGER_FILE, ToolRegistry, ToolUsageLedger, load_registry
 from .replay import lint as lint_trace, replay as replay_trace
 from .store import ExperienceStore
 from .toolkit import builtin_toolkit
@@ -78,8 +78,7 @@ def _build_deps(
     auto_snapshot: bool = True,
 ) -> EpisodeDeps:
     toolkit = builtin_toolkit()
-    ledger_path = (store_root / "ledger.json") if store_root is not None else None
-    ledger = ToolUsageLedger(ledger_path)
+    ledger = ToolUsageLedger(store_root / LEDGER_FILE if store_root is not None else None)
     if registry_path:
         registry = load_registry(Path(registry_path), ledger=ledger)
     else:
@@ -257,24 +256,15 @@ def _score_scope(
         if not validate_answer(pred, inst).valid:
             rows.append(metrics.Unscorable("invalid_prediction"))
             continue
-        if inst.task_type in CLASSIFICATION_TYPES:
-            rows.append(metrics.label_report(pred, truth))
-            if inst.label_space and len(inst.label_space) == 5:
-                five_way = True
-                rows3.append(
-                    metrics.label_report(
-                        metrics.map_5way_to_3way(pred, inst.label_space),
-                        metrics.map_5way_to_3way(truth, inst.label_space),
-                    )
+        rows.append(metrics.answer_report(pred, truth, inst.task_type.value))
+        if inst.task_type in CLASSIFICATION_TYPES and inst.label_space and len(inst.label_space) == 5:
+            five_way = True
+            rows3.append(
+                metrics.label_report(
+                    metrics.map_5way_to_3way(pred, inst.label_space),
+                    metrics.map_5way_to_3way(truth, inst.label_space),
                 )
-        elif inst.task_type == TaskType.INDICATOR:
-            order = sorted(truth.keys())
-            rows.append(
-                metrics.numeric_report([float(pred[k]) for k in order], [float(truth[k]) for k in order])
             )
-        else:
-            aligned = metrics.align_length([float(v) for v in pred], len(truth))
-            rows.append(metrics.numeric_report(aligned, [float(v) for v in truth]))
     policy = metrics.SummaryPolicy(supervision_metric=supervision, threshold=threshold)
     result = metrics.summarize(rows, policy, scope=scope).to_dict()
     if five_way:
@@ -348,7 +338,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"error: store {store_root} does not exist", file=sys.stderr)
         return EXIT_CONFIG
     store = ExperienceStore(store_root)
-    ledger = ToolUsageLedger(store_root / "ledger.json")
+    ledger = ToolUsageLedger(store_root / LEDGER_FILE)
     report = store.report()
     for scope in report:
         report[scope]["entropy_history"] = ledger.entropy_history(scope)

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ContractError
 
 THREE_WAY_LABELS = ("down", "neutral", "up")
+LABEL_TASK_TYPES = ("trend", "trend_past", "correlation", "mcqa")
 
 
 def _as_pair(pred: Sequence[float], truth: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +92,7 @@ def supervision_metric(task_type: str, scope: str) -> str:
     trajectories use MSE, as do named-scalar indicator tasks. Label tasks use
     0/1 accuracy.
     """
-    if task_type in ("trend", "trend_past", "correlation", "mcqa"):
+    if task_type in LABEL_TASK_TYPES:
         return "accuracy"
     if task_type == "indicator":
         return "mse"
@@ -122,6 +123,10 @@ class MetricReport:
             return None if self.correct is None else (1.0 if self.correct else 0.0)
         return getattr(self, metric)
 
+    def loss(self, metric: str) -> float | None:
+        """``metric`` as a loss to minimise: 1 - accuracy for labels."""
+        return 1.0 - self.value(metric) if metric == "accuracy" else self.value(metric)
+
     def to_dict(self) -> dict[str, Any]:
         if self.is_label:
             return {"correct": bool(self.correct), "n_points": self.n_points}
@@ -149,20 +154,22 @@ def label_report(pred: str, truth: str) -> MetricReport:
     return MetricReport(n_points=1, correct=(pred == truth))
 
 
-def task_loss(answer: Any, truth: Any, task_type: str, scope: str) -> float:
-    """Supervision loss for one answer. Numeric answers are aligned to the
-    ground-truth length before scoring; label answers score 0/1."""
-    metric = supervision_metric(task_type, scope)
-    if metric == "accuracy":
-        return 0.0 if answer == truth else 1.0
+def answer_report(answer: Any, truth: Any, task_type: str) -> MetricReport:
+    """Score one answer: labels 0/1, indicators over their keys in sorted
+    order, forecasts after aligning to the ground-truth length."""
+    if task_type in LABEL_TASK_TYPES:
+        return label_report(answer, truth)
     if task_type == "indicator":
         order = sorted(truth.keys())
-        p = [float(answer[k]) for k in order]
-        t = [float(truth[k]) for k in order]
-        return mse(p, t)
+        return numeric_report([float(answer[k]) for k in order], [float(truth[k]) for k in order])
     aligned = align_length([float(v) for v in answer], len(truth))
-    t = [float(v) for v in truth]
-    return mae(aligned, t) if metric == "mae" else mse(aligned, t)
+    return numeric_report(aligned, [float(v) for v in truth])
+
+
+def task_loss(answer: Any, truth: Any, task_type: str, scope: str) -> float:
+    """Supervision loss for one answer: its report's loss under the scope's
+    supervision metric."""
+    return answer_report(answer, truth, task_type).loss(supervision_metric(task_type, scope))
 
 
 @dataclass(frozen=True)
@@ -182,13 +189,10 @@ class SummaryPolicy:
 
     supervision_metric: str = "mae"
     threshold: float | None = None
-    unscorable_handling: str = "exclude"
 
     def __post_init__(self) -> None:
         if self.threshold is not None and self.threshold <= 0:
             raise ContractError("threshold must be positive")
-        if self.unscorable_handling != "exclude":
-            raise ContractError("only 'exclude' unscorable handling is supported")
 
 
 @dataclass

@@ -27,6 +27,7 @@ timestamp so byte-identical reruns stay byte-identical.
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -500,111 +501,111 @@ def run_exploration_episode(
     if not instance.has_ground_truth:
         raise ContractError("exploration requires targets (ground truth) on every instance")
     runner = _EpisodeRunner(instance, deps, config)
-    episode_seed = stable_seed(config.seed, instance.id)
-    slots = assign_branch_slots(
-        instance, config, runner.prior_exists, deps.registry, runner.selection, episode_seed
-    )
-
-    exploration_tools = [
-        deps.toolkit.tool_schema(t)
-        for t in deps.registry.exploration_visible()
-        if deps.toolkit.has(t)
-    ]
-    bundle = prompts.build_exploration_prompt(
-        instance,
-        runner.fp,
-        runner.selection,
-        slots,
-        exploration_tools,
-        soul=deps.store.soul_text() if deps.store else "",
-        require_prior_and_alternative=config.require_prior_and_alternative,
-    )
-    messages = [
-        ChatMessage(role="system", content=bundle.system_text),
-        ChatMessage(role="user", content=bundle.user_text),
-    ]
-
-    def main_exchange() -> Optional[AssistantReply]:
-        exchange = ChatExchange(messages=messages, declared_tools=exploration_tools)
-        try:
-            return runner.complete(exchange, branch=None)
-        except ScriptMissError:
-            raise  # a stale replay script is a test-configuration error
-        except GatewayError:
-            return None
-
-    candidates: list[CandidateExecution] = []
-    reply = main_exchange()
-    spawned = reply is not None and any(c.tool == SPAWN_TOOL for c in reply.tool_calls)
-    if reply is not None:
-        messages.append(
-            ChatMessage(role="assistant", content=reply.content or "", tool_calls=reply.tool_calls)
+    with closing(runner.trace):
+        episode_seed = stable_seed(config.seed, instance.id)
+        slots = assign_branch_slots(
+            instance, config, runner.prior_exists, deps.registry, runner.selection, episode_seed
         )
-    if spawned:
-        for slot in slots:
-            candidates.append(_run_branch(runner, slot))
 
-    valid = [c for c in candidates if c.valid]
-    eval_reports: dict[str, Any] = {}
-    eval_evidence = False
-    if valid:
-        messages.append(ChatMessage(role="user", content=_candidate_lines(candidates)))
+        exploration_tools = [
+            deps.toolkit.tool_schema(t)
+            for t in deps.registry.exploration_visible()
+            if deps.toolkit.has(t)
+        ]
+        bundle = prompts.build_exploration_prompt(
+            instance,
+            runner.fp,
+            runner.selection,
+            slots,
+            exploration_tools,
+            soul=deps.store.soul_text() if deps.store else "",
+            require_prior_and_alternative=config.require_prior_and_alternative,
+        )
+        messages = [
+            ChatMessage(role="system", content=bundle.system_text),
+            ChatMessage(role="user", content=bundle.user_text),
+        ]
+
+        def main_exchange() -> Optional[AssistantReply]:
+            exchange = ChatExchange(messages=messages, declared_tools=exploration_tools)
+            try:
+                return runner.complete(exchange, branch=None)
+            except ScriptMissError:
+                raise  # a stale replay script is a test-configuration error
+            except GatewayError:
+                return None
+
+        candidates: list[CandidateExecution] = []
         reply = main_exchange()
+        spawned = reply is not None and any(c.tool == SPAWN_TOOL for c in reply.tool_calls)
         if reply is not None:
             messages.append(
                 ChatMessage(role="assistant", content=reply.content or "", tool_calls=reply.tool_calls)
             )
-            eval_call = next((c for c in reply.tool_calls if c.tool in EVALUATE_TOOLS), None)
-            if eval_call is not None:
-                answers = {c.branch_id: c.final_answer for c in valid}
-                runner.ctx.candidates = answers
-                args = dict(eval_call.args)
-                if eval_call.tool == "evaluate_batch_against_gt":
-                    args.setdefault("candidates", answers)
-                art = runner.invoke_tool(eval_call.tool, args, [ORIGINAL_INPUT], branch=None)
-                messages.append(_tool_message(art))
-                payload = art["payload"]
-                if "reports" in payload:
-                    eval_reports = payload["reports"]
-                elif "branch_id" in payload:
-                    eval_reports = {payload["branch_id"]: {k: payload[k] for k in ("report", "quality") if k in payload}}
-                for c in valid:
-                    entry = eval_reports.get(c.branch_id)
-                    if entry and "quality" in entry:
-                        c.quality = float(entry["quality"])
-                        eval_evidence = True
+        if spawned:
+            for slot in slots:
+                candidates.append(_run_branch(runner, slot))
 
-    # final learning_summary exchange
-    messages.append(
-        ChatMessage(
-            role="user",
-            content="## Comparison Result\nFinish the learning run now with a learning_summary.",
+        valid = [c for c in candidates if c.valid]
+        eval_reports: dict[str, Any] = {}
+        eval_evidence = False
+        if valid:
+            messages.append(ChatMessage(role="user", content=_candidate_lines(candidates)))
+            reply = main_exchange()
+            if reply is not None:
+                messages.append(
+                    ChatMessage(role="assistant", content=reply.content or "", tool_calls=reply.tool_calls)
+                )
+                eval_call = next((c for c in reply.tool_calls if c.tool in EVALUATE_TOOLS), None)
+                if eval_call is not None:
+                    answers = {c.branch_id: c.final_answer for c in valid}
+                    runner.ctx.candidates = answers
+                    args = dict(eval_call.args)
+                    if eval_call.tool == "evaluate_batch_against_gt":
+                        args.setdefault("candidates", answers)
+                    art = runner.invoke_tool(eval_call.tool, args, [ORIGINAL_INPUT], branch=None)
+                    messages.append(_tool_message(art))
+                    payload = art["payload"]
+                    if "reports" in payload:
+                        eval_reports = payload["reports"]
+                    elif "branch_id" in payload:
+                        eval_reports = {payload["branch_id"]: {k: payload[k] for k in ("report", "quality") if k in payload}}
+                    for c in valid:
+                        entry = eval_reports.get(c.branch_id)
+                        if entry and "quality" in entry:
+                            c.quality = float(entry["quality"])
+                            eval_evidence = True
+
+        # final learning_summary exchange
+        messages.append(
+            ChatMessage(
+                role="user",
+                content="## Comparison Result\nFinish the learning run now with a learning_summary.",
+            )
         )
-    )
-    reply = main_exchange()
-    final = parse_final(reply.content) if reply is not None else None
-    final_type = final.get("answer_type") if final else None
-    summary_body = final.get("answer") if final else None
-    if isinstance(summary_body, Mapping):
-        summary = LearningSummaryText(
-            insight=str(summary_body.get("insight", "")),
-            recommendation=str(summary_body.get("recommendation", "")),
-        )
-    else:
-        summary = LearningSummaryText(insight="", recommendation="")
+        reply = main_exchange()
+        final = parse_final(reply.content) if reply is not None else None
+        final_type = final.get("answer_type") if final else None
+        summary_body = final.get("answer") if final else None
+        if isinstance(summary_body, Mapping):
+            summary = LearningSummaryText(
+                insight=str(summary_body.get("insight", "")),
+                recommendation=str(summary_body.get("recommendation", "")),
+            )
+        else:
+            summary = LearningSummaryText(insight="", recommendation="")
 
-    scored_valid = [c for c in valid if c.quality is not None]
-    if len(scored_valid) >= 2:
-        evidence_class = EvidenceClass.COMPARATIVE
-    elif len(valid) >= 1:
-        evidence_class = EvidenceClass.SINGLE_EXECUTION
-    else:
-        evidence_class = EvidenceClass.FAILURE
-    winner = _pick_winner(valid)
+        scored_valid = [c for c in valid if c.quality is not None]
+        if len(scored_valid) >= 2:
+            evidence_class = EvidenceClass.COMPARATIVE
+        elif len(valid) >= 1:
+            evidence_class = EvidenceClass.SINGLE_EXECUTION
+        else:
+            evidence_class = EvidenceClass.FAILURE
+        winner = _pick_winner(valid)
 
-    for c in candidates:
-        runner.trace.event(
-            "verdict",
+        # the contract check reads the records the trace carries, as lint does
+        records = [
             {
                 "type": "candidate",
                 "branch": c.branch_id,
@@ -616,43 +617,49 @@ def run_exploration_episode(
                 "alternative": c.alternative,
                 "quality": c.quality,
                 "failure_reason": c.failure_reason,
-            },
-            branch=c.slot,
+            }
+            for c in candidates
+        ]
+        for record in records:
+            runner.trace.event("verdict", record, branch=record["slot"])
+
+        truth = instance.answer_key(runner.ctx.capability)
+        sensitive = [canonical_json(truth), json.dumps(truth)]
+        for c in valid:
+            sensitive.append(canonical_json(c.final_answer))
+        outcome = EpisodeOutcome(
+            instance_id=instance.id,
+            candidates=candidates,
+            winner=winner.branch_id if winner is not None and evidence_class != EvidenceClass.FAILURE else None,
+            evidence_class=evidence_class,
+            learning_summary=summary,
+            trace_path=str(runner.trace.path) if runner.trace.path else None,
+            eval_evidence=eval_evidence,
+            eval_reports=eval_reports,
+            sensitive=tuple(dict.fromkeys(sensitive)),
+            tokens_used=runner.tokens_used,
+            gateway_calls=runner.gateway_calls,
         )
 
-    truth = instance.answer_key(runner.ctx.capability)
-    sensitive = [canonical_json(truth), json.dumps(truth)]
-    for c in valid:
-        sensitive.append(canonical_json(c.final_answer))
-    outcome = EpisodeOutcome(
-        instance_id=instance.id,
-        candidates=candidates,
-        winner=winner.branch_id if winner is not None and evidence_class != EvidenceClass.FAILURE else None,
-        evidence_class=evidence_class,
-        learning_summary=summary,
-        trace_path=str(runner.trace.path) if runner.trace.path else None,
-        eval_evidence=eval_evidence,
-        eval_reports=eval_reports,
-        sensitive=tuple(dict.fromkeys(sensitive)),
-        tokens_used=runner.tokens_used,
-        gateway_calls=runner.gateway_calls,
-    )
-
-    verdict = enforce_exploration_contract_from_state(
-        candidates, eval_reports, final_type, runner.prior_exists, config
-    )
-    runner.trace.event("verdict", {"type": "contract", **verdict.to_dict()})
-    runner.trace.event(
-        "outcome",
-        {
-            "winner": outcome.winner,
-            "evidence_class": outcome.evidence_class.value,
-            "eval_evidence": eval_evidence,
-            "final_type": final_type,
-            "tokens_used": runner.tokens_used,
-        },
-    )
-    runner.trace.close()
+        verdict = _contract_check(
+            records,
+            set(eval_reports),
+            final_type,
+            runner.prior_exists,
+            config.require_prior_and_alternative,
+            config.min_valid_candidates,
+        )
+        runner.trace.event("verdict", {"type": "contract", **verdict.to_dict()})
+        runner.trace.event(
+            "outcome",
+            {
+                "winner": outcome.winner,
+                "evidence_class": outcome.evidence_class.value,
+                "eval_evidence": eval_evidence,
+                "final_type": final_type,
+                "tokens_used": runner.tokens_used,
+            },
+        )
 
     deps.registry.record_usage(instance.scope, runner.substantive_used)
     if deps.store is not None:
@@ -714,34 +721,6 @@ def _contract_check(
         if not (has_prior and has_alt):
             violations.append("missing_prior_or_alternative")
     return ContractVerdict(satisfied=not violations, violations=tuple(violations))
-
-
-def enforce_exploration_contract_from_state(
-    candidates: Sequence[CandidateExecution],
-    eval_reports: Mapping[str, Any],
-    final_type: Optional[str],
-    prior_exists: bool,
-    config: ExplorationConfig,
-) -> ContractVerdict:
-    records = [
-        {
-            "branch": c.branch_id,
-            "valid": c.valid,
-            "answer": c.final_answer,
-            "substantive_chain": list(c.substantive_chain),
-            "prior_guided": c.prior_guided,
-            "alternative": c.alternative,
-        }
-        for c in candidates
-    ]
-    return _contract_check(
-        records,
-        set(eval_reports),
-        final_type,
-        prior_exists,
-        config.require_prior_and_alternative,
-        config.min_valid_candidates,
-    )
 
 
 def enforce_exploration_contract(
@@ -834,37 +813,37 @@ def run_inference(
     only. No store writes, no ledger writes, no ground-truth access."""
     view = replace(instance, ground_truth=None)
     runner = _EpisodeRunner(view, deps)
-    visible = [t for t in deps.registry.inference_visible() if deps.toolkit.has(t)]
-    declared = [deps.toolkit.tool_schema(t) for t in visible]
-    bundle = prompts.build_inference_prompt(
-        view,
-        runner.fp,
-        runner.selection,
-        declared,
-        soul=deps.store.soul_text() if deps.store else "",
-    )
-
-    def reject(tool: str) -> Optional[str]:
-        # undeclared (or exploration-only) tool: feedback, no tool event
-        return None if tool in visible else "tool_not_available"
-
-    steps, final, _failure = _step_loop(runner, bundle, declared, max_steps, reject)
-    tool_chain = [tool for tool, _args, _art in steps]
-    context_lines = [_context_line(i, tool, art) for i, (tool, _args, art) in enumerate(steps, 1)]
-    final_answer = final.get("answer") if final else None
-    if final and final.get("reasoning"):
-        context_lines.append(f"{len(context_lines) + 1}. final: {final['reasoning']}")
-    degraded = not validate_answer(final_answer, view).valid
-    if degraded:
-        final_answer = _fallback_answer(view)
-        context_lines.append(
-            f"{len(context_lines) + 1}. fallback: degraded default answer used."
+    with closing(runner.trace):
+        visible = [t for t in deps.registry.inference_visible() if deps.toolkit.has(t)]
+        declared = [deps.toolkit.tool_schema(t) for t in visible]
+        bundle = prompts.build_inference_prompt(
+            view,
+            runner.fp,
+            runner.selection,
+            declared,
+            soul=deps.store.soul_text() if deps.store else "",
         )
-    runner.trace.event(
-        "outcome",
-        {"prediction_valid": not degraded, "degraded": degraded, "tool_chain": tool_chain},
-    )
-    runner.trace.close()
+
+        def reject(tool: str) -> Optional[str]:
+            # undeclared (or exploration-only) tool: feedback, no tool event
+            return None if tool in visible else "tool_not_available"
+
+        steps, final, _failure = _step_loop(runner, bundle, declared, max_steps, reject)
+        tool_chain = [tool for tool, _args, _art in steps]
+        context_lines = [_context_line(i, tool, art) for i, (tool, _args, art) in enumerate(steps, 1)]
+        final_answer = final.get("answer") if final else None
+        if final and final.get("reasoning"):
+            context_lines.append(f"{len(context_lines) + 1}. final: {final['reasoning']}")
+        degraded = not validate_answer(final_answer, view).valid
+        if degraded:
+            final_answer = _fallback_answer(view)
+            context_lines.append(
+                f"{len(context_lines) + 1}. fallback: degraded default answer used."
+            )
+        runner.trace.event(
+            "outcome",
+            {"prediction_valid": not degraded, "degraded": degraded, "tool_chain": tool_chain},
+        )
     return InferenceResult(
         instance_id=view.id,
         prediction=final_answer,

@@ -136,15 +136,14 @@ class PromptBundle:
         return sorted(t["name"] for t in self.declared_tools)
 
 
-@dataclass(frozen=True)
-class PromptLimits:
-    max_layer_chars: int = 4000
+# A store layer longer than this is cut before it enters a prompt.
+MAX_LAYER_CHARS = 4000
 
 
-def _cap(text: str, limits: PromptLimits) -> str:
-    if len(text) <= limits.max_layer_chars:
+def _cap(text: str) -> str:
+    if len(text) <= MAX_LAYER_CHARS:
         return text
-    return text[: limits.max_layer_chars] + "\n...[truncated]"
+    return text[:MAX_LAYER_CHARS] + "\n...[truncated]"
 
 
 def _fmt(v: Any) -> str:
@@ -256,7 +255,7 @@ def _profiling_lines(fp: SampleFingerprint) -> list[str]:
     ]
 
 
-def render_memory_rules(rules: Sequence[Any], limits: PromptLimits) -> str:
+def render_memory_rules(rules: Sequence[Any]) -> str:
     if not rules:
         return "(no injectable memory)"
     lines = []
@@ -268,24 +267,24 @@ def render_memory_rules(rules: Sequence[Any], limits: PromptLimits) -> str:
             f"- [{r.rule_id}|{r.kind}|c={r.confidence:.2f}] prefer: {prefer}; avoid: {avoid}; when: {chi}"
         )
         lines.append(f"  {r.summary}")
-    return _cap("\n".join(lines), limits)
+    return _cap("\n".join(lines))
 
 
-def _support_lines(selection: Any, limits: PromptLimits) -> list[str]:
+def _support_lines(selection: Any) -> list[str]:
     """Skills, decision skills, and focused tool notes (user-prompt layers)."""
     lines: list[str] = []
     skills = getattr(selection, "skills_text", "") if selection is not None else ""
     decisions = getattr(selection, "skills_decision_text", "") if selection is not None else ""
     tool_notes = getattr(selection, "tool_notes", {}) if selection is not None else {}
     lines.append("#### Skills")
-    lines.append(_cap(skills, limits) if skills else "(none)")
+    lines.append(_cap(skills) if skills else "(none)")
     lines.append("#### Decision Skills")
-    lines.append(_cap(decisions, limits) if decisions else "(none)")
+    lines.append(_cap(decisions) if decisions else "(none)")
     lines.append("#### Focused Tool Notes")
     if tool_notes:
         for tool_id in sorted(tool_notes):
             lines.append(f"- {tool_id}:")
-            for note_line in _cap(tool_notes[tool_id], limits).splitlines():
+            for note_line in _cap(tool_notes[tool_id]).splitlines():
                 lines.append(f"  {note_line}")
     else:
         lines.append("(none)")
@@ -299,21 +298,21 @@ def _tools_section(declared: Sequence[Mapping[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def _system_text(soul: str, rules: Sequence[Any], limits: PromptLimits) -> str:
-    return f"{soul.strip()}\n\n## Memory\n{render_memory_rules(rules, limits)}\n"
+def _system_text(soul: str, rules: Sequence[Any]) -> str:
+    return f"{soul.strip()}\n\n## Memory\n{render_memory_rules(rules)}\n"
 
 
 def _frame(objective: str, observation: str, decision: str, tools: str) -> str:
     return f"{objective}\n\n{observation}\n\n{decision}\n\n{tools}\n"
 
 
-def _observation_section(fp: SampleFingerprint, selection: Any, limits: PromptLimits) -> str:
+def _observation_section(fp: SampleFingerprint, selection: Any) -> str:
     lines = ["## Observation", "### Sample Fingerprint"]
     lines.extend(_fingerprint_lines(fp))
     lines.append("### Profiling")
     lines.extend(_profiling_lines(fp))
     lines.append("### Support")
-    lines.extend(_support_lines(selection, limits))
+    lines.extend(_support_lines(selection))
     return "\n".join(lines)
 
 
@@ -324,7 +323,6 @@ def build_exploration_prompt(
     slots: Sequence[Any],
     declared_tools: Sequence[Mapping[str, Any]],
     soul: str = "",
-    limits: PromptLimits = PromptLimits(),
     require_prior_and_alternative: bool = False,
 ) -> PromptBundle:
     """Main-agent exploration context: spawn/evaluate guidance, slot hints,
@@ -336,7 +334,7 @@ def build_exploration_prompt(
         "- exploration episode: compare candidate executions before finishing",
         control_lines=[f"- branch_slots = {len(slots)}"],
     )
-    observation = _observation_section(fp, selection, limits)
+    observation = _observation_section(fp, selection)
 
     decision_lines = [
         "## Decision",
@@ -364,7 +362,7 @@ def build_exploration_prompt(
     decision = "\n".join(decision_lines)
 
     return PromptBundle(
-        system_text=_system_text(soul, rules, limits),
+        system_text=_system_text(soul, rules),
         user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
         declared_tools=list(declared_tools),
     )
@@ -377,7 +375,6 @@ def build_branch_prompt(
     declared_tools: Sequence[Mapping[str, Any]],
     selection: Any = None,
     soul: str = "",
-    limits: PromptLimits = PromptLimits(),
 ) -> PromptBundle:
     """Sub-agent variant: same frame plus a branch-local goal and slot-local
     tool hint; the branch finishes with an ordinary task answer."""
@@ -388,7 +385,7 @@ def build_branch_prompt(
         "- exploration branch: produce one candidate execution",
         control_lines=[f"- slot = {slot.slot}"],
     )
-    observation = _observation_section(fp, selection, limits)
+    observation = _observation_section(fp, selection)
     decision = "\n".join(
         [
             "## Decision",
@@ -400,7 +397,7 @@ def build_branch_prompt(
         ]
     )
     return PromptBundle(
-        system_text=_system_text(soul, rules, limits),
+        system_text=_system_text(soul, rules),
         user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
         declared_tools=list(declared_tools),
     )
@@ -412,7 +409,6 @@ def build_inference_prompt(
     selection: Any,
     declared_tools: Sequence[Mapping[str, Any]],
     soul: str = "",
-    limits: PromptLimits = PromptLimits(),
 ) -> PromptBundle:
     """Inference context: reinjected experience, task-facing tools only, and
     an ordinary answer contract."""
@@ -430,7 +426,7 @@ def build_inference_prompt(
         "- inference: solve the task with previously distilled experience",
         control_lines=[],
     )
-    observation = _observation_section(fp, selection, limits)
+    observation = _observation_section(fp, selection)
     decision = "\n".join(
         [
             "## Decision",
@@ -443,7 +439,7 @@ def build_inference_prompt(
         ]
     )
     return PromptBundle(
-        system_text=_system_text(soul, rules, limits),
+        system_text=_system_text(soul, rules),
         user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
         declared_tools=list(declared_tools),
     )

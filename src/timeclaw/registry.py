@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ContractError
-from .util import stable_rng, write_atomic
+from .util import canonical_json, stable_rng
 
 logger = logging.getLogger(__name__)
 
@@ -119,12 +119,17 @@ def keep_probability(n_i: int, n_min: int, alpha: float, protected: bool = False
     return ((1.0 + n_min) / (1.0 + n_i)) ** alpha
 
 
-class ToolUsageLedger:
-    """Per-scope tool invocation counts, persisted on every update.
+# The ledger's log, relative to the store root.
+LEDGER_FILE = "ledger.jsonl"
 
-    Counts only increase; persisted state round-trips exactly. A separate
-    history log records the usage entropy after each update so collapse can
-    be audited over time.
+
+class ToolUsageLedger:
+    """Per-scope tool invocation counts and the usage entropy after each
+    update, so collapse can be audited over time.
+
+    Counts only increase. Each update appends one line to an append-only log,
+    and opening the ledger replays that log through the same update, so a
+    reopened ledger equals one that never closed, history included.
     """
 
     def __init__(self, path: Optional[Path] = None):
@@ -133,18 +138,9 @@ class ToolUsageLedger:
         self._history: dict[str, list[float]] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
-            self._counts = {
-                scope: {t: int(c) for t, c in tools.items()}
-                for scope, tools in json.loads(self.path.read_text()).items()
-            }
-            hist = self._history_path()
-            if hist is not None and hist.exists():
-                self._history = json.loads(hist.read_text())
-
-    def _history_path(self) -> Optional[Path]:
-        if self.path is None:
-            return None
-        return self.path.with_name(self.path.stem + "_history.json")
+            for line in self.path.read_text().splitlines():
+                entry = json.loads(line)
+                self._apply_locked(entry["scope"], entry["tools"])
 
     def counts(self, scope: str) -> dict[str, int]:
         return dict(self._counts.get(scope, {}))
@@ -153,15 +149,21 @@ class ToolUsageLedger:
         return sorted(self._counts)
 
     def record(self, scope: str, tool_ids: Iterable[str]) -> None:
+        tools = list(tool_ids)
+        if not tools:
+            return
         with self._lock:
-            bucket = self._counts.setdefault(scope, {})
-            changed = False
-            for tool_id in tool_ids:
-                bucket[tool_id] = bucket.get(tool_id, 0) + 1
-                changed = True
-            if changed:
-                self._history.setdefault(scope, []).append(self._entropy_locked(scope))
-                self._persist_locked()
+            if self.path is not None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                with self.path.open("a") as fh:
+                    fh.write(canonical_json({"scope": scope, "tools": tools}) + "\n")
+            self._apply_locked(scope, tools)
+
+    def _apply_locked(self, scope: str, tools: Sequence[str]) -> None:
+        bucket = self._counts.setdefault(scope, {})
+        for tool_id in tools:
+            bucket[tool_id] = bucket.get(tool_id, 0) + 1
+        self._history.setdefault(scope, []).append(self._entropy_locked(scope))
 
     def entropy(self, scope: str) -> Optional[float]:
         """Natural-log Shannon entropy of the usage distribution; None when
@@ -193,15 +195,6 @@ class ToolUsageLedger:
 
     def entropy_history(self, scope: str) -> list[float]:
         return list(self._history.get(scope, []))
-
-    def _persist_locked(self) -> None:
-        if self.path is None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(self.path, json.dumps(self._counts, sort_keys=True, indent=1) + "\n")
-        hist = self._history_path()
-        if hist is not None:
-            write_atomic(hist, json.dumps(self._history, sort_keys=True) + "\n")
 
 
 # Non-protected survivors below this floor are force-included (lowest counts

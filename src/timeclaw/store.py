@@ -811,16 +811,16 @@ class ExperienceStore:
     # -- snapshots and audit ------------------------------------------------
 
     def snapshot(self, scope: str) -> str:
-        """Content-addressed copy of every layer for one scope."""
+        """Content-addressed copy of every rewritten layer for one scope. The
+        notes are append-only, so the snapshot cites their count instead of
+        copying them: its notes are the shard's first ``notes`` blocks."""
         with self._publish:
-            files = dict(self._files)
-            notes_path = self.root / "notes" / f"{scope}.md"
-            if notes_path.exists():
-                files[f"notes/{scope}.md"] = notes_path.read_text()
-            layers = ["soul.md", f"notes/{scope}.md", f"memory/{scope}.json", f"skills/{scope}.md",
-                      f"skills_decision/{scope}.md", *sorted(rel for rel in files if rel.startswith("tools/"))]
-            content = [(rel, files[rel]) for rel in layers if rel in files]
-            digest = digest_obj(content, 16)
+            held = self._scopes.get(scope)
+            notes = held.note_count if held is not None else 0
+            layers = ["soul.md", f"memory/{scope}.json", f"skills/{scope}.md", f"skills_decision/{scope}.md",
+                      *sorted(rel for rel in self._files if rel.startswith("tools/"))]
+            content = [(rel, self._files[rel]) for rel in layers if rel in self._files]
+            digest = digest_obj({"notes": notes, "layers": content}, 16)
             snap_dir = self.root / "snapshots" / scope / digest
             if not snap_dir.exists():
                 for rel, text in content:
@@ -828,7 +828,7 @@ class ExperienceStore:
                     target.parent.mkdir(parents=True, exist_ok=True)
                     target.write_text(text)
             index = self.snapshot_timeline(scope)
-            index.append({"seq": len(index) + 1, "digest": digest})
+            index.append({"seq": len(index) + 1, "digest": digest, "notes": notes})
             self._write(f"snapshots/{scope}/index.json", json.dumps(index, indent=1) + "\n")
             return digest
 

@@ -18,11 +18,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import metrics, seriesops
-from .core import (
-    EvaluatorCapability,
-    TaskInstance,
-    TaskType,
-)
+from .core import EvaluatorCapability, TaskInstance
 from .errors import CapabilityError, ContractError, TimeclawError
 from .registry import ArgSpec, ToolCategory, ToolDescriptor
 from .util import canonical_json, digest_obj
@@ -596,18 +592,8 @@ def _require_evaluator(ctx: InvocationContext) -> EvaluatorCapability:
 
 def _evaluate_answer(answer: Any, instance: TaskInstance, capability: EvaluatorCapability) -> dict[str, Any]:
     truth = instance.answer_key(capability)
-    task_type = instance.task_type
-    if task_type in (TaskType.TREND, TaskType.TREND_PAST, TaskType.CORRELATION, TaskType.MCQA):
-        report = metrics.label_report(answer, truth)
-    elif task_type == TaskType.INDICATOR:
-        order = sorted(truth.keys())
-        pred = [float(answer[k]) for k in order]
-        tv = [float(truth[k]) for k in order]
-        report = metrics.numeric_report(pred, tv)
-    else:
-        aligned = metrics.align_length([float(v) for v in answer], len(truth))
-        report = metrics.numeric_report(aligned, [float(v) for v in truth])
-    loss = metrics.task_loss(answer, truth, task_type.value, instance.scope)
+    report = metrics.answer_report(answer, truth, instance.task_type.value)
+    loss = report.loss(metrics.supervision_metric(instance.task_type.value, instance.scope))
     return {"report": report.to_dict(), "quality": -loss}
 
 

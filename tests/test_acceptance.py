@@ -8,6 +8,7 @@ import math
 import random
 import statistics
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -496,7 +497,7 @@ def test_c09_leakage_and_tool_exposure(e2e, tmp_path, report):
         truth = reveal_for_scoring(inst)
         needles = [json.dumps(truth), json.dumps(truth, separators=(",", ":"))]
         needles += [repr(float(v)) for v in truth]
-        trace_text = open(result.trace_path).read()
+        trace_text = Path(result.trace_path).read_text()
         for needle in needles:
             if any(needle in p for p in captured_prompts) or needle in trace_text:
                 leak = True

@@ -65,7 +65,7 @@ class TestExplore:
         assert summary["instances"] == 12
         assert sum(summary["episodes"].values()) == 12
         assert (store / "notes" / "synth_forecast_short.md").exists()
-        assert (store / "ledger.json").exists()
+        assert (store / "ledger.jsonl").exists()
 
     def test_parallel_exploration_keeps_store_consistent(self, corpus_dir, tmp_path):
         store = tmp_path / "store"

@@ -127,6 +127,7 @@ def stub_server():
     _Flaky.mode = "retry"
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestRemoteGateway:

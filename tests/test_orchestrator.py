@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import gc
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
 from timeclaw import prompts, seriesops
 from timeclaw.core import EvidenceClass, SealedAnswer, TaskInstance, TaskType
-from timeclaw.errors import ContractError, GatewayError
-from timeclaw.gateway import AssistantReply, PolicyGateway, ToolCallRequest
+from timeclaw.errors import ContractError, GatewayError, ScriptMissError
+from timeclaw.gateway import AssistantReply, PolicyGateway, ScriptedGateway, ToolCallRequest
 from timeclaw.orchestrator import (
     BranchSlot,
     EpisodeDeps,
@@ -489,7 +492,7 @@ class TestToolExposure:
         inst = _instance(gt=gt)
         deps = _deps(tmp_path, PolicyGateway(inference_policy), with_store=False)
         result = run_inference(inst, deps)
-        trace_text = open(result.trace_path).read()
+        trace_text = Path(result.trace_path).read_text()
         for needle in ("13.577", "14.211", "15.903"):
             assert needle not in trace_text
 
@@ -501,8 +504,21 @@ class TestTraceDeterminism:
         for run in ("a", "b"):
             deps = _deps(tmp_path / run, policy_gateway("exploration"))
             outcome = run_exploration_episode(inst, ExplorationConfig(seed=9), deps)
-            texts.append(open(outcome.trace_path).read())
+            texts.append(Path(outcome.trace_path).read_text())
         assert texts[0] == texts[1]
+
+    def test_a_raising_run_closes_its_trace(self, tmp_path):
+        inst = _instance(gt=[13.0] * 3)
+        deps = _deps(tmp_path, ScriptedGateway({}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ScriptMissError):
+                run_exploration_episode(inst, ExplorationConfig(seed=9), deps)
+            with pytest.raises(ScriptMissError):
+                run_inference(inst, deps)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == ["e1.jsonl"]
 
 
 def _count_calls(monkeypatch, names):

@@ -253,6 +253,15 @@ class TestInferenceBundle:
         assert "- seasonal_naive:" in bundle.user_text
         assert "- drift:" not in bundle.user_text
 
+    def test_a_long_layer_renders_cut(self):
+        selection = _Selection([_rule()])
+        selection.skills_text = "x" * (prompts.MAX_LAYER_CHARS + 1)
+        bundle = prompts.build_inference_prompt(
+            _golden_instance(), _golden_fp(), selection, [{"name": "naive", "description": ""}]
+        )
+        assert "#### Skills\n" + "x" * prompts.MAX_LAYER_CHARS + "\n...[truncated]\n" in bundle.user_text
+        assert "x" * (prompts.MAX_LAYER_CHARS + 1) not in bundle.user_text
+
     def test_exploration_only_tools_cannot_be_declared(self):
         with pytest.raises(ContractError):
             prompts.build_inference_prompt(

@@ -91,6 +91,39 @@ class TestLedger:
         assert reloaded.counts("s2") == {"c": 1}
         assert reloaded.entropy_history("s1") == ledger.entropy_history("s1")
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reopened_ledger_matches_one_that_never_closed(self, tmp_path, seed):
+        rng = random.Random(seed)
+        tools = ["t5", "t3", "t0", "t4", "t1", "t2"]
+        records = [
+            (rng.choice(["s1", "s2"]), [rng.choice(tools) for _ in range(rng.randint(1, 3))])
+            for _ in range(12)
+        ]
+        whole = ToolUsageLedger(tmp_path / "whole.jsonl")
+        for scope, used in records:
+            whole.record(scope, used)
+        cut = rng.randint(1, len(records) - 1)
+        first = ToolUsageLedger(tmp_path / "split.jsonl")
+        for scope, used in records[:cut]:
+            first.record(scope, used)
+        split = ToolUsageLedger(tmp_path / "split.jsonl")
+        for scope, used in records[cut:]:
+            split.record(scope, used)
+        reopened = ToolUsageLedger(tmp_path / "split.jsonl")
+        for ledger in (split, reopened):
+            for scope in ("s1", "s2"):
+                assert ledger.counts(scope) == whole.counts(scope)
+                assert ledger.entropy_history(scope) == whole.entropy_history(scope)
+
+    def test_log_has_one_line_per_update_with_tools(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = ToolUsageLedger(path)
+        ledger.record("s", ["b", "a"])
+        ledger.record("s", [])
+        ledger.record("t", ["a"])
+        assert path.read_text() == '{"scope":"s","tools":["b","a"]}\n{"scope":"t","tools":["a"]}\n'
+        assert ToolUsageLedger(path).entropy_history("s") == ledger.entropy_history("s") == [math.log(2)]
+
     def test_entropy_values(self):
         ledger = ToolUsageLedger()
         assert ledger.entropy("empty") is None

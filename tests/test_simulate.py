@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 from timeclaw.simulate import DropoutScenario, compare_over_seeds, write_outputs
 
@@ -42,5 +43,5 @@ class TestCollapseSimulation:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "prefix"
         assert len(rows) - 1 == len(result.prefixes)
-        data = json.loads(open(paths["json"]).read())
+        data = json.loads(Path(paths["json"]).read_text())
         assert "mean_top_share_reduction" in data

@@ -448,6 +448,25 @@ class TestSnapshots:
             state = MemoryState.from_dict(json.loads(snap_memory.read_text()))
             assert state.content_fingerprint() in seen_states
 
+    def test_snapshots_cite_the_notes_count_and_read_no_files(self, tmp_path, monkeypatch):
+        store = ExperienceStore(tmp_path, auto_snapshot=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the store re-read its own files")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        for i in range(30):
+            store.commit_note(_note(seq=None, winner=(f"tool_{i % 4}",)))
+            store.maybe_trigger_distillation(SCOPE)
+        monkeypatch.undo()
+        timeline = store.snapshot_timeline(SCOPE)
+        assert [entry["notes"] for entry in timeline] == [10, 20, 30]
+        for entry in timeline:
+            snap = tmp_path / "snapshots" / SCOPE / entry["digest"]
+            memory = MemoryState.from_dict(json.loads((snap / "memory" / f"{SCOPE}.json").read_text()))
+            assert memory.distilled_through == entry["notes"]
+            assert not (snap / "notes").exists()
+
     def test_soul_is_static_configuration(self, tmp_path):
         store = ExperienceStore(tmp_path)
         soul_before = store.soul_text()
@@ -552,26 +571,15 @@ class TestAtomicRewrites:
         assert ExperienceStore(tmp_path).memory_state(SCOPE).distilled_through == 10
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
-    def test_failed_ledger_rewrite_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "ledger.json"
-        ToolUsageLedger(path).record("s", ["a", "b"])
-        before = path.read_text()
-        self._fail_midway(monkeypatch)
-        with pytest.raises(OSError):
-            ToolUsageLedger(path).record("s", ["a"])
-        monkeypatch.undo()
-        assert path.read_text() == before
-        assert ToolUsageLedger(path).counts("s") == {"a": 1, "b": 1}
-
     def test_rewrites_leave_no_temp_files(self, tmp_path):
         store = ExperienceStore(tmp_path)
-        ledger = ToolUsageLedger(tmp_path / "ledger.json")
+        ledger = ToolUsageLedger(tmp_path / "ledger.jsonl")
         for _ in range(10):
             store.commit_note(_note(seq=None))
             ledger.record(SCOPE, ["seasonal_naive"])
         assert store.maybe_trigger_distillation(SCOPE)
         assert (tmp_path / "snapshots" / SCOPE / "index.json").exists()
-        assert (tmp_path / "ledger_history.json").exists()
+        assert (tmp_path / "ledger.jsonl").exists()
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 

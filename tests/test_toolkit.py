@@ -415,6 +415,7 @@ def remote_forecast():
 
     yield invoke
     server.shutdown()
+    server.server_close()
 
 
 class TestRemoteAdapter:
