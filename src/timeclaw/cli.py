@@ -18,7 +18,7 @@ from typing import Any, Optional, Sequence
 
 from . import __version__, corpus as corpus_mod, metrics, simulate
 from .core import CLASSIFICATION_TYPES, TaskInstance, validate_answer
-from .errors import ContractError, CorpusError, TimeclawError
+from .errors import ContractError, CorpusError, LogError, TimeclawError
 from .gateway import Gateway, RecordingGateway, RemoteGateway, ScriptedGateway
 from .orchestrator import (
     EpisodeDeps,
@@ -116,7 +116,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         load = corpus_mod.load_samples(Path(args.corpus), role="learning")
         gateway = _build_gateway(args, default_policy="exploration")
         deps = _build_deps(store_root, trace_dir, gateway, args.registry, not args.no_snapshot)
-    except (CorpusError, ContractError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CorpusError, ContractError, LogError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -197,7 +197,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         load = corpus_mod.load_samples(Path(args.corpus), role="evaluation")
         gateway = _build_gateway(args, default_policy="inference")
         deps = _build_deps(store_root, trace_dir, gateway, args.registry)
-    except (CorpusError, ContractError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CorpusError, ContractError, LogError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -337,8 +337,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not store_root.exists():
         print(f"error: store {store_root} does not exist", file=sys.stderr)
         return EXIT_CONFIG
-    store = ExperienceStore(store_root)
-    ledger = ToolUsageLedger(store_root / LEDGER_FILE)
+    try:
+        store = ExperienceStore(store_root)
+        ledger = ToolUsageLedger(store_root / LEDGER_FILE)
+    except (ContractError, LogError, OSError, json.JSONDecodeError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     report = store.report()
     for scope in report:
         report[scope]["entropy_history"] = ledger.entropy_history(scope)

@@ -46,3 +46,7 @@ class CorpusError(TimeclawError):
 
 class ReplayError(TimeclawError):
     """A trace cannot be replayed (version mismatch, truncated file, ...)."""
+
+
+class LogError(TimeclawError):
+    """A record of an append-only store log is bad and is not its torn tail."""

@@ -16,16 +16,18 @@ scripts can be generated instead of hand-written.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 from .errors import ContractError, GatewayError, ScriptMissError, ToolCallParseError
-from .util import canonical_json, digest_text
+from .util import canonical_json
 
 API_BASE_ENV = "TIMECLAW_API_BASE"
 API_KEY_ENV = "TIMECLAW_API_KEY"
@@ -37,11 +39,18 @@ class ToolCallRequest:
     args: Mapping[str, Any]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChatMessage:
     role: str  # system | user | assistant | tool
     content: str = ""
     tool_calls: tuple[ToolCallRequest, ...] = ()
+
+    @cached_property
+    def _digest_piece(self) -> bytes:
+        """This message's encoded ``[role, normalized content]`` entry of
+        :func:`exchange_digest`; a conversation resends every earlier
+        message, so each is encoded once."""
+        return canonical_json([self.role, _normalize(self.content)]).encode()
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"role": self.role, "content": self.content}
@@ -85,14 +94,13 @@ def _normalize(content: str) -> str:
 
 
 def exchange_digest(exchange: ChatExchange) -> str:
-    """Digest of (normalized message contents, declared tool ids)."""
-    body = canonical_json(
-        {
-            "messages": [[m.role, _normalize(m.content)] for m in exchange.messages],
-            "tools": exchange.declared_tool_names(),
-        }
-    )
-    return digest_text(body)[:16]
+    """Digest of (normalized message contents, declared tool ids): the
+    canonical JSON of ``{"messages": [[role, content], ...], "tools": [...]}``,
+    assembled from each message's cached piece."""
+    h = hashlib.sha256(b'{"messages":[')
+    h.update(b",".join(m._digest_piece for m in exchange.messages))
+    h.update(b'],"tools":' + canonical_json(exchange.declared_tool_names()).encode() + b"}")
+    return h.hexdigest()[:16]
 
 
 def _estimate_tokens(text: str) -> int:

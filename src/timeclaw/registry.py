@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ContractError
-from .util import canonical_json, stable_rng
+from .util import TornRecord, append_record, canonical_json, read_records, stable_rng
 
 logger = logging.getLogger(__name__)
 
@@ -123,13 +123,22 @@ def keep_probability(n_i: int, n_min: int, alpha: float, protected: bool = False
 LEDGER_FILE = "ledger.jsonl"
 
 
+def _parse_ledger_line(data: bytes, pos: int) -> tuple[tuple[str, list[str]], int]:
+    end = data.find(b"\n", pos)
+    if end < 0:
+        raise TornRecord
+    entry = json.loads(data[pos:end])
+    return (entry["scope"], entry["tools"]), end + 1
+
+
 class ToolUsageLedger:
     """Per-scope tool invocation counts and the usage entropy after each
     update, so collapse can be audited over time.
 
     Counts only increase. Each update appends one line to an append-only log,
     and opening the ledger replays that log through the same update, so a
-    reopened ledger equals one that never closed, history included.
+    reopened ledger equals one that never closed, history included. A torn
+    last line is dropped on open and cut off by the next append.
     """
 
     def __init__(self, path: Optional[Path] = None):
@@ -137,10 +146,12 @@ class ToolUsageLedger:
         self._counts: dict[str, dict[str, int]] = {}
         self._history: dict[str, list[float]] = {}
         self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
-            for line in self.path.read_text().splitlines():
-                entry = json.loads(line)
-                self._apply_locked(entry["scope"], entry["tools"])
+        self._end = 0  # where the log's last whole line ends
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            entries, self._end = read_records(self.path, _parse_ledger_line)
+            for scope, tools in entries:
+                self._apply_locked(scope, tools)
 
     def counts(self, scope: str) -> dict[str, int]:
         return dict(self._counts.get(scope, {}))
@@ -154,9 +165,8 @@ class ToolUsageLedger:
             return
         with self._lock:
             if self.path is not None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a") as fh:
-                    fh.write(canonical_json({"scope": scope, "tools": tools}) + "\n")
+                line = canonical_json({"scope": scope, "tools": tools}) + "\n"
+                self._end = append_record(self.path, self._end, line.encode())
             self._apply_locked(scope, tools)
 
     def _apply_locked(self, scope: str, tools: Sequence[str]) -> None:
@@ -232,10 +242,6 @@ class ToolRegistry:
 
     def exploration_visible(self) -> list[str]:
         return sorted(self._tools)
-
-    def is_protected(self, tool_id: str, scope: str) -> bool:
-        d = self._tools.get(tool_id)
-        return d is not None and d.protected_for(scope)
 
     def competing_sets(self, scope: str) -> dict[str, list[str]]:
         """Non-protected substantive tools grouped by category; tools only

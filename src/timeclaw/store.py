@@ -30,7 +30,7 @@ from typing import Any, Mapping, Optional, Sequence
 from .core import EpisodeOutcome, EvidenceClass, TaskInstance
 from .errors import ContractError
 from .prompts import SampleFingerprint, match, task_prompt
-from .util import canonical_json, digest_obj, digest_text, write_atomic
+from .util import TornRecord, append_record, canonical_json, digest_obj, digest_text, read_records, write_atomic
 
 MEMORY_CAP = 30
 DISTILL_EVERY = 10
@@ -508,8 +508,7 @@ _NOTE_OPEN = re.compile(r"^<!-- note (\d+) -->$", re.M)
 _NOTE_BLOCK = re.compile(r"^<!-- note (\d+) -->\n(.*?)^<!-- end note \1 -->$", re.M | re.S)
 
 # Files the store only ever writes whole; it keeps their text in memory.
-_REWRITTEN = ("soul.md", "memory/*.json", "fingerprints/*", "skills/*.md", "skills_decision/*.md",
-              "tools/*.md", "snapshots/*/index.json")
+_REWRITTEN = ("soul.md", "memory/*.json", "fingerprints/*", "skills/*.md", "skills_decision/*.md", "tools/*.md")
 
 # A note's shard block: (key, LearningNote attribute, JSON read when the key
 # is missing), in the order the block lists them.
@@ -550,6 +549,35 @@ def _parse_notes(scope: str, text: str, after: int = 0) -> tuple[int, list[Learn
     return len(seqs), notes
 
 
+def _parse_snapshot(data: bytes, pos: int) -> tuple[tuple[dict[str, Any], dict[str, Optional[str]]], int]:
+    """One record of a snapshot log: its header line, and the layers it
+    changed (None for a tool card that is gone), whose raw bytes follow the
+    header in the header's order."""
+    end = data.find(b"\n", pos)
+    if end < 0:
+        raise TornRecord
+    header = json.loads(data[pos:end])
+    pos = end + 1
+    layers: dict[str, Optional[str]] = {}
+    for rel, size in header["layers"].items():
+        if size is None:
+            layers[rel] = None
+            continue
+        if pos + size > len(data):
+            raise TornRecord
+        layers[rel] = data[pos : pos + size].decode()
+        pos += size
+    return (header, layers), pos
+
+
+def _fold_layers(layers: dict[str, str], changed: Mapping[str, Optional[str]]) -> None:
+    for rel, text in changed.items():
+        if text is None:
+            del layers[rel]
+        else:
+            layers[rel] = text
+
+
 @dataclass
 class Selection:
     """Injectable retrieval result for one (scope, fingerprint)."""
@@ -569,6 +597,9 @@ class _Scope:
     note_count: int = 0
     pending: list[LearningNote] = field(default_factory=list)  # committed, not yet distilled
     lock: threading.Lock = field(default_factory=threading.Lock)  # serializes commits and batches
+    snapshots: list[dict[str, Any]] = field(default_factory=list)  # the timeline: seq, digest, notes
+    last_snapshot: dict[str, str] = field(default_factory=dict)  # the layers of the last snapshot
+    snapshot_end: int = 0  # where the snapshot log's last whole record ends
 
 
 class ExperienceStore:
@@ -600,6 +631,12 @@ class ExperienceStore:
         for path in sorted((self.root / "notes").glob("*.md")):
             held = self._scope(path.stem)
             held.note_count, held.pending = _parse_notes(path.stem, path.read_text(), held.memory.distilled_through)
+        for path in sorted((self.root / "snapshots").glob("*.log")):
+            held = self._scope(path.stem)
+            records, held.snapshot_end = read_records(path, _parse_snapshot)
+            for header, changed in records:
+                held.snapshots.append({key: header[key] for key in ("seq", "digest", "notes")})
+                _fold_layers(held.last_snapshot, changed)
         if "soul.md" not in self._files:
             self._write("soul.md", DEFAULT_SOUL)
 
@@ -811,29 +848,46 @@ class ExperienceStore:
     # -- snapshots and audit ------------------------------------------------
 
     def snapshot(self, scope: str) -> str:
-        """Content-addressed copy of every rewritten layer for one scope. The
-        notes are append-only, so the snapshot cites their count instead of
-        copying them: its notes are the shard's first ``notes`` blocks."""
+        """Record the scope's rewritten layers as one record appended to
+        ``snapshots/<scope>.log``. The record holds only the layers that
+        differ from the scope's previous snapshot; the digest covers them all.
+        The notes are append-only, so the snapshot cites their count instead
+        of copying them: its notes are the shard's first ``notes`` blocks."""
         with self._publish:
-            held = self._scopes.get(scope)
-            notes = held.note_count if held is not None else 0
+            held = self._scope(scope)
             layers = ["soul.md", f"memory/{scope}.json", f"skills/{scope}.md", f"skills_decision/{scope}.md",
                       *sorted(rel for rel in self._files if rel.startswith("tools/"))]
-            content = [(rel, self._files[rel]) for rel in layers if rel in self._files]
-            digest = digest_obj({"notes": notes, "layers": content}, 16)
-            snap_dir = self.root / "snapshots" / scope / digest
-            if not snap_dir.exists():
-                for rel, text in content:
-                    target = snap_dir / rel
-                    target.parent.mkdir(parents=True, exist_ok=True)
-                    target.write_text(text)
-            index = self.snapshot_timeline(scope)
-            index.append({"seq": len(index) + 1, "digest": digest, "notes": notes})
-            self._write(f"snapshots/{scope}/index.json", json.dumps(index, indent=1) + "\n")
-            return digest
+            content = {rel: self._files[rel] for rel in layers if rel in self._files}
+            entry = {
+                "seq": len(held.snapshots) + 1,
+                "digest": digest_obj({"notes": held.note_count, "layers": list(content.items())}, 16),
+                "notes": held.note_count,
+            }
+            changed = {rel: text.encode() for rel, text in content.items() if held.last_snapshot.get(rel) != text}
+            changed.update((rel, None) for rel in held.last_snapshot if rel not in content)
+            header = canonical_json({**entry, "layers": {rel: b if b is None else len(b) for rel, b in changed.items()}})
+            body = b"".join(changed[rel] or b"" for rel in sorted(changed))
+            held.snapshot_end = append_record(
+                self.root / "snapshots" / f"{scope}.log", held.snapshot_end, header.encode() + b"\n" + body
+            )
+            held.snapshots.append(entry)
+            held.last_snapshot = content
+            return entry["digest"]
 
     def snapshot_timeline(self, scope: str) -> list[dict[str, Any]]:
-        return json.loads(self._files.get(f"snapshots/{scope}/index.json", "[]"))
+        held = self._scopes.get(scope)
+        return [dict(entry) for entry in held.snapshots] if held is not None else []
+
+    def snapshot_layers(self, scope: str, seq: int) -> dict[str, str]:
+        """Every layer text of the scope's snapshot ``seq``, rebuilt from its log."""
+        with self._publish:
+            if not 1 <= seq <= len(self.snapshot_timeline(scope)):
+                raise ContractError(f"scope {scope} has no snapshot {seq}")
+            records, _ = read_records(self.root / "snapshots" / f"{scope}.log", _parse_snapshot)
+        layers: dict[str, str] = {}
+        for _header, changed in records[:seq]:
+            _fold_layers(layers, changed)
+        return layers
 
     def tree_digest(self) -> str:
         """Digest over every file in the store; unchanged digest means an

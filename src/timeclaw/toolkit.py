@@ -179,12 +179,23 @@ class Toolkit:
     def __init__(self) -> None:
         self._fns: dict[str, ToolFn] = {}
         self._descriptors: dict[str, ToolDescriptor] = {}
+        self._schemas: dict[str, dict[str, Any]] = {}
 
     def register(self, descriptor: ToolDescriptor, fn: ToolFn) -> None:
         if descriptor.tool_id in self._fns:
             raise ContractError(f"tool {descriptor.tool_id} already registered")
         self._fns[descriptor.tool_id] = fn
         self._descriptors[descriptor.tool_id] = descriptor
+        props = {
+            name: {"type": spec.type, "description": spec.description}
+            for name, spec in sorted(descriptor.arg_schema.items())
+        }
+        required = sorted(name for name, spec in descriptor.arg_schema.items() if spec.required)
+        self._schemas[descriptor.tool_id] = {
+            "name": descriptor.tool_id,
+            "description": descriptor.description,
+            "parameters": {"type": "object", "properties": props, "required": required},
+        }
 
     def descriptors(self) -> list[ToolDescriptor]:
         return [self._descriptors[t] for t in sorted(self._descriptors)]
@@ -262,18 +273,9 @@ class Toolkit:
         )
 
     def tool_schema(self, tool_id: str) -> dict[str, Any]:
-        """OpenAI-style function schema for prompt declaration."""
-        d = self._descriptors[tool_id]
-        props = {
-            name: {"type": spec.type, "description": spec.description}
-            for name, spec in sorted(d.arg_schema.items())
-        }
-        required = sorted(name for name, spec in d.arg_schema.items() if spec.required)
-        return {
-            "name": d.tool_id,
-            "description": d.description,
-            "parameters": {"type": "object", "properties": props, "required": required},
-        }
+        """OpenAI-style function schema for prompt declaration, built once at
+        registration; shared, so callers must not mutate it."""
+        return self._schemas[tool_id]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Small deterministic helpers: canonical JSON, digests, seeded RNG, atomic
-file rewrites."""
+file rewrites, and append-only logs that survive a torn last record."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import random
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
+
+from .errors import LogError
+
+logger = logging.getLogger(__name__)
 
 
 def canonical_json(obj: Any) -> str:
@@ -45,3 +50,46 @@ def write_atomic(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class TornRecord(Exception):
+    """A log record runs past the end of the file: what an interrupted append
+    leaves behind."""
+
+
+def read_records(path: Path, parse: Callable[[bytes, int], tuple[Any, int]]) -> tuple[list[Any], int]:
+    """The whole records of the append-only log at ``path`` (none when it is
+    absent) and the offset where the last of them ends.
+
+    ``parse(data, pos)`` returns the record that starts at ``pos`` and the
+    offset after it, raising :class:`TornRecord` when it runs past the end of
+    ``data``. Each record starts on a new line. A torn or bad record whose
+    first line is the file's last is dropped with a warning; a bad record
+    before it raises :class:`LogError` naming the file and the line.
+    """
+    data = path.read_bytes() if path.exists() else b""
+    records: list[Any] = []
+    pos = 0
+    while pos < len(data):
+        try:
+            record, pos_after = parse(data, pos)
+        except (TornRecord, ValueError, KeyError, TypeError, AttributeError) as exc:
+            line = data.count(b"\n", 0, pos) + 1
+            if isinstance(exc, TornRecord) or data.find(b"\n", pos) in (-1, len(data) - 1):
+                logger.warning("%s: line %d: dropped a torn last record", path, line)
+                break
+            raise LogError(f"{path}: line {line}: bad record: {exc}") from exc
+        records.append(record)
+        pos = pos_after
+    return records, pos
+
+
+def append_record(path: Path, end: int, record: bytes) -> int:
+    """Append one record to the log whose whole records end at ``end``, first
+    cutting off whatever follows them, so no record lands after a torn one.
+    Returns the new end."""
+    with path.open("ab") as fh:
+        if fh.tell() != end:
+            fh.truncate(end)
+        fh.write(record)
+    return end + len(record)

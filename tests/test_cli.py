@@ -371,6 +371,51 @@ class TestReportAndSimulate:
         assert len(data["on"]["coverage"]) == len(data["prefixes"])
 
 
+class TestTornLogs:
+    """A store whose append-only logs lost their last bytes (a full disk or a
+    power cut mid-append) still opens; a bad record before the tail is an
+    error that names the file and the line."""
+
+    LOGS = ("ledger.jsonl", "snapshots/synth_forecast_short.log")
+
+    @staticmethod
+    def _explore(corpus_dir, store):
+        return main(["explore", "--corpus", str(corpus_dir / "learning.jsonl"), "--store", str(store), "--seed", "3"])
+
+    @staticmethod
+    def _tree(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def test_torn_tails_are_dropped_and_read_only_commands_write_nothing(self, corpus_dir, tmp_path, caplog):
+        store = tmp_path / "store"
+        assert self._explore(corpus_dir, store) == 0
+        for rel in self.LOGS:
+            (store / rel).write_bytes((store / rel).read_bytes()[:-10])
+        before = self._tree(store)
+        assert main(["report", "--store", str(store), "--out", str(tmp_path / "report.json")]) == 0
+        for rel in self.LOGS:
+            assert f"{store / rel}: line " in caplog.text
+        out = tmp_path / "infer" / "preds.jsonl"
+        assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
+        assert json.loads((out.parent / "infer_summary.json").read_text())["store_untouched"] is True
+        assert self._tree(store) == before
+        assert self._explore(corpus_dir, store) == 0
+        caplog.clear()
+        assert main(["report", "--store", str(store), "--out", str(tmp_path / "report.json")]) == 0
+        assert "torn" not in caplog.text  # the appends cut the torn tails off first
+
+    @pytest.mark.parametrize("rel", LOGS)
+    def test_bad_record_before_the_tail_is_an_error_not_a_traceback(self, corpus_dir, tmp_path, capsys, rel):
+        store = tmp_path / "store"
+        assert self._explore(corpus_dir, store) == 0
+        (store / rel).write_bytes(b"X" + (store / rel).read_bytes()[1:])
+        capsys.readouterr()
+        assert main(["report", "--store", str(store)]) == 2
+        assert f"error: {store / rel}: line 1: bad record" in capsys.readouterr().err
+        assert self._explore(corpus_dir, store) == 2
+        assert f"error: {store / rel}: line 1: bad record" in capsys.readouterr().err
+
+
 class TestReplayCommand:
     def test_replay_clean_trace(self, corpus_dir, tmp_path):
         store = tmp_path / "store"

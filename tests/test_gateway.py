@@ -5,6 +5,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from timeclaw.errors import GatewayError, ScriptMissError, ToolCallParseError
 from timeclaw.gateway import (
@@ -16,8 +17,10 @@ from timeclaw.gateway import (
     RemoteGateway,
     ScriptedGateway,
     ToolCallRequest,
+    _normalize,
     exchange_digest,
 )
+from timeclaw.util import canonical_json, digest_text
 
 
 def _exchange(content="hello", tools=()):
@@ -36,6 +39,32 @@ class TestDigest:
 
     def test_declared_tools_participate(self):
         assert exchange_digest(_exchange("a", ("x",))) != exchange_digest(_exchange("a", ("y",)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        messages=st.lists(
+            st.tuples(st.sampled_from(["system", "user", "assistant", "tool"]), st.text()), max_size=6
+        ),
+        tools=st.lists(st.text(min_size=1), max_size=4),
+    )
+    def test_equals_the_whole_body_formula(self, messages, tools):
+        exchange = ChatExchange(
+            messages=[ChatMessage(role=role, content=content) for role, content in messages],
+            declared_tools=[{"name": t} for t in tools],
+        )
+        body = canonical_json(
+            {
+                "messages": [[m.role, _normalize(m.content)] for m in exchange.messages],
+                "tools": exchange.declared_tool_names(),
+            }
+        )
+        assert exchange_digest(exchange) == digest_text(body)[:16]
+        # a message resent in a longer conversation keeps its cached piece
+        longer = ChatExchange(messages=[*exchange.messages, ChatMessage(role="user", content="more  \n")])
+        body = canonical_json(
+            {"messages": [[m.role, _normalize(m.content)] for m in longer.messages], "tools": []}
+        )
+        assert exchange_digest(longer) == digest_text(body)[:16]
 
 
 class TestScriptedGateway:

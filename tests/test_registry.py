@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timeclaw.errors import ContractError
+from timeclaw.errors import ContractError, LogError
 from timeclaw.registry import (
     ToolCategory,
     ToolDescriptor,
@@ -123,6 +124,35 @@ class TestLedger:
         ledger.record("t", ["a"])
         assert path.read_text() == '{"scope":"s","tools":["b","a"]}\n{"scope":"t","tools":["a"]}\n'
         assert ToolUsageLedger(path).entropy_history("s") == ledger.entropy_history("s") == [math.log(2)]
+
+    RECORDS = [("s", ["a", "b"]), ("t", ["a"]), ("s", ["c", "a"])]
+
+    def _written(self, path, records):
+        ledger = ToolUsageLedger(path)
+        for scope, used in records:
+            ledger.record(scope, used)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("cut", [1, 10, 24])
+    def test_torn_last_line_is_dropped_then_cut_off(self, tmp_path, caplog, cut):
+        full = self._written(tmp_path / "full.jsonl", self.RECORDS)
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(full[:-cut])
+        ledger = ToolUsageLedger(path)
+        assert f"{path}: line 3: dropped a torn last record" in caplog.text
+        assert path.read_bytes() == full[:-cut]  # opening writes nothing
+        assert ledger.counts("s") == {"a": 1, "b": 1}
+        assert ledger.entropy_history("s") == ToolUsageLedger(tmp_path / "full.jsonl").entropy_history("s")[:1]
+        ledger.record("u", ["d"])
+        assert path.read_bytes() == self._written(tmp_path / "ref.jsonl", [*self.RECORDS[:2], ("u", ["d"])])
+
+    def test_bad_line_before_the_last_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        lines = self._written(path, self.RECORDS).split(b"\n")
+        lines[1] = lines[1][:-3]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(LogError, match=re.escape(f"{path}: line 2: bad record")):
+            ToolUsageLedger(path)
 
     def test_entropy_values(self):
         ledger = ToolUsageLedger()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from timeclaw.core import (
     EvidenceClass,
     LearningSummaryText,
 )
-from timeclaw.errors import ContractError
+from timeclaw.errors import ContractError, LogError
 from timeclaw.prompts import fingerprint
 from timeclaw.registry import ToolUsageLedger
 from timeclaw.store import (
@@ -443,9 +444,9 @@ class TestSnapshots:
         timeline = store.snapshot_timeline(SCOPE)
         assert timeline  # distillation snapshots happened
         for entry in timeline:
-            snap_memory = tmp_path / "snapshots" / SCOPE / entry["digest"] / "memory" / f"{SCOPE}.json"
-            assert snap_memory.exists()
-            state = MemoryState.from_dict(json.loads(snap_memory.read_text()))
+            layers = store.snapshot_layers(SCOPE, entry["seq"])
+            assert f"memory/{SCOPE}.json" in layers
+            state = MemoryState.from_dict(json.loads(layers[f"memory/{SCOPE}.json"]))
             assert state.content_fingerprint() in seen_states
 
     def test_snapshots_cite_the_notes_count_and_read_no_files(self, tmp_path, monkeypatch):
@@ -462,10 +463,10 @@ class TestSnapshots:
         timeline = store.snapshot_timeline(SCOPE)
         assert [entry["notes"] for entry in timeline] == [10, 20, 30]
         for entry in timeline:
-            snap = tmp_path / "snapshots" / SCOPE / entry["digest"]
-            memory = MemoryState.from_dict(json.loads((snap / "memory" / f"{SCOPE}.json").read_text()))
+            layers = store.snapshot_layers(SCOPE, entry["seq"])
+            memory = MemoryState.from_dict(json.loads(layers[f"memory/{SCOPE}.json"]))
             assert memory.distilled_through == entry["notes"]
-            assert not (snap / "notes").exists()
+            assert not [rel for rel in layers if rel.startswith("notes/")]
 
     def test_soul_is_static_configuration(self, tmp_path):
         store = ExperienceStore(tmp_path)
@@ -543,6 +544,88 @@ class TestInMemoryState:
         assert store.retrieve(SCOPE, fp).rules[0].confidence > selection.rules[0].confidence
 
 
+def _held_layers(root, scope):
+    """The layers a snapshot of ``scope`` covers, as they are on disk now."""
+    rels = ["soul.md", f"memory/{scope}.json", f"skills/{scope}.md", f"skills_decision/{scope}.md"]
+    layers = {rel: (root / rel).read_text() for rel in rels if (root / rel).exists()}
+    layers.update((p.relative_to(root).as_posix(), p.read_text()) for p in sorted((root / "tools").glob("*.md")))
+    return layers
+
+
+# Two scopes whose distillations add tool cards and, once memory is full and
+# evicts, remove them.
+OTHER = "synth_other_short"
+CHURN = [_note(seq=None, winner=(f"t{i:02d}",), losers=()) for i in range(70)]
+CHURN[2::3] = [_note(seq=None, scope=OTHER, winner=(f"t{i % 5:02d}",), losers=()) for i in range(len(CHURN[2::3]))]
+
+
+class TestSnapshotLog:
+    def test_snapshot_layers_equal_the_layers_held_when_taken(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        held = {}
+        for note in CHURN:
+            _commit_and_distill(store, [note])
+            timeline = store.snapshot_timeline(SCOPE)
+            if timeline and timeline[-1]["seq"] not in held:
+                held[timeline[-1]["seq"]] = _held_layers(tmp_path, SCOPE)
+        assert list(held) == [1, 2, 3, 4]
+        rebuilt = {seq: store.snapshot_layers(SCOPE, seq) for seq in held}
+        assert rebuilt == held
+        assert ExperienceStore(tmp_path).snapshot_layers(SCOPE, 2) == held[2]
+        assert set(held[3]) - set(held[4])  # a tool card went away
+
+    def test_reopened_store_appends_the_same_log_bytes(self, tmp_path):
+        _commit_and_distill(ExperienceStore(tmp_path / "whole"), CHURN)
+        for i in range(0, len(CHURN), 7):
+            _commit_and_distill(ExperienceStore(tmp_path / "split"), CHURN[i : i + 7])
+        for scope in (SCOPE, OTHER):
+            log = f"snapshots/{scope}.log"
+            assert (tmp_path / "split" / log).read_bytes() == (tmp_path / "whole" / log).read_bytes()
+
+    def test_a_record_holds_only_the_changed_layers(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        store.commit_note(_note(seq=None))
+        digest = store.snapshot(SCOPE)
+        log = tmp_path / "snapshots" / f"{SCOPE}.log"
+        size = log.stat().st_size
+        assert store.snapshot(SCOPE) == digest
+        header = {"digest": digest, "layers": {}, "notes": 1, "seq": 2}
+        assert log.read_bytes()[size:] == json.dumps(header, separators=(",", ":")).encode() + b"\n"
+
+    @staticmethod
+    def _three_snapshots(root):
+        store = ExperienceStore(root)
+        _commit_and_distill(store, [_note(seq=None, winner=(f"tool_{i % 4}",)) for i in range(30)])
+        return store
+
+    @pytest.mark.parametrize("keep", [1, 40, -1])
+    def test_torn_last_record_is_dropped_then_cut_off(self, tmp_path, caplog, keep):
+        whole = self._three_snapshots(tmp_path / "whole")
+        log = tmp_path / "whole" / "snapshots" / f"{SCOPE}.log"
+        full = log.read_bytes()
+        last = full.index(b'{"digest":"' + whole.snapshot_timeline(SCOPE)[2]["digest"].encode())
+        log.write_bytes(full[: last + keep] if keep > 0 else full[:keep])
+        store = ExperienceStore(tmp_path / "whole")
+        line = full.count(b"\n", 0, last) + 1
+        assert f"{log}: line {line}: dropped a torn last record" in caplog.text
+        assert store.snapshot_timeline(SCOPE) == whole.snapshot_timeline(SCOPE)[:2]
+        assert store.snapshot_layers(SCOPE, 2) == whole.snapshot_layers(SCOPE, 2)
+        store.snapshot(SCOPE)
+        assert log.read_bytes()[:last] == full[:last]
+        caplog.clear()
+        reopened = ExperienceStore(tmp_path / "whole")
+        assert not caplog.text
+        assert [entry["seq"] for entry in reopened.snapshot_timeline(SCOPE)] == [1, 2, 3]
+        assert reopened.snapshot_layers(SCOPE, 3) == _held_layers(tmp_path / "whole", SCOPE)
+
+    def test_bad_record_before_the_last_names_file_and_line(self, tmp_path):
+        self._three_snapshots(tmp_path)
+        log = tmp_path / "snapshots" / f"{SCOPE}.log"
+        log.write_bytes(b"X" + log.read_bytes()[1:])
+        with pytest.raises(LogError, match=re.escape(f"{log}: line 1: bad record")):
+            ExperienceStore(tmp_path)
+
+
 class TestAtomicRewrites:
     @staticmethod
     def _fail_midway(monkeypatch):
@@ -578,7 +661,7 @@ class TestAtomicRewrites:
             store.commit_note(_note(seq=None))
             ledger.record(SCOPE, ["seasonal_naive"])
         assert store.maybe_trigger_distillation(SCOPE)
-        assert (tmp_path / "snapshots" / SCOPE / "index.json").exists()
+        assert (tmp_path / "snapshots" / f"{SCOPE}.log").exists()
         assert (tmp_path / "ledger.jsonl").exists()
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
