@@ -359,10 +359,20 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
         summary = corpus_mod.generate_synthetic_corpus(
             Path(args.spec), Path(args.out), seed=args.seed
         )
+        # the pools as written: no evaluation source may also teach
+        learn, evaluate = (
+            corpus_mod.load_samples(Path(summary["files"][role]), role).manifest
+            for role in ("learning", "evaluation")
+        )
     except (CorpusError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    check = corpus_mod.disjointness_check(learn, evaluate)
     print(f"gen-corpus: {summary['counts']} -> {args.out}")
+    print(f"disjointness: {canonical_json(check)}")
+    if not check["pass"]:
+        print("error: the learning and evaluation pools share sources", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

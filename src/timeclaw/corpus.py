@@ -1,6 +1,6 @@
 """Corpus ingestion and generation: JSONL loading with per-line rejects,
-learn/eval source disjointness checks, label rebalancing, and the seeded
-synthetic generator used for desk-scale runs.
+learn/eval source disjointness checks, and the seeded synthetic generator
+used for desk-scale runs.
 
 Corpus tooling acts as the offline scorer side of the ground-truth gate, so
 it holds its own evaluator capability for (re)serializing targets.
@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 from .core import (
-    CLASSIFICATION_TYPES,
     EvaluatorCapability,
     SealedAnswer,
     TaskInstance,
@@ -174,41 +173,6 @@ def disjointness_check(learn: CorpusManifest, eval_manifest: CorpusManifest) -> 
         "overlaps": overlaps,
         "warning": "one manifest has no sources (vacuous pass)" if empty and not overlaps else "",
     }
-
-
-def rebalance_labels(
-    instances: Sequence[TaskInstance], scope: str, band: float = 2.0, seed: int = 0
-) -> list[TaskInstance]:
-    """Seeded subsampling of over-represented labels so per-label counts stay
-    within ``band`` times the smallest label count. Sample content is never
-    modified, only membership."""
-    pool = [i for i in instances if i.scope == scope and i.task_type in CLASSIFICATION_TYPES]
-    if not pool:
-        return list(instances)
-    by_label: dict[str, list[TaskInstance]] = {}
-    for inst in pool:
-        if not inst.has_ground_truth:
-            continue
-        by_label.setdefault(str(inst.answer_key(_OFFLINE)), []).append(inst)
-    if len(by_label) <= 1:
-        return list(instances)
-    cap = max(1, math.ceil(band * min(len(v) for v in by_label.values())))
-    keep_ids: set[str] = set()
-    for label in sorted(by_label):
-        group = by_label[label]
-        if len(group) <= cap:
-            keep_ids.update(i.id for i in group)
-        else:
-            rng = stable_rng("rebalance", seed, scope, label)
-            keep_ids.update(i.id for i in rng.sample(group, cap))
-    out = []
-    for inst in instances:
-        if inst in pool and inst.has_ground_truth:
-            if inst.id in keep_ids:
-                out.append(inst)
-        else:
-            out.append(inst)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,7 @@ class _EpisodeRunner:
         self.tokens_used = 0
         self.gateway_calls = 0
         self.substantive_used: list[str] = []
+        self.declared: dict[Optional[int], list[str]] = {}  # last tool list requested, per branch
         trace_path = None
         if deps.trace_dir is not None:
             trace_path = Path(deps.trace_dir) / f"{_safe_name(instance.id)}.jsonl"
@@ -316,11 +317,13 @@ class _EpisodeRunner:
         self.trace = TraceWriter(trace_path, header)
 
     def complete(self, exchange: ChatExchange, branch: Optional[int]) -> AssistantReply:
-        self.trace.event(
-            "gateway_request",
-            {"digest": exchange_digest(exchange), "tools": exchange.declared_tool_names()},
-            branch=branch,
-        )
+        request: dict[str, Any] = {"digest": exchange_digest(exchange)}
+        # a request lists its tools only when they differ from the previous
+        # request's on the same branch (None: the main exchange)
+        tools = exchange.declared_tool_names()
+        if self.declared.get(branch) != tools:
+            request["tools"] = self.declared[branch] = tools
+        self.trace.event("gateway_request", request, branch=branch)
         reply = self.deps.gateway.complete(exchange)
         self.gateway_calls += 1
         self.tokens_used += sum(reply.usage.values())

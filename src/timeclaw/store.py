@@ -24,6 +24,7 @@ import json
 import re
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
@@ -131,7 +132,7 @@ class LearningNote:
     recommendation: str
     trace_refs: tuple[str, ...]
     applicability: dict[str, Any]
-    sensitive: tuple[str, ...] = ()
+    sensitive: tuple[str, ...] = ()  # scrubbed from the text on commit, never stored
     eval_evidence: bool = False
     sequence: Optional[int] = None
 
@@ -244,9 +245,9 @@ def summarize_episode(
         entry: dict[str, Any] = {"valid": c.valid}
         if c.quality is not None:
             entry["quality"] = c.quality
-        report = outcome.eval_reports.get(c.branch_id)
-        if report:
-            entry["report"] = report
+        # an evaluation report is {"quality", "report"}: the same quality
+        # beside the metric report, so it flattens into the entry
+        entry.update(outcome.eval_reports.get(c.branch_id) or {})
         note_metrics[c.branch_id] = entry
 
     insight = outcome.learning_summary.insight
@@ -312,15 +313,26 @@ _ORCH_TERMS = (
 )
 
 
-def _clean_text(text: str, sensitive: Sequence[str], instance_id: str) -> str:
-    for secret in sensitive:
-        if secret:
-            text = text.replace(secret, "[redacted]")
+def _scrub_refs(text: str) -> str:
     text = _NUMBER_ARRAY.sub("[numbers redacted]", text)
     for term, replacement in _ORCH_TERMS:
         text = text.replace(term, replacement)
     text = _BRANCH_REF.sub("a candidate branch", text)
-    text = _SLOT_REF.sub("a candidate branch", text)
+    return _SLOT_REF.sub("a candidate branch", text)
+
+
+def _clean_text(text: str, sensitive: Sequence[str], instance_id: str) -> str:
+    """Scrub answer leakage and framework vocabulary from evidence text.
+    Idempotent: cleaning clean text again, even without the secrets, changes
+    nothing, so text cleaned when its note is committed stays as it is."""
+    for secret in sensitive:
+        if secret:
+            text = text.replace(secret, "[redacted]")
+    # A rewritten branch ref can close a number array (the ref swallowed its
+    # "["), so scrub until nothing changes. Every rewrite removes digits, a
+    # "#" or an orchestration term, so this ends.
+    while (scrubbed := _scrub_refs(text)) != text:
+        text = scrubbed
     if instance_id:
         text = text.replace(instance_id, "this sample")
     return re.sub(r"[ \t]{2,}", " ", text).strip()
@@ -504,14 +516,14 @@ def update_memory(state: MemoryState, ev: CleanEvidence) -> str:
 # The on-disk store
 # ---------------------------------------------------------------------------
 
-_NOTE_OPEN = re.compile(r"^<!-- note (\d+) -->$", re.M)
-_NOTE_BLOCK = re.compile(r"^<!-- note (\d+) -->\n(.*?)^<!-- end note \1 -->$", re.M | re.S)
+_NOTE_OPEN = re.compile(r"<!-- note (\d+) -->")
 
 # Files the store only ever writes whole; it keeps their text in memory.
 _REWRITTEN = ("soul.md", "memory/*.json", "fingerprints/*", "skills/*.md", "skills_decision/*.md", "tools/*.md")
 
 # A note's shard block: (key, LearningNote attribute, JSON read when the key
-# is missing), in the order the block lists them.
+# is missing), in the order the block lists them. ``sensitive`` is not among
+# them: the text is scrubbed before it is stored.
 _NOTE_FIELDS = (
     ("instance", "instance_id", '""'),
     ("prompt_digest", "prompt_digest", '""'),
@@ -521,7 +533,6 @@ _NOTE_FIELDS = (
     ("applicability", "applicability", "{}"),
     ("metrics", "metrics", "{}"),
     ("trace", "trace_refs", "[]"),
-    ("sensitive", "sensitive", "[]"),
     ("eval_evidence", "eval_evidence", "false"),
     ("insight", "insight", '""'),
     ("recommendation", "recommendation", '""'),
@@ -530,23 +541,38 @@ _NOTE_FIELDS = (
 
 def _note_from_block(scope: str, seq: int, block: Mapping[str, str]) -> LearningNote:
     values = {attr: json.loads(block.get(key, missing)) for key, attr, missing in _NOTE_FIELDS}
-    for attr in ("winner_tools", "loser_tools", "trace_refs", "sensitive"):
+    for attr in ("winner_tools", "loser_tools", "trace_refs"):
         values[attr] = tuple(values[attr])
     return LearningNote(scope=scope, sequence=seq, **values)
 
 
-def _parse_notes(scope: str, text: str, after: int = 0) -> tuple[int, list[LearningNote]]:
-    """Parse a notes shard: how many notes it opens, and the notes with a
-    sequence number above ``after``."""
-    seqs = [int(seq) for seq in _NOTE_OPEN.findall(text)]
-    if seqs != list(range(1, len(seqs) + 1)):
+def _parse_note(scope: str, data: bytes, pos: int) -> tuple[LearningNote, int]:
+    """One block of a notes shard: an opening line, one ``key: value`` line
+    per field, and a closing line."""
+    end = data.find(b"\n", pos)
+    if end < 0:
+        raise TornRecord
+    opened = _NOTE_OPEN.fullmatch(data[pos:end].decode())
+    if opened is None:
+        raise ValueError("expected a note's opening line")
+    close = f"<!-- end note {opened[1]} -->".encode()
+    block: dict[str, str] = {}
+    while True:
+        pos, end = end + 1, data.find(b"\n", end + 1)
+        if end < 0:
+            raise TornRecord
+        if data[pos:end] == close:
+            return _note_from_block(scope, int(opened[1]), block), end + 1
+        key, value = data[pos:end].decode().split(": ", 1)
+        block[key] = value
+
+
+def _read_notes(root: Path, scope: str) -> tuple[list[LearningNote], int]:
+    """Every whole note of the scope's shard, and where the last one ends."""
+    notes, end = read_records(root / "notes" / f"{scope}.md", partial(_parse_note, scope))
+    if [note.sequence for note in notes] != list(range(1, len(notes) + 1)):
         raise ContractError(f"notes shard for {scope} has non-gapless sequences")
-    notes = []
-    for m in _NOTE_BLOCK.finditer(text):
-        if int(m[1]) > after:
-            block = dict(line.split(": ", 1) for line in m[2].splitlines() if ": " in line)
-            notes.append(_note_from_block(scope, int(m[1]), block))
-    return len(seqs), notes
+    return notes, end
 
 
 def _parse_snapshot(data: bytes, pos: int) -> tuple[tuple[dict[str, Any], dict[str, Optional[str]]], int]:
@@ -595,6 +621,7 @@ class _Scope:
 
     memory: MemoryState = field(default_factory=MemoryState)
     note_count: int = 0
+    notes_end: int = 0  # where the notes shard's last whole block ends
     pending: list[LearningNote] = field(default_factory=list)  # committed, not yet distilled
     lock: threading.Lock = field(default_factory=threading.Lock)  # serializes commits and batches
     snapshots: list[dict[str, Any]] = field(default_factory=list)  # the timeline: seq, digest, notes
@@ -630,7 +657,9 @@ class ExperienceStore:
             self._scope(path.stem).memory = MemoryState.from_dict(json.loads(self._files[f"memory/{path.name}"]))
         for path in sorted((self.root / "notes").glob("*.md")):
             held = self._scope(path.stem)
-            held.note_count, held.pending = _parse_notes(path.stem, path.read_text(), held.memory.distilled_through)
+            notes, held.notes_end = _read_notes(self.root, path.stem)
+            held.note_count = len(notes)
+            held.pending = notes[held.memory.distilled_through :]
         for path in sorted((self.root / "snapshots").glob("*.log")):
             held = self._scope(path.stem)
             records, held.snapshot_end = read_records(path, _parse_snapshot)
@@ -681,16 +710,22 @@ class ExperienceStore:
 
     def notes(self, scope: str) -> list[LearningNote]:
         """Every committed note of the scope, parsed from its shard."""
-        path = self.root / "notes" / f"{scope}.md"
-        return _parse_notes(scope, path.read_text())[1] if path.exists() else []
+        return _read_notes(self.root, scope)[0]
 
     def commit_note(self, note: LearningNote) -> LearningNote:
-        """Append one note to its scope shard. Only episodes that produced
-        evaluation evidence may commit."""
+        """Append one note to its scope shard, its insight and recommendation
+        scrubbed of the note's sensitive strings, which are not stored. Only
+        episodes that produced evaluation evidence may commit. Returns the
+        note as stored."""
         if not note.eval_evidence:
             raise ContractError(
                 "a note is committed only when the trace contains evaluation evidence"
             )
+        note = replace(
+            note,
+            insight=_clean_text(note.insight, note.sensitive, note.instance_id),
+            recommendation=_clean_text(note.recommendation, note.sensitive, note.instance_id),
+        )
         held = self._scope(note.scope)
         with held.lock:
             seq = held.note_count + 1
@@ -701,12 +736,14 @@ class ExperienceStore:
                 f"<!-- end note {seq} -->",
                 "",
             ]
-            with (self.root / "notes" / f"{note.scope}.md").open("a") as fh:
-                fh.write("\n".join(lines))
+            held.notes_end = append_record(
+                self.root / "notes" / f"{note.scope}.md", held.notes_end, "\n".join(lines).encode()
+            )
             held.note_count = seq
-            # the note as a reopened store would parse it back
-            held.pending.append(_note_from_block(note.scope, seq, block))
-            return replace(note, sequence=seq)
+            # the note as a reopened store parses it back
+            stored = _note_from_block(note.scope, seq, block)
+            held.pending.append(stored)
+            return stored
 
     # -- distillation -----------------------------------------------------
 

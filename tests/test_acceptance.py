@@ -502,11 +502,19 @@ def test_c09_leakage_and_tool_exposure(e2e, tmp_path, report):
             if any(needle in p for p in captured_prompts) or needle in trace_text:
                 leak = True
         header, events = read_trace(result.trace_path)
+        listed: set = set()  # branches whose tool list the trace has given
         for e in events:
             if e["kind"] == "tool_call" and e["payload"]["tool"] in special:
                 exposure_ok = False
-            if e["kind"] == "gateway_request" and set(e["payload"]["tools"]) & special:
-                exposure_ok = False
+            if e["kind"] == "gateway_request":
+                # a request lists its tools only when they change on its
+                # branch, so every branch's first request must list them
+                if e["branch"] not in listed and "tools" not in e["payload"]:
+                    exposure_ok = False
+                if "tools" in e["payload"]:
+                    listed.add(e["branch"])
+                    if set(e["payload"]["tools"]) & special:
+                        exposure_ok = False
     report(
         9,
         not leak and exposure_ok,

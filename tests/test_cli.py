@@ -7,7 +7,10 @@ import sys
 import pytest
 
 from timeclaw.cli import main
+from timeclaw.corpus import load_samples, reveal_for_scoring
+from timeclaw.orchestrator import read_trace
 from timeclaw.store import ExperienceStore
+from timeclaw.util import canonical_json
 
 SPEC = {
     "seed": 11,
@@ -45,8 +48,84 @@ class TestGenCorpus:
         assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(out2)]) == 0
         assert (corpus_dir / "learning.jsonl").read_text() == (out2 / "learning.jsonl").read_text()
 
+    def test_checks_the_written_pools_are_disjoint(self, corpus_dir, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(tmp_path / "again")]) == 0
+        assert 'disjointness: {"overlaps":{},"pass":true,"warning":""}' in capsys.readouterr().out
+
+    def test_shared_source_across_pools_exits_2(self, tmp_path, capsys, monkeypatch):
+        from timeclaw import corpus
+
+        real = corpus.generate_sample
+
+        def one_source(family, role, index, seed):
+            instance, _source, future = real(family, role, index, seed)
+            return instance, "station-7", future
+
+        monkeypatch.setattr(corpus, "generate_sample", one_source)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC))
+        assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(tmp_path / "corpus")]) == 2
+        out, err = capsys.readouterr()
+        assert '"pass":false' in out
+        assert "share sources" in err
+
+
+# Every synthetic kind: forecasts, indicators and labels.
+MIXED_SPEC = {
+    "seed": 4,
+    "families": [
+        {"name": name, "kind": kind, "domain": domain, "learn_count": 6, "eval_count": 2, "length": 96, "horizon": 24,
+         "period": 24}
+        for name, kind, domain in (
+            ("szn", "seasonal", "synth"), ("trd", "trending", "trend"), ("lab", "trend_label", "synth"),
+            ("ind", "indicator", "synth"),
+        )
+    ],
+}
+
+
+def _truth_renderings(truth):
+    numbers = truth.values() if isinstance(truth, dict) else truth if isinstance(truth, list) else ()
+    return [canonical_json(truth), json.dumps(truth), *(repr(float(v)) for v in numbers)]
+
 
 class TestExplore:
+    @pytest.fixture
+    def mixed_run(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(MIXED_SPEC))
+        assert main(["gen-corpus", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "corpus")]) == 0
+        learning = tmp_path / "corpus" / "learning.jsonl"
+        assert main(["explore", "--corpus", str(learning), "--store", str(tmp_path / "store"), "--seed", "2"]) == 0
+        return load_samples(learning, "learning").instances, tmp_path / "store"
+
+    def test_notes_hold_no_rendering_of_any_truth(self, mixed_run):
+        instances, store = mixed_run
+        shards = {p.name: p.read_text() for p in (store / "notes").glob("*.md")}
+        assert len(shards) == 4
+        leaks = [
+            (inst.id, name)
+            for inst in instances
+            for needle in _truth_renderings(reveal_for_scoring(inst))
+            for name, text in shards.items()
+            if needle in text
+        ]
+        assert not leaks
+
+    def test_each_trace_branch_lists_its_tools_once(self, mixed_run):
+        _instances, store = mixed_run
+        traces = sorted((store / "traces").glob("*.jsonl"))
+        assert len(traces) == 24
+        for path in traces:
+            _header, events = read_trace(path)
+            requests: dict = {}
+            for e in events:
+                if e["kind"] == "gateway_request":
+                    requests.setdefault(e["branch"], []).append("tools" in e["payload"])
+            assert set(requests) == {None, 0, 1}, path.name
+            for listed in requests.values():
+                assert listed[0] and listed.count(True) == 1, path.name
+
     def test_populates_store_and_summary(self, corpus_dir, tmp_path):
         store = tmp_path / "store"
         code = main(

@@ -12,7 +12,6 @@ from timeclaw.corpus import (
     generate_sample,
     generate_synthetic_corpus,
     load_samples,
-    rebalance_labels,
     reveal_for_scoring,
     write_samples,
 )
@@ -116,54 +115,6 @@ class TestDisjointness:
         report = disjointness_check(CorpusManifest("learning"), CorpusManifest("evaluation"))
         assert report["pass"]
         assert "vacuous" in report["warning"]
-
-
-class TestRebalance:
-    def _label_records(self, counts):
-        records = []
-        i = 0
-        for label, n in counts.items():
-            for _ in range(n):
-                records.append(
-                    _record(
-                        i,
-                        task_type="trend",
-                        scope="synth_trend_short",
-                        label_space=["down", "up"],
-                        ground_truth=label,
-                    )
-                )
-                i += 1
-        return records
-
-    def test_overrepresented_label_subsampled_to_band(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        _write_jsonl(path, self._label_records({"up": 100, "down": 10}))
-        instances = load_samples(path, "learning").instances
-        balanced = rebalance_labels(instances, "synth_trend_short", band=2.0, seed=1)
-        ups = [i for i in balanced if reveal_for_scoring(i) == "up"]
-        downs = [i for i in balanced if reveal_for_scoring(i) == "down"]
-        assert len(downs) == 10
-        assert len(ups) <= 20
-
-    def test_already_balanced_unchanged(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        _write_jsonl(path, self._label_records({"up": 10, "down": 10}))
-        instances = load_samples(path, "learning").instances
-        assert rebalance_labels(instances, "synth_trend_short", band=2.0, seed=1) == instances
-
-    def test_single_label_pool_unchanged(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        _write_jsonl(path, self._label_records({"up": 10}))
-        instances = load_samples(path, "learning").instances
-        assert rebalance_labels(instances, "synth_trend_short") == instances
-
-    def test_membership_only_never_content(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        _write_jsonl(path, self._label_records({"up": 30, "down": 5}))
-        instances = load_samples(path, "learning").instances
-        balanced = rebalance_labels(instances, "synth_trend_short", band=2.0, seed=7)
-        assert all(b in instances for b in balanced)
 
 
 class TestSyntheticGenerator:

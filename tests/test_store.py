@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from timeclaw.core import (
     CandidateExecution,
@@ -23,6 +24,7 @@ from timeclaw.store import (
     ExperienceStore,
     LearningNote,
     MemoryState,
+    _clean_text,
     clean,
     summarize_episode,
     update_memory,
@@ -126,6 +128,34 @@ class TestSummarizeEpisode:
         assert "no comparative signal" in note.insight
 
 
+# Evidence text as distillation sees it: ground-truth renderings, number
+# arrays (some never closed), orchestration terms, branch and slot refs and
+# instance ids, joined by nothing, spaces or commas.
+_IDS = ("synth_forecast_short:seasonal-L-03:3", "inst42", "s0")
+_SECRETS = ("[26.1,25.0,24.9,24.3]", "[26.1, 25.0, 24.9, 24.3]", "12.5", '"increasing"', '{"diff":3.0,"max":9.5,"min":6.5}')
+_EVIDENCE_TEXTS = st.lists(
+    st.lists(st.sampled_from(("1", "2.5", "-3e-2", "40")), min_size=1, max_size=5).flatmap(
+        lambda ns: st.sampled_from(("[", "")).map(lambda start: start + ", ".join(ns) + ",")
+    )
+    | st.builds(
+        lambda head, n, end: f"{head}#b{n}{end}",
+        st.text("ab[]:_-", min_size=1, max_size=3) | st.sampled_from(_IDS),
+        st.integers(0, 3),
+        st.sampled_from(("", "]")),
+    )
+    | st.builds(lambda word, n: f"{word}{n}", st.sampled_from(("slot ", "sub-agent ", "subagent", "Slot")), st.integers(0, 3))
+    | st.sampled_from(
+        ("[", "]", ",", "spawn_subagent", "evaluate_against_gt", "evaluate_batch_against_gt",
+         "seasonal_naive", "MAE 1.585", "  ", "\t", ".", *_SECRETS, *_IDS)
+    ),
+    max_size=8,
+).flatmap(
+    lambda parts: st.lists(st.sampled_from(("", " ", ", ")), min_size=len(parts), max_size=len(parts)).map(
+        lambda seps: "".join(part + sep for part, sep in zip(parts, seps))
+    )
+)
+
+
 class TestClean:
     def test_ground_truth_array_is_redacted(self):
         gt = "[26.1, 25.0, 24.9, 24.3]"
@@ -172,6 +202,15 @@ class TestClean:
         # rationale doubles insight+recommendation; compare the cleaned insight half
         assert second.rationale.startswith(first.rationale.split(" prefer seasonal_naive")[0][:40])
         assert clean(renote).rationale == clean(renote).rationale
+
+    @settings(max_examples=400, deadline=None)
+    @given(_EVIDENCE_TEXTS, st.lists(st.sampled_from(_SECRETS), unique=True), st.sampled_from(_IDS))
+    @example("[1, 2, 3, x[#b1]", [], "inst42")  # the rewritten ref closes a number array
+    def test_clean_text_is_idempotent_without_the_secrets(self, text, secrets, instance_id):
+        # notes store cleaned text without their secrets, and distillation
+        # cleans it again
+        once = _clean_text(text, secrets, instance_id)
+        assert _clean_text(once, (), instance_id) == once
 
     def test_stance_derivation(self):
         comparative = clean(_note())
@@ -316,6 +355,59 @@ class TestStoreNotes:
         assert loaded.insight == original.insight
         assert loaded.winner_tools == original.winner_tools
         assert loaded.applicability == original.applicability
+
+
+    def test_commit_stores_scrubbed_text_and_no_secrets(self, tmp_path):
+        gt = "[26.1, 25.0, 24.9, 24.3]"
+        store = ExperienceStore(tmp_path)
+        committed = store.commit_note(_note(seq=None, insight=f"on inst42 the truth was {gt}", sensitive=(gt,)))
+        shard = (tmp_path / "notes" / f"{SCOPE}.md").read_text()
+        assert gt not in shard
+        assert "sensitive" not in shard
+        assert committed == store.notes(SCOPE)[0] == store.pending_notes(SCOPE)[0]
+        assert committed.insight == "on this sample the truth was [redacted]"
+        assert committed.sensitive == ()
+
+    def test_torn_last_block_is_dropped_then_cut_off(self, tmp_path, caplog):
+        store = ExperienceStore(tmp_path)
+        for _ in range(5):
+            store.commit_note(_note(seq=None))
+        shard = tmp_path / "notes" / f"{SCOPE}.md"
+        full = shard.read_bytes()
+        shard.write_bytes(full[:-30])
+        reopened = ExperienceStore(tmp_path)
+        line = full.count(b"\n", 0, full.index(b"<!-- note 5 -->")) + 1
+        assert f"{shard}: line {line}: dropped a torn last record" in caplog.text
+        assert [n.sequence for n in reopened.pending_notes(SCOPE)] == [1, 2, 3, 4]
+        reopened.commit_note(_note(seq=None))
+        caplog.clear()
+        again = ExperienceStore(tmp_path)
+        assert not caplog.text
+        assert [n.sequence for n in again.notes(SCOPE)] == [1, 2, 3, 4, 5]
+        assert shard.read_bytes() == full  # the same note, committed again
+
+    def test_bad_block_before_the_last_names_file_and_line(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        for _ in range(3):
+            store.commit_note(_note(seq=None))
+        shard = tmp_path / "notes" / f"{SCOPE}.md"
+        full = shard.read_bytes()
+        second = full.index(b"<!-- note 2 -->")
+        shard.write_bytes(full.replace(b"instance: ", b"instance= ", 2).replace(b"instance= ", b"instance: ", 1))
+        line = full.count(b"\n", 0, second) + 1
+        with pytest.raises(LogError, match=re.escape(f"{shard}: line {line}: bad record")):
+            ExperienceStore(tmp_path)
+
+    def test_gapped_shard_is_refused(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        for _ in range(3):
+            store.commit_note(_note(seq=None))
+        shard = tmp_path / "notes" / f"{SCOPE}.md"
+        shard.write_text(shard.read_text().replace("note 2 -->", "note 7 -->"))
+        with pytest.raises(ContractError, match="non-gapless"):
+            store.notes(SCOPE)
+        with pytest.raises(ContractError, match="non-gapless"):
+            ExperienceStore(tmp_path)
 
 
 class TestDistillationTriggers:
