@@ -129,12 +129,12 @@ class ContractVerdict:
 
 
 class TraceWriter:
-    """JSONL trace with a header line and logical timestamps."""
+    """JSONL trace: a header line, then one ``{"branch", "kind", "payload"}``
+    line per event. The header names the episode; event order is line order."""
 
     def __init__(self, path: Optional[Path], header: Mapping[str, Any]):
         self.path = Path(path) if path is not None else None
         self.header = dict(header)
-        self._ts = 0
         self._fh = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -144,16 +144,8 @@ class TraceWriter:
     def event(self, kind: str, payload: Mapping[str, Any], branch: Optional[int] = None) -> None:
         if kind not in TRACE_KINDS:
             raise ContractError(f"unknown trace event kind {kind}")
-        self._ts += 1
-        entry = {
-            "ts": self._ts,
-            "episode": self.header.get("episode"),
-            "branch": branch,
-            "kind": kind,
-            "payload": dict(payload),
-        }
         if self._fh is not None:
-            self._fh.write(canonical_json(entry) + "\n")
+            self._fh.write(canonical_json({"branch": branch, "kind": kind, "payload": payload}) + "\n")
 
     def close(self) -> None:
         if self._fh is not None:

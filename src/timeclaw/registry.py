@@ -148,7 +148,6 @@ class ToolUsageLedger:
         self._lock = threading.Lock()
         self._end = 0  # where the log's last whole line ends
         if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             entries, self._end = read_records(self.path, _parse_ledger_line)
             for scope, tools in entries:
                 self._apply_locked(scope, tools)
@@ -165,6 +164,8 @@ class ToolUsageLedger:
             return
         with self._lock:
             if self.path is not None:
+                if not self._end:  # the first append; opening wrote nothing
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
                 line = canonical_json({"scope": scope, "tools": tools}) + "\n"
                 self._end = append_record(self.path, self._end, line.encode())
             self._apply_locked(scope, tools)

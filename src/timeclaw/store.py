@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import threading
 from dataclasses import dataclass, field, replace
@@ -648,8 +649,7 @@ class ExperienceStore:
         # Every change to ``_files`` and to a scope's ``memory`` holds it.
         self._publish = threading.RLock()
         self._files: dict[str, str] = {}
-        for sub in ("notes", "memory", "tools", "skills", "skills_decision", "snapshots", "fingerprints"):
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
+        self._laid_out = False  # opening writes nothing; the first write lays the store out
         for pattern in _REWRITTEN:
             for path in sorted(self.root.glob(pattern)):
                 self._files[path.relative_to(self.root).as_posix()] = path.read_text()
@@ -666,8 +666,19 @@ class ExperienceStore:
             for header, changed in records:
                 held.snapshots.append({key: header[key] for key in ("seq", "digest", "notes")})
                 _fold_layers(held.last_snapshot, changed)
-        if "soul.md" not in self._files:
-            self._write("soul.md", DEFAULT_SOUL)
+
+    def _lay_out(self) -> None:
+        """Create the store's directories and ``soul.md`` before its first write."""
+        if self._laid_out:
+            return
+        with self._publish:
+            if self._laid_out:
+                return
+            for sub in ("notes", "memory", "tools", "skills", "skills_decision", "snapshots", "fingerprints"):
+                (self.root / sub).mkdir(parents=True, exist_ok=True)
+            self._laid_out = True
+            if "soul.md" not in self._files:
+                self._write("soul.md", DEFAULT_SOUL)
 
     def _scope(self, scope: str) -> _Scope:
         with self._scopes_guard:
@@ -676,6 +687,7 @@ class ExperienceStore:
     def _write(self, rel: str, text: str) -> None:
         """Rewrite one file under the root, on disk and in memory."""
         with self._publish:
+            self._lay_out()
             if self._files.get(rel) != text:
                 write_atomic(self.root / rel, text)
                 self._files[rel] = text
@@ -683,7 +695,7 @@ class ExperienceStore:
     # -- layers -----------------------------------------------------------
 
     def soul_text(self) -> str:
-        return self._files["soul.md"]
+        return self._files.get("soul.md", DEFAULT_SOUL)
 
     def memory_state(self, scope: str) -> MemoryState:
         """The scope's published memory; shared, so callers must not mutate it."""
@@ -726,6 +738,7 @@ class ExperienceStore:
             insight=_clean_text(note.insight, note.sensitive, note.instance_id),
             recommendation=_clean_text(note.recommendation, note.sensitive, note.instance_id),
         )
+        self._lay_out()
         held = self._scope(note.scope)
         with held.lock:
             seq = held.note_count + 1
@@ -891,6 +904,7 @@ class ExperienceStore:
         The notes are append-only, so the snapshot cites their count instead
         of copying them: its notes are the shard's first ``notes`` blocks."""
         with self._publish:
+            self._lay_out()
             held = self._scope(scope)
             layers = ["soul.md", f"memory/{scope}.json", f"skills/{scope}.md", f"skills_decision/{scope}.md",
                       *sorted(rel for rel in self._files if rel.startswith("tools/"))]
@@ -930,12 +944,26 @@ class ExperienceStore:
         """Digest over every file in the store; unchanged digest means an
         untouched store."""
         h = hashlib.sha256()
-        for path in sorted(self.root.rglob("*")):
-            if path.is_file():
-                # length prefixes keep bytes from shifting across a file boundary
-                for part in (path.relative_to(self.root).as_posix().encode(), path.read_bytes()):
-                    h.update(len(part).to_bytes(8, "big"))
-                    h.update(part)
+
+        def walk(directory: str, prefix: str) -> None:
+            # children sorted by name, each directory's files right after its
+            # name: the order of sorted(root.rglob("*")), which sorts by parts
+            with os.scandir(directory) as it:
+                entries = sorted(it, key=lambda e: e.name)
+            for entry in entries:
+                rel = prefix + entry.name
+                if entry.is_dir(follow_symlinks=False):
+                    walk(entry.path, rel + "/")
+                elif entry.is_file():
+                    with open(entry.path, "rb") as fh:
+                        data = fh.read()
+                    # length prefixes keep bytes from shifting across a file boundary
+                    for part in (rel.encode(), data):
+                        h.update(len(part).to_bytes(8, "big"))
+                        h.update(part)
+
+        if self.root.is_dir():
+            walk(str(self.root), "")
         return h.hexdigest()[:32]
 
     def report(self) -> dict[str, Any]:

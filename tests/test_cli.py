@@ -289,6 +289,30 @@ class TestInfer:
         assert summary["store_untouched"] is True
         assert summary["noexp"] is False
 
+    def test_empty_store_directory_stays_empty(self, corpus_dir, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        out = tmp_path / "infer" / "preds.jsonl"
+        assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
+        assert list(store.iterdir()) == []
+        summary = json.loads((out.parent / "infer_summary.json").read_text())
+        assert summary["noexp"] is False and summary["store_untouched"] is True
+
+    def test_trace_events_carry_only_branch_kind_and_payload(self, corpus_dir, tmp_path):
+        store = tmp_path / "store"
+        self._explore(corpus_dir, store)
+        out = tmp_path / "infer" / "preds.jsonl"
+        assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
+        for traces in (store / "traces", out.parent / "traces_infer"):
+            paths = sorted(traces.glob("*.jsonl"))
+            assert paths, traces
+            for path in paths:
+                header, *events = [json.loads(line) for line in path.read_text().splitlines()]
+                assert header["episode"] == header["instance"]["id"]
+                assert events
+                for event in events:
+                    assert set(event) == {"branch", "kind", "payload"}, (path.name, event)
+
     def test_absent_store_is_noexp_path(self, corpus_dir, tmp_path):
         out = tmp_path / "preds.jsonl"
         code = main(
@@ -433,9 +457,8 @@ class TestReportAndSimulate:
         assert seqs == sorted(seqs)
 
     def test_fresh_store_reports_zeros(self, tmp_path):
-        from timeclaw.store import ExperienceStore
-
-        ExperienceStore(tmp_path / "fresh")
+        # a fresh store is an empty directory: opening a store writes nothing
+        (tmp_path / "fresh").mkdir()
         out = tmp_path / "report.json"
         assert main(["report", "--store", str(tmp_path / "fresh"), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["scopes"] == {}

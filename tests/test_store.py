@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -18,6 +19,7 @@ from timeclaw.prompts import fingerprint
 from timeclaw.registry import ToolUsageLedger
 from timeclaw.store import (
     CONFIDENCE_INIT,
+    DEFAULT_SOUL,
     DISTILL_EVERY,
     MEMORY_CAP,
     CleanEvidence,
@@ -594,6 +596,21 @@ def _commit_and_distill(store, notes):
         store.maybe_trigger_distillation(note.scope)
 
 
+class TestLayout:
+    def test_opening_writes_nothing(self, tmp_path):
+        store = ExperienceStore(tmp_path / "store")
+        assert store.soul_text() == DEFAULT_SOUL
+        assert store.report() == {}
+        assert not (tmp_path / "store").exists()
+
+    def test_first_write_lays_the_store_out(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        store.commit_note(_note(seq=None))
+        subdirs = {"notes", "memory", "tools", "skills", "skills_decision", "snapshots", "fingerprints"}
+        assert {p.name for p in tmp_path.iterdir() if p.is_dir()} == subdirs
+        assert (tmp_path / "soul.md").read_text() == DEFAULT_SOUL
+
+
 class TestInMemoryState:
     def test_reopened_store_matches_one_that_never_closed(self, tmp_path):
         notes = [_note(seq=None, winner=(f"tool_{i % 3}",)) for i in range(25)]
@@ -762,6 +779,7 @@ class TestTreeDigest:
     @staticmethod
     def _digest(root, files):
         store = ExperienceStore(root)
+        root.mkdir()  # opening a store writes nothing, not even its root
         for rel, text in files.items():
             (root / rel).write_text(text)
         return store.tree_digest()
@@ -775,3 +793,39 @@ class TestTreeDigest:
 
     def test_renamed_file_changes_digest(self, tmp_path):
         assert self._digest(tmp_path / "1", {"a": "xy"}) != self._digest(tmp_path / "2", {"c": "xy"})
+
+    @staticmethod
+    def _pairs_digest(pairs):
+        h = hashlib.sha256()
+        for rel, data in pairs:
+            for part in (rel.encode(), data):
+                h.update(len(part).to_bytes(8, "big"))
+                h.update(part)
+        return h.hexdigest()[:32]
+
+    def _rglob_digest(self, root):
+        """The digest as ``sorted(root.rglob("*"))`` orders the files."""
+        files = [p for p in sorted(root.rglob("*")) if p.is_file()]
+        return self._pairs_digest((p.relative_to(root).as_posix(), p.read_bytes()) for p in files)
+
+    def test_order_is_sorted_rglob_order(self, tmp_path):
+        # as strings "a-b" < "a/b", but by path parts the directory "a" and
+        # everything under it come before the sibling "a-b"
+        (tmp_path / "a" / "b").mkdir(parents=True)
+        (tmp_path / "a" / "b" / "c").write_bytes(b"1")
+        (tmp_path / "a" / "b-c").write_bytes(b"2")
+        (tmp_path / "a-b").write_bytes(b"3")
+        (tmp_path / "a.b").write_bytes(b"4")
+        (tmp_path / "empty").mkdir()
+        digest = ExperienceStore(tmp_path).tree_digest()
+        assert digest == self._rglob_digest(tmp_path)
+        assert digest == self._pairs_digest([("a/b/c", b"1"), ("a/b-c", b"2"), ("a-b", b"3"), ("a.b", b"4")])
+
+    def test_matches_rglob_order_on_a_written_store(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        _commit_and_distill(store, [_note(seq=None, winner=(f"tool_{i % 3}",)) for i in range(DISTILL_EVERY)])
+        assert store.tree_digest() == self._rglob_digest(tmp_path)
+
+    def test_absent_root_digests_like_an_empty_one(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        assert ExperienceStore(tmp_path / "absent").tree_digest() == ExperienceStore(tmp_path / "empty").tree_digest()

@@ -14,10 +14,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from timeclaw.corpus import FamilySpec, generate_sample
+from timeclaw.corpus import FamilySpec, generate_sample, reveal_for_scoring
 from timeclaw.orchestrator import EpisodeDeps, ExplorationConfig, run_exploration_episode, run_inference
 from timeclaw.policy import policy_gateway
 from timeclaw.registry import ToolRegistry, ToolUsageLedger
+from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore
 from timeclaw.toolkit import builtin_toolkit
 
@@ -60,6 +61,20 @@ def test_golden_exploration_episode_spawns_evaluates_and_finishes(tmp_path):
 def test_traces_match_checked_in_goldens(tmp_path):
     for name, data in render_traces(tmp_path).items():
         assert data == (GOLDEN / name).read_bytes(), f"{name} drifted from its golden"
+
+
+def test_checked_in_goldens_replay_and_lint_clean():
+    """A golden regenerated from a broken engine must not pass unnoticed:
+    every recorded tool call re-executes to the recorded artifact, the
+    exploration contract holds, and the inference trace holds no rendering
+    of its sample's ground truth."""
+    probe, _source, _future = generate_sample(FAMILY, "eval", 0, seed=11)
+    truth = [repr(float(v)) for v in reveal_for_scoring(probe)]
+    for name, mode, forbidden in (("exploration.jsonl", "exploration", []), ("inference.jsonl", "inference", truth)):
+        report = replay(GOLDEN / name)
+        assert report.clean and report.events, report.to_dict()
+        linted = lint(GOLDEN / name, forbidden_substrings=forbidden)
+        assert linted.clean and linted.mode == mode, linted.to_dict()
 
 
 if __name__ == "__main__":
