@@ -38,35 +38,21 @@ EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
 
-def _load_config_file(path: Optional[str]) -> dict[str, Any]:
-    if not path:
-        return {}
-    return json.loads(Path(path).read_text())
-
-
-def _merged(args: argparse.Namespace, config: dict[str, Any], key: str, default: Any) -> Any:
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _build_gateway(args: argparse.Namespace, default_policy: str) -> Gateway:
-    if getattr(args, "mock_script", None):
+def _build_gateway(args: argparse.Namespace, policy: str) -> Gateway:
+    """The scripted mock, a remote backend, or the built-in ``policy``."""
+    if args.mock_script:
         gateway: Gateway = ScriptedGateway.from_file(Path(args.mock_script))
-    elif getattr(args, "api_base", None):
-        gateway = RemoteGateway(base_url=args.api_base, api_key=getattr(args, "api_key", None))
+    elif args.api_base:
+        gateway = RemoteGateway(base_url=args.api_base, api_key=args.api_key)
     else:
-        gateway = policy_gateway(getattr(args, "policy", None) or default_policy)
-    if getattr(args, "record_script", None):
+        gateway = policy_gateway(policy)
+    if args.record_script:
         gateway = RecordingGateway(gateway)
     return gateway
 
 
 def _save_recorded_script(gateway: Gateway, args: argparse.Namespace) -> None:
-    if isinstance(gateway, RecordingGateway) and getattr(args, "record_script", None):
+    if isinstance(gateway, RecordingGateway):
         gateway.save(Path(args.record_script))
 
 
@@ -75,7 +61,6 @@ def _build_deps(
     trace_dir: Optional[Path],
     gateway: Gateway,
     registry_path: Optional[str] = None,
-    auto_snapshot: bool = True,
 ) -> EpisodeDeps:
     toolkit = builtin_toolkit()
     ledger = ToolUsageLedger(store_root / LEDGER_FILE if store_root is not None else None)
@@ -83,9 +68,7 @@ def _build_deps(
         registry = load_registry(Path(registry_path), ledger=ledger)
     else:
         registry = ToolRegistry(toolkit.descriptors(), ledger=ledger)
-    store = (
-        ExperienceStore(store_root, auto_snapshot=auto_snapshot) if store_root is not None else None
-    )
+    store = ExperienceStore(store_root) if store_root is not None else None
     return EpisodeDeps(
         registry=registry, toolkit=toolkit, gateway=gateway, store=store, trace_dir=trace_dir
     )
@@ -99,23 +82,18 @@ def _write_summary(out_dir: Path, name: str, summary: dict[str, Any]) -> Path:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    config_file = _load_config_file(args.config)
-    seed = int(_merged(args, config_file, "seed", 0))
-    config = ExplorationConfig(
-        branch_slots=int(_merged(args, config_file, "branch-slots", 2)),
-        max_steps=int(_merged(args, config_file, "max-steps", 6)),
-        alpha=float(_merged(args, config_file, "alpha", 1.0)),
-        seed=seed,
-    )
     store_root = Path(args.store)
     # the summary lives beside the store, not inside it, so store trees stay
     # byte-comparable across run roots
     out_dir = Path(args.out) if args.out else store_root.parent
     trace_dir = Path(args.trace_dir) if args.trace_dir else store_root / "traces"
     try:
+        config = ExplorationConfig(
+            branch_slots=args.branch_slots, max_steps=args.max_steps, alpha=args.alpha, seed=args.seed
+        )
         load = corpus_mod.load_samples(Path(args.corpus), role="learning")
-        gateway = _build_gateway(args, default_policy="exploration")
-        deps = _build_deps(store_root, trace_dir, gateway, args.registry, not args.no_snapshot)
+        gateway = _build_gateway(args, policy="exploration")
+        deps = _build_deps(store_root, trace_dir, gateway, args.registry)
     except (CorpusError, ContractError, LogError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -132,24 +110,18 @@ def cmd_explore(args: argparse.Namespace) -> int:
             usage["tokens"] += outcome.tokens_used
             usage["gateway_calls"] += outcome.gateway_calls
 
-    parallel = max(1, int(_merged(args, config_file, "parallel", 1)))
-    if parallel == 1:
-        for instance in load.instances:
+    parallel = max(1, args.parallel)
+    # at --parallel 1 the one worker runs the episodes in corpus order
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        futures = {pool.submit(run_one, inst): inst for inst in load.instances}
+        for future, inst in futures.items():
             try:
-                run_one(instance)
+                future.result()
             except TimeclawError as exc:
-                failed_instances.append(f"{instance.id}: {exc}")
-    else:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            futures = {pool.submit(run_one, inst): inst for inst in load.instances}
-            for future, inst in futures.items():
-                try:
-                    future.result()
-                except TimeclawError as exc:
-                    failed_instances.append(f"{inst.id}: {exc}")
+                failed_instances.append(f"{inst.id}: {exc}")
 
     stages_flushed: dict[str, list[str]] = {}
-    if deps.store is not None and not args.no_finalize:
+    if deps.store is not None:
         for scope in deps.store.scopes():
             stages = deps.store.finalize(scope)
             if stages:
@@ -159,18 +131,14 @@ def cmd_explore(args: argparse.Namespace) -> int:
     summary = {
         "command": "explore",
         "version": __version__,
-        "seed": seed,
+        "seed": config.seed,
         "config_digest": config.digest(),
         "config": {
             "branch_slots": config.branch_slots,
-            "min_valid_candidates": config.min_valid_candidates,
             "max_steps": config.max_steps,
             "alpha": config.alpha,
-            "require_prior_and_alternative": config.require_prior_and_alternative,
             "parallel": parallel,
-            "gateway": args.mock_script or args.api_base or (args.policy or "exploration"),
-            "finalize": not args.no_finalize,
-            "snapshot": not args.no_snapshot,
+            "gateway": args.mock_script or args.api_base or "exploration",
         },
         "episodes": counts,
         "usage": usage,
@@ -186,7 +154,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    config_file = _load_config_file(args.config)
     store_root = Path(args.store) if args.store else None
     noexp = store_root is None or not store_root.exists()
     if noexp:
@@ -195,19 +162,18 @@ def cmd_infer(args: argparse.Namespace) -> int:
     trace_dir = Path(args.trace_dir) if args.trace_dir else out_path.parent / "traces_infer"
     try:
         load = corpus_mod.load_samples(Path(args.corpus), role="evaluation")
-        gateway = _build_gateway(args, default_policy="inference")
+        gateway = _build_gateway(args, policy="inference")
         deps = _build_deps(store_root, trace_dir, gateway, args.registry)
     except (CorpusError, ContractError, LogError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     digest_before = deps.store.tree_digest() if deps.store else None
-    max_steps = int(_merged(args, config_file, "max-steps", 6))
     results = []
     failed: list[str] = []
     for instance in load.instances:
         try:
-            results.append(run_inference(instance, deps, max_steps=max_steps))
+            results.append(run_inference(instance, deps, max_steps=args.max_steps))
         except TimeclawError as exc:
             failed.append(f"{instance.id}: {exc}")
     digest_after = deps.store.tree_digest() if deps.store else None
@@ -288,19 +254,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
             if line.strip():
                 record = json.loads(line)
                 predictions[record["id"]] = record.get("prediction")
-    except (CorpusError, OSError, json.JSONDecodeError, KeyError) as exc:
+        by_scope: dict[str, list[TaskInstance]] = {}
+        for inst in load.instances:
+            by_scope.setdefault(inst.scope, []).append(inst)
+        reports = [
+            _score_scope(insts, predictions, scope, thresholds.get(scope))
+            for scope, insts in sorted(by_scope.items())
+        ]
+    except (CorpusError, ContractError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     corpus_ids = {i.id for i in load.instances}
     unknown_ids = sorted(set(predictions) - corpus_ids)
-    by_scope: dict[str, list[TaskInstance]] = {}
-    for inst in load.instances:
-        by_scope.setdefault(inst.scope, []).append(inst)
-    reports = [
-        _score_scope(insts, predictions, scope, thresholds.get(scope))
-        for scope, insts in sorted(by_scope.items())
-    ]
     out = {
         "command": "eval",
         "version": __version__,
@@ -318,7 +284,7 @@ def cmd_simulate_dropout(args: argparse.Namespace) -> int:
     try:
         scenario_dict = json.loads(Path(args.scenario).read_text()) if args.scenario else {}
         scenario = simulate.scenario_from_dict(scenario_dict)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     seeds = list(range(int(args.seeds)))
@@ -379,7 +345,7 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     try:
         report = replay_trace(Path(args.trace))
-    except TimeclawError as exc:
+    except (TimeclawError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
@@ -387,17 +353,20 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    forbidden: list[str] = []
-    if args.forbidden_file:
-        forbidden = json.loads(Path(args.forbidden_file).read_text())
-    report = lint_trace(Path(args.trace), forbidden_substrings=forbidden)
+    try:
+        forbidden: list[str] = []
+        if args.forbidden_file:
+            forbidden = json.loads(Path(args.forbidden_file).read_text())
+        report = lint_trace(Path(args.trace), forbidden_substrings=forbidden)
+    except (TimeclawError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
     return EXIT_OK if report.clean else EXIT_PARTIAL
 
 
 def _add_gateway_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mock-script", help="digest-keyed replay script (JSON)")
-    p.add_argument("--policy", help="built-in deterministic policy name")
     p.add_argument("--api-base", help="OpenAI-compatible base URL (or TIMECLAW_API_BASE)")
     p.add_argument("--api-key", help="API key (or TIMECLAW_API_KEY)")
     p.add_argument("--record-script", help="record every exchange into a replay script at PATH")
@@ -412,16 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--registry", help="tool registry JSON (default: built-in toolkit)")
-    p.add_argument("--config", help="configuration file (JSON)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--branch-slots", type=int)
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--parallel", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float, default=1.0, help="dropout strength (> 0)")
+    p.add_argument("--branch-slots", type=int, default=2)
+    p.add_argument("--max-steps", type=int, default=6)
+    p.add_argument("--parallel", type=int, default=1, help="episodes run at once")
     p.add_argument("--trace-dir")
-    p.add_argument("--out", help="directory for run_summary.json (default: store)")
-    p.add_argument("--no-finalize", action="store_true", help="skip the tail distillation flush")
-    p.add_argument("--no-snapshot", action="store_true", help="skip automatic snapshots")
+    p.add_argument("--out", help="directory for run_summary.json (default: the store's parent)")
     _add_gateway_flags(p)
     p.set_defaults(fn=cmd_explore)
 
@@ -429,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--store", help="experience store root (absent store = noexp ablation)")
     p.add_argument("--registry")
-    p.add_argument("--config")
-    p.add_argument("--max-steps", type=int)
+    p.add_argument("--max-steps", type=int, default=6)
     p.add_argument("--trace-dir")
     p.add_argument("--out", required=True, help="predictions JSONL path; infer_summary.json and traces_infer/ go beside it")
     _add_gateway_flags(p)

@@ -56,7 +56,8 @@ def _domain_of(scope: str) -> str:
     return scope.split("_", 1)[0] if "_" in scope else scope
 
 
-def _parse_record(record: Mapping[str, Any], role: str) -> TaskInstance:
+def parse_record(record: Mapping[str, Any]) -> TaskInstance:
+    """One sample from its JSON record; ``ground_truth``, when present, is sealed."""
     for key in ("id", "series", "task_type", "scope"):
         if key not in record:
             raise CorpusError(f"missing key {key}")
@@ -119,7 +120,7 @@ def load_samples(path: Path, role: str) -> LoadResult:
             rejects.append({"line": line_no, "reason": f"invalid JSON: {exc.msg}"})
             continue
         try:
-            instance = _parse_record(record, role)
+            instance = parse_record(record)
         except CorpusError as exc:
             rejects.append({"line": line_no, "reason": str(exc)})
             continue

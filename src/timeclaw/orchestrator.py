@@ -63,6 +63,8 @@ from .toolkit import (
 )
 from .util import canonical_json, digest_obj, stable_seed
 
+# An exploration episode must yield at least this many valid candidates.
+MIN_VALID_CANDIDATES = 2
 EVALUATE_TOOLS = ("evaluate_against_gt", "evaluate_batch_against_gt")
 SPAWN_TOOL = "spawn_subagent"
 ANSWER_TOLERANCE = 1e-9
@@ -73,28 +75,25 @@ TRACE_KINDS = ("gateway_request", "gateway_response", "tool_call", "tool_result"
 @dataclass(frozen=True)
 class ExplorationConfig:
     branch_slots: int = 2
-    min_valid_candidates: int = 2
     max_steps: int = 6
     alpha: float = 1.0
     seed: int = 0
-    require_prior_and_alternative: bool = True
-    token_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.branch_slots < self.min_valid_candidates:
-            raise ContractError("branch_slots must cover min_valid_candidates")
+        if self.branch_slots < MIN_VALID_CANDIDATES:
+            raise ContractError(f"branch_slots must be >= {MIN_VALID_CANDIDATES}")
         if self.max_steps < 1:
             raise ContractError("max_steps must be >= 1")
+        if not self.alpha > 0:
+            raise ContractError("alpha must be positive")
 
     def digest(self) -> str:
         return digest_obj(
             {
                 "branch_slots": self.branch_slots,
-                "min_valid_candidates": self.min_valid_candidates,
                 "max_steps": self.max_steps,
                 "alpha": self.alpha,
                 "seed": self.seed,
-                "require_prior_and_alternative": self.require_prior_and_alternative,
                 "version": __version__,
             }
         )
@@ -157,8 +156,11 @@ def read_trace(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ContractError(f"trace {path} is empty")
-    header = json.loads(lines[0])
-    events = [json.loads(line) for line in lines[1:] if line.strip()]
+    try:
+        header = json.loads(lines[0])
+        events = [json.loads(line) for line in lines[1:] if line.strip()]
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"trace {path} is not JSON lines: {exc}") from None
     return header, events
 
 
@@ -214,7 +216,7 @@ def assign_branch_slots(
     remembered tool, which is force-included in its subset) and slot 1 is the
     alternative (hint excludes that tool)."""
     prior_tool: Optional[str] = None
-    if prior_exists and selection is not None and config.require_prior_and_alternative:
+    if prior_exists and selection is not None:
         for rule in selection.rules:
             if rule.preferred_tools:
                 prior_tool = sorted(rule.preferred_tools)[0]
@@ -303,7 +305,6 @@ class _EpisodeRunner:
                 mode="exploration",
                 seed=config.seed,
                 prior_exists=self.prior_exists,
-                require_prior_and_alternative=config.require_prior_and_alternative,
                 ground_truth=instance.answer_key(capability),
             )
         self.trace = TraceWriter(trace_path, header)
@@ -324,9 +325,6 @@ class _EpisodeRunner:
             {"reply": reply.to_dict(), "usage": reply.usage},
             branch=branch,
         )
-        budget = self.config.token_budget if self.config is not None else None
-        if budget is not None and self.tokens_used > budget:
-            raise GatewayError("episode token budget exhausted")
         return reply
 
     def invoke_tool(
@@ -514,7 +512,6 @@ def run_exploration_episode(
             slots,
             exploration_tools,
             soul=deps.store.soul_text() if deps.store else "",
-            require_prior_and_alternative=config.require_prior_and_alternative,
         )
         messages = [
             ChatMessage(role="system", content=bundle.system_text),
@@ -636,14 +633,7 @@ def run_exploration_episode(
             gateway_calls=runner.gateway_calls,
         )
 
-        verdict = _contract_check(
-            records,
-            set(eval_reports),
-            final_type,
-            runner.prior_exists,
-            config.require_prior_and_alternative,
-            config.min_valid_candidates,
-        )
+        verdict = _contract_check(records, set(eval_reports), final_type, runner.prior_exists)
         runner.trace.event("verdict", {"type": "contract", **verdict.to_dict()})
         runner.trace.event(
             "outcome",
@@ -697,12 +687,10 @@ def _contract_check(
     evaluated_branches: set[str],
     final_type: Optional[str],
     prior_exists: bool,
-    require_prior_and_alternative: bool,
-    min_valid: int,
 ) -> ContractVerdict:
     violations: list[str] = []
     valid = [c for c in candidate_records if c["valid"]]
-    if len(valid) < min_valid:
+    if len(valid) < MIN_VALID_CANDIDATES:
         violations.append("too_few_valid")
     if len(valid) >= 2 and len(evaluated_branches & {c["branch"] for c in valid}) < 2:
         violations.append("no_comparison")
@@ -710,7 +698,7 @@ def _contract_check(
         violations.append("wrong_final_type")
     if len(valid) >= 2 and not _distinct_pair_exists(valid):
         violations.append("no_distinct_pair")
-    if prior_exists and require_prior_and_alternative and candidate_records:
+    if prior_exists and candidate_records:
         has_prior = any(c.get("prior_guided") for c in candidate_records)
         has_alt = any(c.get("alternative") for c in candidate_records)
         if not (has_prior and has_alt):
@@ -742,14 +730,7 @@ def enforce_exploration_contract(
             final = parse_final(e["payload"].get("reply", {}).get("content"))
             if final is not None:
                 final_type = final.get("answer_type")
-    return _contract_check(
-        candidate_records,
-        evaluated,
-        final_type,
-        bool(header.get("prior_exists")),
-        bool(header.get("require_prior_and_alternative")),
-        min_valid=2,
-    )
+    return _contract_check(candidate_records, evaluated, final_type, bool(header.get("prior_exists")))
 
 
 # ---------------------------------------------------------------------------

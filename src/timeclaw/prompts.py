@@ -323,10 +323,10 @@ def build_exploration_prompt(
     slots: Sequence[Any],
     declared_tools: Sequence[Mapping[str, Any]],
     soul: str = "",
-    require_prior_and_alternative: bool = False,
 ) -> PromptBundle:
     """Main-agent exploration context: spawn/evaluate guidance, slot hints,
-    and a learning_summary completion contract."""
+    and a learning_summary completion contract. With prior rules, it also
+    asks for a prior-guided and an alternative candidate."""
     rules = list(getattr(selection, "rules", ())) if selection is not None else []
     objective = _objective_section(
         instance,
@@ -347,7 +347,7 @@ def build_exploration_prompt(
         "- Compare at least 2 candidate paths before finishing when possible.",
         f'- If you finish the learning run itself, answer_type must be "{LEARNING_SUMMARY_TYPE}".',
     ]
-    if require_prior_and_alternative and rules:
+    if rules:
         decision_lines.append("### Prior Requirement")
         decision_lines.append(
             "- Include both a prior-guided candidate and an alternative candidate."

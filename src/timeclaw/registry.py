@@ -56,7 +56,6 @@ class ToolDescriptor:
     tool_id: str
     category: ToolCategory
     arg_schema: Mapping[str, ArgSpec] = field(default_factory=dict)
-    modality: str = "numeric"  # numeric | text | mixed
     protected_in: tuple[str, ...] = ()  # scope globs where never_drop applies
     description: str = ""
 
@@ -66,24 +65,6 @@ class ToolDescriptor:
 
     def protected_for(self, scope: str) -> bool:
         return any(fnmatch.fnmatchcase(scope, pat) for pat in self.protected_in)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tool_id": self.tool_id,
-            "category": self.category.value,
-            "modality": self.modality,
-            "protected_in": list(self.protected_in),
-            "description": self.description,
-            "args": {
-                name: {
-                    "type": spec.type,
-                    "required": spec.required,
-                    "default": spec.default,
-                    "description": spec.description,
-                }
-                for name, spec in sorted(self.arg_schema.items())
-            },
-        }
 
 
 def descriptor_from_dict(data: Mapping[str, Any]) -> ToolDescriptor:
@@ -100,7 +81,6 @@ def descriptor_from_dict(data: Mapping[str, Any]) -> ToolDescriptor:
         tool_id=data["tool_id"],
         category=ToolCategory(data["category"]),
         arg_schema=args,
-        modality=data.get("modality", "numeric"),
         protected_in=tuple(data.get("protected_in", ())),
         description=data.get("description", ""),
     )
@@ -338,10 +318,6 @@ class ToolRegistry:
             elif d.substantive:
                 countable.append(tool_id)
         self.ledger.record(scope, countable)
-
-    def save_registry(self, path: Path) -> None:
-        data = [self._tools[t].to_dict() for t in sorted(self._tools)]
-        Path(path).write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
 
 
 def load_registry(path: Path, ledger: Optional[ToolUsageLedger] = None) -> ToolRegistry:

@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 from . import __version__
-from .core import EvaluatorCapability, SealedAnswer, TaskInstance, TaskType, TextBlock
+from .core import EvaluatorCapability
+from .corpus import parse_record
 from .errors import ReplayError
 from .orchestrator import SPAWN_TOOL, ContractVerdict, enforce_exploration_contract, read_trace
 from .toolkit import ArtifactStore, InvocationContext, Toolkit, ToolInvocation, builtin_toolkit
@@ -49,25 +50,6 @@ class ReplayReport:
         }
 
 
-def _instance_from_header(header: Mapping[str, Any]) -> TaskInstance:
-    data = header["instance"]
-    gt = header.get("ground_truth")
-    text = None
-    if data.get("text"):
-        text = tuple(TextBlock(body=b["body"], date=b.get("date")) for b in data["text"])
-    return TaskInstance(
-        id=data["id"],
-        series=tuple(float(v) for v in data["series"]),
-        task_type=TaskType(data["task_type"]),
-        horizon=data.get("horizon", 1),
-        scope=data["scope"],
-        timestamps=tuple(data["timestamps"]) if data.get("timestamps") else None,
-        text_context=text,
-        label_space=tuple(data["label_space"]) if data.get("label_space") else None,
-        ground_truth=SealedAnswer(gt) if gt is not None else None,
-    )
-
-
 def replay(trace_path: Path, toolkit: Optional[Toolkit] = None) -> ReplayReport:
     """Re-execute every recorded tool call and compare artifacts byte-wise.
 
@@ -80,7 +62,7 @@ def replay(trace_path: Path, toolkit: Optional[Toolkit] = None) -> ReplayReport:
             f"trace version {version!r} does not match engine version {__version__!r}"
         )
     toolkit = toolkit or builtin_toolkit()
-    instance = _instance_from_header(header)
+    instance = parse_record({**header["instance"], "ground_truth": header.get("ground_truth")})
     mode = header.get("mode", "exploration")
     capability = EvaluatorCapability() if mode == "exploration" else None
     ctx = InvocationContext(mode=mode, instance=instance, capability=capability)

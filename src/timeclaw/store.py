@@ -639,9 +639,8 @@ class ExperienceStore:
     the same root meanwhile.
     """
 
-    def __init__(self, root: Path, auto_snapshot: bool = True):
+    def __init__(self, root: Path):
         self.root = Path(root)
-        self.auto_snapshot = auto_snapshot
         self._scopes: dict[str, _Scope] = {}
         self._scopes_guard = threading.Lock()
         # Held to publish a scope's memory and rebuild the layers derived from
@@ -800,8 +799,7 @@ class ExperienceStore:
                     self._rebuild_skills(scope, state)
                     self._rebuild_skills_decision(scope, state)
                     stages += ["memory_to_tool_notes", "memory_to_skills", "memory_to_skills_decision"]
-                    if self.auto_snapshot:
-                        self.snapshot(scope)
+                    self.snapshot(scope)
             return stages
 
     def record_episode(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -21,7 +20,7 @@ from . import metrics, seriesops
 from .core import EvaluatorCapability, TaskInstance
 from .errors import CapabilityError, ContractError, TimeclawError
 from .registry import ArgSpec, ToolCategory, ToolDescriptor
-from .util import canonical_json, digest_obj
+from .util import digest_obj
 
 ORIGINAL_INPUT = "original_input"
 
@@ -630,81 +629,15 @@ def _orc_spawn(args, inputs, ctx):
     raise ToolError("orchestrator_only", "spawn_subagent is handled by the orchestrator, not the toolkit")
 
 
-class RemoteToolAdapter:
-    """Generic HTTP tool so external models can plug in without engine
-    changes. Wire format: POST {tool, args, inputs} -> {kind, payload}."""
-
-    def __init__(
-        self,
-        endpoint: str,
-        timeout: float = 10.0,
-        max_retries: int = 2,
-        max_in_flight: int = 4,
-        session: Any = None,
-    ):
-        import requests
-
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self._session = session or requests.Session()
-        self._slots = threading.Semaphore(max_in_flight)
-
-    def __call__(self, args, inputs, ctx):
-        body = {
-            "tool": "remote",
-            "args": dict(args),
-            "inputs": [{"kind": a.kind.value, "payload": a.payload} for a in inputs],
-        }
-        last_error: Optional[str] = None
-        for attempt in range(self.max_retries + 1):
-            with self._slots:
-                try:
-                    resp = self._session.post(self.endpoint, json=body, timeout=self.timeout)
-                except Exception as exc:  # transport failure: retriable
-                    last_error = str(exc)
-                    continue
-            if resp.status_code >= 500:
-                last_error = f"server error {resp.status_code}"
-                continue
-            if resp.status_code >= 400:
-                raise ToolError("remote_rejected", f"remote tool rejected the call: {resp.status_code}")
-            try:
-                data = resp.json()
-            except ValueError:
-                data = None
-            if not isinstance(data, dict):
-                raise ToolError("remote_schema", "remote response is not a JSON object")
-            try:
-                kind = ArtifactKind(data["kind"])
-            except (KeyError, ValueError):
-                raise ToolError("remote_schema", f"remote response kind invalid: {data.get('kind')!r}")
-            if "payload" not in data:
-                raise ToolError("remote_schema", "remote response missing payload")
-            canonical_json(data["payload"])  # must be JSON-serializable
-            transform = {"kind": "offset", "offset": len(inputs[0].payload["values"])} if (
-                kind == ArtifactKind.SERIES and inputs and inputs[0].kind == ArtifactKind.SERIES
-            ) else POINT_TRANSFORM
-            return kind, data["payload"], transform
-        raise ToolError("remote_unavailable", f"remote tool failed after retries: {last_error}")
-
-
-def _d(tool_id: str, category: ToolCategory, description: str, modality: str = "numeric", **args: ArgSpec) -> ToolDescriptor:
-    return ToolDescriptor(
-        tool_id=tool_id,
-        category=category,
-        arg_schema=args,
-        modality=modality,
-        description=description,
-    )
+def _d(tool_id: str, category: ToolCategory, description: str, **args: ArgSpec) -> ToolDescriptor:
+    return ToolDescriptor(tool_id=tool_id, category=category, arg_schema=args, description=description)
 
 
 _HORIZON = ArgSpec("integer", required=True, description="number of future steps")
 
 
-def builtin_toolkit(remote_forecast_endpoint: Optional[str] = None) -> Toolkit:
-    """The standard tool library. Pass an endpoint to also register the
-    generic remote forecasting adapter."""
+def builtin_toolkit() -> Toolkit:
+    """The standard tool library."""
     tk = Toolkit()
     f = ToolCategory.FORECASTING
     a = ToolCategory.ANALYSIS
@@ -795,11 +728,11 @@ def builtin_toolkit(remote_forecast_endpoint: Optional[str] = None) -> Toolkit:
         _an_value_at,
     )
     tk.register(
-        _d("keyword_extract", t, "top-k tokens by frequency", "text", k=ArgSpec("integer", default=5)),
+        _d("keyword_extract", t, "top-k tokens by frequency", k=ArgSpec("integer", default=5)),
         _tx_keyword_extract,
     )
     tk.register(
-        _d("sentiment_lexicon", t, "lexicon sentiment score in [-1, 1]", "text", text=ArgSpec("string")),
+        _d("sentiment_lexicon", t, "lexicon sentiment score in [-1, 1]", text=ArgSpec("string")),
         _tx_sentiment,
     )
     tk.register(
@@ -807,7 +740,6 @@ def builtin_toolkit(remote_forecast_endpoint: Optional[str] = None) -> Toolkit:
             "temporal_align_text",
             t,
             "text blocks whose date anchors fall inside the series window",
-            "mixed",
             boundary_frac=ArgSpec("number", default=0.1),
         ),
         _tx_temporal_align,
@@ -817,7 +749,6 @@ def builtin_toolkit(remote_forecast_endpoint: Optional[str] = None) -> Toolkit:
             "evaluate_against_gt",
             ToolCategory.EXPLORATION_ONLY,
             "score one candidate answer against the sealed ground truth",
-            "mixed",
             branch_id=ArgSpec("string"),
             answer=ArgSpec("any"),
         ),
@@ -828,7 +759,6 @@ def builtin_toolkit(remote_forecast_endpoint: Optional[str] = None) -> Toolkit:
             "evaluate_batch_against_gt",
             ToolCategory.EXPLORATION_ONLY,
             "score every pending candidate against the sealed ground truth",
-            "mixed",
             candidates=ArgSpec("object"),
         ),
         _ev_batch_against_gt,
@@ -838,19 +768,8 @@ def builtin_toolkit(remote_forecast_endpoint: Optional[str] = None) -> Toolkit:
             "spawn_subagent",
             ToolCategory.ORCHESTRATION,
             "launch candidate exploration branches",
-            "mixed",
             n_tasks=ArgSpec("integer", default=2),
         ),
         _orc_spawn,
     )
-    if remote_forecast_endpoint:
-        tk.register(
-            _d(
-                "remote_forecast",
-                f,
-                "generic HTTP forecasting model adapter",
-                horizon=_HORIZON,
-            ),
-            RemoteToolAdapter(remote_forecast_endpoint),
-        )
     return tk

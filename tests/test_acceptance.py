@@ -295,7 +295,7 @@ def test_c07_store_laws(tmp_path, report):
     rebuild_gate_checked = False
     for stream in range(200):
         rng = stable_rng("accept7", stream)
-        store = ExperienceStore(tmp_path / f"s{stream:03d}", auto_snapshot=False)
+        store = ExperienceStore(tmp_path / f"s{stream:03d}")
         scope = "stream_scope"
         fired_at = []
         for step in range(100):
@@ -326,7 +326,7 @@ def test_c07_store_laws(tmp_path, report):
             gapless_ok = False
 
     # finalize-flush of a short tail, and fingerprint-gated downstream rebuild
-    store = ExperienceStore(tmp_path / "tail", auto_snapshot=False)
+    store = ExperienceStore(tmp_path / "tail")
     for i in range(3):
         store.commit_note(
             LearningNote(
@@ -471,7 +471,7 @@ def test_c09_leakage_and_tool_exposure(e2e, tmp_path, report):
     instances = load_samples(eval_path, "evaluation").instances[:20]
     toolkit = builtin_toolkit()
     registry = ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger())
-    store = ExperienceStore(e2e / "store", auto_snapshot=False)
+    store = ExperienceStore(e2e / "store")
 
     captured_prompts: list[str] = []
     inner = policy_gateway("inference")

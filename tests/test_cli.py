@@ -536,3 +536,40 @@ class TestReplayCommand:
         assert traces
         assert main(["replay", "--trace", str(traces[0])]) == 0
         assert main(["lint", "--trace", str(traces[0])]) == 0
+
+
+BAD_INPUT = {
+    "explore-one-branch-slot": ["explore", "--corpus", "{learning}", "--store", "{store}", "--branch-slots", "1"],
+    "explore-zero-steps": ["explore", "--corpus", "{learning}", "--store", "{store}", "--max-steps", "0"],
+    "explore-zero-alpha": ["explore", "--corpus", "{learning}", "--store", "{store}", "--alpha", "0"],
+    "replay-missing-trace": ["replay", "--trace", "{missing}"],
+    "replay-empty-trace": ["replay", "--trace", "{empty}"],
+    "replay-non-json-trace": ["replay", "--trace", "{garbage}"],
+    "lint-missing-trace": ["lint", "--trace", "{missing}"],
+    "lint-empty-trace": ["lint", "--trace", "{empty}"],
+    "lint-non-json-trace": ["lint", "--trace", "{garbage}"],
+    "eval-zero-threshold": ["eval", "--predictions", "{empty}", "--corpus", "{eval}", "--threshold-file", "{threshold}"],
+    "simulate-non-numeric-field": ["simulate-dropout", "--scenario", "{scenario}", "--seeds", "1", "--out", "{store}"],
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", list(BAD_INPUT.values()), ids=list(BAD_INPUT))
+    def test_exits_2_with_an_error_line_not_a_traceback(self, argv, corpus_dir, tmp_path, capsys):
+        files = {
+            "learning": corpus_dir / "learning.jsonl",
+            "eval": corpus_dir / "eval.jsonl",
+            "store": tmp_path / "store",
+            "missing": tmp_path / "missing.jsonl",
+            "empty": tmp_path / "empty.jsonl",
+            "garbage": tmp_path / "garbage.jsonl",
+            "threshold": tmp_path / "threshold.json",
+            "scenario": tmp_path / "scenario.json",
+        }
+        files["empty"].write_text("")
+        files["garbage"].write_text("not a trace\n")
+        files["threshold"].write_text(json.dumps({"synth_forecast_short": 0}))
+        files["scenario"].write_text(json.dumps({"episodes": "many"}))
+        capsys.readouterr()
+        assert main([arg.format(**files) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")

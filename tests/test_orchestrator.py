@@ -10,7 +10,7 @@ import pytest
 from timeclaw import prompts, seriesops
 from timeclaw.core import EvidenceClass, SealedAnswer, TaskInstance, TaskType
 from timeclaw.errors import ContractError, GatewayError, ScriptMissError
-from timeclaw.gateway import AssistantReply, PolicyGateway, ScriptedGateway, ToolCallRequest
+from timeclaw.gateway import AssistantReply, Gateway, PolicyGateway, ScriptedGateway, ToolCallRequest
 from timeclaw.orchestrator import (
     BranchSlot,
     EpisodeDeps,
@@ -43,7 +43,7 @@ def _instance(series=None, horizon=3, gt=None, task_type=TaskType.FORECAST, labe
 def _deps(tmp_path, gateway, with_store=True):
     toolkit = builtin_toolkit()
     registry = ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger(tmp_path / "ledger.json"))
-    store = ExperienceStore(tmp_path / "store", auto_snapshot=False) if with_store else None
+    store = ExperienceStore(tmp_path / "store") if with_store else None
     return EpisodeDeps(
         registry=registry,
         toolkit=toolkit,
@@ -148,11 +148,13 @@ class TestEpisodeOutcomes:
         outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), _deps(tmp_path, gw))
         assert outcome.winner == f"{inst.id}#b0"
 
-    def test_token_budget_exhaustion_degrades_to_failure(self, tmp_path):
+    def test_gateway_error_on_main_exchange_degrades_to_failure(self, tmp_path):
+        class Down(Gateway):
+            def complete(self, exchange):
+                raise GatewayError("backend went away")
+
         inst = _instance(gt=[13.0, 13.0, 13.0])
-        deps = _deps(tmp_path, policy_gateway("exploration"))
-        config = ExplorationConfig(seed=3, token_budget=1)
-        outcome = run_exploration_episode(inst, config, deps)  # must not raise
+        outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), _deps(tmp_path, Down()))  # must not raise
         assert outcome.evidence_class == EvidenceClass.FAILURE
         assert outcome.winner is None
 

@@ -147,7 +147,6 @@ class TestGoldenFrames:
                 ]
             ],
             soul="# Soul\nBe careful.",
-            require_prior_and_alternative=True,
         )
         assert bundle.system_text == (FRAMES / "exploration_system.txt").read_text()
         assert bundle.user_text == (FRAMES / "exploration_user.txt").read_text()

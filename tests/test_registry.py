@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -287,7 +288,11 @@ class TestVisibleSubsets:
 class TestRegistryFile:
     def test_round_trip(self, tmp_path, registry):
         path = tmp_path / "registry.json"
-        registry.save_registry(path)
+        entries = [
+            {"tool_id": d.tool_id, "category": d.category.value, "protected_in": list(d.protected_in)}
+            for d in map(registry.descriptor, registry.tool_ids())
+        ]
+        path.write_text(json.dumps(entries))
         loaded = load_registry(path)
         assert loaded.tool_ids() == registry.tool_ids()
         for tool_id in registry.tool_ids():

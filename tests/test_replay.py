@@ -33,7 +33,7 @@ def exploration_trace(tmp_path):
         registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger()),
         toolkit=toolkit,
         gateway=policy_gateway("exploration"),
-        store=ExperienceStore(tmp_path / "store", auto_snapshot=False),
+        store=ExperienceStore(tmp_path / "store"),
         trace_dir=tmp_path / "traces",
     )
     outcome = run_exploration_episode(_instance(), ExplorationConfig(seed=4), deps)

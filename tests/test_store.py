@@ -421,14 +421,14 @@ class TestDistillationTriggers:
         return stages_log
 
     def test_fires_exactly_on_tenth_note(self, tmp_path):
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        store = ExperienceStore(tmp_path)
         stages_log = self._commit_n(store, 25)
         fired = [i + 1 for i, stages in enumerate(stages_log) if stages]
         assert fired == [10, 20]
         assert DISTILL_EVERY == 10
 
     def test_finalize_flushes_short_tail(self, tmp_path):
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        store = ExperienceStore(tmp_path)
         self._commit_n(store, 3)
         stages = store.finalize(SCOPE)
         assert "notes_to_memory" in stages
@@ -436,7 +436,7 @@ class TestDistillationTriggers:
         assert store.finalize(SCOPE) == []
 
     def test_downstream_rebuild_iff_fingerprint_changed(self, tmp_path):
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        store = ExperienceStore(tmp_path)
         # first batch creates rules -> full pipeline
         self._commit_n(store, 10)
         state = store.memory_state(SCOPE)
@@ -448,7 +448,7 @@ class TestDistillationTriggers:
         assert stages == ["notes_to_memory"]
 
     def test_full_pipeline_stage_list(self, tmp_path):
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        store = ExperienceStore(tmp_path)
         for _ in range(9):
             store.commit_note(_note(seq=None))
             assert store.maybe_trigger_distillation(SCOPE) == []
@@ -466,7 +466,7 @@ class TestDistillationTriggers:
 
 class TestRetrieve:
     def test_injectable_and_matching_only(self, tmp_path, seasonal_instance):
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        store = ExperienceStore(tmp_path)
         for _ in range(10):
             store.commit_note(_note(seq=None))
         store.maybe_trigger_distillation(SCOPE)
@@ -477,7 +477,7 @@ class TestRetrieve:
         assert "seasonal_naive" in selection.tool_notes
 
     def test_non_matching_fingerprint_excluded(self, tmp_path, trend_instance):
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        store = ExperienceStore(tmp_path)
         for _ in range(10):
             store.commit_note(_note(seq=None))
         store.maybe_trigger_distillation(SCOPE)
@@ -491,7 +491,7 @@ class TestRetrieve:
         assert selection.skills_text == ""
 
     def test_non_injectable_rules_are_excluded(self, tmp_path, seasonal_instance):
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        store = ExperienceStore(tmp_path)
         state = MemoryState()
         update_memory(state, _evidence(prefer=("holt",)))
         update_memory(state, _evidence(prefer=(), avoid=("holt",), kind="avoidance", ref="n2"))
@@ -500,7 +500,7 @@ class TestRetrieve:
         assert store.retrieve(SCOPE, fingerprint(seasonal_instance)).rules == []
 
     def test_ordering_confidence_desc_then_seq(self, tmp_path, seasonal_instance):
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        store = ExperienceStore(tmp_path)
         state = MemoryState()
         update_memory(state, _evidence(prefer=("a",)))
         update_memory(state, _evidence(prefer=("b",), ref="n2"))
@@ -529,7 +529,7 @@ class TestSnapshots:
         assert d1 != d2
 
     def test_snapshot_sequence_reconstructs_memory_history(self, tmp_path):
-        store = ExperienceStore(tmp_path, auto_snapshot=True)
+        store = ExperienceStore(tmp_path)
         seen_states = []
         for i in range(30):
             store.commit_note(_note(seq=None, winner=(f"tool_{i % 4}",)))
@@ -544,7 +544,7 @@ class TestSnapshots:
             assert state.content_fingerprint() in seen_states
 
     def test_snapshots_cite_the_notes_count_and_read_no_files(self, tmp_path, monkeypatch):
-        store = ExperienceStore(tmp_path, auto_snapshot=True)
+        store = ExperienceStore(tmp_path)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the store re-read its own files")
@@ -574,7 +574,7 @@ class TestSnapshots:
 class TestLeakageInvariant:
     def test_committed_evidence_never_contains_ground_truth(self, tmp_path):
         gt_rendering = "[26.1, 25.0, 24.9, 24.3]"
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        store = ExperienceStore(tmp_path)
         for _ in range(10):
             store.commit_note(
                 _note(seq=None, insight=f"truth was {gt_rendering}", sensitive=(gt_rendering,))
@@ -625,8 +625,8 @@ class TestInMemoryState:
         assert split.pending_notes(SCOPE) == whole.pending_notes(SCOPE) == whole.notes(SCOPE)[20:]
 
     def test_distill_and_retrieve_read_no_files_after_open(self, tmp_path, seasonal_instance, monkeypatch):
-        _commit_and_distill(ExperienceStore(tmp_path, auto_snapshot=False), [_note(seq=None) for _ in range(10)])
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        _commit_and_distill(ExperienceStore(tmp_path), [_note(seq=None) for _ in range(10)])
+        store = ExperienceStore(tmp_path)
         for _ in range(10):
             store.commit_note(_note(seq=None, winner=("holt",), losers=()))
         fp = fingerprint(seasonal_instance)
@@ -643,7 +643,7 @@ class TestInMemoryState:
         assert {"holt", "seasonal_naive"} <= set(selection.tool_notes)
 
     def test_distillation_leaves_a_held_selection_unchanged(self, tmp_path, seasonal_instance):
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        store = ExperienceStore(tmp_path)
         _commit_and_distill(store, [_note(seq=None) for _ in range(10)])
         fp = fingerprint(seasonal_instance)
         selection = store.retrieve(SCOPE, fp)
@@ -747,7 +747,7 @@ class TestAtomicRewrites:
         monkeypatch.setattr(Path, "write_text", write_half_then_fail)
 
     def test_failed_memory_rewrite_keeps_previous_file(self, tmp_path, monkeypatch):
-        store = ExperienceStore(tmp_path, auto_snapshot=False)
+        store = ExperienceStore(tmp_path)
         _commit_and_distill(store, [_note(seq=None) for _ in range(10)])
         memory_path = tmp_path / "memory" / f"{SCOPE}.json"
         before = memory_path.read_text()

@@ -1,9 +1,5 @@
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 import pytest
 
 from timeclaw.core import EvaluatorCapability, SealedAnswer, TaskInstance, TaskType, TextBlock
@@ -12,9 +8,7 @@ from timeclaw.toolkit import (
     ORIGINAL_INPUT,
     ArtifactStore,
     InvocationContext,
-    RemoteToolAdapter,
     ToolInvocation,
-    builtin_toolkit,
 )
 from timeclaw.util import canonical_json
 
@@ -360,75 +354,3 @@ class TestProvenance:
             toolkit, instance, ctx, "naive", {"horizon": 2}, inputs=(f1.artifact_id,), store=store
         )
         assert store.resolve_to_original(f2.artifact_id, 0) == 6
-
-
-class _FlakyRemote(BaseHTTPRequestHandler):
-    calls = 0
-    mode = "retry"  # retry | not_json
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        type(self).calls += 1
-        if type(self).mode == "not_json":
-            data = b"<html>upstream proxy page</html>"
-            self.send_response(200)
-            self.send_header("Content-Type", "text/html")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-            return
-        if type(self).calls == 1:
-            self.send_response(500)
-            self.end_headers()
-            return
-        horizon = body["args"]["horizon"]
-        last = body["inputs"][0]["payload"]["values"][-1]
-        payload = {"kind": "series", "payload": {"values": [last + 1.0] * horizon}}
-        data = json.dumps(payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def remote_forecast():
-    """Invoke remote_forecast (horizon 2) against the loopback _FlakyRemote."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _FlakyRemote)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _FlakyRemote.calls = 0
-    _FlakyRemote.mode = "retry"
-    endpoint = f"http://127.0.0.1:{server.server_address[1]}/tool"
-    toolkit = builtin_toolkit(remote_forecast_endpoint=endpoint)
-    instance = _series_instance([1.0, 2.0, 3.0], horizon=2)
-    ctx = InvocationContext(mode="inference", instance=instance)
-
-    def invoke():
-        call = ToolInvocation("remote_forecast", {"horizon": 2}, (ORIGINAL_INPUT,))
-        return toolkit.invoke(call, ArtifactStore(instance), ctx)
-
-    yield invoke
-    server.shutdown()
-    server.server_close()
-
-
-class TestRemoteAdapter:
-    def test_retry_then_success_and_schema_validation(self, remote_forecast):
-        art = remote_forecast()
-        assert not art.is_error
-        assert art.series_values() == [4.0, 4.0]
-        assert _FlakyRemote.calls == 2  # one 500, one success
-        assert art.provenance.index_transform == {"kind": "offset", "offset": 3}
-
-    def test_non_json_body_is_schema_error_artifact(self, remote_forecast):
-        _FlakyRemote.mode = "not_json"
-        art = remote_forecast()
-        assert art.is_error
-        assert art.payload["error"] == "remote_schema"
-        assert _FlakyRemote.calls == 1

@@ -34,7 +34,7 @@ def _deps(root: Path, policy: str) -> EpisodeDeps:
         registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger(root / "ledger.json")),
         toolkit=toolkit,
         gateway=policy_gateway(policy),
-        store=ExperienceStore(root / "store", auto_snapshot=False),
+        store=ExperienceStore(root / "store"),
         trace_dir=root / policy,
     )
 
