@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ from typing import Any, Optional, Sequence
 from . import __version__, corpus as corpus_mod, metrics, simulate
 from .core import CLASSIFICATION_TYPES, TaskInstance, validate_answer
 from .errors import ContractError, CorpusError, LogError, TimeclawError
-from .gateway import Gateway, RecordingGateway, RemoteGateway, ScriptedGateway
+from .gateway import API_BASE_ENV, Gateway, RecordingGateway, RemoteGateway, ScriptedGateway
 from .orchestrator import (
     EpisodeDeps,
     ExplorationConfig,
@@ -38,12 +39,17 @@ EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
 
+def _api_base(args: argparse.Namespace) -> Optional[str]:
+    return args.api_base or os.environ.get(API_BASE_ENV)
+
+
 def _build_gateway(args: argparse.Namespace, policy: str) -> Gateway:
     """The scripted mock, a remote backend, or the built-in ``policy``."""
+    api_base = _api_base(args)
     if args.mock_script:
         gateway: Gateway = ScriptedGateway.from_file(Path(args.mock_script))
-    elif args.api_base:
-        gateway = RemoteGateway(base_url=args.api_base, api_key=args.api_key)
+    elif api_base:
+        gateway = RemoteGateway(base_url=api_base, api_key=args.api_key)
     else:
         gateway = policy_gateway(policy)
     if args.record_script:
@@ -138,7 +144,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "max_steps": config.max_steps,
             "alpha": config.alpha,
             "parallel": parallel,
-            "gateway": args.mock_script or args.api_base or "exploration",
+            "gateway": args.mock_script or _api_base(args) or "exploration",
         },
         "episodes": counts,
         "usage": usage,

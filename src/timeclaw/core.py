@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
-from . import metrics
 from .errors import CapabilityError, ContractError, GroundTruthSealedError
 
 
@@ -187,24 +186,15 @@ class EvidenceClass(str, enum.Enum):
     FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class ToolCallRecord:
-    tool_id: str
-    args: Mapping[str, Any]
-    artifact_id: str
-
-
 @dataclass
 class CandidateExecution:
-    """One branch trajectory: its tool calls, final answer, and verdict."""
+    """One branch trajectory: its final answer, verdict and substantive tool chain."""
 
     branch_id: str
     slot: int
-    tool_calls: tuple[ToolCallRecord, ...]
     final_answer: Any
     valid: bool
     quality: Optional[float] = None  # set only after ground-truth evaluation
-    reasoning_text: str = ""
     substantive_chain: tuple[str, ...] = ()
     prior_guided: bool = False
     alternative: bool = False
@@ -243,21 +233,3 @@ class EpisodeOutcome:
                 return c
         return None
 
-
-def execution_quality(
-    candidate: CandidateExecution,
-    instance: TaskInstance,
-    capability: EvaluatorCapability,
-) -> float:
-    """Signed quality q = -loss of a valid candidate against ground truth.
-
-    Requires the exploration-evaluator capability; inference code paths can
-    never call this.
-    """
-    if not candidate.valid:
-        raise ContractError(f"candidate {candidate.branch_id} is not task-valid")
-    truth = instance.answer_key(capability)
-    loss = metrics.task_loss(
-        candidate.final_answer, truth, instance.task_type.value, instance.scope
-    )
-    return -loss

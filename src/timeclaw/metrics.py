@@ -166,12 +166,6 @@ def answer_report(answer: Any, truth: Any, task_type: str) -> MetricReport:
     return numeric_report(aligned, [float(v) for v in truth])
 
 
-def task_loss(answer: Any, truth: Any, task_type: str, scope: str) -> float:
-    """Supervision loss for one answer: its report's loss under the scope's
-    supervision metric."""
-    return answer_report(answer, truth, task_type).loss(supervision_metric(task_type, scope))
-
-
 @dataclass(frozen=True)
 class Unscorable:
     """Marker for a row that cannot contribute to any aggregate."""

@@ -41,7 +41,6 @@ from .core import (
     LearningSummaryText,
     TaskInstance,
     TaskType,
-    ToolCallRecord,
     validate_answer,
 )
 from .errors import ContractError, GatewayError, ScriptMissError
@@ -153,6 +152,9 @@ class TraceWriter:
 
 
 def read_trace(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """The header and events of a trace; raises ContractError unless the
+    header is an object and every event an object of a known kind whose
+    payload is an object."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ContractError(f"trace {path} is empty")
@@ -161,6 +163,15 @@ def read_trace(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
         events = [json.loads(line) for line in lines[1:] if line.strip()]
     except json.JSONDecodeError as exc:
         raise ContractError(f"trace {path} is not JSON lines: {exc}") from None
+    if not isinstance(header, dict):
+        raise ContractError(f"trace {path}: the header is not an object")
+    for n, event in enumerate(events, start=2):
+        if not (
+            isinstance(event, dict)
+            and event.get("kind") in TRACE_KINDS
+            and isinstance(event.get("payload"), dict)
+        ):
+            raise ContractError(f"trace {path}: event {n} is not a known event with an object payload")
     return header, events
 
 
@@ -250,15 +261,6 @@ def assign_branch_slots(
             )
         )
     return slots
-
-
-def _tool_message(artifact: Mapping[str, Any]) -> ChatMessage:
-    body = {
-        "artifact_id": artifact["artifact_id"],
-        "kind": artifact["kind"],
-        "payload": artifact["payload"],
-    }
-    return ChatMessage(role="tool", content=canonical_json(body))
 
 
 class _EpisodeRunner:
@@ -364,13 +366,12 @@ def _split_call_args(raw_args: Mapping[str, Any]) -> tuple[dict[str, Any], list[
     return args, list(inputs)
 
 
-_Step = tuple[str, dict[str, Any], dict[str, Any]]  # tool, args, artifact
+_Step = tuple[str, dict[str, Any]]  # tool, artifact
 
 
 def _step_loop(
     runner: _EpisodeRunner,
     bundle: prompts.PromptBundle,
-    declared: list[dict[str, Any]],
     max_steps: int,
     reject: Callable[[str], Optional[str]],
     branch: Optional[int] = None,
@@ -379,7 +380,7 @@ def _step_loop(
     inference. ``reject(tool)`` names the error fed back, instead of running
     the tool, for a request the caller does not accept (None: run it).
 
-    Returns the invoked (tool, args, artifact) steps, the parsed final
+    Returns the invoked (tool, artifact) steps, the parsed final
     message (None without one), and the failure reason: ``gateway_error: ...``,
     ``step_cap``, or None once a final message arrived."""
     messages = [
@@ -388,7 +389,7 @@ def _step_loop(
     ]
     steps: list[_Step] = []
     for _step in range(max_steps):
-        exchange = ChatExchange(messages=messages, declared_tools=declared)
+        exchange = ChatExchange(messages=messages, declared_tools=bundle.declared_tools)
         try:
             reply = runner.complete(exchange, branch)
         except ScriptMissError:
@@ -408,8 +409,8 @@ def _step_loop(
                 continue
             args, inputs = _split_call_args(call.args)
             art = runner.invoke_tool(call.tool, args, inputs, branch)
-            steps.append((call.tool, args, art))
-            messages.append(_tool_message(art))
+            steps.append((call.tool, art))
+            messages.append(ChatMessage(role="tool", content=canonical_json(art)))
             continue
         final = parse_final(reply.content)
         if final is not None:
@@ -437,23 +438,20 @@ def _run_branch(runner: _EpisodeRunner, slot: BranchSlot) -> CandidateExecution:
         return None if tool in slot.visible_tools else "tool_not_visible"
 
     steps, final, failure_reason = _step_loop(
-        runner, bundle, declared, runner.config.max_steps, reject, branch=slot.slot
+        runner, bundle, runner.config.max_steps, reject, branch=slot.slot
     )
     final_answer = final.get("answer") if final else None
-    tool_records = tuple(ToolCallRecord(tool, args, art["artifact_id"]) for tool, args, art in steps)
     verdict = validate_answer(final_answer, instance)
     substantive = tuple(
-        r.tool_id
-        for r in tool_records
-        if (d := deps.registry.descriptor(r.tool_id)) is not None and d.substantive
+        tool
+        for tool, _art in steps
+        if (d := deps.registry.descriptor(tool)) is not None and d.substantive
     )
     return CandidateExecution(
         branch_id=f"{instance.id}#b{slot.slot}",
         slot=slot.slot,
-        tool_calls=tool_records,
         final_answer=final_answer,
         valid=verdict.valid,
-        reasoning_text=str(final.get("reasoning", "")) if final else "",
         substantive_chain=substantive,
         prior_guided=slot.prior_guided,
         alternative=slot.alternative,
@@ -556,7 +554,7 @@ def run_exploration_episode(
                     if eval_call.tool == "evaluate_batch_against_gt":
                         args.setdefault("candidates", answers)
                     art = runner.invoke_tool(eval_call.tool, args, [ORIGINAL_INPUT], branch=None)
-                    messages.append(_tool_message(art))
+                    messages.append(ChatMessage(role="tool", content=canonical_json(art)))
                     payload = art["payload"]
                     if "reports" in payload:
                         eval_reports = payload["reports"]
@@ -804,9 +802,9 @@ def run_inference(
             # undeclared (or exploration-only) tool: feedback, no tool event
             return None if tool in visible else "tool_not_available"
 
-        steps, final, _failure = _step_loop(runner, bundle, declared, max_steps, reject)
-        tool_chain = [tool for tool, _args, _art in steps]
-        context_lines = [_context_line(i, tool, art) for i, (tool, _args, art) in enumerate(steps, 1)]
+        steps, final, _failure = _step_loop(runner, bundle, max_steps, reject)
+        tool_chain = [tool for tool, _art in steps]
+        context_lines = [_context_line(i, tool, art) for i, (tool, art) in enumerate(steps, 1)]
         final_answer = final.get("answer") if final else None
         if final and final.get("reasoning"):
             context_lines.append(f"{len(context_lines) + 1}. final: {final['reasoning']}")

@@ -135,9 +135,6 @@ class ToolUsageLedger:
     def counts(self, scope: str) -> dict[str, int]:
         return dict(self._counts.get(scope, {}))
 
-    def scopes(self) -> list[str]:
-        return sorted(self._counts)
-
     def record(self, scope: str, tool_ids: Iterable[str]) -> None:
         tools = list(tool_ids)
         if not tools:

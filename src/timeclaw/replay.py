@@ -8,17 +8,16 @@ re-executed, which is exactly the part the engine owns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from . import __version__
 from .core import EvaluatorCapability
 from .corpus import parse_record
 from .errors import ReplayError
 from .orchestrator import SPAWN_TOOL, ContractVerdict, enforce_exploration_contract, read_trace
-from .toolkit import ArtifactStore, InvocationContext, Toolkit, ToolInvocation, builtin_toolkit
+from .toolkit import ArtifactStore, InvocationContext, ToolArtifact, Toolkit, ToolInvocation, builtin_toolkit
 from .util import canonical_json
 
 
@@ -61,6 +60,8 @@ def replay(trace_path: Path, toolkit: Optional[Toolkit] = None) -> ReplayReport:
         raise ReplayError(
             f"trace version {version!r} does not match engine version {__version__!r}"
         )
+    if not isinstance(header.get("instance"), dict):
+        raise ReplayError(f"trace {trace_path} header carries no instance")
     toolkit = toolkit or builtin_toolkit()
     instance = parse_record({**header["instance"], "ground_truth": header.get("ground_truth")})
     mode = header.get("mode", "exploration")
@@ -110,25 +111,8 @@ def replay(trace_path: Path, toolkit: Optional[Toolkit] = None) -> ReplayReport:
             )
             # keep replaying from the recorded state so one divergence does
             # not cascade
-            artifacts.add(_artifact_from_dict(recorded))
+            artifacts.add(ToolArtifact.from_dict(recorded))
     return report
-
-
-def _artifact_from_dict(data: Mapping[str, Any]):
-    from .toolkit import ArtifactKind, Provenance, ToolArtifact
-
-    prov = data["provenance"]
-    return ToolArtifact(
-        artifact_id=data["artifact_id"],
-        kind=ArtifactKind(data["kind"]),
-        payload=data["payload"],
-        provenance=Provenance(
-            tool_id=prov["tool_id"],
-            args_digest=prov["args_digest"],
-            parents=tuple(prov["parents"]),
-            index_transform=prov["index_transform"],
-        ),
-    )
 
 
 @dataclass

@@ -35,30 +35,10 @@ class ArtifactKind(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Where an artifact came from and how its coordinates map back to the
-    original series (an affine index offset per hop)."""
-
-    tool_id: str
-    args_digest: str
-    parents: tuple[str, ...]
-    index_transform: Mapping[str, Any]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tool_id": self.tool_id,
-            "args_digest": self.args_digest,
-            "parents": list(self.parents),
-            "index_transform": dict(self.index_transform),
-        }
-
-
-@dataclass(frozen=True)
 class ToolArtifact:
     artifact_id: str
     kind: ArtifactKind
     payload: Any
-    provenance: Provenance
 
     @property
     def is_error(self) -> bool:
@@ -74,12 +54,11 @@ class ToolArtifact:
             "artifact_id": self.artifact_id,
             "kind": self.kind.value,
             "payload": self.payload,
-            "provenance": self.provenance.to_dict(),
         }
 
-
-IDENTITY_TRANSFORM: Mapping[str, Any] = {"kind": "offset", "offset": 0}
-POINT_TRANSFORM: Mapping[str, Any] = {"kind": "point"}
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "ToolArtifact":
+        return cls(artifact_id=data["artifact_id"], kind=ArtifactKind(data["kind"]), payload=data["payload"])
 
 
 def _artifact_id(tool_id: str, args: Mapping[str, Any], parents: Sequence[str], payload: Any) -> str:
@@ -94,7 +73,6 @@ class ArtifactStore:
             artifact_id=ORIGINAL_INPUT,
             kind=ArtifactKind.SERIES,
             payload={"values": [float(v) for v in instance.series]},
-            provenance=Provenance("input", "", (), IDENTITY_TRANSFORM),
         )
         self._artifacts: dict[str, ToolArtifact] = {ORIGINAL_INPUT: original}
 
@@ -105,31 +83,6 @@ class ArtifactStore:
         if artifact_id not in self._artifacts:
             raise ContractError(f"unknown artifact {artifact_id}")
         return self._artifacts[artifact_id]
-
-    def __contains__(self, artifact_id: str) -> bool:
-        return artifact_id in self._artifacts
-
-    def resolve_to_original(self, artifact_id: str, index: int) -> int:
-        """Compose index transforms up the provenance chain so an artifact
-        coordinate maps onto the (possibly extended) original axis."""
-        current = artifact_id
-        offset = index
-        seen = set()
-        while current != ORIGINAL_INPUT:
-            if current in seen:
-                raise ContractError(f"provenance cycle at {current}")
-            seen.add(current)
-            art = self.get(current)
-            transform = art.provenance.index_transform
-            if transform.get("kind") == "offset":
-                offset += int(transform.get("offset", 0))
-            elif transform.get("kind") == "point":
-                raise ContractError(f"artifact {current} has no series coordinates")
-            parents = art.provenance.parents
-            if not parents:
-                raise ContractError(f"artifact {current} has no parent chain")
-            current = parents[0]
-        return offset
 
 
 @dataclass(frozen=True)
@@ -159,7 +112,7 @@ class ToolError(TimeclawError):
 
 ToolFn = Callable[
     [Mapping[str, Any], Sequence[ToolArtifact], InvocationContext],
-    tuple[ArtifactKind, Any, Mapping[str, Any]],
+    tuple[ArtifactKind, Any],
 ]
 
 _TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
@@ -222,7 +175,7 @@ class Toolkit:
         return out
 
     def invoke(self, call: ToolInvocation, store: ArtifactStore, ctx: InvocationContext) -> ToolArtifact:
-        """Run one tool call and return a typed artifact with provenance.
+        """Run one tool call and return a typed artifact.
 
         Deterministic given (tool, args, inputs); schema and execution
         failures come back as error artifacts, mode violations raise.
@@ -238,7 +191,7 @@ class Toolkit:
         try:
             args = self._validated_args(descriptor, call.args)
             inputs = [store.get(a) for a in call.inputs]
-            kind, payload, transform = self._fns[call.tool_id](args, inputs, ctx)
+            kind, payload = self._fns[call.tool_id](args, inputs, ctx)
         except ToolError as exc:
             return self._error_artifact(call, exc.code, str(exc))
         except ContractError as exc:
@@ -247,12 +200,6 @@ class Toolkit:
             artifact_id=_artifact_id(call.tool_id, dict(call.args), call.inputs, payload),
             kind=kind,
             payload=payload,
-            provenance=Provenance(
-                tool_id=call.tool_id,
-                args_digest=digest_obj(dict(call.args), 12),
-                parents=tuple(call.inputs),
-                index_transform=transform,
-            ),
         )
         store.add(artifact)
         return artifact
@@ -263,12 +210,6 @@ class Toolkit:
             artifact_id=_artifact_id(call.tool_id, dict(call.args), call.inputs, payload),
             kind=ArtifactKind.TEXT,
             payload=payload,
-            provenance=Provenance(
-                tool_id=call.tool_id,
-                args_digest=digest_obj(dict(call.args), 12),
-                parents=tuple(call.inputs),
-                index_transform=POINT_TRANSFORM,
-            ),
         )
 
     def tool_schema(self, tool_id: str) -> dict[str, Any]:
@@ -282,13 +223,13 @@ class Toolkit:
 # ---------------------------------------------------------------------------
 
 
-def _series_input(inputs: Sequence[ToolArtifact]) -> tuple[list[float], ToolArtifact]:
+def _series_input(inputs: Sequence[ToolArtifact]) -> list[float]:
     if not inputs:
         raise ToolError("contract", "a series input artifact is required")
     art = inputs[0]
     if art.kind != ArtifactKind.SERIES:
         raise ToolError("contract", f"input artifact {art.artifact_id} is not a series")
-    return [float(v) for v in art.payload["values"]], art
+    return [float(v) for v in art.payload["values"]]
 
 
 def _require_history(values: Sequence[float], minimum: int) -> None:
@@ -308,24 +249,24 @@ def _forecast_payload(values: Sequence[float]) -> dict[str, Any]:
 
 
 def _fc_naive(args, inputs, ctx):
-    values, art = _series_input(inputs)
+    values = _series_input(inputs)
     _require_history(values, 2)
     h = _horizon(args)
     out = [values[-1]] * h
-    return ArtifactKind.SERIES, _forecast_payload(out), {"kind": "offset", "offset": len(values)}
+    return ArtifactKind.SERIES, _forecast_payload(out)
 
 
 def _fc_drift(args, inputs, ctx):
-    values, art = _series_input(inputs)
+    values = _series_input(inputs)
     _require_history(values, 2)
     h = _horizon(args)
     slope = (values[-1] - values[0]) / (len(values) - 1)
     out = [values[-1] + slope * (i + 1) for i in range(h)]
-    return ArtifactKind.SERIES, _forecast_payload(out), {"kind": "offset", "offset": len(values)}
+    return ArtifactKind.SERIES, _forecast_payload(out)
 
 
 def _fc_seasonal_naive(args, inputs, ctx):
-    values, art = _series_input(inputs)
+    values = _series_input(inputs)
     m = args.get("period")
     if not isinstance(m, int) or m < 1:
         raise ToolError("schema_violation", "period must be a positive integer")
@@ -333,11 +274,11 @@ def _fc_seasonal_naive(args, inputs, ctx):
     h = _horizon(args)
     last_period = values[len(values) - m :]
     out = [last_period[i % m] for i in range(h)]
-    return ArtifactKind.SERIES, _forecast_payload(out), {"kind": "offset", "offset": len(values)}
+    return ArtifactKind.SERIES, _forecast_payload(out)
 
 
 def _fc_ses(args, inputs, ctx):
-    values, art = _series_input(inputs)
+    values = _series_input(inputs)
     _require_history(values, 2)
     h = _horizon(args)
     a = float(args.get("alpha", 0.3))
@@ -346,11 +287,11 @@ def _fc_ses(args, inputs, ctx):
     level = values[0]
     for v in values[1:]:
         level = a * v + (1.0 - a) * level
-    return ArtifactKind.SERIES, _forecast_payload([level] * h), {"kind": "offset", "offset": len(values)}
+    return ArtifactKind.SERIES, _forecast_payload([level] * h)
 
 
 def _fc_holt(args, inputs, ctx):
-    values, art = _series_input(inputs)
+    values = _series_input(inputs)
     _require_history(values, 2)
     h = _horizon(args)
     a = float(args.get("alpha", 0.3))
@@ -363,22 +304,22 @@ def _fc_holt(args, inputs, ctx):
         trend = b * (new_level - level) + (1.0 - b) * trend
         level = new_level
     out = [level + (i + 1) * trend for i in range(h)]
-    return ArtifactKind.SERIES, _forecast_payload(out), {"kind": "offset", "offset": len(values)}
+    return ArtifactKind.SERIES, _forecast_payload(out)
 
 
 def _fc_moving_average(args, inputs, ctx):
-    values, art = _series_input(inputs)
+    values = _series_input(inputs)
     w = args.get("window", 3)
     if not isinstance(w, int) or w < 1:
         raise ToolError("schema_violation", "window must be a positive integer")
     _require_history(values, max(2, w))
     h = _horizon(args)
     level = float(np.mean(values[-w:]))
-    return ArtifactKind.SERIES, _forecast_payload([level] * h), {"kind": "offset", "offset": len(values)}
+    return ArtifactKind.SERIES, _forecast_payload([level] * h)
 
 
 def _an_basic_stats(args, inputs, ctx):
-    values, _ = _series_input(inputs)
+    values = _series_input(inputs)
     payload = {
         "n": len(values),
         "mean": float(np.mean(values)),
@@ -388,42 +329,42 @@ def _an_basic_stats(args, inputs, ctx):
         "first": values[0],
         "last": values[-1],
     }
-    return ArtifactKind.METRIC_REPORT, payload, POINT_TRANSFORM
+    return ArtifactKind.METRIC_REPORT, payload
 
 
 def _an_detect_trend(args, inputs, ctx):
-    values, _ = _series_input(inputs)
+    values = _series_input(inputs)
     label, slope, normalized = seriesops.trend_label(values)
-    return ArtifactKind.LABEL, {"label": label, "slope": slope, "normalized_slope": normalized}, POINT_TRANSFORM
+    return ArtifactKind.LABEL, {"label": label, "slope": slope, "normalized_slope": normalized}
 
 
 def _an_detect_anomaly(args, inputs, ctx):
-    values, _ = _series_input(inputs)
+    values = _series_input(inputs)
     threshold = float(args.get("threshold", 3.0))
     events = [
         {"index": i, "value": values[i], "z": z}
         for i, z in enumerate(seriesops.zscores(values))
         if abs(z) > threshold
     ]
-    return ArtifactKind.EVENT_LIST, {"events": events, "n_events": len(events)}, IDENTITY_TRANSFORM
+    return ArtifactKind.EVENT_LIST, {"events": events, "n_events": len(events)}
 
 
 def _an_autocorrelation(args, inputs, ctx):
-    values, _ = _series_input(inputs)
+    values = _series_input(inputs)
     lag = args.get("lag")
     if not isinstance(lag, int) or lag < 1:
         raise ToolError("schema_violation", "lag must be a positive integer")
     r, defined = seriesops.lagged_correlation(values, lag)
-    return ArtifactKind.SCALAR, {"lag": lag, "r": r, "defined": defined}, POINT_TRANSFORM
+    return ArtifactKind.SCALAR, {"lag": lag, "r": r, "defined": defined}
 
 
 def _an_stationarity(args, inputs, ctx):
-    values, _ = _series_input(inputs)
-    return ArtifactKind.METRIC_REPORT, seriesops.split_half_stationarity(values), POINT_TRANSFORM
+    values = _series_input(inputs)
+    return ArtifactKind.METRIC_REPORT, seriesops.split_half_stationarity(values)
 
 
 def _an_segment(args, inputs, ctx):
-    values, _ = _series_input(inputs)
+    values = _series_input(inputs)
     w = args.get("window")
     if not isinstance(w, int) or w < 1:
         raise ToolError("schema_violation", "window must be a positive integer")
@@ -442,7 +383,7 @@ def _an_segment(args, inputs, ctx):
         )
     exact = len(values) % w == 0
     payload = {"windows": windows, "n_windows": len(windows), "window": w, "exact": exact}
-    return ArtifactKind.EVENT_LIST, payload, IDENTITY_TRANSFORM
+    return ArtifactKind.EVENT_LIST, payload
 
 
 def _slice_bounds(args: Mapping[str, Any], n: int) -> tuple[int, int]:
@@ -460,7 +401,7 @@ def _slice_bounds(args: Mapping[str, Any], n: int) -> tuple[int, int]:
 
 
 def _an_window_stats(args, inputs, ctx):
-    values, _ = _series_input(inputs)
+    values = _series_input(inputs)
     start, end = _slice_bounds(args, len(values))
     chunk = values[start:end]
     payload: dict[str, Any] = {
@@ -474,7 +415,7 @@ def _an_window_stats(args, inputs, ctx):
     ref = args.get("reference_mean")
     if ref is not None:
         payload["mean_delta_vs_reference"] = payload["mean"] - float(ref)
-    return ArtifactKind.METRIC_REPORT, payload, POINT_TRANSFORM
+    return ArtifactKind.METRIC_REPORT, payload
 
 
 def _select(values: Sequence[float], which: Any) -> tuple[float, int]:
@@ -491,7 +432,7 @@ def _select(values: Sequence[float], which: Any) -> tuple[float, int]:
 
 
 def _an_value_at(args, inputs, ctx):
-    values, _ = _series_input(inputs)
+    values = _series_input(inputs)
     value, idx = _select(values, args.get("which", "last"))
     payload: dict[str, Any] = {"value": value, "index": idx}
     reference = args.get("reference")
@@ -506,7 +447,7 @@ def _an_value_at(args, inputs, ctx):
             payload["pct_change_vs_reference"] = (value - ref_value) / ref_value * 100.0
         else:
             payload["pct_change_vs_reference"] = None
-    return ArtifactKind.SCALAR, payload, POINT_TRANSFORM
+    return ArtifactKind.SCALAR, payload
 
 
 _STOPWORDS = frozenset(
@@ -546,7 +487,7 @@ def _tx_keyword_extract(args, inputs, ctx):
             counts[token] = counts.get(token, 0) + 1
     top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     payload = {"keywords": [{"token": t, "count": c} for t, c in top]}
-    return ArtifactKind.EVENT_LIST, payload, POINT_TRANSFORM
+    return ArtifactKind.EVENT_LIST, payload
 
 
 def _tx_sentiment(args, inputs, ctx):
@@ -557,7 +498,7 @@ def _tx_sentiment(args, inputs, ctx):
     pos = sum(1 for t in tokens if t in _POSITIVE_WORDS)
     neg = sum(1 for t in tokens if t in _NEGATIVE_WORDS)
     score = 0.0 if pos + neg == 0 else (pos - neg) / (pos + neg)
-    return ArtifactKind.SCALAR, {"score": score, "positive": pos, "negative": neg}, POINT_TRANSFORM
+    return ArtifactKind.SCALAR, {"score": score, "positive": pos, "negative": neg}
 
 
 def _tx_temporal_align(args, inputs, ctx):
@@ -565,7 +506,7 @@ def _tx_temporal_align(args, inputs, ctx):
     blocks = _text_blocks(ctx)
     instance = ctx.instance
     if instance is None or instance.timestamps is None or not blocks:
-        return ArtifactKind.EVENT_LIST, {"blocks": [], "n": 0}, POINT_TRANSFORM
+        return ArtifactKind.EVENT_LIST, {"blocks": [], "n": 0}
     t0, t1 = instance.timestamps[0], instance.timestamps[-1]
     aligned = []
     for i, block in enumerate(blocks):
@@ -578,7 +519,7 @@ def _tx_temporal_align(args, inputs, ctx):
         frac = pos / len(instance.timestamps)
         boundary = frac >= 1.0 - boundary_frac or frac <= boundary_frac
         aligned.append({"index": i, "date": date, "boundary_aligned": boundary})
-    return ArtifactKind.EVENT_LIST, {"blocks": aligned, "n": len(aligned)}, POINT_TRANSFORM
+    return ArtifactKind.EVENT_LIST, {"blocks": aligned, "n": len(aligned)}
 
 
 def _require_evaluator(ctx: InvocationContext) -> EvaluatorCapability:
@@ -610,7 +551,7 @@ def _ev_against_gt(args, inputs, ctx):
         answer = ctx.candidates[branch_id]
     result = _evaluate_answer(answer, ctx.instance, capability)
     payload = {"branch_id": branch_id, **result}
-    return ArtifactKind.METRIC_REPORT, payload, POINT_TRANSFORM
+    return ArtifactKind.METRIC_REPORT, payload
 
 
 def _ev_batch_against_gt(args, inputs, ctx):
@@ -622,7 +563,7 @@ def _ev_batch_against_gt(args, inputs, ctx):
         branch_id: _evaluate_answer(answer, ctx.instance, capability)
         for branch_id, answer in sorted(candidates.items())
     }
-    return ArtifactKind.METRIC_REPORT, {"reports": reports}, POINT_TRANSFORM
+    return ArtifactKind.METRIC_REPORT, {"reports": reports}
 
 
 def _orc_spawn(args, inputs, ctx):

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from timeclaw.cli import main
+from timeclaw import __version__
+from timeclaw.cli import _build_gateway, build_parser, main
 from timeclaw.corpus import load_samples, reveal_for_scoring
+from timeclaw.gateway import RemoteGateway
 from timeclaw.orchestrator import read_trace
 from timeclaw.store import ExperienceStore
 from timeclaw.util import canonical_json
@@ -538,6 +540,15 @@ class TestReplayCommand:
         assert main(["lint", "--trace", str(traces[0])]) == 0
 
 
+class TestGatewayChoice:
+    def test_api_base_from_the_environment_selects_the_remote_backend(self, monkeypatch):
+        monkeypatch.setenv("TIMECLAW_API_BASE", "http://127.0.0.1:9/v1")
+        args = build_parser().parse_args(["explore", "--corpus", "c.jsonl", "--store", "s"])
+        gateway = _build_gateway(args, policy="exploration")
+        assert isinstance(gateway, RemoteGateway)
+        assert gateway.base_url == "http://127.0.0.1:9/v1"
+
+
 BAD_INPUT = {
     "explore-one-branch-slot": ["explore", "--corpus", "{learning}", "--store", "{store}", "--branch-slots", "1"],
     "explore-zero-steps": ["explore", "--corpus", "{learning}", "--store", "{store}", "--max-steps", "0"],
@@ -548,6 +559,11 @@ BAD_INPUT = {
     "lint-missing-trace": ["lint", "--trace", "{missing}"],
     "lint-empty-trace": ["lint", "--trace", "{empty}"],
     "lint-non-json-trace": ["lint", "--trace", "{garbage}"],
+    "replay-list-header": ["replay", "--trace", "{list_header}"],
+    "lint-list-header": ["lint", "--trace", "{list_header}"],
+    "replay-list-event": ["replay", "--trace", "{list_event}"],
+    "lint-list-event": ["lint", "--trace", "{list_event}"],
+    "replay-header-without-instance": ["replay", "--trace", "{no_instance}"],
     "eval-zero-threshold": ["eval", "--predictions", "{empty}", "--corpus", "{eval}", "--threshold-file", "{threshold}"],
     "simulate-non-numeric-field": ["simulate-dropout", "--scenario", "{scenario}", "--seeds", "1", "--out", "{store}"],
 }
@@ -563,11 +579,19 @@ class TestBadInput:
             "missing": tmp_path / "missing.jsonl",
             "empty": tmp_path / "empty.jsonl",
             "garbage": tmp_path / "garbage.jsonl",
+            "list_header": tmp_path / "list_header.jsonl",
+            "list_event": tmp_path / "list_event.jsonl",
+            "no_instance": tmp_path / "no_instance.jsonl",
             "threshold": tmp_path / "threshold.json",
             "scenario": tmp_path / "scenario.json",
         }
         files["empty"].write_text("")
         files["garbage"].write_text("not a trace\n")
+        files["list_header"].write_text("[1]\n")
+        instance = {"id": "x", "series": [1.0, 2.0], "task_type": "forecast", "scope": "s", "horizon": 1}
+        header = {"mode": "inference", "version": __version__, "instance": instance}
+        files["list_event"].write_text(json.dumps(header) + "\n[2]\n")
+        files["no_instance"].write_text(json.dumps({"version": __version__}) + "\n")
         files["threshold"].write_text(json.dumps({"synth_forecast_short": 0}))
         files["scenario"].write_text(json.dumps({"episodes": "many"}))
         capsys.readouterr()

@@ -2,26 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from timeclaw.core import (
-    CandidateExecution,
-    EvaluatorCapability,
-    SealedAnswer,
-    TaskInstance,
-    TaskType,
-    execution_quality,
-    validate_answer,
-)
-from timeclaw.errors import CapabilityError, ContractError, GroundTruthSealedError
-
-
-def _candidate(answer, valid=True, slot=0):
-    return CandidateExecution(
-        branch_id=f"x#b{slot}",
-        slot=slot,
-        tool_calls=(),
-        final_answer=answer,
-        valid=valid,
-    )
+from timeclaw.core import EvaluatorCapability, SealedAnswer, TaskInstance, TaskType, validate_answer
+from timeclaw.errors import ContractError, GroundTruthSealedError
+from timeclaw.toolkit import _evaluate_answer
 
 
 class TestValidateAnswer:
@@ -87,9 +70,14 @@ class TestGroundTruthGate:
 
 
 class TestExecutionQuality:
+    """Signed quality q = -loss, as the engine scores a candidate answer."""
+
+    @staticmethod
+    def _quality(answer, instance):
+        return _evaluate_answer(answer, instance, EvaluatorCapability())["quality"]
+
     def test_zero_loss_on_identical_vectors(self, forecast_instance):
-        c = _candidate([13.0, 14.0, 15.0])
-        assert execution_quality(c, forecast_instance, EvaluatorCapability()) == 0.0
+        assert self._quality([13.0, 14.0, 15.0], forecast_instance) == 0.0
 
     def test_forecast_mae(self):
         inst = TaskInstance(
@@ -101,13 +89,11 @@ class TestExecutionQuality:
             ground_truth=SealedAnswer([1.0, 1.0]),
         )
         # brute-force MAE = (1 + 1) / 2
-        q = execution_quality(_candidate([0.0, 2.0]), inst, EvaluatorCapability())
-        assert q == pytest.approx(-1.0)
+        assert self._quality([0.0, 2.0], inst) == pytest.approx(-1.0)
 
     def test_label_zero_one_loss(self, trend_instance):
-        cap = EvaluatorCapability()
-        assert execution_quality(_candidate("stable"), trend_instance, cap) == 0.0
-        assert execution_quality(_candidate("increasing"), trend_instance, cap) == -1.0
+        assert self._quality("stable", trend_instance) == 0.0
+        assert self._quality("increasing", trend_instance) == -1.0
 
     def test_quality_order_reverses_loss_order(self):
         inst = TaskInstance(
@@ -118,25 +104,9 @@ class TestExecutionQuality:
             scope="synth_forecast_short",
             ground_truth=SealedAnswer([2.0, 2.0, 2.0]),
         )
-        cap = EvaluatorCapability()
-        q_close = execution_quality(_candidate([2.0, 2.1, 2.0]), inst, cap)
-        q_far = execution_quality(_candidate([0.0, 0.0, 0.0]), inst, cap)
+        q_close = self._quality([2.0, 2.1, 2.0], inst)
+        q_far = self._quality([0.0, 0.0, 0.0], inst)
         assert q_close > q_far
-
-    def test_invalid_candidate_is_contract_error(self, forecast_instance):
-        with pytest.raises(ContractError):
-            execution_quality(_candidate("junk", valid=False), forecast_instance, EvaluatorCapability())
-
-    def test_missing_ground_truth_is_capability_error(self):
-        inst = TaskInstance(
-            id="q3",
-            series=(1.0, 2.0),
-            task_type=TaskType.FORECAST,
-            horizon=1,
-            scope="synth_forecast_short",
-        )
-        with pytest.raises(CapabilityError):
-            execution_quality(_candidate([1.0]), inst, EvaluatorCapability())
 
 
 class TestInstanceInvariants:

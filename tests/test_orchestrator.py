@@ -236,7 +236,7 @@ class TestBranchLoop:
         outcome, events = self._run(tmp_path, branch_fn, monkeypatch, visible={"naive", "drift"})
         expected = json.dumps({"error": error, "tool": tool}, separators=(",", ":"))
         assert feedback == [expected, expected]  # one per branch
-        assert all(c.valid and c.tool_calls == () for c in outcome.candidates)
+        assert all(c.valid for c in outcome.candidates)
         called = [e["payload"]["tool"] for e in events if e["kind"] == "tool_call"]
         assert called == ["evaluate_batch_against_gt"]
 
@@ -248,10 +248,12 @@ class TestBranchLoop:
                 content="", tool_calls=(ToolCallRequest(tool="naive", args={"horizon": 3}),)
             )
 
-        outcome, _events = self._run(tmp_path, branch_fn)
+        outcome, events = self._run(tmp_path, branch_fn)
         for c in outcome.candidates:
             assert c.failure_reason == "gateway_error: backend went away"
-            assert not c.valid and [r.tool_id for r in c.tool_calls] == ["naive"]
+            assert not c.valid
+            called = [e["payload"]["tool"] for e in events if e["kind"] == "tool_call" and e["branch"] == c.slot]
+            assert called == ["naive"]
 
     def test_branch_that_never_finishes_hits_the_step_cap(self, tmp_path):
         turns = []

@@ -64,6 +64,22 @@ class TestReplay:
         assert len(report.divergences) == 1
         assert report.divergences[0].kind == "artifact_mismatch"
 
+    def test_changed_call_args_with_the_same_result_still_diverge(self, exploration_trace, tmp_path):
+        # the artifact id digests the call's tool, args and inputs as well as
+        # its payload, so a recorded call that differs only in an argument
+        # left at its default no longer matches its recorded result
+        lines = exploration_trace.read_text().splitlines()
+        mutated = []
+        for line in lines:
+            record = json.loads(line)
+            if record.get("kind") == "tool_call" and record["payload"]["tool"] == "holt":
+                record["payload"]["args"]["alpha"] = 0.3
+            mutated.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        target = tmp_path / "default_arg.jsonl"
+        target.write_text("\n".join(mutated) + "\n")
+        report = replay(target)
+        assert [d.kind for d in report.divergences] == ["artifact_mismatch"]
+
     def test_unregistered_tool_is_structured_divergence(self, exploration_trace, tmp_path):
         lines = exploration_trace.read_text().splitlines()
         mutated = []
@@ -108,9 +124,9 @@ class TestLint:
         result = run_inference(_instance(gt=(99.123, 98.456, 97.789)), deps)
         clean_report = lint(result.trace_path, forbidden_substrings=["99.123"])
         assert clean_report.clean  # inference traces never contain the target
-        # now inject a fault
+        # now inject a fault: an event whose payload leaks the target
         path = Path(result.trace_path)
-        path.write_text(path.read_text() + '{"leak": "gt was 99.123"}\n')
+        path.write_text(path.read_text() + '{"branch":null,"kind":"outcome","payload":{"leak":"gt was 99.123"}}\n')
         dirty = lint(path, forbidden_substrings=["99.123"])
         assert not dirty.clean
         assert dirty.leaks

@@ -94,7 +94,6 @@ class TestSummarizeEpisode:
         return CandidateExecution(
             branch_id=branch,
             slot=slot,
-            tool_calls=(),
             final_answer=[1.0],
             valid=valid,
             quality=quality,

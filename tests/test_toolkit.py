@@ -141,14 +141,9 @@ class TestAnalysisTools:
             toolkit, instance, ctx, "naive", {"horizon": 1}, store=store
         )
         # overwrite with a fixed endpoint so the ratio is exact
-        from timeclaw.toolkit import ArtifactKind, Provenance, ToolArtifact
+        from timeclaw.toolkit import ArtifactKind, ToolArtifact
 
-        fixed = ToolArtifact(
-            artifact_id="fc1",
-            kind=ArtifactKind.SERIES,
-            payload={"values": [62.544]},
-            provenance=Provenance("naive", "x", (ORIGINAL_INPUT,), {"kind": "offset", "offset": 3}),
-        )
+        fixed = ToolArtifact(artifact_id="fc1", kind=ArtifactKind.SERIES, payload={"values": [62.544]})
         store.add(fixed)
         art, _ = _invoke(
             toolkit,
@@ -266,18 +261,21 @@ class TestEvaluators:
         art, _ = _invoke(toolkit, instance, ctx, "evaluate_against_gt", {"answer": [0.0, 2.0]})
         assert art.payload["report"]["mae"] == pytest.approx(1.0)
         assert art.payload["report"]["mse"] == pytest.approx(1.0)
+        assert art.payload["quality"] == pytest.approx(-1.0)  # q = -MAE on this scope
 
     def test_label_correctness(self, toolkit, trend_instance):
         ctx = InvocationContext(
             mode="exploration", instance=trend_instance, capability=EvaluatorCapability()
         )
         store = ArtifactStore(trend_instance)
-        art = toolkit.invoke(
-            ToolInvocation("evaluate_against_gt", {"answer": "stable"}, (ORIGINAL_INPUT,)),
-            store,
-            ctx,
-        )
-        assert art.payload["report"]["correct"] is True
+        for answer, correct, quality in (("stable", True, 0.0), ("increasing", False, -1.0)):
+            art = toolkit.invoke(
+                ToolInvocation("evaluate_against_gt", {"answer": answer}, (ORIGINAL_INPUT,)),
+                store,
+                ctx,
+            )
+            assert art.payload["report"]["correct"] is correct
+            assert art.payload["quality"] == quality
 
     def test_inference_mode_is_hard_capability_error(self, toolkit, exploration_ctx):
         instance, _ = exploration_ctx
@@ -290,13 +288,22 @@ class TestEvaluators:
                 ctx,
             )
 
+    def test_missing_ground_truth_is_capability_error(self, toolkit):
+        instance = _series_instance([1.0, 2.0, 3.0])
+        ctx = InvocationContext(mode="exploration", instance=instance, capability=EvaluatorCapability())
+        with pytest.raises(CapabilityError):
+            _invoke(toolkit, instance, ctx, "evaluate_against_gt", {"answer": [4.0]})
+
     def test_batch_evaluation(self, toolkit, exploration_ctx):
         instance, ctx = exploration_ctx
-        ctx.candidates = {"b0": [4.0, 4.0], "b1": [0.0, 0.0]}
+        ctx.candidates = {"b0": [4.0, 4.0], "b1": [0.0, 0.0], "b2": [4.0, 4.5]}
         art, _ = _invoke(toolkit, instance, ctx, "evaluate_batch_against_gt")
         reports = art.payload["reports"]
         assert reports["b0"]["quality"] == 0.0
         assert reports["b1"]["quality"] == pytest.approx(-4.0)
+        assert reports["b2"]["quality"] == pytest.approx(-0.25)
+        # the closer of two imperfect forecasts scores the higher quality
+        assert reports["b2"]["quality"] > reports["b1"]["quality"]
 
 
 class TestInvocationContract:
@@ -332,25 +339,3 @@ class TestInvocationContract:
             art, _ = _invoke(toolkit, instance, ctx, "holt", {"horizon": 3})
             dumps.add(canonical_json(art.to_dict()))
         assert len(dumps) == 1
-
-
-class TestProvenance:
-    def test_chain_terminates_at_original(self, toolkit):
-        instance = _series_instance([1.0, 2.0, 3.0, 4.0], horizon=2)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        store = ArtifactStore(instance)
-        forecast, _ = _invoke(toolkit, instance, ctx, "naive", {"horizon": 2}, store=store)
-        assert forecast.provenance.parents == (ORIGINAL_INPUT,)
-        # forecast step i maps past the end of the original axis
-        assert store.resolve_to_original(forecast.artifact_id, 0) == 4
-        assert store.resolve_to_original(forecast.artifact_id, 1) == 5
-
-    def test_second_hop_composes_offsets(self, toolkit):
-        instance = _series_instance([1.0, 2.0, 3.0, 4.0], horizon=2)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        store = ArtifactStore(instance)
-        f1, _ = _invoke(toolkit, instance, ctx, "naive", {"horizon": 2}, store=store)
-        f2, _ = _invoke(
-            toolkit, instance, ctx, "naive", {"horizon": 2}, inputs=(f1.artifact_id,), store=store
-        )
-        assert store.resolve_to_original(f2.artifact_id, 0) == 6
