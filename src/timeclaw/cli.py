@@ -3,7 +3,8 @@ and gen-corpus.
 
 Every command is deterministic under (--seed, scripted/policy mock); run
 summaries carry the seed and config digest for provenance. Exit codes:
-0 success, 2 configuration error, 3 partial (some instances failed).
+0 success, 1 findings (a replay divergence or a lint violation), 2
+configuration error or malformed input, 3 partial (some instances failed).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .toolkit import builtin_toolkit
 from .util import canonical_json
 
 EXIT_OK = 0
+EXIT_FINDINGS = 1
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
@@ -348,14 +350,19 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_episode_reports(trace: str, reports: Sequence[Any]) -> int:
+    out = {"trace": trace, "episodes": [r.to_dict() for r in reports]}
+    print(json.dumps(out, indent=1, sort_keys=True))
+    return EXIT_OK if all(r.clean for r in reports) else EXIT_FINDINGS
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     try:
-        report = replay_trace(Path(args.trace))
+        reports = replay_trace(Path(args.trace))
     except (TimeclawError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
-    return EXIT_OK if report.clean else EXIT_PARTIAL
+    return _print_episode_reports(args.trace, reports)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -363,12 +370,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
         forbidden: list[str] = []
         if args.forbidden_file:
             forbidden = json.loads(Path(args.forbidden_file).read_text())
-        report = lint_trace(Path(args.trace), forbidden_substrings=forbidden)
+        reports = lint_trace(Path(args.trace), forbidden_substrings=forbidden)
     except (TimeclawError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
-    return EXIT_OK if report.clean else EXIT_PARTIAL
+    return _print_episode_reports(args.trace, reports)
 
 
 def _add_gateway_flags(p: argparse.ArgumentParser) -> None:
@@ -431,11 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_gen_corpus)
 
-    p = sub.add_parser("replay", help="re-execute a trace and report divergences")
+    p = sub.add_parser("replay", help="re-execute a trace log and report divergences per episode")
     p.add_argument("--trace", required=True)
     p.set_defaults(fn=cmd_replay)
 
-    p = sub.add_parser("lint", help="contract and leak checks on a trace")
+    p = sub.add_parser("lint", help="contract and leak checks on each episode of a trace log")
     p.add_argument("--trace", required=True)
     p.add_argument("--forbidden-file", help="JSON array of forbidden substrings")
     p.set_defaults(fn=cmd_lint)

@@ -70,16 +70,14 @@ def parse_record(record: Mapping[str, Any]) -> TaskInstance:
         raise CorpusError("series must be a non-empty array")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in series):
         raise CorpusError("series values must be finite numbers")
-    text = None
-    if record.get("text") is not None:
-        text = tuple(
-            TextBlock(body=b["body"], date=b.get("date")) for b in record["text"]
-        )
     gt = record.get("ground_truth")
     horizon = record.get("horizon", 1)
     if not isinstance(horizon, int):
         raise CorpusError("horizon must be an integer")
     try:
+        text = None
+        if record.get("text") is not None:
+            text = tuple(TextBlock(body=b["body"], date=b.get("date")) for b in record["text"])
         return TaskInstance(
             id=str(record["id"]),
             series=tuple(float(v) for v in series),

@@ -20,17 +20,17 @@ spawn/evaluate tools and tools outside its slot's subset; inference refuses
 anything outside the inference-visible set) and in what they record from the
 loop's steps (branch candidates vs. an inference tool chain and context).
 
-Traces are JSONL, header in line 1, then one event per line with a logical
-timestamp so byte-identical reruns stay byte-identical.
+Each episode appends one block to its scope's trace log: a header line, then
+one event per line, so byte-identical reruns stay byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import closing
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from . import __version__, prompts
 from .core import (
@@ -43,7 +43,8 @@ from .core import (
     TaskType,
     validate_answer,
 )
-from .errors import ContractError, GatewayError, ScriptMissError
+from .corpus import parse_record
+from .errors import ContractError, CorpusError, GatewayError, ScriptMissError
 from .gateway import (
     AssistantReply,
     ChatExchange,
@@ -60,7 +61,7 @@ from .toolkit import (
     Toolkit,
     ToolInvocation,
 )
-from .util import canonical_json, digest_obj, stable_seed
+from .util import TornRecord, append_record, canonical_json, digest_obj, iter_records, read_records, stable_seed
 
 # An exploration episode must yield at least this many valid candidates.
 MIN_VALID_CANDIDATES = 2
@@ -68,7 +69,23 @@ EVALUATE_TOOLS = ("evaluate_against_gt", "evaluate_batch_against_gt")
 SPAWN_TOOL = "spawn_subagent"
 ANSWER_TOLERANCE = 1e-9
 
-TRACE_KINDS = ("gateway_request", "gateway_response", "tool_call", "tool_result", "verdict", "outcome")
+# Each trace event kind, with the payload fields its readers index and their
+# types (``object``: any value). A verdict also holds the fields of its type,
+# and a block's header those of TRACE_HEADER.
+TRACE_KINDS: dict[str, dict[str, type]] = {
+    "gateway_request": {"digest": str},
+    "gateway_response": {"reply": dict},
+    "tool_call": {"call_id": str, "tool": str, "args": dict, "inputs": list},
+    "tool_result": {"call_id": str, "artifact": dict},
+    "verdict": {"type": str},
+    "outcome": {},
+}
+VERDICT_FIELDS: dict[str, dict[str, type]] = {
+    "candidate": {"branch": str, "valid": bool, "substantive_chain": list, "answer": object,
+                  "prior_guided": bool, "alternative": bool},
+    "contract": {"satisfied": bool, "violations": list},
+}
+TRACE_HEADER: dict[str, type] = {"version": str, "mode": str, "episode": str, "instance": dict}
 
 
 @dataclass(frozen=True)
@@ -105,6 +122,10 @@ class EpisodeDeps:
     gateway: Gateway
     store: Optional[ExperienceStore] = None
     trace_dir: Optional[Path] = None
+    traces: Optional[TraceLog] = field(init=False, repr=False)  # the logs under trace_dir
+
+    def __post_init__(self) -> None:
+        self.traces = TraceLog(self.trace_dir) if self.trace_dir is not None else None
 
 
 @dataclass(frozen=True)
@@ -122,62 +143,123 @@ class ContractVerdict:
     satisfied: bool
     violations: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"satisfied": self.satisfied, "violations": list(self.violations)}
+
+class TraceLog:
+    """The trace logs of one run, ``<directory>/<scope>.jsonl``: one block per
+    episode, each appended whole under one lock. A log's first append cuts
+    off whatever follows its last whole block or, when ``fresh``, all of it:
+    inference starts its logs afresh, exploration adds to its store's."""
+
+    def __init__(self, directory: Path):
+        self.directory = Path(directory)
+        self._ends: dict[Path, int] = {}  # where each log's last whole block ends
+        self._lock = threading.Lock()
+
+    def append(self, path: Path, block: str, fresh: bool) -> None:
+        with self._lock:
+            if path not in self._ends:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                self._ends[path] = 0 if fresh else read_records(path, _parse_block)[1]
+            self._ends[path] = append_record(path, self._ends[path], block.encode())
 
 
 class TraceWriter:
-    """JSONL trace: a header line, then one ``{"branch", "kind", "payload"}``
-    line per event. The header names the episode; event order is line order."""
+    """One episode's block of a trace log: the header line, then one
+    ``{"branch", "kind", "payload"}`` line per event, the ``outcome`` event
+    last. The header names the episode; event order is line order. The block
+    is appended whole once the ``with`` body ends without raising, so a log
+    never holds half an episode."""
 
-    def __init__(self, path: Optional[Path], header: Mapping[str, Any]):
-        self.path = Path(path) if path is not None else None
-        self.header = dict(header)
-        self._fh = None
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("w")
-            self._fh.write(canonical_json(self.header) + "\n")
+    def __init__(self, log: Optional[TraceLog], scope: str, header: Mapping[str, Any]):
+        self.log = log
+        self.path = log.directory / f"{scope}.jsonl" if log is not None else None
+        self.fresh = header["mode"] == "inference"
+        self._lines = [canonical_json(header)] if log is not None else None
 
     def event(self, kind: str, payload: Mapping[str, Any], branch: Optional[int] = None) -> None:
         if kind not in TRACE_KINDS:
             raise ContractError(f"unknown trace event kind {kind}")
-        if self._fh is not None:
-            self._fh.write(canonical_json({"branch": branch, "kind": kind, "payload": payload}) + "\n")
+        if self._lines is not None:
+            self._lines.append(canonical_json({"branch": branch, "kind": kind, "payload": payload}))
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, exc_type: Any, *_exc: Any) -> None:
+        if exc_type is None and self.log is not None:
+            self.log.append(self.path, "\n".join(self._lines) + "\n", self.fresh)
 
 
-def read_trace(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """The header and events of a trace; raises ContractError unless the
-    header is an object and every event an object of a known kind whose
-    payload is an object."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ContractError(f"trace {path} is empty")
+@dataclass(frozen=True)
+class TraceBlock:
+    header: dict[str, Any]
+    events: list[dict[str, Any]]
+    instance: TaskInstance  # the header's sample, its ground truth sealed
+
+
+def _parse_block(data: bytes, pos: int) -> tuple[list[dict[str, Any]], int]:
+    """One block's records: a header object, then event objects of known
+    kinds through the first ``outcome`` event."""
+    records: list[dict[str, Any]] = []
+    while True:
+        end = data.find(b"\n", pos)
+        if end < 0:
+            raise TornRecord
+        record = json.loads(data[pos:end])
+        if not isinstance(record, dict) or (records and record.get("kind") not in TRACE_KINDS):
+            raise ValueError("expected " + ("an event" if records else "a header") + " object")
+        records.append(record)
+        pos = end + 1
+        if len(records) > 1 and record["kind"] == "outcome":
+            return records, pos
+
+
+def _require(record: Any, fields: Mapping[str, type], what: str) -> None:
+    if not isinstance(record, dict):
+        raise ContractError(f"{what} is not an object")
+    for key, kind in fields.items():
+        if key not in record or not isinstance(record[key], kind):
+            raise ContractError(f"{what} has no {kind.__name__} {key!r}")
+
+
+def _checked_block(header: dict[str, Any], events: list[dict[str, Any]]) -> TraceBlock:
+    _require(header, TRACE_HEADER, "the header")
+    truth = header.get("ground_truth")
     try:
-        header = json.loads(lines[0])
-        events = [json.loads(line) for line in lines[1:] if line.strip()]
-    except json.JSONDecodeError as exc:
-        raise ContractError(f"trace {path} is not JSON lines: {exc}") from None
-    if not isinstance(header, dict):
-        raise ContractError(f"trace {path}: the header is not an object")
-    for n, event in enumerate(events, start=2):
-        if not (
-            isinstance(event, dict)
-            and event.get("kind") in TRACE_KINDS
-            and isinstance(event.get("payload"), dict)
-        ):
-            raise ContractError(f"trace {path}: event {n} is not a known event with an object payload")
-    return header, events
+        instance = parse_record({**header["instance"], "ground_truth": truth})
+    except CorpusError as exc:
+        raise ContractError(f"the header instance is bad: {exc}") from None
+    if truth is not None and not validate_answer(truth, instance).valid:
+        raise ContractError("the header ground truth is not a valid answer")
+    for n, event in enumerate(events, start=1):
+        payload = event.get("payload")
+        _require(payload, TRACE_KINDS[event["kind"]], f"event {n}'s payload")
+        if event["kind"] == "verdict":
+            _require(payload, VERDICT_FIELDS.get(payload["type"], {}), f"event {n}'s payload")
+    return TraceBlock(header, events, instance)
+
+
+def read_trace(path: Path) -> Iterator[TraceBlock]:
+    """Each whole block of a trace log, in log order, read as it is needed; a
+    torn last block is dropped with a warning. Raises LogError for a block
+    that does not frame, and ContractError when the log holds no whole block,
+    or a block's header instance does not parse, or a field ``TRACE_HEADER``,
+    ``TRACE_KINDS`` or ``VERDICT_FIELDS`` names is missing or of another type."""
+    line = 1
+    for (header, *events), _end in iter_records(Path(path), _parse_block):
+        try:
+            block = _checked_block(header, events)
+        except ContractError as exc:
+            raise ContractError(f"trace {path}: the block at line {line}: {exc}") from None
+        yield block
+        line += 1 + len(events)
+    if line == 1:
+        raise ContractError(f"trace {path} is missing or holds no whole episode")
 
 
 def parse_final(content: Optional[str]) -> Optional[dict[str, Any]]:
     """A final message is a JSON object carrying answer_type."""
-    if not content:
+    if not content or not isinstance(content, str):
         return None
     try:
         data = json.loads(content)
@@ -283,9 +365,6 @@ class _EpisodeRunner:
         self.gateway_calls = 0
         self.substantive_used: list[str] = []
         self.declared: dict[Optional[int], list[str]] = {}  # last tool list requested, per branch
-        trace_path = None
-        if deps.trace_dir is not None:
-            trace_path = Path(deps.trace_dir) / f"{_safe_name(instance.id)}.jsonl"
         self.fp = prompts.fingerprint(instance)
         self.selection = deps.store.retrieve(instance.scope, self.fp) if deps.store else None
         self.prior_exists = bool(self.selection and self.selection.rules)
@@ -309,7 +388,7 @@ class _EpisodeRunner:
                 prior_exists=self.prior_exists,
                 ground_truth=instance.answer_key(capability),
             )
-        self.trace = TraceWriter(trace_path, header)
+        self.trace = TraceWriter(deps.traces, instance.scope, header)
 
     def complete(self, exchange: ChatExchange, branch: Optional[int]) -> AssistantReply:
         request: dict[str, Any] = {"digest": exchange_digest(exchange)}
@@ -354,10 +433,6 @@ class _EpisodeRunner:
         if descriptor is not None and descriptor.substantive and not artifact.is_error:
             self.substantive_used.append(tool)
         return art_dict
-
-
-def _safe_name(instance_id: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_." else "_" for c in instance_id)
 
 
 def _split_call_args(raw_args: Mapping[str, Any]) -> tuple[dict[str, Any], list[str]]:
@@ -492,7 +567,7 @@ def run_exploration_episode(
     if not instance.has_ground_truth:
         raise ContractError("exploration requires targets (ground truth) on every instance")
     runner = _EpisodeRunner(instance, deps, config)
-    with closing(runner.trace):
+    with runner.trace:
         episode_seed = stable_seed(config.seed, instance.id)
         slots = assign_branch_slots(
             instance, config, runner.prior_exists, deps.registry, runner.selection, episode_seed
@@ -632,7 +707,7 @@ def run_exploration_episode(
         )
 
         verdict = _contract_check(records, set(eval_reports), final_type, runner.prior_exists)
-        runner.trace.event("verdict", {"type": "contract", **verdict.to_dict()})
+        runner.trace.event("verdict", {"type": "contract", **asdict(verdict)})
         runner.trace.event(
             "outcome",
             {
@@ -697,8 +772,8 @@ def _contract_check(
     if len(valid) >= 2 and not _distinct_pair_exists(valid):
         violations.append("no_distinct_pair")
     if prior_exists and candidate_records:
-        has_prior = any(c.get("prior_guided") for c in candidate_records)
-        has_alt = any(c.get("alternative") for c in candidate_records)
+        has_prior = any(c["prior_guided"] for c in candidate_records)
+        has_alt = any(c["alternative"] for c in candidate_records)
         if not (has_prior and has_alt):
             violations.append("missing_prior_or_alternative")
     return ContractVerdict(satisfied=not violations, violations=tuple(violations))
@@ -707,25 +782,26 @@ def _contract_check(
 def enforce_exploration_contract(
     header: Mapping[str, Any], events: Sequence[Mapping[str, Any]]
 ) -> ContractVerdict:
-    """Pure contract check over a finalized trace."""
+    """Pure contract check over one finalized trace block."""
     candidate_records = [
         e["payload"]
         for e in events
-        if e["kind"] == "verdict" and e["payload"].get("type") == "candidate"
+        if e["kind"] == "verdict" and e["payload"]["type"] == "candidate"
     ]
     evaluated: set[str] = set()
     for e in events:
-        if e["kind"] != "tool_call" or e["payload"].get("tool") not in EVALUATE_TOOLS:
+        if e["kind"] != "tool_call" or e["payload"]["tool"] not in EVALUATE_TOOLS:
             continue
-        args = e["payload"].get("args", {})
+        args = e["payload"]["args"]
         if "candidates" in args:
-            evaluated.update(args["candidates"])
-        elif "branch_id" in args and args["branch_id"]:
+            if isinstance(args["candidates"], (dict, list)):
+                evaluated.update(c for c in args["candidates"] if isinstance(c, str))
+        elif isinstance(args.get("branch_id"), str) and args["branch_id"]:
             evaluated.add(args["branch_id"])
     final_type: Optional[str] = None
     for e in events:
         if e["kind"] == "gateway_response":
-            final = parse_final(e["payload"].get("reply", {}).get("content"))
+            final = parse_final(e["payload"]["reply"].get("content"))
             if final is not None:
                 final_type = final.get("answer_type")
     return _contract_check(candidate_records, evaluated, final_type, bool(header.get("prior_exists")))
@@ -787,7 +863,7 @@ def run_inference(
     only. No store writes, no ledger writes, no ground-truth access."""
     view = replace(instance, ground_truth=None)
     runner = _EpisodeRunner(view, deps)
-    with closing(runner.trace):
+    with runner.trace:
         visible = [t for t in deps.registry.inference_visible() if deps.toolkit.has(t)]
         declared = [deps.toolkit.tool_schema(t) for t in visible]
         bundle = prompts.build_inference_prompt(

@@ -1,6 +1,7 @@
 """Trace replay and linting: re-executes recorded tool calls against the
 current engine and compares artifacts byte-wise, and re-checks the
-exploration contract plus ground-truth leakage on stored traces.
+exploration contract plus ground-truth leakage on stored traces, one report
+per episode of a trace log.
 
 Gateway events are stubbed from the trace itself; only tool behavior is
 re-executed, which is exactly the part the engine owns.
@@ -8,15 +9,14 @@ re-executed, which is exactly the part the engine owns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import __version__
 from .core import EvaluatorCapability
-from .corpus import parse_record
 from .errors import ReplayError
-from .orchestrator import SPAWN_TOOL, ContractVerdict, enforce_exploration_contract, read_trace
+from .orchestrator import SPAWN_TOOL, ContractVerdict, TraceBlock, enforce_exploration_contract, read_trace
 from .toolkit import ArtifactStore, InvocationContext, ToolArtifact, Toolkit, ToolInvocation, builtin_toolkit
 from .util import canonical_json
 
@@ -27,13 +27,10 @@ class Divergence:
     kind: str  # artifact_mismatch | unknown_tool | missing_result
     detail: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"index": self.index, "kind": self.kind, "detail": self.detail}
-
 
 @dataclass
 class ReplayReport:
-    trace: str
+    episode: str
     events: int
     divergences: list[Divergence] = field(default_factory=list)
 
@@ -42,38 +39,36 @@ class ReplayReport:
         return not self.divergences
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "trace": self.trace,
-            "events": self.events,
-            "divergences": [d.to_dict() for d in self.divergences],
-        }
+        return asdict(self)
 
 
-def replay(trace_path: Path, toolkit: Optional[Toolkit] = None) -> ReplayReport:
-    """Re-execute every recorded tool call and compare artifacts byte-wise.
+def replay(trace_path: Path, toolkit: Optional[Toolkit] = None) -> list[ReplayReport]:
+    """Re-execute every recorded tool call of every episode in a trace log
+    and compare artifacts byte-wise; one report per episode.
 
     Refuses traces produced by a different engine version.
     """
-    header, events = read_trace(trace_path)
-    version = header.get("version")
+    toolkit = toolkit or builtin_toolkit()
+    return [_replay_block(block, toolkit) for block in read_trace(trace_path)]
+
+
+def _replay_block(block: TraceBlock, toolkit: Toolkit) -> ReplayReport:
+    header, events = block.header, block.events
+    version = header["version"]
     if version != __version__:
         raise ReplayError(
             f"trace version {version!r} does not match engine version {__version__!r}"
         )
-    if not isinstance(header.get("instance"), dict):
-        raise ReplayError(f"trace {trace_path} header carries no instance")
-    toolkit = toolkit or builtin_toolkit()
-    instance = parse_record({**header["instance"], "ground_truth": header.get("ground_truth")})
-    mode = header.get("mode", "exploration")
+    mode = header["mode"]
     capability = EvaluatorCapability() if mode == "exploration" else None
-    ctx = InvocationContext(mode=mode, instance=instance, capability=capability)
-    artifacts = ArtifactStore(instance)
+    ctx = InvocationContext(mode=mode, instance=block.instance, capability=capability)
+    artifacts = ArtifactStore(block.instance)
     results_by_call = {
         e["payload"]["call_id"]: (i, e["payload"]["artifact"])
         for i, e in enumerate(events)
         if e["kind"] == "tool_result"
     }
-    report = ReplayReport(trace=str(trace_path), events=len(events))
+    report = ReplayReport(episode=header["episode"], events=len(events))
     for i, event in enumerate(events):
         if event["kind"] != "tool_call":
             continue
@@ -93,11 +88,7 @@ def replay(trace_path: Path, toolkit: Optional[Toolkit] = None) -> ReplayReport:
             continue
         result_index, recorded = results_by_call[payload["call_id"]]
         produced = toolkit.invoke(
-            ToolInvocation(
-                tool_id=tool,
-                args=dict(payload.get("args", {})),
-                inputs=tuple(payload.get("inputs", ())),
-            ),
+            ToolInvocation(tool_id=tool, args=dict(payload["args"]), inputs=tuple(payload["inputs"])),
             artifacts,
             ctx,
         )
@@ -111,13 +102,16 @@ def replay(trace_path: Path, toolkit: Optional[Toolkit] = None) -> ReplayReport:
             )
             # keep replaying from the recorded state so one divergence does
             # not cascade
-            artifacts.add(ToolArtifact.from_dict(recorded))
+            try:
+                artifacts.add(ToolArtifact.from_dict(recorded))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ReplayError(f"call {payload['call_id']} recorded a malformed artifact: {exc!r}") from None
     return report
 
 
 @dataclass
 class LintReport:
-    trace: str
+    episode: str
     mode: str
     contract: Optional[ContractVerdict]
     leaks: list[dict[str, Any]] = field(default_factory=list)
@@ -128,26 +122,27 @@ class LintReport:
         return contract_ok and not self.leaks
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "trace": self.trace,
-            "mode": self.mode,
-            "contract": self.contract.to_dict() if self.contract else None,
-            "leaks": list(self.leaks),
-        }
+        return asdict(self)
 
 
-def lint(trace_path: Path, forbidden_substrings: Sequence[str] = ()) -> LintReport:
-    """Contract verdict (exploration traces) plus a byte-level scan for
-    forbidden payloads such as ground-truth renderings."""
-    header, events = read_trace(trace_path)
-    mode = header.get("mode", "exploration")
-    contract = enforce_exploration_contract(header, events) if mode == "exploration" else None
-    leaks: list[dict[str, Any]] = []
-    lines = Path(trace_path).read_text().splitlines()
-    for needle in forbidden_substrings:
-        if not needle:
-            continue
-        for line_no, line in enumerate(lines, start=1):
-            if needle in line:
-                leaks.append({"line": line_no, "needle_head": needle[:40]})
-    return LintReport(trace=str(trace_path), mode=mode, contract=contract, leaks=leaks)
+def lint(trace_path: Path, forbidden_substrings: Sequence[str] = ()) -> list[LintReport]:
+    """Per episode of a trace log: the contract verdict (exploration blocks)
+    plus a byte-level scan for forbidden payloads such as ground-truth
+    renderings; a leak names its log line."""
+    needles = [needle for needle in forbidden_substrings if needle]
+    lines = Path(trace_path).read_text().split("\n") if needles else []
+    reports = []
+    start = 0  # each block is its header line and one line per event
+    for block in read_trace(trace_path):
+        mode = block.header["mode"]
+        contract = enforce_exploration_contract(block.header, block.events) if mode == "exploration" else None
+        end = start + 1 + len(block.events)
+        leaks = [
+            {"line": line_no, "needle_head": needle[:40]}
+            for needle in needles
+            for line_no, line in enumerate(lines[start:end], start=start + 1)
+            if needle in line
+        ]
+        reports.append(LintReport(episode=block.header["episode"], mode=mode, contract=contract, leaks=leaks))
+        start = end
+    return reports

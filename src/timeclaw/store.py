@@ -520,7 +520,7 @@ def update_memory(state: MemoryState, ev: CleanEvidence) -> str:
 _NOTE_OPEN = re.compile(r"<!-- note (\d+) -->")
 
 # Files the store only ever writes whole; it keeps their text in memory.
-_REWRITTEN = ("soul.md", "memory/*.json", "fingerprints/*", "skills/*.md", "skills_decision/*.md", "tools/*.md")
+_REWRITTEN = ("soul.md", "memory/*.json", "skills/*.md", "skills_decision/*.md", "tools/*.md")
 
 # A note's shard block: (key, LearningNote attribute, JSON read when the key
 # is missing), in the order the block lists them. ``sensitive`` is not among
@@ -673,7 +673,7 @@ class ExperienceStore:
         with self._publish:
             if self._laid_out:
                 return
-            for sub in ("notes", "memory", "tools", "skills", "skills_decision", "snapshots", "fingerprints"):
+            for sub in ("notes", "memory", "tools", "skills", "skills_decision", "snapshots"):
                 (self.root / sub).mkdir(parents=True, exist_ok=True)
             self._laid_out = True
             if "soul.md" not in self._files:
@@ -792,7 +792,6 @@ class ExperienceStore:
             with self._publish:
                 self._write_memory(scope, state)
                 held.pending = []
-                self._write(f"fingerprints/{scope}", after + "\n")
                 stages = ["notes_to_memory"]
                 if after != before:
                     self._rebuild_tool_notes()

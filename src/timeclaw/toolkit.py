@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import metrics, seriesops
-from .core import EvaluatorCapability, TaskInstance
+from .core import EvaluatorCapability, TaskInstance, validate_answer
 from .errors import CapabilityError, ContractError, TimeclawError
 from .registry import ArgSpec, ToolCategory, ToolDescriptor
 from .util import digest_obj
@@ -80,7 +80,7 @@ class ArtifactStore:
         self._artifacts[artifact.artifact_id] = artifact
 
     def get(self, artifact_id: str) -> ToolArtifact:
-        if artifact_id not in self._artifacts:
+        if not isinstance(artifact_id, str) or artifact_id not in self._artifacts:
             raise ContractError(f"unknown artifact {artifact_id}")
         return self._artifacts[artifact_id]
 
@@ -533,6 +533,9 @@ def _require_evaluator(ctx: InvocationContext) -> EvaluatorCapability:
 
 
 def _evaluate_answer(answer: Any, instance: TaskInstance, capability: EvaluatorCapability) -> dict[str, Any]:
+    verdict = validate_answer(answer, instance)
+    if not verdict.valid:
+        raise ToolError("contract", f"cannot score an invalid answer ({verdict.reason})")
     truth = instance.answer_key(capability)
     report = metrics.answer_report(answer, truth, instance.task_type.value)
     loss = report.loss(metrics.supervision_metric(instance.task_type.value, instance.scope))

@@ -9,7 +9,7 @@ import logging
 import os
 import random
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .errors import LogError
 
@@ -57,9 +57,9 @@ class TornRecord(Exception):
     leaves behind."""
 
 
-def read_records(path: Path, parse: Callable[[bytes, int], tuple[Any, int]]) -> tuple[list[Any], int]:
-    """The whole records of the append-only log at ``path`` (none when it is
-    absent) and the offset where the last of them ends.
+def iter_records(path: Path, parse: Callable[[bytes, int], tuple[Any, int]]) -> Iterator[tuple[Any, int]]:
+    """Each whole record of the append-only log at ``path`` (none when it is
+    absent), with the offset where it ends, parsed as it is needed.
 
     ``parse(data, pos)`` returns the record that starts at ``pos`` and the
     offset after it, raising :class:`TornRecord` when it runs past the end of
@@ -68,7 +68,6 @@ def read_records(path: Path, parse: Callable[[bytes, int], tuple[Any, int]]) -> 
     before it raises :class:`LogError` naming the file and the line.
     """
     data = path.read_bytes() if path.exists() else b""
-    records: list[Any] = []
     pos = 0
     while pos < len(data):
         try:
@@ -79,9 +78,18 @@ def read_records(path: Path, parse: Callable[[bytes, int], tuple[Any, int]]) -> 
                 logger.warning("%s: line %d: dropped a torn last record", path, line)
                 break
             raise LogError(f"{path}: line {line}: bad record: {exc}") from exc
-        records.append(record)
+        yield record, pos_after
         pos = pos_after
-    return records, pos
+
+
+def read_records(path: Path, parse: Callable[[bytes, int], tuple[Any, int]]) -> tuple[list[Any], int]:
+    """The whole records of the log at ``path`` (see :func:`iter_records`) and
+    the offset where the last of them ends."""
+    records: list[Any] = []
+    end = 0
+    for record, end in iter_records(path, parse):
+        records.append(record)
+    return records, end
 
 
 def append_record(path: Path, end: int, record: bytes) -> int:

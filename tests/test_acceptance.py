@@ -8,7 +8,6 @@ import math
 import random
 import statistics
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -45,7 +44,7 @@ from timeclaw.store import (
     update_memory,
 )
 from timeclaw.toolkit import builtin_toolkit
-from timeclaw.util import stable_rng
+from timeclaw.util import canonical_json, stable_rng
 
 
 @pytest.fixture
@@ -246,8 +245,8 @@ def _run_fixture_via_script(tmp_path, name, policy_fn):
     outcome = run_exploration_episode(
         _fixture_instance(), ExplorationConfig(seed=6), deps_with(scripted, "replayed")
     )
-    header, events = read_trace(outcome.trace_path)
-    return outcome, enforce_exploration_contract(header, events)
+    [block] = read_trace(outcome.trace_path)
+    return outcome, enforce_exploration_contract(block.header, block.events)
 
 
 def test_c06_exploration_contract_fixtures(tmp_path, report):
@@ -497,11 +496,13 @@ def test_c09_leakage_and_tool_exposure(e2e, tmp_path, report):
         truth = reveal_for_scoring(inst)
         needles = [json.dumps(truth), json.dumps(truth, separators=(",", ":"))]
         needles += [repr(float(v)) for v in truth]
-        trace_text = Path(result.trace_path).read_text()
+        # the sample's own block of its scope's log
+        [block] = [b for b in read_trace(result.trace_path) if b.header["episode"] == inst.id]
+        trace_text = "\n".join(canonical_json(line) for line in (block.header, *block.events))
         for needle in needles:
             if any(needle in p for p in captured_prompts) or needle in trace_text:
                 leak = True
-        header, events = read_trace(result.trace_path)
+        events = block.events
         listed: set = set()  # branches whose tool list the trace has given
         for e in events:
             if e["kind"] == "tool_call" and e["payload"]["tool"] in special:
@@ -671,12 +672,14 @@ def test_c12_determinism_master_gate(tmp_path, report):
         trees.append(_tree_bytes(tmp_path / run / "store"))
     identical = trees[0] == trees[1]
     divergences = 0
-    traces = sorted((tmp_path / "a" / "store" / "traces").glob("*.jsonl"))
-    for trace in traces:
-        divergences += len(replay(trace).divergences)
-        assert lint(trace).contract is not None
+    episodes = 0
+    for trace in sorted((tmp_path / "a" / "store" / "traces").glob("*.jsonl")):
+        for replayed in replay(trace):
+            episodes += 1
+            divergences += len(replayed.divergences)
+        assert all(linted.contract is not None for linted in lint(trace))
     report(
         12,
-        identical and divergences == 0 and len(traces) == 40,
-        f"byte-identical store trees: {identical}; replay divergences over {len(traces)} traces: {divergences}",
+        identical and divergences == 0 and episodes == 40,
+        f"byte-identical store trees: {identical}; replay divergences over {episodes} traced episodes: {divergences}",
     )

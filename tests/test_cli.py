@@ -7,10 +7,11 @@ import sys
 import pytest
 
 from timeclaw import __version__
-from timeclaw.cli import _build_gateway, build_parser, main
+from timeclaw.cli import _build_deps, _build_gateway, build_parser, main
 from timeclaw.corpus import load_samples, reveal_for_scoring
 from timeclaw.gateway import RemoteGateway
-from timeclaw.orchestrator import read_trace
+from timeclaw.orchestrator import ExplorationConfig, read_trace, run_exploration_episode
+from timeclaw.policy import policy_gateway
 from timeclaw.store import ExperienceStore
 from timeclaw.util import canonical_json
 
@@ -116,17 +117,17 @@ class TestExplore:
 
     def test_each_trace_branch_lists_its_tools_once(self, mixed_run):
         _instances, store = mixed_run
-        traces = sorted((store / "traces").glob("*.jsonl"))
-        assert len(traces) == 24
-        for path in traces:
-            _header, events = read_trace(path)
+        blocks = [block for path in sorted((store / "traces").glob("*.jsonl")) for block in read_trace(path)]
+        assert len(blocks) == 24
+        for block in blocks:
+            episode = block.header["episode"]
             requests: dict = {}
-            for e in events:
+            for e in block.events:
                 if e["kind"] == "gateway_request":
                     requests.setdefault(e["branch"], []).append("tools" in e["payload"])
-            assert set(requests) == {None, 0, 1}, path.name
+            assert set(requests) == {None, 0, 1}, episode
             for listed in requests.values():
-                assert listed[0] and listed.count(True) == 1, path.name
+                assert listed[0] and listed.count(True) == 1, episode
 
     def test_populates_store_and_summary(self, corpus_dir, tmp_path):
         store = tmp_path / "store"
@@ -308,12 +309,11 @@ class TestInfer:
         for traces in (store / "traces", out.parent / "traces_infer"):
             paths = sorted(traces.glob("*.jsonl"))
             assert paths, traces
-            for path in paths:
-                header, *events = [json.loads(line) for line in path.read_text().splitlines()]
-                assert header["episode"] == header["instance"]["id"]
-                assert events
-                for event in events:
-                    assert set(event) == {"branch", "kind", "payload"}, (path.name, event)
+            for block in (block for path in paths for block in read_trace(path)):
+                assert block.header["episode"] == block.header["instance"]["id"]
+                assert block.events
+                for event in block.events:
+                    assert set(event) == {"branch", "kind", "payload"}, (block.header["episode"], event)
 
     def test_absent_store_is_noexp_path(self, corpus_dir, tmp_path):
         out = tmp_path / "preds.jsonl"
@@ -540,6 +540,82 @@ class TestReplayCommand:
         assert main(["lint", "--trace", str(traces[0])]) == 0
 
 
+class TestTraceLogs:
+    """Each scope's episodes are the blocks of one append-only
+    ``traces/<scope>.jsonl``: a block is a header line and event lines
+    through the episode's ``outcome`` event."""
+
+    @staticmethod
+    def _mixed_corpus(tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(MIXED_SPEC))
+        assert main(["gen-corpus", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "corpus")]) == 0
+        return tmp_path / "corpus" / "learning.jsonl"
+
+    @staticmethod
+    def _block_bytes(block):
+        return "".join(canonical_json(line) + "\n" for line in (block.header, *block.events)).encode()
+
+    def test_torn_last_block_is_dropped_then_cut_off(self, corpus_dir, tmp_path, caplog):
+        store = tmp_path / "store"
+        explore = ["explore", "--corpus", str(corpus_dir / "learning.jsonl"), "--store", str(store), "--seed", "3"]
+        assert main(explore) == 0
+        [log] = sorted((store / "traces").glob("*.jsonl"))
+        blocks = list(read_trace(log))
+        assert len(blocks) == 12
+        whole = b"".join(self._block_bytes(b) for b in blocks[:-1])
+        log.write_bytes(log.read_bytes()[:-10])
+        caplog.clear()
+        assert [b.header["episode"] for b in read_trace(log)] == [b.header["episode"] for b in blocks[:-1]]
+        last = 1 + sum(1 + len(b.events) for b in blocks[:-1])
+        assert f"{log}: line {last}: dropped a torn last record" in caplog.text
+        assert main(["replay", "--trace", str(log)]) == 0
+        assert main(explore) == 0  # its first append cuts the torn block off
+        caplog.clear()
+        again = list(read_trace(log))
+        assert "torn" not in caplog.text
+        assert log.read_bytes().startswith(whole)
+        assert [b.header["episode"] for b in again] == [b.header["episode"] for b in blocks[:-1] + blocks]
+
+    def test_infer_starts_its_logs_afresh(self, corpus_dir, tmp_path):
+        out = tmp_path / "infer" / "preds.jsonl"
+        infer = ["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(tmp_path / "absent"), "--out", str(out)]
+        assert main(infer) == 0
+        [log] = sorted((out.parent / "traces_infer").glob("*.jsonl"))
+        first = log.read_bytes()
+        assert main(infer) == 0
+        assert log.read_bytes() == first
+        assert [b.header["episode"] for b in read_trace(log)] == [
+            i.id for i in load_samples(corpus_dir / "eval.jsonl", "evaluation").instances
+        ]
+
+    def test_parallel_episodes_append_whole_blocks_once_each(self, tmp_path, caplog):
+        learning = self._mixed_corpus(tmp_path)
+        store = tmp_path / "store"
+        assert main(["explore", "--corpus", str(learning), "--store", str(store), "--seed", "2", "--parallel", "2"]) == 0
+        logs = sorted((store / "traces").glob("*.jsonl"))
+        assert len(logs) == 4
+        caplog.clear()
+        episodes = [b.header["episode"] for log in logs for b in read_trace(log)]
+        assert "torn" not in caplog.text
+        assert sorted(episodes) == sorted(i.id for i in load_samples(learning, "learning").instances)
+
+    def test_sequential_log_is_the_episode_traces_in_corpus_order(self, tmp_path):
+        learning = self._mixed_corpus(tmp_path)
+        store = tmp_path / "store"
+        assert main(["explore", "--corpus", str(learning), "--store", str(store), "--seed", "2"]) == 0
+        instances = load_samples(learning, "learning").instances
+        for log in sorted((store / "traces").glob("*.jsonl")):
+            blocks = list(read_trace(log))
+            assert [b.header["episode"] for b in blocks] == [i.id for i in instances if i.scope == log.stem]
+            assert log.read_bytes() == b"".join(self._block_bytes(b) for b in blocks)
+        # the corpus's first episode, run alone, writes its block byte for byte
+        first = instances[0]
+        deps = _build_deps(tmp_path / "alone" / "store", tmp_path / "alone" / "traces", policy_gateway("exploration"))
+        outcome = run_exploration_episode(first, ExplorationConfig(seed=2), deps)
+        [block] = read_trace(outcome.trace_path)
+        assert self._block_bytes(block) == self._block_bytes(next(read_trace(store / "traces" / f"{first.scope}.jsonl")))
+
+
 class TestGatewayChoice:
     def test_api_base_from_the_environment_selects_the_remote_backend(self, monkeypatch):
         monkeypatch.setenv("TIMECLAW_API_BASE", "http://127.0.0.1:9/v1")
@@ -564,6 +640,12 @@ BAD_INPUT = {
     "replay-list-event": ["replay", "--trace", "{list_event}"],
     "lint-list-event": ["lint", "--trace", "{list_event}"],
     "replay-header-without-instance": ["replay", "--trace", "{no_instance}"],
+    "lint-header-without-instance": ["lint", "--trace", "{no_instance}"],
+    "replay-tool-call-without-tool": ["replay", "--trace", "{call_without_tool}"],
+    "lint-candidate-without-valid": ["lint", "--trace", "{candidate_without_valid}"],
+    "replay-instance-text-not-blocks": ["replay", "--trace", "{bad_text}"],
+    "lint-instance-text-not-blocks": ["lint", "--trace", "{bad_text}"],
+    "replay-no-whole-block": ["replay", "--trace", "{torn_only}"],
     "eval-zero-threshold": ["eval", "--predictions", "{empty}", "--corpus", "{eval}", "--threshold-file", "{threshold}"],
     "simulate-non-numeric-field": ["simulate-dropout", "--scenario", "{scenario}", "--seeds", "1", "--out", "{store}"],
 }
@@ -582,6 +664,10 @@ class TestBadInput:
             "list_header": tmp_path / "list_header.jsonl",
             "list_event": tmp_path / "list_event.jsonl",
             "no_instance": tmp_path / "no_instance.jsonl",
+            "call_without_tool": tmp_path / "call_without_tool.jsonl",
+            "candidate_without_valid": tmp_path / "candidate_without_valid.jsonl",
+            "bad_text": tmp_path / "bad_text.jsonl",
+            "torn_only": tmp_path / "torn_only.jsonl",
             "threshold": tmp_path / "threshold.json",
             "scenario": tmp_path / "scenario.json",
         }
@@ -589,9 +675,23 @@ class TestBadInput:
         files["garbage"].write_text("not a trace\n")
         files["list_header"].write_text("[1]\n")
         instance = {"id": "x", "series": [1.0, 2.0], "task_type": "forecast", "scope": "s", "horizon": 1}
-        header = {"mode": "inference", "version": __version__, "instance": instance}
+        header = {"mode": "inference", "version": __version__, "episode": "x", "instance": instance}
         files["list_event"].write_text(json.dumps(header) + "\n[2]\n")
-        files["no_instance"].write_text(json.dumps({"version": __version__}) + "\n")
+
+        def block(head, *events):  # a whole block: the events, then the outcome event
+            lines = [head, *({"branch": None, "kind": k, "payload": p} for k, p in events)]
+            lines.append({"branch": None, "kind": "outcome", "payload": {}})
+            return "".join(json.dumps(line) + "\n" for line in lines)
+
+        files["no_instance"].write_text(block({key: header[key] for key in ("mode", "version", "episode")}))
+        files["call_without_tool"].write_text(
+            block(header, ("tool_call", {"call_id": "c001", "args": {}, "inputs": ["original"]}))
+        )
+        candidate = {"type": "candidate", "branch": "x#b0", "substantive_chain": [], "answer": None,
+                     "prior_guided": False, "alternative": False}
+        files["candidate_without_valid"].write_text(block({**header, "mode": "exploration"}, ("verdict", candidate)))
+        files["bad_text"].write_text(block({**header, "instance": {**instance, "text": [5]}}))
+        files["torn_only"].write_text(block(header)[:-5])
         files["threshold"].write_text(json.dumps({"synth_forecast_short": 0}))
         files["scenario"].write_text(json.dumps({"episodes": "many"}))
         capsys.readouterr()

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from timeclaw import prompts, seriesops
+from timeclaw import __version__, prompts, seriesops
 from timeclaw.core import EvidenceClass, SealedAnswer, TaskInstance, TaskType
 from timeclaw.errors import ContractError, GatewayError, ScriptMissError
 from timeclaw.gateway import AssistantReply, Gateway, PolicyGateway, ScriptedGateway, ToolCallRequest
@@ -15,6 +17,8 @@ from timeclaw.orchestrator import (
     BranchSlot,
     EpisodeDeps,
     ExplorationConfig,
+    TraceLog,
+    TraceWriter,
     assign_branch_slots,
     enforce_exploration_contract,
     read_trace,
@@ -216,8 +220,8 @@ class TestBranchLoop:
                 deps.registry, "sample_visible_subset", lambda *a, **k: frozenset(visible)
             )
         outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=3), deps)
-        _header, events = read_trace(outcome.trace_path)
-        return outcome, events
+        [block] = read_trace(outcome.trace_path)
+        return outcome, block.events
 
     @pytest.mark.parametrize(
         "tool, error",
@@ -272,8 +276,8 @@ class TestContractVerdicts:
         inst = inst or _instance(gt=[13.0, 13.0, 13.0])
         deps = _deps(tmp_path, gw)
         outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), deps)
-        header, events = read_trace(outcome.trace_path)
-        return enforce_exploration_contract(header, events)
+        [block] = read_trace(outcome.trace_path)
+        return enforce_exploration_contract(block.header, block.events)
 
     def test_compliant_trace_passes(self, tmp_path):
         gw = _scripted_branch_policy({0: (None, [14.0] * 3), 1: ("naive", [15.0] * 3)})
@@ -471,8 +475,8 @@ class TestInference:
 
         inst = _instance(gt=[13.0] * 3)
         result = run_inference(inst, _deps(tmp_path, PolicyGateway(fn), with_store=False))
-        header, events = read_trace(result.trace_path)
-        tool_events = [e for e in events if e["kind"] == "tool_call"]
+        [block] = read_trace(result.trace_path)
+        tool_events = [e for e in block.events if e["kind"] == "tool_call"]
         assert tool_events == []  # the forbidden request never became a tool event
         assert feedback == ['{"error":"tool_not_available","tool":"evaluate_against_gt"}']
         assert result.prediction == [1.0, 1.0, 1.0]
@@ -522,7 +526,35 @@ class TestTraceDeterminism:
                 run_inference(inst, deps)
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-        assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == ["e1.jsonl"]
+        # an episode that raises appends no block, so no log holds half an episode
+        assert not (tmp_path / "traces").exists()
+
+
+class TestTraceLog:
+    def test_concurrent_appends_never_interleave_or_lose_a_block(self, tmp_path):
+        # more writers than cores, switching threads as often as possible
+        log = TraceLog(tmp_path)
+        instance = {"id": "x", "series": [1.0, 2.0], "task_type": "forecast", "scope": "s", "horizon": 1}
+
+        def write(worker: int) -> None:
+            for n in range(40):
+                header = {"version": __version__, "mode": "exploration", "episode": f"w{worker}.{n}", "instance": instance}
+                with TraceWriter(log, "s", header) as trace:
+                    for _ in range(3):
+                        trace.event("gateway_request", {"digest": "d"})
+                    trace.event("outcome", {})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                for future in [pool.submit(write, w) for w in range(6)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        blocks = list(read_trace(tmp_path / "s.jsonl"))
+        assert sorted(b.header["episode"] for b in blocks) == sorted(f"w{w}.{n}" for w in range(6) for n in range(40))
+        assert all(len(b.events) == 4 for b in blocks)
 
 
 def _count_calls(monkeypatch, names):

@@ -4,7 +4,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from timeclaw.cli import main
 from timeclaw.core import SealedAnswer, TaskInstance, TaskType
 from timeclaw.errors import ReplayError
 from timeclaw.orchestrator import EpisodeDeps, ExplorationConfig, run_exploration_episode, run_inference
@@ -42,7 +44,7 @@ def exploration_trace(tmp_path):
 
 class TestReplay:
     def test_untouched_trace_is_divergence_free(self, exploration_trace):
-        report = replay(exploration_trace)
+        [report] = replay(exploration_trace)
         assert report.clean
         assert report.events > 0
 
@@ -60,7 +62,7 @@ class TestReplay:
             mutated.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         target = tmp_path / "mutated.jsonl"
         target.write_text("\n".join(mutated) + "\n")
-        report = replay(target)
+        [report] = replay(target)
         assert len(report.divergences) == 1
         assert report.divergences[0].kind == "artifact_mismatch"
 
@@ -77,7 +79,7 @@ class TestReplay:
             mutated.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         target = tmp_path / "default_arg.jsonl"
         target.write_text("\n".join(mutated) + "\n")
-        report = replay(target)
+        [report] = replay(target)
         assert [d.kind for d in report.divergences] == ["artifact_mismatch"]
 
     def test_unregistered_tool_is_structured_divergence(self, exploration_trace, tmp_path):
@@ -92,7 +94,7 @@ class TestReplay:
             mutated.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         target = tmp_path / "ghost.jsonl"
         target.write_text("\n".join(mutated) + "\n")
-        report = replay(target)
+        [report] = replay(target)
         assert any(d.kind == "unknown_tool" for d in report.divergences)
 
     def test_version_mismatch_is_refused_with_both_tags(self, exploration_trace, tmp_path):
@@ -107,7 +109,7 @@ class TestReplay:
 
 class TestLint:
     def test_compliant_exploration_trace_is_clean(self, exploration_trace):
-        report = lint(exploration_trace)
+        [report] = lint(exploration_trace)
         assert report.mode == "exploration"
         assert report.contract is not None and report.contract.satisfied
         assert report.clean
@@ -122,14 +124,17 @@ class TestLint:
             trace_dir=tmp_path / "ti",
         )
         result = run_inference(_instance(gt=(99.123, 98.456, 97.789)), deps)
-        clean_report = lint(result.trace_path, forbidden_substrings=["99.123"])
+        [clean_report] = lint(result.trace_path, forbidden_substrings=["99.123"])
         assert clean_report.clean  # inference traces never contain the target
-        # now inject a fault: an event whose payload leaks the target
+        # now inject a fault: an event whose payload leaks the target, inside
+        # the episode's block (before its closing outcome event)
         path = Path(result.trace_path)
-        path.write_text(path.read_text() + '{"branch":null,"kind":"outcome","payload":{"leak":"gt was 99.123"}}\n')
-        dirty = lint(path, forbidden_substrings=["99.123"])
+        lines = path.read_text().splitlines()
+        leak = '{"branch":null,"kind":"gateway_response","payload":{"reply":{"content":"gt was 99.123"}}}'
+        path.write_text("\n".join([*lines[:-1], leak, lines[-1]]) + "\n")
+        [dirty] = lint(path, forbidden_substrings=["99.123"])
         assert not dirty.clean
-        assert dirty.leaks
+        assert dirty.leaks == [{"line": len(lines), "needle_head": "99.123"}]
 
     def test_missing_learning_summary_is_wrong_final_type(self, tmp_path):
         from timeclaw.gateway import AssistantReply, PolicyGateway, ToolCallRequest
@@ -164,5 +169,41 @@ class TestLint:
             trace_dir=tmp_path / "tr",
         )
         outcome = run_exploration_episode(_instance(), ExplorationConfig(seed=4), deps)
-        report = lint(outcome.trace_path)
+        [report] = lint(outcome.trace_path)
         assert "wrong_final_type" in report.contract.violations
+
+
+GOLDEN = Path(__file__).parent / "data" / "traces"
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["exploration.jsonl", "inference.jsonl"]), data=st.data())
+def test_a_mutated_golden_is_reported_on_or_refused_never_a_traceback(name, data, tmp_path_factory):
+    """One random mutation of a golden trace: a field of a header, its
+    instance, an event or an event payload deleted or set to any JSON, or a
+    line cut short. ``replay`` and ``lint`` report on it (exit 0 or 1) or
+    refuse it (exit 2); they never raise."""
+    lines = [json.loads(line) for line in (GOLDEN / name).read_text().splitlines()]
+    texts = [json.dumps(line) for line in lines]
+    n = data.draw(st.integers(0, len(lines) - 1))
+    if data.draw(st.integers(0, 4)) == 0:
+        texts[n] = texts[n][: data.draw(st.integers(0, len(texts[n]) - 1))]
+    else:
+        record = lines[n]
+        nested = [key for key in ("instance", "payload") if isinstance(record.get(key), dict)]
+        target = record[data.draw(st.sampled_from(nested))] if nested and data.draw(st.booleans()) else record
+        key = data.draw(st.sampled_from(sorted(target)))
+        if data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(JSON_VALUES)
+        texts[n] = json.dumps(record)
+    path = tmp_path_factory.mktemp("mutated") / name
+    path.write_text("".join(text + "\n" for text in texts))
+    for command in ("replay", "lint"):
+        assert main([command, "--trace", str(path)]) in (0, 1, 2)

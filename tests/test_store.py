@@ -605,7 +605,7 @@ class TestLayout:
     def test_first_write_lays_the_store_out(self, tmp_path):
         store = ExperienceStore(tmp_path)
         store.commit_note(_note(seq=None))
-        subdirs = {"notes", "memory", "tools", "skills", "skills_decision", "snapshots", "fingerprints"}
+        subdirs = {"notes", "memory", "tools", "skills", "skills_decision", "snapshots"}
         assert {p.name for p in tmp_path.iterdir() if p.is_dir()} == subdirs
         assert (tmp_path / "soul.md").read_text() == DEFAULT_SOUL
 

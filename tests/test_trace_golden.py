@@ -71,9 +71,9 @@ def test_checked_in_goldens_replay_and_lint_clean():
     probe, _source, _future = generate_sample(FAMILY, "eval", 0, seed=11)
     truth = [repr(float(v)) for v in reveal_for_scoring(probe)]
     for name, mode, forbidden in (("exploration.jsonl", "exploration", []), ("inference.jsonl", "inference", truth)):
-        report = replay(GOLDEN / name)
+        [report] = replay(GOLDEN / name)  # a per-episode trace file is a one-block log
         assert report.clean and report.events, report.to_dict()
-        linted = lint(GOLDEN / name, forbidden_substrings=forbidden)
+        [linted] = lint(GOLDEN / name, forbidden_substrings=forbidden)
         assert linted.clean and linted.mode == mode, linted.to_dict()
 
 
