@@ -370,6 +370,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         forbidden: list[str] = []
         if args.forbidden_file:
             forbidden = json.loads(Path(args.forbidden_file).read_text())
+            if not isinstance(forbidden, list) or not all(isinstance(s, str) for s in forbidden):
+                raise ContractError(f"{args.forbidden_file}: not a JSON array of strings")
         reports = lint_trace(Path(args.trace), forbidden_substrings=forbidden)
     except (TimeclawError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

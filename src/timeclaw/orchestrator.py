@@ -436,9 +436,16 @@ class _EpisodeRunner:
 
 
 def _split_call_args(raw_args: Mapping[str, Any]) -> tuple[dict[str, Any], list[str]]:
+    """The tool's own arguments, and the artifact ids a call names in
+    ``_inputs`` (the original series when it names none). An ``_inputs`` that
+    is not a list of strings stays among the arguments, so the toolkit answers
+    it with the schema_violation artifact any bad argument gets."""
     args = dict(raw_args)
-    inputs = args.pop("_inputs", None) or [ORIGINAL_INPUT]
-    return args, list(inputs)
+    inputs = args.get("_inputs")
+    if inputs is not None and not (isinstance(inputs, list) and all(isinstance(i, str) for i in inputs)):
+        return args, [ORIGINAL_INPUT]
+    args.pop("_inputs", None)
+    return args, inputs or [ORIGINAL_INPUT]
 
 
 _Step = tuple[str, dict[str, Any]]  # tool, artifact

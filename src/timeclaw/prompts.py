@@ -4,7 +4,8 @@ matching for memory rules.
 
 Prompt construction is pure and never touches ground truth (which is sealed
 anyway). fingerprint() profiles an instance once with the shared numeric
-helpers; the builders only format that profile.
+helpers: one period scan, which also gives the r at its period, and one set of
+reductions for everything else. The builders only format that profile.
 """
 
 from __future__ import annotations
@@ -89,28 +90,27 @@ def _boundary_event(instance: TaskInstance) -> bool:
 
 def fingerprint(instance: TaskInstance) -> SampleFingerprint:
     values = np.asarray(instance.series, dtype=float)
-    period, significant = seriesops.dominant_period(values)
-    label, slope, normalized = seriesops.trend_label(values)
-    stationarity = seriesops.split_half_stationarity(values)
+    period, significant, period_r = seriesops.dominant_period(values)
+    profile = seriesops.profile(values)
     return SampleFingerprint(
         length=len(values),
         first=float(values[0]),
         last=float(values[-1]),
         vmin=float(values.min()),
         vmax=float(values.max()),
-        mean=float(values.mean()),
-        std=seriesops.population_std(values),
+        mean=profile.mean,
+        std=profile.std,
         dominant_period=period,
         period_significant=significant,
-        trend_class=label,
+        trend_class=profile.trend_class,
         boundary_event=_boundary_event(instance),
         task_subtype=instance.task_type.value,
-        period_r=None if period is None else seriesops.lagged_correlation(values, period)[0],
-        trend_slope=slope,
-        trend_normalized=normalized,
-        stationary=bool(stationarity["stationary"]),
-        mean_shift=float(stationarity["mean_shift"]),
-        n_anomalies=sum(1 for z in seriesops.zscores(values) if abs(z) > 3.0),
+        period_r=period_r,
+        trend_slope=profile.trend_slope,
+        trend_normalized=profile.trend_normalized,
+        stationary=profile.stationary,
+        mean_shift=profile.mean_shift,
+        n_anomalies=profile.n_anomalies,
     )
 
 

@@ -16,9 +16,14 @@ from .errors import LogError
 logger = logging.getLogger(__name__)
 
 
+# built once: json.dumps with these options builds a new encoder per call;
+# encode() keeps no state between calls, so threads may share it
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj: Any) -> str:
     """Serialize with sorted keys and no whitespace so digests are stable."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(obj)
 
 
 def digest_text(text: str) -> str:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import shutil
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -645,6 +646,9 @@ BAD_INPUT = {
     "lint-candidate-without-valid": ["lint", "--trace", "{candidate_without_valid}"],
     "replay-instance-text-not-blocks": ["replay", "--trace", "{bad_text}"],
     "lint-instance-text-not-blocks": ["lint", "--trace", "{bad_text}"],
+    # --forbidden-file holds JSON that is not an array of strings
+    "lint-forbidden-not-a-list": ["lint", "--trace", "{golden_trace}", "--forbidden-file", "{five}"],
+    "lint-forbidden-not-strings": ["lint", "--trace", "{golden_trace}", "--forbidden-file", "{numbers}"],
     "replay-no-whole-block": ["replay", "--trace", "{torn_only}"],
     "eval-zero-threshold": ["eval", "--predictions", "{empty}", "--corpus", "{eval}", "--threshold-file", "{threshold}"],
     "simulate-non-numeric-field": ["simulate-dropout", "--scenario", "{scenario}", "--seeds", "1", "--out", "{store}"],
@@ -670,6 +674,9 @@ class TestBadInput:
             "torn_only": tmp_path / "torn_only.jsonl",
             "threshold": tmp_path / "threshold.json",
             "scenario": tmp_path / "scenario.json",
+            "five": tmp_path / "five.json",
+            "numbers": tmp_path / "numbers.json",
+            "golden_trace": Path(__file__).parent / "data" / "traces" / "inference.jsonl",
         }
         files["empty"].write_text("")
         files["garbage"].write_text("not a trace\n")
@@ -694,6 +701,8 @@ class TestBadInput:
         files["torn_only"].write_text(block(header)[:-5])
         files["threshold"].write_text(json.dumps({"synth_forecast_short": 0}))
         files["scenario"].write_text(json.dumps({"episodes": "many"}))
+        files["five"].write_text("5")
+        files["numbers"].write_text("[5]")
         capsys.readouterr()
         assert main([arg.format(**files) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -27,6 +27,7 @@ from timeclaw.orchestrator import (
 )
 from timeclaw.policy import exploration_policy, inference_policy, policy_gateway
 from timeclaw.registry import ToolRegistry, ToolUsageLedger
+from timeclaw.replay import replay
 from timeclaw.store import ExperienceStore
 from timeclaw.toolkit import builtin_toolkit
 
@@ -244,6 +245,40 @@ class TestBranchLoop:
         called = [e["payload"]["tool"] for e in events if e["kind"] == "tool_call"]
         assert called == ["evaluate_batch_against_gt"]
 
+    @pytest.mark.parametrize("inputs", [5, "abc", ["original_input", 7], {"id": "original_input"}])
+    def test_inputs_not_a_list_of_ids_is_a_schema_violation(self, tmp_path, inputs):
+        results = []
+
+        def branch_fn(slot, exchange):
+            last = exchange.messages[-1]
+            if last.role == "user":
+                call = ToolCallRequest(tool="naive", args={"horizon": 3, "_inputs": inputs})
+                return AssistantReply(content="", tool_calls=(call,))
+            results.append(json.loads(last.content))
+            return _forecast_reply([13.0] * 3)
+
+        outcome, events = self._run(tmp_path, branch_fn)
+        assert [r["payload"]["error"] for r in results] == ["schema_violation"] * 2
+        assert all(r["payload"]["message"] == "unknown argument(s): _inputs" for r in results)
+        assert all(c.valid for c in outcome.candidates)
+        assert replay(outcome.trace_path)[0].clean
+
+    def test_inputs_list_of_ids_names_the_input_artifacts(self, tmp_path):
+        results = []
+
+        def branch_fn(slot, exchange):
+            last = exchange.messages[-1]
+            if last.role == "user":
+                call = ToolCallRequest(tool="naive", args={"horizon": 3, "_inputs": ["nowhere"]})
+                return AssistantReply(content="", tool_calls=(call,))
+            results.append(json.loads(last.content))
+            return _forecast_reply([13.0] * 3)
+
+        _outcome, events = self._run(tmp_path, branch_fn)
+        calls = [e["payload"] for e in events if e["kind"] == "tool_call" and e["payload"]["tool"] == "naive"]
+        assert [(c["args"], c["inputs"]) for c in calls] == [({"horizon": 3}, ["nowhere"])] * 2
+        assert [r["payload"]["error"] for r in results] == ["contract"] * 2
+
     def test_gateway_error_mid_loop_ends_the_branch(self, tmp_path):
         def branch_fn(slot, exchange):
             if exchange.messages[-1].role == "tool":
@@ -457,6 +492,21 @@ class TestInference:
         assert deps.store.tree_digest() == digest_before
         assert deps.registry.ledger.counts(inst.scope) == {}
 
+    @pytest.mark.parametrize("inputs", [5, "abc"])
+    def test_bad_inputs_come_back_as_a_schema_violation(self, tmp_path, inputs):
+        feedback = []
+
+        def fn(exchange):
+            if exchange.messages[-1].role == "user":
+                call = ToolCallRequest(tool="naive", args={"horizon": 3, "_inputs": inputs})
+                return AssistantReply(content="", tool_calls=(call,))
+            feedback.append(json.loads(exchange.messages[-1].content))
+            return AssistantReply(content=json.dumps({"answer_type": "forecast", "answer": [1.0, 1.0, 1.0]}))
+
+        result = run_inference(_instance(), _deps(tmp_path, PolicyGateway(fn), with_store=False))
+        assert [f["payload"]["error"] for f in feedback] == ["schema_violation"]
+        assert result.prediction == [1.0, 1.0, 1.0]
+
     def test_exploration_only_tool_requests_get_feedback_not_execution(self, tmp_path):
         calls = {"n": 0}
         feedback = []
@@ -582,6 +632,31 @@ class TestProfileOnce:
         calls = _count_calls(monkeypatch, ["dominant_period"])
         run_inference(_instance(), _deps(tmp_path, PolicyGateway(inference_policy)))
         assert calls == ["dominant_period"]
+
+    def test_no_second_period_scan(self, monkeypatch):
+        """fingerprint takes period_r from dominant_period: every
+        lagged_correlation it makes is one of the scan's own."""
+        calls: list[str] = []
+        scan, correlation = seriesops.dominant_period, seriesops.lagged_correlation
+
+        def counted_scan(values):
+            calls.append("dominant_period")
+            try:
+                return scan(values)
+            finally:
+                calls.append("end")
+
+        def counted_correlation(values, lag):
+            calls.append("inside" if calls and calls[-1] != "end" else "outside")
+            return correlation(values, lag)
+
+        monkeypatch.setattr(seriesops, "dominant_period", counted_scan)
+        monkeypatch.setattr(seriesops, "lagged_correlation", counted_correlation)
+        series = [float(t % 4) for t in range(24)]
+        fp = prompts.fingerprint(_instance(series=series))
+        assert fp.dominant_period == 4 and fp.period_r == correlation(series, 4)[0]
+        assert calls[0] == "dominant_period" and calls[-1] == "end"
+        assert "inside" in calls and "outside" not in calls
 
     def test_prompts_only_format_the_profile(self, monkeypatch):
         inst = _instance(gt=[13.0] * 3)

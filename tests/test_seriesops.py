@@ -8,23 +8,124 @@ from hypothesis import given, settings, strategies as st
 
 from timeclaw import seriesops
 
+# Plain numpy forms of the helpers, one numpy call per statistic: the
+# reference the shared-reduction helpers must match bit for bit.
+
+
+def population_std_oracle(values):
+    return float(np.std(np.asarray(values, dtype=float)))
+
+
+def ols_slope_oracle(values):
+    v = np.asarray(values, dtype=float)
+    if len(v) < 2:
+        return 0.0
+    x = np.arange(len(v), dtype=float)
+    xm = x - x.mean()
+    denom = float(np.dot(xm, xm))
+    if denom == 0.0:
+        return 0.0
+    return float(np.dot(xm, v - v.mean()) / denom)
+
+
+def trend_label_oracle(values):
+    slope = ols_slope_oracle(values)
+    std = population_std_oracle(values)
+    if std == 0.0:
+        return "stable", slope, 0.0
+    normalized = slope * len(values) / std
+    if abs(normalized) < seriesops.TREND_STABLE_CUTOFF:
+        return "stable", slope, normalized
+    return ("increasing" if normalized > 0 else "decreasing"), slope, normalized
+
+
+def lagged_correlation_oracle(values, lag):
+    v = np.asarray(values, dtype=float)
+    if lag < 1 or lag > len(v) - 2:
+        return 0.0, False
+    a, b = v[:-lag], v[lag:]
+    sa, sb = np.std(a), np.std(b)
+    if sa == 0.0 or sb == 0.0:
+        return 0.0, False
+    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb)), True
+
+
+def zscores_oracle(values):
+    v = np.asarray(values, dtype=float)
+    std = float(np.std(v))
+    if std == 0.0:
+        return [0.0] * len(v)
+    return [float(z) for z in (v - v.mean()) / std]
+
+
+def split_half_stationarity_oracle(values):
+    v = np.asarray(values, dtype=float)
+    half = len(v) // 2
+    if half < 2:
+        return {"stationary": True, "mean_shift": 0.0, "var_ratio": 1.0}
+    a, b = v[:half], v[half:]
+    scale = float(np.std(v))
+    mean_shift = abs(float(b.mean() - a.mean())) / scale if scale > 0 else 0.0
+    va, vb = float(np.var(a)), float(np.var(b))
+    var_ratio = vb / va if va > 0 else (1.0 if vb == 0 else float("inf"))
+    stationary = mean_shift < 0.5 and 0.25 <= var_ratio <= 4.0
+    return {"stationary": bool(stationary), "mean_shift": mean_shift, "var_ratio": var_ratio}
+
+
+def profile_oracle(values):
+    label, slope, normalized = trend_label_oracle(values)
+    stationarity = split_half_stationarity_oracle(values)
+    return seriesops.Profile(
+        mean=float(np.asarray(values, dtype=float).mean()),
+        std=population_std_oracle(values),
+        trend_class=label,
+        trend_slope=slope,
+        trend_normalized=normalized,
+        stationary=stationarity["stationary"],
+        mean_shift=stationarity["mean_shift"],
+        n_anomalies=sum(1 for z in zscores_oracle(values) if abs(z) > seriesops.ANOMALY_Z),
+    )
+
 
 def dominant_period_oracle(values):
-    """Reference: one exact lagged_correlation per lag, ascending."""
+    """Reference: one plain lagged_correlation per lag, ascending."""
     n = len(values)
     scores = []
     best_r = -math.inf
     for lag in range(2, n // 2 + 1):
-        r, defined = seriesops.lagged_correlation(values, lag)
+        r, defined = lagged_correlation_oracle(values, lag)
         if defined:
             scores.append((lag, r))
             best_r = max(best_r, r)
     if not scores:
-        return None, False
+        return None, False, None
     for lag, r in scores:  # ascending lag order
         if r >= best_r - seriesops._PERIOD_TIE_MARGIN:
-            return lag, r >= seriesops.PERIOD_SIGNIFICANCE
-    return None, False
+            return lag, r >= seriesops.PERIOD_SIGNIFICANCE, r
+    return None, False, None
+
+
+def bits(x):
+    """``x`` with every float as its repr, so == compares bits (nan included)
+    and a float never equals an int or a bool of the same value."""
+    if isinstance(x, float):
+        return ("float", repr(x))
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, [bits(v) for v in x]
+    if isinstance(x, dict):
+        return {k: bits(v) for k, v in x.items()}
+    return type(x).__name__, x
+
+
+def assert_helpers_match_oracles(values):
+    assert bits(seriesops.population_std(values)) == bits(population_std_oracle(values))
+    assert bits(seriesops.trend_label(values)) == bits(trend_label_oracle(values))
+    assert bits(seriesops.zscores(values)) == bits(zscores_oracle(values))
+    assert bits(seriesops.split_half_stationarity(values)) == bits(split_half_stationarity_oracle(values))
+    assert bits(seriesops.profile(values)) == bits(profile_oracle(values))
+    for lag in range(len(values) + 1):
+        assert bits(seriesops.lagged_correlation(values, lag)) == bits(lagged_correlation_oracle(values, lag))
+    assert bits(seriesops.dominant_period(values)) == bits(dominant_period_oracle(values))
 
 
 def _series(kind, n, seed, period):
@@ -56,6 +157,12 @@ def _series(kind, n, seed, period):
 KINDS = ("noise", "sinusoid", "rounded", "spike", "constant_half", "offset")
 
 
+EMPTY_SERIES_WARNINGS = pytest.mark.filterwarnings(
+    "ignore:Mean of empty slice", "ignore:invalid value encountered", "ignore:Degrees of freedom"
+)
+
+
+@EMPTY_SERIES_WARNINGS
 @settings(max_examples=300, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
@@ -64,33 +171,36 @@ KINDS = ("noise", "sinusoid", "rounded", "spike", "constant_half", "offset")
     period=st.integers(2, 60),
 )
 def test_dominant_period_matches_oracle(kind, n, seed, period):
-    values = _series(kind, n, seed, period)
-    assert seriesops.dominant_period(values) == dominant_period_oracle(values)
+    """...and so does every other helper its plain numpy form, bit for bit."""
+    assert_helpers_match_oracles(_series(kind, n, seed, period))
 
 
+@EMPTY_SERIES_WARNINGS
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-3, 3), max_size=200))
 def test_dominant_period_matches_oracle_on_small_integers(values):
     # many exact ties: exercises the tie margin and the smallest-lag rule
-    assert seriesops.dominant_period(values) == dominant_period_oracle(values)
+    assert_helpers_match_oracles(values)
 
 
+@EMPTY_SERIES_WARNINGS
 @pytest.mark.parametrize("n", range(6))
 def test_short_series(n):
     for values in ([float(i) for i in range(n)], [float((i * 7) % 3) for i in range(n)]):
-        assert seriesops.dominant_period(values) == dominant_period_oracle(values)
-    assert seriesops.dominant_period([1.0] * n) == (None, False)
+        assert_helpers_match_oracles(values)
+    assert seriesops.dominant_period([1.0] * n) == (None, False, None)
 
 
 def test_constant_series_has_no_period():
-    assert seriesops.dominant_period([5.0] * 50) == (None, False)
-    assert dominant_period_oracle([5.0] * 50) == (None, False)
+    assert seriesops.dominant_period([5.0] * 50) == (None, False, None)
+    assert dominant_period_oracle([5.0] * 50) == (None, False, None)
 
 
 def test_exact_harmonic_reports_fundamental():
     values = [math.sin(2 * math.pi * t / 24) for t in range(120)]
-    assert seriesops.dominant_period(values) == (24, True)
-    assert dominant_period_oracle(values) == (24, True)
+    lag, significant, r = seriesops.dominant_period(values)
+    assert (lag, significant) == (24, True)
+    assert dominant_period_oracle(values) == (24, True, r)
 
 
 # Each series puts one lag's r within a few ulps of best_r - 0.01, where only
@@ -129,4 +239,4 @@ KNIFE_EDGE = [
 
 @pytest.mark.parametrize("values", KNIFE_EDGE)
 def test_knife_edge_at_tie_cutoff(values):
-    assert seriesops.dominant_period(values) == dominant_period_oracle(values)
+    assert bits(seriesops.dominant_period(values)) == bits(dominant_period_oracle(values))
