@@ -271,15 +271,12 @@ def render_memory_rules(rules: Sequence[Any]) -> str:
 
 
 def _support_lines(selection: Any) -> list[str]:
-    """Skills, decision skills, and focused tool notes (user-prompt layers)."""
+    """Skills and focused tool notes (user-prompt layers)."""
     lines: list[str] = []
     skills = getattr(selection, "skills_text", "") if selection is not None else ""
-    decisions = getattr(selection, "skills_decision_text", "") if selection is not None else ""
     tool_notes = getattr(selection, "tool_notes", {}) if selection is not None else {}
     lines.append("#### Skills")
     lines.append(_cap(skills) if skills else "(none)")
-    lines.append("#### Decision Skills")
-    lines.append(_cap(decisions) if decisions else "(none)")
     lines.append("#### Focused Tool Notes")
     if tool_notes:
         for tool_id in sorted(tool_notes):

@@ -12,7 +12,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Sequence
 
 from .registry import ToolCategory, ToolDescriptor, ToolRegistry, ToolUsageLedger
 from .util import stable_rng
@@ -132,13 +132,6 @@ class ComparisonResult:
     def mean_top_share_reduction(self) -> float:
         diffs = [o - n for o, n in zip(self.off["top_share"], self.on["top_share"])]
         return sum(diffs) / len(diffs) if diffs else 0.0
-
-    def coverage_at(self, prefix: int, on: bool = True) -> Optional[float]:
-        curve = self.on if on else self.off
-        for p, c in zip(self.prefixes, curve["coverage"]):
-            if p == prefix:
-                return c
-        return None
 
     def to_dict(self) -> dict[str, Any]:
         return {

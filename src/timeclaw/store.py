@@ -10,8 +10,9 @@ Layer roles:
   never injected into prompts.
 * Memory — bounded structured rules (kind, summary, applicability,
   preferred/avoided tools, rationale, evidence, confidence, injectable).
-* Tool notes / Skills / Skills-decision — derived layers rebuilt only when
-  the memory fingerprint actually changes.
+* Tool notes / Skills — derived layers, each a function of its own scope's
+  memory with every line written once, rebuilt only when the memory
+  fingerprint actually changes.
 
 Every mutation of one scope is serialized; notes sequence numbers are
 gapless and committed notes are never modified.
@@ -520,7 +521,7 @@ def update_memory(state: MemoryState, ev: CleanEvidence) -> str:
 _NOTE_OPEN = re.compile(r"<!-- note (\d+) -->")
 
 # Files the store only ever writes whole; it keeps their text in memory.
-_REWRITTEN = ("soul.md", "memory/*.json", "skills/*.md", "skills_decision/*.md", "tools/*.md")
+_REWRITTEN = ("soul.md", "memory/*.json", "skills/*.md", "tools/*/*.md")
 
 # A note's shard block: (key, LearningNote attribute, JSON read when the key
 # is missing), in the order the block lists them. ``sensitive`` is not among
@@ -611,7 +612,6 @@ class Selection:
 
     rules: list[MemoryRule] = field(default_factory=list)
     skills_text: str = ""
-    skills_decision_text: str = ""
     tool_notes: dict[str, str] = field(default_factory=dict)
 
 
@@ -644,7 +644,7 @@ class ExperienceStore:
         self._scopes: dict[str, _Scope] = {}
         self._scopes_guard = threading.Lock()
         # Held to publish a scope's memory and rebuild the layers derived from
-        # it, so the tool cards, which read every scope, see whole states.
+        # it, so a retrieval sees a memory and the layers built from it.
         # Every change to ``_files`` and to a scope's ``memory`` holds it.
         self._publish = threading.RLock()
         self._files: dict[str, str] = {}
@@ -673,7 +673,7 @@ class ExperienceStore:
         with self._publish:
             if self._laid_out:
                 return
-            for sub in ("notes", "memory", "tools", "skills", "skills_decision", "snapshots"):
+            for sub in ("notes", "memory", "tools", "skills", "snapshots"):
                 (self.root / sub).mkdir(parents=True, exist_ok=True)
             self._laid_out = True
             if "soul.md" not in self._files:
@@ -706,9 +706,6 @@ class ExperienceStore:
         with self._publish:
             self._write(f"memory/{scope}.json", json.dumps(state.to_dict(), sort_keys=True, indent=1) + "\n")
             self._scope(scope).memory = state
-
-    def memory_fingerprint(self, scope: str) -> str:
-        return self.memory_state(scope).content_fingerprint()
 
     def scopes(self) -> list[str]:
         return [name for name, held in self._sorted_scopes() if held.note_count]
@@ -759,9 +756,6 @@ class ExperienceStore:
 
     # -- distillation -----------------------------------------------------
 
-    def pending_count(self, scope: str) -> int:
-        return len(self.pending_notes(scope))
-
     def pending_notes(self, scope: str) -> list[LearningNote]:
         held = self._scopes.get(scope)
         return list(held.pending) if held is not None else []
@@ -794,10 +788,9 @@ class ExperienceStore:
                 held.pending = []
                 stages = ["notes_to_memory"]
                 if after != before:
-                    self._rebuild_tool_notes()
+                    self._rebuild_tool_notes(scope, state)
                     self._rebuild_skills(scope, state)
-                    self._rebuild_skills_decision(scope, state)
-                    stages += ["memory_to_tool_notes", "memory_to_skills", "memory_to_skills_decision"]
+                    stages += ["memory_to_tool_notes", "memory_to_skills"]
                     self.snapshot(scope)
             return stages
 
@@ -819,76 +812,58 @@ class ExperienceStore:
 
     # -- derived layers ---------------------------------------------------
 
-    def _rebuild_tool_notes(self) -> None:
-        per_tool: dict[str, list[str]] = {}
-        for scope, h in self._sorted_scopes():
-            for rule in h.memory.rules:
-                for stance, tools in (("preferred", rule.preferred_tools), ("avoided", rule.avoided_tools)):
-                    for tool in tools:
-                        per_tool.setdefault(tool, []).append(
-                            f"- {scope}: {stance} ({rule.kind}, confidence {rule.confidence:.2f}, "
-                            f"when {json.dumps(rule.applicability, sort_keys=True)})"
-                        )
-        for rel in [rel for rel in self._files if rel.startswith("tools/")]:
+    def _rebuild_tool_notes(self, scope: str, state: MemoryState) -> None:
+        """Rewrite ``tools/<scope>/<tool>.md`` for every tool the scope's rules
+        name, and delete the scope's cards no rule names any more."""
+        per_tool: dict[str, set[str]] = {}
+        for rule in state.rules:
+            for stance, tools in (("preferred", rule.preferred_tools), ("avoided", rule.avoided_tools)):
+                line = (
+                    f"- {stance} ({rule.kind}, confidence {rule.confidence:.2f}, "
+                    f"when {json.dumps(rule.applicability, sort_keys=True)})"
+                )
+                for tool in tools:
+                    per_tool.setdefault(tool, set()).add(line)
+        prefix = f"tools/{scope}/"
+        for rel in [rel for rel in self._files if rel.startswith(prefix)]:
             if Path(rel).stem not in per_tool:
                 (self.root / rel).unlink()
                 del self._files[rel]
+        (self.root / prefix).mkdir(exist_ok=True)
         for tool, lines in sorted(per_tool.items()):
-            self._write(f"tools/{tool}.md", "\n".join([f"# Tool notes: {tool}", *sorted(lines)]) + "\n")
-
-    @staticmethod
-    def _top_rules(state: MemoryState, limit: int = 8) -> list[MemoryRule]:
-        injectable = [r for r in state.rules if r.injectable]
-        return sorted(injectable, key=lambda r: (-r.confidence, r.seq))[:limit]
+            self._write(f"{prefix}{tool}.md", "\n".join([f"# Tool notes: {tool}", *sorted(lines)]) + "\n")
 
     def _rebuild_skills(self, scope: str, state: MemoryState) -> None:
-        lines = [f"# Procedures: {scope}", ""]
-        for i, rule in enumerate(self._top_rules(state), 1):
-            prefer = _chain_text(sorted(rule.preferred_tools))
-            avoid = _chain_text(sorted(rule.avoided_tools)) if rule.avoided_tools else ""
+        """One line per procedure of the scope's top rules, in rank order;
+        rules that read the same give one line."""
+        ranked = sorted((r for r in state.rules if r.injectable), key=lambda r: (-r.confidence, r.seq))
+        lines = []
+        for rule in ranked[:8]:
             line = (
-                f"{i}. When {json.dumps(rule.applicability, sort_keys=True)}: "
-                f"prefer {prefer}"
+                f"- When {json.dumps(rule.applicability, sort_keys=True)}: "
+                f"prefer {_chain_text(sorted(rule.preferred_tools))}"
             )
-            if avoid:
-                line += f"; avoid {avoid}"
-            line += f" (confidence {rule.confidence:.2f}, evidence {len(rule.evidence)})."
-            lines.append(line)
-        if len(lines) == 2:
-            lines.append("(no stable procedures yet)")
-        self._write(f"skills/{scope}.md", "\n".join(lines) + "\n")
-
-    def _rebuild_skills_decision(self, scope: str, state: MemoryState) -> None:
-        lines = [f"# Decision guidance: {scope}", ""]
-        lines.append("- Check remembered preferences before choosing a primary tool.")
-        for rule in self._top_rules(state, limit=5):
-            if rule.preferred_tools:
-                lines.append(
-                    f"- When {json.dumps(rule.applicability, sort_keys=True)}: start from "
-                    f"{sorted(rule.preferred_tools)[0]}."
-                )
-            elif rule.avoided_tools:
-                lines.append(
-                    f"- When {json.dumps(rule.applicability, sort_keys=True)}: avoid "
-                    f"{_chain_text(sorted(rule.avoided_tools))}."
-                )
-        self._write(f"skills_decision/{scope}.md", "\n".join(lines) + "\n")
+            if rule.avoided_tools:
+                line += f"; avoid {_chain_text(sorted(rule.avoided_tools))}"
+            lines.append(line + f" (confidence {rule.confidence:.2f}, evidence {len(rule.evidence)}).")
+        body = list(dict.fromkeys(lines)) or ["(no stable procedures yet)"]
+        self._write(f"skills/{scope}.md", "\n".join([f"# Procedures: {scope}", "", *body]) + "\n")
 
     # -- retrieval ----------------------------------------------------------
 
     def retrieve(self, scope: str, fp: SampleFingerprint) -> Selection:
-        """Injectable rules matching the fingerprint, plus skills and the
-        tool notes focused on the selected rules' preferred tools."""
+        """Injectable rules matching the fingerprint, plus the scope's skills
+        and its tool notes on the selected rules' preferred tools."""
         with self._publish:
             state = self.memory_state(scope)
             rules = [r for r in state.rules if r.injectable and match(r.applicability, fp)]
             rules.sort(key=lambda r: (-r.confidence, r.seq))
             tools = sorted({t for r in rules for t in r.preferred_tools})
-            tool_notes = {t: self._files[f"tools/{t}.md"] for t in tools if f"tools/{t}.md" in self._files}
+            prefix = f"tools/{scope}/"
+            tool_notes = {t: self._files[f"{prefix}{t}.md"] for t in tools if f"{prefix}{t}.md" in self._files}
             return Selection(
                 rules=rules,
                 skills_text=self._files.get(f"skills/{scope}.md", ""),
-                skills_decision_text=self._files.get(f"skills_decision/{scope}.md", ""),
                 tool_notes=tool_notes,
             )
 
@@ -903,8 +878,8 @@ class ExperienceStore:
         with self._publish:
             self._lay_out()
             held = self._scope(scope)
-            layers = ["soul.md", f"memory/{scope}.json", f"skills/{scope}.md", f"skills_decision/{scope}.md",
-                      *sorted(rel for rel in self._files if rel.startswith("tools/"))]
+            layers = ["soul.md", f"memory/{scope}.json", f"skills/{scope}.md",
+                      *sorted(rel for rel in self._files if rel.startswith(f"tools/{scope}/"))]
             content = {rel: self._files[rel] for rel in layers if rel in self._files}
             entry = {
                 "seq": len(held.snapshots) + 1,

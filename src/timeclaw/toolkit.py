@@ -44,11 +44,6 @@ class ToolArtifact:
     def is_error(self) -> bool:
         return self.kind == ArtifactKind.TEXT and isinstance(self.payload, Mapping) and "error" in self.payload
 
-    def series_values(self) -> list[float]:
-        if self.kind != ArtifactKind.SERIES:
-            raise ContractError(f"artifact {self.artifact_id} is not a series")
-        return list(self.payload["values"])
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "artifact_id": self.artifact_id,

@@ -344,7 +344,7 @@ def test_c07_store_laws(tmp_path, report):
             )
         )
     flush_stages = store.finalize("tail_scope")
-    flush_ok = "notes_to_memory" in flush_stages and store.pending_count("tail_scope") == 0
+    flush_ok = "notes_to_memory" in flush_stages and len(store.pending_notes("tail_scope")) == 0
     # a batch carrying no tool stance leaves the fingerprint unchanged
     for i in range(10):
         store.commit_note(
@@ -532,7 +532,7 @@ def test_c10_dropout_collapse_analog(report):
     top_ok = all(
         on <= off + 1e-12 for on, off in zip(result.on["top_share"], result.off["top_share"])
     )
-    cov_on, cov_off = result.coverage_at(50, on=True), result.coverage_at(50, on=False)
+    cov_on, cov_off = (dict(zip(result.prefixes, curve["coverage"])).get(50) for curve in (result.on, result.off))
     coverage_ok = cov_on is not None and cov_off is not None and cov_on >= cov_off
     reduction_pp = result.mean_top_share_reduction() * 100
     report(

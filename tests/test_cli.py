@@ -207,17 +207,20 @@ class TestExplore:
             notes = reopened.notes(scope)
             assert [n.sequence for n in notes] == list(range(1, len(notes) + 1))
             assert reopened.memory_state(scope).distilled_through == len(notes)
-        # the tool cards on disk are the ones the final memory of every scope gives
+        # the tool cards on disk are the ones each scope's final memory gives
         rebuilt = tmp_path / "rebuilt"
         shutil.copytree(store, rebuilt)
-        for card in (rebuilt / "tools").glob("*.md"):
+        for card in (rebuilt / "tools").glob("*/*.md"):
             card.unlink()
-        ExperienceStore(rebuilt)._rebuild_tool_notes()
-        cards = sorted(p.name for p in (store / "tools").glob("*.md"))
+        copy = ExperienceStore(rebuilt)
+        for scope in copy.scopes():
+            copy._rebuild_tool_notes(scope, copy.memory_state(scope))
+        cards = sorted(p.relative_to(store).as_posix() for p in (store / "tools").glob("*/*.md"))
         assert cards
-        assert cards == sorted(p.name for p in (rebuilt / "tools").glob("*.md"))
-        for name in cards:
-            assert (store / "tools" / name).read_text() == (rebuilt / "tools" / name).read_text()
+        assert {card.split("/")[1] for card in cards} == set(reopened.scopes())
+        assert cards == sorted(p.relative_to(rebuilt).as_posix() for p in (rebuilt / "tools").glob("*/*.md"))
+        for rel in cards:
+            assert (store / rel).read_text() == (rebuilt / rel).read_text()
 
     def test_script_misses_are_partial_failures_not_crashes(self, corpus_dir, tmp_path):
         empty_script = tmp_path / "empty.json"

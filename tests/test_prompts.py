@@ -36,7 +36,6 @@ class _Selection:
     def __init__(self, rules):
         self.rules = rules
         self.skills_text = "1. When seasonal: prefer seasonal_naive."
-        self.skills_decision_text = "- start from seasonal_naive"
         self.tool_notes = {"seasonal_naive": "- strong on daily cycles"}
 
 

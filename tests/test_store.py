@@ -457,10 +457,9 @@ class TestDistillationTriggers:
             "notes_to_memory",
             "memory_to_tool_notes",
             "memory_to_skills",
-            "memory_to_skills_decision",
         ]
         assert (tmp_path / "skills" / f"{SCOPE}.md").exists()
-        assert (tmp_path / "tools" / "seasonal_naive.md").exists()
+        assert (tmp_path / "tools" / SCOPE / "seasonal_naive.md").exists()
 
 
 class TestRetrieve:
@@ -533,7 +532,7 @@ class TestSnapshots:
         for i in range(30):
             store.commit_note(_note(seq=None, winner=(f"tool_{i % 4}",)))
             store.maybe_trigger_distillation(SCOPE)
-            seen_states.append(store.memory_fingerprint(SCOPE))
+            seen_states.append(store.memory_state(SCOPE).content_fingerprint())
         timeline = store.snapshot_timeline(SCOPE)
         assert timeline  # distillation snapshots happened
         for entry in timeline:
@@ -605,7 +604,7 @@ class TestLayout:
     def test_first_write_lays_the_store_out(self, tmp_path):
         store = ExperienceStore(tmp_path)
         store.commit_note(_note(seq=None))
-        subdirs = {"notes", "memory", "tools", "skills", "skills_decision", "snapshots"}
+        subdirs = {"notes", "memory", "tools", "skills", "snapshots"}
         assert {p.name for p in tmp_path.iterdir() if p.is_dir()} == subdirs
         assert (tmp_path / "soul.md").read_text() == DEFAULT_SOUL
 
@@ -654,9 +653,9 @@ class TestInMemoryState:
 
 def _held_layers(root, scope):
     """The layers a snapshot of ``scope`` covers, as they are on disk now."""
-    rels = ["soul.md", f"memory/{scope}.json", f"skills/{scope}.md", f"skills_decision/{scope}.md"]
+    rels = ["soul.md", f"memory/{scope}.json", f"skills/{scope}.md"]
     layers = {rel: (root / rel).read_text() for rel in rels if (root / rel).exists()}
-    layers.update((p.relative_to(root).as_posix(), p.read_text()) for p in sorted((root / "tools").glob("*.md")))
+    layers.update((p.relative_to(root).as_posix(), p.read_text()) for p in sorted((root / "tools" / scope).glob("*.md")))
     return layers
 
 
@@ -665,6 +664,28 @@ def _held_layers(root, scope):
 OTHER = "synth_other_short"
 CHURN = [_note(seq=None, winner=(f"t{i:02d}",), losers=()) for i in range(70)]
 CHURN[2::3] = [_note(seq=None, scope=OTHER, winner=(f"t{i % 5:02d}",), losers=()) for i in range(len(CHURN[2::3]))]
+
+
+class TestScopeLocalLayers:
+    def test_a_distillation_leaves_other_scopes_and_repeats_no_line(self, tmp_path, seasonal_instance):
+        store = ExperienceStore(tmp_path)
+        store.commit_note(_note(seq=None, scope=OTHER, winner=("b",), losers=("a",)))
+        store.finalize(OTHER)
+        fp = fingerprint(seasonal_instance)
+        selection, digest = store.retrieve(OTHER, fp), store.snapshot(OTHER)
+        assert set(selection.tool_notes) == {"b"}
+        # SCOPE's rules name OTHER's tools too; its second and third rules
+        # both prefer b at confidence 0.50, the third in a conflict
+        for winner, loser in (("d", "c"), ("b", "a"), ("b", "d")):
+            store.commit_note(_note(seq=None, winner=(winner,), losers=(loser,)))
+            assert "memory_to_tool_notes" in store.finalize(SCOPE)
+        assert store.retrieve(OTHER, fp) == selection
+        assert store.snapshot(OTHER) == digest
+        written = [*tmp_path.glob("tools/**/*.md"), *tmp_path.glob("skills/*.md")]
+        assert len(written) == 8  # OTHER's cards a and b, SCOPE's a to d, two skills
+        for path in written:
+            lines = path.read_text().splitlines()
+            assert len(lines) == len(set(lines)), path
 
 
 class TestSnapshotLog:

@@ -6,6 +6,7 @@ from timeclaw.core import EvaluatorCapability, SealedAnswer, TaskInstance, TaskT
 from timeclaw.errors import CapabilityError
 from timeclaw.toolkit import (
     ORIGINAL_INPUT,
+    ArtifactKind,
     ArtifactStore,
     InvocationContext,
     ToolInvocation,
@@ -38,23 +39,28 @@ def _invoke(toolkit, instance, ctx, tool, args=None, inputs=(ORIGINAL_INPUT,), s
     return artifact, store
 
 
+def _series_values(artifact):
+    assert artifact.kind == ArtifactKind.SERIES
+    return list(artifact.payload["values"])
+
+
 class TestForecastTools:
     def test_naive_repeats_last(self, toolkit, exploration_ctx):
         instance, ctx = exploration_ctx
         art, _ = _invoke(toolkit, instance, ctx, "naive", {"horizon": 2})
-        assert art.series_values() == [3.0, 3.0]
+        assert _series_values(art) == [3.0, 3.0]
 
     def test_drift_extrapolates_slope(self, toolkit):
         instance = _series_instance([0.0, 2.0], horizon=2)
         ctx = InvocationContext(mode="inference", instance=instance)
         art, _ = _invoke(toolkit, instance, ctx, "drift", {"horizon": 2})
-        assert art.series_values() == pytest.approx([4.0, 6.0])
+        assert _series_values(art) == pytest.approx([4.0, 6.0])
 
     def test_seasonal_naive_repeats_last_period(self, toolkit):
         instance = _series_instance([1.0, 2.0, 1.0, 2.0], horizon=3)
         ctx = InvocationContext(mode="inference", instance=instance)
         art, _ = _invoke(toolkit, instance, ctx, "seasonal_naive", {"horizon": 3, "period": 2})
-        assert art.series_values() == [1.0, 2.0, 1.0]
+        assert _series_values(art) == [1.0, 2.0, 1.0]
 
     def test_seasonal_naive_full_period_reproduces_series(self, toolkit):
         values = [3.0, 1.0, 4.0, 1.0, 5.0]
@@ -63,7 +69,7 @@ class TestForecastTools:
         art, _ = _invoke(
             toolkit, instance, ctx, "seasonal_naive", {"horizon": 5, "period": 5}
         )
-        assert art.series_values() == values
+        assert _series_values(art) == values
 
     def test_insufficient_history_is_error_artifact(self, toolkit):
         instance = _series_instance([1.0, 2.0, 3.0], horizon=2)
@@ -76,19 +82,19 @@ class TestForecastTools:
         instance = _series_instance([5.0, 5.0, 5.0, 5.0], horizon=3)
         ctx = InvocationContext(mode="inference", instance=instance)
         art, _ = _invoke(toolkit, instance, ctx, "ses", {"horizon": 3})
-        assert art.series_values() == pytest.approx([5.0, 5.0, 5.0])
+        assert _series_values(art) == pytest.approx([5.0, 5.0, 5.0])
 
     def test_holt_linear_trend(self, toolkit):
         instance = _series_instance([1.0, 2.0, 3.0, 4.0], horizon=2)
         ctx = InvocationContext(mode="inference", instance=instance)
         art, _ = _invoke(toolkit, instance, ctx, "holt", {"horizon": 2, "alpha": 1.0, "beta": 1.0})
-        assert art.series_values() == pytest.approx([5.0, 6.0])
+        assert _series_values(art) == pytest.approx([5.0, 6.0])
 
     def test_moving_average_window(self, toolkit):
         instance = _series_instance([1.0, 2.0, 3.0, 7.0], horizon=2)
         ctx = InvocationContext(mode="inference", instance=instance)
         art, _ = _invoke(toolkit, instance, ctx, "moving_average", {"horizon": 2, "window": 2})
-        assert art.series_values() == pytest.approx([5.0, 5.0])
+        assert _series_values(art) == pytest.approx([5.0, 5.0])
 
 
 class TestAnalysisTools:
