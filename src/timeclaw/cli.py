@@ -33,7 +33,7 @@ from .registry import LEDGER_FILE, ToolRegistry, ToolUsageLedger, load_registry
 from .replay import lint as lint_trace, replay as replay_trace
 from .store import ExperienceStore
 from .toolkit import builtin_toolkit
-from .util import canonical_json
+from .util import canonical_json, write_atomic
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -85,7 +85,7 @@ def _build_deps(
 def _write_summary(out_dir: Path, name: str, summary: dict[str, Any]) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return path
 
 
@@ -188,9 +188,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     _save_recorded_script(gateway, args)
 
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w") as fh:
-        for r in results:
-            fh.write(canonical_json(r.to_dict()) + "\n")
+    write_atomic(out_path, "".join(canonical_json(r.to_dict()) + "\n" for r in results))
     summary = {
         "command": "infer",
         "version": __version__,
@@ -283,7 +281,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }
     out_path = Path(args.out) if args.out else Path("scores.json")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    write_atomic(out_path, json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"eval: {len(reports)} scope report(s) -> {out_path}")
     return EXIT_OK
 
@@ -323,7 +321,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out = {"command": "report", "version": __version__, "scopes": report}
     text = json.dumps(out, indent=1, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_atomic(Path(args.out), text + "\n")
     print(text)
     return EXIT_OK
 

@@ -64,8 +64,14 @@ class ChatExchange:
     messages: list[ChatMessage]
     declared_tools: list[dict[str, Any]] = field(default_factory=list)
 
-    def declared_tool_names(self) -> list[str]:
-        return sorted(t["name"] for t in self.declared_tools)
+    def declared_tool_names(self) -> tuple[str, ...]:
+        """The declared tools' names, sorted; worked out once per exchange,
+        which the digest, the trace and the policy each read."""
+        return self._tool_names
+
+    @cached_property
+    def _tool_names(self) -> tuple[str, ...]:
+        return tuple(sorted(t["name"] for t in self.declared_tools))
 
 
 @dataclass

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
@@ -126,6 +127,13 @@ class EpisodeDeps:
 
     def __post_init__(self) -> None:
         self.traces = TraceLog(self.trace_dir) if self.trace_dir is not None else None
+
+    @cached_property
+    def inference_tools(self) -> tuple[frozenset[str], list[dict[str, Any]]]:
+        """The tools inference exposes and their schemas, worked out once per
+        run: the registry and toolkit do not change while one runs."""
+        visible = [t for t in self.registry.inference_visible() if self.toolkit.has(t)]
+        return frozenset(visible), [self.toolkit.tool_schema(t) for t in visible]
 
 
 @dataclass(frozen=True)
@@ -364,7 +372,7 @@ class _EpisodeRunner:
         self.tokens_used = 0
         self.gateway_calls = 0
         self.substantive_used: list[str] = []
-        self.declared: dict[Optional[int], list[str]] = {}  # last tool list requested, per branch
+        self.declared: dict[Optional[int], tuple[str, ...]] = {}  # last tool list requested, per branch
         self.fp = prompts.fingerprint(instance)
         self.selection = deps.store.retrieve(instance.scope, self.fp) if deps.store else None
         self.prior_exists = bool(self.selection and self.selection.rules)
@@ -465,10 +473,7 @@ def _step_loop(
     Returns the invoked (tool, artifact) steps, the parsed final
     message (None without one), and the failure reason: ``gateway_error: ...``,
     ``step_cap``, or None once a final message arrived."""
-    messages = [
-        ChatMessage(role="system", content=bundle.system_text),
-        ChatMessage(role="user", content=bundle.user_text),
-    ]
+    messages = [bundle.system, ChatMessage(role="user", content=bundle.user_text)]
     steps: list[_Step] = []
     for _step in range(max_steps):
         exchange = ChatExchange(messages=messages, declared_tools=bundle.declared_tools)
@@ -593,10 +598,7 @@ def run_exploration_episode(
             exploration_tools,
             soul=deps.store.soul_text() if deps.store else "",
         )
-        messages = [
-            ChatMessage(role="system", content=bundle.system_text),
-            ChatMessage(role="user", content=bundle.user_text),
-        ]
+        messages = [bundle.system, ChatMessage(role="user", content=bundle.user_text)]
 
         def main_exchange() -> Optional[AssistantReply]:
             exchange = ChatExchange(messages=messages, declared_tools=exploration_tools)
@@ -871,8 +873,7 @@ def run_inference(
     view = replace(instance, ground_truth=None)
     runner = _EpisodeRunner(view, deps)
     with runner.trace:
-        visible = [t for t in deps.registry.inference_visible() if deps.toolkit.has(t)]
-        declared = [deps.toolkit.tool_schema(t) for t in visible]
+        visible, declared = deps.inference_tools
         bundle = prompts.build_inference_prompt(
             view,
             runner.fp,

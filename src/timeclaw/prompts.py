@@ -6,6 +6,10 @@ Prompt construction is pure and never touches ground truth (which is sealed
 anyway). fingerprint() profiles an instance once with the shared numeric
 helpers: one period scan, which also gives the r at its period, and one set of
 reductions for everything else. The builders only format that profile.
+
+What a prompt takes from the store depends only on the retrieval Selection
+(and the soul), so the system message and the Support lines are rendered once
+per Selection and kept on it (see ``_rendered``), not once per prompt.
 """
 
 from __future__ import annotations
@@ -13,13 +17,14 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from . import seriesops
 from .core import TaskInstance, TaskType
 from .errors import ContractError
+from .gateway import ChatMessage
 
 LEARNING_SUMMARY_TYPE = "learning_summary"
 
@@ -128,9 +133,13 @@ def match(applicability: Mapping[str, Any], fp: SampleFingerprint) -> bool:
 
 @dataclass
 class PromptBundle:
-    system_text: str
+    system: ChatMessage  # shared by every prompt built from one Selection
     user_text: str
     declared_tools: list[dict[str, Any]]
+
+    @property
+    def system_text(self) -> str:
+        return self.system.content
 
     def declared_tool_names(self) -> list[str]:
         return sorted(t["name"] for t in self.declared_tools)
@@ -270,6 +279,23 @@ def render_memory_rules(rules: Sequence[Any]) -> str:
     return _cap("\n".join(lines))
 
 
+_T = TypeVar("_T")
+
+
+def _rendered(selection: Any, key: Any, build: Callable[[], _T]) -> _T:
+    """``build()``, kept in ``selection.rendered`` when the selection has that
+    cache (a store's Selection, which is read-only, so what is rendered from
+    it stays valid as long as it does). Threads that race both build the same
+    value, and either may be kept."""
+    cache = getattr(selection, "rendered", None)
+    if cache is None:
+        return build()
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+    return value
+
+
 def _support_lines(selection: Any) -> list[str]:
     """Skills and focused tool notes (user-prompt layers)."""
     lines: list[str] = []
@@ -299,6 +325,17 @@ def _system_text(soul: str, rules: Sequence[Any]) -> str:
     return f"{soul.strip()}\n\n## Memory\n{render_memory_rules(rules)}\n"
 
 
+def _system_message(selection: Any, soul: str) -> ChatMessage:
+    """The system message of every prompt built from ``selection``: soul plus
+    its memory rules. One message object per Selection and soul, so the
+    digest piece it caches is also computed once."""
+    return _rendered(
+        selection,
+        ("system", soul),
+        lambda: ChatMessage(role="system", content=_system_text(soul, getattr(selection, "rules", ()))),
+    )
+
+
 def _frame(objective: str, observation: str, decision: str, tools: str) -> str:
     return f"{objective}\n\n{observation}\n\n{decision}\n\n{tools}\n"
 
@@ -309,7 +346,7 @@ def _observation_section(fp: SampleFingerprint, selection: Any) -> str:
     lines.append("### Profiling")
     lines.extend(_profiling_lines(fp))
     lines.append("### Support")
-    lines.extend(_support_lines(selection))
+    lines.extend(_rendered(selection, "support", lambda: tuple(_support_lines(selection))))
     return "\n".join(lines)
 
 
@@ -324,7 +361,7 @@ def build_exploration_prompt(
     """Main-agent exploration context: spawn/evaluate guidance, slot hints,
     and a learning_summary completion contract. With prior rules, it also
     asks for a prior-guided and an alternative candidate."""
-    rules = list(getattr(selection, "rules", ())) if selection is not None else []
+    rules = getattr(selection, "rules", ())
     objective = _objective_section(
         instance,
         LEARNING_SUMMARY_TYPE,
@@ -359,7 +396,7 @@ def build_exploration_prompt(
     decision = "\n".join(decision_lines)
 
     return PromptBundle(
-        system_text=_system_text(soul, rules),
+        system=_system_message(selection, soul),
         user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
         declared_tools=list(declared_tools),
     )
@@ -375,7 +412,6 @@ def build_branch_prompt(
 ) -> PromptBundle:
     """Sub-agent variant: same frame plus a branch-local goal and slot-local
     tool hint; the branch finishes with an ordinary task answer."""
-    rules = list(getattr(selection, "rules", ())) if selection is not None else []
     objective = _objective_section(
         instance,
         instance.task_type.value,
@@ -394,7 +430,7 @@ def build_branch_prompt(
         ]
     )
     return PromptBundle(
-        system_text=_system_text(soul, rules),
+        system=_system_message(selection, soul),
         user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
         declared_tools=list(declared_tools),
     )
@@ -409,8 +445,7 @@ def build_inference_prompt(
 ) -> PromptBundle:
     """Inference context: reinjected experience, task-facing tools only, and
     an ordinary answer contract."""
-    rules = list(getattr(selection, "rules", ())) if selection is not None else []
-    for r in rules:
+    for r in getattr(selection, "rules", ()):
         if not r.injectable:
             raise ContractError(f"rule {r.rule_id} is not injectable and cannot be rendered")
     declared_names = {t["name"] for t in declared_tools}
@@ -436,7 +471,7 @@ def build_inference_prompt(
         ]
     )
     return PromptBundle(
-        system_text=_system_text(soul, rules),
+        system=_system_message(selection, soul),
         user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
         declared_tools=list(declared_tools),
     )

@@ -195,6 +195,9 @@ class ToolRegistry:
 
     def __init__(self, descriptors: Iterable[ToolDescriptor], ledger: Optional[ToolUsageLedger] = None):
         self._tools: dict[str, ToolDescriptor] = {}
+        # per scope, the dropout set-up that depends on the descriptors alone:
+        # the tools protected there, and the competing sets in category order
+        self._dropout: dict[str, tuple[frozenset[str], tuple[tuple[str, ...], ...]]] = {}
         for d in descriptors:
             self.add(d)
         self.ledger = ledger if ledger is not None else ToolUsageLedger()
@@ -203,6 +206,7 @@ class ToolRegistry:
         if descriptor.tool_id in self._tools:
             raise ContractError(f"duplicate tool id {descriptor.tool_id}")
         self._tools[descriptor.tool_id] = descriptor
+        self._dropout.clear()
 
     def descriptor(self, tool_id: str) -> Optional[ToolDescriptor]:
         return self._tools.get(tool_id)
@@ -250,18 +254,14 @@ class ToolRegistry:
         """
         counts = self.ledger.counts(scope)
         rng = stable_rng("visible", seed, scope, slot)
-        kept: set[str] = set()
-        protected = {
-            t
-            for t, d in self._tools.items()
-            if d.substantive and (d.protected_for(scope) or t in set(extra_protected))
-        }
-        kept.update(protected)
+        scope_protected, groups = self._dropout_setup(scope)
+        hinted = {t for t in extra_protected if (d := self._tools.get(t)) is not None and d.substantive}
+        kept: set[str] = {*scope_protected, *hinted}
 
         survivors: list[str] = []
         all_competitors: list[str] = []
-        for _category, competitors in sorted(self.competing_sets(scope).items()):
-            competitors = [t for t in competitors if t not in protected]
+        for competitors in groups:
+            competitors = [t for t in competitors if t not in hinted]
             if not competitors:
                 continue
             all_competitors.extend(competitors)
@@ -283,6 +283,16 @@ class ToolRegistry:
                 kept.add(tool_id)
                 survivors.append(tool_id)
         return frozenset(kept)
+
+    def _dropout_setup(self, scope: str) -> tuple[frozenset[str], tuple[tuple[str, ...], ...]]:
+        """The substantive tools protected in ``scope`` and its competing sets,
+        sorted by category: worked out once per scope, not once per slot."""
+        setup = self._dropout.get(scope)
+        if setup is None:
+            protected = frozenset(t for t, d in self._tools.items() if d.substantive and d.protected_for(scope))
+            groups = tuple(tuple(tools) for _category, tools in sorted(self.competing_sets(scope).items()))
+            setup = self._dropout[scope] = (protected, groups)
+        return setup
 
     def coverage_rate(self, scope: str, prefix_traces: Sequence[Iterable[str]]) -> float:
         """|union of tools invoked in the prefix| / |visible universe|."""

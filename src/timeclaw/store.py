@@ -606,13 +606,23 @@ def _fold_layers(layers: dict[str, str], changed: Mapping[str, Optional[str]]) -
             layers[rel] = text
 
 
-@dataclass
+@dataclass(frozen=True)
 class Selection:
-    """Injectable retrieval result for one (scope, fingerprint)."""
+    """What retrieval injects for one scope and fingerprint: the matching
+    injectable rules, best first, the scope's skills, and the tool cards of
+    the rules' preferred tools.
 
-    rules: list[MemoryRule] = field(default_factory=list)
+    ``retrieve`` memoizes a Selection per published memory, so one Selection
+    is shared by every sample whose fingerprint has the same predicate
+    fields: it is read-only, and callers must not mutate it or its parts.
+    ``rendered`` holds what the prompt builders render from it (its system
+    message, its Support lines), so each is built once per Selection rather
+    than once per prompt."""
+
+    rules: tuple[MemoryRule, ...] = ()
     skills_text: str = ""
-    tool_notes: dict[str, str] = field(default_factory=dict)
+    tool_notes: Mapping[str, str] = field(default_factory=dict)
+    rendered: dict[Any, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -628,6 +638,9 @@ class _Scope:
     snapshots: list[dict[str, Any]] = field(default_factory=list)  # the timeline: seq, digest, notes
     last_snapshot: dict[str, str] = field(default_factory=dict)  # the layers of the last snapshot
     snapshot_end: int = 0  # where the snapshot log's last whole record ends
+    # retrieve's results for the published memory, keyed by the values of
+    # SampleFingerprint.fields(); emptied when a new memory is published
+    selections: dict[tuple[Any, ...], Selection] = field(default_factory=dict)
 
 
 class ExperienceStore:
@@ -702,10 +715,15 @@ class ExperienceStore:
         return held.memory if held is not None else MemoryState()
 
     def _write_memory(self, scope: str, state: MemoryState) -> None:
-        """Publish ``state`` as the scope's memory, on disk and in memory."""
+        """Publish ``state`` as the scope's memory, on disk and in memory, and
+        drop the scope's memoized selections. The layers derived from the
+        memory are rebuilt under the same hold of ``_publish``, so no
+        retrieval memoizes a selection of the new memory and the old layers."""
         with self._publish:
             self._write(f"memory/{scope}.json", json.dumps(state.to_dict(), sort_keys=True, indent=1) + "\n")
-            self._scope(scope).memory = state
+            held = self._scope(scope)
+            held.memory = state
+            held.selections.clear()
 
     def scopes(self) -> list[str]:
         return [name for name, held in self._sorted_scopes() if held.note_count]
@@ -853,19 +871,34 @@ class ExperienceStore:
 
     def retrieve(self, scope: str, fp: SampleFingerprint) -> Selection:
         """Injectable rules matching the fingerprint, plus the scope's skills
-        and its tool notes on the selected rules' preferred tools."""
+        and its tool notes on the selected rules' preferred tools.
+
+        ``match`` reads only ``fp.fields()``, so the result is memoized per
+        published memory, keyed by those fields' values: samples that agree
+        on them share one read-only Selection until the scope's memory is
+        published again."""
+        key = tuple(fp.fields().values())
         with self._publish:
-            state = self.memory_state(scope)
-            rules = [r for r in state.rules if r.injectable and match(r.applicability, fp)]
-            rules.sort(key=lambda r: (-r.confidence, r.seq))
-            tools = sorted({t for r in rules for t in r.preferred_tools})
-            prefix = f"tools/{scope}/"
-            tool_notes = {t: self._files[f"{prefix}{t}.md"] for t in tools if f"{prefix}{t}.md" in self._files}
-            return Selection(
-                rules=rules,
-                skills_text=self._files.get(f"skills/{scope}.md", ""),
-                tool_notes=tool_notes,
-            )
+            held = self._scopes.get(scope)
+            if held is None:
+                return self._select(scope, MemoryState(), fp)
+            selection = held.selections.get(key)
+            if selection is None:
+                selection = held.selections[key] = self._select(scope, held.memory, fp)
+            return selection
+
+    def _select(self, scope: str, state: MemoryState, fp: SampleFingerprint) -> Selection:
+        rules = sorted(
+            (r for r in state.rules if r.injectable and match(r.applicability, fp)),
+            key=lambda r: (-r.confidence, r.seq),
+        )
+        tools = sorted({t for r in rules for t in r.preferred_tools})
+        prefix = f"tools/{scope}/"
+        return Selection(
+            rules=tuple(rules),
+            skills_text=self._files.get(f"skills/{scope}.md", ""),
+            tool_notes={t: self._files[f"{prefix}{t}.md"] for t in tools if f"{prefix}{t}.md" in self._files},
+        )
 
     # -- snapshots and audit ------------------------------------------------
 

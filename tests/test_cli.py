@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -335,6 +336,31 @@ class TestInfer:
         assert code == 0
         summary = json.loads((tmp_path / "infer_summary.json").read_text())
         assert summary["noexp"] is True
+
+    @pytest.mark.parametrize("killed", ["preds.jsonl", "infer_summary.json"])
+    def test_a_run_killed_mid_write_leaves_the_previous_output_whole(self, corpus_dir, tmp_path, monkeypatch, killed):
+        store = tmp_path / "store"
+        self._explore(corpus_dir, store)
+        out = tmp_path / "preds.jsonl"
+        argv = ["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--out", str(out)]
+        assert main([*argv, "--store", str(store)]) == 0
+        before = (tmp_path / killed).read_bytes()
+
+        class Killed(BaseException):
+            pass
+
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == killed:
+                raise Killed
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(Killed):
+            main([*argv, "--store", str(tmp_path / "absent")])  # noexp: other predictions
+        assert (tmp_path / killed).read_bytes() == before
+        assert not list(tmp_path.glob(".*.tmp"))
 
 
 class TestEval:

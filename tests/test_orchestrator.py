@@ -5,12 +5,14 @@ import json
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from timeclaw import __version__, prompts, seriesops
 from timeclaw.core import EvidenceClass, SealedAnswer, TaskInstance, TaskType
+from timeclaw.corpus import generate_sample
 from timeclaw.errors import ContractError, GatewayError, ScriptMissError
 from timeclaw.gateway import AssistantReply, Gateway, PolicyGateway, ScriptedGateway, ToolCallRequest
 from timeclaw.orchestrator import (
@@ -553,6 +555,47 @@ class TestToolExposure:
         trace_text = Path(result.trace_path).read_text()
         for needle in ("13.577", "14.211", "15.903"):
             assert needle not in trace_text
+
+
+class TestReinjectOncePerMemory:
+    """Inference reads one memoized Selection for samples whose fingerprints
+    have the same predicate fields, and one system message rendered from it."""
+
+    def test_one_store_answers_and_traces_as_a_fresh_store_per_sample(self, tmp_path, seasonal_family):
+        family = replace(seasonal_family, learn_count=10, eval_count=8)
+        explore = _deps(tmp_path / "explore", policy_gateway("exploration"))
+        for i in range(family.learn_count):
+            run_exploration_episode(generate_sample(family, "learning", i, 11)[0], ExplorationConfig(seed=5), explore)
+        evals = [generate_sample(family, "evaluation", i, 11)[0] for i in range(family.eval_count)]
+        fields = prompts.fingerprint(evals[0]).fields()
+        same = [inst for inst in evals if prompts.fingerprint(inst).fields() == fields]
+        assert len(same) >= 3
+        systems = []
+
+        def spy(exchange):
+            systems.append(exchange.messages[0])
+            return inference_policy(exchange)
+
+        def deps(trace_dir):
+            toolkit = builtin_toolkit()
+            return EpisodeDeps(
+                registry=ToolRegistry(toolkit.descriptors()),
+                toolkit=toolkit,
+                gateway=PolicyGateway(spy),
+                store=ExperienceStore(tmp_path / "explore" / "store"),
+                trace_dir=trace_dir,
+            )
+
+        shared = deps(tmp_path / "shared")
+        assert shared.store.retrieve(same[0].scope, prompts.fingerprint(same[0])).rules
+        together = [run_inference(inst, shared).to_dict() for inst in same]
+        assert len(systems) >= len(same) and all(m is systems[0] for m in systems)
+        apart = [run_inference(inst, deps(tmp_path / f"apart{i}")).to_dict() for i, inst in enumerate(same)]
+        assert together == apart
+        log = f"{same[0].scope}.jsonl"
+        assert (tmp_path / "shared" / log).read_bytes() == b"".join(
+            (tmp_path / f"apart{i}" / log).read_bytes() for i in range(len(same))
+        )
 
 
 class TestTraceDeterminism:

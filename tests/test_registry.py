@@ -17,6 +17,7 @@ from timeclaw.registry import (
     keep_probability,
     load_registry,
 )
+from timeclaw.util import stable_rng
 
 
 def _registry(tools, protected=(), ledger=None):
@@ -283,6 +284,70 @@ class TestVisibleSubsets:
         )
         assert synth_kept == 50  # never dropped where the glob matches
         assert weather_kept < 10  # heavily suppressed elsewhere
+
+    def test_an_added_tool_competes_in_the_next_draw(self):
+        reg = _registry(list("ab"))
+        reg.ledger.record("s", ["a"] * 5)
+        assert reg.sample_visible_subset("s", 0, 1, 1.0) <= frozenset("ab")
+        reg.add(ToolDescriptor(tool_id="c", category=ToolCategory.FORECASTING))
+        reg.add(ToolDescriptor(tool_id="d", category=ToolCategory.ANALYSIS, protected_in=("s",)))
+        draws = [reg.sample_visible_subset("s", 0, seed, 1.0) for seed in range(20)]
+        assert all({"c", "d"} <= subset for subset in draws)  # c is never used: keep(c) = 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        uses=st.lists(st.sampled_from("abcdef"), max_size=40),
+        protected=st.lists(st.sampled_from("abcdef"), max_size=2),
+        hinted=st.lists(st.sampled_from("abcdefz"), max_size=2),
+        alpha=st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    def test_draws_equal_the_per_slot_reference(self, uses, protected, hinted, alpha):
+        descriptors = [
+            ToolDescriptor(
+                tool_id=t,
+                category=ToolCategory.FORECASTING if t in "abcd" else ToolCategory.ANALYSIS,
+                protected_in=("sc*",) if t in protected else (),
+            )
+            for t in "abcdef"
+        ]
+        reg = ToolRegistry(descriptors, ledger=ToolUsageLedger())
+        reg.ledger.record("scope", uses)
+        reg.ledger.record("other", uses)
+        for scope in ("scope", "other"):
+            for slot in range(3):
+                assert reg.sample_visible_subset(scope, slot, 7, alpha, extra_protected=hinted) == (
+                    _reference_subset(reg, scope, slot, 7, alpha, hinted)
+                )
+
+
+def _reference_subset(reg, scope, slot, seed, alpha, extra_protected):
+    """The dropout draw as it was written before its set-up was kept per
+    scope: protected set and competing sets worked out again for every slot."""
+    counts = reg.ledger.counts(scope)
+    rng = stable_rng("visible", seed, scope, slot)
+    descriptors = {t: reg.descriptor(t) for t in reg.tool_ids()}
+    protected = {
+        t for t, d in descriptors.items() if d.substantive and (d.protected_for(scope) or t in set(extra_protected))
+    }
+    kept = set(protected)
+    survivors, all_competitors = [], []
+    for _category, competitors in sorted(reg.competing_sets(scope).items()):
+        competitors = [t for t in competitors if t not in protected]
+        if not competitors:
+            continue
+        all_competitors.extend(competitors)
+        n_min = min(counts.get(t, 0) for t in competitors)
+        for tool_id in competitors:
+            if rng.random() < keep_probability(counts.get(tool_id, 0), n_min, alpha):
+                kept.add(tool_id)
+                survivors.append(tool_id)
+    if len(survivors) < 2 and all_competitors:
+        for tool_id in sorted((t for t in all_competitors if t not in kept), key=lambda t: (counts.get(t, 0), t)):
+            if len(survivors) >= 2:
+                break
+            kept.add(tool_id)
+            survivors.append(tool_id)
+    return frozenset(kept)
 
 
 class TestRegistryFile:

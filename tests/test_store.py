@@ -3,6 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,7 @@ from timeclaw.core import (
     LearningSummaryText,
 )
 from timeclaw.errors import ContractError, LogError
-from timeclaw.prompts import fingerprint
+from timeclaw.prompts import build_inference_prompt, fingerprint
 from timeclaw.registry import ToolUsageLedger
 from timeclaw.store import (
     CONFIDENCE_INIT,
@@ -480,12 +484,12 @@ class TestRetrieve:
             store.commit_note(_note(seq=None))
         store.maybe_trigger_distillation(SCOPE)
         fp = fingerprint(trend_instance)  # task_subtype=trend does not match
-        assert store.retrieve(SCOPE, fp).rules == []
+        assert store.retrieve(SCOPE, fp).rules == ()
 
     def test_missing_scope_is_empty_selection(self, tmp_path, seasonal_instance):
         store = ExperienceStore(tmp_path)
         selection = store.retrieve("nowhere", fingerprint(seasonal_instance))
-        assert selection.rules == []
+        assert selection.rules == ()
         assert selection.skills_text == ""
 
     def test_non_injectable_rules_are_excluded(self, tmp_path, seasonal_instance):
@@ -495,7 +499,7 @@ class TestRetrieve:
         update_memory(state, _evidence(prefer=(), avoid=("holt",), kind="avoidance", ref="n2"))
         assert all(not r.injectable for r in state.rules)  # open conflict
         store._write_memory(SCOPE, state)
-        assert store.retrieve(SCOPE, fingerprint(seasonal_instance)).rules == []
+        assert store.retrieve(SCOPE, fingerprint(seasonal_instance)).rules == ()
 
     def test_ordering_confidence_desc_then_seq(self, tmp_path, seasonal_instance):
         store = ExperienceStore(tmp_path)
@@ -506,6 +510,66 @@ class TestRetrieve:
         store._write_memory(SCOPE, state)
         selection = store.retrieve(SCOPE, fingerprint(seasonal_instance))
         assert [r.preferred_tools for r in selection.rules] == [("b",), ("a",)]
+
+    def test_fingerprints_with_the_same_fields_share_one_selection(self, tmp_path, seasonal_instance):
+        store = ExperienceStore(tmp_path)
+        _commit_and_distill(store, [_note(seq=None) for _ in range(10)])
+        fp = fingerprint(seasonal_instance)
+        other = replace(fp, mean=fp.mean + 1.0, std=fp.std * 2.0, n_anomalies=fp.n_anomalies + 3)
+        assert other != fp and other.fields() == fp.fields()
+        selection = store.retrieve(SCOPE, fp)
+        assert selection.rules
+        assert store.retrieve(SCOPE, other) is selection
+        assert store.retrieve(SCOPE, replace(fp, trend_class="nowhere")) is not selection
+
+    def test_a_new_memory_is_retrieved_as_a_reopened_store_retrieves_it(self, tmp_path, seasonal_instance):
+        store = ExperienceStore(tmp_path)
+        fp = fingerprint(seasonal_instance)
+        _commit_and_distill(store, [_note(seq=None) for _ in range(10)])
+        before = store.retrieve(SCOPE, fp)
+        # holt wins from now on: the memory, the skills and the cards change
+        stages = store.finalize(SCOPE) or []
+        for _ in range(10):
+            store.commit_note(_note(seq=None, winner=("holt",), losers=("seasonal_naive",)))
+            stages += store.maybe_trigger_distillation(SCOPE)
+        assert "memory_to_tool_notes" in stages
+        after, reopened = store.retrieve(SCOPE, fp), ExperienceStore(tmp_path).retrieve(SCOPE, fp)
+        assert [r.to_dict() for r in after.rules] == [r.to_dict() for r in reopened.rules]
+        assert after.skills_text == reopened.skills_text
+        assert after.tool_notes == reopened.tool_notes
+        assert [r.to_dict() for r in after.rules] != [r.to_dict() for r in before.rules]
+        assert after.tool_notes != before.tool_notes
+
+    def test_retrievals_racing_distillations_end_on_the_published_memory(self, tmp_path, seasonal_instance):
+        store = ExperienceStore(tmp_path)
+        fp = fingerprint(seasonal_instance)
+        stop = threading.Event()
+
+        def render(selection):
+            return build_inference_prompt(seasonal_instance, fp, selection, [], soul=store.soul_text()).system_text
+
+        def reader():
+            while not stop.is_set():
+                render(store.retrieve(SCOPE, fp))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a stale memo shows
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                readers = [pool.submit(reader) for _ in range(4)]
+                try:
+                    for winner in ("seasonal_naive", "holt", "drift"):
+                        _commit_and_distill(store, [_note(seq=None, winner=(winner,)) for _ in range(10)])
+                finally:
+                    stop.set()
+                for future in readers:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        after, reopened = store.retrieve(SCOPE, fp), ExperienceStore(tmp_path).retrieve(SCOPE, fp)
+        assert [r.to_dict() for r in after.rules] == [r.to_dict() for r in reopened.rules]
+        assert (after.skills_text, after.tool_notes) == (reopened.skills_text, reopened.tool_notes)
+        assert render(after) == render(reopened)
 
 
 class TestSnapshots:
