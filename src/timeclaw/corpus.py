@@ -22,7 +22,7 @@ from .core import (
     TextBlock,
 )
 from .errors import CorpusError
-from .util import digest_text, stable_rng
+from .util import digest_text, stable_rng, write_atomic
 
 # the offline scorer/loader capability; never handed to prompt assembly
 _OFFLINE = EvaluatorCapability()
@@ -151,7 +151,7 @@ def write_samples(instances: Sequence[TaskInstance], path: Path, sources: Option
         if sources and inst.id in sources:
             record["source"] = sources[inst.id]
         lines.append(json.dumps(record, sort_keys=True))
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def reveal_for_scoring(instance: TaskInstance) -> Any:

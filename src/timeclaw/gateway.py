@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 from .errors import ContractError, GatewayError, ScriptMissError, ToolCallParseError
-from .util import canonical_json
+from .util import canonical_json, write_atomic
 
 API_BASE_ENV = "TIMECLAW_API_BASE"
 API_KEY_ENV = "TIMECLAW_API_KEY"
@@ -177,7 +177,7 @@ class RecordingGateway(Gateway):
         return reply
 
     def save(self, path: Path) -> None:
-        Path(path).write_text(json.dumps(self.script, sort_keys=True, indent=1) + "\n")
+        write_atomic(Path(path), json.dumps(self.script, sort_keys=True, indent=1) + "\n")
 
 
 class RemoteGateway(Gateway):

@@ -639,11 +639,7 @@ def run_exploration_episode(
                         args.setdefault("candidates", answers)
                     art = runner.invoke_tool(eval_call.tool, args, [ORIGINAL_INPUT], branch=None)
                     messages.append(ChatMessage(role="tool", content=canonical_json(art)))
-                    payload = art["payload"]
-                    if "reports" in payload:
-                        eval_reports = payload["reports"]
-                    elif "branch_id" in payload:
-                        eval_reports = {payload["branch_id"]: {k: payload[k] for k in ("report", "quality") if k in payload}}
+                    eval_reports = _evaluation_reports(art["payload"])
                     for c in valid:
                         entry = eval_reports.get(c.branch_id)
                         if entry and "quality" in entry:
@@ -739,6 +735,19 @@ def run_exploration_episode(
 # ---------------------------------------------------------------------------
 
 
+def _evaluation_reports(payload: Mapping[str, Any]) -> dict[str, Any]:
+    """The reports, by branch id, that an evaluate tool's artifact payload
+    holds: its ``reports``, or one report when a ``branch_id`` sits beside a
+    ``quality``. An error artifact holds none. The runtime and lint both read
+    the evaluated branches from here, so they judge an episode alike."""
+    reports = payload.get("reports")
+    if isinstance(reports, Mapping):
+        return dict(reports)
+    if isinstance(payload.get("branch_id"), str) and "quality" in payload:
+        return {payload["branch_id"]: {k: payload[k] for k in ("report", "quality") if k in payload}}
+    return {}
+
+
 def _answers_distinct(a: Any, b: Any) -> bool:
     if type(a) is not type(b):
         return True
@@ -797,16 +806,15 @@ def enforce_exploration_contract(
         for e in events
         if e["kind"] == "verdict" and e["payload"]["type"] == "candidate"
     ]
+    evaluate_calls = {
+        e["payload"]["call_id"]
+        for e in events
+        if e["kind"] == "tool_call" and e["payload"]["tool"] in EVALUATE_TOOLS
+    }
     evaluated: set[str] = set()
     for e in events:
-        if e["kind"] != "tool_call" or e["payload"]["tool"] not in EVALUATE_TOOLS:
-            continue
-        args = e["payload"]["args"]
-        if "candidates" in args:
-            if isinstance(args["candidates"], (dict, list)):
-                evaluated.update(c for c in args["candidates"] if isinstance(c, str))
-        elif isinstance(args.get("branch_id"), str) and args["branch_id"]:
-            evaluated.add(args["branch_id"])
+        if e["kind"] == "tool_result" and e["payload"]["call_id"] in evaluate_calls:
+            evaluated.update(_evaluation_reports(e["payload"]["artifact"].get("payload", {})))
     final_type: Optional[str] = None
     for e in events:
         if e["kind"] == "gateway_response":

@@ -275,7 +275,6 @@ def render_memory_rules(rules: Sequence[Any]) -> str:
         lines.append(
             f"- [{r.rule_id}|{r.kind}|c={r.confidence:.2f}] prefer: {prefer}; avoid: {avoid}; when: {chi}"
         )
-        lines.append(f"  {r.summary}")
     return _cap("\n".join(lines))
 
 

@@ -9,13 +9,14 @@ episode prefixes, averaged over seeds.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .registry import ToolCategory, ToolDescriptor, ToolRegistry, ToolUsageLedger
-from .util import stable_rng
+from .util import stable_rng, write_atomic
 
 SCOPE = "sim_collapse"
 
@@ -172,22 +173,14 @@ def write_outputs(result: ComparisonResult, out_dir: Path) -> dict[str, str]:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "dropout_diag.csv"
     json_path = out_dir / "dropout_diag.json"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["prefix", "coverage_on", "coverage_off", "top_share_on", "top_share_off", "entropy_on", "entropy_off"]
-        )
-        for i, prefix in enumerate(result.prefixes):
-            writer.writerow(
-                [
-                    prefix,
-                    f"{result.on['coverage'][i]:.6f}",
-                    f"{result.off['coverage'][i]:.6f}",
-                    f"{result.on['top_share'][i]:.6f}",
-                    f"{result.off['top_share'][i]:.6f}",
-                    f"{result.on['entropy'][i]:.6f}",
-                    f"{result.off['entropy'][i]:.6f}",
-                ]
-            )
-    json_path.write_text(json.dumps(result.to_dict(), indent=1, sort_keys=True) + "\n")
+    columns = [(metric, side) for metric in ("coverage", "top_share", "entropy") for side in ("on", "off")]
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(["prefix", *(f"{metric}_{side}" for metric, side in columns)])
+    writer.writerows(
+        [prefix, *(f"{getattr(result, side)[metric][i]:.6f}" for metric, side in columns)]
+        for i, prefix in enumerate(result.prefixes)
+    )
+    write_atomic(csv_path, rows.getvalue())
+    write_atomic(json_path, json.dumps(result.to_dict(), indent=1, sort_keys=True) + "\n")
     return {"csv": str(csv_path), "json": str(json_path)}

@@ -8,8 +8,8 @@ Layer roles:
   machine-edited afterwards.
 * Notes — append-only per-scope episode records; the distillation source,
   never injected into prompts.
-* Memory — bounded structured rules (kind, summary, applicability,
-  preferred/avoided tools, rationale, evidence, confidence, injectable).
+* Memory — bounded structured rules (kind, applicability, preferred/avoided
+  tools, evidence, confidence, injectable).
 * Tool notes / Skills — derived layers, each a function of its own scope's
   memory with every line written once, rebuilt only when the memory
   fingerprint actually changes.
@@ -51,15 +51,13 @@ execution that the evidence supports. You never fabricate numbers.
 
 @dataclass
 class MemoryRule:
-    """One reusable runtime rule (the structured 9-tuple plus bookkeeping)."""
+    """One reusable runtime rule (the structured 7-tuple plus bookkeeping)."""
 
     rule_id: str
     kind: str  # tool_preference | condition_action | avoidance
-    summary: str
     applicability: dict[str, Any]
     preferred_tools: tuple[str, ...]
     avoided_tools: tuple[str, ...]
-    rationale: str
     evidence: tuple[str, ...]
     confidence: float
     injectable: bool
@@ -78,11 +76,9 @@ class MemoryRule:
         return {
             "rule_id": self.rule_id,
             "kind": self.kind,
-            "summary": self.summary,
             "applicability": self.applicability,
             "preferred_tools": sorted(self.preferred_tools),
             "avoided_tools": sorted(self.avoided_tools),
-            "rationale": self.rationale,
             "evidence": list(self.evidence),
             "confidence": self.confidence,
             "injectable": self.injectable,
@@ -95,11 +91,9 @@ class MemoryRule:
         return cls(
             rule_id=d["rule_id"],
             kind=d["kind"],
-            summary=d["summary"],
             applicability=dict(d["applicability"]),
             preferred_tools=tuple(d["preferred_tools"]),
             avoided_tools=tuple(d["avoided_tools"]),
-            rationale=d["rationale"],
             evidence=tuple(d["evidence"]),
             confidence=float(d["confidence"]),
             injectable=bool(d["injectable"]),
@@ -144,15 +138,12 @@ class LearningNote:
 
 @dataclass
 class CleanEvidence:
-    """Cleaned, transferable evidence extracted from one note."""
+    """The transferable tool stance of one committed note."""
 
-    scope: str
     kind: str
     applicability: dict[str, Any]
     preferred_tools: tuple[str, ...]
     avoided_tools: tuple[str, ...]
-    summary: str
-    rationale: str
     note_ref: str
 
     @property
@@ -324,9 +315,9 @@ def _scrub_refs(text: str) -> str:
 
 
 def _clean_text(text: str, sensitive: Sequence[str], instance_id: str) -> str:
-    """Scrub answer leakage and framework vocabulary from evidence text.
-    Idempotent: cleaning clean text again, even without the secrets, changes
-    nothing, so text cleaned when its note is committed stays as it is."""
+    """Scrub answer leakage and framework vocabulary from evidence text,
+    keeping tool names and metric comparisons. Idempotent: cleaning clean
+    text again, even without the secrets, changes nothing."""
     for secret in sensitive:
         if secret:
             text = text.replace(secret, "[redacted]")
@@ -341,9 +332,8 @@ def _clean_text(text: str, sensitive: Sequence[str], instance_id: str) -> str:
 
 
 def clean(note: LearningNote) -> CleanEvidence:
-    """Rewrite a raw note into reusable evidence: answer leakage and
-    framework-control language removed, tool names and metric comparisons
-    retained. Idempotent."""
+    """The rule kind and the preferred and avoided tools a committed note's
+    evidence class supports. Its text was cleaned when it was committed."""
     if note.sequence is None:
         raise ContractError("only committed notes can be cleaned")
     if note.evidence_class == EvidenceClass.FAILURE.value:
@@ -356,20 +346,11 @@ def clean(note: LearningNote) -> CleanEvidence:
         avoided = tuple(t for t in note.loser_tools if t not in note.winner_tools)
         if note.evidence_class == EvidenceClass.SINGLE_EXECUTION.value:
             avoided = ()
-    insight = _clean_text(note.insight, note.sensitive, note.instance_id)
-    recommendation = _clean_text(note.recommendation, note.sensitive, note.instance_id)
-    if kind == "avoidance":
-        summary = f"Avoid {_chain_text(avoided)} for {_applicability_phrase(note.applicability)}."
-    else:
-        summary = f"Prefer {_chain_text(preferred)} for {_applicability_phrase(note.applicability)}."
     return CleanEvidence(
-        scope=note.scope,
         kind=kind,
         applicability=dict(note.applicability),
         preferred_tools=preferred,
         avoided_tools=avoided,
-        summary=summary,
-        rationale=f"{insight} {recommendation}".strip(),
         note_ref=note.note_ref(),
     )
 
@@ -433,11 +414,9 @@ def _append_rule(
     rule = MemoryRule(
         rule_id=f"r{state.next_seq:04d}",
         kind=ev.kind,
-        summary=ev.summary,
         applicability=dict(ev.applicability),
         preferred_tools=tuple(sorted(ev.preferred_tools)),
         avoided_tools=tuple(sorted(ev.avoided_tools)),
-        rationale=ev.rationale,
         evidence=(ev.note_ref,),
         confidence=CONFIDENCE_INIT,
         injectable=injectable,

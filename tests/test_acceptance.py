@@ -378,13 +378,10 @@ def test_c07_store_laws(tmp_path, report):
 
 def _evidence(prefer=(), avoid=(), kind="tool_preference", ref="n"):
     return CleanEvidence(
-        scope="s",
         kind=kind,
         applicability={"task_subtype": "forecast"},
         preferred_tools=tuple(prefer),
         avoided_tools=tuple(avoid),
-        summary="s",
-        rationale="r",
         note_ref=ref,
     )
 

@@ -33,6 +33,21 @@ SPEC = {
 }
 
 
+class Killed(BaseException):
+    """Stands in for the process dying just before an output's final rename."""
+
+
+def _kill_at_rename_of(monkeypatch, name):
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == name:
+            raise Killed
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
 @pytest.fixture
 def corpus_dir(tmp_path):
     spec_path = tmp_path / "spec.json"
@@ -345,22 +360,64 @@ class TestInfer:
         argv = ["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--out", str(out)]
         assert main([*argv, "--store", str(store)]) == 0
         before = (tmp_path / killed).read_bytes()
-
-        class Killed(BaseException):
-            pass
-
-        real_replace = os.replace
-
-        def replace(src, dst):
-            if Path(dst).name == killed:
-                raise Killed
-            real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", replace)
+        _kill_at_rename_of(monkeypatch, killed)
         with pytest.raises(Killed):
             main([*argv, "--store", str(tmp_path / "absent")])  # noexp: other predictions
         assert (tmp_path / killed).read_bytes() == before
         assert not list(tmp_path.glob(".*.tmp"))
+
+
+# A whole-file output, the argv that writes it, and an argv that rewrites it
+# with other bytes; "{tmp}" is the test's directory.
+REWRITTEN_OUTPUTS = {
+    "gen-corpus-learning": (
+        "corpus/learning.jsonl",
+        ["gen-corpus", "--spec", "{tmp}/spec.json", "--out", "{tmp}/corpus"],
+        ["gen-corpus", "--spec", "{tmp}/spec.json", "--out", "{tmp}/corpus", "--seed", "12"],
+    ),
+    "gen-corpus-eval": (
+        "corpus/eval.jsonl",
+        ["gen-corpus", "--spec", "{tmp}/spec.json", "--out", "{tmp}/corpus"],
+        ["gen-corpus", "--spec", "{tmp}/spec.json", "--out", "{tmp}/corpus", "--seed", "12"],
+    ),
+    "simulate-dropout-csv": (
+        "diag/dropout_diag.csv",
+        ["simulate-dropout", "--seeds", "3", "--out", "{tmp}/diag"],
+        ["simulate-dropout", "--seeds", "2", "--out", "{tmp}/diag"],
+    ),
+    "simulate-dropout-json": (
+        "diag/dropout_diag.json",
+        ["simulate-dropout", "--seeds", "3", "--out", "{tmp}/diag"],
+        ["simulate-dropout", "--seeds", "2", "--out", "{tmp}/diag"],
+    ),
+    "record-script": (
+        "script.json",
+        ["explore", "--corpus", "{tmp}/corpus/learning.jsonl", "--store", "{tmp}/a", "--record-script", "{tmp}/script.json"],
+        ["explore", "--corpus", "{tmp}/corpus/learning.jsonl", "--store", "{tmp}/b", "--seed", "4",
+         "--record-script", "{tmp}/script.json"],
+    ),
+}
+
+
+class TestWholeFileOutputs:
+    @pytest.mark.parametrize("output, first, second", list(REWRITTEN_OUTPUTS.values()), ids=list(REWRITTEN_OUTPUTS))
+    def test_a_run_killed_mid_write_leaves_the_previous_output_whole(
+        self, corpus_dir, tmp_path, monkeypatch, output, first, second
+    ):
+        def argv(template):
+            return [arg.format(tmp=tmp_path) for arg in template]
+
+        path = tmp_path / output
+        assert main(argv(first)) == 0
+        before = path.read_bytes()
+        _kill_at_rename_of(monkeypatch, path.name)
+        with pytest.raises(Killed):
+            main(argv(second))
+        assert path.read_bytes() == before
+        assert not list(path.parent.glob(".*.tmp"))
+        monkeypatch.undo()
+        assert main(argv(second)) == 0
+        assert path.read_bytes() != before  # the killed run had other bytes to write
 
 
 class TestEval:

@@ -29,7 +29,7 @@ from timeclaw.orchestrator import (
 )
 from timeclaw.policy import exploration_policy, inference_policy, policy_gateway
 from timeclaw.registry import ToolRegistry, ToolUsageLedger
-from timeclaw.replay import replay
+from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore
 from timeclaw.toolkit import builtin_toolkit
 
@@ -60,10 +60,11 @@ def _deps(tmp_path, gateway, with_store=True):
     )
 
 
-def _scripted_branch_policy(branch_answers, final_type="learning_summary", evaluate=True):
+def _scripted_branch_policy(branch_answers, final_type="learning_summary", evaluate=True, eval_args=None):
     """Build a deterministic policy that forces specific branch behavior.
 
     branch_answers: slot -> (tool or None, final answer payload)
+    eval_args: the arguments of the main agent's evaluate_batch_against_gt call
     """
 
     def fn(exchange):
@@ -94,7 +95,7 @@ def _scripted_branch_policy(branch_answers, final_type="learning_summary", evalu
             if evaluate:
                 return AssistantReply(
                     content="",
-                    tool_calls=(ToolCallRequest(tool="evaluate_batch_against_gt", args={}),),
+                    tool_calls=(ToolCallRequest(tool="evaluate_batch_against_gt", args=eval_args or {}),),
                 )
             return AssistantReply(content="skipping evaluation")
         return AssistantReply(
@@ -348,6 +349,23 @@ class TestContractVerdicts:
         verdict = self._run_and_lint(tmp_path, gw)
         assert "no_distinct_pair" in verdict.violations
 
+    def test_an_evaluation_that_failed_is_no_comparison_at_runtime_and_under_lint(self, tmp_path):
+        # the call names both branches, but one answer does not score, so the
+        # toolkit returns an error artifact and no branch was evaluated
+        inst = _instance(gt=[13.0, 13.0, 13.0])
+        candidates = {f"{inst.id}#b0": [14.0] * 3, f"{inst.id}#b1": "garbage"}
+        gw = _scripted_branch_policy(
+            {0: (None, [14.0] * 3), 1: ("naive", [15.0] * 3)}, eval_args={"candidates": candidates}
+        )
+        outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), _deps(tmp_path, gw))
+        [block] = read_trace(outcome.trace_path)
+        [runtime] = [e["payload"] for e in block.events if e["kind"] == "verdict" and e["payload"]["type"] == "contract"]
+        linted = enforce_exploration_contract(block.header, block.events)
+        assert runtime["violations"] == ["no_comparison"]
+        assert (linted.satisfied, list(linted.violations)) == (runtime["satisfied"], runtime["violations"])
+        [report] = lint(outcome.trace_path)
+        assert report.contract == linted
+
 
 class TestBranchSlots:
     def _registry(self, tmp_path):
@@ -368,11 +386,9 @@ class TestBranchSlots:
         rule = MemoryRule(
             rule_id="r0001",
             kind="tool_preference",
-            summary="s",
             applicability={},
             preferred_tools=("ses",),
             avoided_tools=(),
-            rationale="",
             evidence=("n",),
             confidence=0.8,
             injectable=True,

@@ -1,6 +1,14 @@
+"""Prompt assembly: sample fingerprints, applicability predicates and the
+golden frames in ``tests/data/frames/``, which pin every prompt byte. After
+an intended frame change, regenerate them with::
+
+    PYTHONPATH=src python tests/test_prompts.py
+"""
+
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,11 +26,9 @@ def _rule(injectable=True, **kwargs):
     defaults = dict(
         rule_id="r0001",
         kind="tool_preference",
-        summary="Prefer seasonal_naive for seasonal samples.",
         applicability={"seasonal": True, "task_subtype": "forecast"},
         preferred_tools=("seasonal_naive",),
         avoided_tools=("naive",),
-        rationale="it wins comparisons",
         evidence=("s#note0001",),
         confidence=0.7,
         injectable=injectable,
@@ -128,57 +134,71 @@ class TestMatch:
         assert not prompts.match({"moon_phase": "full"}, prompts.fingerprint(seasonal_instance))
 
 
+def render_frames() -> dict[str, str]:
+    """The golden exploration, branch and inference prompts, by frame file name."""
+    exploration = prompts.build_exploration_prompt(
+        _golden_instance(),
+        _golden_fp(),
+        _Selection([_rule()]),
+        _slots(),
+        [
+            {"name": n, "description": d}
+            for n, d in [
+                ("naive", "repeat last"),
+                ("drift", "slope"),
+                ("seasonal_naive", "period repeat"),
+                ("spawn_subagent", "spawn"),
+                ("evaluate_against_gt", "score"),
+            ]
+        ],
+        soul="# Soul\nBe careful.",
+    )
+    slot = _slots()[0]
+    branch = prompts.build_branch_prompt(
+        _golden_instance(),
+        _golden_fp(),
+        slot,
+        [{"name": n, "description": ""} for n in sorted(slot.visible_tools)],
+        selection=_Selection([_rule()]),
+        soul="# Soul\nBe careful.",
+    )
+    inference = prompts.build_inference_prompt(
+        _golden_instance(),
+        _golden_fp(),
+        _Selection([_rule()]),
+        [
+            {"name": n, "description": d}
+            for n, d in [
+                ("naive", "repeat last"),
+                ("drift", "slope"),
+                ("seasonal_naive", "period repeat"),
+            ]
+        ],
+        soul="# Soul\nBe careful.",
+    )
+    return {
+        "exploration_system.txt": exploration.system_text,
+        "exploration_user.txt": exploration.user_text,
+        "branch_user.txt": branch.user_text,
+        "inference_system.txt": inference.system_text,
+        "inference_user.txt": inference.user_text,
+    }
+
+
 class TestGoldenFrames:
+    def _assert_stable(self, *names):
+        frames = render_frames()
+        for name in names:
+            assert frames[name] == (FRAMES / name).read_text(), f"{name} drifted from its golden"
+
     def test_exploration_frame_is_byte_stable(self):
-        bundle = prompts.build_exploration_prompt(
-            _golden_instance(),
-            _golden_fp(),
-            _Selection([_rule()]),
-            _slots(),
-            [
-                {"name": n, "description": d}
-                for n, d in [
-                    ("naive", "repeat last"),
-                    ("drift", "slope"),
-                    ("seasonal_naive", "period repeat"),
-                    ("spawn_subagent", "spawn"),
-                    ("evaluate_against_gt", "score"),
-                ]
-            ],
-            soul="# Soul\nBe careful.",
-        )
-        assert bundle.system_text == (FRAMES / "exploration_system.txt").read_text()
-        assert bundle.user_text == (FRAMES / "exploration_user.txt").read_text()
+        self._assert_stable("exploration_system.txt", "exploration_user.txt")
 
     def test_branch_frame_is_byte_stable(self):
-        slot = _slots()[0]
-        bundle = prompts.build_branch_prompt(
-            _golden_instance(),
-            _golden_fp(),
-            slot,
-            [{"name": n, "description": ""} for n in sorted(slot.visible_tools)],
-            selection=_Selection([_rule()]),
-            soul="# Soul\nBe careful.",
-        )
-        assert bundle.user_text == (FRAMES / "branch_user.txt").read_text()
+        self._assert_stable("branch_user.txt")
 
     def test_inference_frame_is_byte_stable(self):
-        bundle = prompts.build_inference_prompt(
-            _golden_instance(),
-            _golden_fp(),
-            _Selection([_rule()]),
-            [
-                {"name": n, "description": d}
-                for n, d in [
-                    ("naive", "repeat last"),
-                    ("drift", "slope"),
-                    ("seasonal_naive", "period repeat"),
-                ]
-            ],
-            soul="# Soul\nBe careful.",
-        )
-        assert bundle.system_text == (FRAMES / "inference_system.txt").read_text()
-        assert bundle.user_text == (FRAMES / "inference_user.txt").read_text()
+        self._assert_stable("inference_system.txt", "inference_user.txt")
 
     def test_frame_section_order(self):
         user = (FRAMES / "exploration_user.txt").read_text()
@@ -342,3 +362,10 @@ class TestBoundaryEvent:
             text_context=(TextBlock(body="hail", date=date),),
         )
         assert prompts.fingerprint(inst).boundary_event is expected
+
+
+if __name__ == "__main__":
+    FRAMES.mkdir(parents=True, exist_ok=True)
+    for name, text in render_frames().items():
+        (FRAMES / name).write_text(text)
+        print(f"wrote {FRAMES / name} ({len(text)} chars)", file=sys.stderr)

@@ -19,7 +19,7 @@ from timeclaw.core import (
     LearningSummaryText,
 )
 from timeclaw.errors import ContractError, LogError
-from timeclaw.prompts import build_inference_prompt, fingerprint
+from timeclaw.prompts import build_inference_prompt, fingerprint, render_memory_rules
 from timeclaw.registry import ToolUsageLedger
 from timeclaw.store import (
     CONFIDENCE_INIT,
@@ -71,13 +71,10 @@ def _note(
 
 def _evidence(prefer=("seasonal_naive",), avoid=(), kind="tool_preference", chi=None, ref="n1"):
     return CleanEvidence(
-        scope=SCOPE,
         kind=kind,
         applicability=chi if chi is not None else {"task_subtype": "forecast", "seasonal": True},
         preferred_tools=tuple(prefer),
         avoided_tools=tuple(avoid),
-        summary="s",
-        rationale="r",
         note_ref=ref,
     )
 
@@ -133,7 +130,7 @@ class TestSummarizeEpisode:
         assert "no comparative signal" in note.insight
 
 
-# Evidence text as distillation sees it: ground-truth renderings, number
+# Evidence text as a note commit sees it: ground-truth renderings, number
 # arrays (some never closed), orchestration terms, branch and slot refs and
 # instance ids, joined by nothing, spaces or commas.
 _IDS = ("synth_forecast_short:seasonal-L-03:3", "inst42", "s0")
@@ -161,59 +158,60 @@ _EVIDENCE_TEXTS = st.lists(
 )
 
 
+def _committed(root, **note_fields):
+    """The note as a fresh store at ``root`` commits it: its text cleaned."""
+    return ExperienceStore(root).commit_note(_note(seq=None, **note_fields))
+
+
+def _committed_text(root, **note_fields):
+    note = _committed(root, **note_fields)
+    return f"{note.insight} {note.recommendation}"
+
+
 class TestClean:
-    def test_ground_truth_array_is_redacted(self):
+    def test_ground_truth_array_is_redacted(self, tmp_path):
         gt = "[26.1, 25.0, 24.9, 24.3]"
-        note = _note(insight=f"the truth was {gt} exactly", sensitive=(gt,))
-        ev = clean(note)
-        assert gt not in ev.rationale
-        assert "[redacted]" in ev.rationale
+        text = _committed_text(tmp_path, insight=f"the truth was {gt} exactly", sensitive=(gt,))
+        assert gt not in text
+        assert "[redacted]" in text
 
-    def test_numeric_arrays_are_redacted_even_unhinted(self):
-        note = _note(insight="prediction [1.0, 2.0, 3.0, 4.0, 5.0] was close")
-        ev = clean(note)
-        assert "[1.0, 2.0" not in ev.rationale
-        assert "[numbers redacted]" in ev.rationale
+    def test_numeric_arrays_are_redacted_even_unhinted(self, tmp_path):
+        text = _committed_text(tmp_path, insight="prediction [1.0, 2.0, 3.0, 4.0, 5.0] was close")
+        assert "[1.0, 2.0" not in text
+        assert "[numbers redacted]" in text
 
-    def test_orchestration_vocabulary_is_stripped(self):
-        note = _note(
-            insight="spawn_subagent created branches and evaluate_against_gt scored sub-agent 1"
+    def test_orchestration_vocabulary_is_stripped(self, tmp_path):
+        text = _committed_text(
+            tmp_path, insight="spawn_subagent created branches and evaluate_against_gt scored sub-agent 1"
         )
-        ev = clean(note)
-        assert "spawn_subagent" not in ev.rationale
-        assert "evaluate_against_gt" not in ev.rationale
-        assert "sub-agent 1" not in ev.rationale
+        assert "spawn_subagent" not in text
+        assert "evaluate_against_gt" not in text
+        assert "sub-agent 1" not in text
 
-    def test_instance_ids_are_generalized(self):
-        note = _note(insight="on inst42 the slot 0 branch inst42#b0 won")
-        ev = clean(note)
-        assert "inst42" not in ev.rationale
-        assert "slot 0" not in ev.rationale
+    def test_instance_ids_are_generalized(self, tmp_path):
+        text = _committed_text(tmp_path, insight="on inst42 the slot 0 branch inst42#b0 won")
+        assert "inst42" not in text
+        assert "slot 0" not in text
 
-    def test_tool_names_and_metrics_survive(self):
-        note = _note(insight="seasonal_naive beat naive with MAE 1.585 vs 1.821")
-        ev = clean(note)
-        assert "seasonal_naive" in ev.rationale
-        assert "1.585" in ev.rationale
+    def test_tool_names_and_metrics_survive(self, tmp_path):
+        text = _committed_text(tmp_path, insight="seasonal_naive beat naive with MAE 1.585 vs 1.821")
+        assert "seasonal_naive" in text
+        assert "1.585" in text
 
-    def test_idempotent(self):
-        note = _note(
-            insight="spawn_subagent on inst42 slot 1 gave [1.0, 2.0, 3.0, 4.0]",
-            sensitive=("[9.0, 9.0, 9.0, 9.0]",),
-        )
-        first = clean(note)
-        renote = _note(insight=first.rationale, sensitive=note.sensitive)
-        second = clean(renote)
-        # rationale doubles insight+recommendation; compare the cleaned insight half
-        assert second.rationale.startswith(first.rationale.split(" prefer seasonal_naive")[0][:40])
-        assert clean(renote).rationale == clean(renote).rationale
+    def test_idempotent(self, tmp_path):
+        secrets = ("[9.0, 9.0, 9.0, 9.0]",)
+        first = _committed(tmp_path / "a", insight="spawn_subagent on inst42 slot 1 gave [1.0, 2.0, 3.0, 4.0]",
+                           sensitive=secrets)
+        again = _committed(tmp_path / "b", insight=first.insight, recommendation=first.recommendation,
+                           sensitive=secrets)
+        assert (again.insight, again.recommendation) == (first.insight, first.recommendation)
 
     @settings(max_examples=400, deadline=None)
     @given(_EVIDENCE_TEXTS, st.lists(st.sampled_from(_SECRETS), unique=True), st.sampled_from(_IDS))
     @example("[1, 2, 3, x[#b1]", [], "inst42")  # the rewritten ref closes a number array
     def test_clean_text_is_idempotent_without_the_secrets(self, text, secrets, instance_id):
-        # notes store cleaned text without their secrets, and distillation
-        # cleans it again
+        # notes store cleaned text without their secrets; cleaning it again
+        # without them changes nothing, so distillation reads it as stored
         once = _clean_text(text, secrets, instance_id)
         assert _clean_text(once, (), instance_id) == once
 
@@ -327,6 +325,41 @@ class TestUpdateMemory:
                 kind = "tool_preference" if prefer else "avoidance"
                 update_memory(state, _evidence(prefer=prefer, avoid=avoid, kind=kind, chi=chi, ref=f"n{step}"))
                 assert len(state.rules) <= MEMORY_CAP
+
+
+class TestRuleFormat:
+    def test_rendered_memory_is_one_line_per_rule_and_names_merged_tools(self):
+        state = MemoryState()
+        update_memory(state, _evidence(prefer=("seasonal_naive",)))
+        update_memory(state, _evidence(prefer=("holt",), chi={"task_subtype": "trend"}, ref="n2"))
+        assert update_memory(state, _evidence(prefer=("seasonal_naive", "ses"), ref="n3")) == "merge"
+        lines = render_memory_rules(state.rules).splitlines()
+        assert len(lines) == len(state.rules) == 2
+        assert lines[0] == (
+            "- [r0001|tool_preference|c=0.60] prefer: seasonal_naive, ses; avoid: -; "
+            'when: {"seasonal": true, "task_subtype": "forecast"}'
+        )
+
+    def test_a_memory_file_with_summary_and_rationale_opens_and_loses_them_on_rewrite(
+        self, tmp_path, seasonal_instance
+    ):
+        # memory files once held each rule's templated summary and the text of
+        # its first note as rationale
+        store = ExperienceStore(tmp_path)
+        _commit_and_distill(store, [_note(seq=None) for _ in range(10)])
+        fp = fingerprint(seasonal_instance)
+        rules = [r.to_dict() for r in store.retrieve(SCOPE, fp).rules]
+        path = tmp_path / "memory" / f"{SCOPE}.json"
+        old = json.loads(path.read_text())
+        for rule in old["rules"]:
+            rule["summary"] = 'Prefer seasonal_naive for samples with seasonal=true, task_subtype="forecast".'
+            rule["rationale"] = "seasonal_naive tracked the cycle best prefer seasonal_naive"
+        path.write_text(json.dumps(old, sort_keys=True, indent=1) + "\n")
+        reopened = ExperienceStore(tmp_path)
+        assert rules and [r.to_dict() for r in reopened.retrieve(SCOPE, fp).rules] == rules
+        _commit_and_distill(reopened, [_note(seq=None) for _ in range(10)])
+        rewritten = json.loads(path.read_text())["rules"]
+        assert rewritten and all("summary" not in r and "rationale" not in r for r in rewritten)
 
 
 class TestStoreNotes:
@@ -642,10 +675,9 @@ class TestLeakageInvariant:
                 _note(seq=None, insight=f"truth was {gt_rendering}", sensitive=(gt_rendering,))
             )
         store.maybe_trigger_distillation(SCOPE)
-        state = store.memory_state(SCOPE)
-        for rule in state.rules:
-            assert gt_rendering not in rule.rationale
-            assert gt_rendering not in rule.summary
+        assert store.memory_state(SCOPE).rules
+        for path, data in _tree(tmp_path).items():
+            assert gt_rendering.encode() not in data, path
 
 
 def _tree(root):
