@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -94,12 +95,12 @@ class TaskInstance:
     def __post_init__(self) -> None:
         if not self.series:
             raise ContractError(f"instance {self.id}: series must be non-empty")
-        if any(not math.isfinite(v) for v in self.series):
+        if not all(map(math.isfinite, self.series)):
             raise ContractError(f"instance {self.id}: series values must be finite")
         if self.timestamps is not None:
             if len(self.timestamps) != len(self.series):
                 raise ContractError(f"instance {self.id}: timestamps/series length mismatch")
-            if any(a >= b for a, b in zip(self.timestamps, self.timestamps[1:])):
+            if any(map(operator.ge, self.timestamps, self.timestamps[1:])):
                 raise ContractError(f"instance {self.id}: timestamps must strictly increase")
         if self.task_type in NUMERIC_TYPES and self.horizon < 1:
             raise ContractError(f"instance {self.id}: horizon must be >= 1 for numeric tasks")

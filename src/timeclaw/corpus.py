@@ -56,6 +56,29 @@ def _domain_of(scope: str) -> str:
     return scope.split("_", 1)[0] if "_" in scope else scope
 
 
+def _finite_floats(values: list[Any]) -> Optional[tuple[float, ...]]:
+    """``values`` as floats when each is a finite int or float and not a bool,
+    else None. Each check is one C-level pass: over the distinct types, then
+    over the floats."""
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, values))):
+        return None
+    try:
+        floats = tuple(map(float, values))
+    except OverflowError:  # an int past the float range
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
+def _optional_array(record: Mapping[str, Any], key: str) -> Optional[tuple[Any, ...]]:
+    """The record's ``key`` array as a tuple, None when it is absent or empty."""
+    value = record.get(key)
+    if not value:
+        return None
+    if not isinstance(value, list):
+        raise CorpusError(f"{key} must be an array")
+    return tuple(value)
+
+
 def parse_record(record: Mapping[str, Any]) -> TaskInstance:
     """One sample from its JSON record; ``ground_truth``, when present, is sealed."""
     for key in ("id", "series", "task_type", "scope"):
@@ -68,25 +91,27 @@ def parse_record(record: Mapping[str, Any]) -> TaskInstance:
     series = record["series"]
     if not isinstance(series, list) or not series:
         raise CorpusError("series must be a non-empty array")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in series):
+    values = _finite_floats(series)
+    if values is None:
         raise CorpusError("series values must be finite numbers")
     gt = record.get("ground_truth")
     horizon = record.get("horizon", 1)
-    if not isinstance(horizon, int):
+    if not isinstance(horizon, int) or isinstance(horizon, bool):
         raise CorpusError("horizon must be an integer")
+    timestamps, label_space = (_optional_array(record, key) for key in ("timestamps", "label_space"))
     try:
         text = None
         if record.get("text") is not None:
             text = tuple(TextBlock(body=b["body"], date=b.get("date")) for b in record["text"])
         return TaskInstance(
             id=str(record["id"]),
-            series=tuple(float(v) for v in series),
+            series=values,
             task_type=task_type,
             horizon=horizon,
             scope=str(record["scope"]),
-            timestamps=tuple(record["timestamps"]) if record.get("timestamps") else None,
+            timestamps=timestamps,
             text_context=text,
-            label_space=tuple(record["label_space"]) if record.get("label_space") else None,
+            label_space=label_space,
             ground_truth=SealedAnswer(gt) if gt is not None else None,
         )
     except Exception as exc:

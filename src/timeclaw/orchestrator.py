@@ -57,12 +57,23 @@ from .registry import ToolRegistry
 from .store import ExperienceStore, Selection
 from .toolkit import (
     ORIGINAL_INPUT,
+    ArtifactKind,
     ArtifactStore,
     InvocationContext,
+    ToolArtifact,
     Toolkit,
     ToolInvocation,
 )
-from .util import TornRecord, append_record, canonical_json, digest_obj, iter_records, read_records, stable_seed
+from .util import (
+    TornRecord,
+    append_record,
+    canonical_json,
+    digest_obj,
+    iter_records,
+    read_records,
+    splice_json,
+    stable_seed,
+)
 
 # An exploration episode must yield at least this many valid candidates.
 MIN_VALID_CANDIDATES = 2
@@ -184,10 +195,18 @@ class TraceWriter:
         self.fresh = header["mode"] == "inference"
         self._lines = [canonical_json(header)] if log is not None else None
 
-    def event(self, kind: str, payload: Mapping[str, Any], branch: Optional[int] = None) -> None:
+    def event(self, kind: str, payload: Mapping[str, Any] | str, branch: Optional[int] = None) -> None:
+        """Add one event line; ``payload`` is the event's payload object or
+        its canonical JSON text, which is spliced into the line as it is."""
         if kind not in TRACE_KINDS:
             raise ContractError(f"unknown trace event kind {kind}")
-        if self._lines is not None:
+        if self._lines is None:
+            return
+        if isinstance(payload, str):
+            self._lines.append(
+                splice_json({"branch": canonical_json(branch), "kind": canonical_json(kind), "payload": payload})
+            )
+        else:
             self._lines.append(canonical_json({"branch": branch, "kind": kind, "payload": payload}))
 
     def __enter__(self) -> "TraceWriter":
@@ -422,7 +441,7 @@ class _EpisodeRunner:
         args: Mapping[str, Any],
         inputs: Sequence[str],
         branch: Optional[int],
-    ) -> dict[str, Any]:
+    ) -> ToolArtifact:
         self.call_counter += 1
         call_id = f"c{self.call_counter:03d}"
         self.trace.event(
@@ -435,12 +454,15 @@ class _EpisodeRunner:
             self.artifacts,
             self.ctx,
         )
-        art_dict = artifact.to_dict()
-        self.trace.event("tool_result", {"call_id": call_id, "artifact": art_dict}, branch=branch)
+        self.trace.event(
+            "tool_result",
+            splice_json({"call_id": canonical_json(call_id), "artifact": artifact.text}),
+            branch=branch,
+        )
         descriptor = self.deps.registry.descriptor(tool)
         if descriptor is not None and descriptor.substantive and not artifact.is_error:
             self.substantive_used.append(tool)
-        return art_dict
+        return artifact
 
 
 def _split_call_args(raw_args: Mapping[str, Any]) -> tuple[dict[str, Any], list[str]]:
@@ -456,7 +478,7 @@ def _split_call_args(raw_args: Mapping[str, Any]) -> tuple[dict[str, Any], list[
     return args, inputs or [ORIGINAL_INPUT]
 
 
-_Step = tuple[str, dict[str, Any]]  # tool, artifact
+_Step = tuple[str, ToolArtifact]
 
 
 def _step_loop(
@@ -497,7 +519,7 @@ def _step_loop(
             args, inputs = _split_call_args(call.args)
             art = runner.invoke_tool(call.tool, args, inputs, branch)
             steps.append((call.tool, art))
-            messages.append(ChatMessage(role="tool", content=canonical_json(art)))
+            messages.append(ChatMessage(role="tool", content=art.text))
             continue
         final = parse_final(reply.content)
         if final is not None:
@@ -638,8 +660,8 @@ def run_exploration_episode(
                     if eval_call.tool == "evaluate_batch_against_gt":
                         args.setdefault("candidates", answers)
                     art = runner.invoke_tool(eval_call.tool, args, [ORIGINAL_INPUT], branch=None)
-                    messages.append(ChatMessage(role="tool", content=canonical_json(art)))
-                    eval_reports = _evaluation_reports(art["payload"])
+                    messages.append(ChatMessage(role="tool", content=art.text))
+                    eval_reports = _evaluation_reports(art.payload)
                     for c in valid:
                         entry = eval_reports.get(c.branch_id)
                         if entry and "quality" in entry:
@@ -857,9 +879,9 @@ def _fallback_answer(instance: TaskInstance) -> Any:
     return sorted(instance.label_space or ())[0]
 
 
-def _context_line(step: int, tool: str, artifact: Mapping[str, Any]) -> str:
-    payload = artifact.get("payload", {})
-    if artifact.get("kind") == "series":
+def _context_line(step: int, tool: str, artifact: ToolArtifact) -> str:
+    payload = artifact.payload
+    if artifact.kind == ArtifactKind.SERIES:
         values = payload.get("values", [])
         head = ", ".join(repr(float(v)) for v in values[:3])
         return f"{step}. {tool}: produced a {len(values)}-step series starting [{head}, ...]."

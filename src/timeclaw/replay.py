@@ -92,7 +92,7 @@ def _replay_block(block: TraceBlock, toolkit: Toolkit) -> ReplayReport:
             artifacts,
             ctx,
         )
-        if canonical_json(produced.to_dict()) != canonical_json(recorded):
+        if produced.text != canonical_json(recorded):
             report.divergences.append(
                 Divergence(
                     index=result_index,

@@ -527,33 +527,40 @@ def _note_from_block(scope: str, seq: int, block: Mapping[str, str]) -> Learning
     return LearningNote(scope=scope, sequence=seq, **values)
 
 
-def _parse_note(scope: str, data: bytes, pos: int) -> tuple[LearningNote, int]:
+def _parse_note(
+    scope: str, decode_after: int, data: bytes, pos: int
+) -> tuple[tuple[int, Optional[LearningNote]], int]:
     """One block of a notes shard: an opening line, one ``key: value`` line
-    per field, and a closing line."""
+    per field, and a closing line. Every block is framed, but only a block
+    numbered past ``decode_after`` is decoded into its note (None otherwise):
+    framing is all that a killed append can break."""
     end = data.find(b"\n", pos)
     if end < 0:
         raise TornRecord
     opened = _NOTE_OPEN.fullmatch(data[pos:end].decode())
     if opened is None:
         raise ValueError("expected a note's opening line")
-    close = f"<!-- end note {opened[1]} -->".encode()
-    block: dict[str, str] = {}
+    seq = int(opened[1])
+    close = f"<!-- end note {seq} -->".encode()
+    block: Optional[dict[str, str]] = {} if seq > decode_after else None
     while True:
         pos, end = end + 1, data.find(b"\n", end + 1)
         if end < 0:
             raise TornRecord
         if data[pos:end] == close:
-            return _note_from_block(scope, int(opened[1]), block), end + 1
+            return (seq, None if block is None else _note_from_block(scope, seq, block)), end + 1
         key, value = data[pos:end].decode().split(": ", 1)
-        block[key] = value
+        if block is not None:
+            block[key] = value
 
 
-def _read_notes(root: Path, scope: str) -> tuple[list[LearningNote], int]:
-    """Every whole note of the scope's shard, and where the last one ends."""
-    notes, end = read_records(root / "notes" / f"{scope}.md", partial(_parse_note, scope))
-    if [note.sequence for note in notes] != list(range(1, len(notes) + 1)):
+def _read_notes(root: Path, scope: str, decode_after: int = 0) -> tuple[list[LearningNote], int, int]:
+    """The scope's notes numbered past ``decode_after``, the count of the
+    shard's whole blocks, and where the last one ends."""
+    records, end = read_records(root / "notes" / f"{scope}.md", partial(_parse_note, scope, decode_after))
+    if [seq for seq, _ in records] != list(range(1, len(records) + 1)):
         raise ContractError(f"notes shard for {scope} has non-gapless sequences")
-    return notes, end
+    return [note for _, note in records if note is not None], len(records), end
 
 
 def _parse_snapshot(data: bytes, pos: int) -> tuple[tuple[dict[str, Any], dict[str, Optional[str]]], int]:
@@ -629,6 +636,12 @@ class ExperienceStore:
     every scope's state and the text of every file it rewrites in memory,
     writing each change through to disk. It assumes no other process writes
     the same root meanwhile.
+
+    Opening frames every block of each notes shard, with the torn-tail and
+    bad-block checks of :func:`~timeclaw.util.iter_records` and gapless
+    numbering, but decodes only the blocks past the scope's
+    ``distilled_through``, its pending notes. :meth:`notes` decodes the
+    shard in full, so a bad value inside a distilled note surfaces there.
     """
 
     def __init__(self, root: Path):
@@ -648,9 +661,9 @@ class ExperienceStore:
             self._scope(path.stem).memory = MemoryState.from_dict(json.loads(self._files[f"memory/{path.name}"]))
         for path in sorted((self.root / "notes").glob("*.md")):
             held = self._scope(path.stem)
-            notes, held.notes_end = _read_notes(self.root, path.stem)
-            held.note_count = len(notes)
-            held.pending = notes[held.memory.distilled_through :]
+            held.pending, held.note_count, held.notes_end = _read_notes(
+                self.root, path.stem, held.memory.distilled_through
+            )
         for path in sorted((self.root / "snapshots").glob("*.log")):
             held = self._scope(path.stem)
             records, held.snapshot_end = read_records(path, _parse_snapshot)

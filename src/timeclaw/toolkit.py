@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import metrics, seriesops
 from .core import EvaluatorCapability, TaskInstance, validate_answer
 from .errors import CapabilityError, ContractError, TimeclawError
 from .registry import ArgSpec, ToolCategory, ToolDescriptor
-from .util import digest_obj
+from .util import canonical_json, digest_text, splice_json
 
 ORIGINAL_INPUT = "original_input"
 
@@ -51,13 +52,36 @@ class ToolArtifact:
             "payload": self.payload,
         }
 
+    @cached_property
+    def text(self) -> str:
+        """``canonical_json(self.to_dict())``: the tool message and the trace's
+        copy of the artifact. :meth:`of_call` fills it in when it is made."""
+        return canonical_json(self.to_dict())
+
+    @classmethod
+    def of_call(cls, call: "ToolInvocation", kind: ArtifactKind, payload: Any) -> "ToolArtifact":
+        """The artifact a call produced. Its payload is encoded once, and the
+        encoding is spliced into the id's digest input and into ``text``."""
+        encoded = canonical_json(payload)
+        artifact_id = digest_text(
+            splice_json(
+                {
+                    "tool": canonical_json(call.tool_id),
+                    "args": canonical_json(dict(call.args)),
+                    "parents": canonical_json(list(call.inputs)),
+                    "payload": encoded,
+                }
+            )
+        )[:12]
+        artifact = cls(artifact_id=artifact_id, kind=kind, payload=payload)
+        artifact.__dict__["text"] = splice_json(
+            {"artifact_id": canonical_json(artifact_id), "kind": canonical_json(kind.value), "payload": encoded}
+        )
+        return artifact
+
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ToolArtifact":
         return cls(artifact_id=data["artifact_id"], kind=ArtifactKind(data["kind"]), payload=data["payload"])
-
-
-def _artifact_id(tool_id: str, args: Mapping[str, Any], parents: Sequence[str], payload: Any) -> str:
-    return digest_obj({"tool": tool_id, "args": args, "parents": list(parents), "payload": payload}, 12)
 
 
 class ArtifactStore:
@@ -191,20 +215,13 @@ class Toolkit:
             return self._error_artifact(call, exc.code, str(exc))
         except ContractError as exc:
             return self._error_artifact(call, "contract", str(exc))
-        artifact = ToolArtifact(
-            artifact_id=_artifact_id(call.tool_id, dict(call.args), call.inputs, payload),
-            kind=kind,
-            payload=payload,
-        )
+        artifact = ToolArtifact.of_call(call, kind, payload)
         store.add(artifact)
         return artifact
 
     def _error_artifact(self, call: ToolInvocation, code: str, message: str) -> ToolArtifact:
-        payload = {"error": code, "message": message, "tool": call.tool_id}
-        return ToolArtifact(
-            artifact_id=_artifact_id(call.tool_id, dict(call.args), call.inputs, payload),
-            kind=ArtifactKind.TEXT,
-            payload=payload,
+        return ToolArtifact.of_call(
+            call, ArtifactKind.TEXT, {"error": code, "message": message, "tool": call.tool_id}
         )
 
     def tool_schema(self, tool_id: str) -> dict[str, Any]:

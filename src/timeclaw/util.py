@@ -8,8 +8,9 @@ import json
 import logging
 import os
 import random
+from json.encoder import encode_basestring  # how _CANONICAL encodes a string
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping
 
 from .errors import LogError
 
@@ -24,6 +25,14 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_asci
 def canonical_json(obj: Any) -> str:
     """Serialize with sorted keys and no whitespace so digests are stable."""
     return _CANONICAL.encode(obj)
+
+
+def splice_json(encoded: Mapping[str, str]) -> str:
+    """The canonical JSON of an object whose values are given already
+    encoded: ``splice_json({k: canonical_json(v)})`` equals
+    ``canonical_json({k: v})`` for string keys, so one encoding of a value
+    can be spliced into several objects."""
+    return "{" + ",".join([f"{encode_basestring(key)}:{encoded[key]}" for key in sorted(encoded)]) + "}"
 
 
 def digest_text(text: str) -> str:

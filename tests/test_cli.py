@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from timeclaw import __version__
+from timeclaw import store as store_module
 from timeclaw.cli import _build_deps, _build_gateway, build_parser, main
 from timeclaw.corpus import load_samples, reveal_for_scoring
 from timeclaw.gateway import RemoteGateway
@@ -131,6 +132,18 @@ class TestExplore:
             if needle in text
         ]
         assert not leaks
+
+    def test_an_explored_store_decodes_no_note_at_open(self, mixed_run, monkeypatch):
+        _instances, root = mixed_run
+        decoded = []
+        note_from_block = store_module._note_from_block
+        monkeypatch.setattr(
+            store_module, "_note_from_block", lambda *args: decoded.append(args) or note_from_block(*args)
+        )
+        store = ExperienceStore(root)
+        assert len(store.scopes()) == 4 and decoded == []
+        assert all(store.pending_notes(scope) == [] for scope in store.scopes())
+        assert sum(len(store.notes(scope)) for scope in store.scopes()) == len(decoded) == 24
 
     def test_each_trace_branch_lists_its_tools_once(self, mixed_run):
         _instances, store = mixed_run
@@ -255,6 +268,22 @@ class TestExplore:
         assert code == 3  # every instance failed, run still completed
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert len(summary["failed_instances"]) == 12
+
+    def test_a_series_int_past_the_float_range_is_a_rejected_line(self, corpus_dir, tmp_path):
+        lines = []
+        for name in ("learning.jsonl", "eval.jsonl"):
+            path = corpus_dir / name
+            lines = path.read_text().splitlines()
+            record = {**json.loads(lines[0]), "id": "huge"}
+            record["series"][0] = 10**400
+            path.write_text("".join(line + "\n" for line in [*lines, json.dumps(record)]))
+        store = tmp_path / "store"
+        assert main(["explore", "--corpus", str(corpus_dir / "learning.jsonl"), "--store", str(store)]) == 0
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["rejected_lines"] == [{"line": 13, "reason": "series values must be finite numbers"}]
+        out = tmp_path / "infer" / "pred.jsonl"
+        assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == len(lines) == 5
 
     def test_corpus_without_targets_exits_config_error(self, corpus_dir, tmp_path):
         # the eval corpus has targets; strip them to simulate a bad learning corpus
@@ -732,6 +761,11 @@ BAD_INPUT = {
     "lint-candidate-without-valid": ["lint", "--trace", "{candidate_without_valid}"],
     "replay-instance-text-not-blocks": ["replay", "--trace", "{bad_text}"],
     "lint-instance-text-not-blocks": ["lint", "--trace", "{bad_text}"],
+    # a header instance value parse_record rejects, not one it crashes on or splits
+    "replay-instance-int-past-float-range": ["replay", "--trace", "{huge_int}"],
+    "lint-instance-int-past-float-range": ["lint", "--trace", "{huge_int}"],
+    "replay-instance-bool-horizon": ["replay", "--trace", "{bool_horizon}"],
+    "lint-instance-string-label-space": ["lint", "--trace", "{string_labels}"],
     # --forbidden-file holds JSON that is not an array of strings
     "lint-forbidden-not-a-list": ["lint", "--trace", "{golden_trace}", "--forbidden-file", "{five}"],
     "lint-forbidden-not-strings": ["lint", "--trace", "{golden_trace}", "--forbidden-file", "{numbers}"],
@@ -757,6 +791,9 @@ class TestBadInput:
             "call_without_tool": tmp_path / "call_without_tool.jsonl",
             "candidate_without_valid": tmp_path / "candidate_without_valid.jsonl",
             "bad_text": tmp_path / "bad_text.jsonl",
+            "huge_int": tmp_path / "huge_int.jsonl",
+            "bool_horizon": tmp_path / "bool_horizon.jsonl",
+            "string_labels": tmp_path / "string_labels.jsonl",
             "torn_only": tmp_path / "torn_only.jsonl",
             "threshold": tmp_path / "threshold.json",
             "scenario": tmp_path / "scenario.json",
@@ -784,6 +821,10 @@ class TestBadInput:
                      "prior_guided": False, "alternative": False}
         files["candidate_without_valid"].write_text(block({**header, "mode": "exploration"}, ("verdict", candidate)))
         files["bad_text"].write_text(block({**header, "instance": {**instance, "text": [5]}}))
+        files["huge_int"].write_text(block({**header, "instance": {**instance, "series": [10**400, 2.0]}}))
+        files["bool_horizon"].write_text(block({**header, "instance": {**instance, "horizon": True}}))
+        trend = {**instance, "task_type": "trend", "label_space": "up"}
+        files["string_labels"].write_text(block({**header, "instance": trend}))
         files["torn_only"].write_text(block(header)[:-5])
         files["threshold"].write_text(json.dumps({"synth_forecast_short": 0}))
         files["scenario"].write_text(json.dumps({"episodes": "many"}))

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from timeclaw import metrics
 from timeclaw.corpus import (
@@ -12,6 +15,7 @@ from timeclaw.corpus import (
     generate_sample,
     generate_synthetic_corpus,
     load_samples,
+    parse_record,
     reveal_for_scoring,
     write_samples,
 )
@@ -75,6 +79,26 @@ class TestLoader:
         _write_jsonl(path, [record])
         result = load_samples(path, role="evaluation")
         assert len(result.instances) == 1
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"series": [10**400, 2.0, 3.0, 4.0]}, "series values must be finite numbers"),
+            ({"horizon": True}, "horizon must be an integer"),
+            (
+                {"task_type": "trend", "label_space": "up", "ground_truth": "u"},
+                "label_space must be an array",
+            ),
+            ({"timestamps": "abcd"}, "timestamps must be an array"),
+        ],
+        ids=["int-past-the-float-range", "bool-horizon", "string-label-space", "string-timestamps"],
+    )
+    def test_a_value_of_the_wrong_kind_is_rejected_with_a_reason(self, tmp_path, fields, reason):
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, [_record(0), _record(1, **fields)])
+        result = load_samples(path, role="learning")
+        assert [instance.id for instance in result.instances] == ["s0"]
+        assert result.rejects == [{"line": 2, "reason": reason}]
 
     def test_unreadable_file_is_corpus_error(self, tmp_path):
         with pytest.raises(CorpusError):
@@ -200,3 +224,72 @@ class TestSyntheticGenerator:
         assert gt["max"] == max(future)
         assert gt["min"] == min(future)
         assert gt["diff"] == pytest.approx(max(future) - min(future))
+
+
+def _parse_by_element(record):
+    """``parse_record``'s series and timestamps checks made one element at a
+    time in Python: the reference the C-level passes must agree with.
+    Returns the accepted (series, timestamps) or the reject reason; raises
+    OverflowError for a series int past the float range. A timestamps
+    comparison that raises (a str against a float, or an int past the float
+    range against a numpy float) rejects with the error's message."""
+    series, timestamps = record["series"], record.get("timestamps")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in series):
+        return "series values must be finite numbers"
+    values = tuple(float(v) for v in series)
+    timestamps = tuple(timestamps) if timestamps else None
+    if any(not math.isfinite(v) for v in values):
+        return f"instance {record['id']}: series values must be finite"
+    if timestamps is not None:
+        if len(timestamps) != len(values):
+            return f"instance {record['id']}: timestamps/series length mismatch"
+        try:
+            if any(a >= b for a, b in zip(timestamps, timestamps[1:])):
+                return f"instance {record['id']}: timestamps must strictly increase"
+        except (TypeError, OverflowError) as exc:
+            return str(exc)
+    return values, timestamps
+
+
+_VALUES = (
+    st.integers()
+    | st.sampled_from([10**400, -(10**400), 2**1024])
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.booleans()
+    | st.text(max_size=3)
+    | st.none()
+    | st.floats().map(np.float64)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    series=st.lists(_VALUES, min_size=1, max_size=6),
+    stamps=st.lists(_VALUES | st.sampled_from(["2024-01-01", "2024-01-02", "2024-01-03"]), max_size=6),
+    same_length=st.booleans(),
+)
+@example(series=[1.0, 10**400], stamps=[], same_length=False)
+@example(series=[np.float64(1.5), 2], stamps=["2024-01-01", "2024-01-02"], same_length=False)
+@example(series=[1.0, 2.0], stamps=[math.nan, 1.0], same_length=False)
+@example(series=[1.0, 2.0], stamps=["2024-01-01", None], same_length=False)
+@example(series=[0, 0], stamps=[10**400, np.float64(0.0)], same_length=False)
+def test_the_c_level_checks_decide_as_the_element_by_element_checks(series, stamps, same_length):
+    """Every series and timestamps is accepted or rejected, with the same
+    reason, as the element-by-element checks decide, except a series int past
+    the float range: they raise OverflowError on it, and parse_record rejects
+    it."""
+    if same_length:
+        stamps = (stamps * len(series))[: len(series)] or None
+    record = {**_record(0), "series": series, "timestamps": stamps}
+    try:
+        expected = _parse_by_element(record)
+    except OverflowError:
+        expected = "series values must be finite numbers"
+    try:
+        instance = parse_record(record)
+    except CorpusError as exc:
+        assert str(exc) == expected
+    else:
+        assert (instance.series, instance.timestamps) == expected
+        assert all(type(v) is float for v in instance.series)

@@ -20,6 +20,7 @@ from timeclaw.core import (
 )
 from timeclaw.errors import ContractError, LogError
 from timeclaw.prompts import build_inference_prompt, fingerprint, render_memory_rules
+from timeclaw import store as store_module
 from timeclaw.registry import ToolUsageLedger
 from timeclaw.store import (
     CONFIDENCE_INIT,
@@ -436,6 +437,19 @@ class TestStoreNotes:
         with pytest.raises(LogError, match=re.escape(f"{shard}: line {line}: bad record")):
             ExperienceStore(tmp_path)
 
+    def test_bad_value_in_a_distilled_note_surfaces_when_notes_reads_it(self, tmp_path):
+        _commit_and_distill(ExperienceStore(tmp_path), [_note(seq=None) for _ in range(12)])
+        shard = tmp_path / "notes" / f"{SCOPE}.md"
+        full = shard.read_bytes()
+        second = full.index(b"<!-- note 2 -->")
+        metrics = full.index(b"metrics: {}", second)
+        shard.write_bytes(full[:metrics] + b"metrics: {bad" + full[metrics + len(b"metrics: {}") :])
+        reopened = ExperienceStore(tmp_path)  # note 2 is distilled: framed at open, not decoded
+        assert [n.sequence for n in reopened.pending_notes(SCOPE)] == [11, 12]
+        line = full.count(b"\n", 0, second) + 1
+        with pytest.raises(LogError, match=re.escape(f"{shard}: line {line}: bad record")):
+            reopened.notes(SCOPE)
+
     def test_gapped_shard_is_refused(self, tmp_path):
         store = ExperienceStore(tmp_path)
         for _ in range(3):
@@ -717,6 +731,33 @@ class TestInMemoryState:
         assert len(whole.snapshot_timeline(SCOPE)) == 2
         assert split.memory_state(SCOPE) == whole.memory_state(SCOPE)
         assert split.pending_notes(SCOPE) == whole.pending_notes(SCOPE) == whole.notes(SCOPE)[20:]
+
+    def test_open_decodes_only_the_pending_notes(self, tmp_path, monkeypatch):
+        """A store killed with 3 pending notes decodes those 3 at open, and
+        its pending notes and a resumed finalize are those of a store that
+        never closed; once finalized, a store decodes none at open."""
+        notes = [_note(seq=None, winner=(f"tool_{i % 3}",)) for i in range(23)]
+        whole = ExperienceStore(tmp_path / "whole")
+        _commit_and_distill(whole, notes)
+        _commit_and_distill(ExperienceStore(tmp_path / "killed"), notes)
+        committed = whole.notes(SCOPE)
+        decoded = []
+
+        def counted(scope, seq, block):
+            decoded.append(seq)
+            return note_from_block(scope, seq, block)
+
+        note_from_block = store_module._note_from_block
+        monkeypatch.setattr(store_module, "_note_from_block", counted)
+        killed = ExperienceStore(tmp_path / "killed")
+        assert decoded == [21, 22, 23]
+        assert killed.pending_notes(SCOPE) == whole.pending_notes(SCOPE) == committed[20:]
+        assert killed.finalize(SCOPE) == whole.finalize(SCOPE)
+        assert _tree(tmp_path / "killed") == _tree(tmp_path / "whole")
+        decoded.clear()
+        finalized = ExperienceStore(tmp_path / "killed")
+        assert decoded == [] and finalized.pending_notes(SCOPE) == []
+        assert finalized.notes(SCOPE) == committed and len(decoded) == 23
 
     def test_distill_and_retrieve_read_no_files_after_open(self, tmp_path, seasonal_instance, monkeypatch):
         _commit_and_distill(ExperienceStore(tmp_path), [_note(seq=None) for _ in range(10)])

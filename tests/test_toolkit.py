@@ -1,17 +1,25 @@
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from timeclaw.core import EvaluatorCapability, SealedAnswer, TaskInstance, TaskType, TextBlock
 from timeclaw.errors import CapabilityError
+from timeclaw.gateway import AssistantReply, PolicyGateway
+from timeclaw.orchestrator import EpisodeDeps, _EpisodeRunner
+from timeclaw.registry import ArgSpec, ToolCategory, ToolDescriptor, ToolRegistry, ToolUsageLedger
 from timeclaw.toolkit import (
     ORIGINAL_INPUT,
     ArtifactKind,
     ArtifactStore,
     InvocationContext,
+    ToolError,
     ToolInvocation,
+    Toolkit,
 )
-from timeclaw.util import canonical_json
+from timeclaw.util import canonical_json, digest_obj
 
 
 def _series_instance(values, horizon=3, **kwargs):
@@ -345,3 +353,64 @@ class TestInvocationContract:
             art, _ = _invoke(toolkit, instance, ctx, "holt", {"horizon": 3})
             dumps.add(canonical_json(art.to_dict()))
         assert len(dumps) == 1
+
+
+def _artifact_id_by_whole_encoding(tool_id, args, parents, payload):
+    """The artifact id from one encoding of the whole digest input: the
+    reference the id spliced from the payload's encoding must equal."""
+    return digest_obj({"tool": tool_id, "args": args, "parents": list(parents), "payload": payload}, 12)
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestSplicedArtifactText:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        payload=_PAYLOADS,
+        text=st.text(),
+        outcome=st.sampled_from(["result", "tool_error", "unknown_argument", "unknown_input", "unknown_tool"]),
+        branch=st.none() | st.integers(0, 3),
+    )
+    def test_text_id_and_trace_line_equal_their_own_encodings(self, tmp_path_factory, payload, text, outcome, branch):
+        """The payload's one encoding, spliced into the artifact's text, its
+        id's digest input and its tool_result line, gives the bytes that
+        encoding each of them whole gives, for results and error artifacts."""
+
+        def echo(args, inputs, ctx):
+            if outcome == "tool_error":
+                raise ToolError("contract", text)
+            return ArtifactKind.TEXT, payload
+
+        toolkit = Toolkit()
+        toolkit.register(ToolDescriptor("echo", ToolCategory.ANALYSIS, {"note": ArgSpec("string")}), echo)
+        deps = EpisodeDeps(
+            registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger()),
+            toolkit=toolkit,
+            gateway=PolicyGateway(lambda exchange: AssistantReply(content="")),
+            trace_dir=tmp_path_factory.mktemp("traces"),
+        )
+        runner = _EpisodeRunner(_series_instance([1.0, 2.0, 3.0]), deps)
+        tool = f"echo·{text}" if outcome == "unknown_tool" else "echo"
+        args = {f"é{text}": payload} if outcome == "unknown_argument" else {"note": text}
+        inputs = [f"ä{text}"] if outcome == "unknown_input" else [ORIGINAL_INPUT]
+        with runner.trace:
+            artifact = runner.invoke_tool(tool, args, inputs, branch)
+        assert artifact.is_error == (outcome != "result")
+        assert artifact.text == canonical_json(artifact.to_dict())
+        assert artifact.artifact_id == _artifact_id_by_whole_encoding(tool, args, inputs, artifact.payload)
+        # str.splitlines would also split at the U+0085 or U+2028 of a text
+        lines = runner.trace.path.read_bytes().decode().split("\n")[:-1]
+        assert [json.loads(line)["kind"] for line in lines[1:]] == ["tool_call", "tool_result"]
+        assert lines[-1] == canonical_json(
+            {
+                "branch": branch,
+                "kind": "tool_result",
+                "payload": {"call_id": "c001", "artifact": artifact.to_dict()},
+            }
+        )
