@@ -193,6 +193,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         "command": "infer",
         "version": __version__,
         "instances": len(load.instances),
+        "rejected_lines": load.rejects,
         "predictions": len(results),
         "degraded": sum(1 for r in results if r.degraded),
         "noexp": noexp,
@@ -256,7 +257,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.threshold_file:
             thresholds = json.loads(Path(args.threshold_file).read_text())
         predictions: dict[str, Any] = {}
-        for line in Path(args.predictions).read_text().splitlines():
+        # only "\n" ends a record: str.splitlines also splits at the U+2028
+        # and U+0085 that canonical_json writes raw inside strings
+        for line in Path(args.predictions).read_text().split("\n"):
             if line.strip():
                 record = json.loads(line)
                 predictions[record["id"]] = record.get("prediction")

@@ -134,7 +134,9 @@ def load_samples(path: Path, role: str) -> LoadResult:
     rejects: list[dict[str, Any]] = []
     manifest = CorpusManifest(role=role)
     missing_gt: list[int] = []
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    # only "\n" ends a line: str.splitlines also splits inside a string
+    # holding U+2028 or U+0085
+    for line_no, line in enumerate(path.read_text().split("\n"), start=1):
         if not line.strip():
             continue
         try:

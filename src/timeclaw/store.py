@@ -1,6 +1,7 @@
-"""Hierarchical distilled experience: Soul, Notes, Memory, Tool notes, and
-Skills layers, plus the Summarize -> Clean -> Distill pipeline that feeds
-them and the retrieval filter that reinjects them.
+"""Hierarchical distilled experience: Soul, Notes and Memory layers, the
+Tool-note and Skills views rendered from Memory, the Summarize -> Clean ->
+Distill pipeline that feeds them and the retrieval filter that reinjects
+them.
 
 Layer roles:
 
@@ -10,9 +11,9 @@ Layer roles:
   never injected into prompts.
 * Memory — bounded structured rules (kind, applicability, preferred/avoided
   tools, evidence, confidence, injectable).
-* Tool notes / Skills — derived layers, each a function of its own scope's
-  memory with every line written once, rebuilt only when the memory
-  fingerprint actually changes.
+* Tool notes / Skills — views, never stored: retrieval renders them from
+  the scope's published memory, with every line written once, so they
+  always agree with it. A tool card lists only injectable rules' stances.
 
 Every mutation of one scope is serialized; notes sequence numbers are
 gapless and committed notes are never modified.
@@ -196,17 +197,6 @@ class MemoryState:
 # ---------------------------------------------------------------------------
 
 
-def _chain_text(tools: Sequence[str]) -> str:
-    return " -> ".join(tools) if tools else "(no tools)"
-
-
-def _applicability_phrase(chi: Mapping[str, Any]) -> str:
-    if not chi:
-        return "similar samples"
-    parts = [f"{k}={json.dumps(v)}" for k, v in sorted(chi.items())]
-    return "samples with " + ", ".join(parts)
-
-
 def summarize_episode(
     outcome: EpisodeOutcome,
     instance: TaskInstance,
@@ -214,10 +204,9 @@ def summarize_episode(
 ) -> LearningNote:
     """Build the sample-level learning record for one finished episode.
 
-    The episode's own learning_summary text is preferred when the gateway
-    produced one; a deterministic template covers scripted and failure runs.
-    The stored winner and tool chain always come from the evaluated outcome,
-    not from the text.
+    The insight and recommendation are the episode's learning_summary text
+    as the model gave it ("" when it gave none). The stored winner and tool
+    chain always come from the evaluated outcome, not from the text.
     """
     chi = {"task_subtype": fp.task_subtype, "seasonal": fp.seasonal}
     winner = outcome.winning_candidate()
@@ -243,38 +232,6 @@ def summarize_episode(
         entry.update(outcome.eval_reports.get(c.branch_id) or {})
         note_metrics[c.branch_id] = entry
 
-    insight = outcome.learning_summary.insight
-    recommendation = outcome.learning_summary.recommendation
-    if not insight or not recommendation:
-        if outcome.evidence_class == EvidenceClass.COMPARATIVE:
-            qualities = sorted(
-                (c.quality, c.branch_id) for c in outcome.candidates if c.quality is not None
-            )
-            spread = qualities[-1][0] - qualities[0][0] if len(qualities) >= 2 else 0.0
-            insight = (
-                f"Among {len(outcome.candidates)} candidates, the {_chain_text(winner_tools)} "
-                f"path scored best against ground truth (quality spread {spread:.6g})."
-            )
-            recommendation = (
-                f"For {_applicability_phrase(chi)}, prefer {_chain_text(winner_tools)}"
-                + (f" over {_chain_text(loser_tools)}." if loser_tools else ".")
-            )
-        elif outcome.evidence_class == EvidenceClass.SINGLE_EXECUTION:
-            insight = (
-                f"Only the {_chain_text(winner_tools)} path produced a task-valid answer; "
-                "no comparative signal."
-            )
-            recommendation = (
-                f"Treat {_chain_text(winner_tools)} as a workable path for "
-                f"{_applicability_phrase(chi)} pending comparison."
-            )
-        else:
-            insight = "No candidate execution was task-valid."
-            recommendation = (
-                f"Revisit tool choices for {_applicability_phrase(chi)}; the attempted "
-                f"chains ({_chain_text(loser_tools)}) all failed."
-            )
-
     return LearningNote(
         scope=instance.scope,
         instance_id=instance.id,
@@ -283,8 +240,8 @@ def summarize_episode(
         loser_tools=loser_tools,
         metrics=note_metrics,
         evidence_class=outcome.evidence_class.value,
-        insight=insight,
-        recommendation=recommendation,
+        insight=outcome.learning_summary.insight,
+        recommendation=outcome.learning_summary.recommendation,
         trace_refs=(outcome.trace_path,) if outcome.trace_path else (),
         applicability=chi,
         sensitive=tuple(outcome.sensitive),
@@ -500,7 +457,7 @@ def update_memory(state: MemoryState, ev: CleanEvidence) -> str:
 _NOTE_OPEN = re.compile(r"<!-- note (\d+) -->")
 
 # Files the store only ever writes whole; it keeps their text in memory.
-_REWRITTEN = ("soul.md", "memory/*.json", "skills/*.md", "tools/*/*.md")
+_REWRITTEN = ("soul.md", "memory/*.json")
 
 # A note's shard block: (key, LearningNote attribute, JSON read when the key
 # is missing), in the order the block lists them. ``sensitive`` is not among
@@ -565,8 +522,9 @@ def _read_notes(root: Path, scope: str, decode_after: int = 0) -> tuple[list[Lea
 
 def _parse_snapshot(data: bytes, pos: int) -> tuple[tuple[dict[str, Any], dict[str, Optional[str]]], int]:
     """One record of a snapshot log: its header line, and the layers it
-    changed (None for a tool card that is gone), whose raw bytes follow the
-    header in the header's order."""
+    changed (None for a layer that is gone, such as the tool cards and
+    skills files that older stores kept), whose raw bytes follow the header
+    in the header's order."""
     end = data.find(b"\n", pos)
     if end < 0:
         raise TornRecord
@@ -595,8 +553,8 @@ def _fold_layers(layers: dict[str, str], changed: Mapping[str, Optional[str]]) -
 @dataclass(frozen=True)
 class Selection:
     """What retrieval injects for one scope and fingerprint: the matching
-    injectable rules, best first, the scope's skills, and the tool cards of
-    the rules' preferred tools.
+    injectable rules, best first, and the scope's skills and the tool cards
+    of the rules' preferred tools, both rendered from the same memory.
 
     ``retrieve`` memoizes a Selection per published memory, so one Selection
     is shared by every sample whose fingerprint has the same predicate
@@ -609,6 +567,59 @@ class Selection:
     skills_text: str = ""
     tool_notes: Mapping[str, str] = field(default_factory=dict)
     rendered: dict[Any, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _chain_text(tools: Sequence[str]) -> str:
+    return " -> ".join(tools) if tools else "(no tools)"
+
+
+def _tool_cards(state: MemoryState) -> dict[str, str]:
+    """The boundary card of every tool the injectable rules name: one line
+    per stance such a rule takes on the tool. A demoted rule, or one in an
+    open conflict, is not reinjected, so neither is its stance."""
+    per_tool: dict[str, set[str]] = {}
+    for rule in (r for r in state.rules if r.injectable):
+        for stance, tools in (("preferred", rule.preferred_tools), ("avoided", rule.avoided_tools)):
+            line = (
+                f"- {stance} ({rule.kind}, confidence {rule.confidence:.2f}, "
+                f"when {json.dumps(rule.applicability, sort_keys=True)})"
+            )
+            for tool in tools:
+                per_tool.setdefault(tool, set()).add(line)
+    return {tool: "\n".join([f"# Tool notes: {tool}", *sorted(lines)]) + "\n" for tool, lines in per_tool.items()}
+
+
+def _skills_text(scope: str, state: MemoryState) -> str:
+    """One line per procedure of the scope's top rules, in rank order;
+    rules that read the same give one line. Empty while the memory holds no
+    rule."""
+    if not state.rules:
+        return ""
+    ranked = sorted((r for r in state.rules if r.injectable), key=lambda r: (-r.confidence, r.seq))
+    lines = []
+    for rule in ranked[:8]:
+        line = (
+            f"- When {json.dumps(rule.applicability, sort_keys=True)}: "
+            f"prefer {_chain_text(sorted(rule.preferred_tools))}"
+        )
+        if rule.avoided_tools:
+            line += f"; avoid {_chain_text(sorted(rule.avoided_tools))}"
+        lines.append(line + f" (confidence {rule.confidence:.2f}, evidence {len(rule.evidence)}).")
+    body = list(dict.fromkeys(lines)) or ["(no stable procedures yet)"]
+    return "\n".join([f"# Procedures: {scope}", "", *body]) + "\n"
+
+
+def _select(scope: str, state: MemoryState, fp: SampleFingerprint) -> Selection:
+    rules = sorted(
+        (r for r in state.rules if r.injectable and match(r.applicability, fp)),
+        key=lambda r: (-r.confidence, r.seq),
+    )
+    cards = _tool_cards(state)
+    return Selection(
+        rules=tuple(rules),
+        skills_text=_skills_text(scope, state),
+        tool_notes={t: cards[t] for t in sorted({t for r in rules for t in r.preferred_tools})},
+    )
 
 
 @dataclass
@@ -648,9 +659,9 @@ class ExperienceStore:
         self.root = Path(root)
         self._scopes: dict[str, _Scope] = {}
         self._scopes_guard = threading.Lock()
-        # Held to publish a scope's memory and rebuild the layers derived from
-        # it, so a retrieval sees a memory and the layers built from it.
-        # Every change to ``_files`` and to a scope's ``memory`` holds it.
+        # Held to publish a scope's memory, so a retrieval memoizes only a
+        # selection of the memory that is published. Every change to
+        # ``_files`` and to a scope's ``memory`` holds it.
         self._publish = threading.RLock()
         self._files: dict[str, str] = {}
         self._laid_out = False  # opening writes nothing; the first write lays the store out
@@ -678,7 +689,7 @@ class ExperienceStore:
         with self._publish:
             if self._laid_out:
                 return
-            for sub in ("notes", "memory", "tools", "skills", "snapshots"):
+            for sub in ("notes", "memory", "snapshots"):
                 (self.root / sub).mkdir(parents=True, exist_ok=True)
             self._laid_out = True
             if "soul.md" not in self._files:
@@ -708,9 +719,8 @@ class ExperienceStore:
 
     def _write_memory(self, scope: str, state: MemoryState) -> None:
         """Publish ``state`` as the scope's memory, on disk and in memory, and
-        drop the scope's memoized selections. The layers derived from the
-        memory are rebuilt under the same hold of ``_publish``, so no
-        retrieval memoizes a selection of the new memory and the old layers."""
+        drop the scope's memoized selections, under one hold of ``_publish``,
+        so no retrieval memoizes a selection of an older memory."""
         with self._publish:
             self._write(f"memory/{scope}.json", json.dumps(state.to_dict(), sort_keys=True, indent=1) + "\n")
             held = self._scope(scope)
@@ -771,8 +781,8 @@ class ExperienceStore:
         return list(held.pending) if held is not None else []
 
     def maybe_trigger_distillation(self, scope: str) -> list[str]:
-        """Notes -> Memory fires on every DISTILL_EVERY-th pending note;
-        downstream layers rebuild only when the memory fingerprint changed."""
+        """Notes -> Memory fires on every DISTILL_EVERY-th pending note; a
+        snapshot is taken only when the memory fingerprint changed."""
         return self._distill_batch(scope, DISTILL_EVERY)
 
     def finalize(self, scope: str) -> list[str]:
@@ -793,16 +803,12 @@ class ExperienceStore:
                     update_memory(state, ev)
             state.distilled_through = held.pending[-1].sequence
             after = state.content_fingerprint()
-            with self._publish:
-                self._write_memory(scope, state)
-                held.pending = []
-                stages = ["notes_to_memory"]
-                if after != before:
-                    self._rebuild_tool_notes(scope, state)
-                    self._rebuild_skills(scope, state)
-                    stages += ["memory_to_tool_notes", "memory_to_skills"]
-                    self.snapshot(scope)
-            return stages
+            self._write_memory(scope, state)
+            held.pending = []
+            if after == before:
+                return ["notes_to_memory"]
+            self.snapshot(scope)
+            return ["notes_to_memory", "snapshot"]
 
     def record_episode(
         self, outcome: EpisodeOutcome, instance: TaskInstance, fp: SampleFingerprint
@@ -820,50 +826,12 @@ class ExperienceStore:
         stages = self.maybe_trigger_distillation(note.scope)
         return committed, stages
 
-    # -- derived layers ---------------------------------------------------
-
-    def _rebuild_tool_notes(self, scope: str, state: MemoryState) -> None:
-        """Rewrite ``tools/<scope>/<tool>.md`` for every tool the scope's rules
-        name, and delete the scope's cards no rule names any more."""
-        per_tool: dict[str, set[str]] = {}
-        for rule in state.rules:
-            for stance, tools in (("preferred", rule.preferred_tools), ("avoided", rule.avoided_tools)):
-                line = (
-                    f"- {stance} ({rule.kind}, confidence {rule.confidence:.2f}, "
-                    f"when {json.dumps(rule.applicability, sort_keys=True)})"
-                )
-                for tool in tools:
-                    per_tool.setdefault(tool, set()).add(line)
-        prefix = f"tools/{scope}/"
-        for rel in [rel for rel in self._files if rel.startswith(prefix)]:
-            if Path(rel).stem not in per_tool:
-                (self.root / rel).unlink()
-                del self._files[rel]
-        (self.root / prefix).mkdir(exist_ok=True)
-        for tool, lines in sorted(per_tool.items()):
-            self._write(f"{prefix}{tool}.md", "\n".join([f"# Tool notes: {tool}", *sorted(lines)]) + "\n")
-
-    def _rebuild_skills(self, scope: str, state: MemoryState) -> None:
-        """One line per procedure of the scope's top rules, in rank order;
-        rules that read the same give one line."""
-        ranked = sorted((r for r in state.rules if r.injectable), key=lambda r: (-r.confidence, r.seq))
-        lines = []
-        for rule in ranked[:8]:
-            line = (
-                f"- When {json.dumps(rule.applicability, sort_keys=True)}: "
-                f"prefer {_chain_text(sorted(rule.preferred_tools))}"
-            )
-            if rule.avoided_tools:
-                line += f"; avoid {_chain_text(sorted(rule.avoided_tools))}"
-            lines.append(line + f" (confidence {rule.confidence:.2f}, evidence {len(rule.evidence)}).")
-        body = list(dict.fromkeys(lines)) or ["(no stable procedures yet)"]
-        self._write(f"skills/{scope}.md", "\n".join([f"# Procedures: {scope}", "", *body]) + "\n")
-
     # -- retrieval ----------------------------------------------------------
 
     def retrieve(self, scope: str, fp: SampleFingerprint) -> Selection:
         """Injectable rules matching the fingerprint, plus the scope's skills
-        and its tool notes on the selected rules' preferred tools.
+        and its tool notes on the selected rules' preferred tools, rendered
+        from the scope's published memory.
 
         ``match`` reads only ``fp.fields()``, so the result is memoized per
         published memory, keyed by those fields' values: samples that agree
@@ -873,39 +841,25 @@ class ExperienceStore:
         with self._publish:
             held = self._scopes.get(scope)
             if held is None:
-                return self._select(scope, MemoryState(), fp)
+                return _select(scope, MemoryState(), fp)
             selection = held.selections.get(key)
             if selection is None:
-                selection = held.selections[key] = self._select(scope, held.memory, fp)
+                selection = held.selections[key] = _select(scope, held.memory, fp)
             return selection
-
-    def _select(self, scope: str, state: MemoryState, fp: SampleFingerprint) -> Selection:
-        rules = sorted(
-            (r for r in state.rules if r.injectable and match(r.applicability, fp)),
-            key=lambda r: (-r.confidence, r.seq),
-        )
-        tools = sorted({t for r in rules for t in r.preferred_tools})
-        prefix = f"tools/{scope}/"
-        return Selection(
-            rules=tuple(rules),
-            skills_text=self._files.get(f"skills/{scope}.md", ""),
-            tool_notes={t: self._files[f"{prefix}{t}.md"] for t in tools if f"{prefix}{t}.md" in self._files},
-        )
 
     # -- snapshots and audit ------------------------------------------------
 
     def snapshot(self, scope: str) -> str:
-        """Record the scope's rewritten layers as one record appended to
-        ``snapshots/<scope>.log``. The record holds only the layers that
-        differ from the scope's previous snapshot; the digest covers them all.
+        """Record the scope's stored layers, the soul and the memory, as one
+        record appended to ``snapshots/<scope>.log``. The record holds only
+        the layers that differ from the scope's previous snapshot; the digest
+        covers them all.
         The notes are append-only, so the snapshot cites their count instead
         of copying them: its notes are the shard's first ``notes`` blocks."""
         with self._publish:
             self._lay_out()
             held = self._scope(scope)
-            layers = ["soul.md", f"memory/{scope}.json", f"skills/{scope}.md",
-                      *sorted(rel for rel in self._files if rel.startswith(f"tools/{scope}/"))]
-            content = {rel: self._files[rel] for rel in layers if rel in self._files}
+            content = {rel: self._files[rel] for rel in ("soul.md", f"memory/{scope}.json") if rel in self._files}
             entry = {
                 "seq": len(held.snapshots) + 1,
                 "digest": digest_obj({"notes": held.note_count, "layers": list(content.items())}, 16),

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -15,7 +14,7 @@ from timeclaw.corpus import load_samples, reveal_for_scoring
 from timeclaw.gateway import RemoteGateway
 from timeclaw.orchestrator import ExplorationConfig, read_trace, run_exploration_episode
 from timeclaw.policy import policy_gateway
-from timeclaw.store import ExperienceStore
+from timeclaw.store import ExperienceStore, MemoryState
 from timeclaw.util import canonical_json
 
 SPEC = {
@@ -195,7 +194,7 @@ class TestExplore:
             ]
         )
         assert code == 0
-        from timeclaw.store import ExperienceStore
+        from timeclaw.store import ExperienceStore, MemoryState
 
         notes = ExperienceStore(store).notes("synth_forecast_short")
         assert [n.sequence for n in notes] == list(range(1, len(notes) + 1))
@@ -236,20 +235,16 @@ class TestExplore:
             notes = reopened.notes(scope)
             assert [n.sequence for n in notes] == list(range(1, len(notes) + 1))
             assert reopened.memory_state(scope).distilled_through == len(notes)
-        # the tool cards on disk are the ones each scope's final memory gives
-        rebuilt = tmp_path / "rebuilt"
-        shutil.copytree(store, rebuilt)
-        for card in (rebuilt / "tools").glob("*/*.md"):
-            card.unlink()
-        copy = ExperienceStore(rebuilt)
-        for scope in copy.scopes():
-            copy._rebuild_tool_notes(scope, copy.memory_state(scope))
-        cards = sorted(p.relative_to(store).as_posix() for p in (store / "tools").glob("*/*.md"))
-        assert cards
-        assert {card.split("/")[1] for card in cards} == set(reopened.scopes())
-        assert cards == sorted(p.relative_to(rebuilt).as_posix() for p in (rebuilt / "tools").glob("*/*.md"))
-        for rel in cards:
-            assert (store / rel).read_text() == (rebuilt / rel).read_text()
+        # no card or skills file is stored; the views each scope's last
+        # snapshot renders are those its final memory renders
+        assert {p.name for p in store.iterdir()} == {"soul.md", "notes", "memory", "snapshots", "traces", "ledger.jsonl"}
+        for scope in reopened.scopes():
+            memory = reopened.memory_state(scope)
+            snapshot = reopened.snapshot_layers(scope, len(reopened.snapshot_timeline(scope)))
+            snapped = MemoryState.from_dict(json.loads(snapshot[f"memory/{scope}.json"]))
+            assert store_module._tool_cards(memory)
+            assert store_module._tool_cards(snapped) == store_module._tool_cards(memory)
+            assert store_module._skills_text(scope, snapped) == store_module._skills_text(scope, memory)
 
     def test_script_misses_are_partial_failures_not_crashes(self, corpus_dir, tmp_path):
         empty_script = tmp_path / "empty.json"
@@ -284,6 +279,9 @@ class TestExplore:
         out = tmp_path / "infer" / "pred.jsonl"
         assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == len(lines) == 5
+        summary = json.loads((out.parent / "infer_summary.json").read_text())
+        assert summary["instances"] == 5
+        assert summary["rejected_lines"] == [{"line": 6, "reason": "series values must be finite numbers"}]
 
     def test_corpus_without_targets_exits_config_error(self, corpus_dir, tmp_path):
         # the eval corpus has targets; strip them to simulate a bad learning corpus
@@ -468,6 +466,25 @@ class TestEval:
         scope = scores["scopes"][0]
         assert scope["metrics"]["mae"] == 0.0
         assert scope["effective_n"] == 5
+
+    def test_a_prediction_holding_a_line_separator_is_scored(self, corpus_dir, tmp_path):
+        eval_path = corpus_dir / "eval.jsonl"
+        preds = tmp_path / "preds.jsonl"
+        # infer writes its records with canonical_json, which keeps U+2028 and
+        # U+0085 raw, as a model's reasoning copied into the context can hold
+        preds.write_text(
+            "".join(
+                canonical_json(
+                    {"id": inst.id, "prediction": reveal_for_scoring(inst), "execution_context": {"reasoning": "a\u2028b\u0085c"}}
+                )
+                + "\n"
+                for inst in load_samples(eval_path, "evaluation").instances
+            )
+        )
+        out = tmp_path / "scores.json"
+        assert main(["eval", "--predictions", str(preds), "--corpus", str(eval_path), "--out", str(out)]) == 0
+        scope = json.loads(out.read_text())["scopes"][0]
+        assert (scope["effective_n"], scope["metrics"]["mae"]) == (5, 0.0)
 
     def test_threshold_excludes_extreme_row(self, corpus_dir, tmp_path):
         from timeclaw.corpus import load_samples, reveal_for_scoring

@@ -100,6 +100,16 @@ class TestLoader:
         assert [instance.id for instance in result.instances] == ["s0"]
         assert result.rejects == [{"line": 2, "reason": reason}]
 
+    def test_a_line_separator_inside_a_string_stays_in_its_line(self, tmp_path):
+        # canonical_json writes U+2028 and U+0085 raw; only "\n" ends a line
+        body = "first\u2028second\u0085third"
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (_record(0, text=[{"body": body}]), _record(1))))
+        result = load_samples(path, role="learning")
+        assert result.rejects == []
+        assert [instance.id for instance in result.instances] == ["s0", "s1"]
+        assert result.instances[0].text_context[0].body == body
+
     def test_unreadable_file_is_corpus_error(self, tmp_path):
         with pytest.raises(CorpusError):
             load_samples(tmp_path / "missing.jsonl", role="learning")

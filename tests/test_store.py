@@ -36,7 +36,7 @@ from timeclaw.store import (
     summarize_episode,
     update_memory,
 )
-from timeclaw.util import stable_rng
+from timeclaw.util import canonical_json, stable_rng
 
 SCOPE = "synth_forecast_short"
 
@@ -81,13 +81,13 @@ def _evidence(prefer=("seasonal_naive",), avoid=(), kind="tool_preference", chi=
 
 
 class TestSummarizeEpisode:
-    def _outcome(self, evidence_class, winner, candidates, reports=None):
+    def _outcome(self, evidence_class, winner, candidates, reports=None, summary=("", "")):
         return EpisodeOutcome(
             instance_id="i1",
             candidates=candidates,
             winner=winner,
             evidence_class=evidence_class,
-            learning_summary=LearningSummaryText(insight="", recommendation=""),
+            learning_summary=LearningSummaryText(*summary),
             eval_evidence=reports is not None,
             eval_reports=reports or {},
         )
@@ -107,11 +107,12 @@ class TestSummarizeEpisode:
             self._cand("b0", 0, ("seasonal_naive",), quality=-1.585),
             self._cand("b1", 1, ("naive",), quality=-1.821),
         ]
-        outcome = self._outcome(EvidenceClass.COMPARATIVE, "b0", candidates, reports={"b0": {}, "b1": {}})
+        summary = ("seasonal_naive tracked the cycle", "")
+        outcome = self._outcome(EvidenceClass.COMPARATIVE, "b0", candidates, reports={"b0": {}, "b1": {}}, summary=summary)
         note = summarize_episode(outcome, seasonal_instance, fingerprint(seasonal_instance))
         assert note.winner_tools == ("seasonal_naive",)
         assert note.loser_tools == ("naive",)
-        assert "seasonal_naive" in note.insight
+        assert (note.insight, note.recommendation) == summary  # stored as the model gave it
         assert note.evidence_class == "comparative"
 
     def test_failure_note_has_no_winner_chain(self, seasonal_instance):
@@ -128,7 +129,8 @@ class TestSummarizeEpisode:
             EvidenceClass.SINGLE_EXECUTION, "b0", candidates, reports={"b0": {}}
         )
         note = summarize_episode(outcome, seasonal_instance, fingerprint(seasonal_instance))
-        assert "no comparative signal" in note.insight
+        assert note.evidence_class == "single_execution"
+        assert (note.insight, note.recommendation) == ("", "")
 
 
 # Evidence text as a note commit sees it: ground-truth renderings, number
@@ -497,20 +499,18 @@ class TestDistillationTriggers:
         stages = store.maybe_trigger_distillation(SCOPE)
         assert stages == ["notes_to_memory"]
 
-    def test_full_pipeline_stage_list(self, tmp_path):
+    def test_full_pipeline_stage_list(self, tmp_path, seasonal_instance):
         store = ExperienceStore(tmp_path)
         for _ in range(9):
             store.commit_note(_note(seq=None))
             assert store.maybe_trigger_distillation(SCOPE) == []
         store.commit_note(_note(seq=None))
         stages = store.maybe_trigger_distillation(SCOPE)
-        assert stages == [
-            "notes_to_memory",
-            "memory_to_tool_notes",
-            "memory_to_skills",
-        ]
-        assert (tmp_path / "skills" / f"{SCOPE}.md").exists()
-        assert (tmp_path / "tools" / SCOPE / "seasonal_naive.md").exists()
+        assert stages == ["notes_to_memory", "snapshot"]
+        selection = store.retrieve(SCOPE, fingerprint(seasonal_instance))
+        assert "prefer seasonal_naive; avoid naive" in selection.skills_text
+        assert set(selection.tool_notes) == {"seasonal_naive"}
+        assert not (tmp_path / "skills").exists() and not (tmp_path / "tools").exists()
 
 
 class TestRetrieve:
@@ -579,7 +579,7 @@ class TestRetrieve:
         for _ in range(10):
             store.commit_note(_note(seq=None, winner=("holt",), losers=("seasonal_naive",)))
             stages += store.maybe_trigger_distillation(SCOPE)
-        assert "memory_to_tool_notes" in stages
+        assert "snapshot" in stages
         after, reopened = store.retrieve(SCOPE, fp), ExperienceStore(tmp_path).retrieve(SCOPE, fp)
         assert [r.to_dict() for r in after.rules] == [r.to_dict() for r in reopened.rules]
         assert after.skills_text == reopened.skills_text
@@ -714,7 +714,7 @@ class TestLayout:
     def test_first_write_lays_the_store_out(self, tmp_path):
         store = ExperienceStore(tmp_path)
         store.commit_note(_note(seq=None))
-        subdirs = {"notes", "memory", "tools", "skills", "snapshots"}
+        subdirs = {"notes", "memory", "snapshots"}
         assert {p.name for p in tmp_path.iterdir() if p.is_dir()} == subdirs
         assert (tmp_path / "soul.md").read_text() == DEFAULT_SOUL
 
@@ -774,7 +774,7 @@ class TestInMemoryState:
         stages = store.maybe_trigger_distillation(SCOPE)
         selection = store.retrieve(SCOPE, fp)
         monkeypatch.undo()
-        assert "memory_to_tool_notes" in stages
+        assert "snapshot" in stages
         assert {"holt", "seasonal_naive"} <= set(selection.tool_notes)
 
     def test_distillation_leaves_a_held_selection_unchanged(self, tmp_path, seasonal_instance):
@@ -790,10 +790,14 @@ class TestInMemoryState:
 
 def _held_layers(root, scope):
     """The layers a snapshot of ``scope`` covers, as they are on disk now."""
-    rels = ["soul.md", f"memory/{scope}.json", f"skills/{scope}.md"]
-    layers = {rel: (root / rel).read_text() for rel in rels if (root / rel).exists()}
-    layers.update((p.relative_to(root).as_posix(), p.read_text()) for p in sorted((root / "tools" / scope).glob("*.md")))
-    return layers
+    rels = ["soul.md", f"memory/{scope}.json"]
+    return {rel: (root / rel).read_text() for rel in rels if (root / rel).exists()}
+
+
+def _views(scope, layers):
+    """Every tool card and the skills text that the memory among ``layers`` renders."""
+    memory = MemoryState.from_dict(json.loads(layers[f"memory/{scope}.json"]))
+    return store_module._tool_cards(memory), store_module._skills_text(scope, memory)
 
 
 # Two scopes whose distillations add tool cards and, once memory is full and
@@ -815,30 +819,135 @@ class TestScopeLocalLayers:
         # both prefer b at confidence 0.50, the third in a conflict
         for winner, loser in (("d", "c"), ("b", "a"), ("b", "d")):
             store.commit_note(_note(seq=None, winner=(winner,), losers=(loser,)))
-            assert "memory_to_tool_notes" in store.finalize(SCOPE)
+            assert "snapshot" in store.finalize(SCOPE)
         assert store.retrieve(OTHER, fp) == selection
         assert store.snapshot(OTHER) == digest
-        written = [*tmp_path.glob("tools/**/*.md"), *tmp_path.glob("skills/*.md")]
-        assert len(written) == 8  # OTHER's cards a and b, SCOPE's a to d, two skills
-        for path in written:
-            lines = path.read_text().splitlines()
-            assert len(lines) == len(set(lines)), path
+        views = {scope: _views(scope, _held_layers(tmp_path, scope)) for scope in (OTHER, SCOPE)}
+        # only SCOPE's second rule is injectable, so its cards are a and b too
+        assert [sorted(cards) for cards, _skills in views.values()] == [["a", "b"], ["a", "b"]]
+        for cards, skills in views.values():
+            for text in (*cards.values(), skills):
+                lines = text.splitlines()
+                assert len(lines) == len(set(lines)), text
+
+
+class Killed(BaseException):
+    """Stands in for the process dying."""
+
+
+class TestRenderedViews:
+    def test_cards_hold_only_the_stances_of_injectable_rules(self, tmp_path, seasonal_instance):
+        store = ExperienceStore(tmp_path)
+        fp = fingerprint(seasonal_instance)
+        here = json.dumps({"seasonal": True, "task_subtype": "forecast"}, sort_keys=True)
+        there = {"task_subtype": "trend", "seasonal": False}
+        for winner, loser, chi in (("holt", (), None), ("drift", ("holt",), there), ("holt", ("drift",), there)):
+            store.commit_note(_note(seq=None, winner=(winner,), losers=loser, chi=chi))
+        store.finalize(SCOPE)
+        assert [r.injectable for r in store.memory_state(SCOPE).rules] == [True, False, False]  # the last two conflict
+        selection = store.retrieve(SCOPE, fp)
+        assert selection.tool_notes == {"holt": f"# Tool notes: holt\n- preferred (tool_preference, confidence 0.50, when {here})\n"}
+        for _ in range(2):  # the third rule wins its conflict and the second is demoted
+            store.commit_note(_note(seq=None, winner=("holt",), losers=("drift",), chi=there))
+        store.finalize(SCOPE)
+        rules = store.memory_state(SCOPE).rules
+        assert [(r.injectable, r.demoted) for r in rules] == [(True, False), (False, True), (True, False)]
+        card = store.retrieve(SCOPE, fp).tool_notes["holt"]
+        assert "avoided" not in card and "confidence 0.25" not in card
+        assert card.count("- preferred") == 2
+
+    def test_a_store_killed_after_publishing_its_memory_retrieves_what_one_never_killed_does(
+        self, tmp_path, seasonal_instance, monkeypatch
+    ):
+        first = [_note(seq=None) for _ in range(10)]
+        second = [_note(seq=None, winner=("holt",), losers=("seasonal_naive",)) for _ in range(10)]
+        whole = ExperienceStore(tmp_path / "whole")
+        _commit_and_distill(whole, first + second)
+        killed = ExperienceStore(tmp_path / "killed")
+        _commit_and_distill(killed, first)
+        for note in second:
+            killed.commit_note(note)
+        write_atomic = store_module.write_atomic
+
+        def write_then_die(path, text):
+            write_atomic(path, text)
+            if Path(path).as_posix().endswith(f"memory/{SCOPE}.json"):
+                raise Killed
+
+        monkeypatch.setattr(store_module, "write_atomic", write_then_die)
+        with pytest.raises(Killed):
+            killed.maybe_trigger_distillation(SCOPE)
+        monkeypatch.undo()
+        fp = fingerprint(seasonal_instance)
+        reopened, expected = ExperienceStore(tmp_path / "killed").retrieve(SCOPE, fp), whole.retrieve(SCOPE, fp)
+        assert [r.to_dict() for r in reopened.rules] == [r.to_dict() for r in expected.rules]
+        assert (reopened.skills_text, reopened.tool_notes) == (expected.skills_text, expected.tool_notes)
+        assert "holt" in reopened.skills_text
+
+    def test_a_store_that_kept_cards_and_skills_renders_views_and_drops_them_from_its_snapshots(
+        self, tmp_path, seasonal_instance
+    ):
+        # A store as older versions wrote it: a skills file and tool cards
+        # beside the memory, and a snapshot record that lists them.
+        root, notes = tmp_path / "old", [_note(seq=None) for _ in range(10)]
+        _commit_and_distill(ExperienceStore(root), notes)
+        stale = {
+            f"skills/{SCOPE}.md": f"# Procedures: {SCOPE}\n\n- When {{}}: prefer naive (stale).\n",
+            f"tools/{SCOPE}/naive.md": "# Tool notes: naive\n- preferred (stale)\n",
+            f"tools/{SCOPE}/seasonal_naive.md": "# Tool notes: seasonal_naive\n- avoided (stale)\n",
+        }
+        for rel, text in stale.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        layers = {**_held_layers(root, SCOPE), **stale}
+        header = {"digest": "0" * 16, "layers": {rel: len(text.encode()) for rel, text in layers.items()}, "notes": 10, "seq": 1}
+        log = root / "snapshots" / f"{SCOPE}.log"
+        log.write_bytes(canonical_json(header).encode() + b"\n" + "".join(layers[rel] for rel in sorted(layers)).encode())
+        first_record = log.stat().st_size
+
+        fp = fingerprint(seasonal_instance)
+        fresh = ExperienceStore(tmp_path / "fresh")
+        _commit_and_distill(fresh, notes)
+        store = ExperienceStore(root)
+        digest = store.tree_digest()
+        selection, expected = store.retrieve(SCOPE, fp), fresh.retrieve(SCOPE, fp)
+        assert (selection.skills_text, selection.tool_notes) == (expected.skills_text, expected.tool_notes)
+        assert "(stale)" not in selection.skills_text + "".join(selection.tool_notes.values())
+        assert store.tree_digest() == digest  # retrieval wrote nothing
+        assert store.snapshot_layers(SCOPE, 1) == layers
+
+        holt = [_note(seq=None, winner=("holt",), losers=()) for _ in range(10)]
+        _commit_and_distill(store, holt)
+        _commit_and_distill(fresh, holt)
+        second_header = json.loads(log.read_bytes()[first_record:].split(b"\n", 1)[0])
+        assert {rel: size for rel, size in second_header["layers"].items() if size is None} == dict.fromkeys(stale)
+        assert store.snapshot_layers(SCOPE, 1) == layers
+        assert store.snapshot_layers(SCOPE, 2) == _held_layers(root, SCOPE)
+        reopened, expected = ExperienceStore(root).retrieve(SCOPE, fp), fresh.retrieve(SCOPE, fp)
+        assert (reopened.skills_text, reopened.tool_notes) == (expected.skills_text, expected.tool_notes)
 
 
 class TestSnapshotLog:
-    def test_snapshot_layers_equal_the_layers_held_when_taken(self, tmp_path):
+    def test_snapshot_layers_equal_the_layers_held_when_taken(self, tmp_path, seasonal_instance):
         store = ExperienceStore(tmp_path)
-        held = {}
+        fp = fingerprint(seasonal_instance)
+        held, retrieved = {}, {}
         for note in CHURN:
             _commit_and_distill(store, [note])
             timeline = store.snapshot_timeline(SCOPE)
             if timeline and timeline[-1]["seq"] not in held:
                 held[timeline[-1]["seq"]] = _held_layers(tmp_path, SCOPE)
+                retrieved[timeline[-1]["seq"]] = store.retrieve(SCOPE, fp)
         assert list(held) == [1, 2, 3, 4]
         rebuilt = {seq: store.snapshot_layers(SCOPE, seq) for seq in held}
         assert rebuilt == held
         assert ExperienceStore(tmp_path).snapshot_layers(SCOPE, 2) == held[2]
-        assert set(held[3]) - set(held[4])  # a tool card went away
+        views = {seq: _views(SCOPE, layers) for seq, layers in rebuilt.items()}
+        for seq, selection in retrieved.items():
+            cards, skills = views[seq]
+            assert selection.skills_text == skills
+            assert selection.tool_notes == {tool: cards[tool] for tool in selection.tool_notes}
+        assert set(views[3][0]) - set(views[4][0])  # a tool card went away
 
     def test_reopened_store_appends_the_same_log_bytes(self, tmp_path):
         _commit_and_distill(ExperienceStore(tmp_path / "whole"), CHURN)
