@@ -12,6 +12,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Mapping, Optional
 
 from .errors import CapabilityError, ContractError, GroundTruthSealedError
@@ -144,8 +145,18 @@ class Verdict:
     reason: Optional[str] = None
 
 
-def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+def _all_numbers(values: Any) -> bool:
+    """Whether every value is a finite int or float, not a bool, checked in
+    C-level passes over the sequence. An int past the float range is not
+    one: ``math.isfinite`` cannot convert it."""
+    try:
+        return (
+            all(map(isinstance, values, repeat((int, float))))
+            and not any(map(isinstance, values, repeat(bool)))
+            and all(map(math.isfinite, values))
+        )
+    except OverflowError:
+        return False
 
 
 def validate_answer(answer: Any, instance: TaskInstance) -> Verdict:
@@ -161,7 +172,7 @@ def validate_answer(answer: Any, instance: TaskInstance) -> Verdict:
             return Verdict(False, "not_a_sequence")
         if len(answer) == 0:
             return Verdict(False, "empty_sequence")
-        if not all(_is_number(v) for v in answer):
+        if not _all_numbers(answer):
             return Verdict(False, "non_numeric_element")
         return Verdict(True)
     if t == TaskType.INDICATOR:
@@ -170,7 +181,7 @@ def validate_answer(answer: Any, instance: TaskInstance) -> Verdict:
         for name in INDICATOR_FIELDS:
             if name not in answer:
                 return Verdict(False, f"missing_field:{name}")
-            if not _is_number(answer[name]):
+            if not _all_numbers((answer[name],)):
                 return Verdict(False, f"non_numeric_field:{name}")
         return Verdict(True)
     # classification families

@@ -22,7 +22,7 @@ from .core import (
     TextBlock,
 )
 from .errors import CorpusError
-from .util import digest_text, stable_rng, write_atomic
+from .util import digest_text, json_dumps, stable_rng, write_atomic
 
 # the offline scorer/loader capability; never handed to prompt assembly
 _OFFLINE = EvaluatorCapability()
@@ -177,7 +177,7 @@ def write_samples(instances: Sequence[TaskInstance], path: Path, sources: Option
             record["ground_truth"] = inst.answer_key(_OFFLINE)
         if sources and inst.id in sources:
             record["source"] = sources[inst.id]
-        lines.append(json.dumps(record, sort_keys=True))
+        lines.append(json_dumps(record, sort_keys=True))
     write_atomic(path, "\n".join(lines) + "\n")
 
 

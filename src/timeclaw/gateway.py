@@ -73,6 +73,16 @@ class ChatExchange:
     def _tool_names(self) -> tuple[str, ...]:
         return tuple(sorted(t["name"] for t in self.declared_tools))
 
+    @cached_property
+    def _digest(self) -> str:
+        """:func:`exchange_digest`, worked out once per exchange, which the
+        trace and a scripted or recording gateway each read. An exchange is
+        not changed once it is sent."""
+        h = hashlib.sha256(b'{"messages":[')
+        h.update(b",".join(m._digest_piece for m in self.messages))
+        h.update(b'],"tools":' + canonical_json(self.declared_tool_names()).encode() + b"}")
+        return h.hexdigest()[:16]
+
 
 @dataclass
 class AssistantReply:
@@ -102,11 +112,8 @@ def _normalize(content: str) -> str:
 def exchange_digest(exchange: ChatExchange) -> str:
     """Digest of (normalized message contents, declared tool ids): the
     canonical JSON of ``{"messages": [[role, content], ...], "tools": [...]}``,
-    assembled from each message's cached piece."""
-    h = hashlib.sha256(b'{"messages":[')
-    h.update(b",".join(m._digest_piece for m in exchange.messages))
-    h.update(b'],"tools":' + canonical_json(exchange.declared_tool_names()).encode() + b"}")
-    return h.hexdigest()[:16]
+    assembled from each message's cached piece, once per exchange."""
+    return exchange._digest
 
 
 def _estimate_tokens(text: str) -> int:

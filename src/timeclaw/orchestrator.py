@@ -70,6 +70,7 @@ from .util import (
     canonical_json,
     digest_obj,
     iter_records,
+    json_dumps,
     read_records,
     splice_json,
     stable_seed,
@@ -444,19 +445,13 @@ class _EpisodeRunner:
     ) -> ToolArtifact:
         self.call_counter += 1
         call_id = f"c{self.call_counter:03d}"
-        self.trace.event(
-            "tool_call",
-            {"call_id": call_id, "tool": tool, "args": dict(args), "inputs": list(inputs)},
-            branch=branch,
-        )
-        artifact = self.deps.toolkit.invoke(
-            ToolInvocation(tool_id=tool, args=dict(args), inputs=tuple(inputs)),
-            self.artifacts,
-            self.ctx,
-        )
+        call = ToolInvocation(tool_id=tool, args=dict(args), inputs=tuple(inputs))
+        encoded = {"call_id": canonical_json(call_id), "tool": canonical_json(tool), "inputs": canonical_json(list(inputs))}
+        self.trace.event("tool_call", splice_json({**encoded, "args": call.args_json}), branch=branch)
+        artifact = self.deps.toolkit.invoke(call, self.artifacts, self.ctx)
         self.trace.event(
             "tool_result",
-            splice_json({"call_id": canonical_json(call_id), "artifact": artifact.text}),
+            splice_json({"call_id": encoded["call_id"], "artifact": artifact.text}),
             branch=branch,
         )
         descriptor = self.deps.registry.descriptor(tool)
@@ -715,10 +710,12 @@ def run_exploration_episode(
         for record in records:
             runner.trace.event("verdict", record, branch=record["slot"])
 
-        truth = instance.answer_key(runner.ctx.capability)
-        sensitive = [canonical_json(truth), json.dumps(truth)]
-        for c in valid:
-            sensitive.append(canonical_json(c.final_answer))
+        # the renderings of the truth and the answers that cleaning redacts
+        # from the summary text, built only when there is text to clean
+        sensitive: list[str] = []
+        if summary.insight or summary.recommendation:
+            truth = instance.answer_key(runner.ctx.capability)
+            sensitive = [canonical_json(truth), json_dumps(truth), *(canonical_json(c.final_answer) for c in valid)]
         outcome = EpisodeOutcome(
             instance_id=instance.id,
             candidates=candidates,

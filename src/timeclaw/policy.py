@@ -15,6 +15,7 @@ import re
 from typing import Any, Optional
 
 from .gateway import AssistantReply, ChatExchange, ChatMessage, PolicyGateway, ToolCallRequest
+from .util import json_dumps
 
 FORECAST_TOOLS = ("naive", "drift", "seasonal_naive", "ses", "holt", "moving_average")
 
@@ -95,7 +96,7 @@ def _tool_reply(tool: str, args: dict[str, Any]) -> AssistantReply:
 
 def _final(answer_type: str, answer: Any, reasoning: str = "") -> AssistantReply:
     return AssistantReply(
-        content=json.dumps(
+        content=json_dumps(
             {"answer_type": answer_type, "answer": answer, "reasoning": reasoning},
             sort_keys=True,
         )

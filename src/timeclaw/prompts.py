@@ -9,14 +9,17 @@ reductions for everything else. The builders only format that profile.
 
 What a prompt takes from the store depends only on the retrieval Selection
 (and the soul), so the system message and the Support lines are rendered once
-per Selection and kept on it (see ``_rendered``), not once per prompt.
+per Selection and kept on it (see ``_rendered``), not once per prompt. Likewise
+the series preview and the Fingerprint and Profiling lines are rendered once
+per sample and kept on its SampleFingerprint, which every prompt of an episode
+shares.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -25,6 +28,7 @@ from . import seriesops
 from .core import TaskInstance, TaskType
 from .errors import ContractError
 from .gateway import ChatMessage
+from .util import json_dumps
 
 LEARNING_SUMMARY_TYPE = "learning_summary"
 
@@ -77,6 +81,13 @@ class SampleFingerprint:
             "boundary_event": self.boundary_event,
             "length_band": self.length_band,
         }
+
+    @cached_property
+    def rendered(self) -> dict[str, str]:
+        """What the prompt builders render from this sample, kept for the
+        episode's later prompts (see ``_rendered``). Not a field, so
+        ``dataclasses.asdict`` and ``replace`` leave it out."""
+        return {}
 
 
 def _boundary_event(instance: TaskInstance) -> bool:
@@ -192,6 +203,7 @@ def _series_preview(instance: TaskInstance, k: int = 5) -> str:
 
 def _objective_section(
     instance: TaskInstance,
+    fp: SampleFingerprint,
     required_final_type: str,
     execution_context: str,
     control_lines: Sequence[str],
@@ -204,7 +216,7 @@ def _objective_section(
         f"- scope = {instance.scope}",
         f"- horizon = {instance.horizon}",
         f"- series_length = {len(instance.series)}",
-        f"- series_preview = {_series_preview(instance)}",
+        f"- series_preview = {_rendered(fp, 'preview', lambda: _series_preview(instance))}",
         "### Execution Context",
         execution_context,
         "### Control Context",
@@ -220,7 +232,7 @@ def _objective_section(
         lines.append("- answer: JSON object with numeric fields max, min, diff")
     else:
         lines.append("- answer: exactly one label from the label space")
-        lines.append(f"- label_space = {json.dumps(list(instance.label_space or ()))}")
+        lines.append(f"- label_space = {json_dumps(list(instance.label_space or ()))}")
     lines.append('- finish with JSON: {"answer_type": ..., "answer": ..., "reasoning": ...}')
     return "\n".join(lines)
 
@@ -271,7 +283,7 @@ def render_memory_rules(rules: Sequence[Any]) -> str:
     for r in rules:
         prefer = ", ".join(sorted(r.preferred_tools)) or "-"
         avoid = ", ".join(sorted(r.avoided_tools)) or "-"
-        chi = json.dumps(r.applicability, sort_keys=True)
+        chi = json_dumps(r.applicability, sort_keys=True)
         lines.append(
             f"- [{r.rule_id}|{r.kind}|c={r.confidence:.2f}] prefer: {prefer}; avoid: {avoid}; when: {chi}"
         )
@@ -281,12 +293,12 @@ def render_memory_rules(rules: Sequence[Any]) -> str:
 _T = TypeVar("_T")
 
 
-def _rendered(selection: Any, key: Any, build: Callable[[], _T]) -> _T:
-    """``build()``, kept in ``selection.rendered`` when the selection has that
-    cache (a store's Selection, which is read-only, so what is rendered from
-    it stays valid as long as it does). Threads that race both build the same
-    value, and either may be kept."""
-    cache = getattr(selection, "rendered", None)
+def _rendered(source: Any, key: Any, build: Callable[[], _T]) -> _T:
+    """``build()``, kept in ``source.rendered`` when the source has that cache
+    (a store's Selection or a SampleFingerprint, both read-only, so what is
+    rendered from one stays valid as long as it does). Threads that race both
+    build the same value, and either may be kept."""
+    cache = getattr(source, "rendered", None)
     if cache is None:
         return build()
     value = cache.get(key)
@@ -340,13 +352,15 @@ def _frame(objective: str, observation: str, decision: str, tools: str) -> str:
 
 
 def _observation_section(fp: SampleFingerprint, selection: Any) -> str:
-    lines = ["## Observation", "### Sample Fingerprint"]
-    lines.extend(_fingerprint_lines(fp))
-    lines.append("### Profiling")
-    lines.extend(_profiling_lines(fp))
-    lines.append("### Support")
-    lines.extend(_rendered(selection, "support", lambda: tuple(_support_lines(selection))))
-    return "\n".join(lines)
+    sample = _rendered(
+        fp,
+        "observation",
+        lambda: "\n".join(
+            ["## Observation", "### Sample Fingerprint", *_fingerprint_lines(fp), "### Profiling", *_profiling_lines(fp)]
+        ),
+    )
+    support = _rendered(selection, "support", lambda: "\n".join(_support_lines(selection)))
+    return f"{sample}\n### Support\n{support}"
 
 
 def build_exploration_prompt(
@@ -363,6 +377,7 @@ def build_exploration_prompt(
     rules = getattr(selection, "rules", ())
     objective = _objective_section(
         instance,
+        fp,
         LEARNING_SUMMARY_TYPE,
         "- exploration episode: compare candidate executions before finishing",
         control_lines=[f"- branch_slots = {len(slots)}"],
@@ -413,6 +428,7 @@ def build_branch_prompt(
     tool hint; the branch finishes with an ordinary task answer."""
     objective = _objective_section(
         instance,
+        fp,
         instance.task_type.value,
         "- exploration branch: produce one candidate execution",
         control_lines=[f"- slot = {slot.slot}"],
@@ -453,6 +469,7 @@ def build_inference_prompt(
         raise ContractError("exploration-only tools cannot be declared at inference")
     objective = _objective_section(
         instance,
+        fp,
         instance.task_type.value,
         "- inference: solve the task with previously distilled experience",
         control_lines=[],

@@ -34,7 +34,9 @@ from typing import Any, Mapping, Optional, Sequence
 from .core import EpisodeOutcome, EvidenceClass, TaskInstance
 from .errors import ContractError
 from .prompts import SampleFingerprint, match, task_prompt
-from .util import TornRecord, append_record, canonical_json, digest_obj, digest_text, read_records, write_atomic
+from .util import (
+    TornRecord, append_record, canonical_json, digest_obj, digest_text, json_dumps, read_records, write_atomic,
+)
 
 MEMORY_CAP = 30
 DISTILL_EVERY = 10
@@ -582,7 +584,7 @@ def _tool_cards(state: MemoryState) -> dict[str, str]:
         for stance, tools in (("preferred", rule.preferred_tools), ("avoided", rule.avoided_tools)):
             line = (
                 f"- {stance} ({rule.kind}, confidence {rule.confidence:.2f}, "
-                f"when {json.dumps(rule.applicability, sort_keys=True)})"
+                f"when {json_dumps(rule.applicability, sort_keys=True)})"
             )
             for tool in tools:
                 per_tool.setdefault(tool, set()).add(line)
@@ -599,7 +601,7 @@ def _skills_text(scope: str, state: MemoryState) -> str:
     lines = []
     for rule in ranked[:8]:
         line = (
-            f"- When {json.dumps(rule.applicability, sort_keys=True)}: "
+            f"- When {json_dumps(rule.applicability, sort_keys=True)}: "
             f"prefer {_chain_text(sorted(rule.preferred_tools))}"
         )
         if rule.avoided_tools:
@@ -758,7 +760,7 @@ class ExperienceStore:
         held = self._scope(note.scope)
         with held.lock:
             seq = held.note_count + 1
-            block = {key: json.dumps(getattr(note, attr), sort_keys=True) for key, attr, _ in _NOTE_FIELDS}
+            block = {key: json_dumps(getattr(note, attr), sort_keys=True) for key, attr, _ in _NOTE_FIELDS}
             lines = [
                 f"<!-- note {seq} -->",
                 *(f"{key}: {value}" for key, value in block.items()),
@@ -786,8 +788,21 @@ class ExperienceStore:
         return self._distill_batch(scope, DISTILL_EVERY)
 
     def finalize(self, scope: str) -> list[str]:
-        """Flush a shorter-than-batch tail of pending notes."""
-        return self._distill_batch(scope, 1)
+        """Flush a shorter-than-batch tail of pending notes. With none pending,
+        snapshot the published memory when its content fingerprint is not
+        the last snapshot's: a batch killed after it published its memory,
+        before it snapshotted it, leaves the timeline one version behind."""
+        stages = self._distill_batch(scope, 1)
+        if stages:
+            return stages
+        held = self._scope(scope)
+        with held.lock:
+            snapped = held.last_snapshot.get(f"memory/{scope}.json")
+            last = MemoryState.from_dict(json.loads(snapped)) if snapped else MemoryState()
+            if held.memory.content_fingerprint() == last.content_fingerprint():
+                return []
+            self.snapshot(scope)
+            return ["snapshot"]
 
     def _distill_batch(self, scope: str, min_pending: int) -> list[str]:
         held = self._scope(scope)

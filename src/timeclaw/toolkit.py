@@ -67,7 +67,7 @@ class ToolArtifact:
             splice_json(
                 {
                     "tool": canonical_json(call.tool_id),
-                    "args": canonical_json(dict(call.args)),
+                    "args": call.args_json,
                     "parents": canonical_json(list(call.inputs)),
                     "payload": encoded,
                 }
@@ -109,6 +109,12 @@ class ToolInvocation:
     tool_id: str
     args: Mapping[str, Any] = field(default_factory=dict)
     inputs: tuple[str, ...] = (ORIGINAL_INPUT,)
+
+    @cached_property
+    def args_json(self) -> str:
+        """``canonical_json(dict(self.args))``, encoded once: the ``tool_call``
+        trace line and the artifact id's digest input both splice it in."""
+        return canonical_json(dict(self.args))
 
 
 @dataclass

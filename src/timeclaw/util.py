@@ -1,5 +1,10 @@
 """Small deterministic helpers: canonical JSON, digests, seeded RNG, atomic
-file rewrites, and append-only logs that survive a torn last record."""
+file rewrites, and append-only logs that survive a torn last record.
+
+``canonical_json`` and ``json_dumps`` each call one JSON encoder built at
+import, where ``json.dumps`` builds a new one per call. Their text is
+``json.dumps``'s; only a cyclic value fails otherwise (see ``_prebuilt``).
+Writes with ``indent`` still go through ``json.dumps``."""
 
 from __future__ import annotations
 
@@ -8,23 +13,43 @@ import json
 import logging
 import os
 import random
-from json.encoder import encode_basestring  # how _CANONICAL encodes a string
+from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .errors import LogError
 
 logger = logging.getLogger(__name__)
 
 
-# built once: json.dumps with these options builds a new encoder per call;
-# encode() keeps no state between calls, so threads may share it
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+def _prebuilt(encoder: json.JSONEncoder) -> Callable[[Any, int], Sequence[str]]:
+    """The C encoder that ``encoder.encode`` builds on every call, built
+    once: called as ``(obj, 0)``, it returns the chunks of
+    ``encoder.encode(obj)``. It keeps no state between calls, so threads may
+    share it. It skips the circular-reference check, so a cyclic value raises
+    ``RecursionError`` instead of ``ValueError``; the engine encodes only
+    trees. Without the C accelerator it calls ``encoder.encode``."""
+    if c_make_encoder is None:
+        return lambda obj, _level: (encoder.encode(obj),)
+    escape = encode_basestring_ascii if encoder.ensure_ascii else encode_basestring
+    return c_make_encoder(
+        None, encoder.default, escape, None, encoder.key_separator, encoder.item_separator,
+        encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
+    )
+
+
+_CANONICAL = _prebuilt(json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False))
+_DUMPS = {sort_keys: _prebuilt(json.JSONEncoder(sort_keys=sort_keys)) for sort_keys in (False, True)}
 
 
 def canonical_json(obj: Any) -> str:
     """Serialize with sorted keys and no whitespace so digests are stable."""
-    return _CANONICAL.encode(obj)
+    return "".join(_CANONICAL(obj, 0))
+
+
+def json_dumps(obj: Any, sort_keys: bool = False) -> str:
+    """``json.dumps(obj, sort_keys=sort_keys)``, from a prebuilt encoder."""
+    return "".join(_DUMPS[sort_keys](obj, 0))
 
 
 def splice_json(encoded: Mapping[str, str]) -> str:

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from timeclaw import __version__
+from timeclaw import gateway as gateway_module
 from timeclaw import store as store_module
 from timeclaw.cli import _build_deps, _build_gateway, build_parser, main
 from timeclaw.corpus import load_samples, reveal_for_scoring
@@ -209,23 +212,12 @@ class TestExplore:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"seed": 11, "families": families}))
         assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(tmp_path / "corpus")]) == 0
-        store = tmp_path / "store"
+        learning = str(tmp_path / "corpus" / "learning.jsonl")
+        store = tmp_path / "parallel" / "store"
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so a missing lock shows
         try:
-            code = main(
-                [
-                    "explore",
-                    "--corpus",
-                    str(tmp_path / "corpus" / "learning.jsonl"),
-                    "--store",
-                    str(store),
-                    "--seed",
-                    "3",
-                    "--parallel",
-                    "3",
-                ]
-            )
+            code = main(["explore", "--corpus", learning, "--store", str(store), "--seed", "3", "--parallel", "3"])
         finally:
             sys.setswitchinterval(interval)
         assert code == 0
@@ -242,9 +234,17 @@ class TestExplore:
             memory = reopened.memory_state(scope)
             snapshot = reopened.snapshot_layers(scope, len(reopened.snapshot_timeline(scope)))
             snapped = MemoryState.from_dict(json.loads(snapshot[f"memory/{scope}.json"]))
-            assert store_module._tool_cards(memory)
             assert store_module._tool_cards(snapped) == store_module._tool_cards(memory)
             assert store_module._skills_text(scope, snapped) == store_module._skills_text(scope, memory)
+        # In parallel the episode order, so what each scope's memory ends up
+        # injecting, is not fixed (ROADMAP item 8): a scope may end with no
+        # injectable rule and no card. Run in corpus order, both scopes
+        # render cards.
+        store = tmp_path / "sequential" / "store"
+        assert main(["explore", "--corpus", learning, "--store", str(store), "--seed", "3", "--parallel", "1"]) == 0
+        reopened = ExperienceStore(store)
+        cards = {scope: sorted(store_module._tool_cards(reopened.memory_state(scope))) for scope in reopened.scopes()}
+        assert cards == {"synth_forecast_short": ["seasonal_naive", "ses"], "synth_trend_short": ["autocorrelation", "segment"]}
 
     def test_script_misses_are_partial_failures_not_crashes(self, corpus_dir, tmp_path):
         empty_script = tmp_path / "empty.json"
@@ -485,6 +485,17 @@ class TestEval:
         assert main(["eval", "--predictions", str(preds), "--corpus", str(eval_path), "--out", str(out)]) == 0
         scope = json.loads(out.read_text())["scopes"][0]
         assert (scope["effective_n"], scope["metrics"]["mae"]) == (5, 0.0)
+
+    def test_a_prediction_holding_an_int_past_the_float_range_is_invalid(self, corpus_dir, tmp_path):
+        eval_path = corpus_dir / "eval.jsonl"
+        instances = load_samples(eval_path, "evaluation").instances
+        preds = tmp_path / "preds.jsonl"
+        lines = [json.dumps({"id": inst.id, "prediction": reveal_for_scoring(inst)}) for inst in instances[1:]]
+        preds.write_text("\n".join([f'{{"id": "{instances[0].id}", "prediction": [1{"0" * 400}]}}', *lines]) + "\n")
+        out = tmp_path / "scores.json"
+        assert main(["eval", "--predictions", str(preds), "--corpus", str(eval_path), "--out", str(out)]) == 0
+        scope = json.loads(out.read_text())["scopes"][0]
+        assert (scope["raw_n"], scope["effective_n"]) == (5, 4)
 
     def test_threshold_excludes_extreme_row(self, corpus_dir, tmp_path):
         from timeclaw.corpus import load_samples, reveal_for_scoring
@@ -756,6 +767,22 @@ class TestGatewayChoice:
         gateway = _build_gateway(args, policy="exploration")
         assert isinstance(gateway, RemoteGateway)
         assert gateway.base_url == "http://127.0.0.1:9/v1"
+
+    def test_a_recorded_or_scripted_run_hashes_each_conversation_once(self, corpus_dir, tmp_path, monkeypatch):
+        hashed: list[bytes] = []
+
+        def sha256(data=b""):
+            hashed.append(data)
+            return hashlib.sha256(data)
+
+        # the exchange digest is the gateway module's only hash
+        monkeypatch.setattr(gateway_module, "hashlib", SimpleNamespace(sha256=sha256))
+        learning, script = str(corpus_dir / "learning.jsonl"), str(tmp_path / "script.json")
+        for run, flag in (("recorded", "--record-script"), ("scripted", "--mock-script")):
+            hashed.clear()
+            assert main(["explore", "--corpus", learning, "--store", str(tmp_path / run / "store"), flag, script]) == 0
+            summary = json.loads((tmp_path / run / "run_summary.json").read_text())
+            assert len(hashed) == summary["usage"]["gateway_calls"] > 0
 
 
 BAD_INPUT = {

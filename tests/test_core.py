@@ -1,8 +1,16 @@
 from __future__ import annotations
 
-import pytest
+import math
+from collections.abc import Mapping
 
-from timeclaw.core import EvaluatorCapability, SealedAnswer, TaskInstance, TaskType, validate_answer
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from timeclaw.core import (
+    INDICATOR_FIELDS, EvaluatorCapability, SealedAnswer, TaskInstance, TaskType, Verdict, validate_answer,
+)
 from timeclaw.errors import ContractError, GroundTruthSealedError
 from timeclaw.toolkit import _evaluate_answer
 
@@ -49,6 +57,65 @@ class TestValidateAnswer:
     def test_purity(self, trend_instance):
         verdicts = {validate_answer("increasing", trend_instance).valid for _ in range(50)}
         assert verdicts == {True}
+
+    def test_an_int_past_the_float_range_is_not_a_number(self, forecast_instance):
+        assert validate_answer([1.0, 10**400], forecast_instance).reason == "non_numeric_element"
+        assert validate_answer([10**400, "x"], forecast_instance).reason == "non_numeric_element"
+
+
+def _is_number(v):
+    """The element-by-element predicate the C-level passes must agree with."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _oracle(answer, task_type):
+    if task_type == TaskType.FORECAST:
+        if not isinstance(answer, (list, tuple)):
+            return Verdict(False, "not_a_sequence")
+        if len(answer) == 0:
+            return Verdict(False, "empty_sequence")
+        for v in answer:
+            if not _is_number(v):
+                return Verdict(False, "non_numeric_element")
+        return Verdict(True)
+    if not isinstance(answer, Mapping):
+        return Verdict(False, "not_a_mapping")
+    for name in INDICATOR_FIELDS:
+        if name not in answer:
+            return Verdict(False, f"missing_field:{name}")
+        if not _is_number(answer[name]):
+            return Verdict(False, f"non_numeric_field:{name}")
+    return Verdict(True)
+
+
+ELEMENTS = (
+    st.floats()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**309), True, False, None, "1.0", math.nan, -math.inf, -0.0])
+    | st.floats().map(np.float64)
+    | st.integers(-5, 5).map(np.int64)
+    | st.lists(st.floats(), max_size=2)
+)
+
+
+class TestValidateAnswerOracle:
+    @given(st.lists(ELEMENTS, max_size=6) | st.lists(ELEMENTS, max_size=6).map(tuple) | ELEMENTS)
+    @example([1.0, True])
+    @example([10**400, "x"])
+    @example([np.float64("inf")])
+    def test_a_forecast_answer_gets_the_element_by_element_verdict(self, answer):
+        inst = TaskInstance(id="f1", series=(1.0, 2.0), task_type=TaskType.FORECAST, horizon=2, scope="s")
+        assert validate_answer(answer, inst) == _oracle(answer, TaskType.FORECAST)
+
+    @given(st.dictionaries(st.sampled_from([*INDICATOR_FIELDS, "other"]), ELEMENTS, max_size=4))
+    def test_an_indicator_answer_gets_the_field_by_field_verdict(self, answer):
+        inst = TaskInstance(id="i1", series=(1.0, 2.0), task_type=TaskType.INDICATOR, horizon=2, scope="s")
+        assert validate_answer(answer, inst) == _oracle(answer, TaskType.INDICATOR)
 
 
 class TestGroundTruthGate:

@@ -21,6 +21,7 @@ from timeclaw.orchestrator import (
     ExplorationConfig,
     TraceLog,
     TraceWriter,
+    _EpisodeRunner,
     assign_branch_slots,
     enforce_exploration_contract,
     read_trace,
@@ -31,7 +32,8 @@ from timeclaw.policy import exploration_policy, inference_policy, policy_gateway
 from timeclaw.registry import ToolRegistry, ToolUsageLedger
 from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore
-from timeclaw.toolkit import builtin_toolkit
+from timeclaw.toolkit import ORIGINAL_INPUT, builtin_toolkit
+from timeclaw.util import canonical_json, digest_text
 
 
 def _instance(series=None, horizon=3, gt=None, task_type=TaskType.FORECAST, labels=None, iid="e1"):
@@ -730,3 +732,86 @@ class TestProfileOnce:
         prompts.build_branch_prompt(inst, fp, slot, tools)
         prompts.build_inference_prompt(inst, fp, None, tools)
         assert calls == []
+
+
+class _EncodingCounter(dict):
+    """A mapping that counts its JSON encodings: the encoder asks a dict
+    subclass for its items each time it encodes one."""
+
+    encodings = 0
+
+    def items(self):
+        self.encodings += 1
+        return super().items()
+
+
+def _count_prompt_helpers(monkeypatch, names):
+    calls: list[str] = []
+    for name in names:
+        original = getattr(prompts, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(prompts, name, counted)
+    return calls
+
+
+class TestEncodeAndRenderOnce:
+    def test_an_episode_renders_its_observation_and_preview_once(self, tmp_path, monkeypatch):
+        calls = _count_prompt_helpers(monkeypatch, ["_series_preview", "_fingerprint_lines", "_profiling_lines"])
+        deps = _deps(tmp_path, policy_gateway("exploration"))
+        outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=9), deps)
+        assert len(outcome.candidates) == 2  # main and both branch prompts were built
+        assert sorted(calls) == ["_fingerprint_lines", "_profiling_lines", "_series_preview"]
+
+    def test_a_prompt_from_a_rendered_sample_reads_as_from_a_fresh_one(self):
+        inst = _instance(gt=[13.0] * 3)
+        fp = prompts.fingerprint(inst)
+        slot = BranchSlot(slot=0, goal="g", hint="naive", visible_tools=frozenset({"naive"}))
+        tools = [{"name": "naive", "description": ""}]
+        first = prompts.build_branch_prompt(inst, fp, slot, tools).user_text
+        assert fp.rendered  # the sample's sections are kept on its fingerprint
+        assert prompts.build_branch_prompt(inst, fp, slot, tools).user_text == first
+        assert prompts.build_branch_prompt(inst, replace(fp), slot, tools).user_text == first
+        assert "- series_preview = [1.0, 2.0, 3.0, 4.0, 5.0, ..., 8.0, 9.0, 10.0, 11.0, 12.0]" in first
+
+    def test_each_call_s_arguments_are_encoded_once(self, tmp_path):
+        deps = _deps(tmp_path, policy_gateway("exploration"))
+        runner = _EpisodeRunner(_instance(gt=[13.0] * 3), deps, ExplorationConfig(seed=9))
+        probe = _EncodingCounter(values=[0.1, 2.5])
+        with runner.trace:
+            artifact = runner.invoke_tool("naive", {"horizon": 3, "probe": probe}, [ORIGINAL_INPUT], branch=0)
+            runner.trace.event("outcome", {})
+        assert probe.encodings == 1
+        assert artifact.payload["error"] == "schema_violation"
+        args = {"horizon": 3, "probe": {"values": [0.1, 2.5]}}
+        identity = {"tool": "naive", "args": args, "parents": [ORIGINAL_INPUT], "payload": artifact.payload}
+        assert artifact.artifact_id == digest_text(canonical_json(identity))[:12]
+        (block,) = read_trace(tmp_path / "traces" / f"{runner.instance.scope}.jsonl")
+        assert block.events[0]["payload"] == {"call_id": "c001", "tool": "naive", "args": args, "inputs": [ORIGINAL_INPUT]}
+
+    def test_an_empty_summary_leaves_nothing_to_redact(self, tmp_path):
+        deps = _deps(tmp_path, policy_gateway("exploration"))
+        outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=9), deps)
+        assert outcome.eval_evidence
+        assert (outcome.learning_summary.insight, outcome.learning_summary.recommendation) == ("", "")
+        assert outcome.sensitive == ()
+
+    def test_a_summary_that_quotes_the_truth_is_stored_redacted(self, tmp_path):
+        truth = [13.0, 13.5, 12.0]
+
+        def quoting(exchange):
+            reply = exploration_policy(exchange)
+            if "## Comparison Result" in exchange.messages[-1].content:
+                summary = {"insight": f"the truth was {json.dumps(truth)}", "recommendation": f"not {canonical_json(truth)}"}
+                return AssistantReply(content=json.dumps({"answer_type": "learning_summary", "answer": summary}))
+            return reply
+
+        deps = _deps(tmp_path, PolicyGateway(quoting))
+        inst = _instance(gt=truth)
+        outcome = run_exploration_episode(inst, ExplorationConfig(seed=9), deps)
+        assert json.dumps(truth) in outcome.sensitive and canonical_json(truth) in outcome.sensitive
+        (note,) = deps.store.notes(inst.scope)
+        assert (note.insight, note.recommendation) == ("the truth was [redacted]", "not [redacted]")

@@ -884,6 +884,39 @@ class TestRenderedViews:
         assert (reopened.skills_text, reopened.tool_notes) == (expected.skills_text, expected.tool_notes)
         assert "holt" in reopened.skills_text
 
+    def test_finalize_snapshots_the_memory_a_killed_batch_published(self, tmp_path, monkeypatch):
+        first = [_note(seq=None) for _ in range(10)]
+        second = [_note(seq=None, winner=("holt",), losers=("seasonal_naive",)) for _ in range(10)]
+        whole = ExperienceStore(tmp_path / "whole")
+        _commit_and_distill(whole, first + second)
+        assert whole.finalize(SCOPE) == []  # nothing pending, the timeline in step
+        killed = ExperienceStore(tmp_path / "killed")
+        _commit_and_distill(killed, first)
+        for note in second:
+            killed.commit_note(note)
+        write_atomic = store_module.write_atomic
+
+        def write_then_die(path, text):
+            write_atomic(path, text)
+            if Path(path).as_posix().endswith(f"memory/{SCOPE}.json"):
+                raise Killed
+
+        monkeypatch.setattr(store_module, "write_atomic", write_then_die)
+        with pytest.raises(Killed):
+            killed.maybe_trigger_distillation(SCOPE)
+        monkeypatch.undo()
+        reopened = ExperienceStore(tmp_path / "killed")
+        assert [(e["seq"], e["notes"]) for e in reopened.snapshot_timeline(SCOPE)] == [(1, 10)]
+        assert reopened.finalize(SCOPE) == ["snapshot"]
+        assert reopened.snapshot_timeline(SCOPE) == whole.snapshot_timeline(SCOPE)
+        last = reopened.snapshot_layers(SCOPE, 2)[f"memory/{SCOPE}.json"]
+        assert MemoryState.from_dict(json.loads(last)).content_fingerprint() == (
+            reopened.memory_state(SCOPE).content_fingerprint()
+        )
+        snapshots = f"snapshots/{SCOPE}.log"
+        assert (tmp_path / "killed" / snapshots).read_bytes() == (tmp_path / "whole" / snapshots).read_bytes()
+        assert ExperienceStore(tmp_path / "killed").finalize(SCOPE) == []
+
     def test_a_store_that_kept_cards_and_skills_renders_views_and_drops_them_from_its_snapshots(
         self, tmp_path, seasonal_instance
     ):
