@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from . import __version__, corpus as corpus_mod, metrics, simulate
+from . import __version__, corpus as corpus_mod, metrics, prompts, simulate
 from .core import CLASSIFICATION_TYPES, TaskInstance, validate_answer
 from .errors import ContractError, CorpusError, LogError, TimeclawError
 from .gateway import API_BASE_ENV, Gateway, RecordingGateway, RemoteGateway, ScriptedGateway
@@ -111,17 +111,22 @@ def cmd_explore(args: argparse.Namespace) -> int:
     failed_instances: list[str] = []
     summary_lock = threading.Lock()
 
-    def run_one(instance: TaskInstance) -> None:
-        outcome = run_exploration_episode(instance, config, deps)
+    def run_one(instance: TaskInstance, fp: prompts.SampleFingerprint) -> None:
+        outcome = run_exploration_episode(instance, config, deps, fp=fp)
         with summary_lock:
             counts[outcome.evidence_class.value] += 1
             usage["tokens"] += outcome.tokens_used
             usage["gateway_calls"] += outcome.gateway_calls
 
     parallel = max(1, args.parallel)
-    # at --parallel 1 the one worker runs the episodes in corpus order
+    # at --parallel 1 the one worker runs the episodes in corpus order. Every
+    # sample is profiled in one batched pass first; a fingerprint is held by
+    # its pool work item only, which is dropped once its episode has run.
     with ThreadPoolExecutor(max_workers=parallel) as pool:
-        futures = {pool.submit(run_one, inst): inst for inst in load.instances}
+        futures = {
+            pool.submit(run_one, inst, fp): inst
+            for inst, fp in zip(load.instances, prompts.fingerprints(load.instances))
+        }
         for future, inst in futures.items():
             try:
                 future.result()
@@ -179,9 +184,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
     digest_before = deps.store.tree_digest() if deps.store else None
     results = []
     failed: list[str] = []
+    # every sample is profiled in one batched pass before the first; each
+    # fingerprint is popped for its sample and not kept after it
+    profiled = prompts.fingerprints(load.instances)[::-1]
     for instance in load.instances:
         try:
-            results.append(run_inference(instance, deps, max_steps=args.max_steps))
+            results.append(run_inference(instance, deps, max_steps=args.max_steps, fp=profiled.pop()))
         except TimeclawError as exc:
             failed.append(f"{instance.id}: {exc}")
     digest_after = deps.store.tree_digest() if deps.store else None

@@ -383,6 +383,7 @@ class _EpisodeRunner:
         instance: TaskInstance,
         deps: EpisodeDeps,
         config: Optional[ExplorationConfig] = None,
+        fp: Optional[prompts.SampleFingerprint] = None,
     ):
         self.instance = instance
         self.config = config
@@ -393,7 +394,7 @@ class _EpisodeRunner:
         self.gateway_calls = 0
         self.substantive_used: list[str] = []
         self.declared: dict[Optional[int], tuple[str, ...]] = {}  # last tool list requested, per branch
-        self.fp = prompts.fingerprint(instance)
+        self.fp = fp if fp is not None else prompts.fingerprint(instance)
         self.selection = deps.store.retrieve(instance.scope, self.fp) if deps.store else None
         self.prior_exists = bool(self.selection and self.selection.rules)
         header = {
@@ -588,14 +589,19 @@ def _pick_winner(valid: Sequence[CandidateExecution]) -> Optional[CandidateExecu
 
 
 def run_exploration_episode(
-    instance: TaskInstance, config: ExplorationConfig, deps: EpisodeDeps
+    instance: TaskInstance,
+    config: ExplorationConfig,
+    deps: EpisodeDeps,
+    fp: Optional[prompts.SampleFingerprint] = None,
 ) -> EpisodeOutcome:
     """Run one exploration episode end to end (Explore -> Compare -> hand off
     to Distill). Never raises for in-episode failures: zero completed
-    branches simply becomes a failure outcome."""
+    branches simply becomes a failure outcome. ``fp`` is the instance's
+    fingerprint when the caller profiled it already (see
+    ``prompts.fingerprints``)."""
     if not instance.has_ground_truth:
         raise ContractError("exploration requires targets (ground truth) on every instance")
-    runner = _EpisodeRunner(instance, deps, config)
+    runner = _EpisodeRunner(instance, deps, config, fp)
     with runner.trace:
         episode_seed = stable_seed(config.seed, instance.id)
         slots = assign_branch_slots(
@@ -894,11 +900,13 @@ def run_inference(
     instance: TaskInstance,
     deps: EpisodeDeps,
     max_steps: int = 6,
+    fp: Optional[prompts.SampleFingerprint] = None,
 ) -> InferenceResult:
     """Solve one instance with reinjected experience and task-facing tools
-    only. No store writes, no ledger writes, no ground-truth access."""
+    only. No store writes, no ledger writes, no ground-truth access. ``fp``
+    as for run_exploration_episode."""
     view = replace(instance, ground_truth=None)
-    runner = _EpisodeRunner(view, deps)
+    runner = _EpisodeRunner(view, deps, fp=fp)
     with runner.trace:
         visible, declared = deps.inference_tools
         bundle = prompts.build_inference_prompt(

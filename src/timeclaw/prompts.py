@@ -3,9 +3,14 @@ Decision -> Available Tools), sample fingerprints, and applicability
 matching for memory rules.
 
 Prompt construction is pure and never touches ground truth (which is sealed
-anyway). fingerprint() profiles an instance once with the shared numeric
-helpers: one period scan, which also gives the r at its period, and one set of
-reductions for everything else. The builders only format that profile.
+anyway). fingerprints() profiles many instances in one batched pass: the
+series of one length are the rows of one array, at most FINGERPRINT_CHUNK at a
+time, and the shared numeric helpers scan their periods (which also gives the
+r at each period) and reduce them row by row. Each fingerprint is bit-identical
+to the one its sample alone gets; fingerprint() is the batch of one. The
+batch pays off where samples share a series length: a sample alone in its
+length is profiled as a batch of one, the dearest case per sample. The
+builders only format that profile.
 
 What a prompt takes from the store depends only on the retrieval Selection
 (and the soul), so the system message and the Support lines are rendered once
@@ -38,7 +43,8 @@ LENGTH_BANDS = ((100, "short"), (500, "medium"))
 @dataclass(frozen=True)
 class SampleFingerprint:
     """Profile of one instance, computed once per exploration episode or
-    inference sample: the compact fingerprint used for applicability
+    inference sample (the CLI profiles its whole corpus before the first
+    one): the compact fingerprint used for applicability
     matching, plus the statistics the Observation section of every prompt
     renders under Profiling."""
 
@@ -104,30 +110,60 @@ def _boundary_event(instance: TaskInstance) -> bool:
     return False
 
 
+# rows profiled together at most: bounds the arrays one batch allocates,
+# whatever the corpus size
+FINGERPRINT_CHUNK = 256
+
+
+def fingerprints(instances: Sequence[TaskInstance]) -> list[SampleFingerprint]:
+    """The fingerprint of each instance, in order. The series of one length
+    are profiled together, FINGERPRINT_CHUNK rows at a time, by the row-wise
+    period scan and reductions of ``seriesops``; each fingerprint is the one
+    the sample alone would get."""
+    by_length: dict[int, list[int]] = {}
+    for i, instance in enumerate(instances):
+        by_length.setdefault(len(instance.series), []).append(i)
+    out: dict[int, SampleFingerprint] = {}
+    for indices in by_length.values():
+        for start in range(0, len(indices), FINGERPRINT_CHUNK):
+            block = indices[start : start + FINGERPRINT_CHUNK]
+            rows = np.array([instances[i].series for i in block], dtype=float)
+            stats = zip(
+                block,
+                seriesops.dominant_periods(rows),
+                seriesops.profiles(rows),
+                rows[:, 0].tolist(),
+                rows[:, -1].tolist(),
+                rows.min(axis=1).tolist(),
+                rows.max(axis=1).tolist(),
+            )
+            for i, (period, significant, period_r), profile, first, last, vmin, vmax in stats:
+                instance = instances[i]
+                out[i] = SampleFingerprint(
+                    length=rows.shape[1],
+                    first=first,
+                    last=last,
+                    vmin=vmin,
+                    vmax=vmax,
+                    mean=profile.mean,
+                    std=profile.std,
+                    dominant_period=period,
+                    period_significant=significant,
+                    trend_class=profile.trend_class,
+                    boundary_event=_boundary_event(instance),
+                    task_subtype=instance.task_type.value,
+                    period_r=period_r,
+                    trend_slope=profile.trend_slope,
+                    trend_normalized=profile.trend_normalized,
+                    stationary=profile.stationary,
+                    mean_shift=profile.mean_shift,
+                    n_anomalies=profile.n_anomalies,
+                )
+    return [out[i] for i in range(len(instances))]
+
+
 def fingerprint(instance: TaskInstance) -> SampleFingerprint:
-    values = np.asarray(instance.series, dtype=float)
-    period, significant, period_r = seriesops.dominant_period(values)
-    profile = seriesops.profile(values)
-    return SampleFingerprint(
-        length=len(values),
-        first=float(values[0]),
-        last=float(values[-1]),
-        vmin=float(values.min()),
-        vmax=float(values.max()),
-        mean=profile.mean,
-        std=profile.std,
-        dominant_period=period,
-        period_significant=significant,
-        trend_class=profile.trend_class,
-        boundary_event=_boundary_event(instance),
-        task_subtype=instance.task_type.value,
-        period_r=period_r,
-        trend_slope=profile.trend_slope,
-        trend_normalized=profile.trend_normalized,
-        stationary=profile.stationary,
-        mean_shift=profile.mean_shift,
-        n_anomalies=profile.n_anomalies,
-    )
+    return fingerprints([instance])[0]
 
 
 def match(applicability: Mapping[str, Any], fp: SampleFingerprint) -> bool:

@@ -3,14 +3,23 @@ prompt assembler (which must profile without producing artifacts).
 
 Every helper takes its mean and variance from one set of reductions,
 ``_moments``: the sums ``np.mean`` and ``np.var`` make, done once, so each
-result is bit-identical to the plain numpy formula. ``profile`` gives a
-sample's whole profile from one such set, and ``dominant_period`` returns the
-exact r at the lag it picks, so a profile needs no second correlation.
+result is bit-identical to the plain numpy formula. The sums run along the
+last axis, so the same code reduces one series or each row of a ``(B, n)``
+array, and numpy sums each contiguous row as it sums a 1-D array.
+
+``profiles`` and ``dominant_periods`` profile the rows of such an array
+together; ``profile`` and ``dominant_period`` are their one-row case. The
+period scan returns the exact r at the lag it picks, so a profile needs no
+second correlation. Batching pays off only where many series share a length:
+numpy's fixed cost per call, which the rows of a batch share, falls on one
+row alone in the one-row case, and there that case costs more than a
+per-series scan written for 1-D arrays.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,33 +34,36 @@ PERIOD_SIGNIFICANCE = 0.5
 # |z| above this counts as an anomaly in a profile
 ANOMALY_Z = 3.0
 
+Period = tuple[Optional[int], bool, Optional[float]]
 
-def _moments(v: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(mean, centred series, population variance) of ``v``.
+
+def _moments(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, centred series, population variance) along the last axis of ``v``.
 
     numpy computes ``mean`` as ``add.reduce`` followed by a divide by n, and
     ``var`` as the same mean, the centred series, and ``add.reduce`` of its
     squares divided by n; doing those steps once here gives their exact floats.
     """
-    n = len(v)
-    mean = np.add.reduce(v) / n
-    c = v - mean
-    return float(mean), c, float(np.add.reduce(c * c) / n)
+    n = v.shape[-1]
+    mean = np.add.reduce(v, axis=-1) / n
+    c = v - mean[..., None]
+    return mean, c, np.add.reduce(c * c, axis=-1) / n
 
 
 def population_std(values: Sequence[float]) -> float:
     return math.sqrt(_moments(np.asarray(values, dtype=float))[2])
 
 
-def _centred_slope(c: np.ndarray) -> float:
-    """Least-squares slope against 0-based index of a series whose mean is
-    already subtracted."""
-    n = len(c)
+def _centred_slopes(c: np.ndarray) -> np.ndarray:
+    """Least-squares slope against 0-based index of each row of ``c``, whose
+    mean is already subtracted. One ``np.dot`` per row: a matrix product may
+    sum in another order."""
+    n = c.shape[1]
     if n < 2:
-        return 0.0
+        return np.zeros(len(c))
     # the mean of 0..n-1 is (n - 1) / 2 exactly, as np.mean computes it too
     xm = np.arange(n, dtype=float) - (n - 1) / 2
-    return float(np.dot(xm, c) / np.dot(xm, xm))
+    return np.array([np.dot(xm, row) for row in c]) / np.dot(xm, xm)
 
 
 def _trend(slope: float, n: int, std: float) -> tuple[str, float]:
@@ -68,25 +80,47 @@ def trend_label(values: Sequence[float]) -> tuple[str, float, float]:
     increasing/decreasing/stable by the normalized-slope cutoff."""
     v = np.asarray(values, dtype=float)
     _mean, c, var = _moments(v)
-    slope = _centred_slope(c)
+    slope = float(_centred_slopes(c[None])[0])
     label, normalized = _trend(slope, len(v), math.sqrt(var))
     return label, slope, normalized
+
+
+# times lag, where a lag's two segments start: the leading one at 0, the
+# trailing one at lag
+_SEGMENT_STARTS = np.array([[0], [1]])
+
+
+def _correlations(rows: np.ndarray, lag: int) -> tuple[list[float], list[bool]]:
+    """Pearson r between each row of a ``(k, n)`` array and its lag-shifted
+    view, and whether it is defined: r is 0.0 and undefined where either
+    segment has zero variance or r is not finite (squares past the float
+    range). Both segments of every row are reduced together, as the rows of
+    one ``(k, 2, n - lag)`` copy; ``np.take`` lays it out in C order, so each
+    segment is reduced as a 1-D series is."""
+    m = rows.shape[1] - lag
+    with np.errstate(all="ignore"):
+        _mean, c, var = _moments(np.take(rows, np.arange(m) + _SEGMENT_STARTS * lag, axis=1))
+        cross = np.add.reduce(c[:, 0] * c[:, 1], axis=-1) / m
+    rs, defined = [], []
+    for x, (var_a, var_b) in zip(cross.tolist(), var.tolist()):
+        sd = math.sqrt(var_a) * math.sqrt(var_b)
+        r = x / sd if sd != 0.0 else math.nan
+        rs.append(r if math.isfinite(r) else 0.0)
+        defined.append(math.isfinite(r))
+    return rs, defined
 
 
 def lagged_correlation(values: Sequence[float], lag: int) -> tuple[float, bool]:
     """Pearson correlation between the series and its lag-shifted view.
 
-    Returns (r, defined); r is 0.0 when either segment has zero variance.
+    Returns (r, defined); r is 0.0 when either segment has zero variance or
+    the correlation is not finite.
     """
     v = np.asarray(values, dtype=float)
     if lag < 1 or lag > len(v) - 2:
         return 0.0, False
-    _mean_a, ca, var_a = _moments(v[:-lag])
-    _mean_b, cb, var_b = _moments(v[lag:])
-    if var_a == 0.0 or var_b == 0.0:
-        return 0.0, False
-    r = float(np.add.reduce(ca * cb) / len(ca)) / (math.sqrt(var_a) * math.sqrt(var_b))
-    return r, True
+    (r,), (defined,) = _correlations(v[None], lag)
+    return r, defined
 
 
 # near-maximal correlations within this margin count as ties; the smallest
@@ -98,13 +132,65 @@ _PERIOD_TIE_MARGIN = 0.01
 # centred series: its prefix sums and dot products of n terms err by about
 # n * eps * max(c**2), which a variance above the floor turns into an error
 # in r below 1e-8. A lag whose r lies within the tolerance of a decision
-# threshold, or whose variance is under the floor, is recomputed with
-# lagged_correlation.
+# threshold, or whose variance is under the floor, is recomputed exactly.
 _R_TOLERANCE = 1e-7
 _VAR_FLOOR = 1e-6
 
 
-def dominant_period(values: Sequence[float]) -> tuple[Optional[int], bool, Optional[float]]:
+def dominant_periods(rows: np.ndarray) -> list[Period]:
+    """dominant_period of each row of a ``(B, n)`` array, all rows scanned
+    together and every decision the one-row scan makes."""
+    count, n = rows.shape
+    lags = np.arange(2, n // 2 + 1)
+    if not len(lags):
+        return [(None, False, None)] * count
+    m = n - lags
+    with np.errstate(all="ignore"):
+        # centring keeps offset series from cancelling
+        c = rows - (np.add.reduce(rows, axis=1) / n)[:, None]
+        c2 = c * c
+        zero = np.zeros((count, 1))
+        s1 = np.concatenate((zero, c.cumsum(axis=1)), axis=1)
+        s2 = np.concatenate((zero, c2.cumsum(axis=1)), axis=1)
+        cross = np.array([np.correlate(row, row, "full") for row in c])[:, n - 1 + lags]
+        mean_a, mean_b = s1[:, m] / m, (s1[:, n:] - s1[:, lags]) / m
+        var_a = s2[:, m] / m - mean_a * mean_a
+        var_b = (s2[:, n:] - s2[:, lags]) / m - mean_b * mean_b
+        r = (cross / m - mean_a * mean_b) / np.sqrt(var_a * var_b)
+        floor = _VAR_FLOOR * n * np.maximum.reduce(c2, axis=1)
+        unsure = ~np.isfinite(r) | (np.minimum(var_a, var_b) <= floor[:, None])
+    exact = np.zeros(r.shape, dtype=bool)
+    defined = np.ones(r.shape, dtype=bool)
+
+    def settle(mask: np.ndarray) -> None:
+        """Give each (row, lag) of ``mask`` lagged_correlation's exact r; the
+        pairs of one lag are reduced together, one row each."""
+        which, cols = (mask & ~exact).nonzero()
+        exact[which, cols] = True
+        for col in set(cols.tolist()):
+            at = which[cols == col]
+            r[at, col], defined[at, col] = _correlations(rows[at], col + 2)
+
+    settle(unsure)
+    tol = np.where(exact, 0.0, _R_TOLERANCE)
+    lowest_best = np.maximum.reduce(np.where(defined, r - tol, -math.inf), axis=1)
+    settle(defined & (r + tol >= lowest_best[:, None]))
+    best_r = np.maximum.reduce(np.where(defined, r, -math.inf), axis=1)
+    cut = (best_r - _PERIOD_TIE_MARGIN)[:, None]
+    settle(defined & (np.abs(r - cut) <= _R_TOLERANCE))
+    candidates = defined & (r >= cut)
+    first = candidates.argmax(axis=1)  # ascending lag order
+    seen = np.logical_or.reduce(candidates, axis=1)  # false only where no lag is defined
+    settle(np.arange(r.shape[1]) == np.where(seen, first, -1)[:, None])
+    return [
+        (int(lags[f]), r_first >= PERIOD_SIGNIFICANCE, r_first) if any_defined else (None, False, None)
+        for f, r_first, any_defined in zip(
+            first.tolist(), r[np.arange(count), first].tolist(), seen.tolist()
+        )
+    ]
+
+
+def dominant_period(values: Sequence[float]) -> Period:
     """Max lagged correlation over lags 2..len/2: (lag, significant, r), r
     being lagged_correlation's exact value at that lag; (None, False, None)
     when no lag is defined.
@@ -116,62 +202,37 @@ def dominant_period(values: Sequence[float]) -> tuple[Optional[int], bool, Optio
     means and variances and one autocorrelation gives every lag's cross
     products (Box & Jenkins, ch. 2). Every decision, including the zero
     variance test, is the one the exact per-lag lagged_correlation makes.
+
+    The one-row case of dominant_periods, kept as the entry point for one
+    series (tests and API callers); the engine profiles through
+    prompts.fingerprints.
     """
-    v = np.asarray(values, dtype=float)
-    n = len(v)
-    lags = np.arange(2, n // 2 + 1)
-    if not len(lags):
-        return None, False, None
-    c = v - np.add.reduce(v) / n  # centring keeps offset series from cancelling
-    c2 = c * c
-    m = n - lags
-    s1 = np.concatenate(([0.0], c.cumsum()))
-    s2 = np.concatenate(([0.0], c2.cumsum()))
-    cross = np.correlate(c, c, "full")[n - 1 + lags]
-    mean_a, mean_b = s1[m] / m, (s1[n] - s1[lags]) / m
-    var_a = s2[m] / m - mean_a * mean_a
-    var_b = (s2[n] - s2[lags]) / m - mean_b * mean_b
-    with np.errstate(all="ignore"):
-        r = (cross / m - mean_a * mean_b) / np.sqrt(var_a * var_b)
-    floor = _VAR_FLOOR * n * float(c2.max())
-    exact = np.zeros(len(lags), dtype=bool)
-    defined = np.ones(len(lags), dtype=bool)
-
-    def settle(idx: np.ndarray) -> None:
-        for i in idx[~exact[idx]]:
-            r[i], defined[i] = lagged_correlation(v, int(lags[i]))
-            exact[i] = True
-
-    settle((~np.isfinite(r) | (np.minimum(var_a, var_b) <= floor)).nonzero()[0])
-    if not defined.any():
-        return None, False, None
-    tol = np.where(exact, 0.0, _R_TOLERANCE)
-    lowest_best = np.where(defined, r - tol, -math.inf).max()
-    settle((defined & (r + tol >= lowest_best)).nonzero()[0])
-    best_r = float(r[defined].max())
-    cut = best_r - _PERIOD_TIE_MARGIN
-    settle((defined & (np.abs(r - cut) <= _R_TOLERANCE)).nonzero()[0])
-    first = (defined & (r >= cut)).nonzero()[0][:1]  # ascending lag order
-    settle(first)
-    r_first = float(r[first[0]])
-    return int(lags[first[0]]), r_first >= PERIOD_SIGNIFICANCE, r_first
-
-
-def _zscores(c: np.ndarray, std: float) -> np.ndarray:
-    return c / std if std != 0.0 else np.zeros(len(c))
+    return dominant_periods(np.asarray(values, dtype=float)[None])[0]
 
 
 def zscores(values: Sequence[float]) -> list[float]:
     _mean, c, var = _moments(np.asarray(values, dtype=float))
-    return _zscores(c, math.sqrt(var)).tolist()
+    std = math.sqrt(var)
+    return (c / std if std != 0.0 else np.zeros(len(c))).tolist()
 
 
-def _stationarity(v: np.ndarray, scale: float) -> dict[str, float | bool]:
-    half = len(v) // 2
+def _halves(v: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(mean, variance) of the first and of the second half along the last
+    axis; None when a half is shorter than 2."""
+    half = v.shape[-1] // 2
     if half < 2:
+        return None
+    mean_a, _ca, var_a = _moments(v[..., :half])
+    mean_b, _cb, var_b = _moments(v[..., half:])
+    return mean_a, var_a, mean_b, var_b
+
+
+def _stationarity(
+    halves: Optional[tuple[float, float, float, float]], scale: float
+) -> dict[str, float | bool]:
+    if halves is None:
         return {"stationary": True, "mean_shift": 0.0, "var_ratio": 1.0}
-    mean_a, _ca, va = _moments(v[:half])
-    mean_b, _cb, vb = _moments(v[half:])
+    mean_a, va, mean_b, vb = halves
     mean_shift = abs(mean_b - mean_a) / scale if scale > 0 else 0.0
     var_ratio = vb / va if va > 0 else (1.0 if vb == 0 else float("inf"))
     stationary = mean_shift < 0.5 and 0.25 <= var_ratio <= 4.0
@@ -185,7 +246,10 @@ def _stationarity(v: np.ndarray, scale: float) -> dict[str, float | bool]:
 def split_half_stationarity(values: Sequence[float]) -> dict[str, float | bool]:
     """Cheap stationarity check comparing the two halves of the series."""
     v = np.asarray(values, dtype=float)
-    return _stationarity(v, math.sqrt(_moments(v)[2]))
+    halves = _halves(v)
+    return _stationarity(
+        None if halves is None else tuple(map(float, halves)), math.sqrt(_moments(v)[2])
+    )
 
 
 class Profile(NamedTuple):
@@ -199,22 +263,43 @@ class Profile(NamedTuple):
     n_anomalies: int
 
 
+def profiles(rows: np.ndarray) -> list[Profile]:
+    """profile of each row of a ``(B, n)`` array, from one set of row-wise
+    reductions. A series whose squares pass the float range profiles with an
+    infinite std, without a warning."""
+    n = rows.shape[1]
+    with np.errstate(all="ignore"):
+        means, c, var = _moments(rows)
+        stds = np.sqrt(var)
+        slopes = _centred_slopes(c)
+        anomalies = np.add.reduce(np.abs(c / stds[:, None]) > ANOMALY_Z, axis=1)
+        halves = _halves(rows)
+    split = repeat(None) if halves is None else zip(*(h.tolist() for h in halves))
+    out = []
+    for mean, std, slope, n_anomalies, half_stats in zip(
+        means.tolist(), stds.tolist(), slopes.tolist(), anomalies.tolist(), split
+    ):
+        label, normalized = _trend(slope, n, std)
+        stationarity = _stationarity(half_stats, std)
+        out.append(
+            Profile(
+                mean=mean,
+                std=std,
+                trend_class=label,
+                trend_slope=slope,
+                trend_normalized=normalized,
+                stationary=stationarity["stationary"],
+                mean_shift=stationarity["mean_shift"],
+                # a zero std gives every z-score 0, so no anomaly
+                n_anomalies=n_anomalies if std != 0.0 else 0,
+            )
+        )
+    return out
+
+
 def profile(values: Sequence[float]) -> Profile:
     """What trend_label, split_half_stationarity and zscores say of the
-    series, with its mean and std, from one set of reductions."""
-    v = np.asarray(values, dtype=float)
-    mean, c, var = _moments(v)
-    std = math.sqrt(var)
-    slope = _centred_slope(c)
-    label, normalized = _trend(slope, len(v), std)
-    stationarity = _stationarity(v, std)
-    return Profile(
-        mean=mean,
-        std=std,
-        trend_class=label,
-        trend_slope=slope,
-        trend_normalized=normalized,
-        stationary=stationarity["stationary"],
-        mean_shift=stationarity["mean_shift"],
-        n_anomalies=int(np.count_nonzero(np.abs(_zscores(c, std)) > ANOMALY_Z)),
-    )
+    series, with its mean and std, from one set of reductions. The one-row
+    case of profiles, kept as the entry point for one series (tests and API
+    callers); the engine profiles through prompts.fingerprints."""
+    return profiles(np.asarray(values, dtype=float)[None])[0]

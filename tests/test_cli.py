@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import math
 import os
 import sys
+import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from timeclaw import __version__
+from timeclaw import __version__, cli, prompts
 from timeclaw import gateway as gateway_module
 from timeclaw import store as store_module
 from timeclaw.cli import _build_deps, _build_gateway, build_parser, main
@@ -575,6 +579,97 @@ class TestEval:
         )
         scores = json.loads(out.read_text())
         assert scores["unknown_prediction_ids"] == ["not-in-corpus"]
+
+
+# SPEC's family and one of another length: two length groups to profile
+TWO_LENGTHS = {
+    "seed": 11,
+    "families": [
+        *SPEC["families"],
+        {"name": "szn72", "kind": "seasonal", "learn_count": 4, "eval_count": 3, "length": 72, "horizon": 12,
+         "period": 12},
+    ],
+}
+
+
+class TestBatchedProfile:
+    """explore and infer profile the loaded corpus in one batched pass
+    before the first sample, hand each sample its fingerprint, and keep
+    none after its sample has run."""
+
+    @pytest.fixture
+    def two_lengths(self, tmp_path):
+        spec_path = tmp_path / "spec2.json"
+        spec_path.write_text(json.dumps(TWO_LENGTHS))
+        assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(tmp_path / "c2")]) == 0
+        return tmp_path / "c2"
+
+    def _watch(self, monkeypatch, entry):
+        """Record each batched profile and each sample run through ``entry``
+        (the CLI's name for run_inference or run_exploration_episode): the
+        sample, whether its fingerprint is the one it alone gets, and
+        whether the previous sample's fingerprint is still alive."""
+        events: list[tuple] = []
+        batched, run = prompts.fingerprints, getattr(cli, entry)
+        last: list[weakref.ref] = []
+
+        def counted(instances, *args, **kwargs):
+            events.append(("profile", [inst.id for inst in instances]))
+            return batched(instances, *args, **kwargs)
+
+        def watched(instance, *args, fp, **kwargs):
+            gc.collect()
+            alive = bool(last) and last[0]() is not None
+            events.append(("run", instance.id, fp == batched([instance])[0], alive))
+            last[:] = [weakref.ref(fp)]
+            return run(instance, *args, fp=fp, **kwargs)
+
+        monkeypatch.setattr(prompts, "fingerprints", counted)
+        monkeypatch.setattr(cli, entry, watched)
+        return events
+
+    def _check(self, events, corpus_path, role):
+        instances = load_samples(corpus_path, role=role).instances
+        assert len({len(inst.series) for inst in instances}) == 2
+        ids = [inst.id for inst in instances]
+        assert events[0] == ("profile", ids)  # one batch, every sample once, before the first
+        assert [e[:2] for e in events[1:]] == [("run", i) for i in ids]
+        assert all(same for _run, _id, same, _alive in events[1:])
+        assert not any(alive for _run, _id, _same, alive in events[1:])
+
+    def test_infer_profiles_each_sample_once_before_the_first(self, two_lengths, tmp_path, monkeypatch):
+        events = self._watch(monkeypatch, "run_inference")
+        out = tmp_path / "run" / "pred.jsonl"
+        assert main(["infer", "--corpus", str(two_lengths / "eval.jsonl"), "--out", str(out)]) == 0
+        self._check(events, two_lengths / "eval.jsonl", "evaluation")
+
+    def test_explore_profiles_each_sample_once_before_the_first(self, two_lengths, tmp_path, monkeypatch):
+        events = self._watch(monkeypatch, "run_exploration_episode")
+        store = tmp_path / "run" / "store"
+        assert main(["explore", "--corpus", str(two_lengths / "learning.jsonl"), "--store", str(store)]) == 0
+        self._check(events, two_lengths / "learning.jsonl", "learning")
+
+
+class TestSeriesPastTheFloatRange:
+    def test_explore_and_infer_run_a_series_whose_squares_overflow(self, tmp_path):
+        """Scaled by 1e200, a seasonal series has squares past the float
+        range: every lag is undefined, the std infinite, and both commands
+        run it without a failure or a profiling warning."""
+        values = [1e200 * (10.0 + 3.0 * math.sin(2 * math.pi * t / 12)) for t in range(60)]
+        record = {"id": "big:0", "series": values[:48], "task_type": "forecast", "scope": "big", "horizon": 12,
+                  "ground_truth": values[48:]}
+        corpus = tmp_path / "big.jsonl"
+        corpus.write_text(json.dumps(record) + "\n")
+        run = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["explore", "--corpus", str(corpus), "--store", str(run / "store")]) == 0
+            assert main(["infer", "--corpus", str(corpus), "--store", str(run / "store"),
+                         "--out", str(run / "pred.jsonl")]) == 0
+        assert json.loads((run / "run_summary.json").read_text())["failed_instances"] == []
+        assert json.loads((run / "infer_summary.json").read_text())["failed_instances"] == []
+        assert json.loads((run / "pred.jsonl").read_text())["prediction"]
+        assert not [w for w in caught if Path(w.filename).name in ("seriesops.py", "prompts.py")]
 
 
 class TestReportAndSimulate:

@@ -681,43 +681,63 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
+def _count_profiled(monkeypatch):
+    """The ids each ``prompts.fingerprints`` call profiles, one list per call."""
+    batches: list[list[str]] = []
+    batched = prompts.fingerprints
+
+    def counted(instances, *args, **kwargs):
+        batches.append([inst.id for inst in instances])
+        return batched(instances, *args, **kwargs)
+
+    monkeypatch.setattr(prompts, "fingerprints", counted)
+    return batches
+
+
+def _trace_bytes(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted((root / "traces").iterdir())}
+
+
 class TestProfileOnce:
+    """Every profile goes through the batched entry, prompts.fingerprints:
+    a caller that passes no fingerprint gets a batch of one, and a caller
+    that passes one (the CLI, see tests/test_cli.py) gets no profiling."""
+
     def test_exploration_episode_profiles_once(self, tmp_path, monkeypatch):
-        calls = _count_calls(monkeypatch, ["dominant_period"])
-        deps = _deps(tmp_path, policy_gateway("exploration"))
-        outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=9), deps)
+        inst = _instance(gt=[13.0] * 3)
+        fp = prompts.fingerprint(inst)
+        batches = _count_profiled(monkeypatch)
+        calls = _count_calls(monkeypatch, ["dominant_period", "profile"])
+        outcome = run_exploration_episode(inst, ExplorationConfig(seed=9), _deps(tmp_path / "a", policy_gateway("exploration")))
         assert len(outcome.candidates) == 2  # main and both branch prompts were built
-        assert calls == ["dominant_period"]
+        assert batches == [["e1"]] and calls == []
+        given = run_exploration_episode(inst, ExplorationConfig(seed=9), _deps(tmp_path / "b", policy_gateway("exploration")), fp)
+        assert batches == [["e1"]]
+        assert given.candidates == outcome.candidates
+        assert _trace_bytes(tmp_path / "b") == _trace_bytes(tmp_path / "a")
 
     def test_inference_profiles_once(self, tmp_path, monkeypatch):
-        calls = _count_calls(monkeypatch, ["dominant_period"])
-        run_inference(_instance(), _deps(tmp_path, PolicyGateway(inference_policy)))
-        assert calls == ["dominant_period"]
+        inst = _instance()
+        fp = prompts.fingerprint(inst)
+        batches = _count_profiled(monkeypatch)
+        calls = _count_calls(monkeypatch, ["dominant_period", "profile"])
+        result = run_inference(inst, _deps(tmp_path / "a", PolicyGateway(inference_policy)))
+        assert batches == [["e1"]] and calls == []
+        given = run_inference(inst, _deps(tmp_path / "b", PolicyGateway(inference_policy)), fp=fp)
+        assert batches == [["e1"]]
+        assert given.prediction == result.prediction
+        assert _trace_bytes(tmp_path / "b") == _trace_bytes(tmp_path / "a")
 
     def test_no_second_period_scan(self, monkeypatch):
-        """fingerprint takes period_r from dominant_period: every
-        lagged_correlation it makes is one of the scan's own."""
-        calls: list[str] = []
-        scan, correlation = seriesops.dominant_period, seriesops.lagged_correlation
-
-        def counted_scan(values):
-            calls.append("dominant_period")
-            try:
-                return scan(values)
-            finally:
-                calls.append("end")
-
-        def counted_correlation(values, lag):
-            calls.append("inside" if calls and calls[-1] != "end" else "outside")
-            return correlation(values, lag)
-
-        monkeypatch.setattr(seriesops, "dominant_period", counted_scan)
-        monkeypatch.setattr(seriesops, "lagged_correlation", counted_correlation)
+        """fingerprint takes period_r from the batched scan, which settles
+        its lags row-wise: one scan, no per-lag lagged_correlation, and the r
+        is lagged_correlation's own."""
+        correlation = seriesops.lagged_correlation
+        calls = _count_calls(monkeypatch, ["dominant_periods", "dominant_period", "lagged_correlation"])
         series = [float(t % 4) for t in range(24)]
         fp = prompts.fingerprint(_instance(series=series))
+        assert calls == ["dominant_periods"]
         assert fp.dominant_period == 4 and fp.period_r == correlation(series, 4)[0]
-        assert calls[0] == "dominant_period" and calls[-1] == "end"
-        assert "inside" in calls and "outside" not in calls
 
     def test_prompts_only_format_the_profile(self, monkeypatch):
         inst = _instance(gt=[13.0] * 3)

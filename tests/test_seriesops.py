@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timeclaw import seriesops
+from timeclaw import prompts, seriesops
+from timeclaw.core import TaskInstance, TaskType
 
 # Plain numpy forms of the helpers, one numpy call per statistic: the
 # reference the shared-reduction helpers must match bit for bit.
@@ -240,3 +244,232 @@ KNIFE_EDGE = [
 @pytest.mark.parametrize("values", KNIFE_EDGE)
 def test_knife_edge_at_tie_cutoff(values):
     assert bits(seriesops.dominant_period(values)) == bits(dominant_period_oracle(values))
+
+
+# A 48-point seasonal series whose squares pass the float range once it is
+# scaled by 1e200, and stay within it scaled by 1e150.
+SEASONAL_48 = [10.0 + 3.0 * math.sin(2 * math.pi * t / 12) for t in range(48)]
+
+
+def test_squares_past_the_float_range_leave_every_lag_undefined():
+    big = [1e200 * v for v in SEASONAL_48]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
+        assert seriesops.lagged_correlation(big, 12) == (0.0, False)
+        assert seriesops.dominant_period(big) == (None, False, None)
+        profile = seriesops.profile(big)
+    assert profile.std == math.inf and profile.trend_class == "stable" and profile.n_anomalies == 0
+    assert seriesops.dominant_period([1e150 * v for v in SEASONAL_48])[:2] == (12, True)
+    assert seriesops.dominant_period(SEASONAL_48)[:2] == (12, True)
+
+
+# The per-sample period scan, lagged correlation and profile before they were
+# batched, kept as the reference the row-wise versions must match bit for
+# bit. The lagged correlation calls a non-finite r undefined, as the fix for
+# squares past the float range does.
+
+
+def _reference_moments(v):
+    n = len(v)
+    mean = np.add.reduce(v) / n
+    c = v - mean
+    return float(mean), c, float(np.add.reduce(c * c) / n)
+
+
+def _reference_lagged_correlation(v, lag):
+    _mean_a, ca, var_a = _reference_moments(v[:-lag])
+    _mean_b, cb, var_b = _reference_moments(v[lag:])
+    if var_a == 0.0 or var_b == 0.0:
+        return 0.0, False
+    r = float(np.add.reduce(ca * cb) / len(ca)) / (math.sqrt(var_a) * math.sqrt(var_b))
+    return (r, True) if math.isfinite(r) else (0.0, False)
+
+
+def _reference_dominant_period(values):
+    v = np.asarray(values, dtype=float)
+    n = len(v)
+    lags = np.arange(2, n // 2 + 1)
+    if not len(lags):
+        return None, False, None
+    c = v - np.add.reduce(v) / n
+    c2 = c * c
+    m = n - lags
+    s1 = np.concatenate(([0.0], c.cumsum()))
+    s2 = np.concatenate(([0.0], c2.cumsum()))
+    cross = np.correlate(c, c, "full")[n - 1 + lags]
+    mean_a, mean_b = s1[m] / m, (s1[n] - s1[lags]) / m
+    var_a = s2[m] / m - mean_a * mean_a
+    var_b = (s2[n] - s2[lags]) / m - mean_b * mean_b
+    r = (cross / m - mean_a * mean_b) / np.sqrt(var_a * var_b)
+    floor = seriesops._VAR_FLOOR * n * float(c2.max())
+    exact = np.zeros(len(lags), dtype=bool)
+    defined = np.ones(len(lags), dtype=bool)
+
+    def settle(idx):
+        for i in idx[~exact[idx]]:
+            r[i], defined[i] = _reference_lagged_correlation(v, int(lags[i]))
+            exact[i] = True
+
+    settle((~np.isfinite(r) | (np.minimum(var_a, var_b) <= floor)).nonzero()[0])
+    if not defined.any():
+        return None, False, None
+    tol = np.where(exact, 0.0, seriesops._R_TOLERANCE)
+    lowest_best = np.where(defined, r - tol, -math.inf).max()
+    settle((defined & (r + tol >= lowest_best)).nonzero()[0])
+    best_r = float(r[defined].max())
+    cut = best_r - seriesops._PERIOD_TIE_MARGIN
+    settle((defined & (np.abs(r - cut) <= seriesops._R_TOLERANCE)).nonzero()[0])
+    first = (defined & (r >= cut)).nonzero()[0][:1]
+    settle(first)
+    r_first = float(r[first[0]])
+    return int(lags[first[0]]), r_first >= seriesops.PERIOD_SIGNIFICANCE, r_first
+
+
+def _reference_profile(values):
+    v = np.asarray(values, dtype=float)
+    n = len(v)
+    mean, c, var = _reference_moments(v)
+    std = math.sqrt(var)
+    slope = 0.0
+    if n >= 2:
+        xm = np.arange(n, dtype=float) - (n - 1) / 2
+        slope = float(np.dot(xm, c) / np.dot(xm, xm))
+    if std == 0.0:
+        label, normalized = "stable", 0.0
+    else:
+        normalized = slope * n / std
+        if abs(normalized) < seriesops.TREND_STABLE_CUTOFF:
+            label = "stable"
+        else:
+            label = "increasing" if normalized > 0 else "decreasing"
+    half = n // 2
+    if half < 2:
+        stationary, mean_shift = True, 0.0
+    else:
+        mean_a, _ca, va = _reference_moments(v[:half])
+        mean_b, _cb, vb = _reference_moments(v[half:])
+        mean_shift = abs(mean_b - mean_a) / std if std > 0 else 0.0
+        var_ratio = vb / va if va > 0 else (1.0 if vb == 0 else float("inf"))
+        stationary = mean_shift < 0.5 and 0.25 <= var_ratio <= 4.0
+    z = c / std if std != 0.0 else np.zeros(len(c))
+    return seriesops.Profile(
+        mean=mean,
+        std=std,
+        trend_class=label,
+        trend_slope=slope,
+        trend_normalized=normalized,
+        stationary=stationary,
+        mean_shift=mean_shift,
+        n_anomalies=int(np.count_nonzero(np.abs(z) > seriesops.ANOMALY_Z)),
+    )
+
+
+def _reference_fingerprint(instance):
+    v = np.asarray(instance.series, dtype=float)
+    period, significant, period_r = _reference_dominant_period(v)
+    p = _reference_profile(v)
+    return prompts.SampleFingerprint(
+        length=len(v),
+        first=float(v[0]),
+        last=float(v[-1]),
+        vmin=float(v.min()),
+        vmax=float(v.max()),
+        mean=p.mean,
+        std=p.std,
+        dominant_period=period,
+        period_significant=significant,
+        trend_class=p.trend_class,
+        boundary_event=prompts._boundary_event(instance),
+        task_subtype=instance.task_type.value,
+        period_r=period_r,
+        trend_slope=p.trend_slope,
+        trend_normalized=p.trend_normalized,
+        stationary=p.stationary,
+        mean_shift=p.mean_shift,
+        n_anomalies=p.n_anomalies,
+    )
+
+
+def _row(kind, n, seed, period):
+    if kind == "constant":
+        return np.full(n, 7.25)
+    if kind == "near_constant":  # one element a few ulps off the rest
+        v = np.full(n, 1.0)
+        v[seed % n] = 1.0 + (1 + seed % 3) * np.finfo(float).eps
+        return v
+    return np.asarray(_series(kind, n, seed, period), dtype=float)
+
+
+@st.composite
+def mixed_batches(draw) -> list[np.ndarray]:
+    """Rows of up to three lengths in 1..300 (numpy's pairwise summation
+    splits a sum past 128 terms), in a drawn order, each scaled by a power
+    of ten in 1e-300..1e200, whose squares may underflow or overflow."""
+    rows = []
+    for n in draw(st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True)):
+        for _ in range(draw(st.integers(1, 5))):
+            kind = draw(st.sampled_from(KINDS + ("constant", "near_constant")))
+            seed, period = draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 60))
+            rows.append(_row(kind, n, seed, period) * 10.0 ** draw(st.integers(-300, 200)))
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
+def _by_length(rows: list[np.ndarray]) -> list[np.ndarray]:
+    groups: dict[int, list[np.ndarray]] = {}
+    for row in rows:
+        groups.setdefault(len(row), []).append(row)
+    return [np.array(group) for group in groups.values()]
+
+
+def _chunked(fn, block: np.ndarray, chunk: int) -> list:
+    return [out for start in range(0, len(block), chunk) for out in fn(block[start : start + chunk])]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflows
+@settings(max_examples=150, deadline=None)
+@given(mixed_batches())
+def test_batched_profile_matches_the_per_sample_reference(rows):
+    for block in _by_length(rows):
+        periods = [_reference_dominant_period(row) for row in block]
+        profiles = [_reference_profile(row) for row in block]
+        for chunk in (1, 3, len(block)):
+            assert bits(_chunked(seriesops.dominant_periods, block, chunk)) == bits(periods)
+            assert bits(_chunked(seriesops.profiles, block, chunk)) == bits(profiles)
+        for row, (period, _significant, period_r) in zip(block, periods):
+            if period is not None:
+                assert bits(period_r) == bits(seriesops.lagged_correlation(row, period)[0])
+    instances = [
+        TaskInstance(id=f"s{i}", series=tuple(row.tolist()), task_type=TaskType.FORECAST, horizon=1, scope="s")
+        for i, row in enumerate(rows)
+    ]
+    expected = [bits(dataclasses.astuple(_reference_fingerprint(inst))) for inst in instances]
+    for chunk in (1, 3, len(instances)):
+        with mock.patch.object(prompts, "FINGERPRINT_CHUNK", chunk):
+            got = prompts.fingerprints(instances)
+        assert [bits(dataclasses.astuple(fp)) for fp in got] == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflows
+@settings(max_examples=100, deadline=None)
+@given(mixed_batches())
+def test_every_settled_r_is_lagged_correlation_s(rows):
+    """The scan settles its (row, lag) pairs one lag at a time, the rows of
+    a lag reduced together: each r is the one the 1-D reference gives, bit
+    for bit."""
+    settled: list[tuple[np.ndarray, int, list[float], list[bool]]] = []
+    correlations = seriesops._correlations
+
+    def spy(block, lag):
+        rs, defined = correlations(block, lag)
+        settled.append((block, lag, rs, defined))
+        return rs, defined
+
+    with mock.patch.object(seriesops, "_correlations", spy), warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow and underflow pass silently
+        for block in _by_length(rows):
+            seriesops.dominant_periods(block)
+            seriesops.profiles(block)
+    for block, lag, rs, defined in settled:
+        for row, r, d in zip(block, rs, defined):
+            assert bits(_reference_lagged_correlation(row, lag)) == bits((r, d))
+            assert bits(seriesops.lagged_correlation(row, lag)) == bits((r, d))
