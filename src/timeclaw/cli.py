@@ -367,7 +367,10 @@ def _print_episode_reports(trace: str, reports: Sequence[Any]) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     try:
-        reports = replay_trace(Path(args.trace))
+        # an evaluation-role load: an inference log's samples need no ground
+        # truth, and replay checks an exploration block's itself
+        samples = corpus_mod.load_samples(Path(args.corpus), role="evaluation").instances
+        reports = replay_trace(Path(args.trace), samples)
     except (TimeclawError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -450,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-execute a trace log and report divergences per episode")
     p.add_argument("--trace", required=True)
+    p.add_argument("--corpus", required=True, help="the corpus the traced run read: each episode's sample")
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("lint", help="contract and leak checks on each episode of a trace log")

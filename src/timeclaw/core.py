@@ -9,13 +9,17 @@ scorer) may read it. Prompt assembly and inference code paths never hold one.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 import operator
+import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Any, Mapping, Optional
 
 from .errors import CapabilityError, ContractError, GroundTruthSealedError
+from .util import canonical_json
 
 
 class TaskType(str, enum.Enum):
@@ -123,9 +127,14 @@ class TaskInstance:
 
     def public_dict(self) -> dict[str, Any]:
         """JSON-safe view with the ground truth withheld."""
+        out = self._public_fields()
+        out["series"] = [float(v) for v in self.series]
+        return out
+
+    def _public_fields(self) -> dict[str, Any]:
+        """The public fields other than the series."""
         out: dict[str, Any] = {
             "id": self.id,
-            "series": [float(v) for v in self.series],
             "task_type": self.task_type.value,
             "horizon": self.horizon,
             "scope": self.scope,
@@ -137,6 +146,17 @@ class TaskInstance:
         if self.label_space is not None:
             out["label_space"] = list(self.label_space)
         return out
+
+    @cached_property
+    def digest(self) -> str:
+        """The sample's name in a trace header: the first 16 hex digits of
+        SHA-256 over the canonical JSON of the public fields other than the
+        series, a newline, and the series packed as little-endian doubles.
+        No value is turned into text, so the cost hardly grows with the
+        series; and ``0.0`` and ``-0.0``, or two floats one ulp apart, differ."""
+        fields = canonical_json(self._public_fields()).encode()
+        values = struct.pack(f"<{len(self.series)}d", *self.series)
+        return hashlib.sha256(fields + b"\n" + values).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,11 @@ def mae(pred: Sequence[float], truth: Sequence[float]) -> float:
 
 
 def mse(pred: Sequence[float], truth: Sequence[float]) -> float:
+    """Mean squared error; ``inf`` when a squared error passes the float
+    range (errors past about 1e154), without a RuntimeWarning."""
     p, t = _as_pair(pred, truth)
-    return float(np.mean(np.square(p - t)))
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.square(p - t)))
 
 
 def rmse(pred: Sequence[float], truth: Sequence[float]) -> float:

@@ -44,8 +44,7 @@ from .core import (
     TaskType,
     validate_answer,
 )
-from .corpus import parse_record
-from .errors import ContractError, CorpusError, GatewayError, ScriptMissError
+from .errors import ContractError, GatewayError, ScriptMissError
 from .gateway import (
     AssistantReply,
     ChatExchange,
@@ -83,8 +82,8 @@ SPAWN_TOOL = "spawn_subagent"
 ANSWER_TOLERANCE = 1e-9
 
 # Each trace event kind, with the payload fields its readers index and their
-# types (``object``: any value). A verdict also holds the fields of its type,
-# and a block's header those of TRACE_HEADER.
+# types. A verdict also holds the fields of its type, and a block's header
+# those of TRACE_HEADER: the header names its sample by ``TaskInstance.digest``.
 TRACE_KINDS: dict[str, dict[str, type]] = {
     "gateway_request": {"digest": str},
     "gateway_response": {"reply": dict},
@@ -94,11 +93,11 @@ TRACE_KINDS: dict[str, dict[str, type]] = {
     "outcome": {},
 }
 VERDICT_FIELDS: dict[str, dict[str, type]] = {
-    "candidate": {"branch": str, "valid": bool, "substantive_chain": list, "answer": object,
-                  "prior_guided": bool, "alternative": bool},
+    "candidate": {"branch": str, "valid": bool, "substantive_chain": list, "prior_guided": bool,
+                  "alternative": bool},
     "contract": {"satisfied": bool, "violations": list},
 }
-TRACE_HEADER: dict[str, type] = {"version": str, "mode": str, "episode": str, "instance": dict}
+TRACE_HEADER: dict[str, type] = {"version": str, "mode": str, "episode": str, "sample": str}
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,6 @@ class TraceWriter:
 class TraceBlock:
     header: dict[str, Any]
     events: list[dict[str, Any]]
-    instance: TaskInstance  # the header's sample, its ground truth sealed
 
 
 def _parse_block(data: bytes, pos: int) -> tuple[list[dict[str, Any]], int]:
@@ -252,27 +250,24 @@ def _require(record: Any, fields: Mapping[str, type], what: str) -> None:
 
 def _checked_block(header: dict[str, Any], events: list[dict[str, Any]]) -> TraceBlock:
     _require(header, TRACE_HEADER, "the header")
-    truth = header.get("ground_truth")
-    try:
-        instance = parse_record({**header["instance"], "ground_truth": truth})
-    except CorpusError as exc:
-        raise ContractError(f"the header instance is bad: {exc}") from None
-    if truth is not None and not validate_answer(truth, instance).valid:
-        raise ContractError("the header ground truth is not a valid answer")
     for n, event in enumerate(events, start=1):
+        branch = event.get("branch")
+        if branch is not None and type(branch) is not int:
+            raise ContractError(f"event {n}'s branch is neither null nor an integer")
         payload = event.get("payload")
         _require(payload, TRACE_KINDS[event["kind"]], f"event {n}'s payload")
         if event["kind"] == "verdict":
             _require(payload, VERDICT_FIELDS.get(payload["type"], {}), f"event {n}'s payload")
-    return TraceBlock(header, events, instance)
+    return TraceBlock(header, events)
 
 
 def read_trace(path: Path) -> Iterator[TraceBlock]:
     """Each whole block of a trace log, in log order, read as it is needed; a
     torn last block is dropped with a warning. Raises LogError for a block
     that does not frame, and ContractError when the log holds no whole block,
-    or a block's header instance does not parse, or a field ``TRACE_HEADER``,
-    ``TRACE_KINDS`` or ``VERDICT_FIELDS`` names is missing or of another type."""
+    or an event's branch is neither null nor an integer, or a field
+    ``TRACE_HEADER``, ``TRACE_KINDS`` or ``VERDICT_FIELDS`` names is missing
+    or of another type."""
     line = 1
     for (header, *events), _end in iter_records(Path(path), _parse_block):
         try:
@@ -403,19 +398,17 @@ class _EpisodeRunner:
             "config_digest": "",
             "mode": "inference",
             "episode": instance.id,
-            "instance": instance.public_dict(),
+            "sample": instance.digest,
         }
         if config is None:
             self.ctx = InvocationContext(mode="inference", instance=instance)
         else:
-            capability = EvaluatorCapability()
-            self.ctx = InvocationContext(mode="exploration", instance=instance, capability=capability)
+            self.ctx = InvocationContext(mode="exploration", instance=instance, capability=EvaluatorCapability())
             header.update(
                 config_digest=config.digest(),
                 mode="exploration",
                 seed=config.seed,
                 prior_exists=self.prior_exists,
-                ground_truth=instance.answer_key(capability),
             )
         self.trace = TraceWriter(deps.traces, instance.scope, header)
 
@@ -443,12 +436,18 @@ class _EpisodeRunner:
         args: Mapping[str, Any],
         inputs: Sequence[str],
         branch: Optional[int],
+        sent_args: Optional[Mapping[str, Any]] = None,
     ) -> ToolArtifact:
+        """Run one tool call and trace it. The ``tool_call`` line records
+        ``sent_args``, the arguments as the model sent them, when the tool
+        runs with arguments the orchestrator filled in; replay fills them in
+        again the same way."""
         self.call_counter += 1
         call_id = f"c{self.call_counter:03d}"
         call = ToolInvocation(tool_id=tool, args=dict(args), inputs=tuple(inputs))
         encoded = {"call_id": canonical_json(call_id), "tool": canonical_json(tool), "inputs": canonical_json(list(inputs))}
-        self.trace.event("tool_call", splice_json({**encoded, "args": call.args_json}), branch=branch)
+        recorded = call.args_json if sent_args is None else canonical_json(dict(sent_args))
+        self.trace.event("tool_call", splice_json({**encoded, "args": recorded}), branch=branch)
         artifact = self.deps.toolkit.invoke(call, self.artifacts, self.ctx)
         self.trace.event(
             "tool_result",
@@ -588,6 +587,15 @@ def _pick_winner(valid: Sequence[CandidateExecution]) -> Optional[CandidateExecu
     )
 
 
+def evaluate_args(tool: str, sent: Mapping[str, Any], answers: Mapping[str, Any]) -> dict[str, Any]:
+    """The arguments an evaluate tool runs with: those the model sent, and,
+    for the batch tool, the valid candidates' answers when it named none."""
+    args = dict(sent)
+    if tool == "evaluate_batch_against_gt":
+        args.setdefault("candidates", answers)
+    return args
+
+
 def run_exploration_episode(
     instance: TaskInstance,
     config: ExplorationConfig,
@@ -644,6 +652,7 @@ def run_exploration_episode(
                 candidates.append(_run_branch(runner, slot))
 
         valid = [c for c in candidates if c.valid]
+        answers = {c.branch_id: c.final_answer for c in valid}
         eval_reports: dict[str, Any] = {}
         eval_evidence = False
         if valid:
@@ -655,12 +664,14 @@ def run_exploration_episode(
                 )
                 eval_call = next((c for c in reply.tool_calls if c.tool in EVALUATE_TOOLS), None)
                 if eval_call is not None:
-                    answers = {c.branch_id: c.final_answer for c in valid}
                     runner.ctx.candidates = answers
-                    args = dict(eval_call.args)
-                    if eval_call.tool == "evaluate_batch_against_gt":
-                        args.setdefault("candidates", answers)
-                    art = runner.invoke_tool(eval_call.tool, args, [ORIGINAL_INPUT], branch=None)
+                    art = runner.invoke_tool(
+                        eval_call.tool,
+                        evaluate_args(eval_call.tool, eval_call.args, answers),
+                        [ORIGINAL_INPUT],
+                        branch=None,
+                        sent_args=eval_call.args,
+                    )
                     messages.append(ChatMessage(role="tool", content=art.text))
                     eval_reports = _evaluation_reports(art.payload)
                     for c in valid:
@@ -697,14 +708,15 @@ def run_exploration_episode(
             evidence_class = EvidenceClass.FAILURE
         winner = _pick_winner(valid)
 
-        # the contract check reads the records the trace carries, as lint does
+        # the contract check reads the records the trace carries, as lint
+        # does, and the answers held in memory, which lint reads from each
+        # branch's final message (see candidate_answers)
         records = [
             {
                 "type": "candidate",
                 "branch": c.branch_id,
                 "slot": c.slot,
                 "valid": c.valid,
-                "answer": c.final_answer,
                 "substantive_chain": list(c.substantive_chain),
                 "prior_guided": c.prior_guided,
                 "alternative": c.alternative,
@@ -736,7 +748,7 @@ def run_exploration_episode(
             gateway_calls=runner.gateway_calls,
         )
 
-        verdict = _contract_check(records, set(eval_reports), final_type, runner.prior_exists)
+        verdict = _contract_check(records, answers, set(eval_reports), final_type, runner.prior_exists)
         runner.trace.event("verdict", {"type": "contract", **asdict(verdict)})
         runner.trace.event(
             "outcome",
@@ -787,23 +799,26 @@ def _answers_distinct(a: Any, b: Any) -> bool:
     return a != b
 
 
-def _distinct_pair_exists(candidates: Sequence[Mapping[str, Any]]) -> bool:
+def _distinct_pair_exists(candidates: Sequence[Mapping[str, Any]], answers: Mapping[str, Any]) -> bool:
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
             a, b = candidates[i], candidates[j]
             if tuple(a["substantive_chain"]) != tuple(b["substantive_chain"]):
                 return True
-            if _answers_distinct(a["answer"], b["answer"]):
+            if _answers_distinct(answers.get(a["branch"]), answers.get(b["branch"])):
                 return True
     return False
 
 
 def _contract_check(
     candidate_records: Sequence[Mapping[str, Any]],
+    answers: Mapping[str, Any],
     evaluated_branches: set[str],
     final_type: Optional[str],
     prior_exists: bool,
 ) -> ContractVerdict:
+    """The contract verdict over the candidate verdict records and the valid
+    candidates' answers by branch id."""
     violations: list[str] = []
     valid = [c for c in candidate_records if c["valid"]]
     if len(valid) < MIN_VALID_CANDIDATES:
@@ -812,7 +827,7 @@ def _contract_check(
         violations.append("no_comparison")
     if final_type != prompts.LEARNING_SUMMARY_TYPE:
         violations.append("wrong_final_type")
-    if len(valid) >= 2 and not _distinct_pair_exists(valid):
+    if len(valid) >= 2 and not _distinct_pair_exists(valid, answers):
         violations.append("no_distinct_pair")
     if prior_exists and candidate_records:
         has_prior = any(c["prior_guided"] for c in candidate_records)
@@ -822,15 +837,34 @@ def _contract_check(
     return ContractVerdict(satisfied=not violations, violations=tuple(violations))
 
 
+def _candidate_verdicts(events: Sequence[Mapping[str, Any]]) -> list[Mapping[str, Any]]:
+    return [e for e in events if e["kind"] == "verdict" and e["payload"]["type"] == "candidate"]
+
+
+def candidate_answers(episode: str, events: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
+    """The valid candidates' answers of one trace block, by branch id
+    ``<episode>#b<slot>``, as the orchestrator held them: each is the answer
+    of its branch's last ``gateway_response``, the one message
+    ``_step_loop`` accepted as final (None when that message is not one).
+    Lint and replay both read the answers from here."""
+    finals: dict[int, Any] = {}
+    for e in events:
+        if e["kind"] == "gateway_response" and e.get("branch") is not None:
+            reply = e["payload"]["reply"]
+            final = None if reply.get("tool_calls") else parse_final(reply.get("content"))
+            finals[e["branch"]] = final.get("answer") if final is not None else None
+    return {
+        f"{episode}#b{e.get('branch')}": finals.get(e.get("branch"))
+        for e in _candidate_verdicts(events)
+        if e["payload"]["valid"]
+    }
+
+
 def enforce_exploration_contract(
     header: Mapping[str, Any], events: Sequence[Mapping[str, Any]]
 ) -> ContractVerdict:
     """Pure contract check over one finalized trace block."""
-    candidate_records = [
-        e["payload"]
-        for e in events
-        if e["kind"] == "verdict" and e["payload"]["type"] == "candidate"
-    ]
+    candidate_records = [e["payload"] for e in _candidate_verdicts(events)]
     evaluate_calls = {
         e["payload"]["call_id"]
         for e in events
@@ -846,7 +880,8 @@ def enforce_exploration_contract(
             final = parse_final(e["payload"]["reply"].get("content"))
             if final is not None:
                 final_type = final.get("answer_type")
-    return _contract_check(candidate_records, evaluated, final_type, bool(header.get("prior_exists")))
+    answers = candidate_answers(header["episode"], events)
+    return _contract_check(candidate_records, answers, evaluated, final_type, bool(header.get("prior_exists")))
 
 
 # ---------------------------------------------------------------------------

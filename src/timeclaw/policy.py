@@ -188,7 +188,7 @@ def exploration_policy(exchange: ChatExchange) -> AssistantReply:
         return _final(
             "learning_summary",
             {"insight": "", "recommendation": ""},
-            reasoning="summary delegated to the distillation templates",
+            reasoning="no summary text: the note keeps the winner and tool chain the evaluation chose",
         )
     if "## Candidates Ready" in last_user:
         return _tool_reply("evaluate_batch_against_gt", {})

@@ -4,19 +4,30 @@ exploration contract plus ground-truth leakage on stored traces, one report
 per episode of a trace log.
 
 Gateway events are stubbed from the trace itself; only tool behavior is
-re-executed, which is exactly the part the engine owns.
+re-executed, which is exactly the part the engine owns. A trace header names
+its sample by id and digest, so replay takes each sample from the corpus the
+run read; lint needs no sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from . import __version__
-from .core import EvaluatorCapability
+from .core import EvaluatorCapability, TaskInstance, validate_answer
 from .errors import ReplayError
-from .orchestrator import SPAWN_TOOL, ContractVerdict, TraceBlock, enforce_exploration_contract, read_trace
+from .orchestrator import (
+    EVALUATE_TOOLS,
+    SPAWN_TOOL,
+    ContractVerdict,
+    TraceBlock,
+    candidate_answers,
+    enforce_exploration_contract,
+    evaluate_args,
+    read_trace,
+)
 from .toolkit import ArtifactStore, InvocationContext, ToolArtifact, Toolkit, ToolInvocation, builtin_toolkit
 from .util import canonical_json
 
@@ -42,17 +53,42 @@ class ReplayReport:
         return asdict(self)
 
 
-def replay(trace_path: Path, toolkit: Optional[Toolkit] = None) -> list[ReplayReport]:
+def replay(
+    trace_path: Path, samples: Iterable[TaskInstance], toolkit: Optional[Toolkit] = None
+) -> list[ReplayReport]:
     """Re-execute every recorded tool call of every episode in a trace log
-    and compare artifacts byte-wise; one report per episode.
+    against the episode's sample, taken from ``samples`` (the corpus the run
+    read) by id, and compare artifacts byte-wise; one report per episode.
 
-    Refuses traces produced by a different engine version.
+    Refuses traces produced by a different engine version, and a block whose
+    sample is missing from ``samples`` or has another digest than the header
+    names, or, in an exploration block, carries no ground truth that is a
+    valid answer.
     """
     toolkit = toolkit or builtin_toolkit()
-    return [_replay_block(block, toolkit) for block in read_trace(trace_path)]
+    by_id = {sample.id: sample for sample in samples}
+    return [_replay_block(block, by_id, toolkit) for block in read_trace(trace_path)]
 
 
-def _replay_block(block: TraceBlock, toolkit: Toolkit) -> ReplayReport:
+def _block_sample(header: Mapping[str, Any], samples: Mapping[str, TaskInstance]) -> TaskInstance:
+    """The sample a block's header names, as the episode saw it: an
+    inference episode's with its ground truth withheld."""
+    episode = header["episode"]
+    sample = samples.get(episode)
+    if sample is None:
+        raise ReplayError(f"episode {episode!r}: its sample is not in the corpus")
+    if sample.digest != header["sample"]:
+        raise ReplayError(
+            f"episode {episode!r}: the corpus sample has digest {sample.digest}, the trace names {header['sample']}"
+        )
+    if header["mode"] != "exploration":
+        return replace(sample, ground_truth=None)
+    if not sample.has_ground_truth or not validate_answer(sample.answer_key(EvaluatorCapability()), sample).valid:
+        raise ReplayError(f"episode {episode!r}: the corpus sample has no ground truth that is a valid answer")
+    return sample
+
+
+def _replay_block(block: TraceBlock, samples: Mapping[str, TaskInstance], toolkit: Toolkit) -> ReplayReport:
     header, events = block.header, block.events
     version = header["version"]
     if version != __version__:
@@ -60,9 +96,14 @@ def _replay_block(block: TraceBlock, toolkit: Toolkit) -> ReplayReport:
             f"trace version {version!r} does not match engine version {__version__!r}"
         )
     mode = header["mode"]
-    capability = EvaluatorCapability() if mode == "exploration" else None
-    ctx = InvocationContext(mode=mode, instance=block.instance, capability=capability)
-    artifacts = ArtifactStore(block.instance)
+    sample = _block_sample(header, samples)
+    ctx = InvocationContext(mode=mode, instance=sample)
+    if mode == "exploration":
+        # the evaluate call runs as the orchestrator ran it: with the valid
+        # candidates' answers, rebuilt from their branches' final messages
+        ctx.capability = EvaluatorCapability()
+        ctx.candidates = candidate_answers(header["episode"], events)
+    artifacts = ArtifactStore(sample)
     results_by_call = {
         e["payload"]["call_id"]: (i, e["payload"]["artifact"])
         for i, e in enumerate(events)
@@ -87,8 +128,11 @@ def _replay_block(block: TraceBlock, toolkit: Toolkit) -> ReplayReport:
             )
             continue
         result_index, recorded = results_by_call[payload["call_id"]]
+        args = payload["args"]
+        if tool in EVALUATE_TOOLS and ctx.candidates is not None:
+            args = evaluate_args(tool, args, ctx.candidates)
         produced = toolkit.invoke(
-            ToolInvocation(tool_id=tool, args=dict(payload["args"]), inputs=tuple(payload["inputs"])),
+            ToolInvocation(tool_id=tool, args=dict(args), inputs=tuple(payload["inputs"])),
             artifacts,
             ctx,
         )

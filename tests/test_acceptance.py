@@ -670,8 +670,9 @@ def test_c12_determinism_master_gate(tmp_path, report):
     identical = trees[0] == trees[1]
     divergences = 0
     episodes = 0
+    samples = load_samples(tmp_path / "c" / "learning.jsonl", "learning").instances
     for trace in sorted((tmp_path / "a" / "store" / "traces").glob("*.jsonl")):
-        for replayed in replay(trace):
+        for replayed in replay(trace, samples):
             episodes += 1
             divergences += len(replayed.divergences)
         assert all(linted.contract is not None for linted in lint(trace))

@@ -17,10 +17,11 @@ from timeclaw import __version__, cli, prompts
 from timeclaw import gateway as gateway_module
 from timeclaw import store as store_module
 from timeclaw.cli import _build_deps, _build_gateway, build_parser, main
-from timeclaw.corpus import load_samples, reveal_for_scoring
+from timeclaw.corpus import load_samples, parse_record, reveal_for_scoring
 from timeclaw.gateway import RemoteGateway
 from timeclaw.orchestrator import ExplorationConfig, read_trace, run_exploration_episode
 from timeclaw.policy import policy_gateway
+from timeclaw.replay import lint as lint_trace
 from timeclaw.store import ExperienceStore, MemoryState
 from timeclaw.util import canonical_json
 
@@ -357,11 +358,12 @@ class TestInfer:
         self._explore(corpus_dir, store)
         out = tmp_path / "infer" / "preds.jsonl"
         assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
-        for traces in (store / "traces", out.parent / "traces_infer"):
+        for traces, corpus in ((store / "traces", "learning.jsonl"), (out.parent / "traces_infer", "eval.jsonl")):
+            samples = {i.id: i for i in load_samples(corpus_dir / corpus, "evaluation").instances}
             paths = sorted(traces.glob("*.jsonl"))
             assert paths, traces
             for block in (block for path in paths for block in read_trace(path)):
-                assert block.header["episode"] == block.header["instance"]["id"]
+                assert block.header["sample"] == samples[block.header["episode"]].digest
                 assert block.events
                 for event in block.events:
                     assert set(event) == {"branch", "kind", "payload"}, (block.header["episode"], event)
@@ -651,15 +653,20 @@ class TestBatchedProfile:
 
 
 class TestSeriesPastTheFloatRange:
-    def test_explore_and_infer_run_a_series_whose_squares_overflow(self, tmp_path):
-        """Scaled by 1e200, a seasonal series has squares past the float
-        range: every lag is undefined, the std infinite, and both commands
-        run it without a failure or a profiling warning."""
+    @staticmethod
+    def _corpus(tmp_path):
         values = [1e200 * (10.0 + 3.0 * math.sin(2 * math.pi * t / 12)) for t in range(60)]
         record = {"id": "big:0", "series": values[:48], "task_type": "forecast", "scope": "big", "horizon": 12,
                   "ground_truth": values[48:]}
         corpus = tmp_path / "big.jsonl"
         corpus.write_text(json.dumps(record) + "\n")
+        return corpus
+
+    def test_explore_and_infer_run_a_series_whose_squares_overflow(self, tmp_path):
+        """Scaled by 1e200, a seasonal series has squares past the float
+        range: every lag is undefined, the std infinite, and both commands
+        run it without a failure or a profiling warning."""
+        corpus = self._corpus(tmp_path)
         run = tmp_path / "run"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -670,6 +677,18 @@ class TestSeriesPastTheFloatRange:
         assert json.loads((run / "infer_summary.json").read_text())["failed_instances"] == []
         assert json.loads((run / "pred.jsonl").read_text())["prediction"]
         assert not [w for w in caught if Path(w.filename).name in ("seriesops.py", "prompts.py")]
+
+    def test_explore_scores_its_candidates_without_a_warning(self, tmp_path):
+        """The candidates' squared errors pass the float range too: their
+        MSE is inf, and no RuntimeWarning is raised on the way."""
+        corpus = self._corpus(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["explore", "--corpus", str(corpus), "--store", str(tmp_path / "store")]) == 0
+        [block] = read_trace(tmp_path / "store" / "traces" / "big.jsonl")
+        [reports] = [e["payload"]["artifact"]["payload"]["reports"] for e in block.events
+                     if e["kind"] == "tool_result" and "reports" in e["payload"]["artifact"]["payload"]]
+        assert reports and all(r["report"]["rmse"] == math.inf for r in reports.values())
 
 
 class TestReportAndSimulate:
@@ -775,8 +794,36 @@ class TestReplayCommand:
         )
         traces = sorted((store / "traces").glob("*.jsonl"))
         assert traces
-        assert main(["replay", "--trace", str(traces[0])]) == 0
+        assert main(["replay", "--trace", str(traces[0]), "--corpus", str(corpus_dir / "learning.jsonl")]) == 0
         assert main(["lint", "--trace", str(traces[0])]) == 0
+
+    def test_replay_refuses_a_corpus_without_the_traced_samples(self, corpus_dir, tmp_path, capsys):
+        """A trace replays only against the samples it names: not against
+        another corpus, nor one in which a value moved by one ulp, nor, for
+        exploration, one without the ground truth."""
+        learning = corpus_dir / "learning.jsonl"
+        assert main(["explore", "--corpus", str(learning), "--store", str(tmp_path / "store")]) == 0
+        [log] = sorted((tmp_path / "store" / "traces").glob("*.jsonl"))
+        records = [json.loads(line) for line in learning.read_text().splitlines()]
+        moved = [{**records[0], "series": [math.nextafter(records[0]["series"][0], math.inf), *records[0]["series"][1:]]},
+                 *records[1:]]
+        corpora = {
+            "eval": corpus_dir / "eval.jsonl",
+            "moved": tmp_path / "moved.jsonl",
+            "no_truth": tmp_path / "no_truth.jsonl",
+        }
+        corpora["moved"].write_text("".join(json.dumps(r) + "\n" for r in moved))
+        corpora["no_truth"].write_text("".join(json.dumps({k: v for k, v in r.items() if k != "ground_truth"}) + "\n"
+                                               for r in records))
+        errors = {}
+        for name, corpus in corpora.items():
+            capsys.readouterr()
+            assert main(["replay", "--trace", str(log), "--corpus", str(corpus)]) == 2, name
+            errors[name] = capsys.readouterr().err
+        assert "is not in the corpus" in errors["eval"]
+        assert "the corpus sample has digest" in errors["moved"]
+        assert "no ground truth" in errors["no_truth"]
+        assert main(["replay", "--trace", str(log), "--corpus", str(learning)]) == 0
 
 
 class TestTraceLogs:
@@ -807,13 +854,49 @@ class TestTraceLogs:
         assert [b.header["episode"] for b in read_trace(log)] == [b.header["episode"] for b in blocks[:-1]]
         last = 1 + sum(1 + len(b.events) for b in blocks[:-1])
         assert f"{log}: line {last}: dropped a torn last record" in caplog.text
-        assert main(["replay", "--trace", str(log)]) == 0
+        assert main(["replay", "--trace", str(log), "--corpus", str(corpus_dir / "learning.jsonl")]) == 0
         assert main(explore) == 0  # its first append cuts the torn block off
         caplog.clear()
         again = list(read_trace(log))
         assert "torn" not in caplog.text
         assert log.read_bytes().startswith(whole)
         assert [b.header["episode"] for b in again] == [b.header["episode"] for b in blocks[:-1] + blocks]
+
+    def test_headers_name_their_samples_by_digest_and_hold_no_series_value(self, tmp_path):
+        learning = self._mixed_corpus(tmp_path)
+        store, out = tmp_path / "store", tmp_path / "infer" / "preds.jsonl"
+        assert main(["explore", "--corpus", str(learning), "--store", str(store), "--seed", "2"]) == 0
+        assert main(["infer", "--corpus", str(learning.parent / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
+        headers = 0
+        for traces, corpus in ((store / "traces", learning), (out.parent / "traces_infer", learning.parent / "eval.jsonl")):
+            samples = {i.id: i for i in load_samples(corpus, "evaluation").instances}
+            for log in sorted(traces.glob("*.jsonl")):
+                lines = log.read_text().split("\n")
+                line = 0
+                for block in read_trace(log):
+                    sample = samples[block.header["episode"]]
+                    assert lines[line] == canonical_json(block.header)
+                    assert block.header["sample"] == sample.digest
+                    assert not [v for v in sample.series if repr(v) in lines[line]]
+                    assert "ground_truth" not in block.header
+                    line += 1 + len(block.events)
+                    headers += 1
+        assert headers == 24 + 8
+
+    def test_lint_judges_every_block_as_the_runtime_did(self, tmp_path):
+        """The runtime judges the contract on the answers it holds; lint
+        reads each from its branch's final message."""
+        learning = self._mixed_corpus(tmp_path)
+        store = tmp_path / "store"
+        assert main(["explore", "--corpus", str(learning), "--store", str(store), "--seed", "2"]) == 0
+        judged = []
+        for log in sorted((store / "traces").glob("*.jsonl")):
+            for block, linted in zip(read_trace(log), lint_trace(log), strict=True):
+                [recorded] = [e["payload"] for e in block.events if e["kind"] == "verdict" and e["payload"]["type"] == "contract"]
+                assert {"satisfied": linted.contract.satisfied, "violations": list(linted.contract.violations)} == {
+                    "satisfied": recorded["satisfied"], "violations": recorded["violations"]}
+                judged.append(recorded["satisfied"])
+        assert len(judged) == 24
 
     def test_infer_starts_its_logs_afresh(self, corpus_dir, tmp_path):
         out = tmp_path / "infer" / "preds.jsonl"
@@ -884,31 +967,44 @@ BAD_INPUT = {
     "explore-one-branch-slot": ["explore", "--corpus", "{learning}", "--store", "{store}", "--branch-slots", "1"],
     "explore-zero-steps": ["explore", "--corpus", "{learning}", "--store", "{store}", "--max-steps", "0"],
     "explore-zero-alpha": ["explore", "--corpus", "{learning}", "--store", "{store}", "--alpha", "0"],
-    "replay-missing-trace": ["replay", "--trace", "{missing}"],
-    "replay-empty-trace": ["replay", "--trace", "{empty}"],
-    "replay-non-json-trace": ["replay", "--trace", "{garbage}"],
+    "replay-missing-trace": ["replay", "--trace", "{missing}", "--corpus", "{eval}"],
+    "replay-empty-trace": ["replay", "--trace", "{empty}", "--corpus", "{eval}"],
+    "replay-non-json-trace": ["replay", "--trace", "{garbage}", "--corpus", "{eval}"],
+    "replay-missing-corpus": ["replay", "--trace", "{golden_trace}", "--corpus", "{missing}"],
     "lint-missing-trace": ["lint", "--trace", "{missing}"],
     "lint-empty-trace": ["lint", "--trace", "{empty}"],
     "lint-non-json-trace": ["lint", "--trace", "{garbage}"],
-    "replay-list-header": ["replay", "--trace", "{list_header}"],
+    "replay-list-header": ["replay", "--trace", "{list_header}", "--corpus", "{eval}"],
     "lint-list-header": ["lint", "--trace", "{list_header}"],
-    "replay-list-event": ["replay", "--trace", "{list_event}"],
+    "replay-list-event": ["replay", "--trace", "{list_event}", "--corpus", "{eval}"],
     "lint-list-event": ["lint", "--trace", "{list_event}"],
-    "replay-header-without-instance": ["replay", "--trace", "{no_instance}"],
+    # a header that does not name its sample
+    "replay-header-without-instance": ["replay", "--trace", "{no_instance}", "--corpus", "{x_corpus}"],
     "lint-header-without-instance": ["lint", "--trace", "{no_instance}"],
-    "replay-tool-call-without-tool": ["replay", "--trace", "{call_without_tool}"],
+    "replay-tool-call-without-tool": ["replay", "--trace", "{call_without_tool}", "--corpus", "{x_corpus}"],
     "lint-candidate-without-valid": ["lint", "--trace", "{candidate_without_valid}"],
-    "replay-instance-text-not-blocks": ["replay", "--trace", "{bad_text}"],
-    "lint-instance-text-not-blocks": ["lint", "--trace", "{bad_text}"],
-    # a header instance value parse_record rejects, not one it crashes on or splits
-    "replay-instance-int-past-float-range": ["replay", "--trace", "{huge_int}"],
-    "lint-instance-int-past-float-range": ["lint", "--trace", "{huge_int}"],
-    "replay-instance-bool-horizon": ["replay", "--trace", "{bool_horizon}"],
-    "lint-instance-string-label-space": ["lint", "--trace", "{string_labels}"],
+    "replay-event-branch-a-list": ["replay", "--trace", "{list_branch}", "--corpus", "{x_corpus}"],
+    "lint-event-branch-a-list": ["lint", "--trace", "{list_branch}"],
+    # the sample a header names is a value parse_record rejects, not one it
+    # crashes on or splits, so the corpus does not hold it
+    "replay-instance-text-not-blocks": ["replay", "--trace", "{inference_x}", "--corpus", "{bad_text}"],
+    "replay-instance-int-past-float-range": ["replay", "--trace", "{inference_x}", "--corpus", "{huge_int}"],
+    "replay-instance-bool-horizon": ["replay", "--trace", "{inference_x}", "--corpus", "{bool_horizon}"],
+    "replay-instance-string-label-space": ["replay", "--trace", "{inference_x}", "--corpus", "{string_labels}"],
+    # the header's sample is not a digest
+    "lint-header-sample-an-object": ["lint", "--trace", "{sample_object}"],
+    "lint-header-sample-a-number": ["lint", "--trace", "{sample_number}"],
+    "lint-header-sample-null": ["lint", "--trace", "{sample_null}"],
+    # the corpus lacks the sample, holds another one under its id, or, for
+    # an exploration block, holds it without a ground truth that is an answer
+    "replay-sample-not-in-corpus": ["replay", "--trace", "{inference_x}", "--corpus", "{eval}"],
+    "replay-sample-changed-in-corpus": ["replay", "--trace", "{inference_x}", "--corpus", "{x_changed}"],
+    "replay-exploration-sample-without-ground-truth": ["replay", "--trace", "{exploration_x}", "--corpus", "{x_corpus}"],
+    "replay-exploration-ground-truth-not-an-answer": ["replay", "--trace", "{exploration_x}", "--corpus", "{x_label_truth}"],
     # --forbidden-file holds JSON that is not an array of strings
     "lint-forbidden-not-a-list": ["lint", "--trace", "{golden_trace}", "--forbidden-file", "{five}"],
     "lint-forbidden-not-strings": ["lint", "--trace", "{golden_trace}", "--forbidden-file", "{numbers}"],
-    "replay-no-whole-block": ["replay", "--trace", "{torn_only}"],
+    "replay-no-whole-block": ["replay", "--trace", "{torn_only}", "--corpus", "{eval}"],
     "eval-zero-threshold": ["eval", "--predictions", "{empty}", "--corpus", "{eval}", "--threshold-file", "{threshold}"],
     "simulate-non-numeric-field": ["simulate-dropout", "--scenario", "{scenario}", "--seeds", "1", "--out", "{store}"],
 }
@@ -929,6 +1025,15 @@ class TestBadInput:
             "no_instance": tmp_path / "no_instance.jsonl",
             "call_without_tool": tmp_path / "call_without_tool.jsonl",
             "candidate_without_valid": tmp_path / "candidate_without_valid.jsonl",
+            "list_branch": tmp_path / "list_branch.jsonl",
+            "inference_x": tmp_path / "inference_x.jsonl",
+            "exploration_x": tmp_path / "exploration_x.jsonl",
+            "sample_object": tmp_path / "sample_object.jsonl",
+            "sample_number": tmp_path / "sample_number.jsonl",
+            "sample_null": tmp_path / "sample_null.jsonl",
+            "x_corpus": tmp_path / "x_corpus.jsonl",
+            "x_changed": tmp_path / "x_changed.jsonl",
+            "x_label_truth": tmp_path / "x_label_truth.jsonl",
             "bad_text": tmp_path / "bad_text.jsonl",
             "huge_int": tmp_path / "huge_int.jsonl",
             "bool_horizon": tmp_path / "bool_horizon.jsonl",
@@ -944,8 +1049,11 @@ class TestBadInput:
         files["garbage"].write_text("not a trace\n")
         files["list_header"].write_text("[1]\n")
         instance = {"id": "x", "series": [1.0, 2.0], "task_type": "forecast", "scope": "s", "horizon": 1}
-        header = {"mode": "inference", "version": __version__, "episode": "x", "instance": instance}
+        header = {"mode": "inference", "version": __version__, "episode": "x", "sample": parse_record(instance).digest}
         files["list_event"].write_text(json.dumps(header) + "\n[2]\n")
+
+        def corpus(*records):
+            return "".join(json.dumps(record) + "\n" for record in records)
 
         def block(head, *events):  # a whole block: the events, then the outcome event
             lines = [head, *({"branch": None, "kind": k, "payload": p} for k, p in events)]
@@ -959,11 +1067,19 @@ class TestBadInput:
         candidate = {"type": "candidate", "branch": "x#b0", "substantive_chain": [], "answer": None,
                      "prior_guided": False, "alternative": False}
         files["candidate_without_valid"].write_text(block({**header, "mode": "exploration"}, ("verdict", candidate)))
-        files["bad_text"].write_text(block({**header, "instance": {**instance, "text": [5]}}))
-        files["huge_int"].write_text(block({**header, "instance": {**instance, "series": [10**400, 2.0]}}))
-        files["bool_horizon"].write_text(block({**header, "instance": {**instance, "horizon": True}}))
-        trend = {**instance, "task_type": "trend", "label_space": "up"}
-        files["string_labels"].write_text(block({**header, "instance": trend}))
+        files["list_branch"].write_text(block(header, ("gateway_request", {"digest": "d"})).replace("null", "[0]", 1))
+        files["inference_x"].write_text(block(header))
+        files["exploration_x"].write_text(block({**header, "mode": "exploration"}))
+        files["sample_object"].write_text(block({**header, "sample": {**instance, "text": [5]}}))
+        files["sample_number"].write_text(block({**header, "sample": 10**400}))
+        files["sample_null"].write_text(block({**header, "sample": None}))
+        files["x_corpus"].write_text(corpus(instance))
+        files["x_changed"].write_text(corpus({**instance, "series": [1.0, 2.0000000000000004]}))
+        files["x_label_truth"].write_text(corpus({**instance, "ground_truth": "up"}))
+        files["bad_text"].write_text(corpus({**instance, "text": [5]}))
+        files["huge_int"].write_text(corpus({**instance, "series": [10**400, 2.0]}))
+        files["bool_horizon"].write_text(corpus({**instance, "horizon": True}))
+        files["string_labels"].write_text(corpus({**instance, "task_type": "trend", "label_space": "up"}))
         files["torn_only"].write_text(block(header)[:-5])
         files["threshold"].write_text(json.dumps({"synth_forecast_short": 0}))
         files["scenario"].write_text(json.dumps({"episodes": "many"}))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from collections.abc import Mapping
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from timeclaw.core import (
     INDICATOR_FIELDS, EvaluatorCapability, SealedAnswer, TaskInstance, TaskType, Verdict, validate_answer,
 )
+from timeclaw.corpus import parse_record
 from timeclaw.errors import ContractError, GroundTruthSealedError
 from timeclaw.toolkit import _evaluate_answer
 
@@ -208,3 +211,64 @@ class TestInstanceInvariants:
                 scope="s",
                 timestamps=("2024-01-02", "2024-01-01"),
             )
+
+
+SAMPLE_RECORDS = st.fixed_dictionaries(
+    {
+        "id": st.text(max_size=8),
+        "series": st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+        "task_type": st.sampled_from(["forecast", "trend"]),
+        "horizon": st.integers(1, 48),
+        "scope": st.text(max_size=8),
+    },
+    optional={
+        "text": st.lists(st.fixed_dictionaries({"body": st.text(max_size=6)}, optional={"date": st.text(max_size=6)}), max_size=2),
+    },
+).map(lambda r: {**r, "label_space": ["down", "up"]} if r["task_type"] == "trend" else r)
+
+
+def _variant_line(record, data):
+    """The record as another corpus line: keys shuffled, spaced, and each
+    integral series value within the exact integer range written as an int."""
+    keys = data.draw(st.permutations(sorted(record)))
+    series = [int(v) if v.is_integer() and abs(v) < 2**53 and math.copysign(1, v) > 0 else v for v in record["series"]]
+    shuffled = {key: (series if key == "series" else record[key]) for key in keys}
+    return json.dumps(shuffled, indent=data.draw(st.sampled_from([None, 1, 3])), separators=(", ", " : "))
+
+
+class TestSampleDigest:
+    """``TaskInstance.digest`` names a sample in a trace header."""
+
+    @given(record=SAMPLE_RECORDS, data=st.data())
+    def test_equal_samples_have_equal_digests_whatever_the_line(self, record, data):
+        canonical = parse_record(json.loads(json.dumps(record, sort_keys=True)))
+        assert parse_record(json.loads(_variant_line(record, data))).digest == canonical.digest
+        assert len(canonical.digest) == 16 and int(canonical.digest, 16) >= 0
+
+    @given(record=SAMPLE_RECORDS, data=st.data())
+    def test_any_changed_public_field_changes_the_digest(self, record, data):
+        digest = parse_record(record).digest
+        i = data.draw(st.integers(0, len(record["series"]) - 1))
+        up = math.nextafter(record["series"][i], math.inf)  # one ulp away
+        moved = up if math.isfinite(up) else math.nextafter(record["series"][i], -math.inf)
+        changes = [
+            {"id": record["id"] + "x"},
+            {"scope": record["scope"] + "x"},
+            {"horizon": record["horizon"] + 1},
+            {"text": [*record.get("text", []), {"body": "b"}]},
+            {"series": [*record["series"][:i], moved, *record["series"][i + 1:]]},
+            {"series": [*record["series"], 0.0]},
+        ]
+        if record["task_type"] == "trend":
+            changes += [{"label_space": ["down", "flat", "up"]}, {"task_type": "trend_past"}]
+        else:
+            changes.append({"task_type": "indicator"})
+        for change in changes:
+            assert parse_record({**record, **change}).digest != digest, change
+
+    def test_zero_and_negative_zero_differ(self):
+        record = {"id": "z", "series": [1.0, 0.0], "task_type": "forecast", "horizon": 1, "scope": "s"}
+        assert parse_record(record).digest != parse_record({**record, "series": [1.0, -0.0]}).digest
+
+    def test_the_ground_truth_is_not_part_of_it(self, forecast_instance):
+        assert dataclasses.replace(forecast_instance, ground_truth=None).digest == forecast_instance.digest

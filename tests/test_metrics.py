@@ -67,6 +67,11 @@ class TestPointwiseMetrics:
             )
             assert metrics.mape(pred, truth) == pytest.approx(naive_mape(pred, truth), rel=1e-12)
 
+    def test_mse_past_the_float_range_is_inf_without_a_warning(self, recwarn):
+        assert metrics.mse([1e200, 0.0], [-1e200, 0.0]) == math.inf
+        assert metrics.rmse([1e200], [0.0]) == math.inf
+        assert not recwarn.list
+
     def test_rmse_squares_to_mse(self):
         rng = random.Random(5)
         for _ in range(50):

@@ -266,7 +266,7 @@ class TestBranchLoop:
         assert [r["payload"]["error"] for r in results] == ["schema_violation"] * 2
         assert all(r["payload"]["message"] == "unknown argument(s): _inputs" for r in results)
         assert all(c.valid for c in outcome.candidates)
-        assert replay(outcome.trace_path)[0].clean
+        assert replay(outcome.trace_path, [_instance(gt=[13.0] * 3)])[0].clean
 
     def test_inputs_list_of_ids_names_the_input_artifacts(self, tmp_path):
         results = []
@@ -645,11 +645,9 @@ class TestTraceLog:
     def test_concurrent_appends_never_interleave_or_lose_a_block(self, tmp_path):
         # more writers than cores, switching threads as often as possible
         log = TraceLog(tmp_path)
-        instance = {"id": "x", "series": [1.0, 2.0], "task_type": "forecast", "scope": "s", "horizon": 1}
-
         def write(worker: int) -> None:
             for n in range(40):
-                header = {"version": __version__, "mode": "exploration", "episode": f"w{worker}.{n}", "instance": instance}
+                header = {"version": __version__, "mode": "exploration", "episode": f"w{worker}.{n}", "sample": "0" * 16}
                 with TraceWriter(log, "s", header) as trace:
                     for _ in range(3):
                         trace.event("gateway_request", {"digest": "d"})

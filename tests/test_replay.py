@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from timeclaw.cli import main
+from timeclaw.corpus import write_samples
 from timeclaw.core import SealedAnswer, TaskInstance, TaskType
 from timeclaw.errors import ReplayError
-from timeclaw.orchestrator import EpisodeDeps, ExplorationConfig, run_exploration_episode, run_inference
+from timeclaw.orchestrator import EpisodeDeps, ExplorationConfig, read_trace, run_exploration_episode, run_inference
 from timeclaw.policy import policy_gateway
 from timeclaw.registry import ToolRegistry, ToolUsageLedger
 from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore
 from timeclaw.toolkit import builtin_toolkit
+
+from test_trace_golden import golden_samples
 
 
 def _instance(gt=(13.0, 13.0, 13.0)):
@@ -44,7 +47,7 @@ def exploration_trace(tmp_path):
 
 class TestReplay:
     def test_untouched_trace_is_divergence_free(self, exploration_trace):
-        [report] = replay(exploration_trace)
+        [report] = replay(exploration_trace, [_instance()])
         assert report.clean
         assert report.events > 0
 
@@ -62,7 +65,7 @@ class TestReplay:
             mutated.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         target = tmp_path / "mutated.jsonl"
         target.write_text("\n".join(mutated) + "\n")
-        [report] = replay(target)
+        [report] = replay(target, [_instance()])
         assert len(report.divergences) == 1
         assert report.divergences[0].kind == "artifact_mismatch"
 
@@ -79,7 +82,7 @@ class TestReplay:
             mutated.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         target = tmp_path / "default_arg.jsonl"
         target.write_text("\n".join(mutated) + "\n")
-        [report] = replay(target)
+        [report] = replay(target, [_instance()])
         assert [d.kind for d in report.divergences] == ["artifact_mismatch"]
 
     def test_unregistered_tool_is_structured_divergence(self, exploration_trace, tmp_path):
@@ -94,7 +97,7 @@ class TestReplay:
             mutated.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         target = tmp_path / "ghost.jsonl"
         target.write_text("\n".join(mutated) + "\n")
-        [report] = replay(target)
+        [report] = replay(target, [_instance()])
         assert any(d.kind == "unknown_tool" for d in report.divergences)
 
     def test_version_mismatch_is_refused_with_both_tags(self, exploration_trace, tmp_path):
@@ -104,7 +107,61 @@ class TestReplay:
         target = tmp_path / "old.jsonl"
         target.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
         with pytest.raises(ReplayError, match="0.0.0-other"):
-            replay(target)
+            replay(target, [_instance()])
+
+
+def _evaluate_by(tool, args, values=(13.0, 12.0)):
+    """A policy that spawns two branches, which call no tool and forecast
+    ``values[slot]`` three times, then calls ``tool`` with ``args`` once the
+    candidates are ready."""
+    from timeclaw.gateway import AssistantReply, PolicyGateway, ToolCallRequest
+
+    def fn(exchange):
+        first_user = next(m.content for m in exchange.messages if m.role == "user")
+        last_user = [m.content for m in exchange.messages if m.role == "user"][-1]
+        if "### Branch Goal" in first_user:
+            value = values[0] if "- slot = 0" in first_user else values[1]
+            return AssistantReply(content=json.dumps({"answer_type": "forecast", "answer": [value] * 3}))
+        if "## Comparison Result" in last_user:
+            summary = {"insight": "", "recommendation": ""}
+            return AssistantReply(content=json.dumps({"answer_type": "learning_summary", "answer": summary}))
+        if "## Candidates Ready" in last_user:
+            return AssistantReply(content="", tool_calls=(ToolCallRequest(tool=tool, args=args),))
+        return AssistantReply(content="", tool_calls=(ToolCallRequest(tool="spawn_subagent", args={"n_tasks": 2}),))
+
+    return PolicyGateway(fn)
+
+
+class TestEvaluateCall:
+    """The evaluate call's ``tool_call`` line records the arguments the model
+    sent; the tool ran, and replay runs it again, with the valid candidates'
+    answers filled in from the branches' final messages."""
+
+    @pytest.mark.parametrize(
+        "tool, args",
+        [
+            ("evaluate_batch_against_gt", {}),
+            ("evaluate_against_gt", {"branch_id": "rp1#b0"}),
+            ("evaluate_against_gt", {"branch_id": "rp1#b1"}),
+        ],
+    )
+    def test_replays_divergence_free_from_the_recorded_arguments(self, tmp_path, tool, args):
+        toolkit = builtin_toolkit()
+        deps = EpisodeDeps(
+            registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger()),
+            toolkit=toolkit,
+            gateway=_evaluate_by(tool, args),
+            trace_dir=tmp_path / "traces",
+        )
+        outcome = run_exploration_episode(_instance(), ExplorationConfig(seed=4), deps)
+        [block] = read_trace(outcome.trace_path)
+        [call] = [e["payload"] for e in block.events if e["kind"] == "tool_call" and e["payload"]["tool"] == tool]
+        [result] = [e["payload"]["artifact"] for e in block.events
+                    if e["kind"] == "tool_result" and e["payload"]["call_id"] == call["call_id"]]
+        assert call["args"] == args
+        assert result["kind"] == "metric_report"  # the tool ran with the candidates
+        [report] = replay(outcome.trace_path, [_instance()])
+        assert report.clean, report.to_dict()
 
 
 class TestLint:
@@ -113,6 +170,22 @@ class TestLint:
         assert report.mode == "exploration"
         assert report.contract is not None and report.contract.satisfied
         assert report.clean
+
+    @pytest.mark.parametrize("values, violations", [((13.0, 12.0), []), ((13.0, 13.0), ["no_distinct_pair"])])
+    def test_a_distinct_pair_is_judged_on_the_branches_final_answers(self, tmp_path, values, violations):
+        # both branches call no tool, so only their answers can tell them apart
+        toolkit = builtin_toolkit()
+        deps = EpisodeDeps(
+            registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger()),
+            toolkit=toolkit,
+            gateway=_evaluate_by("evaluate_batch_against_gt", {}, values),
+            trace_dir=tmp_path / "traces",
+        )
+        outcome = run_exploration_episode(_instance(), ExplorationConfig(seed=4), deps)
+        [block] = read_trace(outcome.trace_path)
+        [recorded] = [e["payload"] for e in block.events if e["kind"] == "verdict" and e["payload"]["type"] == "contract"]
+        [report] = lint(outcome.trace_path)
+        assert recorded["violations"] == list(report.contract.violations) == violations
 
     def test_injected_leak_is_found(self, tmp_path):
         toolkit = builtin_toolkit()
@@ -181,13 +254,20 @@ JSON_VALUES = st.recursive(
 )
 
 
+@pytest.fixture(scope="module")
+def golden_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "corpus.jsonl"
+    write_samples(golden_samples(), path)
+    return path
+
+
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(["exploration.jsonl", "inference.jsonl"]), data=st.data())
-def test_a_mutated_golden_is_reported_on_or_refused_never_a_traceback(name, data, tmp_path_factory):
-    """One random mutation of a golden trace: a field of a header, its
-    instance, an event or an event payload deleted or set to any JSON, or a
-    line cut short. ``replay`` and ``lint`` report on it (exit 0 or 1) or
-    refuse it (exit 2); they never raise."""
+def test_a_mutated_golden_is_reported_on_or_refused_never_a_traceback(name, data, tmp_path_factory, golden_corpus):
+    """One random mutation of a golden trace: a field of a header, an event
+    or an event payload deleted or set to any JSON, or a line cut short.
+    ``replay`` (against the goldens' corpus) and ``lint`` report on it (exit
+    0 or 1) or refuse it (exit 2); they never raise."""
     lines = [json.loads(line) for line in (GOLDEN / name).read_text().splitlines()]
     texts = [json.dumps(line) for line in lines]
     n = data.draw(st.integers(0, len(lines) - 1))
@@ -195,7 +275,7 @@ def test_a_mutated_golden_is_reported_on_or_refused_never_a_traceback(name, data
         texts[n] = texts[n][: data.draw(st.integers(0, len(texts[n]) - 1))]
     else:
         record = lines[n]
-        nested = [key for key in ("instance", "payload") if isinstance(record.get(key), dict)]
+        nested = [key for key in ("payload",) if isinstance(record.get(key), dict)]
         target = record[data.draw(st.sampled_from(nested))] if nested and data.draw(st.booleans()) else record
         key = data.draw(st.sampled_from(sorted(target)))
         if data.draw(st.booleans()):
@@ -205,5 +285,5 @@ def test_a_mutated_golden_is_reported_on_or_refused_never_a_traceback(name, data
         texts[n] = json.dumps(record)
     path = tmp_path_factory.mktemp("mutated") / name
     path.write_text("".join(text + "\n" for text in texts))
-    for command in ("replay", "lint"):
-        assert main([command, "--trace", str(path)]) in (0, 1, 2)
+    assert main(["replay", "--trace", str(path), "--corpus", str(golden_corpus)]) in (0, 1, 2)
+    assert main(["lint", "--trace", str(path)]) in (0, 1, 2)

@@ -14,6 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from timeclaw.core import TaskInstance
 from timeclaw.corpus import FamilySpec, generate_sample, reveal_for_scoring
 from timeclaw.orchestrator import EpisodeDeps, ExplorationConfig, run_exploration_episode, run_inference
 from timeclaw.policy import policy_gateway
@@ -39,12 +40,17 @@ def _deps(root: Path, policy: str) -> EpisodeDeps:
     )
 
 
+def golden_samples() -> list[TaskInstance]:
+    """The golden exploration episode's sample, then the golden inference
+    sample: the corpus the goldens replay against."""
+    return [generate_sample(FAMILY, role, 0, seed=11)[0] for role in ("learning", "eval")]
+
+
 def render_traces(root: Path) -> dict[str, bytes]:
     """Run the golden exploration episode, then the golden inference sample
     against the store it wrote; return each trace's bytes by golden name."""
-    learn, _source, _future = generate_sample(FAMILY, "learning", 0, seed=11)
+    learn, probe = golden_samples()
     outcome = run_exploration_episode(learn, ExplorationConfig(seed=5), _deps(root, "exploration"))
-    probe, _source, _future = generate_sample(FAMILY, "eval", 0, seed=11)
     result = run_inference(probe, _deps(root, "inference"))
     return {
         "exploration.jsonl": Path(outcome.trace_path).read_bytes(),
@@ -68,10 +74,10 @@ def test_checked_in_goldens_replay_and_lint_clean():
     every recorded tool call re-executes to the recorded artifact, the
     exploration contract holds, and the inference trace holds no rendering
     of its sample's ground truth."""
-    probe, _source, _future = generate_sample(FAMILY, "eval", 0, seed=11)
-    truth = [repr(float(v)) for v in reveal_for_scoring(probe)]
+    samples = golden_samples()
+    truth = [repr(float(v)) for v in reveal_for_scoring(samples[1])]
     for name, mode, forbidden in (("exploration.jsonl", "exploration", []), ("inference.jsonl", "inference", truth)):
-        [report] = replay(GOLDEN / name)  # a per-episode trace file is a one-block log
+        [report] = replay(GOLDEN / name, samples)  # a per-episode trace file is a one-block log
         assert report.clean and report.events, report.to_dict()
         [linted] = lint(GOLDEN / name, forbidden_substrings=forbidden)
         assert linted.clean and linted.mode == mode, linted.to_dict()
