@@ -4,14 +4,18 @@ schemas, returning text and/or structured tool-call requests.
 Three backends ship:
 
 * ``RemoteGateway`` talks OpenAI-compatible chat completions with retry.
-* ``ScriptedGateway`` replays responses keyed by a digest of the normalized
-  message content and declared tool ids, failing loudly on a miss so prompt
-  drift invalidates scripts instead of silently shifting replies.
+* ``ScriptedGateway`` replays responses keyed by :func:`exchange_digest`,
+  failing loudly on a miss so prompt drift invalidates scripts instead of
+  silently shifting replies.
 * ``PolicyGateway`` wraps a deterministic function of the exchange; the
   built-in offline policies in :mod:`timeclaw.policy` use it.
 
 ``RecordingGateway`` captures digest->reply pairs from any backend so replay
 scripts can be generated instead of hand-written.
+
+The exchange digest is a digest of digests, one per message and one per tool
+list, so a turn reads no earlier message's text. Scripts recorded before 0.7.0
+keyed by a whole-body digest and miss.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
@@ -47,41 +51,43 @@ class ChatMessage:
 
     @cached_property
     def _digest_piece(self) -> bytes:
-        """This message's encoded ``[role, normalized content]`` entry of
-        :func:`exchange_digest`; a conversation resends every earlier
-        message, so each is encoded once."""
-        return canonical_json([self.role, _normalize(self.content)]).encode()
+        """This message's 32-byte entry of :func:`exchange_digest`: SHA-256
+        of the role's JSON string, a newline and the normalized content. A
+        conversation resends every earlier message, so each is hashed once."""
+        return hashlib.sha256(f"{canonical_json(self.role)}\n{_normalize(self.content)}".encode()).digest()
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"role": self.role, "content": self.content}
-        if self.tool_calls:
-            out["tool_calls"] = [{"tool": c.tool, "args": dict(c.args)} for c in self.tool_calls]
-        return out
+
+class DeclaredTools(tuple):
+    """The tool schemas an exchange declares. Every turn of a prompt declares
+    the same list, so its sorted names and their digest are worked out once
+    per list, not once per exchange."""
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return tuple(sorted(t["name"] for t in self))
+
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the canonical JSON of :attr:`names`."""
+        return hashlib.sha256(canonical_json(self.names).encode()).digest()
 
 
 @dataclass
 class ChatExchange:
     messages: list[ChatMessage]
-    declared_tools: list[dict[str, Any]] = field(default_factory=list)
+    declared_tools: DeclaredTools = DeclaredTools()
 
-    def declared_tool_names(self) -> tuple[str, ...]:
-        """The declared tools' names, sorted; worked out once per exchange,
-        which the digest, the trace and the policy each read."""
-        return self._tool_names
-
-    @cached_property
-    def _tool_names(self) -> tuple[str, ...]:
-        return tuple(sorted(t["name"] for t in self.declared_tools))
+    def __post_init__(self) -> None:
+        if not self.messages:
+            raise ContractError("exchange must contain at least one message")
+        if not isinstance(self.declared_tools, DeclaredTools):
+            self.declared_tools = DeclaredTools(self.declared_tools)
 
     @cached_property
     def _digest(self) -> str:
-        """:func:`exchange_digest`, worked out once per exchange, which the
-        trace and a scripted or recording gateway each read. An exchange is
-        not changed once it is sent."""
-        h = hashlib.sha256(b'{"messages":[')
-        h.update(b",".join(m._digest_piece for m in self.messages))
-        h.update(b'],"tools":' + canonical_json(self.declared_tool_names()).encode() + b"}")
-        return h.hexdigest()[:16]
+        """:func:`exchange_digest`, once per exchange: it is not changed once sent."""
+        pieces = [self.declared_tools.digest, *(m._digest_piece for m in self.messages)]
+        return hashlib.sha256(b"".join(pieces)).hexdigest()[:16]
 
 
 @dataclass
@@ -97,22 +103,32 @@ class AssistantReply:
         }
 
 
-def reply_from_dict(data: Mapping[str, Any]) -> AssistantReply:
-    calls = tuple(
-        ToolCallRequest(tool=c["tool"], args=dict(c.get("args", {})))
-        for c in data.get("tool_calls", ())
+def reply_from_dict(data: Any, name: str) -> AssistantReply:
+    """``data`` as a reply; ``ContractError`` naming it when it is not one."""
+    calls = data.get("tool_calls", []) if isinstance(data, Mapping) else None
+    if not isinstance(calls, list) or not isinstance(data.get("content"), (str, type(None))) or not all(
+        isinstance(c, Mapping) and isinstance(c.get("tool"), str) and isinstance(c.get("args", {}), Mapping)
+        for c in calls
+    ):
+        raise ContractError(f'{name} is not a reply {{"content": string or null, '
+                            '"tool_calls": [{"tool": string, "args": object}, ...]}')
+    return AssistantReply(
+        content=data.get("content"),
+        tool_calls=tuple(ToolCallRequest(tool=c["tool"], args=dict(c.get("args", {}))) for c in calls),
     )
-    return AssistantReply(content=data.get("content"), tool_calls=calls)
 
 
 def _normalize(content: str) -> str:
-    return "\n".join(line.rstrip() for line in content.strip().splitlines())
+    return "\n".join([line.rstrip() for line in content.strip().splitlines()])
 
 
 def exchange_digest(exchange: ChatExchange) -> str:
-    """Digest of (normalized message contents, declared tool ids): the
-    canonical JSON of ``{"messages": [[role, content], ...], "tools": [...]}``,
-    assembled from each message's cached piece, once per exchange."""
+    """The key of a replay script and of a trace's ``gateway_request``: the
+    first 16 hex digits of SHA-256 over the declared tools' 32-byte digest
+    (:attr:`DeclaredTools.digest`) followed by each message's 32-byte digest
+    (SHA-256 of ``canonical_json(role)``, ``"\\n"`` and the content,
+    stripped and with each line's trailing whitespace cut), in order. Every
+    field has a fixed size, so the encoding is unambiguous."""
     return exchange._digest
 
 
@@ -137,22 +153,21 @@ class ScriptedGateway(Gateway):
     """Replays canned replies from a {digest: reply} script."""
 
     def __init__(self, script: Mapping[str, Mapping[str, Any]]):
-        self._script = dict(script)
+        if not isinstance(script, Mapping):
+            raise ContractError("a replay script is a JSON object of {digest: reply}")
+        self._script = {d: reply_from_dict(r, f"replay script entry {d!r}") for d, r in script.items()}
 
     @classmethod
     def from_file(cls, path: Path) -> "ScriptedGateway":
         return cls(json.loads(Path(path).read_text()))
 
     def complete(self, exchange: ChatExchange) -> AssistantReply:
-        if not exchange.messages:
-            raise ContractError("exchange must contain at least one message")
         digest = exchange_digest(exchange)
         if digest not in self._script:
             tail = exchange.messages[-1].content[:80].replace("\n", " ")
             raise ScriptMissError(digest, hint=f"last message starts: {tail!r}")
-        reply = reply_from_dict(self._script[digest])
-        reply.usage = _mock_usage(exchange, reply)
-        return reply
+        reply = self._script[digest]
+        return replace(reply, usage=_mock_usage(exchange, reply))
 
 
 class PolicyGateway(Gateway):
@@ -162,8 +177,6 @@ class PolicyGateway(Gateway):
         self._fn = fn
 
     def complete(self, exchange: ChatExchange) -> AssistantReply:
-        if not exchange.messages:
-            raise ContractError("exchange must contain at least one message")
         reply = self._fn(exchange)
         if not reply.usage:
             reply.usage = _mock_usage(exchange, reply)
@@ -215,15 +228,8 @@ class RemoteGateway(Gateway):
         self._slots = threading.Semaphore(max_in_flight)
 
     def _payload(self, exchange: ChatExchange) -> dict[str, Any]:
-        messages = []
-        for m in exchange.messages:
-            entry: dict[str, Any] = {"role": m.role, "content": m.content}
-            messages.append(entry)
-        payload: dict[str, Any] = {
-            "model": self.model,
-            "messages": messages,
-            "temperature": 0.0,
-        }
+        messages = [{"role": m.role, "content": m.content} for m in exchange.messages]
+        payload: dict[str, Any] = {"model": self.model, "messages": messages, "temperature": 0.0}
         if exchange.declared_tools:
             payload["tools"] = [
                 {"type": "function", "function": schema} for schema in exchange.declared_tools
@@ -232,8 +238,6 @@ class RemoteGateway(Gateway):
         return payload
 
     def complete(self, exchange: ChatExchange) -> AssistantReply:
-        if not exchange.messages:
-            raise ContractError("exchange must contain at least one message")
         url = f"{self.base_url}/chat/completions"
         headers = {"Content-Type": "application/json"}
         if self.api_key:

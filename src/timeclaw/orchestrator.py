@@ -416,7 +416,7 @@ class _EpisodeRunner:
         request: dict[str, Any] = {"digest": exchange_digest(exchange)}
         # a request lists its tools only when they differ from the previous
         # request's on the same branch (None: the main exchange)
-        tools = exchange.declared_tool_names()
+        tools = exchange.declared_tools.names
         if self.declared.get(branch) != tools:
             request["tools"] = self.declared[branch] = tools
         self.trace.event("gateway_request", request, branch=branch)
@@ -632,7 +632,7 @@ def run_exploration_episode(
         messages = [bundle.system, ChatMessage(role="user", content=bundle.user_text)]
 
         def main_exchange() -> Optional[AssistantReply]:
-            exchange = ChatExchange(messages=messages, declared_tools=exploration_tools)
+            exchange = ChatExchange(messages=messages, declared_tools=bundle.declared_tools)
             try:
                 return runner.complete(exchange, branch=None)
             except ScriptMissError:

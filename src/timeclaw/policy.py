@@ -69,10 +69,6 @@ def _label_space(text: str) -> list[str]:
     return json.loads(raw) if raw else []
 
 
-def _available_tools(exchange: ChatExchange) -> set[str]:
-    return set(exchange.declared_tool_names())
-
-
 def _memory_preferred(system_text: str) -> list[str]:
     tools: list[str] = []
     for match in re.finditer(r"prefer: ([^;]+);", system_text):
@@ -147,7 +143,7 @@ def _branch_reply(exchange: ChatExchange) -> AssistantReply:
     final_type = _required_final_type(prompt)
     labels = _label_space(prompt)
     hint = _find(r"- hint = (\S+)", prompt) or "naive"
-    available = _available_tools(exchange)
+    available = set(exchange.declared_tools.names)
     last = _last_message(exchange)
 
     if last.role != "tool":
@@ -200,7 +196,7 @@ def inference_policy(exchange: ChatExchange) -> AssistantReply:
     prompt = _first_user(exchange)
     final_type = _required_final_type(prompt)
     labels = _label_space(prompt)
-    available = _available_tools(exchange)
+    available = set(exchange.declared_tools.names)
     last = _last_message(exchange)
 
     if last.role != "tool":

@@ -32,7 +32,7 @@ import numpy as np
 from . import seriesops
 from .core import TaskInstance, TaskType
 from .errors import ContractError
-from .gateway import ChatMessage
+from .gateway import ChatMessage, DeclaredTools
 from .util import json_dumps
 
 LEARNING_SUMMARY_TYPE = "learning_summary"
@@ -182,14 +182,11 @@ def match(applicability: Mapping[str, Any], fp: SampleFingerprint) -> bool:
 class PromptBundle:
     system: ChatMessage  # shared by every prompt built from one Selection
     user_text: str
-    declared_tools: list[dict[str, Any]]
+    declared_tools: DeclaredTools  # every exchange of the prompt declares this list
 
     @property
     def system_text(self) -> str:
         return self.system.content
-
-    def declared_tool_names(self) -> list[str]:
-        return sorted(t["name"] for t in self.declared_tools)
 
 
 # A store layer longer than this is cut before it enters a prompt.
@@ -448,7 +445,7 @@ def build_exploration_prompt(
     return PromptBundle(
         system=_system_message(selection, soul),
         user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
-        declared_tools=list(declared_tools),
+        declared_tools=DeclaredTools(declared_tools),
     )
 
 
@@ -483,7 +480,7 @@ def build_branch_prompt(
     return PromptBundle(
         system=_system_message(selection, soul),
         user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
-        declared_tools=list(declared_tools),
+        declared_tools=DeclaredTools(declared_tools),
     )
 
 
@@ -525,5 +522,5 @@ def build_inference_prompt(
     return PromptBundle(
         system=_system_message(selection, soul),
         user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
-        declared_tools=list(declared_tools),
+        declared_tools=DeclaredTools(declared_tools),
     )

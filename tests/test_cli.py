@@ -946,21 +946,72 @@ class TestGatewayChoice:
         assert isinstance(gateway, RemoteGateway)
         assert gateway.base_url == "http://127.0.0.1:9/v1"
 
-    def test_a_recorded_or_scripted_run_hashes_each_conversation_once(self, corpus_dir, tmp_path, monkeypatch):
-        hashed: list[bytes] = []
+    def test_a_recorded_or_scripted_run_hashes_each_message_once(self, corpus_dir, tmp_path, monkeypatch):
+        """Each message's text is hashed once, however many later turns
+        resend it: a run feeds SHA-256 its distinct message text plus a
+        constant per message sent and per call, where hashing each turn's
+        whole body would feed it every earlier message again."""
+        fed: list[int] = []
 
         def sha256(data=b""):
-            hashed.append(data)
-            return hashlib.sha256(data)
+            h = hashlib.sha256(data)
+            fed.append(len(data))
+            return SimpleNamespace(
+                update=lambda more: (fed.append(len(more)), h.update(more)), digest=h.digest, hexdigest=h.hexdigest
+            )
 
         # the exchange digest is the gateway module's only hash
         monkeypatch.setattr(gateway_module, "hashlib", SimpleNamespace(sha256=sha256))
+        sent: list[gateway_module.ChatExchange] = []
+
+        def capture(complete):
+            def wrapped(gateway, exchange):
+                sent.append(exchange)
+                return complete(gateway, exchange)
+
+            return wrapped
+
+        for backend in (gateway_module.PolicyGateway, gateway_module.ScriptedGateway):
+            monkeypatch.setattr(backend, "complete", capture(backend.complete))
         learning, script = str(corpus_dir / "learning.jsonl"), str(tmp_path / "script.json")
         for run, flag in (("recorded", "--record-script"), ("scripted", "--mock-script")):
-            hashed.clear()
+            fed.clear()
+            sent.clear()
             assert main(["explore", "--corpus", learning, "--store", str(tmp_path / run / "store"), flag, script]) == 0
             summary = json.loads((tmp_path / run / "run_summary.json").read_text())
-            assert len(hashed) == summary["usage"]["gateway_calls"] > 0
+            assert len(sent) == summary["usage"]["gateway_calls"] > 0
+            distinct = {(m.role, m.content) for ex in sent for m in ex.messages}
+            text = sum(len(role.encode()) + len(content.encode()) for role, content in distinct)
+            messages_sent = sum(len(ex.messages) for ex in sent)
+            tools = sum(len(canonical_json(ex.declared_tools.names).encode()) for ex in sent)
+            assert 0 < sum(fed) <= text + 64 * messages_sent + 64 * len(sent) + tools
+        assert (
+            ExperienceStore(tmp_path / "recorded" / "store").tree_digest()
+            == ExperienceStore(tmp_path / "scripted" / "store").tree_digest()
+        )
+
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda reply: "oops",
+            lambda reply: {**reply, "content": 5},
+            lambda reply: {**reply, "tool_calls": [{"args": {}}]},
+            lambda reply: {**reply, "tool_calls": [{"tool": "ses", "args": [1]}]},
+        ],
+        ids=["entry-a-string", "content-a-number", "call-without-tool", "args-a-list"],
+    )
+    def test_a_corrupted_recorded_script_is_refused_not_a_traceback(self, corrupt, corpus_dir, tmp_path, capsys):
+        """Every entry of a recorded script is looked up, so each corruption
+        would reach the reply parser; the script is refused when it loads."""
+        argv = ["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--out", str(tmp_path / "pred.jsonl")]
+        script = tmp_path / "script.json"
+        assert main([*argv, "--record-script", str(script)]) == 0
+        recorded = json.loads(script.read_text())
+        script.write_text(json.dumps({digest: corrupt(reply) for digest, reply in recorded.items()}))
+        capsys.readouterr()
+        assert main([*argv, "--mock-script", str(script)]) == 2
+        assert capsys.readouterr().err.startswith("error: replay script entry")
 
 
 BAD_INPUT = {
@@ -1007,6 +1058,12 @@ BAD_INPUT = {
     "replay-no-whole-block": ["replay", "--trace", "{torn_only}", "--corpus", "{eval}"],
     "eval-zero-threshold": ["eval", "--predictions", "{empty}", "--corpus", "{eval}", "--threshold-file", "{threshold}"],
     "simulate-non-numeric-field": ["simulate-dropout", "--scenario", "{scenario}", "--seeds", "1", "--out", "{store}"],
+    # a --mock-script that is not an object of replies
+    "explore-mock-script-a-list": ["explore", "--corpus", "{learning}", "--store", "{store}", "--mock-script", "{numbers}"],
+    "infer-mock-script-entry-a-string": ["infer", "--corpus", "{eval}", "--out", "{pred}", "--mock-script", "{oops}"],
+    "explore-mock-script-call-without-tool": ["explore", "--corpus", "{learning}", "--store", "{store}",
+                                              "--mock-script", "{call_without_tool_script}"],
+    "infer-mock-script-content-a-number": ["infer", "--corpus", "{eval}", "--out", "{pred}", "--mock-script", "{content_5}"],
 }
 
 
@@ -1044,6 +1101,10 @@ class TestBadInput:
             "five": tmp_path / "five.json",
             "numbers": tmp_path / "numbers.json",
             "golden_trace": Path(__file__).parent / "data" / "traces" / "inference.jsonl",
+            "pred": tmp_path / "pred.jsonl",
+            "oops": tmp_path / "oops.json",
+            "call_without_tool_script": tmp_path / "call_without_tool_script.json",
+            "content_5": tmp_path / "content_5.json",
         }
         files["empty"].write_text("")
         files["garbage"].write_text("not a trace\n")
@@ -1085,6 +1146,9 @@ class TestBadInput:
         files["scenario"].write_text(json.dumps({"episodes": "many"}))
         files["five"].write_text("5")
         files["numbers"].write_text("[5]")
+        files["oops"].write_text(json.dumps({"d": "oops"}))
+        files["call_without_tool_script"].write_text(json.dumps({"d": {"content": "", "tool_calls": [{"args": {}}]}}))
+        files["content_5"].write_text(json.dumps({"d": {"content": 5}}))
         capsys.readouterr()
         assert main([arg.format(**files) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -7,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timeclaw.errors import GatewayError, ScriptMissError, ToolCallParseError
+from timeclaw.errors import ContractError, GatewayError, ScriptMissError, ToolCallParseError
 from timeclaw.gateway import (
     AssistantReply,
     ChatExchange,
@@ -17,17 +18,36 @@ from timeclaw.gateway import (
     RemoteGateway,
     ScriptedGateway,
     ToolCallRequest,
-    _normalize,
     exchange_digest,
 )
-from timeclaw.util import canonical_json, digest_text
+
+
+def _digest_oracle(messages, tools):
+    """The exchange digest written out from its definition: SHA-256 over the
+    tool names' digest, then each message's digest, cut to 16 hex digits."""
+    names = json.dumps(sorted(tools), separators=(",", ":"), ensure_ascii=False)
+    body = hashlib.sha256(names.encode("utf-8")).digest()
+    for role, content in messages:
+        lines = [line.rstrip() for line in content.strip().splitlines()]
+        text = json.dumps(role, ensure_ascii=False) + "\n" + "\n".join(lines)
+        body += hashlib.sha256(text.encode("utf-8")).digest()
+    return hashlib.sha256(body).hexdigest()[:16]
+
+
+def _conversation(messages, tools=()):
+    return ChatExchange(
+        messages=[ChatMessage(role=role, content=content) for role, content in messages],
+        declared_tools=[{"name": t} for t in tools],
+    )
 
 
 def _exchange(content="hello", tools=()):
-    return ChatExchange(
-        messages=[ChatMessage(role="user", content=content)],
-        declared_tools=[{"name": t} for t in tools],
-    )
+    return _conversation([("user", content)], tools)
+
+
+ROLES = st.sampled_from(["system", "user", "assistant", "tool"])
+MESSAGES = st.lists(st.tuples(ROLES, st.text()), min_size=1, max_size=6)
+TOOLS = st.lists(st.text(min_size=1), max_size=4, unique=True)
 
 
 class TestDigest:
@@ -40,31 +60,55 @@ class TestDigest:
     def test_declared_tools_participate(self):
         assert exchange_digest(_exchange("a", ("x",))) != exchange_digest(_exchange("a", ("y",)))
 
+    def test_an_exchange_without_messages_is_refused(self):
+        with pytest.raises(ContractError, match="at least one message"):
+            ChatExchange(messages=[])
+
     @settings(max_examples=200, deadline=None)
-    @given(
-        messages=st.lists(
-            st.tuples(st.sampled_from(["system", "user", "assistant", "tool"]), st.text()), max_size=6
-        ),
-        tools=st.lists(st.text(min_size=1), max_size=4),
-    )
-    def test_equals_the_whole_body_formula(self, messages, tools):
-        exchange = ChatExchange(
-            messages=[ChatMessage(role=role, content=content) for role, content in messages],
-            declared_tools=[{"name": t} for t in tools],
-        )
-        body = canonical_json(
-            {
-                "messages": [[m.role, _normalize(m.content)] for m in exchange.messages],
-                "tools": exchange.declared_tool_names(),
-            }
-        )
-        assert exchange_digest(exchange) == digest_text(body)[:16]
-        # a message resent in a longer conversation keeps its cached piece
+    @given(messages=MESSAGES, tools=TOOLS)
+    def test_equals_the_digest_of_digests_formula(self, messages, tools):
+        exchange = _conversation(messages, tools)
+        assert exchange_digest(exchange) == _digest_oracle(messages, tools)
+        # a message resent in a longer conversation keeps its cached digest
         longer = ChatExchange(messages=[*exchange.messages, ChatMessage(role="user", content="more  \n")])
-        body = canonical_json(
-            {"messages": [[m.role, _normalize(m.content)] for m in longer.messages], "tools": []}
-        )
-        assert exchange_digest(longer) == digest_text(body)[:16]
+        assert exchange_digest(longer) == _digest_oracle([*messages, ("user", "more")], ())
+
+    @settings(max_examples=100, deadline=None)
+    @given(messages=MESSAGES, tools=TOOLS, pad=st.sampled_from([" ", "\t", "  \n", "\n\n"]))
+    def test_trailing_whitespace_does_not_matter(self, messages, tools, pad):
+        padded = [(role, "\n".join(line + pad.strip("\n") for line in content.split("\n")) + pad)
+                  for role, content in messages]
+        assert exchange_digest(_conversation(padded, tools)) == exchange_digest(_conversation(messages, tools))
+
+    @settings(max_examples=100, deadline=None)
+    @given(messages=MESSAGES, tools=TOOLS, data=st.data())
+    def test_role_content_order_and_tools_each_change_it(self, messages, tools, data):
+        base = exchange_digest(_conversation(messages, tools))
+        i = data.draw(st.integers(0, len(messages) - 1))
+        role, content = messages[i]
+        other_role = data.draw(ROLES.filter(lambda r: r != role))
+        changed_role = [*messages[:i], (other_role, content), *messages[i + 1:]]
+        assert exchange_digest(_conversation(changed_role, tools)) != base
+        changed_content = [*messages[:i], (role, content + "x"), *messages[i + 1:]]
+        assert exchange_digest(_conversation(changed_content, tools)) != base
+        assert exchange_digest(_conversation(messages, [*tools, "extra_tool"])) != base
+        if len(set(messages)) > 1:
+            reordered = data.draw(st.permutations(messages).filter(lambda p: list(p) != messages))
+            assert exchange_digest(_conversation(reordered, tools)) != base
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.text('ab"\\', min_size=1), moved=st.text('ab"\\', min_size=1), b=st.text('ab"\\', min_size=1))
+    def test_moving_text_across_a_message_boundary_changes_it(self, a, moved, b):
+        one = exchange_digest(_conversation([("user", a + moved), ("user", b)]))
+        assert one != exchange_digest(_conversation([("user", a), ("user", moved + b)]))
+        assert one != exchange_digest(_conversation([("user", a + moved + b)]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(messages=MESSAGES, tools=TOOLS)
+    def test_equal_messages_in_distinct_objects_give_equal_digests(self, messages, tools):
+        one, other = _conversation(messages, tools), _conversation(list(messages), list(reversed(tools)))
+        assert all(a is not b for a, b in zip(one.messages, other.messages))
+        assert exchange_digest(one) == exchange_digest(other)
 
 
 class TestScriptedGateway:

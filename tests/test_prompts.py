@@ -249,8 +249,8 @@ class TestExplorationBundle:
             _slots(),
             [{"name": n, "description": ""} for n in names],
         )
-        assert "spawn_subagent" in bundle.declared_tool_names()
-        assert "evaluate_against_gt" in bundle.declared_tool_names()
+        assert "spawn_subagent" in bundle.declared_tools.names
+        assert "evaluate_against_gt" in bundle.declared_tools.names
 
 
 class TestInferenceBundle:
