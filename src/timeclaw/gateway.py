@@ -58,9 +58,10 @@ class ChatMessage:
 
 
 class DeclaredTools(tuple):
-    """The tool schemas an exchange declares. Every turn of a prompt declares
-    the same list, so its sorted names and their digest are worked out once
-    per list, not once per exchange."""
+    """The tool schemas an exchange declares. A run builds one list per
+    distinct tool set and every prompt with that set declares it, so its
+    sorted names, their digest and its prompt section are worked out once
+    per list, not once per prompt or exchange."""
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -70,6 +71,15 @@ class DeclaredTools(tuple):
     def digest(self) -> bytes:
         """SHA-256 of the canonical JSON of :attr:`names`."""
         return hashlib.sha256(canonical_json(self.names).encode()).digest()
+
+    @cached_property
+    def section(self) -> str:
+        """The prompt's ``### Available Tools`` section: one
+        ``- name: description`` line per tool, by name."""
+        lines = ["### Available Tools"]
+        for schema in sorted(self, key=lambda s: s["name"]):
+            lines.append(f"- {schema['name']}: {schema.get('description', '')}")
+        return "\n".join(lines)
 
 
 @dataclass
@@ -112,10 +122,24 @@ def reply_from_dict(data: Any, name: str) -> AssistantReply:
     ):
         raise ContractError(f'{name} is not a reply {{"content": string or null, '
                             '"tool_calls": [{"tool": string, "args": object}, ...]}')
-    return AssistantReply(
+    reply = AssistantReply(
         content=data.get("content"),
         tool_calls=tuple(ToolCallRequest(tool=c["tool"], args=dict(c.get("args", {}))) for c in calls),
     )
+    if not _encodable(reply):
+        raise ContractError(f"{name} holds a lone surrogate, which UTF-8 cannot encode")
+    return reply
+
+
+def _encodable(reply: AssistantReply) -> bool:
+    """Whether the reply's content, tool names and arguments encode as UTF-8.
+    JSON's ``\\ud800`` escape decodes to a lone surrogate, which does not, so
+    the next turn's exchange digest and the trace write would fail on it."""
+    try:
+        canonical_json([reply.content, [[c.tool, c.args] for c in reply.tool_calls]]).encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _normalize(content: str) -> str:
@@ -286,4 +310,7 @@ class RemoteGateway(Gateway):
             for k, v in (data.get("usage") or {}).items()
             if k in ("prompt_tokens", "completion_tokens") and isinstance(v, (int, float))
         }
-        return AssistantReply(content=message.get("content"), tool_calls=tuple(calls), usage=usage)
+        reply = AssistantReply(content=message.get("content"), tool_calls=tuple(calls), usage=usage)
+        if not _encodable(reply):
+            raise GatewayError("completion reply holds a lone surrogate, which UTF-8 cannot encode")
+        return reply

@@ -143,13 +143,19 @@ class MetricReport:
 
 
 def numeric_report(pred: Sequence[float], truth: Sequence[float]) -> MetricReport:
-    """Full numeric report over pre-aligned vectors."""
+    """Full numeric report over pre-aligned vectors: the floats of
+    :func:`mae`, :func:`mape`, :func:`rmse` and :func:`mse`, from one
+    conversion of each vector and one difference vector."""
+    p, t = _as_pair(pred, truth)
+    d = p - t
+    with np.errstate(over="ignore"):
+        squared = float(np.mean(np.square(d)))
     return MetricReport(
-        n_points=len(truth),
-        mae=mae(pred, truth),
-        mape=mape(pred, truth),
-        rmse=rmse(pred, truth),
-        mse=mse(pred, truth),
+        n_points=len(t),
+        mae=float(np.mean(np.abs(d))),
+        mape=None if np.any(t == 0.0) else float(np.mean(np.abs(d / t)) * 100.0),
+        rmse=float(np.sqrt(squared)),
+        mse=squared,
     )
 
 

@@ -49,6 +49,7 @@ from .gateway import (
     AssistantReply,
     ChatExchange,
     ChatMessage,
+    DeclaredTools,
     Gateway,
     exchange_digest,
 )
@@ -98,6 +99,9 @@ VERDICT_FIELDS: dict[str, dict[str, type]] = {
     "contract": {"satisfied": bool, "violations": list},
 }
 TRACE_HEADER: dict[str, type] = {"version": str, "mode": str, "episode": str, "sample": str}
+# What follows the branch in an event line of each kind: the line is
+# canonical_json({"branch", "kind", "payload"}), and those keys sort in that order.
+_EVENT_KIND = {kind: f',"kind":{canonical_json(kind)},"payload":' for kind in TRACE_KINDS}
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,11 @@ class ExplorationConfig:
             raise ContractError("alpha must be positive")
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        """:meth:`digest`, once per config: every episode's header carries it."""
         return digest_obj(
             {
                 "branch_slots": self.branch_slots,
@@ -129,22 +138,43 @@ class ExplorationConfig:
 
 @dataclass
 class EpisodeDeps:
+    """What the episodes of one run share. The registry and toolkit do not
+    change while a run goes, so each distinct tool list its prompts declare
+    is built once per run: the exploration list, one per distinct set of
+    tools a branch sees, and the inference list. Threads that race to build
+    a list build equal ones."""
+
     registry: ToolRegistry
     toolkit: Toolkit
     gateway: Gateway
     store: Optional[ExperienceStore] = None
     trace_dir: Optional[Path] = None
     traces: Optional[TraceLog] = field(init=False, repr=False)  # the logs under trace_dir
+    _branch_tools: dict[frozenset[str], DeclaredTools] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.traces = TraceLog(self.trace_dir) if self.trace_dir is not None else None
 
+    def _declared(self, tools: Sequence[str]) -> DeclaredTools:
+        return DeclaredTools([self.toolkit.tool_schema(t) for t in tools if self.toolkit.has(t)])
+
     @cached_property
-    def inference_tools(self) -> tuple[frozenset[str], list[dict[str, Any]]]:
-        """The tools inference exposes and their schemas, worked out once per
-        run: the registry and toolkit do not change while one runs."""
+    def exploration_tools(self) -> DeclaredTools:
+        """The tools an exploration episode's main exchange declares."""
+        return self._declared(self.registry.exploration_visible())
+
+    def branch_tools(self, visible: frozenset[str]) -> DeclaredTools:
+        """The tools a branch whose slot sees ``visible`` declares, by name."""
+        declared = self._branch_tools.get(visible)
+        if declared is None:
+            declared = self._branch_tools.setdefault(visible, self._declared(sorted(visible)))
+        return declared
+
+    @cached_property
+    def inference_tools(self) -> tuple[frozenset[str], DeclaredTools]:
+        """The tools inference exposes, and the list it declares."""
         visible = [t for t in self.registry.inference_visible() if self.toolkit.has(t)]
-        return frozenset(visible), [self.toolkit.tool_schema(t) for t in visible]
+        return frozenset(visible), self._declared(visible)
 
 
 @dataclass(frozen=True)
@@ -198,16 +228,14 @@ class TraceWriter:
     def event(self, kind: str, payload: Mapping[str, Any] | str, branch: Optional[int] = None) -> None:
         """Add one event line; ``payload`` is the event's payload object or
         its canonical JSON text, which is spliced into the line as it is."""
-        if kind not in TRACE_KINDS:
+        tail = _EVENT_KIND.get(kind)
+        if tail is None:
             raise ContractError(f"unknown trace event kind {kind}")
         if self._lines is None:
             return
-        if isinstance(payload, str):
-            self._lines.append(
-                splice_json({"branch": canonical_json(branch), "kind": canonical_json(kind), "payload": payload})
-            )
-        else:
-            self._lines.append(canonical_json({"branch": branch, "kind": kind, "payload": payload}))
+        if not isinstance(payload, str):
+            payload = canonical_json(payload)
+        self._lines.append(f'{{"branch":{"null" if branch is None else canonical_json(branch)}{tail}{payload}}}')
 
     def __enter__(self) -> "TraceWriter":
         return self
@@ -526,12 +554,11 @@ def _step_loop(
 def _run_branch(runner: _EpisodeRunner, slot: BranchSlot) -> CandidateExecution:
     instance = runner.instance
     deps = runner.deps
-    declared = [deps.toolkit.tool_schema(t) for t in sorted(slot.visible_tools) if deps.toolkit.has(t)]
     bundle = prompts.build_branch_prompt(
         instance,
         runner.fp,
         slot,
-        declared,
+        deps.branch_tools(slot.visible_tools),
         selection=runner.selection,
         soul=deps.store.soul_text() if deps.store else "",
     )
@@ -615,18 +642,12 @@ def run_exploration_episode(
         slots = assign_branch_slots(
             instance, config, runner.prior_exists, deps.registry, runner.selection, episode_seed
         )
-
-        exploration_tools = [
-            deps.toolkit.tool_schema(t)
-            for t in deps.registry.exploration_visible()
-            if deps.toolkit.has(t)
-        ]
         bundle = prompts.build_exploration_prompt(
             instance,
             runner.fp,
             runner.selection,
             slots,
-            exploration_tools,
+            deps.exploration_tools,
             soul=deps.store.soul_text() if deps.store else "",
         )
         messages = [bundle.system, ChatMessage(role="user", content=bundle.user_text)]

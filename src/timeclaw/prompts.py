@@ -17,7 +17,8 @@ What a prompt takes from the store depends only on the retrieval Selection
 per Selection and kept on it (see ``_rendered``), not once per prompt. Likewise
 the series preview and the Fingerprint and Profiling lines are rendered once
 per sample and kept on its SampleFingerprint, which every prompt of an episode
-shares.
+shares, and the Available Tools section once per tool list, on the
+``DeclaredTools`` a run builds once per tool set.
 """
 
 from __future__ import annotations
@@ -358,13 +359,6 @@ def _support_lines(selection: Any) -> list[str]:
     return lines
 
 
-def _tools_section(declared: Sequence[Mapping[str, Any]]) -> str:
-    lines = ["### Available Tools"]
-    for schema in sorted(declared, key=lambda s: s["name"]):
-        lines.append(f"- {schema['name']}: {schema.get('description', '')}")
-    return "\n".join(lines)
-
-
 def _system_text(soul: str, rules: Sequence[Any]) -> str:
     return f"{soul.strip()}\n\n## Memory\n{render_memory_rules(rules)}\n"
 
@@ -401,7 +395,7 @@ def build_exploration_prompt(
     fp: SampleFingerprint,
     selection: Any,
     slots: Sequence[Any],
-    declared_tools: Sequence[Mapping[str, Any]],
+    declared_tools: DeclaredTools,
     soul: str = "",
 ) -> PromptBundle:
     """Main-agent exploration context: spawn/evaluate guidance, slot hints,
@@ -444,8 +438,8 @@ def build_exploration_prompt(
 
     return PromptBundle(
         system=_system_message(selection, soul),
-        user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
-        declared_tools=DeclaredTools(declared_tools),
+        user_text=_frame(objective, observation, decision, declared_tools.section),
+        declared_tools=declared_tools,
     )
 
 
@@ -453,7 +447,7 @@ def build_branch_prompt(
     instance: TaskInstance,
     fp: SampleFingerprint,
     slot: Any,
-    declared_tools: Sequence[Mapping[str, Any]],
+    declared_tools: DeclaredTools,
     selection: Any = None,
     soul: str = "",
 ) -> PromptBundle:
@@ -479,8 +473,8 @@ def build_branch_prompt(
     )
     return PromptBundle(
         system=_system_message(selection, soul),
-        user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
-        declared_tools=DeclaredTools(declared_tools),
+        user_text=_frame(objective, observation, decision, declared_tools.section),
+        declared_tools=declared_tools,
     )
 
 
@@ -488,7 +482,7 @@ def build_inference_prompt(
     instance: TaskInstance,
     fp: SampleFingerprint,
     selection: Any,
-    declared_tools: Sequence[Mapping[str, Any]],
+    declared_tools: DeclaredTools,
     soul: str = "",
 ) -> PromptBundle:
     """Inference context: reinjected experience, task-facing tools only, and
@@ -496,9 +490,8 @@ def build_inference_prompt(
     for r in getattr(selection, "rules", ()):
         if not r.injectable:
             raise ContractError(f"rule {r.rule_id} is not injectable and cannot be rendered")
-    declared_names = {t["name"] for t in declared_tools}
     forbidden = {"spawn_subagent", "evaluate_against_gt", "evaluate_batch_against_gt"}
-    if declared_names & forbidden:
+    if forbidden.intersection(declared_tools.names):
         raise ContractError("exploration-only tools cannot be declared at inference")
     objective = _objective_section(
         instance,
@@ -521,6 +514,6 @@ def build_inference_prompt(
     )
     return PromptBundle(
         system=_system_message(selection, soul),
-        user_text=_frame(objective, observation, decision, _tools_section(declared_tools)),
-        declared_tools=DeclaredTools(declared_tools),
+        user_text=_frame(objective, observation, decision, declared_tools.section),
+        declared_tools=declared_tools,
     )

@@ -724,7 +724,7 @@ class ExperienceStore:
         drop the scope's memoized selections, under one hold of ``_publish``,
         so no retrieval memoizes a selection of an older memory."""
         with self._publish:
-            self._write(f"memory/{scope}.json", json.dumps(state.to_dict(), sort_keys=True, indent=1) + "\n")
+            self._write(f"memory/{scope}.json", json_dumps(state.to_dict(), sort_keys=True) + "\n")
             held = self._scope(scope)
             held.memory = state
             held.selections.clear()
@@ -771,8 +771,8 @@ class ExperienceStore:
                 self.root / "notes" / f"{note.scope}.md", held.notes_end, "\n".join(lines).encode()
             )
             held.note_count = seq
-            # the note as a reopened store parses it back
-            stored = _note_from_block(note.scope, seq, block)
+            # equal to the note a reopened store decodes from the block
+            stored = replace(note, sequence=seq, sensitive=())
             held.pending.append(stored)
             return stored
 

@@ -4,7 +4,11 @@ file rewrites, and append-only logs that survive a torn last record.
 ``canonical_json`` and ``json_dumps`` each call one JSON encoder built at
 import, where ``json.dumps`` builds a new one per call. Their text is
 ``json.dumps``'s; only a cyclic value fails otherwise (see ``_prebuilt``).
-Writes with ``indent`` still go through ``json.dumps``."""
+The store's memory JSON is written with ``json_dumps``. The writes still on
+``json.dumps(indent=1)``, off the per-episode path, are the CLI summaries
+(``run_summary.json``, ``infer_summary.json``, ``eval``'s scores),
+``report``, ``replay``'s and ``lint``'s printed reports, ``simulate-dropout``
+and ``RecordingGateway.save``."""
 
 from __future__ import annotations
 

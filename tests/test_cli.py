@@ -118,14 +118,20 @@ def _truth_renderings(truth):
     return [canonical_json(truth), json.dumps(truth), *(repr(float(v)) for v in numbers)]
 
 
+def _explore_mixed(tmp_path):
+    """The store an explore of the MIXED_SPEC corpus writes under ``tmp_path``."""
+    (tmp_path / "spec.json").write_text(json.dumps(MIXED_SPEC))
+    assert main(["gen-corpus", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "corpus")]) == 0
+    learning = tmp_path / "corpus" / "learning.jsonl"
+    assert main(["explore", "--corpus", str(learning), "--store", str(tmp_path / "store"), "--seed", "2"]) == 0
+    return tmp_path / "store"
+
+
 class TestExplore:
     @pytest.fixture
     def mixed_run(self, tmp_path):
-        (tmp_path / "spec.json").write_text(json.dumps(MIXED_SPEC))
-        assert main(["gen-corpus", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "corpus")]) == 0
-        learning = tmp_path / "corpus" / "learning.jsonl"
-        assert main(["explore", "--corpus", str(learning), "--store", str(tmp_path / "store"), "--seed", "2"]) == 0
-        return load_samples(learning, "learning").instances, tmp_path / "store"
+        store = _explore_mixed(tmp_path)
+        return load_samples(tmp_path / "corpus" / "learning.jsonl", "learning").instances, store
 
     def test_notes_hold_no_rendering_of_any_truth(self, mixed_run):
         instances, store = mixed_run
@@ -165,6 +171,47 @@ class TestExplore:
             assert set(requests) == {None, 0, 1}, episode
             for listed in requests.values():
                 assert listed[0] and listed.count(True) == 1, episode
+
+    def test_each_committed_note_is_the_note_its_block_holds(self, tmp_path, monkeypatch):
+        """commit_note keeps the note it encoded instead of decoding its block
+        back, so what it returns, and distills while the store stays open,
+        must be what a reopened store decodes from the shard."""
+        committed = {}
+        commit = ExperienceStore.commit_note
+
+        def kept(store, note):
+            stored = commit(store, note)
+            committed.setdefault(stored.scope, []).append(stored)
+            return stored
+
+        monkeypatch.setattr(ExperienceStore, "commit_note", kept)
+        root = _explore_mixed(tmp_path)
+        assert sum(map(len, committed.values())) == 24
+        assert committed == {scope: store_module._read_notes(root, scope)[0] for scope in committed}
+
+    def test_a_run_builds_one_tool_list_per_distinct_tool_set(self, tmp_path, monkeypatch):
+        """One DeclaredTools per distinct set a branch sees, plus the
+        exploration list; inference builds its one list."""
+        built = []
+
+        def counted(cls, *args):
+            built.append(cls)
+            return tuple.__new__(cls, *args)
+
+        monkeypatch.setattr(gateway_module.DeclaredTools, "__new__", counted)
+        root = _explore_mixed(tmp_path)
+        branch_sets = {
+            tuple(e["payload"]["tools"])
+            for path in (root / "traces").glob("*.jsonl")
+            for block in read_trace(path)
+            for e in block.events
+            if e["kind"] == "gateway_request" and e["branch"] is not None and "tools" in e["payload"]
+        }
+        assert 1 < len(branch_sets) and len(built) == len(branch_sets) + 1
+        built.clear()
+        infer = ["infer", "--corpus", str(tmp_path / "corpus" / "eval.jsonl"), "--store", str(root)]
+        assert main([*infer, "--out", str(tmp_path / "pred.jsonl")]) == 0
+        assert len(built) == 1
 
     def test_populates_store_and_summary(self, corpus_dir, tmp_path):
         store = tmp_path / "store"
@@ -998,8 +1045,10 @@ class TestGatewayChoice:
             lambda reply: {**reply, "content": 5},
             lambda reply: {**reply, "tool_calls": [{"args": {}}]},
             lambda reply: {**reply, "tool_calls": [{"tool": "ses", "args": [1]}]},
+            # JSON's escape of a lone surrogate, which no UTF-8 text holds
+            lambda reply: {**reply, "content": "\ud800 thinking"},
         ],
-        ids=["entry-a-string", "content-a-number", "call-without-tool", "args-a-list"],
+        ids=["entry-a-string", "content-a-number", "call-without-tool", "args-a-list", "content-a-lone-surrogate"],
     )
     def test_a_corrupted_recorded_script_is_refused_not_a_traceback(self, corrupt, corpus_dir, tmp_path, capsys):
         """Every entry of a recorded script is looked up, so each corruption

@@ -4,6 +4,7 @@ import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from timeclaw.gateway import (
     ScriptedGateway,
     ToolCallRequest,
     exchange_digest,
+    reply_from_dict,
 )
 
 
@@ -151,6 +153,46 @@ class TestScriptedGateway:
         usage = gw.complete(ex).usage
         assert usage["prompt_tokens"] == 100
         assert usage["completion_tokens"] == 10
+
+
+class TestLoneSurrogates:
+    """JSON's escape of a lone surrogate decodes to text UTF-8 cannot encode,
+    which the next turn's digest and the trace write would crash on, so a
+    reply is refused where it enters."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"content": "\ud800 thinking"},
+            {"content": "", "tool_calls": [{"tool": "ses", "args": {"note": "\udfff"}}]},
+            {"content": "", "tool_calls": [{"tool": "ses", "args": {"\ud800": 1}}]},
+            {"content": "", "tool_calls": [{"tool": "s\ud800s", "args": {}}]},
+        ],
+        ids=["content", "an-argument", "an-argument-name", "the-tool"],
+    )
+    def test_a_script_entry_is_a_contract_error_naming_it(self, data):
+        with pytest.raises(ContractError, match="^entry 'd' holds a lone surrogate"):
+            reply_from_dict(data, "entry 'd'")
+
+    def test_a_paired_surrogate_escape_is_a_character(self):
+        reply = reply_from_dict(json.loads('{"content": "\\ud83d\\ude00"}'), "entry")
+        assert reply.content == "\U0001f600"
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"content": "\ud800 thinking"},
+            {"content": None, "tool_calls": [{"function": {"name": "ses", "arguments": '{"note": "\\ud800"}'}}]},
+            {"content": None, "tool_calls": [{"function": {"name": "ses", "arguments": {"note": "\ud800"}}}]},
+        ],
+        ids=["content", "arguments-as-json-text", "arguments-as-an-object"],
+    )
+    def test_a_remote_reply_is_a_gateway_error(self, message):
+        body = {"choices": [{"message": message}]}
+        session = SimpleNamespace(post=lambda *_a, **_k: SimpleNamespace(status_code=200, json=lambda: body))
+        gw = RemoteGateway(base_url="http://stub", session=session, backoff=0.0)
+        with pytest.raises(GatewayError, match="lone surrogate"):
+            gw.complete(_exchange("hi"))
 
 
 class _Flaky(BaseHTTPRequestHandler):

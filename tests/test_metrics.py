@@ -3,8 +3,9 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from timeclaw import metrics
 from timeclaw.errors import ContractError
@@ -80,6 +81,38 @@ class TestPointwiseMetrics:
             truth = [rng.uniform(-10, 10) for _ in range(n)]
             r, m = metrics.rmse(pred, truth), metrics.mse(pred, truth)
             assert r * r == pytest.approx(m, rel=1e-9, abs=1e-15)
+
+
+# everyday magnitudes, where a reordered formula shows in the last bit, and
+# magnitudes up to 1e200, where a squared error passes the float range and the
+# MSE is inf; the examples add zero and -0.0 truths, where mape is undefined
+_report_floats = st.floats(min_value=-1e3, max_value=1e3) | st.floats(min_value=-1e200, max_value=1e200)
+
+
+class TestNumericReport:
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n: st.tuples(*(st.lists(_report_floats, min_size=n, max_size=n) for _ in range(2)))
+        )
+    )
+    @example(([1.0, 2.0], [0.0, 3.0]))
+    @example(([1.0, -2.5, 1e-3], [4.0, -0.0, 2.0]))
+    @example(([1e200, -3.0], [-1e200, 7.0]))
+    @example(([0.1] * 60, [0.3] * 60))
+    def test_each_field_is_the_single_metric_functions_float(self, vectors):
+        pred, truth = vectors
+        with np.errstate(over="ignore"):  # d / t past the float range, alike in both
+            report = metrics.numeric_report(pred, truth)
+            expected = (
+                metrics.mae(pred, truth), metrics.mape(pred, truth), metrics.rmse(pred, truth), metrics.mse(pred, truth)
+            )
+        assert repr((report.mae, report.mape, report.rmse, report.mse)) == repr(expected)
+        assert report.n_points == len(truth)
+
+    def test_an_overflowing_report_is_inf_without_a_warning(self, recwarn):
+        report = metrics.numeric_report([1e200, 0.0], [-1e200, -0.0])
+        assert (report.mse, report.rmse, report.mape) == (math.inf, math.inf, None)
+        assert not recwarn.list
 
 
 class TestAlignLength:

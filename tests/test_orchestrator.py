@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,11 +17,14 @@ from timeclaw import __version__, prompts, seriesops
 from timeclaw.core import EvidenceClass, SealedAnswer, TaskInstance, TaskType
 from timeclaw.corpus import generate_sample
 from timeclaw.errors import ContractError, GatewayError, ScriptMissError
-from timeclaw.gateway import AssistantReply, Gateway, PolicyGateway, ScriptedGateway, ToolCallRequest
+from timeclaw.gateway import (
+    AssistantReply, DeclaredTools, Gateway, PolicyGateway, RemoteGateway, ScriptedGateway, ToolCallRequest,
+)
 from timeclaw.orchestrator import (
     BranchSlot,
     EpisodeDeps,
     ExplorationConfig,
+    TRACE_KINDS,
     TraceLog,
     TraceWriter,
     _EpisodeRunner,
@@ -552,6 +558,19 @@ class TestInference:
         assert result.prediction == [1.0, 1.0, 1.0]
 
 
+class TestRemoteReplies:
+    def test_a_reply_with_a_lone_surrogate_fails_the_episode_not_the_run(self, tmp_path):
+        body = {"choices": [{"message": {"content": "\ud800 thinking"}}]}
+        session = SimpleNamespace(post=lambda *_a, **_k: SimpleNamespace(status_code=200, json=lambda: body))
+        deps = _deps(tmp_path, RemoteGateway(base_url="http://stub", session=session))
+        assert run_inference(_instance(), deps).degraded
+        outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=9), deps)
+        assert outcome.evidence_class == EvidenceClass.FAILURE and outcome.gateway_calls == 0
+        # both blocks were written whole
+        blocks = read_trace(tmp_path / "traces" / "synth_forecast_short.jsonl")
+        assert [block.header["mode"] for block in blocks] == ["inference", "exploration"]
+
+
 class TestToolExposure:
     def test_exploration_minus_inference_is_exactly_the_special_categories(self, tmp_path):
         toolkit = builtin_toolkit()
@@ -666,6 +685,50 @@ class TestTraceLog:
         assert all(len(b.events) == 4 for b in blocks)
 
 
+class TestToolListsPerRun:
+    def test_racing_branches_share_one_list_per_tool_set(self, tmp_path):
+        # more threads than cores, switching as often as possible: each tool
+        # set still maps to one list, equal to a fresh build of its schemas
+        deps = _deps(tmp_path, policy_gateway("exploration"))
+        tools = sorted(deps.registry.inference_visible())
+        sets = [frozenset(c) for c in itertools.combinations(tools, 3)]
+
+        start = threading.Barrier(6)
+
+        def build(_worker: int) -> list[DeclaredTools]:
+            start.wait(timeout=60)
+            return [deps.branch_tools(s) for _ in range(2) for s in sets]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                built = [future.result(timeout=60) for future in [pool.submit(build, w) for w in range(6)]]
+        finally:
+            sys.setswitchinterval(interval)
+        for n, s in enumerate(sets):
+            lists = {id(lists[k]) for lists in built for k in range(n, len(lists), len(sets))}
+            assert len(lists) == 1
+            assert deps.branch_tools(s) == tuple(deps.toolkit.tool_schema(t) for t in sorted(s))
+
+
+class TestTraceLines:
+    @pytest.mark.parametrize("kind", sorted(TRACE_KINDS))
+    @pytest.mark.parametrize("branch", [None, 0, 7])
+    @pytest.mark.parametrize("encoded", [False, True], ids=["dict", "pre-encoded"])
+    def test_an_event_line_is_the_canonical_json_of_its_event(self, tmp_path, kind, branch, encoded):
+        payload = {"z": [1.5, None, -0.0, 1e300], "digest": "d\u00e9\u2028\"", "a": {"y": True, "b": {}}}
+        header = {"version": __version__, "mode": "inference", "episode": "e", "sample": "0" * 16}
+        with TraceWriter(TraceLog(tmp_path), "s", header) as trace:
+            trace.event(kind, canonical_json(payload) if encoded else payload, branch=branch)
+        lines = (tmp_path / "s.jsonl").read_text(encoding="utf-8").split("\n")
+        assert lines == [canonical_json(header), canonical_json({"branch": branch, "kind": kind, "payload": payload}), ""]
+
+    def test_an_unknown_kind_is_refused(self):
+        with pytest.raises(ContractError, match="unknown trace event kind"):
+            TraceWriter(None, "s", {"mode": "inference"}).event("gossip", {})
+
+
 def _count_calls(monkeypatch, names):
     calls: list[str] = []
     for name in names:
@@ -745,7 +808,7 @@ class TestProfileOnce:
             ["dominant_period", "trend_label", "zscores", "split_half_stationarity", "lagged_correlation"],
         )
         slot = BranchSlot(slot=0, goal="g", hint="naive", visible_tools=frozenset({"naive"}))
-        tools = [{"name": "naive", "description": ""}]
+        tools = DeclaredTools([{"name": "naive", "description": ""}])
         prompts.build_exploration_prompt(inst, fp, None, [slot], tools)
         prompts.build_branch_prompt(inst, fp, slot, tools)
         prompts.build_inference_prompt(inst, fp, None, tools)
@@ -788,7 +851,7 @@ class TestEncodeAndRenderOnce:
         inst = _instance(gt=[13.0] * 3)
         fp = prompts.fingerprint(inst)
         slot = BranchSlot(slot=0, goal="g", hint="naive", visible_tools=frozenset({"naive"}))
-        tools = [{"name": "naive", "description": ""}]
+        tools = DeclaredTools([{"name": "naive", "description": ""}])
         first = prompts.build_branch_prompt(inst, fp, slot, tools).user_text
         assert fp.rendered  # the sample's sections are kept on its fingerprint
         assert prompts.build_branch_prompt(inst, fp, slot, tools).user_text == first

@@ -16,6 +16,7 @@ import pytest
 from timeclaw import prompts
 from timeclaw.core import SealedAnswer, TaskInstance, TaskType, TextBlock
 from timeclaw.errors import ContractError
+from timeclaw.gateway import DeclaredTools
 from timeclaw.orchestrator import BranchSlot
 from timeclaw.store import MemoryRule
 
@@ -141,7 +142,7 @@ def render_frames() -> dict[str, str]:
         _golden_fp(),
         _Selection([_rule()]),
         _slots(),
-        [
+        DeclaredTools(
             {"name": n, "description": d}
             for n, d in [
                 ("naive", "repeat last"),
@@ -150,7 +151,7 @@ def render_frames() -> dict[str, str]:
                 ("spawn_subagent", "spawn"),
                 ("evaluate_against_gt", "score"),
             ]
-        ],
+        ),
         soul="# Soul\nBe careful.",
     )
     slot = _slots()[0]
@@ -158,7 +159,7 @@ def render_frames() -> dict[str, str]:
         _golden_instance(),
         _golden_fp(),
         slot,
-        [{"name": n, "description": ""} for n in sorted(slot.visible_tools)],
+        DeclaredTools({"name": n, "description": ""} for n in sorted(slot.visible_tools)),
         selection=_Selection([_rule()]),
         soul="# Soul\nBe careful.",
     )
@@ -166,14 +167,14 @@ def render_frames() -> dict[str, str]:
         _golden_instance(),
         _golden_fp(),
         _Selection([_rule()]),
-        [
+        DeclaredTools(
             {"name": n, "description": d}
             for n, d in [
                 ("naive", "repeat last"),
                 ("drift", "slope"),
                 ("seasonal_naive", "period repeat"),
             ]
-        ],
+        ),
         soul="# Soul\nBe careful.",
     )
     return {
@@ -219,7 +220,7 @@ class TestExplorationBundle:
             _golden_fp(),
             None,
             _slots(),
-            [{"name": "spawn_subagent", "description": ""}, {"name": "naive", "description": ""}],
+            DeclaredTools([{"name": "spawn_subagent", "description": ""}, {"name": "naive", "description": ""}]),
         )
         assert "(no injectable memory)" in bundle.system_text
         assert "### Spawn Guidance" in bundle.user_text
@@ -235,7 +236,7 @@ class TestExplorationBundle:
             _golden_fp(),
             _Selection(rules),
             _slots(),
-            [{"name": "naive", "description": ""}],
+            DeclaredTools([{"name": "naive", "description": ""}]),
         )
         sys_text = bundle.system_text
         assert sys_text.index("r0002") < sys_text.index("r0005") < sys_text.index("r0009")
@@ -247,7 +248,7 @@ class TestExplorationBundle:
             _golden_fp(),
             None,
             _slots(),
-            [{"name": n, "description": ""} for n in names],
+            DeclaredTools({"name": n, "description": ""} for n in names),
         )
         assert "spawn_subagent" in bundle.declared_tools.names
         assert "evaluate_against_gt" in bundle.declared_tools.names
@@ -256,7 +257,7 @@ class TestExplorationBundle:
 class TestInferenceBundle:
     def test_empty_selection_still_valid(self):
         bundle = prompts.build_inference_prompt(
-            _golden_instance(), _golden_fp(), None, [{"name": "naive", "description": ""}]
+            _golden_instance(), _golden_fp(), None, DeclaredTools([{"name": "naive", "description": ""}])
         )
         assert "### Support" in bundle.user_text
         assert "(none)" in bundle.user_text
@@ -266,7 +267,7 @@ class TestInferenceBundle:
             _golden_instance(),
             _golden_fp(),
             _Selection([_rule()]),
-            [{"name": "naive", "description": ""}],
+            DeclaredTools([{"name": "naive", "description": ""}]),
         )
         assert "- seasonal_naive:" in bundle.user_text
         assert "- drift:" not in bundle.user_text
@@ -275,7 +276,7 @@ class TestInferenceBundle:
         selection = _Selection([_rule()])
         selection.skills_text = "x" * (prompts.MAX_LAYER_CHARS + 1)
         bundle = prompts.build_inference_prompt(
-            _golden_instance(), _golden_fp(), selection, [{"name": "naive", "description": ""}]
+            _golden_instance(), _golden_fp(), selection, DeclaredTools([{"name": "naive", "description": ""}])
         )
         assert "#### Skills\n" + "x" * prompts.MAX_LAYER_CHARS + "\n...[truncated]\n" in bundle.user_text
         assert "x" * (prompts.MAX_LAYER_CHARS + 1) not in bundle.user_text
@@ -286,14 +287,14 @@ class TestInferenceBundle:
                 _golden_instance(),
                 _golden_fp(),
                 None,
-                [{"name": "evaluate_against_gt", "description": ""}],
+                DeclaredTools([{"name": "evaluate_against_gt", "description": ""}]),
             )
         with pytest.raises(ContractError):
             prompts.build_inference_prompt(
                 _golden_instance(),
                 _golden_fp(),
                 None,
-                [{"name": "spawn_subagent", "description": ""}],
+                DeclaredTools([{"name": "spawn_subagent", "description": ""}]),
             )
 
     def test_non_injectable_rule_is_a_contract_error(self):
@@ -302,7 +303,7 @@ class TestInferenceBundle:
                 _golden_instance(),
                 _golden_fp(),
                 _Selection([_rule(injectable=False)]),
-                [{"name": "naive", "description": ""}],
+                DeclaredTools([{"name": "naive", "description": ""}]),
             )
 
     def test_no_ground_truth_in_any_bundle_text(self):
@@ -311,7 +312,7 @@ class TestInferenceBundle:
             inst,
             prompts.fingerprint(inst),
             _Selection([_rule()]),
-            [{"name": "naive", "description": ""}],
+            DeclaredTools([{"name": "naive", "description": ""}]),
         )
         # the target [11.0, 13.0, 10.0, 12.0] must not be rendered anywhere
         for needle in ("[11.0, 13.0, 10.0, 12.0]", "11.0,13.0,10.0,12.0"):

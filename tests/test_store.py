@@ -19,6 +19,7 @@ from timeclaw.core import (
     LearningSummaryText,
 )
 from timeclaw.errors import ContractError, LogError
+from timeclaw.gateway import DeclaredTools
 from timeclaw.prompts import build_inference_prompt, fingerprint, render_memory_rules
 from timeclaw import store as store_module
 from timeclaw.registry import ToolUsageLedger
@@ -593,7 +594,7 @@ class TestRetrieve:
         stop = threading.Event()
 
         def render(selection):
-            return build_inference_prompt(seasonal_instance, fp, selection, [], soul=store.soul_text()).system_text
+            return build_inference_prompt(seasonal_instance, fp, selection, DeclaredTools(), soul=store.soul_text()).system_text
 
         def reader():
             while not stop.is_set():
