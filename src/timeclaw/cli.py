@@ -119,26 +119,30 @@ def cmd_explore(args: argparse.Namespace) -> int:
             usage["gateway_calls"] += outcome.gateway_calls
 
     parallel = max(1, args.parallel)
-    # at --parallel 1 the one worker runs the episodes in corpus order. Every
-    # sample is profiled in one batched pass first; a fingerprint is held by
-    # its pool work item only, which is dropped once its episode has run.
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        futures = {
-            pool.submit(run_one, inst, fp): inst
-            for inst, fp in zip(load.instances, prompts.fingerprints(load.instances))
-        }
-        for future, inst in futures.items():
-            try:
-                future.result()
-            except TimeclawError as exc:
-                failed_instances.append(f"{inst.id}: {exc}")
+    try:
+        # at --parallel 1 the one worker runs the episodes in corpus order.
+        # Every sample is profiled in one batched pass first; a fingerprint is
+        # held by its pool work item only, which is dropped once its episode
+        # has run.
+        with ThreadPoolExecutor(max_workers=parallel) as pool:
+            futures = {
+                pool.submit(run_one, inst, fp): inst
+                for inst, fp in zip(load.instances, prompts.fingerprints(load.instances))
+            }
+            for future, inst in futures.items():
+                try:
+                    future.result()
+                except TimeclawError as exc:
+                    failed_instances.append(f"{inst.id}: {exc}")
 
-    stages_flushed: dict[str, list[str]] = {}
-    if deps.store is not None:
-        for scope in deps.store.scopes():
-            stages = deps.store.finalize(scope)
-            if stages:
-                stages_flushed[scope] = stages
+        stages_flushed: dict[str, list[str]] = {}
+        if deps.store is not None:
+            for scope in deps.store.scopes():
+                stages = deps.store.finalize(scope)
+                if stages:
+                    stages_flushed[scope] = stages
+    finally:
+        deps.close()
 
     _save_recorded_script(gateway, args)
     summary = {
@@ -181,18 +185,21 @@ def cmd_infer(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    digest_before = deps.store.tree_digest() if deps.store else None
     results = []
     failed: list[str] = []
-    # every sample is profiled in one batched pass before the first; each
-    # fingerprint is popped for its sample and not kept after it
-    profiled = prompts.fingerprints(load.instances)[::-1]
-    for instance in load.instances:
-        try:
-            results.append(run_inference(instance, deps, max_steps=args.max_steps, fp=profiled.pop()))
-        except TimeclawError as exc:
-            failed.append(f"{instance.id}: {exc}")
-    digest_after = deps.store.tree_digest() if deps.store else None
+    try:
+        digest_before = deps.store.tree_digest() if deps.store else None
+        # every sample is profiled in one batched pass before the first; each
+        # fingerprint is popped for its sample and not kept after it
+        profiled = prompts.fingerprints(load.instances)[::-1]
+        for instance in load.instances:
+            try:
+                results.append(run_inference(instance, deps, max_steps=args.max_steps, fp=profiled.pop()))
+            except TimeclawError as exc:
+                failed.append(f"{instance.id}: {exc}")
+        digest_after = deps.store.tree_digest() if deps.store else None
+    finally:
+        deps.close()
     _save_recorded_script(gateway, args)
 
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -292,25 +292,28 @@ class RemoteGateway(Gateway):
 
     @staticmethod
     def _parse(data: Mapping[str, Any]) -> AssistantReply:
+        """The reply in a completion response, checked as a script entry is
+        (:func:`reply_from_dict`), so a reply that the trace write or the
+        next turn would fail on is a ``GatewayError`` here."""
         try:
             message = data["choices"][0]["message"]
-        except (KeyError, IndexError, TypeError) as exc:
+            calls: list[dict[str, Any]] = []
+            for tc in message.get("tool_calls") or ():
+                fn = tc.get("function", {})
+                raw_args = fn.get("arguments", "{}")
+                try:
+                    args = json.loads(raw_args) if isinstance(raw_args, str) else dict(raw_args)
+                except (ValueError, TypeError) as exc:
+                    raise ToolCallParseError(f"tool call arguments are not valid JSON: {exc}") from exc
+                calls.append({"tool": fn.get("name", ""), "args": args})
+            reply = reply_from_dict({"content": message.get("content"), "tool_calls": calls}, "completion reply")
+            reply.usage = {
+                k: int(v)
+                for k, v in (data.get("usage") or {}).items()
+                if k in ("prompt_tokens", "completion_tokens") and isinstance(v, (int, float))
+            }
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise GatewayError(f"malformed completion response: {exc}") from exc
-        calls: list[ToolCallRequest] = []
-        for tc in message.get("tool_calls") or ():
-            fn = tc.get("function", {})
-            raw_args = fn.get("arguments", "{}")
-            try:
-                args = json.loads(raw_args) if isinstance(raw_args, str) else dict(raw_args)
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise ToolCallParseError(f"tool call arguments are not valid JSON: {exc}") from exc
-            calls.append(ToolCallRequest(tool=fn.get("name", ""), args=args))
-        usage = {
-            k: int(v)
-            for k, v in (data.get("usage") or {}).items()
-            if k in ("prompt_tokens", "completion_tokens") and isinstance(v, (int, float))
-        }
-        reply = AssistantReply(content=message.get("content"), tool_calls=tuple(calls), usage=usage)
-        if not _encodable(reply):
-            raise GatewayError("completion reply holds a lone surrogate, which UTF-8 cannot encode")
+        except ContractError as exc:
+            raise GatewayError(str(exc)) from exc
         return reply

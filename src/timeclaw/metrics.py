@@ -31,8 +31,11 @@ def _as_pair(pred: Sequence[float], truth: Sequence[float]) -> tuple[np.ndarray,
 
 
 def mae(pred: Sequence[float], truth: Sequence[float]) -> float:
+    """Mean absolute error; ``inf`` when an error passes the float range,
+    without a RuntimeWarning."""
     p, t = _as_pair(pred, truth)
-    return float(np.mean(np.abs(p - t)))
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.abs(p - t)))
 
 
 def mse(pred: Sequence[float], truth: Sequence[float]) -> float:
@@ -48,14 +51,16 @@ def rmse(pred: Sequence[float], truth: Sequence[float]) -> float:
 
 
 def mape(pred: Sequence[float], truth: Sequence[float]) -> float | None:
-    """Mean absolute percentage error, in percent.
+    """Mean absolute percentage error, in percent; ``inf`` when an error over
+    its truth passes the float range, without a RuntimeWarning.
 
     Undefined (returns None) when any ground-truth value is exactly zero.
     """
     p, t = _as_pair(pred, truth)
     if np.any(t == 0.0):
         return None
-    return float(np.mean(np.abs((p - t) / t)) * 100.0)
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.abs((p - t) / t)) * 100.0)
 
 
 def align_length(pred: Sequence[float], target_len: int) -> list[float]:
@@ -147,13 +152,14 @@ def numeric_report(pred: Sequence[float], truth: Sequence[float]) -> MetricRepor
     :func:`mae`, :func:`mape`, :func:`rmse` and :func:`mse`, from one
     conversion of each vector and one difference vector."""
     p, t = _as_pair(pred, truth)
-    d = p - t
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # past the float range is inf, as in each metric's function
+        d = p - t
         squared = float(np.mean(np.square(d)))
+        percent = None if np.any(t == 0.0) else float(np.mean(np.abs(d / t)) * 100.0)
     return MetricReport(
         n_points=len(t),
         mae=float(np.mean(np.abs(d))),
-        mape=None if np.any(t == 0.0) else float(np.mean(np.abs(d / t)) * 100.0),
+        mape=percent,
         rmse=float(np.sqrt(squared)),
         mse=squared,
     )

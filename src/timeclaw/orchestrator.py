@@ -65,8 +65,8 @@ from .toolkit import (
     ToolInvocation,
 )
 from .util import (
+    AppendLog,
     TornRecord,
-    append_record,
     canonical_json,
     digest_obj,
     iter_records,
@@ -155,6 +155,12 @@ class EpisodeDeps:
     def __post_init__(self) -> None:
         self.traces = TraceLog(self.trace_dir) if self.trace_dir is not None else None
 
+    def close(self) -> None:
+        """Release the descriptors of the run's logs: traces, store, ledger."""
+        for owner in (self.traces, self.store, self.registry.ledger):
+            if owner is not None:
+                owner.close()
+
     def _declared(self, tools: Sequence[str]) -> DeclaredTools:
         return DeclaredTools([self.toolkit.tool_schema(t) for t in tools if self.toolkit.has(t)])
 
@@ -195,21 +201,33 @@ class ContractVerdict:
 
 class TraceLog:
     """The trace logs of one run, ``<directory>/<scope>.jsonl``: one block per
-    episode, each appended whole under one lock. A log's first append cuts
-    off whatever follows its last whole block or, when ``fresh``, all of it:
-    inference starts its logs afresh, exploration adds to its store's."""
+    episode, each appended whole under one lock. A scope's log is set up when
+    the run's first episode of that scope starts, past its last whole block
+    or, when ``fresh``, at its start, so that its first append cuts off what
+    follows: inference starts its logs afresh, exploration adds to its
+    store's. :meth:`close` releases the logs' descriptors."""
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
-        self._ends: dict[Path, int] = {}  # where each log's last whole block ends
+        self._logs: dict[str, AppendLog] = {}  # by scope
         self._lock = threading.Lock()
 
-    def append(self, path: Path, block: str, fresh: bool) -> None:
+    def log(self, scope: str, fresh: bool) -> AppendLog:
         with self._lock:
-            if path not in self._ends:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                self._ends[path] = 0 if fresh else read_records(path, _parse_block)[1]
-            self._ends[path] = append_record(path, self._ends[path], block.encode())
+            log = self._logs.get(scope)
+            if log is None:
+                path = self.directory / f"{scope}.jsonl"
+                log = self._logs[scope] = AppendLog(path, 0 if fresh else read_records(path, _parse_block)[1])
+            return log
+
+    def append(self, log: AppendLog, block: str) -> None:
+        with self._lock:
+            log.append(block.encode())
+
+    def close(self) -> None:
+        with self._lock:
+            for log in self._logs.values():
+                log.close()
 
 
 class TraceWriter:
@@ -219,11 +237,11 @@ class TraceWriter:
     is appended whole once the ``with`` body ends without raising, so a log
     never holds half an episode."""
 
-    def __init__(self, log: Optional[TraceLog], scope: str, header: Mapping[str, Any]):
-        self.log = log
-        self.path = log.directory / f"{scope}.jsonl" if log is not None else None
-        self.fresh = header["mode"] == "inference"
-        self._lines = [canonical_json(header)] if log is not None else None
+    def __init__(self, traces: Optional[TraceLog], scope: str, header: Mapping[str, Any]):
+        self.traces = traces
+        self.log = traces.log(scope, fresh=header["mode"] == "inference") if traces is not None else None
+        self.path = self.log.path if self.log is not None else None
+        self._lines = [canonical_json(header)] if traces is not None else None
 
     def event(self, kind: str, payload: Mapping[str, Any] | str, branch: Optional[int] = None) -> None:
         """Add one event line; ``payload`` is the event's payload object or
@@ -242,7 +260,7 @@ class TraceWriter:
 
     def __exit__(self, exc_type: Any, *_exc: Any) -> None:
         if exc_type is None and self.log is not None:
-            self.log.append(self.path, "\n".join(self._lines) + "\n", self.fresh)
+            self.traces.append(self.log, "\n".join(self._lines) + "\n")
 
 
 @dataclass(frozen=True)

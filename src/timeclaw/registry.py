@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ContractError
-from .util import TornRecord, append_record, canonical_json, read_records, stable_rng
+from .util import AppendLog, TornRecord, canonical_json, read_records, stable_rng
 
 logger = logging.getLogger(__name__)
 
@@ -116,9 +116,11 @@ class ToolUsageLedger:
     update, so collapse can be audited over time.
 
     Counts only increase. Each update appends one line to an append-only log,
-    and opening the ledger replays that log through the same update, so a
-    reopened ledger equals one that never closed, history included. A torn
-    last line is dropped on open and cut off by the next append.
+    through one descriptor opened at the first append and released by
+    :meth:`close`, and opening the ledger replays that log through the same
+    update, so a reopened ledger equals one that never closed, history
+    included. A torn last line is dropped on open and cut off by the next
+    append.
     """
 
     def __init__(self, path: Optional[Path] = None):
@@ -126,9 +128,10 @@ class ToolUsageLedger:
         self._counts: dict[str, dict[str, int]] = {}
         self._history: dict[str, list[float]] = {}
         self._lock = threading.Lock()
-        self._end = 0  # where the log's last whole line ends
+        self._log: Optional[AppendLog] = None
         if self.path is not None:
-            entries, self._end = read_records(self.path, _parse_ledger_line)
+            entries, end = read_records(self.path, _parse_ledger_line)
+            self._log = AppendLog(self.path, end)
             for scope, tools in entries:
                 self._apply_locked(scope, tools)
 
@@ -140,12 +143,15 @@ class ToolUsageLedger:
         if not tools:
             return
         with self._lock:
-            if self.path is not None:
-                if not self._end:  # the first append; opening wrote nothing
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                line = canonical_json({"scope": scope, "tools": tools}) + "\n"
-                self._end = append_record(self.path, self._end, line.encode())
+            if self._log is not None:
+                self._log.append((canonical_json({"scope": scope, "tools": tools}) + "\n").encode())
             self._apply_locked(scope, tools)
+
+    def close(self) -> None:
+        """Release the log's descriptor."""
+        with self._lock:
+            if self._log is not None:
+                self._log.close()
 
     def _apply_locked(self, scope: str, tools: Sequence[str]) -> None:
         bucket = self._counts.setdefault(scope, {})

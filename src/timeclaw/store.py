@@ -35,7 +35,7 @@ from .core import EpisodeOutcome, EvidenceClass, TaskInstance
 from .errors import ContractError
 from .prompts import SampleFingerprint, match, task_prompt
 from .util import (
-    TornRecord, append_record, canonical_json, digest_obj, digest_text, json_dumps, read_records, write_atomic,
+    AppendLog, TornRecord, canonical_json, digest_obj, digest_text, json_dumps, read_records, write_atomic,
 )
 
 MEMORY_CAP = 30
@@ -626,20 +626,25 @@ def _select(scope: str, state: MemoryState, fp: SampleFingerprint) -> Selection:
 
 @dataclass
 class _Scope:
-    """The in-memory state of one scope. ``memory`` is replaced whole on
-    publish, never mutated, so a reader may keep what it got."""
+    """The in-memory state of one scope, and its two logs. ``memory`` is
+    replaced whole on publish, never mutated, so a reader may keep what it
+    got."""
 
+    notes_log: AppendLog  # notes/<scope>.md
+    snapshot_log: AppendLog  # snapshots/<scope>.log
     memory: MemoryState = field(default_factory=MemoryState)
     note_count: int = 0
-    notes_end: int = 0  # where the notes shard's last whole block ends
     pending: list[LearningNote] = field(default_factory=list)  # committed, not yet distilled
     lock: threading.Lock = field(default_factory=threading.Lock)  # serializes commits and batches
     snapshots: list[dict[str, Any]] = field(default_factory=list)  # the timeline: seq, digest, notes
     last_snapshot: dict[str, str] = field(default_factory=dict)  # the layers of the last snapshot
-    snapshot_end: int = 0  # where the snapshot log's last whole record ends
     # retrieve's results for the published memory, keyed by the values of
     # SampleFingerprint.fields(); emptied when a new memory is published
     selections: dict[tuple[Any, ...], Selection] = field(default_factory=dict)
+
+    def close(self) -> None:
+        self.notes_log.close()
+        self.snapshot_log.close()
 
 
 class ExperienceStore:
@@ -648,7 +653,10 @@ class ExperienceStore:
     The store reads its files once, when it opens, and from then on holds
     every scope's state and the text of every file it rewrites in memory,
     writing each change through to disk. It assumes no other process writes
-    the same root meanwhile.
+    the same root meanwhile. Each notes shard and snapshot log is appended
+    through one descriptor, opened at its first append and released by
+    :meth:`close`; nothing is buffered in the process, so a fresh reader of
+    the root, or what a killed run leaves, holds every record appended.
 
     Opening frames every block of each notes shard, with the torn-tail and
     bad-block checks of :func:`~timeclaw.util.iter_records` and gapless
@@ -674,12 +682,12 @@ class ExperienceStore:
             self._scope(path.stem).memory = MemoryState.from_dict(json.loads(self._files[f"memory/{path.name}"]))
         for path in sorted((self.root / "notes").glob("*.md")):
             held = self._scope(path.stem)
-            held.pending, held.note_count, held.notes_end = _read_notes(
+            held.pending, held.note_count, held.notes_log.end = _read_notes(
                 self.root, path.stem, held.memory.distilled_through
             )
         for path in sorted((self.root / "snapshots").glob("*.log")):
             held = self._scope(path.stem)
-            records, held.snapshot_end = read_records(path, _parse_snapshot)
+            records, held.snapshot_log.end = read_records(path, _parse_snapshot)
             for header, changed in records:
                 held.snapshots.append({key: header[key] for key in ("seq", "digest", "notes")})
                 _fold_layers(held.last_snapshot, changed)
@@ -698,8 +706,22 @@ class ExperienceStore:
                 self._write("soul.md", DEFAULT_SOUL)
 
     def _scope(self, scope: str) -> _Scope:
-        with self._scopes_guard:
-            return self._scopes.setdefault(scope, _Scope())
+        held = self._scopes.get(scope)
+        if held is None:
+            with self._scopes_guard:
+                held = self._scopes.get(scope)
+                if held is None:
+                    held = self._scopes[scope] = _Scope(
+                        AppendLog(self.root / "notes" / f"{scope}.md"),
+                        AppendLog(self.root / "snapshots" / f"{scope}.log"),
+                    )
+        return held
+
+    def close(self) -> None:
+        """Release the descriptors of the notes shards and snapshot logs."""
+        for _name, held in self._sorted_scopes():
+            with held.lock, self._publish:
+                held.close()
 
     def _write(self, rel: str, text: str) -> None:
         """Rewrite one file under the root, on disk and in memory."""
@@ -767,9 +789,7 @@ class ExperienceStore:
                 f"<!-- end note {seq} -->",
                 "",
             ]
-            held.notes_end = append_record(
-                self.root / "notes" / f"{note.scope}.md", held.notes_end, "\n".join(lines).encode()
-            )
+            held.notes_log.append("\n".join(lines).encode())
             held.note_count = seq
             # equal to the note a reopened store decodes from the block
             stored = replace(note, sequence=seq, sensitive=())
@@ -884,9 +904,7 @@ class ExperienceStore:
             changed.update((rel, None) for rel in held.last_snapshot if rel not in content)
             header = canonical_json({**entry, "layers": {rel: b if b is None else len(b) for rel, b in changed.items()}})
             body = b"".join(changed[rel] or b"" for rel in sorted(changed))
-            held.snapshot_end = append_record(
-                self.root / "snapshots" / f"{scope}.log", held.snapshot_end, header.encode() + b"\n" + body
-            )
+            held.snapshot_log.append(header.encode() + b"\n" + body)
             held.snapshots.append(entry)
             held.last_snapshot = content
             return entry["digest"]

@@ -1,5 +1,7 @@
 """Small deterministic helpers: canonical JSON, digests, seeded RNG, atomic
-file rewrites, and append-only logs that survive a torn last record.
+file rewrites, and append-only logs that survive a torn last record, each
+written through one descriptor held from its first append to its owner's
+``close()``.
 
 ``canonical_json`` and ``json_dumps`` each call one JSON encoder built at
 import, where ``json.dumps`` builds a new one per call. Their text is
@@ -19,7 +21,7 @@ import os
 import random
 from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import LogError
 
@@ -135,12 +137,39 @@ def read_records(path: Path, parse: Callable[[bytes, int], tuple[Any, int]]) -> 
     return records, end
 
 
-def append_record(path: Path, end: int, record: bytes) -> int:
-    """Append one record to the log whose whole records end at ``end``, first
-    cutting off whatever follows them, so no record lands after a torn one.
-    Returns the new end."""
-    with path.open("ab") as fh:
-        if fh.tell() != end:
-            fh.truncate(end)
-        fh.write(record)
-    return end + len(record)
+class AppendLog:
+    """One append-only log, written through one descriptor that its first
+    append opens with ``O_APPEND`` and :meth:`close` releases; making the
+    object opens and creates nothing. ``end`` is where the log's last whole
+    record ends. Each append first cuts off whatever follows ``end``, so no record
+    lands after a torn one, then writes its record whole with ``os.write``:
+    nothing is buffered in the process, so a reader, or what a killed
+    process leaves, sees every record appended so far. One owner writes a
+    log; it serializes its appends. An append after :meth:`close` opens the
+    file again."""
+
+    __slots__ = ("path", "end", "_fd")
+
+    def __init__(self, path: Path, end: int = 0):
+        self.path = path
+        self.end = end
+        self._fd: Optional[int] = None
+
+    def append(self, record: bytes) -> None:
+        fd = self._fd
+        if fd is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        if os.lseek(fd, 0, os.SEEK_END) != self.end:
+            os.ftruncate(fd, self.end)
+        view = memoryview(record)
+        while view:
+            view = view[os.write(fd, view):]
+        self.end += len(record)
+
+    def close(self) -> None:
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
+
+    __del__ = close  # a log its owner never closed releases its descriptor when collected

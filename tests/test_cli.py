@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from timeclaw import __version__, cli, prompts
+from timeclaw import __version__, cli, prompts, util
 from timeclaw import gateway as gateway_module
 from timeclaw import store as store_module
 from timeclaw.cli import _build_deps, _build_gateway, build_parser, main
@@ -823,6 +823,64 @@ class TestTornLogs:
         assert f"error: {store / rel}: line 1: bad record" in capsys.readouterr().err
         assert self._explore(corpus_dir, store) == 2
         assert f"error: {store / rel}: line 1: bad record" in capsys.readouterr().err
+
+
+
+def _open_descriptors():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _tree_with_dirs(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestDescriptors:
+    """A command releases the descriptor of every log it appended to before
+    it returns, whether or not the logs' objects are ever collected."""
+
+    @pytest.fixture(autouse=True)
+    def uncollected(self, monkeypatch):
+        # a descriptor left to the collector counts as left open
+        monkeypatch.setattr(util.AppendLog, "__del__", lambda self: None)
+
+    @staticmethod
+    def _explore(corpus_dir, store, *extra):
+        return main(["explore", "--corpus", str(corpus_dir / "learning.jsonl"), "--store", str(store), *extra])
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_explore(self, corpus_dir, tmp_path, parallel):
+        before = _open_descriptors()
+        assert self._explore(corpus_dir, tmp_path / "store", "--parallel", parallel) == 0
+        assert _open_descriptors() == before
+        assert list((tmp_path / "store" / "traces").glob("*.jsonl"))
+
+    def test_explore_that_exits_2_on_a_bad_notes_record(self, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert self._explore(corpus_dir, store) == 0
+        shard = store / "notes" / "synth_forecast_short.md"
+        shard.write_bytes(b"X" + shard.read_bytes()[1:])
+        before = _open_descriptors()
+        assert self._explore(corpus_dir, store) == 2
+        assert _open_descriptors() == before
+        assert "bad record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("explored", [True, False], ids=["explored-store", "empty-store"])
+    def test_infer_and_report_leave_the_store_as_they_found_it(self, corpus_dir, tmp_path, explored):
+        store = tmp_path / "store"
+        if explored:
+            assert self._explore(corpus_dir, store) == 0
+        else:
+            store.mkdir()
+        tree = _tree_with_dirs(store)
+        before = _open_descriptors()
+        out = tmp_path / "infer" / "preds.jsonl"
+        assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
+        assert _open_descriptors() == before
+        assert list((out.parent / "traces_infer").glob("*.jsonl"))
+        assert main(["report", "--store", str(store), "--out", str(tmp_path / "report.json")]) == 0
+        assert _open_descriptors() == before
+        assert _tree_with_dirs(store) == tree
 
 
 class TestReplayCommand:

@@ -195,6 +195,48 @@ class TestLoneSurrogates:
             gw.complete(_exchange("hi"))
 
 
+
+def _stub_gateway(message):
+    body = {"choices": [{"message": message}]}
+    session = SimpleNamespace(post=lambda *_a, **_k: SimpleNamespace(status_code=200, json=lambda: body))
+    return RemoteGateway(base_url="http://stub", session=session, backoff=0.0)
+
+
+class TestRemoteReplyShape:
+    """A completion reply is checked as a script entry is: content a string
+    or null, each tool call a string name and an object of arguments."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            {"function": {"name": "ses", "arguments": "[1, 2]"}},
+            {"function": {"name": "ses", "arguments": "7"}},
+            {"function": {"name": 7, "arguments": "{}"}},
+        ],
+        ids=["arguments-a-list", "arguments-a-number", "name-a-number"],
+    )
+    def test_a_tool_call_of_another_shape_is_a_gateway_error(self, call):
+        with pytest.raises(GatewayError, match="^completion reply is not a reply"):
+            _stub_gateway({"content": None, "tool_calls": [call]}).complete(_exchange("hi"))
+
+    def test_content_that_is_no_string_is_a_gateway_error(self):
+        with pytest.raises(GatewayError, match="^completion reply is not a reply"):
+            _stub_gateway({"content": 12}).complete(_exchange("hi"))
+
+    @pytest.mark.parametrize("message", ["hi", {"tool_calls": ["ses"]}], ids=["a-string", "a-call-a-string"])
+    def test_a_message_of_another_shape_is_a_gateway_error(self, message):
+        with pytest.raises(GatewayError, match="^malformed completion response"):
+            _stub_gateway(message).complete(_exchange("hi"))
+
+    def test_a_well_formed_reply_keeps_its_calls_and_usage(self):
+        call = {"function": {"name": "ses", "arguments": '{"alpha": 0.5}'}}
+        body = {"choices": [{"message": {"content": None, "tool_calls": [call]}}], "usage": {"prompt_tokens": 4}}
+        session = SimpleNamespace(post=lambda *_a, **_k: SimpleNamespace(status_code=200, json=lambda: body))
+        reply = RemoteGateway(base_url="http://stub", session=session).complete(_exchange("hi"))
+        assert reply.to_dict() == {"content": None, "tool_calls": [{"tool": "ses", "args": {"alpha": 0.5}}]}
+        assert reply.usage == {"prompt_tokens": 4}
+
+
 class _Flaky(BaseHTTPRequestHandler):
     calls = 0
     mode = "retry"  # retry | bad_tool_json | not_json

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -109,10 +110,22 @@ class TestNumericReport:
         assert repr((report.mae, report.mape, report.rmse, report.mse)) == repr(expected)
         assert report.n_points == len(truth)
 
-    def test_an_overflowing_report_is_inf_without_a_warning(self, recwarn):
-        report = metrics.numeric_report([1e200, 0.0], [-1e200, -0.0])
-        assert (report.mse, report.rmse, report.mape) == (math.inf, math.inf, None)
-        assert not recwarn.list
+    @pytest.mark.parametrize(
+        "pred,truth,expected",
+        [
+            ([1e200, 0.0], [-1e200, -0.0], (1e200, None, math.inf)),
+            ([1.0], [1e-310], (1.0, math.inf, 1.0)),
+            ([1.7e308], [-1.7e308], (math.inf, math.inf, math.inf)),
+        ],
+        ids=["squared-error", "error-over-truth", "error"],
+    )
+    def test_an_overflowing_report_is_inf_without_a_warning(self, pred, truth, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = metrics.numeric_report(pred, truth)
+            single = (metrics.mae(pred, truth), metrics.mape(pred, truth), metrics.mse(pred, truth))
+        assert (report.mae, report.mape, report.mse) == single == expected
+        assert report.rmse == math.sqrt(report.mse)
 
 
 class TestAlignLength:

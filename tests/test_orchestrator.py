@@ -570,6 +570,19 @@ class TestRemoteReplies:
         blocks = read_trace(tmp_path / "traces" / "synth_forecast_short.jsonl")
         assert [block.header["mode"] for block in blocks] == ["inference", "exploration"]
 
+    @pytest.mark.parametrize("arguments", ["[1, 2]", "null"], ids=["a-list", "null"])
+    def test_tool_call_arguments_that_are_no_object_fail_the_episode_not_the_run(self, tmp_path, arguments):
+        call = {"function": {"name": "seasonal_naive", "arguments": arguments}}
+        body = {"choices": [{"message": {"content": None, "tool_calls": [call]}}]}
+        session = SimpleNamespace(post=lambda *_a, **_k: SimpleNamespace(status_code=200, json=lambda: body))
+        deps = _deps(tmp_path, RemoteGateway(base_url="http://stub", session=session))
+        assert run_inference(_instance(), deps).degraded
+        outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=9), deps)
+        assert outcome.evidence_class == EvidenceClass.FAILURE and outcome.gateway_calls == 0
+        blocks = read_trace(tmp_path / "traces" / "synth_forecast_short.jsonl")
+        assert [block.header["mode"] for block in blocks] == ["inference", "exploration"]
+        deps.close()
+
 
 class TestToolExposure:
     def test_exploration_minus_inference_is_exactly_the_special_categories(self, tmp_path):
@@ -683,6 +696,19 @@ class TestTraceLog:
         blocks = list(read_trace(tmp_path / "s.jsonl"))
         assert sorted(b.header["episode"] for b in blocks) == sorted(f"w{w}.{n}" for w in range(6) for n in range(40))
         assert all(len(b.events) == 4 for b in blocks)
+
+    @pytest.mark.parametrize("mode", ["exploration", "inference"])
+    def test_a_block_is_read_back_once_its_writer_exits(self, tmp_path, mode):
+        log = TraceLog(tmp_path)
+        for n in range(4):
+            header = {"version": __version__, "mode": mode, "episode": f"e{n}", "sample": "0" * 16}
+            with TraceWriter(log, "s", header) as trace:
+                trace.event("outcome", {})
+            episodes = [block.header["episode"] for block in read_trace(tmp_path / "s.jsonl")]
+            assert episodes == [f"e{k}" for k in range(n + 1)]
+            if n == 1:
+                log.close()  # the next append opens the log again, where it ended
+        log.close()
 
 
 class TestToolListsPerRun:

@@ -94,6 +94,14 @@ class TestLedger:
         assert reloaded.counts("s2") == {"c": 1}
         assert reloaded.entropy_history("s1") == ledger.entropy_history("s1")
 
+    def test_a_recorded_line_is_read_by_a_fresh_ledger(self, tmp_path):
+        ledger = ToolUsageLedger(tmp_path / "ledger.jsonl")
+        ledger.record("s", ["a", "b", "a"])
+        assert ToolUsageLedger(tmp_path / "ledger.jsonl").counts("s") == {"a": 2, "b": 1}
+        ledger.record("s", ["b"])
+        assert ToolUsageLedger(tmp_path / "ledger.jsonl").counts("s") == {"a": 2, "b": 2}
+        ledger.close()
+
     @pytest.mark.parametrize("seed", range(8))
     def test_reopened_ledger_matches_one_that_never_closed(self, tmp_path, seed):
         rng = random.Random(seed)

@@ -733,6 +733,25 @@ class TestInMemoryState:
         assert split.memory_state(SCOPE) == whole.memory_state(SCOPE)
         assert split.pending_notes(SCOPE) == whole.pending_notes(SCOPE) == whole.notes(SCOPE)[20:]
 
+    def test_every_append_is_read_by_a_fresh_store(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        for n in range(1, 4):
+            note = store.commit_note(_note(seq=None))
+            notes = ExperienceStore(tmp_path).notes(SCOPE)
+            assert len(notes) == n and notes[-1] == note
+            store.snapshot(SCOPE)
+            assert ExperienceStore(tmp_path).snapshot_timeline(SCOPE) == store.snapshot_timeline(SCOPE)
+        store.close()
+
+    def test_a_store_closed_after_each_note_appends_as_one_never_closed(self, tmp_path):
+        notes = [_note(seq=None, winner=(f"tool_{i % 3}",)) for i in range(25)]
+        _commit_and_distill(ExperienceStore(tmp_path / "whole"), notes)
+        closing = ExperienceStore(tmp_path / "closing")
+        for note in notes:
+            _commit_and_distill(closing, [note])
+            closing.close()  # the next append opens its log again
+        assert _tree(tmp_path / "closing") == _tree(tmp_path / "whole")
+
     def test_open_decodes_only_the_pending_notes(self, tmp_path, monkeypatch):
         """A store killed with 3 pending notes decodes those 3 at open, and
         its pending notes and a resumed finalize are those of a store that

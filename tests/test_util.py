@@ -106,3 +106,36 @@ class TestPrebuiltEncoders:
         encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         value = {"b": [1.5, math.nan], "a": "\u2028"}
         assert "".join(util._prebuilt(encoder)(value, 0)) == _canonical_reference(value)
+
+
+class TestAppendLog:
+    def test_creates_nothing_until_its_first_append(self, tmp_path):
+        log = util.AppendLog(tmp_path / "logs" / "a.log")
+        log.close()
+        assert not (tmp_path / "logs").exists()
+        log.append(b"one\n")
+        assert (tmp_path / "logs" / "a.log").read_bytes() == b"one\n"
+        log.close()
+
+    def test_each_append_first_cuts_off_what_follows_the_last_whole_record(self, tmp_path):
+        path = tmp_path / "a.log"
+        log = util.AppendLog(path)
+        log.append(b"one\n")
+        with path.open("ab") as fh:
+            fh.write(b"torn")  # what a killed append leaves
+        log.append(b"two\n")
+        log.close()
+        assert path.read_bytes() == b"one\ntwo\n"
+        path.write_bytes(b"one\ntwo\nthr")
+        log.append(b"three\n")  # after close: opened again, the torn tail cut off first
+        log.close()
+        assert path.read_bytes() == b"one\ntwo\nthree\n"
+        assert log.end == len(b"one\ntwo\nthree\n")
+
+    def test_a_record_is_in_the_file_when_append_returns(self, tmp_path):
+        path = tmp_path / "a.log"
+        log = util.AppendLog(path)
+        for n in range(3):
+            log.append(b"%d\n" % n)
+            assert path.read_bytes() == b"".join(b"%d\n" % k for k in range(n + 1))
+        log.close()
