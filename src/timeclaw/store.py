@@ -6,11 +6,13 @@ them.
 Layer roles:
 
 * Soul — static behavioral anchor, written once at store creation and never
-  machine-edited afterwards.
+  machine-edited afterwards; the only file the store writes whole.
 * Notes — append-only per-scope episode records; the distillation source,
   never injected into prompts.
 * Memory — bounded structured rules (kind, applicability, preferred/avoided
-  tools, evidence, confidence, injectable).
+  tools, evidence, confidence, injectable). Publishing a scope's memory
+  appends one record to its snapshot log, and opening the store reads the
+  memory back from that log.
 * Tool notes / Skills — views, never stored: retrieval renders them from
   the scope's published memory, with every line written once, so they
   always agree with it. A tool card lists only injectable rules' stances.
@@ -458,9 +460,6 @@ def update_memory(state: MemoryState, ev: CleanEvidence) -> str:
 
 _NOTE_OPEN = re.compile(r"<!-- note (\d+) -->")
 
-# Files the store only ever writes whole; it keeps their text in memory.
-_REWRITTEN = ("soul.md", "memory/*.json")
-
 # A note's shard block: (key, LearningNote attribute, JSON read when the key
 # is missing), in the order the block lists them. ``sensitive`` is not among
 # them: the text is scrubbed before it is stored.
@@ -526,7 +525,8 @@ def _parse_snapshot(data: bytes, pos: int) -> tuple[tuple[dict[str, Any], dict[s
     """One record of a snapshot log: its header line, and the layers it
     changed (None for a layer that is gone, such as the tool cards and
     skills files that older stores kept), whose raw bytes follow the header
-    in the header's order."""
+    in the header's order. A snapshot's header has a ``seq``; a cursor
+    record's, ``{"distilled_through": N, "layers": {}}``, has none."""
     end = data.find(b"\n", pos)
     if end < 0:
         raise TornRecord
@@ -628,11 +628,13 @@ def _select(scope: str, state: MemoryState, fp: SampleFingerprint) -> Selection:
 class _Scope:
     """The in-memory state of one scope, and its two logs. ``memory`` is
     replaced whole on publish, never mutated, so a reader may keep what it
-    got."""
+    got; ``memory_text`` is its JSON as the snapshot log holds it, None until
+    the scope's first publish."""
 
     notes_log: AppendLog  # notes/<scope>.md
-    snapshot_log: AppendLog  # snapshots/<scope>.log
+    snapshot_log: AppendLog  # snapshots/<scope>.log: snapshots and cursor records
     memory: MemoryState = field(default_factory=MemoryState)
+    memory_text: Optional[str] = None
     note_count: int = 0
     pending: list[LearningNote] = field(default_factory=list)  # committed, not yet distilled
     lock: threading.Lock = field(default_factory=threading.Lock)  # serializes commits and batches
@@ -651,12 +653,15 @@ class ExperienceStore:
     """Disk-backed hierarchical experience, one writer per scope.
 
     The store reads its files once, when it opens, and from then on holds
-    every scope's state and the text of every file it rewrites in memory,
-    writing each change through to disk. It assumes no other process writes
-    the same root meanwhile. Each notes shard and snapshot log is appended
-    through one descriptor, opened at its first append and released by
-    :meth:`close`; nothing is buffered in the process, so a fresh reader of
-    the root, or what a killed run leaves, holds every record appended.
+    every scope's state and the soul's text in memory, writing each change
+    through to disk. It assumes no other process writes the same root
+    meanwhile. It writes ``soul.md`` whole, once, and appends to every other
+    file, each notes shard and snapshot log through one descriptor, opened
+    at its first append and released by :meth:`close`; nothing is buffered
+    in the process, so a fresh reader of the root, or what a killed run
+    leaves, holds every record appended. A scope's memory is read from its
+    snapshot log: the last memory layer, with the cursor of any later cursor
+    record. A ``memory/`` directory left by an older version is ignored.
 
     Opening frames every block of each notes shard, with the torn-tail and
     bad-block checks of :func:`~timeclaw.util.iter_records` and gapless
@@ -670,40 +675,43 @@ class ExperienceStore:
         self._scopes: dict[str, _Scope] = {}
         self._scopes_guard = threading.Lock()
         # Held to publish a scope's memory, so a retrieval memoizes only a
-        # selection of the memory that is published. Every change to
-        # ``_files`` and to a scope's ``memory`` holds it.
+        # selection of the memory that is published. Every change to a
+        # scope's ``memory`` and to ``_soul`` holds it.
         self._publish = threading.RLock()
-        self._files: dict[str, str] = {}
-        self._laid_out = False  # opening writes nothing; the first write lays the store out
-        for pattern in _REWRITTEN:
-            for path in sorted(self.root.glob(pattern)):
-                self._files[path.relative_to(self.root).as_posix()] = path.read_text()
-        for path in sorted((self.root / "memory").glob("*.json")):
-            self._scope(path.stem).memory = MemoryState.from_dict(json.loads(self._files[f"memory/{path.name}"]))
+        soul = self.root / "soul.md"
+        # opening writes nothing: the first write writes soul.md
+        self._soul: Optional[str] = soul.read_text() if soul.is_file() else None
+        for path in sorted((self.root / "snapshots").glob("*.log")):
+            held = self._scope(path.stem)
+            records, held.snapshot_log.end = read_records(path, _parse_snapshot)
+            cursor = 0
+            for header, changed in records:
+                if "seq" not in header:
+                    cursor = int(header["distilled_through"])
+                    continue
+                held.snapshots.append({key: header[key] for key in ("seq", "digest", "notes")})
+                _fold_layers(held.last_snapshot, changed)
+            held.memory_text = held.last_snapshot.get(f"memory/{path.stem}.json")
+            if held.memory_text is not None:
+                held.memory = MemoryState.from_dict(json.loads(held.memory_text))
+            if cursor > held.memory.distilled_through:  # the last publish took no snapshot
+                held.memory.distilled_through = cursor
+                held.memory_text = json_dumps(held.memory.to_dict(), sort_keys=True) + "\n"
         for path in sorted((self.root / "notes").glob("*.md")):
             held = self._scope(path.stem)
             held.pending, held.note_count, held.notes_log.end = _read_notes(
                 self.root, path.stem, held.memory.distilled_through
             )
-        for path in sorted((self.root / "snapshots").glob("*.log")):
-            held = self._scope(path.stem)
-            records, held.snapshot_log.end = read_records(path, _parse_snapshot)
-            for header, changed in records:
-                held.snapshots.append({key: header[key] for key in ("seq", "digest", "notes")})
-                _fold_layers(held.last_snapshot, changed)
 
     def _lay_out(self) -> None:
-        """Create the store's directories and ``soul.md`` before its first write."""
-        if self._laid_out:
-            return
-        with self._publish:
-            if self._laid_out:
-                return
-            for sub in ("notes", "memory", "snapshots"):
-                (self.root / sub).mkdir(parents=True, exist_ok=True)
-            self._laid_out = True
-            if "soul.md" not in self._files:
-                self._write("soul.md", DEFAULT_SOUL)
+        """Write ``soul.md`` before the store's first write. Each log makes
+        its directory at its first append."""
+        if self._soul is None:
+            with self._publish:
+                if self._soul is None:
+                    self.root.mkdir(parents=True, exist_ok=True)
+                    write_atomic(self.root / "soul.md", DEFAULT_SOUL)
+                    self._soul = DEFAULT_SOUL
 
     def _scope(self, scope: str) -> _Scope:
         held = self._scopes.get(scope)
@@ -723,33 +731,15 @@ class ExperienceStore:
             with held.lock, self._publish:
                 held.close()
 
-    def _write(self, rel: str, text: str) -> None:
-        """Rewrite one file under the root, on disk and in memory."""
-        with self._publish:
-            self._lay_out()
-            if self._files.get(rel) != text:
-                write_atomic(self.root / rel, text)
-                self._files[rel] = text
-
     # -- layers -----------------------------------------------------------
 
     def soul_text(self) -> str:
-        return self._files.get("soul.md", DEFAULT_SOUL)
+        return self._soul if self._soul is not None else DEFAULT_SOUL
 
     def memory_state(self, scope: str) -> MemoryState:
         """The scope's published memory; shared, so callers must not mutate it."""
         held = self._scopes.get(scope)
         return held.memory if held is not None else MemoryState()
-
-    def _write_memory(self, scope: str, state: MemoryState) -> None:
-        """Publish ``state`` as the scope's memory, on disk and in memory, and
-        drop the scope's memoized selections, under one hold of ``_publish``,
-        so no retrieval memoizes a selection of an older memory."""
-        with self._publish:
-            self._write(f"memory/{scope}.json", json_dumps(state.to_dict(), sort_keys=True) + "\n")
-            held = self._scope(scope)
-            held.memory = state
-            held.selections.clear()
 
     def scopes(self) -> list[str]:
         return [name for name, held in self._sorted_scopes() if held.note_count]
@@ -808,42 +798,45 @@ class ExperienceStore:
         return self._distill_batch(scope, DISTILL_EVERY)
 
     def finalize(self, scope: str) -> list[str]:
-        """Flush a shorter-than-batch tail of pending notes. With none pending,
-        snapshot the published memory when its content fingerprint is not
-        the last snapshot's: a batch killed after it published its memory,
-        before it snapshotted it, leaves the timeline one version behind."""
-        stages = self._distill_batch(scope, 1)
-        if stages:
-            return stages
-        held = self._scope(scope)
-        with held.lock:
-            snapped = held.last_snapshot.get(f"memory/{scope}.json")
-            last = MemoryState.from_dict(json.loads(snapped)) if snapped else MemoryState()
-            if held.memory.content_fingerprint() == last.content_fingerprint():
-                return []
-            self.snapshot(scope)
-            return ["snapshot"]
+        """Flush a shorter-than-batch tail of pending notes. A batch killed
+        before its record reached the snapshot log published nothing, so its
+        notes are pending again and the flush distills them."""
+        return self._distill_batch(scope, 1)
 
     def _distill_batch(self, scope: str, min_pending: int) -> list[str]:
+        """Distill the scope's pending notes, when at least ``min_pending``,
+        and publish the memory by appending one record to its snapshot log,
+        under one hold of ``_publish``: a snapshot when the memory's content
+        fingerprint changed, a cursor record of its ``distilled_through``
+        otherwise. A failed append publishes nothing."""
         held = self._scope(scope)
         with held.lock:
             if len(held.pending) < min_pending:
                 return []
             # work on a copy and publish it whole, so readers never see a half update
             state = MemoryState.from_dict(held.memory.to_dict())
-            before = held.memory.content_fingerprint()
             for note in held.pending:
                 ev = clean(note)
                 if ev.has_tool_stance:
                     update_memory(state, ev)
             state.distilled_through = held.pending[-1].sequence
-            after = state.content_fingerprint()
-            self._write_memory(scope, state)
+            changed = state.content_fingerprint() != held.memory.content_fingerprint()
+            with self._publish:
+                self._lay_out()
+                published = held.memory, held.memory_text
+                held.memory, held.memory_text = state, json_dumps(state.to_dict(), sort_keys=True) + "\n"
+                try:
+                    if changed:
+                        self.snapshot(scope)
+                    else:
+                        cursor = canonical_json({"distilled_through": state.distilled_through, "layers": {}})
+                        held.snapshot_log.append(cursor.encode() + b"\n")
+                except BaseException:
+                    held.memory, held.memory_text = published
+                    raise
+                held.selections.clear()
             held.pending = []
-            if after == before:
-                return ["notes_to_memory"]
-            self.snapshot(scope)
-            return ["notes_to_memory", "snapshot"]
+            return ["notes_to_memory", "snapshot"] if changed else ["notes_to_memory"]
 
     def record_episode(
         self, outcome: EpisodeOutcome, instance: TaskInstance, fp: SampleFingerprint
@@ -885,16 +878,19 @@ class ExperienceStore:
     # -- snapshots and audit ------------------------------------------------
 
     def snapshot(self, scope: str) -> str:
-        """Record the scope's stored layers, the soul and the memory, as one
-        record appended to ``snapshots/<scope>.log``. The record holds only
-        the layers that differ from the scope's previous snapshot; the digest
-        covers them all.
-        The notes are append-only, so the snapshot cites their count instead
-        of copying them: its notes are the shard's first ``notes`` blocks."""
+        """Record the scope's layers, the soul and the published memory (a
+        layer named ``memory/<scope>.json``, though no such file exists), as
+        one record appended to ``snapshots/<scope>.log``. The record holds
+        only the layers that differ from the scope's previous snapshot; the
+        digest covers them all. The notes are append-only, so the snapshot
+        cites their count instead of copying them: its notes are the shard's
+        first ``notes`` blocks."""
         with self._publish:
             self._lay_out()
             held = self._scope(scope)
-            content = {rel: self._files[rel] for rel in ("soul.md", f"memory/{scope}.json") if rel in self._files}
+            content = {"soul.md": self.soul_text()}
+            if held.memory_text is not None:
+                content[f"memory/{scope}.json"] = held.memory_text
             entry = {
                 "seq": len(held.snapshots) + 1,
                 "digest": digest_obj({"notes": held.note_count, "layers": list(content.items())}, 16),
@@ -920,7 +916,7 @@ class ExperienceStore:
                 raise ContractError(f"scope {scope} has no snapshot {seq}")
             records, _ = read_records(self.root / "snapshots" / f"{scope}.log", _parse_snapshot)
         layers: dict[str, str] = {}
-        for _header, changed in records[:seq]:
+        for changed in [changed for header, changed in records if "seq" in header][:seq]:
             _fold_layers(layers, changed)
         return layers
 

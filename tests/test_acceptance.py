@@ -583,11 +583,11 @@ def test_c11_end_to_end_ordering(e2e, tmp_path, report):
     wins = sum(1 for k in with_mae if with_mae[k] <= noexp_mae[k])
     win_rate = wins / len(with_mae)
 
-    memory = json.loads((e2e / "store" / "memory" / "synth_forecast_short.json").read_text())
+    memory = ExperienceStore(e2e / "store").memory_state("synth_forecast_short")
     seasonal_rules = [
         r
-        for r in memory["rules"]
-        if r["injectable"] and r["kind"] == "tool_preference" and "seasonal_naive" in r["preferred_tools"]
+        for r in memory.rules
+        if r.injectable and r.kind == "tool_preference" and "seasonal_naive" in r.preferred_tools
     ]
     report(
         11,

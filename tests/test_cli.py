@@ -279,13 +279,14 @@ class TestExplore:
             notes = reopened.notes(scope)
             assert [n.sequence for n in notes] == list(range(1, len(notes) + 1))
             assert reopened.memory_state(scope).distilled_through == len(notes)
-        # no card or skills file is stored; the views each scope's last
-        # snapshot renders are those its final memory renders
-        assert {p.name for p in store.iterdir()} == {"soul.md", "notes", "memory", "snapshots", "traces", "ledger.jsonl"}
+        # no memory, card or skills file is stored; each scope's last
+        # snapshot holds its final memory's content, so renders its views
+        assert {p.name for p in store.iterdir()} == {"soul.md", "notes", "snapshots", "traces", "ledger.jsonl"}
         for scope in reopened.scopes():
             memory = reopened.memory_state(scope)
             snapshot = reopened.snapshot_layers(scope, len(reopened.snapshot_timeline(scope)))
             snapped = MemoryState.from_dict(json.loads(snapshot[f"memory/{scope}.json"]))
+            assert snapped.content_fingerprint() == memory.content_fingerprint()
             assert store_module._tool_cards(snapped) == store_module._tool_cards(memory)
             assert store_module._skills_text(scope, snapped) == store_module._skills_text(scope, memory)
         # In parallel the episode order, so what each scope's memory ends up

@@ -78,8 +78,15 @@ class TestDigest:
     @settings(max_examples=100, deadline=None)
     @given(messages=MESSAGES, tools=TOOLS, pad=st.sampled_from([" ", "\t", "  \n", "\n\n"]))
     def test_trailing_whitespace_does_not_matter(self, messages, tools, pad):
-        padded = [(role, "\n".join(line + pad.strip("\n") for line in content.split("\n")) + pad)
-                  for role, content in messages]
+        # pad each line before its own ending, with lines as str.splitlines
+        # cuts them: a pad put inside "\r\n" would split one break into two
+        def padded_content(content):
+            lines = content.splitlines(keepends=True)
+            bodies = [line.splitlines()[0] for line in lines]
+            return "".join(body + pad.strip("\n") + line[len(body):]
+                           for body, line in zip(bodies, lines)) + pad
+
+        padded = [(role, padded_content(content)) for role, content in messages]
         assert exchange_digest(_conversation(padded, tools)) == exchange_digest(_conversation(messages, tools))
 
     @settings(max_examples=100, deadline=None)

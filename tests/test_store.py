@@ -37,7 +37,7 @@ from timeclaw.store import (
     summarize_episode,
     update_memory,
 )
-from timeclaw.util import canonical_json, stable_rng
+from timeclaw.util import AppendLog, canonical_json, json_dumps, stable_rng
 
 SCOPE = "synth_forecast_short"
 
@@ -344,25 +344,30 @@ class TestRuleFormat:
             'when: {"seasonal": true, "task_subtype": "forecast"}'
         )
 
-    def test_a_memory_file_with_summary_and_rationale_opens_and_loses_them_on_rewrite(
+    def test_a_logged_memory_with_summary_and_rationale_opens_and_loses_them_on_the_next_publish(
         self, tmp_path, seasonal_instance
     ):
-        # memory files once held each rule's templated summary and the text of
-        # its first note as rationale
+        # memories once held each rule's templated summary and the text of
+        # its first note as rationale, indented, and a snapshot record held
+        # the same text
         store = ExperienceStore(tmp_path)
         _commit_and_distill(store, [_note(seq=None) for _ in range(10)])
+        store.close()
         fp = fingerprint(seasonal_instance)
         rules = [r.to_dict() for r in store.retrieve(SCOPE, fp).rules]
-        path = tmp_path / "memory" / f"{SCOPE}.json"
-        old = json.loads(path.read_text())
+        layers = store.snapshot_layers(SCOPE, 1)
+        old = json.loads(layers[f"memory/{SCOPE}.json"])
         for rule in old["rules"]:
             rule["summary"] = 'Prefer seasonal_naive for samples with seasonal=true, task_subtype="forecast".'
             rule["rationale"] = "seasonal_naive tracked the cycle best prefer seasonal_naive"
-        path.write_text(json.dumps(old, sort_keys=True, indent=1) + "\n")
+        layers[f"memory/{SCOPE}.json"] = json.dumps(old, sort_keys=True, indent=1) + "\n"
+        digest = store.snapshot_timeline(SCOPE)[0]["digest"]
+        (tmp_path / "snapshots" / f"{SCOPE}.log").write_bytes(_log_record(layers, notes=10, seq=1, digest=digest))
         reopened = ExperienceStore(tmp_path)
+        assert reopened.memory_state(SCOPE) == store.memory_state(SCOPE)
         assert rules and [r.to_dict() for r in reopened.retrieve(SCOPE, fp).rules] == rules
         _commit_and_distill(reopened, [_note(seq=None) for _ in range(10)])
-        rewritten = json.loads(path.read_text())["rules"]
+        rewritten = json.loads(reopened.snapshot_layers(SCOPE, 2)[f"memory/{SCOPE}.json"])["rules"]
         assert rewritten and all("summary" not in r and "rationale" not in r for r in rewritten)
 
 
@@ -542,20 +547,18 @@ class TestRetrieve:
 
     def test_non_injectable_rules_are_excluded(self, tmp_path, seasonal_instance):
         store = ExperienceStore(tmp_path)
-        state = MemoryState()
-        update_memory(state, _evidence(prefer=("holt",)))
-        update_memory(state, _evidence(prefer=(), avoid=("holt",), kind="avoidance", ref="n2"))
-        assert all(not r.injectable for r in state.rules)  # open conflict
-        store._write_memory(SCOPE, state)
+        store.commit_note(_note(seq=None, winner=("holt",), losers=()))
+        store.commit_note(_note(seq=None, winner=(), losers=("holt",), evidence_class="failure"))
+        store.finalize(SCOPE)
+        rules = store.memory_state(SCOPE).rules
+        assert len(rules) == 2 and all(not r.injectable for r in rules)  # open conflict
         assert store.retrieve(SCOPE, fingerprint(seasonal_instance)).rules == ()
 
     def test_ordering_confidence_desc_then_seq(self, tmp_path, seasonal_instance):
         store = ExperienceStore(tmp_path)
-        state = MemoryState()
-        update_memory(state, _evidence(prefer=("a",)))
-        update_memory(state, _evidence(prefer=("b",), ref="n2"))
-        update_memory(state, _evidence(prefer=("b",), ref="n3"))  # strengthen b
-        store._write_memory(SCOPE, state)
+        for winner in ("a", "b", "b"):  # the second b strengthens b
+            store.commit_note(_note(seq=None, winner=(winner,), losers=()))
+        store.finalize(SCOPE)
         selection = store.retrieve(SCOPE, fingerprint(seasonal_instance))
         assert [r.preferred_tools for r in selection.rules] == [("b",), ("a",)]
 
@@ -713,11 +716,14 @@ class TestLayout:
         assert not (tmp_path / "store").exists()
 
     def test_first_write_lays_the_store_out(self, tmp_path):
+        # soul.md is written once, at the first write; each log makes its
+        # directory at its first append
         store = ExperienceStore(tmp_path)
         store.commit_note(_note(seq=None))
-        subdirs = {"notes", "memory", "snapshots"}
-        assert {p.name for p in tmp_path.iterdir() if p.is_dir()} == subdirs
+        assert {p.name for p in tmp_path.iterdir()} == {"soul.md", "notes"}
         assert (tmp_path / "soul.md").read_text() == DEFAULT_SOUL
+        store.finalize(SCOPE)
+        assert {p.name for p in tmp_path.iterdir()} == {"soul.md", "notes", "snapshots"}
 
 
 class TestInMemoryState:
@@ -807,11 +813,53 @@ class TestInMemoryState:
         assert [rule.to_dict() for rule in selection.rules] == held
         assert store.retrieve(SCOPE, fp).rules[0].confidence > selection.rules[0].confidence
 
+    @pytest.mark.parametrize("snapshotted", [0, 10])
+    def test_a_reopened_store_keeps_the_cursor_of_a_batch_that_took_no_snapshot(self, tmp_path, snapshotted):
+        head = [_note(seq=None, winner=(f"tool_{i % 3}",)) for i in range(snapshotted)]
+        stanceless = [_note(seq=None, winner=(), losers=(), evidence_class="single_execution") for _ in range(10)]
+        tail = [_note(seq=None, winner=("holt",), losers=()) for _ in range(10)]
+        never, closed = ExperienceStore(tmp_path / "never"), ExperienceStore(tmp_path / "closed")
+        for store in (never, closed):
+            _commit_and_distill(store, head)
+            for note in stanceless:
+                store.commit_note(note)
+            assert store.maybe_trigger_distillation(SCOPE) == ["notes_to_memory"]
+        closed.close()
+        log = tmp_path / "closed" / "snapshots" / f"{SCOPE}.log"
+        cursor = b'{"distilled_through":%d,"layers":{}}\n' % (snapshotted + 10)
+        assert log.read_bytes().endswith(cursor)
+        reopened = ExperienceStore(tmp_path / "closed")
+        assert reopened.memory_state(SCOPE).distilled_through == snapshotted + 10
+        assert reopened.memory_state(SCOPE) == never.memory_state(SCOPE)
+        assert reopened.pending_notes(SCOPE) == []
+        assert reopened.snapshot_timeline(SCOPE) == never.snapshot_timeline(SCOPE)
+        assert len(never.snapshot_timeline(SCOPE)) == (1 if snapshotted else 0)
 
-def _held_layers(root, scope):
-    """The layers a snapshot of ``scope`` covers, as they are on disk now."""
-    rels = ["soul.md", f"memory/{scope}.json"]
-    return {rel: (root / rel).read_text() for rel in rels if (root / rel).exists()}
+        def fired(store):
+            at = []
+            for i, note in enumerate(tail, 1):
+                store.commit_note(note)
+                if store.maybe_trigger_distillation(SCOPE):
+                    at.append(i)
+            return at
+
+        assert fired(reopened) == fired(never) == [10]
+        assert log.read_bytes() == (tmp_path / "never" / "snapshots" / f"{SCOPE}.log").read_bytes()
+        seq = len(never.snapshot_timeline(SCOPE))
+        assert ExperienceStore(tmp_path / "closed").snapshot_layers(SCOPE, seq) == _held_layers(never, SCOPE)
+
+
+def _held_layers(store, scope):
+    """The layers a snapshot of ``scope`` covers, as ``store`` holds them
+    now: the soul, and the published memory as one line of sorted-key JSON."""
+    memory = json_dumps(store.memory_state(scope).to_dict(), sort_keys=True) + "\n"
+    return {"soul.md": store.soul_text(), f"memory/{scope}.json": memory}
+
+
+def _log_record(layers, notes, seq, digest="0" * 16):
+    """A snapshot record holding ``layers`` whole, as older versions wrote it."""
+    header = {"digest": digest, "layers": {rel: len(text.encode()) for rel, text in layers.items()}, "notes": notes, "seq": seq}
+    return canonical_json(header).encode() + b"\n" + "".join(layers[rel] for rel in sorted(layers)).encode()
 
 
 def _views(scope, layers):
@@ -842,7 +890,7 @@ class TestScopeLocalLayers:
             assert "snapshot" in store.finalize(SCOPE)
         assert store.retrieve(OTHER, fp) == selection
         assert store.snapshot(OTHER) == digest
-        views = {scope: _views(scope, _held_layers(tmp_path, scope)) for scope in (OTHER, SCOPE)}
+        views = {scope: _views(scope, _held_layers(store, scope)) for scope in (OTHER, SCOPE)}
         # only SCOPE's second rule is injectable, so its cards are a and b too
         assert [sorted(cards) for cards, _skills in views.values()] == [["a", "b"], ["a", "b"]]
         for cards, skills in views.values():
@@ -876,35 +924,10 @@ class TestRenderedViews:
         assert "avoided" not in card and "confidence 0.25" not in card
         assert card.count("- preferred") == 2
 
-    def test_a_store_killed_after_publishing_its_memory_retrieves_what_one_never_killed_does(
-        self, tmp_path, seasonal_instance, monkeypatch
+    @pytest.mark.parametrize("kill", ["before", "after"])
+    def test_a_store_killed_around_its_snapshot_append_ends_as_one_never_killed(
+        self, tmp_path, seasonal_instance, monkeypatch, kill
     ):
-        first = [_note(seq=None) for _ in range(10)]
-        second = [_note(seq=None, winner=("holt",), losers=("seasonal_naive",)) for _ in range(10)]
-        whole = ExperienceStore(tmp_path / "whole")
-        _commit_and_distill(whole, first + second)
-        killed = ExperienceStore(tmp_path / "killed")
-        _commit_and_distill(killed, first)
-        for note in second:
-            killed.commit_note(note)
-        write_atomic = store_module.write_atomic
-
-        def write_then_die(path, text):
-            write_atomic(path, text)
-            if Path(path).as_posix().endswith(f"memory/{SCOPE}.json"):
-                raise Killed
-
-        monkeypatch.setattr(store_module, "write_atomic", write_then_die)
-        with pytest.raises(Killed):
-            killed.maybe_trigger_distillation(SCOPE)
-        monkeypatch.undo()
-        fp = fingerprint(seasonal_instance)
-        reopened, expected = ExperienceStore(tmp_path / "killed").retrieve(SCOPE, fp), whole.retrieve(SCOPE, fp)
-        assert [r.to_dict() for r in reopened.rules] == [r.to_dict() for r in expected.rules]
-        assert (reopened.skills_text, reopened.tool_notes) == (expected.skills_text, expected.tool_notes)
-        assert "holt" in reopened.skills_text
-
-    def test_finalize_snapshots_the_memory_a_killed_batch_published(self, tmp_path, monkeypatch):
         first = [_note(seq=None) for _ in range(10)]
         second = [_note(seq=None, winner=("holt",), losers=("seasonal_naive",)) for _ in range(10)]
         whole = ExperienceStore(tmp_path / "whole")
@@ -914,28 +937,80 @@ class TestRenderedViews:
         _commit_and_distill(killed, first)
         for note in second:
             killed.commit_note(note)
-        write_atomic = store_module.write_atomic
+        log = tmp_path / "killed" / "snapshots" / f"{SCOPE}.log"
+        append = AppendLog.append
 
-        def write_then_die(path, text):
-            write_atomic(path, text)
-            if Path(path).as_posix().endswith(f"memory/{SCOPE}.json"):
-                raise Killed
+        def append_and_die(self, record):
+            if self.path != log:
+                return append(self, record)
+            if kill == "after":
+                append(self, record)
+            raise Killed
 
-        monkeypatch.setattr(store_module, "write_atomic", write_then_die)
+        monkeypatch.setattr(AppendLog, "append", append_and_die)
         with pytest.raises(Killed):
             killed.maybe_trigger_distillation(SCOPE)
         monkeypatch.undo()
         reopened = ExperienceStore(tmp_path / "killed")
-        assert [(e["seq"], e["notes"]) for e in reopened.snapshot_timeline(SCOPE)] == [(1, 10)]
-        assert reopened.finalize(SCOPE) == ["snapshot"]
+        if kill == "before":  # nothing published: the batch is pending again
+            assert [(e["seq"], e["notes"]) for e in reopened.snapshot_timeline(SCOPE)] == [(1, 10)]
+            assert reopened.finalize(SCOPE) == ["notes_to_memory", "snapshot"]
+        else:
+            assert reopened.finalize(SCOPE) == []
+        fp = fingerprint(seasonal_instance)
+        retrieved, expected = reopened.retrieve(SCOPE, fp), whole.retrieve(SCOPE, fp)
+        assert [r.to_dict() for r in retrieved.rules] == [r.to_dict() for r in expected.rules]
+        assert (retrieved.skills_text, retrieved.tool_notes) == (expected.skills_text, expected.tool_notes)
+        assert "holt" in retrieved.skills_text
         assert reopened.snapshot_timeline(SCOPE) == whole.snapshot_timeline(SCOPE)
         last = reopened.snapshot_layers(SCOPE, 2)[f"memory/{SCOPE}.json"]
         assert MemoryState.from_dict(json.loads(last)).content_fingerprint() == (
             reopened.memory_state(SCOPE).content_fingerprint()
         )
-        snapshots = f"snapshots/{SCOPE}.log"
-        assert (tmp_path / "killed" / snapshots).read_bytes() == (tmp_path / "whole" / snapshots).read_bytes()
+        for rel in (f"snapshots/{SCOPE}.log", f"notes/{SCOPE}.md"):
+            assert (tmp_path / "killed" / rel).read_bytes() == (tmp_path / "whole" / rel).read_bytes()
         assert ExperienceStore(tmp_path / "killed").finalize(SCOPE) == []
+
+    def test_an_older_store_whose_memory_file_ran_ahead_of_its_log_ends_as_one_never_killed(
+        self, tmp_path, seasonal_instance
+    ):
+        # Older versions published a memory by rewriting memory/<scope>.json
+        # (indented, each rule with a summary and a rationale) and then
+        # snapshotting it; one killed between the two left the file a batch
+        # ahead of the log. The store reads the memory from the log and
+        # leaves the file as it found it.
+        first = [_note(seq=None) for _ in range(10)]
+        second = [_note(seq=None, winner=("holt",), losers=("seasonal_naive",)) for _ in range(10)]
+        whole = ExperienceStore(tmp_path / "whole")
+        _commit_and_distill(whole, first + second)
+        root = tmp_path / "old"
+        old = ExperienceStore(root)
+        _commit_and_distill(old, first)
+        for note in second:
+            old.commit_note(note)
+        old.close()
+        memory = whole.memory_state(SCOPE).to_dict()
+        for rule in memory["rules"]:
+            rule["summary"] = "Prefer holt for samples with seasonal=true."
+            rule["rationale"] = "holt tracked the level best"
+        (root / "memory").mkdir()
+        (root / "memory" / f"{SCOPE}.json").write_text(json.dumps(memory, sort_keys=True, indent=1) + "\n")
+        found = _tree(root / "memory")
+        reopened = ExperienceStore(root)
+        assert reopened.memory_state(SCOPE).distilled_through == 10
+        assert reopened.pending_notes(SCOPE) == whole.notes(SCOPE)[10:]
+        # re-distilling the killed batch gives what the never-killed store holds
+        assert reopened.finalize(SCOPE) == ["notes_to_memory", "snapshot"]
+        fp = fingerprint(seasonal_instance)
+        retrieved, expected = reopened.retrieve(SCOPE, fp), whole.retrieve(SCOPE, fp)
+        assert [r.to_dict() for r in retrieved.rules] == [r.to_dict() for r in expected.rules]
+        assert (retrieved.skills_text, retrieved.tool_notes) == (expected.skills_text, expected.tool_notes)
+        assert reopened.memory_state(SCOPE) == whole.memory_state(SCOPE)
+        assert reopened.snapshot_timeline(SCOPE) == whole.snapshot_timeline(SCOPE)
+        for rel in (f"snapshots/{SCOPE}.log", f"notes/{SCOPE}.md"):
+            assert (root / rel).read_bytes() == (tmp_path / "whole" / rel).read_bytes()
+        assert _tree(root / "memory") == found
+        assert ExperienceStore(root).finalize(SCOPE) == []
 
     def test_a_store_that_kept_cards_and_skills_renders_views_and_drops_them_from_its_snapshots(
         self, tmp_path, seasonal_instance
@@ -943,7 +1018,8 @@ class TestRenderedViews:
         # A store as older versions wrote it: a skills file and tool cards
         # beside the memory, and a snapshot record that lists them.
         root, notes = tmp_path / "old", [_note(seq=None) for _ in range(10)]
-        _commit_and_distill(ExperienceStore(root), notes)
+        _commit_and_distill(old := ExperienceStore(root), notes)
+        old.close()
         stale = {
             f"skills/{SCOPE}.md": f"# Procedures: {SCOPE}\n\n- When {{}}: prefer naive (stale).\n",
             f"tools/{SCOPE}/naive.md": "# Tool notes: naive\n- preferred (stale)\n",
@@ -952,10 +1028,9 @@ class TestRenderedViews:
         for rel, text in stale.items():
             (root / rel).parent.mkdir(parents=True, exist_ok=True)
             (root / rel).write_text(text)
-        layers = {**_held_layers(root, SCOPE), **stale}
-        header = {"digest": "0" * 16, "layers": {rel: len(text.encode()) for rel, text in layers.items()}, "notes": 10, "seq": 1}
+        layers = {**old.snapshot_layers(SCOPE, 1), **stale}
         log = root / "snapshots" / f"{SCOPE}.log"
-        log.write_bytes(canonical_json(header).encode() + b"\n" + "".join(layers[rel] for rel in sorted(layers)).encode())
+        log.write_bytes(_log_record(layers, notes=10, seq=1))
         first_record = log.stat().st_size
 
         fp = fingerprint(seasonal_instance)
@@ -975,7 +1050,7 @@ class TestRenderedViews:
         second_header = json.loads(log.read_bytes()[first_record:].split(b"\n", 1)[0])
         assert {rel: size for rel, size in second_header["layers"].items() if size is None} == dict.fromkeys(stale)
         assert store.snapshot_layers(SCOPE, 1) == layers
-        assert store.snapshot_layers(SCOPE, 2) == _held_layers(root, SCOPE)
+        assert store.snapshot_layers(SCOPE, 2) == _held_layers(store, SCOPE)
         reopened, expected = ExperienceStore(root).retrieve(SCOPE, fp), fresh.retrieve(SCOPE, fp)
         assert (reopened.skills_text, reopened.tool_notes) == (expected.skills_text, expected.tool_notes)
 
@@ -989,7 +1064,7 @@ class TestSnapshotLog:
             _commit_and_distill(store, [note])
             timeline = store.snapshot_timeline(SCOPE)
             if timeline and timeline[-1]["seq"] not in held:
-                held[timeline[-1]["seq"]] = _held_layers(tmp_path, SCOPE)
+                held[timeline[-1]["seq"]] = _held_layers(store, SCOPE)
                 retrieved[timeline[-1]["seq"]] = store.retrieve(SCOPE, fp)
         assert list(held) == [1, 2, 3, 4]
         rebuilt = {seq: store.snapshot_layers(SCOPE, seq) for seq in held}
@@ -1038,13 +1113,15 @@ class TestSnapshotLog:
         assert f"{log}: line {line}: dropped a torn last record" in caplog.text
         assert store.snapshot_timeline(SCOPE) == whole.snapshot_timeline(SCOPE)[:2]
         assert store.snapshot_layers(SCOPE, 2) == whole.snapshot_layers(SCOPE, 2)
+        # the torn record published nothing: its batch is pending again
+        assert store.memory_state(SCOPE).distilled_through == 20 and len(store.pending_notes(SCOPE)) == 10
         store.snapshot(SCOPE)
         assert log.read_bytes()[:last] == full[:last]
         caplog.clear()
         reopened = ExperienceStore(tmp_path / "whole")
         assert not caplog.text
         assert [entry["seq"] for entry in reopened.snapshot_timeline(SCOPE)] == [1, 2, 3]
-        assert reopened.snapshot_layers(SCOPE, 3) == _held_layers(tmp_path / "whole", SCOPE)
+        assert reopened.snapshot_layers(SCOPE, 3) == _held_layers(store, SCOPE)
 
     def test_bad_record_before_the_last_names_file_and_line(self, tmp_path):
         self._three_snapshots(tmp_path)
@@ -1055,32 +1132,36 @@ class TestSnapshotLog:
 
 
 class TestAtomicRewrites:
-    @staticmethod
-    def _fail_midway(monkeypatch):
-        real_write = Path.write_text
+    def test_a_failed_publish_keeps_the_previous_memory(self, tmp_path, monkeypatch):
+        notes = [_note(seq=None) for _ in range(10)] + [_note(seq=None, winner=("holt",), losers=()) for _ in range(10)]
+        _commit_and_distill(ExperienceStore(tmp_path / "whole"), notes)
+        store = ExperienceStore(tmp_path / "failed")
+        _commit_and_distill(store, notes[:10])
+        log = tmp_path / "failed" / "snapshots" / f"{SCOPE}.log"
+        before = log.read_bytes()
+        for note in notes[10:]:
+            store.commit_note(note)
+        append = AppendLog.append
 
-        def write_half_then_fail(path, text, *args, **kwargs):
-            real_write(path, text[: len(text) // 2], *args, **kwargs)
+        def write_half_then_fail(self, record):
+            if self.path != log:
+                return append(self, record)
+            with open(self.path, "ab") as fh:
+                fh.write(record[: len(record) // 2])
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-
-    def test_failed_memory_rewrite_keeps_previous_file(self, tmp_path, monkeypatch):
-        store = ExperienceStore(tmp_path)
-        _commit_and_distill(store, [_note(seq=None) for _ in range(10)])
-        memory_path = tmp_path / "memory" / f"{SCOPE}.json"
-        before = memory_path.read_text()
-        for _ in range(10):
-            store.commit_note(_note(seq=None, winner=("holt",), losers=()))
-        self._fail_midway(monkeypatch)
+        monkeypatch.setattr(AppendLog, "append", write_half_then_fail)
         with pytest.raises(OSError):
             store.maybe_trigger_distillation(SCOPE)
         monkeypatch.undo()
-        assert memory_path.read_text() == before
+        assert log.read_bytes().startswith(before) and log.read_bytes() != before  # a torn record
         assert store.memory_state(SCOPE).distilled_through == 10  # nothing published
         assert len(store.pending_notes(SCOPE)) == 10
-        assert ExperienceStore(tmp_path).memory_state(SCOPE).distilled_through == 10
+        assert ExperienceStore(tmp_path / "failed").memory_state(SCOPE).distilled_through == 10
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+        # the retry cuts the torn record off first
+        assert store.maybe_trigger_distillation(SCOPE) == ["notes_to_memory", "snapshot"]
+        assert log.read_bytes() == (tmp_path / "whole" / "snapshots" / f"{SCOPE}.log").read_bytes()
 
     def test_rewrites_leave_no_temp_files(self, tmp_path):
         store = ExperienceStore(tmp_path)
