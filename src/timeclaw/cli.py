@@ -29,7 +29,7 @@ from .orchestrator import (
     run_inference,
 )
 from .policy import policy_gateway
-from .registry import LEDGER_FILE, ToolRegistry, ToolUsageLedger, load_registry
+from .registry import ToolRegistry, load_registry
 from .replay import lint as lint_trace, replay as replay_trace
 from .store import ExperienceStore
 from .toolkit import builtin_toolkit
@@ -71,12 +71,12 @@ def _build_deps(
     registry_path: Optional[str] = None,
 ) -> EpisodeDeps:
     toolkit = builtin_toolkit()
-    ledger = ToolUsageLedger(store_root / LEDGER_FILE if store_root is not None else None)
+    store = ExperienceStore(store_root) if store_root is not None else None
+    ledger = store.ledger if store is not None else None
     if registry_path:
         registry = load_registry(Path(registry_path), ledger=ledger)
     else:
         registry = ToolRegistry(toolkit.descriptors(), ledger=ledger)
-    store = ExperienceStore(store_root) if store_root is not None else None
     return EpisodeDeps(
         registry=registry, toolkit=toolkit, gateway=gateway, store=store, trace_dir=trace_dir
     )
@@ -329,13 +329,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     try:
         store = ExperienceStore(store_root)
-        ledger = ToolUsageLedger(store_root / LEDGER_FILE)
     except (ContractError, LogError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     report = store.report()
     for scope in report:
-        report[scope]["entropy_history"] = ledger.entropy_history(scope)
+        report[scope]["entropy_history"] = store.ledger.entropy_history(scope)
     out = {"command": "report", "version": __version__, "scopes": report}
     text = json.dumps(out, indent=1, sort_keys=True)
     if args.out:

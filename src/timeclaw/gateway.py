@@ -35,6 +35,7 @@ from .util import canonical_json, write_atomic
 
 API_BASE_ENV = "TIMECLAW_API_BASE"
 API_KEY_ENV = "TIMECLAW_API_KEY"
+MAX_RETRY_WAIT_S = 30.0  # the longest a retry waits, whatever Retry-After asks
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,17 @@ class RecordingGateway(Gateway):
         write_atomic(Path(path), json.dumps(self.script, sort_keys=True, indent=1) + "\n")
 
 
+def _retry_after(resp: Any) -> float:
+    """A numeric ``Retry-After`` header's seconds; 0 for none or a date."""
+    try:
+        return float((getattr(resp, "headers", None) or {}).get("Retry-After", 0))
+    except (TypeError, ValueError):
+        return 0.0
+
+
 class RemoteGateway(Gateway):
-    """OpenAI-compatible chat-completions backend with bounded retry."""
+    """OpenAI-compatible chat-completions backend with bounded retry of a
+    connection error, a 5xx or a 429, waiting out a longer ``Retry-After``."""
 
     def __init__(
         self,
@@ -267,19 +277,20 @@ class RemoteGateway(Gateway):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Optional[str] = None
+        retry_after = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(min(max(self.backoff * (2 ** (attempt - 1)), retry_after), MAX_RETRY_WAIT_S))
             with self._slots:
                 try:
                     resp = self._session.post(
                         url, headers=headers, json=self._payload(exchange), timeout=self.timeout
                     )
                 except Exception as exc:
-                    last_error = str(exc)
+                    last_error, retry_after = str(exc), 0.0
                     continue
-            if resp.status_code >= 500:
-                last_error = f"server error {resp.status_code}"
+            if resp.status_code >= 500 or resp.status_code == 429:
+                last_error, retry_after = f"status {resp.status_code}", _retry_after(resp)
                 continue
             if resp.status_code >= 400:
                 raise GatewayError(f"gateway rejected the request: {resp.status_code} {resp.text[:200]}")

@@ -9,8 +9,8 @@ Exploration flow per instance:
        answer or hits the step cap
     4. valid candidates are evaluated against ground truth and the best one
        is selected (ties: shorter substantive chain, then lower slot)
-    5. the model must finish with a learning_summary; the outcome is handed
-       to the experience pipeline and tool usage is recorded to the ledger
+    5. the model must finish with a learning_summary; the outcome and the
+       tools the episode used are handed to the experience pipeline
 
 Branches and inference share one step loop, ``_step_loop``: gateway call ->
 tool invoke -> observation, over the per-run state of an ``_EpisodeRunner``
@@ -142,7 +142,8 @@ class EpisodeDeps:
     change while a run goes, so each distinct tool list its prompts declare
     is built once per run: the exploration list, one per distinct set of
     tools a branch sees, and the inference list. Threads that race to build
-    a list build equal ones."""
+    a list build equal ones. With a store, the registry must count into the
+    store's ledger, which holds the counts of the store's notes."""
 
     registry: ToolRegistry
     toolkit: Toolkit
@@ -153,11 +154,13 @@ class EpisodeDeps:
     _branch_tools: dict[frozenset[str], DeclaredTools] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.store is not None and self.registry.ledger is not self.store.ledger:
+            raise ContractError("a run with a store must build its registry on the store's ledger")
         self.traces = TraceLog(self.trace_dir) if self.trace_dir is not None else None
 
     def close(self) -> None:
-        """Release the descriptors of the run's logs: traces, store, ledger."""
-        for owner in (self.traces, self.store, self.registry.ledger):
+        """Release the descriptors of the run's logs: traces and store."""
+        for owner in (self.traces, self.store):
             if owner is not None:
                 owner.close()
 
@@ -800,9 +803,10 @@ def run_exploration_episode(
             },
         )
 
-    deps.registry.record_usage(instance.scope, runner.substantive_used)
     if deps.store is not None:
-        deps.store.record_episode(outcome, instance, runner.fp)
+        deps.store.record_episode(outcome, instance, runner.fp, runner.substantive_used)
+    else:
+        deps.registry.record_usage(instance.scope, runner.substantive_used)
     return outcome
 
 
@@ -977,7 +981,7 @@ def run_inference(
     fp: Optional[prompts.SampleFingerprint] = None,
 ) -> InferenceResult:
     """Solve one instance with reinjected experience and task-facing tools
-    only. No store writes, no ledger writes, no ground-truth access. ``fp``
+    only. No store writes, no usage counts, no ground-truth access. ``fp``
     as for run_exploration_episode."""
     view = replace(instance, ground_truth=None)
     runner = _EpisodeRunner(view, deps, fp=fp)

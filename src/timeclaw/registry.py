@@ -3,8 +3,8 @@ collapse diagnostics.
 
 The dropout rule anchors keep probabilities at the least-explored competing
 tool: keep(i) = ((1 + n_min) / (1 + n_i)) ** alpha, with protected tools
-bypassing dropout entirely. Usage counts only ever increase, and only via
-:meth:`ToolRegistry.record_usage`.
+bypassing dropout entirely. Usage counts only ever increase, and are kept
+in memory only: a store rebuilds them from its notes (:class:`ToolUsageLedger`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ContractError
-from .util import AppendLog, TornRecord, canonical_json, read_records, stable_rng
+from .util import stable_rng
 
 logger = logging.getLogger(__name__)
 
@@ -99,41 +99,19 @@ def keep_probability(n_i: int, n_min: int, alpha: float, protected: bool = False
     return ((1.0 + n_min) / (1.0 + n_i)) ** alpha
 
 
-# The ledger's log, relative to the store root.
-LEDGER_FILE = "ledger.jsonl"
-
-
-def _parse_ledger_line(data: bytes, pos: int) -> tuple[tuple[str, list[str]], int]:
-    end = data.find(b"\n", pos)
-    if end < 0:
-        raise TornRecord
-    entry = json.loads(data[pos:end])
-    return (entry["scope"], entry["tools"]), end + 1
-
-
 class ToolUsageLedger:
     """Per-scope tool invocation counts and the usage entropy after each
     update, so collapse can be audited over time.
 
-    Counts only increase. Each update appends one line to an append-only log,
-    through one descriptor opened at the first append and released by
-    :meth:`close`, and opening the ledger replays that log through the same
-    update, so a reopened ledger equals one that never closed, history
-    included. A torn last line is dropped on open and cut off by the next
-    append.
+    Counts only increase. The ledger writes nothing: a store's notes list
+    each episode's counted tools, and opening the store replays them through
+    :meth:`record` (see :class:`~timeclaw.store.ExperienceStore`).
     """
 
-    def __init__(self, path: Optional[Path] = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self) -> None:
         self._counts: dict[str, dict[str, int]] = {}
         self._history: dict[str, list[float]] = {}
         self._lock = threading.Lock()
-        self._log: Optional[AppendLog] = None
-        if self.path is not None:
-            entries, end = read_records(self.path, _parse_ledger_line)
-            self._log = AppendLog(self.path, end)
-            for scope, tools in entries:
-                self._apply_locked(scope, tools)
 
     def counts(self, scope: str) -> dict[str, int]:
         return dict(self._counts.get(scope, {}))
@@ -143,21 +121,10 @@ class ToolUsageLedger:
         if not tools:
             return
         with self._lock:
-            if self._log is not None:
-                self._log.append((canonical_json({"scope": scope, "tools": tools}) + "\n").encode())
-            self._apply_locked(scope, tools)
-
-    def close(self) -> None:
-        """Release the log's descriptor."""
-        with self._lock:
-            if self._log is not None:
-                self._log.close()
-
-    def _apply_locked(self, scope: str, tools: Sequence[str]) -> None:
-        bucket = self._counts.setdefault(scope, {})
-        for tool_id in tools:
-            bucket[tool_id] = bucket.get(tool_id, 0) + 1
-        self._history.setdefault(scope, []).append(self._entropy_locked(scope))
+            bucket = self._counts.setdefault(scope, {})
+            for tool_id in tools:
+                bucket[tool_id] = bucket.get(tool_id, 0) + 1
+            self._history.setdefault(scope, []).append(self._entropy_locked(scope))
 
     def entropy(self, scope: str) -> Optional[float]:
         """Natural-log Shannon entropy of the usage distribution; None when

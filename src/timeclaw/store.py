@@ -7,8 +7,9 @@ Layer roles:
 
 * Soul — static behavioral anchor, written once at store creation and never
   machine-edited afterwards; the only file the store writes whole.
-* Notes — append-only per-scope episode records; the distillation source,
-  never injected into prompts.
+* Notes — append-only per-scope episode records, one per episode: the
+  source of distillation and of the tool-usage counts, never injected into
+  prompts. A note without evaluation evidence is never distilled.
 * Memory — bounded structured rules (kind, applicability, preferred/avoided
   tools, evidence, confidence, injectable). Publishing a scope's memory
   appends one record to its snapshot log, and opening the store reads the
@@ -36,6 +37,7 @@ from typing import Any, Mapping, Optional, Sequence
 from .core import EpisodeOutcome, EvidenceClass, TaskInstance
 from .errors import ContractError
 from .prompts import SampleFingerprint, match, task_prompt
+from .registry import ToolUsageLedger
 from .util import (
     AppendLog, TornRecord, canonical_json, digest_obj, digest_text, json_dumps, read_records, write_atomic,
 )
@@ -135,6 +137,7 @@ class LearningNote:
     applicability: dict[str, Any]
     sensitive: tuple[str, ...] = ()  # scrubbed from the text on commit, never stored
     eval_evidence: bool = False
+    tools: tuple[str, ...] = ()  # substantive tools run without error, repeats included
     sequence: Optional[int] = None
 
     def note_ref(self) -> str:
@@ -205,6 +208,7 @@ def summarize_episode(
     outcome: EpisodeOutcome,
     instance: TaskInstance,
     fp: SampleFingerprint,
+    tools: Sequence[str] = (),
 ) -> LearningNote:
     """Build the sample-level learning record for one finished episode.
 
@@ -246,10 +250,12 @@ def summarize_episode(
         evidence_class=outcome.evidence_class.value,
         insight=outcome.learning_summary.insight,
         recommendation=outcome.learning_summary.recommendation,
-        trace_refs=(outcome.trace_path,) if outcome.trace_path else (),
+        # a file name, so store trees stay path-independent
+        trace_refs=(Path(outcome.trace_path).name,) if outcome.trace_path else (),
         applicability=chi,
         sensitive=tuple(outcome.sensitive),
         eval_evidence=outcome.eval_evidence,
+        tools=tuple(tools),
     )
 
 
@@ -469,6 +475,7 @@ _NOTE_FIELDS = (
     ("evidence_class", "evidence_class", '"failure"'),
     ("winner_tools", "winner_tools", "[]"),
     ("loser_tools", "loser_tools", "[]"),
+    ("tools", "tools", "[]"),
     ("applicability", "applicability", "{}"),
     ("metrics", "metrics", "{}"),
     ("trace", "trace_refs", "[]"),
@@ -480,18 +487,20 @@ _NOTE_FIELDS = (
 
 def _note_from_block(scope: str, seq: int, block: Mapping[str, str]) -> LearningNote:
     values = {attr: json.loads(block.get(key, missing)) for key, attr, missing in _NOTE_FIELDS}
-    for attr in ("winner_tools", "loser_tools", "trace_refs"):
+    for attr in ("winner_tools", "loser_tools", "tools", "trace_refs"):
         values[attr] = tuple(values[attr])
     return LearningNote(scope=scope, sequence=seq, **values)
 
 
-def _parse_note(
-    scope: str, decode_after: int, data: bytes, pos: int
-) -> tuple[tuple[int, Optional[LearningNote]], int]:
+# A notes shard's block: its number, its note when decoded, and its tools.
+_NoteRecord = tuple[int, Optional[LearningNote], list[str]]
+
+
+def _parse_note(scope: str, decode_after: int, data: bytes, pos: int) -> tuple[_NoteRecord, int]:
     """One block of a notes shard: an opening line, one ``key: value`` line
-    per field, and a closing line. Every block is framed, but only a block
-    numbered past ``decode_after`` is decoded into its note (None otherwise):
-    framing is all that a killed append can break."""
+    per field, and a closing line. Every block is framed and its ``tools``
+    decoded, but only a block numbered past ``decode_after`` is decoded into
+    its note (None otherwise): framing is all that a killed append can break."""
     end = data.find(b"\n", pos)
     if end < 0:
         raise TornRecord
@@ -500,25 +509,30 @@ def _parse_note(
         raise ValueError("expected a note's opening line")
     seq = int(opened[1])
     close = f"<!-- end note {seq} -->".encode()
-    block: Optional[dict[str, str]] = {} if seq > decode_after else None
+    decode = seq > decode_after
+    block: dict[str, str] = {}
     while True:
         pos, end = end + 1, data.find(b"\n", end + 1)
         if end < 0:
             raise TornRecord
         if data[pos:end] == close:
-            return (seq, None if block is None else _note_from_block(scope, seq, block)), end + 1
+            tools = json.loads(block.get("tools", "[]"))
+            if not (isinstance(tools, list) and all(isinstance(t, str) for t in tools)):
+                raise ValueError("a note's tools are not a list of names")
+            return (seq, _note_from_block(scope, seq, block) if decode else None, tools), end + 1
         key, value = data[pos:end].decode().split(": ", 1)
-        if block is not None:
+        if decode or key == "tools":
             block[key] = value
 
 
-def _read_notes(root: Path, scope: str, decode_after: int = 0) -> tuple[list[LearningNote], int, int]:
-    """The scope's notes numbered past ``decode_after``, the count of the
-    shard's whole blocks, and where the last one ends."""
+def _read_notes(root: Path, scope: str, decode_after: int = 0) -> tuple[list[_NoteRecord], int]:
+    """Each whole block of the scope's shard, as its sequence number, its
+    note when numbered past ``decode_after`` (None otherwise) and its tools,
+    and where the last one ends."""
     records, end = read_records(root / "notes" / f"{scope}.md", partial(_parse_note, scope, decode_after))
-    if [seq for seq, _ in records] != list(range(1, len(records) + 1)):
+    if [seq for seq, _, _ in records] != list(range(1, len(records) + 1)):
         raise ContractError(f"notes shard for {scope} has non-gapless sequences")
-    return [note for _, note in records if note is not None], len(records), end
+    return records, end
 
 
 def _parse_snapshot(data: bytes, pos: int) -> tuple[tuple[dict[str, Any], dict[str, Optional[str]]], int]:
@@ -663,15 +677,21 @@ class ExperienceStore:
     snapshot log: the last memory layer, with the cursor of any later cursor
     record. A ``memory/`` directory left by an older version is ignored.
 
+    ``ledger`` holds the tool-usage counts of the notes: each commit counts
+    its note's ``tools`` under the scope's lock, and opening replays them in
+    shard order. A ``ledger.jsonl`` left by an older version is ignored.
+
     Opening frames every block of each notes shard, with the torn-tail and
     bad-block checks of :func:`~timeclaw.util.iter_records` and gapless
-    numbering, but decodes only the blocks past the scope's
-    ``distilled_through``, its pending notes. :meth:`notes` decodes the
+    numbering, and decodes each block's ``tools``, but decodes whole only
+    the blocks past the scope's ``distilled_through``, its pending notes
+    when they hold evaluation evidence. :meth:`notes` decodes the
     shard in full, so a bad value inside a distilled note surfaces there.
     """
 
     def __init__(self, root: Path):
         self.root = Path(root)
+        self.ledger = ToolUsageLedger()
         self._scopes: dict[str, _Scope] = {}
         self._scopes_guard = threading.Lock()
         # Held to publish a scope's memory, so a retrieval memoizes only a
@@ -699,9 +719,11 @@ class ExperienceStore:
                 held.memory_text = json_dumps(held.memory.to_dict(), sort_keys=True) + "\n"
         for path in sorted((self.root / "notes").glob("*.md")):
             held = self._scope(path.stem)
-            held.pending, held.note_count, held.notes_log.end = _read_notes(
-                self.root, path.stem, held.memory.distilled_through
-            )
+            records, held.notes_log.end = _read_notes(self.root, path.stem, held.memory.distilled_through)
+            held.note_count = len(records)
+            held.pending = [note for _, note, _ in records if note is not None and note.eval_evidence]
+            for _, _, tools in records:
+                self.ledger.record(path.stem, tools)
 
     def _lay_out(self) -> None:
         """Write ``soul.md`` before the store's first write. Each log makes
@@ -752,17 +774,13 @@ class ExperienceStore:
 
     def notes(self, scope: str) -> list[LearningNote]:
         """Every committed note of the scope, parsed from its shard."""
-        return _read_notes(self.root, scope)[0]
+        return [note for _, note, _ in _read_notes(self.root, scope)[0]]
 
     def commit_note(self, note: LearningNote) -> LearningNote:
         """Append one note to its scope shard, its insight and recommendation
-        scrubbed of the note's sensitive strings, which are not stored. Only
-        episodes that produced evaluation evidence may commit. Returns the
-        note as stored."""
-        if not note.eval_evidence:
-            raise ContractError(
-                "a note is committed only when the trace contains evaluation evidence"
-            )
+        scrubbed of the note's sensitive strings, which are not stored, and
+        count its ``tools`` in :attr:`ledger`, under the scope's lock. Only a
+        note with evaluation evidence is distilled. Returns the note as stored."""
         note = replace(
             note,
             insight=_clean_text(note.insight, note.sensitive, note.instance_id),
@@ -781,9 +799,11 @@ class ExperienceStore:
             ]
             held.notes_log.append("\n".join(lines).encode())
             held.note_count = seq
+            self.ledger.record(note.scope, note.tools)
             # equal to the note a reopened store decodes from the block
             stored = replace(note, sequence=seq, sensitive=())
-            held.pending.append(stored)
+            if stored.eval_evidence:
+                held.pending.append(stored)
             return stored
 
     # -- distillation -----------------------------------------------------
@@ -839,20 +859,14 @@ class ExperienceStore:
             return ["notes_to_memory", "snapshot"] if changed else ["notes_to_memory"]
 
     def record_episode(
-        self, outcome: EpisodeOutcome, instance: TaskInstance, fp: SampleFingerprint
-    ) -> tuple[Optional[LearningNote], list[str]]:
-        """The episode handoff: summarize, commit when evidence-backed, and
-        run any due distillation. Failure episodes without evaluation
-        evidence are summarized but not committed."""
-        note = summarize_episode(outcome, instance, fp)
-        if note.trace_refs:
-            # keep only file names so store trees stay path-independent
-            note = replace(note, trace_refs=tuple(Path(t).name for t in note.trace_refs))
-        if not note.eval_evidence:
-            return None, []
-        committed = self.commit_note(note)
-        stages = self.maybe_trigger_distillation(note.scope)
-        return committed, stages
+        self, outcome: EpisodeOutcome, instance: TaskInstance, fp: SampleFingerprint, tools: Sequence[str]
+    ) -> tuple[LearningNote, list[str]]:
+        """The episode handoff: summarize the episode into one note that
+        lists ``tools``, the substantive tools it ran without error, commit
+        it, and run any due distillation. Every episode commits its note; one
+        without evaluation evidence is never distilled."""
+        note = self.commit_note(summarize_episode(outcome, instance, fp, tools))
+        return note, self.maybe_trigger_distillation(note.scope)
 
     # -- retrieval ----------------------------------------------------------
 

@@ -466,8 +466,8 @@ def test_c09_leakage_and_tool_exposure(e2e, tmp_path, report):
     eval_path = e2e / "corpus" / "eval.jsonl"
     instances = load_samples(eval_path, "evaluation").instances[:20]
     toolkit = builtin_toolkit()
-    registry = ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger())
     store = ExperienceStore(e2e / "store")
+    registry = ToolRegistry(toolkit.descriptors(), ledger=store.ledger)
 
     captured_prompts: list[str] = []
     inner = policy_gateway("inference")

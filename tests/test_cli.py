@@ -187,7 +187,7 @@ class TestExplore:
         monkeypatch.setattr(ExperienceStore, "commit_note", kept)
         root = _explore_mixed(tmp_path)
         assert sum(map(len, committed.values())) == 24
-        assert committed == {scope: store_module._read_notes(root, scope)[0] for scope in committed}
+        assert committed == {scope: ExperienceStore(root).notes(scope) for scope in committed}
 
     def test_a_run_builds_one_tool_list_per_distinct_tool_set(self, tmp_path, monkeypatch):
         """One DeclaredTools per distinct set a branch sees, plus the
@@ -231,7 +231,38 @@ class TestExplore:
         assert summary["instances"] == 12
         assert sum(summary["episodes"].values()) == 12
         assert (store / "notes" / "synth_forecast_short.md").exists()
-        assert (store / "ledger.jsonl").exists()
+        assert not (store / "ledger.jsonl").exists()
+        assert ExperienceStore(store).ledger.counts("synth_forecast_short")
+
+    def test_a_parallel_runs_reopened_store_counts_what_the_run_ended_with(self, corpus_dir, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "_build_deps", lambda *args: built.append(_build_deps(*args)) or built[-1])
+        store = tmp_path / "store"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a count outside the commit lock shows
+        try:
+            code = main(["explore", "--corpus", str(corpus_dir / "learning.jsonl"), "--store", str(store), "--parallel", "2"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        [deps] = built
+        reopened = ExperienceStore(store)
+        assert reopened.scopes() and all(deps.registry.ledger.counts(scope) for scope in reopened.scopes())
+        for scope in reopened.scopes():
+            assert reopened.ledger.counts(scope) == deps.registry.ledger.counts(scope)
+            assert reopened.ledger.entropy_history(scope) == deps.registry.ledger.entropy_history(scope)
+
+    def test_an_older_stores_ledger_file_is_ignored_and_left_as_found(self, corpus_dir, tmp_path):
+        old, fresh = tmp_path / "old" / "store", tmp_path / "fresh" / "store"
+        old.mkdir(parents=True)
+        found = b'{"scope":"synth_forecast_short","tools":["naive","naive"]}\n'
+        (old / "ledger.jsonl").write_bytes(found)
+        for store in (old, fresh):
+            assert main(["explore", "--corpus", str(corpus_dir / "learning.jsonl"), "--store", str(store)]) == 0
+        assert (old / "ledger.jsonl").read_bytes() == found
+        tree = TestTornLogs._tree(old)
+        del tree["ledger.jsonl"]
+        assert tree == TestTornLogs._tree(fresh)
 
     def test_parallel_exploration_keeps_store_consistent(self, corpus_dir, tmp_path):
         store = tmp_path / "store"
@@ -281,7 +312,7 @@ class TestExplore:
             assert reopened.memory_state(scope).distilled_through == len(notes)
         # no memory, card or skills file is stored; each scope's last
         # snapshot holds its final memory's content, so renders its views
-        assert {p.name for p in store.iterdir()} == {"soul.md", "notes", "snapshots", "traces", "ledger.jsonl"}
+        assert {p.name for p in store.iterdir()} == {"soul.md", "notes", "snapshots", "traces"}
         for scope in reopened.scopes():
             memory = reopened.memory_state(scope)
             snapshot = reopened.snapshot_layers(scope, len(reopened.snapshot_timeline(scope)))
@@ -786,7 +817,7 @@ class TestTornLogs:
     power cut mid-append) still opens; a bad record before the tail is an
     error that names the file and the line."""
 
-    LOGS = ("ledger.jsonl", "snapshots/synth_forecast_short.log")
+    LOGS = ("notes/synth_forecast_short.md", "snapshots/synth_forecast_short.log")
 
     @staticmethod
     def _explore(corpus_dir, store):

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from timeclaw import gateway as gateway_module
 from timeclaw.errors import ContractError, GatewayError, ScriptMissError, ToolCallParseError
 from timeclaw.gateway import (
     AssistantReply,
@@ -246,12 +247,19 @@ class TestRemoteReplyShape:
 
 class _Flaky(BaseHTTPRequestHandler):
     calls = 0
-    mode = "retry"  # retry | bad_tool_json | not_json
+    mode = "retry"  # retry | 429 | bad_tool_json | not_json
+    throttled = 1  # in mode 429: how many calls get a 429 before a 200
 
     def do_POST(self):
         type(self).calls += 1
         if type(self).mode == "retry" and type(self).calls == 1:
             self.send_response(500)
+            self.end_headers()
+            return
+        if type(self).mode == "429" and type(self).calls <= type(self).throttled:
+            self.send_response(429)
+            self.send_header("Retry-After", "0")
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         if type(self).mode == "not_json":
@@ -289,6 +297,7 @@ def stub_server():
     thread.start()
     _Flaky.calls = 0
     _Flaky.mode = "retry"
+    _Flaky.throttled = 1
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
@@ -301,6 +310,41 @@ class TestRemoteGateway:
         assert reply.content == "remote says hi"
         assert _Flaky.calls == 2
         assert reply.usage == {"prompt_tokens": 7, "completion_tokens": 3}
+
+    def test_a_429_is_retried_then_succeeds(self, stub_server):
+        _Flaky.mode = "429"
+        gw = RemoteGateway(base_url=stub_server, api_key="k", backoff=0.01)
+        assert gw.complete(_exchange("hi")).content == "remote says hi"
+        assert _Flaky.calls == 2
+
+    def test_a_run_of_429s_is_a_gateway_error(self, stub_server):
+        _Flaky.mode, _Flaky.throttled = "429", 99
+        gw = RemoteGateway(base_url=stub_server, api_key="k", max_retries=2, backoff=0.01)
+        with pytest.raises(GatewayError, match="after 3 attempts: status 429"):
+            gw.complete(_exchange("hi"))
+        assert _Flaky.calls == 3
+
+    @pytest.mark.parametrize(
+        "headers, waits",
+        [
+            ({"Retry-After": "3"}, [3.0, 3.0]),
+            ({"Retry-After": "0"}, [1.0, 2.0]),
+            ({"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, [1.0, 2.0]),
+            ({"Retry-After": "1e9"}, [1e9, 1e9]),
+            (None, [1.0, 2.0]),
+        ],
+        ids=["seconds", "zero", "a-date", "capped", "no-headers"],
+    )
+    def test_a_429_waits_the_longer_of_backoff_and_retry_after(self, monkeypatch, headers, waits):
+        response = SimpleNamespace(status_code=429, text="")
+        if headers is not None:
+            response.headers = headers
+        slept = []
+        monkeypatch.setattr(gateway_module, "time", SimpleNamespace(sleep=slept.append))
+        gw = RemoteGateway(base_url="http://stub", session=SimpleNamespace(post=lambda *_a, **_k: response), backoff=1.0)
+        with pytest.raises(GatewayError, match="status 429"):
+            gw.complete(_exchange("hi"))
+        assert slept == [min(wait, gateway_module.MAX_RETRY_WAIT_S) for wait in waits]
 
     def test_malformed_tool_json_is_parse_error(self, stub_server):
         _Flaky.mode = "bad_tool_json"

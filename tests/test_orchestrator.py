@@ -57,8 +57,8 @@ def _instance(series=None, horizon=3, gt=None, task_type=TaskType.FORECAST, labe
 
 def _deps(tmp_path, gateway, with_store=True):
     toolkit = builtin_toolkit()
-    registry = ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger(tmp_path / "ledger.json"))
     store = ExperienceStore(tmp_path / "store") if with_store else None
+    registry = ToolRegistry(toolkit.descriptors(), ledger=store.ledger if store is not None else None)
     return EpisodeDeps(
         registry=registry,
         toolkit=toolkit,
@@ -140,12 +140,23 @@ class TestEpisodeOutcomes:
         assert outcome.winner is None
         assert not outcome.eval_evidence
 
-    def test_failure_episode_commits_no_note(self, tmp_path):
+    @pytest.mark.parametrize(
+        "branches, evaluate, tools",
+        [
+            ({0: (None, "bad"), 1: (None, "also bad")}, True, {}),
+            ({0: ("naive", [13.0] * 3), 1: ("drift", [14.0] * 3)}, False, {"naive": 1, "drift": 1}),
+        ],
+        ids=["failure", "unevaluated"],
+    )
+    def test_an_episode_without_eval_evidence_commits_a_note_never_distilled(self, tmp_path, branches, evaluate, tools):
         inst = _instance(gt=[13.0, 13.0, 13.0])
-        gw = _scripted_branch_policy({0: (None, "bad"), 1: (None, "also bad")})
-        deps = _deps(tmp_path, gw)
-        run_exploration_episode(inst, ExplorationConfig(seed=3), deps)
-        assert deps.store.notes(inst.scope) == []
+        deps = _deps(tmp_path, _scripted_branch_policy(branches, evaluate=evaluate))
+        assert not run_exploration_episode(inst, ExplorationConfig(seed=3), deps).eval_evidence
+        [note] = deps.store.notes(inst.scope)
+        assert not note.eval_evidence and sorted(note.tools) == sorted(tools)
+        reopened = ExperienceStore(tmp_path / "store")
+        assert deps.store.pending_notes(inst.scope) == reopened.pending_notes(inst.scope) == []
+        assert reopened.ledger.counts(inst.scope) == deps.registry.ledger.counts(inst.scope) == tools
 
     def test_winner_quality_is_exact_argmax(self, tmp_path):
         inst = _instance(gt=[13.0, 13.0, 13.0])
@@ -628,11 +639,12 @@ class TestReinjectOncePerMemory:
 
         def deps(trace_dir):
             toolkit = builtin_toolkit()
+            store = ExperienceStore(tmp_path / "explore" / "store")
             return EpisodeDeps(
-                registry=ToolRegistry(toolkit.descriptors()),
+                registry=ToolRegistry(toolkit.descriptors(), ledger=store.ledger),
                 toolkit=toolkit,
                 gateway=PolicyGateway(spy),
-                store=ExperienceStore(tmp_path / "explore" / "store"),
+                store=store,
                 trace_dir=trace_dir,
             )
 
@@ -709,6 +721,53 @@ class TestTraceLog:
             if n == 1:
                 log.close()  # the next append opens the log again, where it ended
         log.close()
+
+    # a tool call's arguments that spell an outcome event's envelope
+    OUTCOME_ARGS = {"kind": "outcome", "payload": {}}
+
+    @classmethod
+    def _explore(cls, tmp_path, monkeypatch, n):
+        """One episode, run by a fresh EpisodeDeps, so its trace log is framed
+        anew: an explore onto the log the earlier ones left. Branch 0 first
+        calls a tool with OUTCOME_ARGS."""
+
+        def branch_fn(slot, exchange):
+            if slot == 0 and exchange.messages[-1].role == "user":
+                return AssistantReply(content="", tool_calls=(ToolCallRequest(tool="naive", args=cls.OUTCOME_ARGS),))
+            return _forecast_reply([13.0 + slot] * 3)
+
+        deps = _deps(tmp_path, _branch_loop_policy(branch_fn))
+        monkeypatch.setattr(deps.registry, "sample_visible_subset", lambda *a, **k: frozenset({"naive", "drift"}))
+        try:
+            run_exploration_episode(_instance(gt=[13.0] * 3, iid=f"e{n}"), ExplorationConfig(seed=n), deps)
+        finally:
+            deps.close()
+        return tmp_path / "traces" / "synth_forecast_short.jsonl"
+
+    def test_a_block_whose_arguments_spell_an_outcome_reads_back_whole(self, tmp_path, monkeypatch):
+        path = self._explore(tmp_path, monkeypatch, 1)
+        first = path.read_bytes()
+        assert b'"args":{"kind":"outcome","payload":{}}' in first
+        [block] = read_trace(path)
+        self._explore(tmp_path, monkeypatch, 2)
+        assert path.read_bytes().startswith(first)
+        blocks = list(read_trace(path))
+        assert blocks[0] == block and [b.header["episode"] for b in blocks] == ["e1", "e2"]
+
+    def test_a_block_cut_before_its_outcome_line_is_dropped_then_cut_off(self, tmp_path, monkeypatch, caplog):
+        path = self._explore(tmp_path, monkeypatch, 1)
+        kept = path.read_bytes()
+        full = self._explore(tmp_path, monkeypatch, 2).read_bytes()
+        cut = full[: full.rindex(b"\n", 0, len(full) - 1) + 1]
+        assert json.loads(full[len(cut) :])["kind"] == "outcome"
+        path.write_bytes(cut)
+        line = kept.count(b"\n") + 1
+        self._explore(tmp_path, monkeypatch, 3)
+        assert f"{path}: line {line}: dropped a torn last record" in caplog.text
+        assert path.read_bytes().startswith(kept)
+        caplog.clear()
+        assert [b.header["episode"] for b in read_trace(path)] == ["e1", "e3"]
+        assert not caplog.text
 
 
 class TestToolListsPerRun:

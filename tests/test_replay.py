@@ -34,11 +34,12 @@ def _instance(gt=(13.0, 13.0, 13.0)):
 @pytest.fixture
 def exploration_trace(tmp_path):
     toolkit = builtin_toolkit()
+    store = ExperienceStore(tmp_path / "store")
     deps = EpisodeDeps(
-        registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger()),
+        registry=ToolRegistry(toolkit.descriptors(), ledger=store.ledger),
         toolkit=toolkit,
         gateway=policy_gateway("exploration"),
-        store=ExperienceStore(tmp_path / "store"),
+        store=store,
         trace_dir=tmp_path / "traces",
     )
     outcome = run_exploration_episode(_instance(), ExplorationConfig(seed=4), deps)

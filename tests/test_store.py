@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import random
 import re
 import sys
 import threading
@@ -22,7 +24,6 @@ from timeclaw.errors import ContractError, LogError
 from timeclaw.gateway import DeclaredTools
 from timeclaw.prompts import build_inference_prompt, fingerprint, render_memory_rules
 from timeclaw import store as store_module
-from timeclaw.registry import ToolUsageLedger
 from timeclaw.store import (
     CONFIDENCE_INIT,
     DEFAULT_SOUL,
@@ -52,6 +53,8 @@ def _note(
     recommendation="prefer seasonal_naive",
     sensitive=(),
     scope=SCOPE,
+    tools=(),
+    eval_evidence=True,
 ):
     return LearningNote(
         scope=scope,
@@ -66,7 +69,8 @@ def _note(
         trace_refs=(),
         applicability=chi or {"task_subtype": "forecast", "seasonal": True},
         sensitive=tuple(sensitive),
-        eval_evidence=True,
+        eval_evidence=eval_evidence,
+        tools=tuple(tools),
         sequence=seq,
     )
 
@@ -379,12 +383,12 @@ class TestStoreNotes:
         notes = store.notes(SCOPE)
         assert [n.sequence for n in notes] == [1, 2, 3]
 
-    def test_commit_requires_eval_evidence(self, tmp_path):
+    def test_a_note_without_eval_evidence_is_committed_marked_and_never_pending(self, tmp_path):
         store = ExperienceStore(tmp_path)
-        bad = _note()
-        bad.eval_evidence = False
-        with pytest.raises(ContractError):
-            store.commit_note(bad)
+        committed = store.commit_note(_note(seq=None, eval_evidence=False))
+        assert store.notes(SCOPE) == [committed] and not committed.eval_evidence
+        assert "eval_evidence: false" in (tmp_path / "notes" / f"{SCOPE}.md").read_text()
+        assert store.pending_notes(SCOPE) == ExperienceStore(tmp_path).pending_notes(SCOPE) == []
 
     def test_committed_notes_are_never_mutated(self, tmp_path):
         store = ExperienceStore(tmp_path)
@@ -1165,14 +1169,118 @@ class TestAtomicRewrites:
 
     def test_rewrites_leave_no_temp_files(self, tmp_path):
         store = ExperienceStore(tmp_path)
-        ledger = ToolUsageLedger(tmp_path / "ledger.jsonl")
         for _ in range(10):
-            store.commit_note(_note(seq=None))
-            ledger.record(SCOPE, ["seasonal_naive"])
+            store.commit_note(_note(seq=None, tools=("seasonal_naive",)))
         assert store.maybe_trigger_distillation(SCOPE)
         assert (tmp_path / "snapshots" / f"{SCOPE}.log").exists()
-        assert (tmp_path / "ledger.jsonl").exists()
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+class TestToolUsageLedger:
+    """The store's tool-usage ledger: each commit counts its note's tools,
+    and a reopened store replays every note's tools, in shard order."""
+
+    RECORDS = [("s", ["a", "b"]), ("s", ["a"]), ("s", ["c", "a"])]
+
+    @staticmethod
+    def _commit(store, records, **note_fields):
+        for scope, used in records:
+            store.commit_note(_note(seq=None, scope=scope, tools=used, **note_fields))
+            store.maybe_trigger_distillation(scope)
+
+    def _written(self, root, records):
+        self._commit(ExperienceStore(root), records)
+        return (root / "notes" / "s.md").read_bytes()
+
+    def test_round_trip_exactly(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        self._commit(store, [("s1", ["a", "b", "b"]), ("s2", ["c"])])
+        reloaded = ExperienceStore(tmp_path)
+        assert reloaded.ledger.counts("s1") == {"a": 1, "b": 2}
+        assert reloaded.ledger.counts("s2") == {"c": 1}
+        assert reloaded.ledger.entropy_history("s1") == store.ledger.entropy_history("s1")
+
+    def test_a_committed_note_is_counted_by_a_fresh_store(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        self._commit(store, [("s", ["a", "b", "a"])])
+        assert ExperienceStore(tmp_path).ledger.counts("s") == {"a": 2, "b": 1}
+        self._commit(store, [("s", ["b"])])
+        assert ExperienceStore(tmp_path).ledger.counts("s") == {"a": 2, "b": 2}
+        store.close()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reopened_ledger_matches_one_that_never_closed(self, tmp_path, seed):
+        # 24 notes over two scopes, so a batch distils on either side of the
+        # cut: a distilled note's tools are replayed too
+        rng = random.Random(seed)
+        tools = ["t5", "t3", "t0", "t4", "t1", "t2"]
+        records = [
+            (rng.choice(["s1", "s2"]), [rng.choice(tools) for _ in range(rng.randint(1, 3))])
+            for _ in range(24)
+        ]
+        whole = ExperienceStore(tmp_path / "whole")
+        self._commit(whole, records)
+        cut = rng.randint(1, len(records) - 1)
+        self._commit(ExperienceStore(tmp_path / "split"), records[:cut])
+        split = ExperienceStore(tmp_path / "split")
+        self._commit(split, records[cut:])
+        reopened = ExperienceStore(tmp_path / "split")
+        for store in (split, reopened):
+            for scope in ("s1", "s2"):
+                assert store.ledger.counts(scope) == whole.ledger.counts(scope)
+                assert store.ledger.entropy_history(scope) == whole.ledger.entropy_history(scope)
+
+    def test_a_note_lists_its_tools_and_one_with_none_counts_nothing(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        self._commit(store, [("s", ["b", "a"]), ("s", []), ("t", ["a"])])
+        assert re.findall(r"^tools: .*$", (tmp_path / "notes" / "s.md").read_text(), re.M) == [
+            'tools: ["b", "a"]',
+            "tools: []",
+        ]
+        assert ExperienceStore(tmp_path).ledger.entropy_history("s") == store.ledger.entropy_history("s") == [math.log(2)]
+
+    @pytest.mark.parametrize("cut", [1, 10, 24])
+    def test_torn_last_note_is_dropped_then_cut_off(self, tmp_path, caplog, cut):
+        full = self._written(tmp_path / "full", self.RECORDS)
+        shard = tmp_path / "notes" / "s.md"
+        shard.parent.mkdir()
+        shard.write_bytes(full[:-cut])
+        store = ExperienceStore(tmp_path)
+        line = full.count(b"\n", 0, full.index(b"<!-- note 3 -->")) + 1
+        assert f"{shard}: line {line}: dropped a torn last record" in caplog.text
+        assert shard.read_bytes() == full[:-cut]  # opening writes nothing
+        assert store.ledger.counts("s") == {"a": 2, "b": 1}
+        assert store.ledger.entropy_history("s") == ExperienceStore(tmp_path / "full").ledger.entropy_history("s")[:2]
+        self._commit(store, [("s", ["d"])])
+        assert shard.read_bytes() == self._written(tmp_path / "ref", [*self.RECORDS[:2], ("s", ["d"])])
+
+    @pytest.mark.parametrize("bad", [b'tools: ["a"', b'tools: "a"', b"tools: [1]"])
+    def test_bad_tools_before_the_last_note_name_file_and_line(self, tmp_path, bad):
+        # note 2 of 12 is distilled, so open decodes only its tools
+        full = self._written(tmp_path, [("s", ["a"])] * 12)
+        shard = tmp_path / "notes" / "s.md"
+        second = full.index(b"<!-- note 2 -->")
+        tools = full.index(b'tools: ["a"]', second)
+        shard.write_bytes(full[:tools] + bad + full[tools + len(b'tools: ["a"]') :])
+        line = full.count(b"\n", 0, second) + 1
+        with pytest.raises(LogError, match=re.escape(f"{shard}: line {line}: bad record")):
+            ExperienceStore(tmp_path)
+
+    def test_notes_without_evaluation_evidence_count_and_leave_batches_at_every_tenth_evidence_note(self, tmp_path):
+        store = ExperienceStore(tmp_path)
+        fired = []
+        for i in range(25):
+            store.commit_note(_note(seq=None, tools=("a",), eval_evidence=False))
+            store.commit_note(_note(seq=None, winner=(f"tool_{i % 3}",), tools=("b",)))
+            fired.append(bool(store.maybe_trigger_distillation(SCOPE)))
+        assert [i + 1 for i, f in enumerate(fired) if f] == [10, 20]
+        assert all(n.eval_evidence for n in store.pending_notes(SCOPE))
+        assert len(store.pending_notes(SCOPE)) == 5
+        reopened = ExperienceStore(tmp_path)
+        assert reopened.pending_notes(SCOPE) == store.pending_notes(SCOPE)
+        assert reopened.ledger.counts(SCOPE) == store.ledger.counts(SCOPE) == {"a": 25, "b": 25}
+        evidence = [n.note_ref() for n in store.notes(SCOPE) if n.eval_evidence]
+        assert {ref for r in store.memory_state(SCOPE).rules for ref in r.evidence} <= set(evidence)
 
 
 class TestTreeDigest:
