@@ -29,7 +29,6 @@ from .orchestrator import (
     run_inference,
 )
 from .policy import policy_gateway
-from .registry import ToolRegistry, load_registry
 from .replay import lint as lint_trace, replay as replay_trace
 from .store import ExperienceStore
 from .toolkit import builtin_toolkit
@@ -64,22 +63,9 @@ def _save_recorded_script(gateway: Gateway, args: argparse.Namespace) -> None:
         gateway.save(Path(args.record_script))
 
 
-def _build_deps(
-    store_root: Optional[Path],
-    trace_dir: Optional[Path],
-    gateway: Gateway,
-    registry_path: Optional[str] = None,
-) -> EpisodeDeps:
-    toolkit = builtin_toolkit()
+def _build_deps(store_root: Optional[Path], trace_dir: Optional[Path], gateway: Gateway) -> EpisodeDeps:
     store = ExperienceStore(store_root) if store_root is not None else None
-    ledger = store.ledger if store is not None else None
-    if registry_path:
-        registry = load_registry(Path(registry_path), ledger=ledger)
-    else:
-        registry = ToolRegistry(toolkit.descriptors(), ledger=ledger)
-    return EpisodeDeps(
-        registry=registry, toolkit=toolkit, gateway=gateway, store=store, trace_dir=trace_dir
-    )
+    return EpisodeDeps(toolkit=builtin_toolkit(), gateway=gateway, store=store, trace_dir=trace_dir)
 
 
 def _write_summary(out_dir: Path, name: str, summary: dict[str, Any]) -> Path:
@@ -101,7 +87,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         )
         load = corpus_mod.load_samples(Path(args.corpus), role="learning")
         gateway = _build_gateway(args, policy="exploration")
-        deps = _build_deps(store_root, trace_dir, gateway, args.registry)
+        deps = _build_deps(store_root, trace_dir, gateway)
     except (CorpusError, ContractError, LogError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -180,7 +166,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     try:
         load = corpus_mod.load_samples(Path(args.corpus), role="evaluation")
         gateway = _build_gateway(args, policy="inference")
-        deps = _build_deps(store_root, trace_dir, gateway, args.registry)
+        deps = _build_deps(store_root, trace_dir, gateway)
     except (CorpusError, ContractError, LogError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -412,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="run exploration episodes over a learning corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--store", required=True)
-    p.add_argument("--registry", help="tool registry JSON (default: built-in toolkit)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=1.0, help="dropout strength (> 0)")
     p.add_argument("--branch-slots", type=int, default=2)
@@ -426,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="run inference with reinjected experience")
     p.add_argument("--corpus", required=True)
     p.add_argument("--store", help="experience store root (absent store = noexp ablation)")
-    p.add_argument("--registry")
     p.add_argument("--max-steps", type=int, default=6)
     p.add_argument("--trace-dir")
     p.add_argument("--out", required=True, help="predictions JSONL path; infer_summary.json and traces_infer/ go beside it")

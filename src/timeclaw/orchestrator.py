@@ -138,24 +138,24 @@ class ExplorationConfig:
 
 @dataclass
 class EpisodeDeps:
-    """What the episodes of one run share. The registry and toolkit do not
-    change while a run goes, so each distinct tool list its prompts declare
-    is built once per run: the exploration list, one per distinct set of
-    tools a branch sees, and the inference list. Threads that race to build
-    a list build equal ones. With a store, the registry must count into the
-    store's ledger, which holds the counts of the store's notes."""
+    """What the episodes of one run share. The toolkit is the run's one tool
+    catalog: the registry that runs dropout is built from its descriptors.
+    Neither changes while a run goes, so each distinct tool list its prompts
+    declare is built once per run: the exploration list, one per distinct
+    set of tools a branch sees, and the inference list. Threads that race to
+    build a list build equal ones. The store, when there is one, holds the
+    usage counts that dropout reads; a run without a store counts nothing."""
 
-    registry: ToolRegistry
     toolkit: Toolkit
     gateway: Gateway
     store: Optional[ExperienceStore] = None
     trace_dir: Optional[Path] = None
+    registry: ToolRegistry = field(init=False, repr=False)
     traces: Optional[TraceLog] = field(init=False, repr=False)  # the logs under trace_dir
     _branch_tools: dict[frozenset[str], DeclaredTools] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.store is not None and self.registry.ledger is not self.store.ledger:
-            raise ContractError("a run with a store must build its registry on the store's ledger")
+        self.registry = ToolRegistry(self.toolkit.descriptors())
         self.traces = TraceLog(self.trace_dir) if self.trace_dir is not None else None
 
     def close(self) -> None:
@@ -165,7 +165,7 @@ class EpisodeDeps:
                 owner.close()
 
     def _declared(self, tools: Sequence[str]) -> DeclaredTools:
-        return DeclaredTools([self.toolkit.tool_schema(t) for t in tools if self.toolkit.has(t)])
+        return DeclaredTools([self.toolkit.tool_schema(t) for t in tools])
 
     @cached_property
     def exploration_tools(self) -> DeclaredTools:
@@ -182,7 +182,7 @@ class EpisodeDeps:
     @cached_property
     def inference_tools(self) -> tuple[frozenset[str], DeclaredTools]:
         """The tools inference exposes, and the list it declares."""
-        visible = [t for t in self.registry.inference_visible() if self.toolkit.has(t)]
+        visible = self.registry.inference_visible()
         return frozenset(visible), self._declared(visible)
 
 
@@ -353,9 +353,8 @@ _HINT_CATEGORY_ORDER = {
 
 
 def _rank_hints(
-    instance: TaskInstance, registry: ToolRegistry, visible: Sequence[str]
+    instance: TaskInstance, registry: ToolRegistry, counts: Mapping[str, int], visible: Sequence[str]
 ) -> list[str]:
-    counts = registry.ledger.counts(instance.scope)
     order = _HINT_CATEGORY_ORDER[instance.task_type]
 
     def key(tool_id: str) -> tuple[int, int, str]:
@@ -372,10 +371,12 @@ def assign_branch_slots(
     config: ExplorationConfig,
     prior_exists: bool,
     registry: ToolRegistry,
+    counts: Mapping[str, int],
     selection: Optional[Selection],
     episode_seed: int,
 ) -> list[BranchSlot]:
-    """Per-slot goals and tool hints drawn from slot-local visible subsets.
+    """Per-slot goals and tool hints drawn from slot-local visible subsets,
+    dropout and hint ranking both reading the scope's usage ``counts``.
 
     With prior experience, slot 0 is prior-guided (hinted at the top
     remembered tool, which is force-included in its subset) and slot 1 is the
@@ -391,14 +392,14 @@ def assign_branch_slots(
     for s in range(config.branch_slots):
         extra = (prior_tool,) if (s == 0 and prior_tool) else ()
         visible = registry.sample_visible_subset(
-            instance.scope, s, episode_seed, config.alpha, extra_protected=extra
+            counts, instance.scope, s, episode_seed, config.alpha, extra_protected=extra
         )
         prior_guided = s == 0 and prior_tool is not None
         alternative = s == 1 and prior_tool is not None
         if prior_guided:
             hint = prior_tool
         else:
-            ranked = [t for t in _rank_hints(instance, registry, sorted(visible)) if t not in used_hints]
+            ranked = [t for t in _rank_hints(instance, registry, counts, sorted(visible)) if t not in used_hints]
             if alternative:
                 ranked = [t for t in ranked if t != prior_tool] or ranked
             hint = ranked[0] if ranked else sorted(visible)[0]
@@ -660,8 +661,9 @@ def run_exploration_episode(
     runner = _EpisodeRunner(instance, deps, config, fp)
     with runner.trace:
         episode_seed = stable_seed(config.seed, instance.id)
+        counts = deps.store.ledger.counts(instance.scope) if deps.store is not None else {}
         slots = assign_branch_slots(
-            instance, config, runner.prior_exists, deps.registry, runner.selection, episode_seed
+            instance, config, runner.prior_exists, deps.registry, counts, runner.selection, episode_seed
         )
         bundle = prompts.build_exploration_prompt(
             instance,
@@ -805,8 +807,6 @@ def run_exploration_episode(
 
     if deps.store is not None:
         deps.store.record_episode(outcome, instance, runner.fp, runner.substantive_used)
-    else:
-        deps.registry.record_usage(instance.scope, runner.substantive_used)
     return outcome
 
 

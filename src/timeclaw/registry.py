@@ -3,28 +3,23 @@ collapse diagnostics.
 
 The dropout rule anchors keep probabilities at the least-explored competing
 tool: keep(i) = ((1 + n_min) / (1 + n_i)) ** alpha, with protected tools
-bypassing dropout entirely. Usage counts only ever increase, and are kept
-in memory only: a store rebuilds them from its notes (:class:`ToolUsageLedger`).
+bypassing dropout entirely. The registry keeps no counts: each caller hands
+dropout a scope's counts. A run's counts are its store's, rebuilt from the
+notes into a :class:`ToolUsageLedger`, so a run without a store counts
+nothing.
 """
 
 from __future__ import annotations
 
 import enum
 import fnmatch
-import json
-import logging
 import math
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ContractError
 from .util import stable_rng
-
-logger = logging.getLogger(__name__)
-
-UNKNOWN_TOOL_BUCKET = "unknown"
 
 
 class ToolCategory(str, enum.Enum):
@@ -65,25 +60,6 @@ class ToolDescriptor:
 
     def protected_for(self, scope: str) -> bool:
         return any(fnmatch.fnmatchcase(scope, pat) for pat in self.protected_in)
-
-
-def descriptor_from_dict(data: Mapping[str, Any]) -> ToolDescriptor:
-    args = {
-        name: ArgSpec(
-            type=spec.get("type", "string"),
-            required=bool(spec.get("required", False)),
-            default=spec.get("default"),
-            description=spec.get("description", ""),
-        )
-        for name, spec in data.get("args", {}).items()
-    }
-    return ToolDescriptor(
-        tool_id=data["tool_id"],
-        category=ToolCategory(data["category"]),
-        arg_schema=args,
-        protected_in=tuple(data.get("protected_in", ())),
-        description=data.get("description", ""),
-    )
 
 
 def keep_probability(n_i: int, n_min: int, alpha: float, protected: bool = False) -> float:
@@ -164,16 +140,16 @@ MIN_SURVIVING_COMPETITORS = 2
 
 
 class ToolRegistry:
-    """Descriptor catalog plus the usage ledger that drives dropout."""
+    """Descriptor catalog and the dropout over it. It holds no usage counts:
+    :meth:`sample_visible_subset` takes the scope's counts from its caller."""
 
-    def __init__(self, descriptors: Iterable[ToolDescriptor], ledger: Optional[ToolUsageLedger] = None):
+    def __init__(self, descriptors: Iterable[ToolDescriptor]):
         self._tools: dict[str, ToolDescriptor] = {}
         # per scope, the dropout set-up that depends on the descriptors alone:
         # the tools protected there, and the competing sets in category order
         self._dropout: dict[str, tuple[frozenset[str], tuple[tuple[str, ...], ...]]] = {}
         for d in descriptors:
             self.add(d)
-        self.ledger = ledger if ledger is not None else ToolUsageLedger()
 
     def add(self, descriptor: ToolDescriptor) -> None:
         if descriptor.tool_id in self._tools:
@@ -211,6 +187,7 @@ class ToolRegistry:
 
     def sample_visible_subset(
         self,
+        counts: Mapping[str, int],
         scope: str,
         slot: int,
         seed: int,
@@ -219,13 +196,14 @@ class ToolRegistry:
     ) -> frozenset[str]:
         """Slot-local visible substantive tool subset for one branch.
 
-        Pure function of (ledger snapshot, scope, slot, seed, alpha): each
-        non-protected competing tool survives an independent Bernoulli draw
-        with its keep probability; protected and explicitly hinted tools are
-        always included; at least MIN_SURVIVING_COMPETITORS non-protected
-        competitors are force-included, lowest usage counts first.
+        Pure function of (counts, scope, slot, seed, alpha), where
+        ``counts`` are the scope's usage counts by tool id (a tool missing
+        from them counts 0): each non-protected competing tool survives an
+        independent Bernoulli draw with its keep probability; protected and
+        explicitly hinted tools are always included; at least
+        MIN_SURVIVING_COMPETITORS non-protected competitors are
+        force-included, lowest usage counts first.
         """
-        counts = self.ledger.counts(scope)
         rng = stable_rng("visible", seed, scope, slot)
         scope_protected, groups = self._dropout_setup(scope)
         hinted = {t for t in extra_protected if (d := self._tools.get(t)) is not None and d.substantive}
@@ -276,30 +254,3 @@ class ToolRegistry:
         for episode_tools in prefix_traces:
             used.update(episode_tools)
         return len(used & universe) / len(universe)
-
-    def usage_entropy(self, scope: str) -> Optional[float]:
-        return self.ledger.entropy(scope)
-
-    def top_k_share(self, scope: str, k: int) -> Optional[float]:
-        return self.ledger.top_k_share(scope, k)
-
-    def record_usage(self, scope: str, tools_used: Iterable[str]) -> None:
-        """Count substantive tool usage from a finalized episode trace.
-
-        Exploration-only and orchestration tools are never counted; unknown
-        ids land in an audit bucket instead of crashing the run.
-        """
-        countable: list[str] = []
-        for tool_id in tools_used:
-            d = self._tools.get(tool_id)
-            if d is None:
-                logger.warning("usage recorded for unknown tool %r in scope %s", tool_id, scope)
-                countable.append(UNKNOWN_TOOL_BUCKET)
-            elif d.substantive:
-                countable.append(tool_id)
-        self.ledger.record(scope, countable)
-
-
-def load_registry(path: Path, ledger: Optional[ToolUsageLedger] = None) -> ToolRegistry:
-    data = json.loads(Path(path).read_text())
-    return ToolRegistry([descriptor_from_dict(d) for d in data], ledger=ledger)

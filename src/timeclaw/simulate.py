@@ -72,7 +72,7 @@ def _build_registry(scenario: DropoutScenario) -> ToolRegistry:
         )
         for t in scenario.tool_ids()
     ]
-    return ToolRegistry(descriptors, ledger=ToolUsageLedger())
+    return ToolRegistry(descriptors)
 
 
 @dataclass
@@ -88,6 +88,7 @@ def run_collapse_simulation(
 ) -> list[PrefixPoint]:
     """One simulated exploration run; returns the diagnostic curve."""
     registry = _build_registry(scenario)
+    ledger = ToolUsageLedger()
     qualities = scenario.qualities()
     # the selection stream is shared between ON and OFF so dropout is the
     # only difference; an all-protected pool then yields identical runs
@@ -95,12 +96,12 @@ def run_collapse_simulation(
     episode_tool_sets: list[set[str]] = []
     points: list[PrefixPoint] = []
     for episode in range(1, scenario.episodes + 1):
-        counts = registry.ledger.counts(SCOPE)
+        counts = ledger.counts(SCOPE)
         chosen: list[str] = []
         for slot in range(scenario.branch_count):
             if dropout_on:
                 visible = sorted(
-                    registry.sample_visible_subset(SCOPE, slot, seed * 7919 + episode, scenario.alpha)
+                    registry.sample_visible_subset(counts, SCOPE, slot, seed * 7919 + episode, scenario.alpha)
                 )
             else:
                 visible = scenario.tool_ids()
@@ -110,15 +111,15 @@ def run_collapse_simulation(
         # branch qualities decide nothing here beyond realism; usage is what
         # the collapse diagnostics read
         _scores = [qualities[t] + rng.gauss(0.0, scenario.noise) for t in chosen]
-        registry.record_usage(SCOPE, chosen)
+        ledger.record(SCOPE, chosen)
         episode_tool_sets.append(set(chosen))
         if episode % scenario.measure_every == 0 or episode == scenario.episodes:
             points.append(
                 PrefixPoint(
                     episodes=episode,
                     coverage=registry.coverage_rate(SCOPE, episode_tool_sets),
-                    top_share=registry.top_k_share(SCOPE, scenario.top_k) or 0.0,
-                    entropy=registry.usage_entropy(SCOPE) or 0.0,
+                    top_share=ledger.top_k_share(SCOPE, scenario.top_k) or 0.0,
+                    entropy=ledger.entropy(SCOPE) or 0.0,
                 )
             )
     return points

@@ -677,9 +677,11 @@ class ExperienceStore:
     snapshot log: the last memory layer, with the cursor of any later cursor
     record. A ``memory/`` directory left by an older version is ignored.
 
-    ``ledger`` holds the tool-usage counts of the notes: each commit counts
-    its note's ``tools`` under the scope's lock, and opening replays them in
-    shard order. A ``ledger.jsonl`` left by an older version is ignored.
+    ``ledger`` holds the tool-usage counts of the notes, the only usage
+    counts a run keeps: each commit counts its note's ``tools`` under the
+    scope's lock, opening replays them in shard order, and exploration
+    hands a scope's counts to dropout once per episode. A ``ledger.jsonl``
+    left by an older version is ignored.
 
     Opening frames every block of each notes shard, with the torn-tail and
     bad-block checks of :func:`~timeclaw.util.iter_records` and gapless
@@ -687,6 +689,8 @@ class ExperienceStore:
     the blocks past the scope's ``distilled_through``, its pending notes
     when they hold evaluation evidence. :meth:`notes` decodes the
     shard in full, so a bad value inside a distilled note surfaces there.
+    A shard holding fewer notes than its memory's ``distilled_through`` is
+    refused.
     """
 
     def __init__(self, root: Path):
@@ -724,6 +728,14 @@ class ExperienceStore:
             held.pending = [note for _, note, _ in records if note is not None and note.eval_evidence]
             for _, _, tools in records:
                 self.ledger.record(path.stem, tools)
+        # a shard that lost notes its memory distilled would number its next
+        # note as one the memory's evidence already names
+        for scope, held in self._scopes.items():
+            if held.note_count < held.memory.distilled_through:
+                raise ContractError(
+                    f"{self.root / 'notes' / f'{scope}.md'} holds {held.note_count} notes, "
+                    f"but its memory is distilled through note {held.memory.distilled_through}"
+                )
 
     def _lay_out(self) -> None:
         """Write ``soul.md`` before the store's first write. Each log makes

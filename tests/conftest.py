@@ -4,18 +4,12 @@ import pytest
 
 from timeclaw.core import SealedAnswer, TaskInstance, TaskType
 from timeclaw.corpus import FamilySpec, generate_sample
-from timeclaw.registry import ToolRegistry, ToolUsageLedger
 from timeclaw.toolkit import builtin_toolkit
 
 
 @pytest.fixture
 def toolkit():
     return builtin_toolkit()
-
-
-@pytest.fixture
-def registry(toolkit):
-    return ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger())
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from timeclaw.orchestrator import (
     run_inference,
 )
 from timeclaw.policy import policy_gateway
-from timeclaw.registry import ToolRegistry, ToolUsageLedger, keep_probability
+from timeclaw.registry import ToolUsageLedger, keep_probability
 from timeclaw.replay import lint, replay
 from timeclaw.simulate import DropoutScenario, compare_over_seeds
 from timeclaw.store import (
@@ -230,7 +230,6 @@ def _run_fixture_via_script(tmp_path, name, policy_fn):
 
     def deps_with(gateway, sub):
         return EpisodeDeps(
-            registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger()),
             toolkit=toolkit,
             gateway=gateway,
             store=None,
@@ -467,7 +466,6 @@ def test_c09_leakage_and_tool_exposure(e2e, tmp_path, report):
     instances = load_samples(eval_path, "evaluation").instances[:20]
     toolkit = builtin_toolkit()
     store = ExperienceStore(e2e / "store")
-    registry = ToolRegistry(toolkit.descriptors(), ledger=store.ledger)
 
     captured_prompts: list[str] = []
     inner = policy_gateway("inference")
@@ -479,7 +477,6 @@ def test_c09_leakage_and_tool_exposure(e2e, tmp_path, report):
             return inner.complete(exchange)
 
     deps = EpisodeDeps(
-        registry=registry,
         toolkit=toolkit,
         gateway=CapturingGateway(),
         store=store,

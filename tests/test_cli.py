@@ -247,10 +247,10 @@ class TestExplore:
         assert code == 0
         [deps] = built
         reopened = ExperienceStore(store)
-        assert reopened.scopes() and all(deps.registry.ledger.counts(scope) for scope in reopened.scopes())
+        assert reopened.scopes() and all(deps.store.ledger.counts(scope) for scope in reopened.scopes())
         for scope in reopened.scopes():
-            assert reopened.ledger.counts(scope) == deps.registry.ledger.counts(scope)
-            assert reopened.ledger.entropy_history(scope) == deps.registry.ledger.entropy_history(scope)
+            assert reopened.ledger.counts(scope) == deps.store.ledger.counts(scope)
+            assert reopened.ledger.entropy_history(scope) == deps.store.ledger.entropy_history(scope)
 
     def test_an_older_stores_ledger_file_is_ignored_and_left_as_found(self, corpus_dir, tmp_path):
         old, fresh = tmp_path / "old" / "store", tmp_path / "fresh" / "store"
@@ -855,6 +855,27 @@ class TestTornLogs:
         assert f"error: {store / rel}: line 1: bad record" in capsys.readouterr().err
         assert self._explore(corpus_dir, store) == 2
         assert f"error: {store / rel}: line 1: bad record" in capsys.readouterr().err
+
+    def test_a_shard_that_lost_a_distilled_note_is_refused(self, corpus_dir, tmp_path, capsys):
+        # its next note would reuse a number the memory's evidence names
+        store = tmp_path / "store"
+        assert self._explore(corpus_dir, store) == 0
+        opened = ExperienceStore(store)
+        [scope, *_] = [s for s in opened.scopes() if opened.memory_state(s).distilled_through == len(opened.notes(s))]
+        count = len(opened.notes(scope))
+        shard = store / "notes" / f"{scope}.md"
+        shard.write_bytes(shard.read_bytes()[:-10])
+        before = self._tree(store)
+        infer = ["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(tmp_path / "p.jsonl")]
+        for argv in (["report", "--store", str(store)], infer):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert f"error: {shard} holds {count - 1} notes, but its memory is distilled through note {count}" in (
+                capsys.readouterr().err
+            )
+        assert self._explore(corpus_dir, store) == 2
+        assert f"error: {shard} holds {count - 1} notes" in capsys.readouterr().err
+        assert self._tree(store) == before
 
 
 

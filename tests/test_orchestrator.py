@@ -35,9 +35,9 @@ from timeclaw.orchestrator import (
     run_inference,
 )
 from timeclaw.policy import exploration_policy, inference_policy, policy_gateway
-from timeclaw.registry import ToolRegistry, ToolUsageLedger
+from timeclaw.registry import ToolRegistry
 from timeclaw.replay import lint, replay
-from timeclaw.store import ExperienceStore
+from timeclaw.store import ExperienceStore, LearningNote
 from timeclaw.toolkit import ORIGINAL_INPUT, builtin_toolkit
 from timeclaw.util import canonical_json, digest_text
 
@@ -58,9 +58,7 @@ def _instance(series=None, horizon=3, gt=None, task_type=TaskType.FORECAST, labe
 def _deps(tmp_path, gateway, with_store=True):
     toolkit = builtin_toolkit()
     store = ExperienceStore(tmp_path / "store") if with_store else None
-    registry = ToolRegistry(toolkit.descriptors(), ledger=store.ledger if store is not None else None)
     return EpisodeDeps(
-        registry=registry,
         toolkit=toolkit,
         gateway=gateway,
         store=store,
@@ -156,7 +154,7 @@ class TestEpisodeOutcomes:
         assert not note.eval_evidence and sorted(note.tools) == sorted(tools)
         reopened = ExperienceStore(tmp_path / "store")
         assert deps.store.pending_notes(inst.scope) == reopened.pending_notes(inst.scope) == []
-        assert reopened.ledger.counts(inst.scope) == deps.registry.ledger.counts(inst.scope) == tools
+        assert reopened.ledger.counts(inst.scope) == deps.store.ledger.counts(inst.scope) == tools
 
     def test_winner_quality_is_exact_argmax(self, tmp_path):
         inst = _instance(gt=[13.0, 13.0, 13.0])
@@ -214,8 +212,39 @@ class TestEpisodeOutcomes:
         gw = _scripted_branch_policy({0: ("naive", [13.0] * 3), 1: ("drift", [14.0] * 3)})
         deps = _deps(tmp_path, gw)
         run_exploration_episode(inst, ExplorationConfig(seed=3), deps)
-        counts = deps.registry.ledger.counts(inst.scope)
+        counts = deps.store.ledger.counts(inst.scope)
         assert counts == {"naive": 1, "drift": 1}
+
+    def test_dropout_reads_the_counts_of_the_stores_notes(self, tmp_path):
+        # one note records heavy use of naive in the scope: keep(naive) is
+        # 1/1001 there, so a reopened store's episodes hide it from every
+        # branch, while a fresh scope shows every branch the whole set
+        scope = "synth_forecast_short"
+        store = ExperienceStore(tmp_path / "store")
+        store.commit_note(
+            LearningNote(
+                scope=scope, instance_id="prior", prompt_digest="d" * 16, winner_tools=(), loser_tools=(),
+                metrics={}, evidence_class="failure", insight="", recommendation="", trace_refs=(),
+                applicability={}, tools=("naive",) * 1000,
+            )
+        )
+        store.close()
+
+        def branch_lists(deps, seed):
+            outcome = run_exploration_episode(_instance(gt=[13.0] * 3, iid=f"e{seed}"), ExplorationConfig(seed=seed), deps)
+            *_, block = read_trace(outcome.trace_path)
+            return [
+                e["payload"]["tools"]
+                for e in block.events
+                if e["kind"] == "gateway_request" and e["branch"] is not None and "tools" in e["payload"]
+            ]
+
+        deps = _deps(tmp_path, policy_gateway("exploration"))
+        assert deps.store.ledger.counts(scope) == {"naive": 1000}
+        listed = [tools for seed in range(4) for tools in branch_lists(deps, seed)]
+        assert len(listed) == 8 and not any("naive" in tools for tools in listed)
+        fresh = branch_lists(_deps(tmp_path / "fresh", policy_gateway("exploration")), 0)
+        assert len(fresh) == 2 and all("naive" in tools for tools in fresh)
 
 
 def _branch_loop_policy(branch_fn):
@@ -300,6 +329,34 @@ class TestBranchLoop:
         calls = [e["payload"] for e in events if e["kind"] == "tool_call" and e["payload"]["tool"] == "naive"]
         assert [(c["args"], c["inputs"]) for c in calls] == [({"horizon": 3}, ["nowhere"])] * 2
         assert [r["payload"]["error"] for r in results] == ["contract"] * 2
+
+    @pytest.mark.parametrize(
+        "calls, counted",
+        [
+            ([("naive", {"horizon": 3}), ("naive", {"horizon": 3}), ("drift", {"horizon": 3})], {"naive": 4, "drift": 2}),
+            ([("naive", {"horizon": 3, "_inputs": 5}), ("drift", {"horizon": "x"})], {}),
+            ([("not_a_tool", {}), ("spawn_subagent", {}), ("evaluate_against_gt", {})], {}),
+            ([], {}),
+        ],
+        ids=["repeats", "errors", "rejected", "none"],
+    )
+    def test_usage_counts_each_substantive_call_that_ran_without_error(self, tmp_path, monkeypatch, calls, counted):
+        # each branch makes the same calls, one per turn, then answers
+        def branch_fn(slot, exchange):
+            turn = sum(m.role == "assistant" for m in exchange.messages)
+            if turn < len(calls):
+                tool, args = calls[turn]
+                return AssistantReply(content="", tool_calls=(ToolCallRequest(tool=tool, args=args),))
+            return _forecast_reply([13.0] * 3)
+
+        deps = _deps(tmp_path, _branch_loop_policy(branch_fn))
+        monkeypatch.setattr(deps.registry, "sample_visible_subset", lambda *a, **k: frozenset({"naive", "drift"}))
+        inst = _instance(gt=[13.0] * 3)
+        outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), deps)
+        assert all(c.valid for c in outcome.candidates)
+        assert deps.store.ledger.counts(inst.scope) == counted
+        deps.close()
+        assert ExperienceStore(tmp_path / "store").ledger.counts(inst.scope) == counted
 
     def test_gateway_error_mid_loop_ends_the_branch(self, tmp_path):
         def branch_fn(slot, exchange):
@@ -388,13 +445,12 @@ class TestContractVerdicts:
 
 class TestBranchSlots:
     def _registry(self, tmp_path):
-        toolkit = builtin_toolkit()
-        return ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger())
+        return ToolRegistry(builtin_toolkit().descriptors())
 
     def test_fresh_scope_distinct_hints(self, tmp_path):
         inst = _instance(gt=[13.0] * 3)
         slots = assign_branch_slots(
-            inst, ExplorationConfig(seed=1), False, self._registry(tmp_path), None, episode_seed=5
+            inst, ExplorationConfig(seed=1), False, self._registry(tmp_path), {}, None, episode_seed=5
         )
         assert len(slots) == 2
         assert slots[0].hint != slots[1].hint
@@ -419,6 +475,7 @@ class TestBranchSlots:
             ExplorationConfig(seed=1),
             True,
             self._registry(tmp_path),
+            {},
             Selection(rules=[rule]),
             episode_seed=5,
         )
@@ -430,7 +487,7 @@ class TestBranchSlots:
         registry = self._registry(tmp_path)
         for seed in range(10):
             for slot in assign_branch_slots(
-                inst, ExplorationConfig(seed=seed), False, registry, None, episode_seed=seed
+                inst, ExplorationConfig(seed=seed), False, registry, {}, None, episode_seed=seed
             ):
                 assert slot.hint in slot.visible_tools
 
@@ -441,13 +498,12 @@ class TestBranchSlots:
             [
                 ToolDescriptor(tool_id="naive", category=ToolCategory.FORECASTING),
                 ToolDescriptor(tool_id="drift", category=ToolCategory.FORECASTING),
-            ],
-            ledger=ToolUsageLedger(),
+            ]
         )
         inst = _instance(gt=[13.0] * 3)
         for seed in range(20):
             slots = assign_branch_slots(
-                inst, ExplorationConfig(seed=seed), False, registry, None, episode_seed=seed
+                inst, ExplorationConfig(seed=seed), False, registry, {}, None, episode_seed=seed
             )
             assert {slots[0].hint, slots[1].hint} == {"naive", "drift"}
 
@@ -527,7 +583,7 @@ class TestInference:
         digest_before = deps.store.tree_digest()
         run_inference(inst, deps)
         assert deps.store.tree_digest() == digest_before
-        assert deps.registry.ledger.counts(inst.scope) == {}
+        assert deps.store.ledger.counts(inst.scope) == {}
 
     @pytest.mark.parametrize("inputs", [5, "abc"])
     def test_bad_inputs_come_back_as_a_schema_violation(self, tmp_path, inputs):
@@ -598,7 +654,7 @@ class TestRemoteReplies:
 class TestToolExposure:
     def test_exploration_minus_inference_is_exactly_the_special_categories(self, tmp_path):
         toolkit = builtin_toolkit()
-        registry = ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger())
+        registry = ToolRegistry(toolkit.descriptors())
         exploration = set(registry.exploration_visible())
         inference = set(registry.inference_visible())
         special = {
@@ -641,7 +697,6 @@ class TestReinjectOncePerMemory:
             toolkit = builtin_toolkit()
             store = ExperienceStore(tmp_path / "explore" / "store")
             return EpisodeDeps(
-                registry=ToolRegistry(toolkit.descriptors(), ledger=store.ledger),
                 toolkit=toolkit,
                 gateway=PolicyGateway(spy),
                 store=store,

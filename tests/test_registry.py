@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +14,11 @@ from timeclaw.registry import (
     ToolRegistry,
     ToolUsageLedger,
     keep_probability,
-    load_registry,
 )
 from timeclaw.util import stable_rng
 
 
-def _registry(tools, protected=(), ledger=None):
+def _registry(tools, protected=()):
     descriptors = [
         ToolDescriptor(
             tool_id=t,
@@ -28,7 +27,7 @@ def _registry(tools, protected=(), ledger=None):
         )
         for t in tools
     ]
-    return ToolRegistry(descriptors, ledger=ledger or ToolUsageLedger())
+    return ToolRegistry(descriptors)
 
 
 class TestKeepProbability:
@@ -118,24 +117,6 @@ class TestLedger:
         assert shares == sorted(shares, reverse=True)
 
 
-class TestRecordUsage:
-    def test_substantive_counting(self, registry):
-        registry.record_usage("s", ["ses", "ses", "value_at"])
-        assert registry.ledger.counts("s") == {"ses": 2, "value_at": 1}
-
-    def test_orchestration_and_exploration_never_counted(self, registry):
-        registry.record_usage("s", ["spawn_subagent", "evaluate_against_gt"])
-        assert registry.ledger.counts("s") == {}
-
-    def test_unknown_tool_goes_to_audit_bucket(self, registry):
-        registry.record_usage("s", ["not_a_tool"])
-        assert registry.ledger.counts("s") == {"unknown": 1}
-
-    def test_empty_usage_changes_nothing(self, registry):
-        registry.record_usage("s", [])
-        assert registry.ledger.counts("s") == {}
-
-
 class TestCoverage:
     def test_full_and_empty_prefixes(self):
         reg = _registry(list("abcdef"))
@@ -144,7 +125,7 @@ class TestCoverage:
         assert reg.coverage_rate("s", [{"a"}, {"b", "c"}]) == pytest.approx(0.5)
 
     def test_empty_universe_is_contract_error(self):
-        reg = ToolRegistry([], ledger=ToolUsageLedger())
+        reg = ToolRegistry([])
         with pytest.raises(ContractError):
             reg.coverage_rate("s", [{"a"}])
 
@@ -152,26 +133,24 @@ class TestCoverage:
 class TestVisibleSubsets:
     def test_all_protected_keeps_full_set(self):
         reg = _registry(list("abc"), protected=list("abc"))
-        reg.ledger.record("s", ["a"] * 50)
-        assert reg.sample_visible_subset("s", 0, 1, 1.0) == frozenset("abc")
+        assert reg.sample_visible_subset({"a": 50}, "s", 0, 1, 1.0) == frozenset("abc")
 
     def test_fresh_scope_keeps_full_set(self):
         reg = _registry(list("abcde"))
-        assert reg.sample_visible_subset("s", 0, 1, 1.0) == frozenset("abcde")
+        assert reg.sample_visible_subset({}, "s", 0, 1, 1.0) == frozenset("abcde")
 
     def test_determinism(self):
         reg = _registry(list("abcdef"))
-        reg.ledger.record("s", ["a"] * 30 + ["b"] * 5)
-        draws = {reg.sample_visible_subset("s", 2, 42, 1.5) for _ in range(10)}
+        counts = {"a": 30, "b": 5}
+        draws = {reg.sample_visible_subset(counts, "s", 2, 42, 1.5) for _ in range(10)}
         assert len(draws) == 1
-        assert reg.sample_visible_subset("s", 3, 42, 1.5) is not None  # other slots may differ
+        assert reg.sample_visible_subset(counts, "s", 3, 42, 1.5) is not None  # other slots may differ
 
     def test_dominant_tool_suppressed_cold_tools_kept(self):
         reg = _registry(list("abc"))
-        reg.ledger.record("s", ["a"] * 50)
         retained_a = 0
         for seed in range(1000):
-            subset = reg.sample_visible_subset("s", 0, seed, 2.0)
+            subset = reg.sample_visible_subset({"a": 50}, "s", 0, seed, 2.0)
             assert "b" in subset and "c" in subset
             if "a" in subset:
                 retained_a += 1
@@ -180,16 +159,14 @@ class TestVisibleSubsets:
 
     def test_competitor_floor(self):
         reg = _registry(list("ab"))
-        reg.ledger.record("s", ["a"] * 100 + ["b"] * 100)
         for seed in range(50):
-            subset = reg.sample_visible_subset("s", 0, seed, 6.0)
+            subset = reg.sample_visible_subset({"a": 100, "b": 100}, "s", 0, seed, 6.0)
             assert len(subset) >= 2
 
     def test_extra_protected_hint_is_included(self):
         reg = _registry(list("abc"))
-        reg.ledger.record("s", ["a"] * 100)
         for seed in range(50):
-            subset = reg.sample_visible_subset("s", 0, seed, 4.0, extra_protected=("a",))
+            subset = reg.sample_visible_subset({"a": 100}, "s", 0, seed, 4.0, extra_protected=("a",))
             assert "a" in subset
 
     def test_protection_scope_globs(self):
@@ -200,25 +177,22 @@ class TestVisibleSubsets:
             ToolDescriptor(tool_id="b", category=ToolCategory.FORECASTING),
             ToolDescriptor(tool_id="c", category=ToolCategory.FORECASTING),
         ]
-        reg = ToolRegistry(descriptors, ledger=ToolUsageLedger())
-        reg.ledger.record("synth_forecast_short", ["a"] * 200)
-        reg.ledger.record("weather_forecast_short", ["a"] * 200)
+        reg = ToolRegistry(descriptors)
         synth_kept = sum(
-            "a" in reg.sample_visible_subset("synth_forecast_short", 0, s, 5.0) for s in range(50)
+            "a" in reg.sample_visible_subset({"a": 200}, "synth_forecast_short", 0, s, 5.0) for s in range(50)
         )
         weather_kept = sum(
-            "a" in reg.sample_visible_subset("weather_forecast_short", 0, s, 5.0) for s in range(50)
+            "a" in reg.sample_visible_subset({"a": 200}, "weather_forecast_short", 0, s, 5.0) for s in range(50)
         )
         assert synth_kept == 50  # never dropped where the glob matches
         assert weather_kept < 10  # heavily suppressed elsewhere
 
     def test_an_added_tool_competes_in_the_next_draw(self):
         reg = _registry(list("ab"))
-        reg.ledger.record("s", ["a"] * 5)
-        assert reg.sample_visible_subset("s", 0, 1, 1.0) <= frozenset("ab")
+        assert reg.sample_visible_subset({"a": 5}, "s", 0, 1, 1.0) <= frozenset("ab")
         reg.add(ToolDescriptor(tool_id="c", category=ToolCategory.FORECASTING))
         reg.add(ToolDescriptor(tool_id="d", category=ToolCategory.ANALYSIS, protected_in=("s",)))
-        draws = [reg.sample_visible_subset("s", 0, seed, 1.0) for seed in range(20)]
+        draws = [reg.sample_visible_subset({"a": 5}, "s", 0, seed, 1.0) for seed in range(20)]
         assert all({"c", "d"} <= subset for subset in draws)  # c is never used: keep(c) = 1
 
     @settings(max_examples=60, deadline=None)
@@ -237,20 +211,18 @@ class TestVisibleSubsets:
             )
             for t in "abcdef"
         ]
-        reg = ToolRegistry(descriptors, ledger=ToolUsageLedger())
-        reg.ledger.record("scope", uses)
-        reg.ledger.record("other", uses)
+        reg = ToolRegistry(descriptors)
+        counts = Counter(uses)
         for scope in ("scope", "other"):
             for slot in range(3):
-                assert reg.sample_visible_subset(scope, slot, 7, alpha, extra_protected=hinted) == (
-                    _reference_subset(reg, scope, slot, 7, alpha, hinted)
+                assert reg.sample_visible_subset(counts, scope, slot, 7, alpha, extra_protected=hinted) == (
+                    _reference_subset(reg, counts, scope, slot, 7, alpha, hinted)
                 )
 
 
-def _reference_subset(reg, scope, slot, seed, alpha, extra_protected):
+def _reference_subset(reg, counts, scope, slot, seed, alpha, extra_protected):
     """The dropout draw as it was written before its set-up was kept per
     scope: protected set and competing sets worked out again for every slot."""
-    counts = reg.ledger.counts(scope)
     rng = stable_rng("visible", seed, scope, slot)
     descriptors = {t: reg.descriptor(t) for t in reg.tool_ids()}
     protected = {
@@ -275,19 +247,3 @@ def _reference_subset(reg, scope, slot, seed, alpha, extra_protected):
             kept.add(tool_id)
             survivors.append(tool_id)
     return frozenset(kept)
-
-
-class TestRegistryFile:
-    def test_round_trip(self, tmp_path, registry):
-        path = tmp_path / "registry.json"
-        entries = [
-            {"tool_id": d.tool_id, "category": d.category.value, "protected_in": list(d.protected_in)}
-            for d in map(registry.descriptor, registry.tool_ids())
-        ]
-        path.write_text(json.dumps(entries))
-        loaded = load_registry(path)
-        assert loaded.tool_ids() == registry.tool_ids()
-        for tool_id in registry.tool_ids():
-            a, b = registry.descriptor(tool_id), loaded.descriptor(tool_id)
-            assert a.category == b.category
-            assert a.protected_in == b.protected_in

@@ -12,7 +12,6 @@ from timeclaw.core import SealedAnswer, TaskInstance, TaskType
 from timeclaw.errors import ReplayError
 from timeclaw.orchestrator import EpisodeDeps, ExplorationConfig, read_trace, run_exploration_episode, run_inference
 from timeclaw.policy import policy_gateway
-from timeclaw.registry import ToolRegistry, ToolUsageLedger
 from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore
 from timeclaw.toolkit import builtin_toolkit
@@ -36,7 +35,6 @@ def exploration_trace(tmp_path):
     toolkit = builtin_toolkit()
     store = ExperienceStore(tmp_path / "store")
     deps = EpisodeDeps(
-        registry=ToolRegistry(toolkit.descriptors(), ledger=store.ledger),
         toolkit=toolkit,
         gateway=policy_gateway("exploration"),
         store=store,
@@ -149,7 +147,6 @@ class TestEvaluateCall:
     def test_replays_divergence_free_from_the_recorded_arguments(self, tmp_path, tool, args):
         toolkit = builtin_toolkit()
         deps = EpisodeDeps(
-            registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger()),
             toolkit=toolkit,
             gateway=_evaluate_by(tool, args),
             trace_dir=tmp_path / "traces",
@@ -177,7 +174,6 @@ class TestLint:
         # both branches call no tool, so only their answers can tell them apart
         toolkit = builtin_toolkit()
         deps = EpisodeDeps(
-            registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger()),
             toolkit=toolkit,
             gateway=_evaluate_by("evaluate_batch_against_gt", {}, values),
             trace_dir=tmp_path / "traces",
@@ -191,7 +187,6 @@ class TestLint:
     def test_injected_leak_is_found(self, tmp_path):
         toolkit = builtin_toolkit()
         deps = EpisodeDeps(
-            registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger()),
             toolkit=toolkit,
             gateway=policy_gateway("inference"),
             store=None,
@@ -236,7 +231,6 @@ class TestLint:
 
         toolkit = builtin_toolkit()
         deps = EpisodeDeps(
-            registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger()),
             toolkit=toolkit,
             gateway=PolicyGateway(fn),
             store=None,

@@ -473,6 +473,18 @@ class TestStoreNotes:
         with pytest.raises(ContractError, match="non-gapless"):
             ExperienceStore(tmp_path)
 
+    @pytest.mark.parametrize("kept", [9, 0], ids=["torn", "gone"])
+    def test_a_shard_shorter_than_its_distilled_memory_is_refused(self, tmp_path, kept):
+        _commit_and_distill(ExperienceStore(tmp_path), [_note(seq=None) for _ in range(10)])
+        shard = tmp_path / "notes" / f"{SCOPE}.md"
+        full = shard.read_bytes()
+        if kept:
+            shard.write_bytes(full[: full.index(b"<!-- note 10 -->")])
+        else:
+            shard.unlink()
+        with pytest.raises(ContractError, match=re.escape(f"{shard} holds {kept} notes, but its memory is distilled through note 10")):
+            ExperienceStore(tmp_path)
+
 
 class TestDistillationTriggers:
     def _commit_n(self, store, n, start=0):

@@ -9,7 +9,7 @@ from timeclaw.core import EvaluatorCapability, SealedAnswer, TaskInstance, TaskT
 from timeclaw.errors import CapabilityError
 from timeclaw.gateway import AssistantReply, PolicyGateway
 from timeclaw.orchestrator import EpisodeDeps, _EpisodeRunner
-from timeclaw.registry import ArgSpec, ToolCategory, ToolDescriptor, ToolRegistry, ToolUsageLedger
+from timeclaw.registry import ArgSpec, ToolCategory, ToolDescriptor
 from timeclaw.toolkit import (
     ORIGINAL_INPUT,
     ArtifactKind,
@@ -390,7 +390,6 @@ class TestSplicedArtifactText:
         toolkit = Toolkit()
         toolkit.register(ToolDescriptor("echo", ToolCategory.ANALYSIS, {"note": ArgSpec("string")}), echo)
         deps = EpisodeDeps(
-            registry=ToolRegistry(toolkit.descriptors(), ledger=ToolUsageLedger()),
             toolkit=toolkit,
             gateway=PolicyGateway(lambda exchange: AssistantReply(content="")),
             trace_dir=tmp_path_factory.mktemp("traces"),

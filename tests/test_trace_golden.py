@@ -18,7 +18,6 @@ from timeclaw.core import TaskInstance
 from timeclaw.corpus import FamilySpec, generate_sample, reveal_for_scoring
 from timeclaw.orchestrator import EpisodeDeps, ExplorationConfig, run_exploration_episode, run_inference
 from timeclaw.policy import policy_gateway
-from timeclaw.registry import ToolRegistry
 from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore
 from timeclaw.toolkit import builtin_toolkit
@@ -33,7 +32,6 @@ def _deps(root: Path, policy: str) -> EpisodeDeps:
     toolkit = builtin_toolkit()
     store = ExperienceStore(root / "store")
     return EpisodeDeps(
-        registry=ToolRegistry(toolkit.descriptors(), ledger=store.ledger),
         toolkit=toolkit,
         gateway=policy_gateway(policy),
         store=store,
