@@ -1,5 +1,5 @@
 """Operator entry points: explore, infer, eval, simulate-dropout, report,
-and gen-corpus.
+gen-corpus, replay and lint.
 
 Every command is deterministic under (--seed, scripted/policy mock); run
 summaries carry the seed and config digest for provenance. Exit codes:

@@ -25,6 +25,7 @@ import json
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -225,17 +226,11 @@ class RecordingGateway(Gateway):
         write_atomic(Path(path), json.dumps(self.script, sort_keys=True, indent=1) + "\n")
 
 
-def _retry_after(resp: Any) -> float:
-    """A numeric ``Retry-After`` header's seconds; 0 for none or a date."""
-    try:
-        return float((getattr(resp, "headers", None) or {}).get("Retry-After", 0))
-    except (TypeError, ValueError):
-        return 0.0
-
-
 class RemoteGateway(Gateway):
     """OpenAI-compatible chat-completions backend with bounded retry of a
-    connection error, a 5xx or a 429, waiting out a longer ``Retry-After``."""
+    connection error, a 5xx or a 429, waiting out a longer ``Retry-After``.
+    Connections are kept alive and reused, at most ``max_in_flight`` open;
+    one the server closed while idle is reopened before it is used."""
 
     def __init__(
         self,
@@ -246,20 +241,45 @@ class RemoteGateway(Gateway):
         backoff: float = 0.5,
         timeout: float = 60.0,
         max_in_flight: int = 8,
-        session: Any = None,
     ):
-        import requests
+        # imported here, so a run on a mock loads no HTTP client
+        from base64 import b64encode
+        from http.client import HTTPConnection, HTTPSConnection
+        from urllib.parse import unquote, urlsplit
+        from urllib.request import getproxies, proxy_bypass
 
         self.base_url = (base_url or os.environ.get(API_BASE_ENV, "")).rstrip("/")
-        if not self.base_url:
-            raise ContractError(f"remote gateway needs a base URL ({API_BASE_ENV})")
+        if not self.base_url.lower().startswith(("http://", "https://")):
+            raise ContractError(f"remote gateway needs an http(s) base URL ({API_BASE_ENV})")
         self.api_key = api_key or os.environ.get(API_KEY_ENV, "")
+        if not (self.api_key.isascii() and self.api_key.isprintable()):
+            raise ContractError(f"the API key ({API_KEY_ENV}) must be printable ASCII")
         self.model = model
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
-        self._session = session or requests.Session()
         self._slots = threading.Semaphore(max_in_flight)
+        self._idle: list[Any] = []  # connections not in use, closed with the gateway
+        weakref.finalize(self, lambda idle: [conn.close() for conn in idle], self._idle)
+        url = urlsplit(self.base_url)
+        https = url.scheme.lower() == "https"
+        self._kind, self._tunnel = (HTTPSConnection if https else HTTPConnection), None
+        self._path, self._headers = f"{url.path}/chat/completions", {"Content-Type": "application/json"}
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
+        # the http proxy HTTP(S)_PROXY names, unless NO_PROXY lists the host:
+        # a CONNECT tunnel to an https backend, absolute URLs to an http one
+        proxy = None if proxy_bypass(url.netloc) else getproxies().get(url.scheme.lower())
+        via = urlsplit(proxy if "://" in proxy else f"http://{proxy}") if proxy else url
+        self._host = via.netloc.rpartition("@")[2]
+        if proxy:
+            creds = f"{unquote(via.username or '')}:{unquote(via.password or '')}".encode()
+            auth = {"Proxy-Authorization": f"Basic {b64encode(creds).decode()}"} if via.username else {}
+            if https:
+                self._tunnel = (url.netloc, None, auth)
+            else:
+                self._path = f"{self.base_url}/chat/completions"
+                self._headers.update(auth)
 
     def _payload(self, exchange: ChatExchange) -> dict[str, Any]:
         messages = [{"role": m.role, "content": m.content} for m in exchange.messages]
@@ -271,31 +291,55 @@ class RemoteGateway(Gateway):
             payload["tool_choice"] = "auto"
         return payload
 
+    def _connection(self) -> Any:
+        """An idle connection, or a new one. A closed one, as one the server
+        closed while idle is, opens again on its next request."""
+        from select import select
+
+        try:
+            conn = self._idle.pop()  # atomic, so two threads never share one
+        except IndexError:
+            conn = self._kind(self._host, timeout=self.timeout)
+            if self._tunnel:
+                conn.set_tunnel(*self._tunnel)
+            return conn
+        if conn.sock is not None and select([conn.sock], [], [], 0)[0]:
+            conn.close()
+        return conn
+
     def complete(self, exchange: ChatExchange) -> AssistantReply:
-        url = f"{self.base_url}/chat/completions"
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        from http.client import HTTPException
+
+        request = json.dumps(self._payload(exchange)).encode()
         last_error: Optional[str] = None
         retry_after = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
                 time.sleep(min(max(self.backoff * (2 ** (attempt - 1)), retry_after), MAX_RETRY_WAIT_S))
             with self._slots:
+                conn, status = self._connection(), 0
                 try:
-                    resp = self._session.post(
-                        url, headers=headers, json=self._payload(exchange), timeout=self.timeout
-                    )
-                except Exception as exc:
+                    conn.request("POST", self._path, request, self._headers)
+                    resp = conn.getresponse()
+                    status, body = resp.status, resp.read()
+                except (OSError, HTTPException) as exc:
                     last_error, retry_after = str(exc), 0.0
                     continue
-            if resp.status_code >= 500 or resp.status_code == 429:
-                last_error, retry_after = f"status {resp.status_code}", _retry_after(resp)
+                finally:
+                    if not status:  # failed mid-exchange: its next request opens a new one
+                        conn.close()
+                    self._idle.append(conn)
+            if status >= 500 or status == 429:
+                last_error = f"status {status}"
+                try:  # a numeric Retry-After's seconds; 0 for none or a date
+                    retry_after = float(resp.headers.get("Retry-After", 0))
+                except ValueError:
+                    retry_after = 0.0
                 continue
-            if resp.status_code >= 400:
-                raise GatewayError(f"gateway rejected the request: {resp.status_code} {resp.text[:200]}")
+            if status >= 300:  # a redirect is not followed
+                raise GatewayError(f"gateway rejected the request: {status} {body.decode(errors='replace')[:200]}")
             try:
-                data = resp.json()
+                data = json.loads(body)
             except ValueError as exc:
                 raise GatewayError(f"completion response is not JSON: {exc}") from exc
             return self._parse(data)

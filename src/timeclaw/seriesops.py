@@ -8,11 +8,11 @@ last axis, so the same code reduces one series or each row of a ``(B, n)``
 array, and numpy sums each contiguous row as it sums a 1-D array.
 
 ``profiles`` and ``dominant_periods`` profile the rows of such an array
-together; ``profile`` and ``dominant_period`` are their one-row case. The
+together; ``dominant_period`` is the period scan's one-row case. The
 period scan returns the exact r at the lag it picks, so a profile needs no
 second correlation. Batching pays off only where many series share a length:
 numpy's fixed cost per call, which the rows of a batch share, falls on one
-row alone in the one-row case, and there that case costs more than a
+row alone in a batch of one, and there that batch costs more than a
 per-series scan written for 1-D arrays.
 """
 
@@ -264,7 +264,8 @@ class Profile(NamedTuple):
 
 
 def profiles(rows: np.ndarray) -> list[Profile]:
-    """profile of each row of a ``(B, n)`` array, from one set of row-wise
+    """What trend_label, split_half_stationarity and zscores say of each row
+    of a ``(B, n)`` array, with its mean and std, from one set of row-wise
     reductions. A series whose squares pass the float range profiles with an
     infinite std, without a warning."""
     n = rows.shape[1]
@@ -296,10 +297,3 @@ def profiles(rows: np.ndarray) -> list[Profile]:
         )
     return out
 
-
-def profile(values: Sequence[float]) -> Profile:
-    """What trend_label, split_half_stationarity and zscores say of the
-    series, with its mean and std, from one set of reductions. The one-row
-    case of profiles, kept as the entry point for one series (tests and API
-    callers); the engine profiles through prompts.fingerprints."""
-    return profiles(np.asarray(values, dtype=float)[None])[0]

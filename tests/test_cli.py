@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
 import json
 import math
 import os
+import re
 import sys
 import warnings
 import weakref
@@ -63,6 +65,15 @@ def corpus_dir(tmp_path):
     out = tmp_path / "corpus"
     assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(out)]) == 0
     return out
+
+
+def test_help_names_every_command():
+    """``timeclaw --help`` prints the module docstring, whose first sentence
+    lists the commands: it must list each subcommand, and no other."""
+    parser = build_parser()
+    [commands] = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    listed = parser.description.split(":", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r"[\w-]+", listed)) - {"and"} == set(commands)
 
 
 class TestGenCorpus:

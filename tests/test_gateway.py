@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -195,19 +199,15 @@ class TestLoneSurrogates:
         ],
         ids=["content", "arguments-as-json-text", "arguments-as-an-object"],
     )
-    def test_a_remote_reply_is_a_gateway_error(self, message):
-        body = {"choices": [{"message": message}]}
-        session = SimpleNamespace(post=lambda *_a, **_k: SimpleNamespace(status_code=200, json=lambda: body))
-        gw = RemoteGateway(base_url="http://stub", session=session, backoff=0.0)
+    def test_a_remote_reply_is_a_gateway_error(self, stub_server, message):
+        gw = _stub_gateway(stub_server, message)
         with pytest.raises(GatewayError, match="lone surrogate"):
             gw.complete(_exchange("hi"))
 
 
-
-def _stub_gateway(message):
-    body = {"choices": [{"message": message}]}
-    session = SimpleNamespace(post=lambda *_a, **_k: SimpleNamespace(status_code=200, json=lambda: body))
-    return RemoteGateway(base_url="http://stub", session=session, backoff=0.0)
+def _stub_gateway(server, message):
+    server.mode, server.body = "reply", {"choices": [{"message": message}]}
+    return RemoteGateway(base_url=server.url, backoff=0.0)
 
 
 class TestRemoteReplyShape:
@@ -223,106 +223,96 @@ class TestRemoteReplyShape:
         ],
         ids=["arguments-a-list", "arguments-a-number", "name-a-number"],
     )
-    def test_a_tool_call_of_another_shape_is_a_gateway_error(self, call):
+    def test_a_tool_call_of_another_shape_is_a_gateway_error(self, stub_server, call):
         with pytest.raises(GatewayError, match="^completion reply is not a reply"):
-            _stub_gateway({"content": None, "tool_calls": [call]}).complete(_exchange("hi"))
+            _stub_gateway(stub_server, {"content": None, "tool_calls": [call]}).complete(_exchange("hi"))
 
-    def test_content_that_is_no_string_is_a_gateway_error(self):
+    def test_content_that_is_no_string_is_a_gateway_error(self, stub_server):
         with pytest.raises(GatewayError, match="^completion reply is not a reply"):
-            _stub_gateway({"content": 12}).complete(_exchange("hi"))
+            _stub_gateway(stub_server, {"content": 12}).complete(_exchange("hi"))
 
     @pytest.mark.parametrize("message", ["hi", {"tool_calls": ["ses"]}], ids=["a-string", "a-call-a-string"])
-    def test_a_message_of_another_shape_is_a_gateway_error(self, message):
+    def test_a_message_of_another_shape_is_a_gateway_error(self, stub_server, message):
         with pytest.raises(GatewayError, match="^malformed completion response"):
-            _stub_gateway(message).complete(_exchange("hi"))
+            _stub_gateway(stub_server, message).complete(_exchange("hi"))
 
-    def test_a_well_formed_reply_keeps_its_calls_and_usage(self):
+    def test_a_well_formed_reply_keeps_its_calls_and_usage(self, stub_server):
         call = {"function": {"name": "ses", "arguments": '{"alpha": 0.5}'}}
         body = {"choices": [{"message": {"content": None, "tool_calls": [call]}}], "usage": {"prompt_tokens": 4}}
-        session = SimpleNamespace(post=lambda *_a, **_k: SimpleNamespace(status_code=200, json=lambda: body))
-        reply = RemoteGateway(base_url="http://stub", session=session).complete(_exchange("hi"))
+        stub_server.mode, stub_server.body = "reply", body
+        reply = RemoteGateway(base_url=stub_server.url).complete(_exchange("hi"))
         assert reply.to_dict() == {"content": None, "tool_calls": [{"tool": "ses", "args": {"alpha": 0.5}}]}
         assert reply.usage == {"prompt_tokens": 4}
 
 
-class _Flaky(BaseHTTPRequestHandler):
-    calls = 0
-    mode = "retry"  # retry | 429 | bad_tool_json | not_json
-    throttled = 1  # in mode 429: how many calls get a 429 before a 200
+class TestRequestShape:
+    """What RemoteGateway sends, as the server reads it: the JSON it parses,
+    not the bytes, so any encoder that writes the same JSON passes."""
 
-    def do_POST(self):
-        type(self).calls += 1
-        if type(self).mode == "retry" and type(self).calls == 1:
-            self.send_response(500)
-            self.end_headers()
-            return
-        if type(self).mode == "429" and type(self).calls <= type(self).throttled:
-            self.send_response(429)
-            self.send_header("Retry-After", "0")
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
-        if type(self).mode == "not_json":
-            body = b"<html>upstream proxy page</html>"
-            self.send_response(200)
-            self.send_header("Content-Type", "text/html")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
-        if type(self).mode == "bad_tool_json":
-            message = {
-                "tool_calls": [{"function": {"name": "ses", "arguments": "{not json"}}],
-                "content": None,
-            }
-        else:
-            message = {"content": "remote says hi"}
-        body = json.dumps(
-            {"choices": [{"message": message}], "usage": {"prompt_tokens": 7, "completion_tokens": 3}}
-        ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    SCHEMA = {"name": "ses", "description": "smoothing", "parameters": {"type": "object", "properties": {}}}
 
-    def log_message(self, *args):
-        pass
+    @staticmethod
+    def _sent(server, exchange, **kwargs):
+        server.mode = "ok"
+        assert RemoteGateway(**kwargs).complete(exchange).content == "remote says hi"
+        [(method, path, headers, body)] = server.requests
+        return method, path, headers, json.loads(body)
 
+    def test_a_json_post_to_chat_completions_with_the_key_as_bearer(self, stub_server):
+        method, path, headers, _body = self._sent(
+            stub_server, _exchange("hi"), base_url=f"{stub_server.url}/v1/", api_key="k"
+        )
+        assert (method, path) == ("POST", "/v1/chat/completions")
+        assert headers["Content-Type"] == "application/json"
+        assert headers.get_all("Authorization") == ["Bearer k"]
 
-@pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Flaky)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _Flaky.calls = 0
-    _Flaky.mode = "retry"
-    _Flaky.throttled = 1
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+    def test_no_key_sends_no_authorization(self, stub_server, monkeypatch):
+        monkeypatch.delenv(gateway_module.API_KEY_ENV, raising=False)
+        _method, _path, headers, _body = self._sent(stub_server, _exchange("hi"), base_url=stub_server.url)
+        assert headers["Content-Type"] == "application/json"
+        assert "Authorization" not in headers
+
+    def test_the_body_holds_the_model_messages_and_temperature(self, stub_server):
+        exchange = _conversation([("system", "be brief"), ("user", "trend of 1, 2, 3?")])
+        *_, body = self._sent(stub_server, exchange, base_url=stub_server.url, model="m1")
+        assert body == {
+            "model": "m1",
+            "messages": [{"role": "system", "content": "be brief"}, {"role": "user", "content": "trend of 1, 2, 3?"}],
+            "temperature": 0.0,
+        }
+
+    def test_declared_tools_add_tools_and_tool_choice(self, stub_server):
+        exchange = ChatExchange(messages=[ChatMessage(role="user", content="hi")], declared_tools=[self.SCHEMA])
+        *_, body = self._sent(stub_server, exchange, base_url=stub_server.url)
+        assert body == {
+            "model": "default",
+            "messages": [{"role": "user", "content": "hi"}],
+            "temperature": 0.0,
+            "tools": [{"type": "function", "function": self.SCHEMA}],
+            "tool_choice": "auto",
+        }
 
 
 class TestRemoteGateway:
     def test_retry_on_500_then_success(self, stub_server):
-        gw = RemoteGateway(base_url=stub_server, api_key="k", backoff=0.01)
+        gw = RemoteGateway(base_url=stub_server.url, api_key="k", backoff=0.01)
         reply = gw.complete(_exchange("hi"))
         assert reply.content == "remote says hi"
-        assert _Flaky.calls == 2
+        assert stub_server.calls == 2
         assert reply.usage == {"prompt_tokens": 7, "completion_tokens": 3}
 
     def test_a_429_is_retried_then_succeeds(self, stub_server):
-        _Flaky.mode = "429"
-        gw = RemoteGateway(base_url=stub_server, api_key="k", backoff=0.01)
+        stub_server.mode = "429"
+        gw = RemoteGateway(base_url=stub_server.url, api_key="k", backoff=0.01)
         assert gw.complete(_exchange("hi")).content == "remote says hi"
-        assert _Flaky.calls == 2
+        assert stub_server.calls == 2
 
     def test_a_run_of_429s_is_a_gateway_error(self, stub_server):
-        _Flaky.mode, _Flaky.throttled = "429", 99
-        gw = RemoteGateway(base_url=stub_server, api_key="k", max_retries=2, backoff=0.01)
+        stub_server.mode, stub_server.throttled = "429", 99
+        gw = RemoteGateway(base_url=stub_server.url, api_key="k", max_retries=2, backoff=0.01)
         with pytest.raises(GatewayError, match="after 3 attempts: status 429"):
             gw.complete(_exchange("hi"))
-        assert _Flaky.calls == 3
+        assert stub_server.calls == 3
 
     @pytest.mark.parametrize(
         "headers, waits",
@@ -335,29 +325,99 @@ class TestRemoteGateway:
         ],
         ids=["seconds", "zero", "a-date", "capped", "no-headers"],
     )
-    def test_a_429_waits_the_longer_of_backoff_and_retry_after(self, monkeypatch, headers, waits):
-        response = SimpleNamespace(status_code=429, text="")
-        if headers is not None:
-            response.headers = headers
+    def test_a_429_waits_the_longer_of_backoff_and_retry_after(self, monkeypatch, stub_server, headers, waits):
+        stub_server.mode, stub_server.throttled = "429", 99
+        stub_server.throttle_headers = headers or {}
         slept = []
         monkeypatch.setattr(gateway_module, "time", SimpleNamespace(sleep=slept.append))
-        gw = RemoteGateway(base_url="http://stub", session=SimpleNamespace(post=lambda *_a, **_k: response), backoff=1.0)
+        gw = RemoteGateway(base_url=stub_server.url, backoff=1.0)
         with pytest.raises(GatewayError, match="status 429"):
             gw.complete(_exchange("hi"))
         assert slept == [min(wait, gateway_module.MAX_RETRY_WAIT_S) for wait in waits]
 
+    def test_another_4xx_is_a_gateway_error_at_once(self, stub_server):
+        stub_server.mode = "reject"
+        gw = RemoteGateway(base_url=stub_server.url, api_key="k", backoff=0.01)
+        with pytest.raises(GatewayError) as caught:
+            gw.complete(_exchange("hi"))
+        assert str(caught.value) == "gateway rejected the request: 400 " + ("bad request: " + "x" * 300)[:200]
+        assert stub_server.calls == 1
+
+    def test_a_redirect_is_a_gateway_error_naming_its_status(self, stub_server):
+        stub_server.mode = "redirect"
+        gw = RemoteGateway(base_url=stub_server.url, backoff=0.01)
+        with pytest.raises(GatewayError, match="^gateway rejected the request: 307 moved to /v2$"):
+            gw.complete(_exchange("hi"))
+        assert stub_server.calls == 1
+
+    def test_a_kept_alive_connection_carries_every_call(self, stub_server):
+        stub_server.mode, stub_server.protocol_version = "ok", "HTTP/1.1"
+        gw = RemoteGateway(base_url=stub_server.url, max_retries=0)
+        for _ in range(3):
+            assert gw.complete(_exchange("hi")).content == "remote says hi"
+        assert (stub_server.calls, stub_server.connections) == (3, 1)
+
+    def test_a_connection_the_server_closed_while_idle_is_reopened_not_retried(self, stub_server):
+        stub_server.mode, stub_server.protocol_version, stub_server.close_after_reply = "ok", "HTTP/1.1", True
+        gw = RemoteGateway(base_url=stub_server.url, max_retries=0)
+        for call in range(1, 4):
+            assert gw.complete(_exchange("hi")).content == "remote says hi"
+            deadline = time.monotonic() + 5
+            while stub_server.closed < call and time.monotonic() < deadline:
+                time.sleep(0.001)
+        assert (stub_server.calls, stub_server.connections) == (3, 3)
+
+    def test_an_http_backend_is_reached_through_http_proxy(self, stub_server, monkeypatch):
+        for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", stub_server.url.replace("://", "://us%40r:pa%3Ass@"))
+        stub_server.mode = "ok"
+        gw = RemoteGateway(base_url="http://backend.invalid/v1", max_retries=0)
+        assert gw.complete(_exchange("hi")).content == "remote says hi"
+        [(method, path, headers, _body)] = stub_server.requests
+        assert (method, path) == ("POST", "http://backend.invalid/v1/chat/completions")
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"us@r:pa:ss").decode()
+
+    def test_an_https_backend_is_reached_through_a_tunnel(self, stub_server, monkeypatch):
+        for name in ("no_proxy", "NO_PROXY", "HTTPS_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("https_proxy", stub_server.url)
+        gw = RemoteGateway(base_url="https://backend.invalid/v1", max_retries=0)
+        with pytest.raises(GatewayError, match="Tunnel connection failed: 502"):
+            gw.complete(_exchange("hi"))
+        [(method, path, headers, _body)] = stub_server.requests
+        assert (method, path) == ("CONNECT", "backend.invalid:443")
+        assert "Proxy-Authorization" not in headers
+
+    def test_a_host_in_no_proxy_is_reached_directly(self, stub_server, monkeypatch):
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        stub_server.mode = "ok"
+        assert RemoteGateway(base_url=stub_server.url, max_retries=0).complete(_exchange("hi")).content == "remote says hi"
+
     def test_malformed_tool_json_is_parse_error(self, stub_server):
-        _Flaky.mode = "bad_tool_json"
-        gw = RemoteGateway(base_url=stub_server, api_key="k", backoff=0.01)
+        stub_server.mode = "bad_tool_json"
+        gw = RemoteGateway(base_url=stub_server.url, api_key="k", backoff=0.01)
         with pytest.raises(ToolCallParseError):
             gw.complete(_exchange("hi"))
 
     def test_non_json_body_is_gateway_error(self, stub_server):
-        _Flaky.mode = "not_json"
-        gw = RemoteGateway(base_url=stub_server, api_key="k", backoff=0.01)
+        stub_server.mode = "not_json"
+        gw = RemoteGateway(base_url=stub_server.url, api_key="k", backoff=0.01)
         with pytest.raises(GatewayError, match="not JSON"):
             gw.complete(_exchange("hi"))
-        assert _Flaky.calls == 1
+        assert stub_server.calls == 1
+
+    @pytest.mark.parametrize("base_url", ["", "127.0.0.1:8000", "file:///etc"], ids=["none", "no-scheme", "file"])
+    def test_a_base_url_that_is_not_http_is_a_contract_error(self, monkeypatch, base_url):
+        monkeypatch.delenv(gateway_module.API_BASE_ENV, raising=False)
+        with pytest.raises(ContractError, match="needs an http"):
+            RemoteGateway(base_url=base_url)
+
+    @pytest.mark.parametrize("api_key", ["ключ", "k\n"], ids=["not-ascii", "a-newline"])
+    def test_a_key_no_header_can_carry_is_a_contract_error(self, api_key):
+        with pytest.raises(ContractError, match="must be printable ASCII"):
+            RemoteGateway(base_url="http://127.0.0.1:9", api_key=api_key)
 
     def test_exhausted_retries_raise_gateway_error(self):
         gw = RemoteGateway(
@@ -365,3 +425,29 @@ class TestRemoteGateway:
         )
         with pytest.raises(GatewayError):
             gw.complete(_exchange("hi"))
+
+
+def test_the_remote_transport_is_imported_by_a_remote_call_only():
+    """``timeclaw.cli`` loads no HTTP client, so a run on a mock pays for
+    none; a remote call loads only the standard library's."""
+    code = """if True:
+        import json, sys
+        import timeclaw.cli
+        from timeclaw.errors import GatewayError
+        from timeclaw.gateway import ChatExchange, ChatMessage, RemoteGateway
+
+        clients = ("requests", "urllib.request", "http.client")
+        at_import = [m for m in clients if m in sys.modules]
+        gw = RemoteGateway(base_url="http://127.0.0.1:9", max_retries=0, timeout=0.2)
+        try:
+            gw.complete(ChatExchange(messages=[ChatMessage(role="user", content="hi")]))
+            raised = None
+        except GatewayError as exc:
+            raised = type(exc).__name__
+        print(json.dumps([at_import, raised, "requests" in sys.modules]))
+    """
+    src = str(Path(gateway_module.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[], "GatewayError", False]

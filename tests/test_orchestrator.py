@@ -9,7 +9,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -626,10 +625,10 @@ class TestInference:
 
 
 class TestRemoteReplies:
-    def test_a_reply_with_a_lone_surrogate_fails_the_episode_not_the_run(self, tmp_path):
-        body = {"choices": [{"message": {"content": "\ud800 thinking"}}]}
-        session = SimpleNamespace(post=lambda *_a, **_k: SimpleNamespace(status_code=200, json=lambda: body))
-        deps = _deps(tmp_path, RemoteGateway(base_url="http://stub", session=session))
+    def test_a_reply_with_a_lone_surrogate_fails_the_episode_not_the_run(self, tmp_path, stub_server):
+        stub_server.mode = "reply"
+        stub_server.body = {"choices": [{"message": {"content": "\ud800 thinking"}}]}
+        deps = _deps(tmp_path, RemoteGateway(base_url=stub_server.url))
         assert run_inference(_instance(), deps).degraded
         outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=9), deps)
         assert outcome.evidence_class == EvidenceClass.FAILURE and outcome.gateway_calls == 0
@@ -638,11 +637,11 @@ class TestRemoteReplies:
         assert [block.header["mode"] for block in blocks] == ["inference", "exploration"]
 
     @pytest.mark.parametrize("arguments", ["[1, 2]", "null"], ids=["a-list", "null"])
-    def test_tool_call_arguments_that_are_no_object_fail_the_episode_not_the_run(self, tmp_path, arguments):
+    def test_tool_call_arguments_that_are_no_object_fail_the_episode_not_the_run(self, tmp_path, stub_server, arguments):
         call = {"function": {"name": "seasonal_naive", "arguments": arguments}}
-        body = {"choices": [{"message": {"content": None, "tool_calls": [call]}}]}
-        session = SimpleNamespace(post=lambda *_a, **_k: SimpleNamespace(status_code=200, json=lambda: body))
-        deps = _deps(tmp_path, RemoteGateway(base_url="http://stub", session=session))
+        stub_server.mode = "reply"
+        stub_server.body = {"choices": [{"message": {"content": None, "tool_calls": [call]}}]}
+        deps = _deps(tmp_path, RemoteGateway(base_url=stub_server.url))
         assert run_inference(_instance(), deps).degraded
         outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=9), deps)
         assert outcome.evidence_class == EvidenceClass.FAILURE and outcome.gateway_calls == 0
@@ -908,7 +907,7 @@ class TestProfileOnce:
         inst = _instance(gt=[13.0] * 3)
         fp = prompts.fingerprint(inst)
         batches = _count_profiled(monkeypatch)
-        calls = _count_calls(monkeypatch, ["dominant_period", "profile"])
+        calls = _count_calls(monkeypatch, ["dominant_period"])
         outcome = run_exploration_episode(inst, ExplorationConfig(seed=9), _deps(tmp_path / "a", policy_gateway("exploration")))
         assert len(outcome.candidates) == 2  # main and both branch prompts were built
         assert batches == [["e1"]] and calls == []
@@ -921,7 +920,7 @@ class TestProfileOnce:
         inst = _instance()
         fp = prompts.fingerprint(inst)
         batches = _count_profiled(monkeypatch)
-        calls = _count_calls(monkeypatch, ["dominant_period", "profile"])
+        calls = _count_calls(monkeypatch, ["dominant_period"])
         result = run_inference(inst, _deps(tmp_path / "a", PolicyGateway(inference_policy)))
         assert batches == [["e1"]] and calls == []
         given = run_inference(inst, _deps(tmp_path / "b", PolicyGateway(inference_policy)), fp=fp)

@@ -126,7 +126,7 @@ def assert_helpers_match_oracles(values):
     assert bits(seriesops.trend_label(values)) == bits(trend_label_oracle(values))
     assert bits(seriesops.zscores(values)) == bits(zscores_oracle(values))
     assert bits(seriesops.split_half_stationarity(values)) == bits(split_half_stationarity_oracle(values))
-    assert bits(seriesops.profile(values)) == bits(profile_oracle(values))
+    assert bits(seriesops.profiles(np.asarray(values, dtype=float)[None])[0]) == bits(profile_oracle(values))
     for lag in range(len(values) + 1):
         assert bits(seriesops.lagged_correlation(values, lag)) == bits(lagged_correlation_oracle(values, lag))
     assert bits(seriesops.dominant_period(values)) == bits(dominant_period_oracle(values))
@@ -257,7 +257,7 @@ def test_squares_past_the_float_range_leave_every_lag_undefined():
         warnings.simplefilter("error")  # and no RuntimeWarning on the way
         assert seriesops.lagged_correlation(big, 12) == (0.0, False)
         assert seriesops.dominant_period(big) == (None, False, None)
-        profile = seriesops.profile(big)
+        profile = seriesops.profiles(np.asarray(big, dtype=float)[None])[0]
     assert profile.std == math.inf and profile.trend_class == "stable" and profile.n_anomalies == 0
     assert seriesops.dominant_period([1e150 * v for v in SEASONAL_48])[:2] == (12, True)
     assert seriesops.dominant_period(SEASONAL_48)[:2] == (12, True)
