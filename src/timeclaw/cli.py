@@ -63,7 +63,7 @@ def _save_recorded_script(gateway: Gateway, args: argparse.Namespace) -> None:
         gateway.save(Path(args.record_script))
 
 
-def _build_deps(store_root: Optional[Path], trace_dir: Optional[Path], gateway: Gateway) -> EpisodeDeps:
+def _build_deps(store_root: Optional[Path], trace_dir: Path, gateway: Gateway) -> EpisodeDeps:
     store = ExperienceStore(store_root) if store_root is not None else None
     return EpisodeDeps(toolkit=builtin_toolkit(), gateway=gateway, store=store, trace_dir=trace_dir)
 
@@ -257,12 +257,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         thresholds: dict[str, float] = {}
         if args.threshold_file:
             thresholds = json.loads(Path(args.threshold_file).read_text())
+            if not isinstance(thresholds, dict):
+                raise ContractError(f"{args.threshold_file}: not a JSON object of thresholds by scope")
         predictions: dict[str, Any] = {}
         # only "\n" ends a record: str.splitlines also splits at the U+2028
         # and U+0085 that canonical_json writes raw inside strings
         for line in Path(args.predictions).read_text().split("\n"):
             if line.strip():
                 record = json.loads(line)
+                if not isinstance(record, dict) or not isinstance(record.get("id"), str):
+                    raise ContractError(f"{args.predictions}: a line is not an object with a string id")
                 predictions[record["id"]] = record.get("prediction")
         by_scope: dict[str, list[TaskInstance]] = {}
         for inst in load.instances:
@@ -292,12 +296,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_simulate_dropout(args: argparse.Namespace) -> int:
     try:
+        if args.seeds < 1:
+            raise ContractError("--seeds must be at least 1")
         scenario_dict = json.loads(Path(args.scenario).read_text()) if args.scenario else {}
         scenario = simulate.scenario_from_dict(scenario_dict)
-    except (OSError, ValueError, TypeError) as exc:  # ValueError covers bad JSON
+    except (ContractError, OSError, ValueError, TypeError, OverflowError) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    seeds = list(range(int(args.seeds)))
+    seeds = list(range(args.seeds))
     result = simulate.compare_over_seeds(scenario, seeds)
     paths = simulate.write_outputs(result, Path(args.out))
     reduction = result.mean_top_share_reduction()
@@ -339,7 +345,7 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
             corpus_mod.load_samples(Path(summary["files"][role]), role).manifest
             for role in ("learning", "evaluation")
         )
-    except (CorpusError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CorpusError, ContractError, OSError, ValueError, KeyError) as exc:  # ValueError covers bad JSON and UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     check = corpus_mod.disjointness_check(learn, evaluate)

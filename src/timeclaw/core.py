@@ -246,7 +246,7 @@ class EpisodeOutcome:
     winner: Optional[str]
     evidence_class: EvidenceClass
     learning_summary: LearningSummaryText
-    trace_path: Optional[str] = None
+    trace_path: str  # the scope's trace log that holds the episode's block
     eval_evidence: bool = False
     # recorded evaluation evidence per branch, and the raw strings (ground
     # truth / answer renderings) the cleaner must redact from evidence text

@@ -248,7 +248,9 @@ class FamilySpec:
 
 
 def family_from_dict(d: Mapping[str, Any]) -> FamilySpec:
-    return FamilySpec(
+    """The family a spec object describes; TypeError or ValueError for a value
+    of another type, CorpusError for a length, horizon or period below 1."""
+    family = FamilySpec(
         name=d["name"],
         kind=d["kind"],
         learn_count=int(d.get("learn_count", 0)),
@@ -261,6 +263,10 @@ def family_from_dict(d: Mapping[str, Any]) -> FamilySpec:
         level=float(d.get("level", 20.0)),
         domain=str(d.get("domain", "synth")),
     )
+    for key in ("length", "horizon", "period"):
+        if getattr(family, key) < 1:
+            raise CorpusError(f"family {family.name!r}: {key} must be at least 1")
+    return family
 
 
 def generate_sample(
@@ -320,25 +326,32 @@ def generate_synthetic_corpus(
     spec: Mapping[str, Any] | Path, out_dir: Path, seed: Optional[int] = None
 ) -> dict[str, Any]:
     """Write learning.jsonl and eval.jsonl from a synthetic-spec mapping or
-    JSON file; deterministic per seed, with disjoint source pools per role."""
+    JSON file; deterministic per seed, with disjoint source pools per role.
+    Every sample is made before the first file is written, so a spec that
+    fails partway writes nothing."""
     if isinstance(spec, (str, Path)):
         spec = json.loads(Path(spec).read_text())
-    seed = int(spec.get("seed", 0)) if seed is None else seed
-    families = [family_from_dict(f) for f in spec["families"]]
+    if not isinstance(spec, Mapping) or not isinstance(spec.get("families"), list):
+        raise CorpusError("a synthetic spec is a JSON object with a list of families")
+    try:
+        seed = int(spec.get("seed", 0)) if seed is None else seed
+        families = [family_from_dict(f) for f in spec["families"]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CorpusError(f"synthetic spec: {exc}") from None
+    pools = {
+        role: [
+            generate_sample(family, role, i, seed)[:2]
+            for family in families
+            for i in range(family.learn_count if role == "learning" else family.eval_count)
+        ]
+        for role in ("learning", "evaluation")
+    }
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict[str, Any] = {"seed": seed, "files": {}, "counts": {}}
-    for role, filename in (("learning", "learning.jsonl"), ("evaluation", "eval.jsonl")):
-        instances: list[TaskInstance] = []
-        sources: dict[str, str] = {}
-        for family in families:
-            count = family.learn_count if role == "learning" else family.eval_count
-            for i in range(count):
-                inst, source, _future = generate_sample(family, role, i, seed)
-                instances.append(inst)
-                sources[inst.id] = source
+    for (role, samples), filename in zip(pools.items(), ("learning.jsonl", "eval.jsonl")):
         path = out_dir / filename
-        write_samples(instances, path, sources)
+        write_samples([inst for inst, _source in samples], path, {inst.id: source for inst, source in samples})
         summary["files"][role] = str(path)
-        summary["counts"][role] = len(instances)
+        summary["counts"][role] = len(samples)
     return summary

@@ -200,8 +200,9 @@ class SummaryPolicy:
     threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.threshold is not None and self.threshold <= 0:
-            raise ContractError("threshold must be positive")
+        t = self.threshold
+        if t is not None and (isinstance(t, bool) or not isinstance(t, (int, float)) or not t > 0):
+            raise ContractError("threshold must be a positive number")
 
 
 @dataclass

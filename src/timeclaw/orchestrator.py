@@ -139,30 +139,29 @@ class ExplorationConfig:
 @dataclass
 class EpisodeDeps:
     """What the episodes of one run share. The toolkit is the run's one tool
-    catalog: the registry that runs dropout is built from its descriptors.
-    Neither changes while a run goes, so each distinct tool list its prompts
-    declare is built once per run: the exploration list, one per distinct
-    set of tools a branch sees, and the inference list. Threads that race to
-    build a list build equal ones. The store, when there is one, holds the
-    usage counts that dropout reads; a run without a store counts nothing."""
+    catalog, and dropout runs over it. It does not change while a run goes,
+    so each distinct tool list its prompts declare is built once per run:
+    the exploration list, one per distinct set of tools a branch sees, and
+    the inference list. Threads that race to build a list build equal ones.
+    Every episode appends its trace to the run's logs under ``trace_dir``.
+    The store, when there is one, holds the usage counts that dropout reads;
+    a run without a store counts nothing."""
 
     toolkit: Toolkit
     gateway: Gateway
+    trace_dir: Path
     store: Optional[ExperienceStore] = None
-    trace_dir: Optional[Path] = None
-    registry: ToolRegistry = field(init=False, repr=False)
-    traces: Optional[TraceLog] = field(init=False, repr=False)  # the logs under trace_dir
+    traces: TraceLog = field(init=False, repr=False)  # the logs under trace_dir
     _branch_tools: dict[frozenset[str], DeclaredTools] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.registry = ToolRegistry(self.toolkit.descriptors())
-        self.traces = TraceLog(self.trace_dir) if self.trace_dir is not None else None
+        self.traces = TraceLog(self.trace_dir)
 
     def close(self) -> None:
         """Release the descriptors of the run's logs: traces and store."""
-        for owner in (self.traces, self.store):
-            if owner is not None:
-                owner.close()
+        self.traces.close()
+        if self.store is not None:
+            self.store.close()
 
     def _declared(self, tools: Sequence[str]) -> DeclaredTools:
         return DeclaredTools([self.toolkit.tool_schema(t) for t in tools])
@@ -170,7 +169,7 @@ class EpisodeDeps:
     @cached_property
     def exploration_tools(self) -> DeclaredTools:
         """The tools an exploration episode's main exchange declares."""
-        return self._declared(self.registry.exploration_visible())
+        return self._declared(self.toolkit.exploration_visible())
 
     def branch_tools(self, visible: frozenset[str]) -> DeclaredTools:
         """The tools a branch whose slot sees ``visible`` declares, by name."""
@@ -182,7 +181,7 @@ class EpisodeDeps:
     @cached_property
     def inference_tools(self) -> tuple[frozenset[str], DeclaredTools]:
         """The tools inference exposes, and the list it declares."""
-        visible = self.registry.inference_visible()
+        visible = self.toolkit.inference_visible()
         return frozenset(visible), self._declared(visible)
 
 
@@ -240,11 +239,11 @@ class TraceWriter:
     is appended whole once the ``with`` body ends without raising, so a log
     never holds half an episode."""
 
-    def __init__(self, traces: Optional[TraceLog], scope: str, header: Mapping[str, Any]):
+    def __init__(self, traces: TraceLog, scope: str, header: Mapping[str, Any]):
         self.traces = traces
-        self.log = traces.log(scope, fresh=header["mode"] == "inference") if traces is not None else None
-        self.path = self.log.path if self.log is not None else None
-        self._lines = [canonical_json(header)] if traces is not None else None
+        self.log = traces.log(scope, fresh=header["mode"] == "inference")
+        self.path = self.log.path
+        self._lines = [canonical_json(header)]
 
     def event(self, kind: str, payload: Mapping[str, Any] | str, branch: Optional[int] = None) -> None:
         """Add one event line; ``payload`` is the event's payload object or
@@ -252,8 +251,6 @@ class TraceWriter:
         tail = _EVENT_KIND.get(kind)
         if tail is None:
             raise ContractError(f"unknown trace event kind {kind}")
-        if self._lines is None:
-            return
         if not isinstance(payload, str):
             payload = canonical_json(payload)
         self._lines.append(f'{{"branch":{"null" if branch is None else canonical_json(branch)}{tail}{payload}}}')
@@ -262,7 +259,7 @@ class TraceWriter:
         return self
 
     def __exit__(self, exc_type: Any, *_exc: Any) -> None:
-        if exc_type is None and self.log is not None:
+        if exc_type is None:
             self.traces.append(self.log, "\n".join(self._lines) + "\n")
 
 
@@ -504,7 +501,7 @@ class _EpisodeRunner:
             splice_json({"call_id": encoded["call_id"], "artifact": artifact.text}),
             branch=branch,
         )
-        descriptor = self.deps.registry.descriptor(tool)
+        descriptor = self.deps.toolkit.descriptor(tool)
         if descriptor is not None and descriptor.substantive and not artifact.is_error:
             self.substantive_used.append(tool)
         return artifact
@@ -598,7 +595,7 @@ def _run_branch(runner: _EpisodeRunner, slot: BranchSlot) -> CandidateExecution:
     substantive = tuple(
         tool
         for tool, _art in steps
-        if (d := deps.registry.descriptor(tool)) is not None and d.substantive
+        if (d := deps.toolkit.descriptor(tool)) is not None and d.substantive
     )
     return CandidateExecution(
         branch_id=f"{instance.id}#b{slot.slot}",
@@ -663,7 +660,7 @@ def run_exploration_episode(
         episode_seed = stable_seed(config.seed, instance.id)
         counts = deps.store.ledger.counts(instance.scope) if deps.store is not None else {}
         slots = assign_branch_slots(
-            instance, config, runner.prior_exists, deps.registry, counts, runner.selection, episode_seed
+            instance, config, runner.prior_exists, deps.toolkit, counts, runner.selection, episode_seed
         )
         bundle = prompts.build_exploration_prompt(
             instance,
@@ -784,7 +781,7 @@ def run_exploration_episode(
             winner=winner.branch_id if winner is not None and evidence_class != EvidenceClass.FAILURE else None,
             evidence_class=evidence_class,
             learning_summary=summary,
-            trace_path=str(runner.trace.path) if runner.trace.path else None,
+            trace_path=str(runner.trace.path),
             eval_evidence=eval_evidence,
             eval_reports=eval_reports,
             sensitive=tuple(dict.fromkeys(sensitive)),
@@ -939,7 +936,7 @@ class InferenceResult:
     tool_chain: tuple[str, ...]
     execution_context: str
     degraded: bool
-    trace_path: Optional[str] = None
+    trace_path: str
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -1021,5 +1018,5 @@ def run_inference(
         tool_chain=tuple(tool_chain),
         execution_context="\n".join(context_lines),
         degraded=degraded,
-        trace_path=str(runner.trace.path) if runner.trace.path else None,
+        trace_path=str(runner.trace.path),
     )

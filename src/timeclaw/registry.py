@@ -6,7 +6,8 @@ tool: keep(i) = ((1 + n_min) / (1 + n_i)) ** alpha, with protected tools
 bypassing dropout entirely. The registry keeps no counts: each caller hands
 dropout a scope's counts. A run's counts are its store's, rebuilt from the
 notes into a :class:`ToolUsageLedger`, so a run without a store counts
-nothing.
+nothing. A run's one catalog is its :class:`~timeclaw.toolkit.Toolkit`: a
+:class:`ToolRegistry` that also runs the tools.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ class ToolCategory(str, enum.Enum):
 
 SUBSTANTIVE_CATEGORIES = frozenset(
     {ToolCategory.FORECASTING, ToolCategory.ANALYSIS, ToolCategory.TEXT}
-)
-EXPLORATION_SURFACE_CATEGORIES = frozenset(
-    {ToolCategory.EXPLORATION_ONLY, ToolCategory.ORCHESTRATION}
 )
 
 
@@ -141,7 +139,9 @@ MIN_SURVIVING_COMPETITORS = 2
 
 class ToolRegistry:
     """Descriptor catalog and the dropout over it. It holds no usage counts:
-    :meth:`sample_visible_subset` takes the scope's counts from its caller."""
+    :meth:`sample_visible_subset` takes the scope's counts from its caller.
+    :class:`~timeclaw.toolkit.Toolkit` subclasses it; the collapse
+    simulation runs a bare one."""
 
     def __init__(self, descriptors: Iterable[ToolDescriptor]):
         self._tools: dict[str, ToolDescriptor] = {}
@@ -160,16 +160,10 @@ class ToolRegistry:
     def descriptor(self, tool_id: str) -> Optional[ToolDescriptor]:
         return self._tools.get(tool_id)
 
-    def tool_ids(self) -> list[str]:
-        return sorted(self._tools)
-
-    def substantive_tools(self) -> list[str]:
-        return sorted(t for t, d in self._tools.items() if d.substantive)
-
     def inference_visible(self) -> list[str]:
-        """Tools exposed at inference: exploration-only and orchestration
-        categories are removed."""
-        return self.substantive_tools()
+        """Tools exposed at inference, the substantive ones: exploration-only
+        and orchestration categories are removed."""
+        return sorted(t for t, d in self._tools.items() if d.substantive)
 
     def exploration_visible(self) -> list[str]:
         return sorted(self._tools)
@@ -247,7 +241,7 @@ class ToolRegistry:
 
     def coverage_rate(self, scope: str, prefix_traces: Sequence[Iterable[str]]) -> float:
         """|union of tools invoked in the prefix| / |visible universe|."""
-        universe = set(self.substantive_tools())
+        universe = set(self.inference_visible())
         if not universe:
             raise ContractError("empty visible-tool universe")
         used: set[str] = set()

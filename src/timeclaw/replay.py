@@ -53,9 +53,7 @@ class ReplayReport:
         return asdict(self)
 
 
-def replay(
-    trace_path: Path, samples: Iterable[TaskInstance], toolkit: Optional[Toolkit] = None
-) -> list[ReplayReport]:
+def replay(trace_path: Path, samples: Iterable[TaskInstance]) -> list[ReplayReport]:
     """Re-execute every recorded tool call of every episode in a trace log
     against the episode's sample, taken from ``samples`` (the corpus the run
     read) by id, and compare artifacts byte-wise; one report per episode.
@@ -65,7 +63,7 @@ def replay(
     names, or, in an exploration block, carries no ground truth that is a
     valid answer.
     """
-    toolkit = toolkit or builtin_toolkit()
+    toolkit = builtin_toolkit()
     by_id = {sample.id: sample for sample in samples}
     return [_replay_block(block, by_id, toolkit) for block in read_trace(trace_path)]
 
@@ -117,7 +115,7 @@ def _replay_block(block: TraceBlock, samples: Mapping[str, TaskInstance], toolki
         tool = payload["tool"]
         if tool == SPAWN_TOOL:
             continue  # orchestrator-handled; nothing to re-execute
-        if not toolkit.has(tool):
+        if toolkit.descriptor(tool) is None:
             report.divergences.append(
                 Divergence(index=i, kind="unknown_tool", detail=f"tool {tool!r} is not registered")
             )

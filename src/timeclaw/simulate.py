@@ -11,10 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from .errors import ContractError
 from .registry import ToolCategory, ToolDescriptor, ToolRegistry, ToolUsageLedger
 from .util import stable_rng, write_atomic
 
@@ -28,38 +30,36 @@ class DropoutScenario:
     branch_count: int = 2
     selection_bias: float = 2.5  # selection weight ~ (1 + count) ** bias
     alpha: float = 1.5
-    noise: float = 0.05
     measure_every: int = 5
     top_k: int = 5
-    quality_means: tuple[float, ...] = ()
     protected: tuple[str, ...] = ()
 
     def tool_ids(self) -> list[str]:
         return [f"tool_{i:02d}" for i in range(self.n_tools)]
 
-    def qualities(self) -> dict[str, float]:
-        means = list(self.quality_means)
-        if not means:
-            # one dominant tool family, the rest mediocre
-            means = [1.0, 0.9, 0.8] + [0.4] * (self.n_tools - 3)
-        if len(means) != self.n_tools:
-            means = (means + [means[-1]] * self.n_tools)[: self.n_tools]
-        return dict(zip(self.tool_ids(), means))
 
-
-def scenario_from_dict(d: Mapping[str, Any]) -> DropoutScenario:
-    return DropoutScenario(
+def scenario_from_dict(d: Any) -> DropoutScenario:
+    """The scenario a JSON object describes; TypeError, ValueError or
+    OverflowError for a value of another type, ContractError for one that is
+    no object or a value out of range."""
+    if not isinstance(d, Mapping):
+        raise ContractError("a scenario is a JSON object")
+    scenario = DropoutScenario(
         n_tools=int(d.get("n_tools", 10)),
         episodes=int(d.get("episodes", 120)),
         branch_count=int(d.get("branch_count", 2)),
         selection_bias=float(d.get("selection_bias", 2.5)),
         alpha=float(d.get("alpha", 1.5)),
-        noise=float(d.get("noise", 0.05)),
         measure_every=int(d.get("measure_every", 5)),
         top_k=int(d.get("top_k", 5)),
-        quality_means=tuple(d.get("quality_means", ())),
         protected=tuple(d.get("protected", ())),
     )
+    for name in ("n_tools", "measure_every", "top_k"):
+        if getattr(scenario, name) < 1:
+            raise ContractError(f"scenario: {name} must be at least 1")
+    if not (scenario.alpha > 0 and math.isfinite(scenario.selection_bias)):
+        raise ContractError("scenario: alpha must be positive and selection_bias finite")
+    return scenario
 
 
 def _build_registry(scenario: DropoutScenario) -> ToolRegistry:
@@ -89,7 +89,6 @@ def run_collapse_simulation(
     """One simulated exploration run; returns the diagnostic curve."""
     registry = _build_registry(scenario)
     ledger = ToolUsageLedger()
-    qualities = scenario.qualities()
     # the selection stream is shared between ON and OFF so dropout is the
     # only difference; an all-protected pool then yields identical runs
     rng = stable_rng("simulate", seed)
@@ -108,9 +107,6 @@ def run_collapse_simulation(
             pool = [t for t in visible if t not in chosen] or visible
             weights = [(1.0 + counts.get(t, 0)) ** scenario.selection_bias for t in pool]
             chosen.append(rng.choices(pool, weights=weights, k=1)[0])
-        # branch qualities decide nothing here beyond realism; usage is what
-        # the collapse diagnostics read
-        _scores = [qualities[t] + rng.gauss(0.0, scenario.noise) for t in chosen]
         ledger.record(SCOPE, chosen)
         episode_tool_sets.append(set(chosen))
         if episode % scenario.measure_every == 0 or episode == scenario.episodes:

@@ -251,7 +251,7 @@ def summarize_episode(
         insight=outcome.learning_summary.insight,
         recommendation=outcome.learning_summary.recommendation,
         # a file name, so store trees stay path-independent
-        trace_refs=(Path(outcome.trace_path).name,) if outcome.trace_path else (),
+        trace_refs=(Path(outcome.trace_path).name,),
         applicability=chi,
         sensitive=tuple(outcome.sensitive),
         eval_evidence=outcome.eval_evidence,
@@ -690,11 +690,13 @@ class ExperienceStore:
     when they hold evaluation evidence. :meth:`notes` decodes the
     shard in full, so a bad value inside a distilled note surfaces there.
     A shard holding fewer notes than its memory's ``distilled_through`` is
-    refused.
+    refused, as is a root that exists and is not a directory.
     """
 
     def __init__(self, root: Path):
         self.root = Path(root)
+        if self.root.exists() and not self.root.is_dir():
+            raise ContractError(f"store {self.root} is not a directory")
         self.ledger = ToolUsageLedger()
         self._scopes: dict[str, _Scope] = {}
         self._scopes_guard = threading.Lock()

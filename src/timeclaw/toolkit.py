@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics, seriesops
 from .core import EvaluatorCapability, TaskInstance, validate_answer
 from .errors import CapabilityError, ContractError, TimeclawError
-from .registry import ArgSpec, ToolCategory, ToolDescriptor
+from .registry import ArgSpec, ToolCategory, ToolDescriptor, ToolRegistry
 from .util import canonical_json, digest_text, splice_json
 
 ORIGINAL_INPUT = "original_input"
@@ -150,19 +150,18 @@ _TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
 }
 
 
-class Toolkit:
-    """Registered tools plus the invoke() contract that wraps them."""
+class Toolkit(ToolRegistry):
+    """The tool catalog: a :class:`ToolRegistry` of the tools' descriptors,
+    plus each tool's function and the invoke() contract that wraps them."""
 
     def __init__(self) -> None:
+        super().__init__(())
         self._fns: dict[str, ToolFn] = {}
-        self._descriptors: dict[str, ToolDescriptor] = {}
         self._schemas: dict[str, dict[str, Any]] = {}
 
     def register(self, descriptor: ToolDescriptor, fn: ToolFn) -> None:
-        if descriptor.tool_id in self._fns:
-            raise ContractError(f"tool {descriptor.tool_id} already registered")
+        self.add(descriptor)
         self._fns[descriptor.tool_id] = fn
-        self._descriptors[descriptor.tool_id] = descriptor
         props = {
             name: {"type": spec.type, "description": spec.description}
             for name, spec in sorted(descriptor.arg_schema.items())
@@ -173,12 +172,6 @@ class Toolkit:
             "description": descriptor.description,
             "parameters": {"type": "object", "properties": props, "required": required},
         }
-
-    def descriptors(self) -> list[ToolDescriptor]:
-        return [self._descriptors[t] for t in sorted(self._descriptors)]
-
-    def has(self, tool_id: str) -> bool:
-        return tool_id in self._fns
 
     def _validated_args(self, descriptor: ToolDescriptor, args: Mapping[str, Any]) -> dict[str, Any]:
         schema = descriptor.arg_schema
@@ -205,13 +198,10 @@ class Toolkit:
         Deterministic given (tool, args, inputs); schema and execution
         failures come back as error artifacts, mode violations raise.
         """
-        descriptor = self._descriptors.get(call.tool_id)
+        descriptor = self.descriptor(call.tool_id)
         if descriptor is None:
             return self._error_artifact(call, "unknown_tool", f"tool {call.tool_id} is not registered")
-        if ctx.mode == "inference" and descriptor.category in (
-            ToolCategory.EXPLORATION_ONLY,
-            ToolCategory.ORCHESTRATION,
-        ):
+        if ctx.mode == "inference" and not descriptor.substantive:
             raise CapabilityError(f"tool {call.tool_id} is not available at inference time")
         try:
             args = self._validated_args(descriptor, call.args)

@@ -1228,7 +1228,13 @@ BAD_INPUT = {
     "lint-forbidden-not-strings": ["lint", "--trace", "{golden_trace}", "--forbidden-file", "{numbers}"],
     "replay-no-whole-block": ["replay", "--trace", "{torn_only}", "--corpus", "{eval}"],
     "eval-zero-threshold": ["eval", "--predictions", "{empty}", "--corpus", "{eval}", "--threshold-file", "{threshold}"],
+    "eval-string-threshold": ["eval", "--predictions", "{empty}", "--corpus", "{eval}", "--threshold-file", "{string_threshold}", "--out", "{scores}"],
+    "eval-bool-threshold": ["eval", "--predictions", "{empty}", "--corpus", "{eval}", "--threshold-file", "{true}", "--out", "{scores}"],
+    "eval-thresholds-a-list": ["eval", "--predictions", "{empty}", "--corpus", "{eval}", "--threshold-file", "{numbers}", "--out", "{scores}"],
+    "eval-prediction-a-list": ["eval", "--predictions", "{numbers}", "--corpus", "{eval}", "--out", "{scores}"],
+    "eval-prediction-id-a-number": ["eval", "--predictions", "{number_id}", "--corpus", "{eval}", "--out", "{scores}"],
     "simulate-non-numeric-field": ["simulate-dropout", "--scenario", "{scenario}", "--seeds", "1", "--out", "{store}"],
+    "simulate-zero-seeds": ["simulate-dropout", "--seeds", "0", "--out", "{store}"],
     # a --mock-script that is not an object of replies
     "explore-mock-script-a-list": ["explore", "--corpus", "{learning}", "--store", "{store}", "--mock-script", "{numbers}"],
     "infer-mock-script-entry-a-string": ["infer", "--corpus", "{eval}", "--out", "{pred}", "--mock-script", "{oops}"],
@@ -1276,6 +1282,10 @@ class TestBadInput:
             "oops": tmp_path / "oops.json",
             "call_without_tool_script": tmp_path / "call_without_tool_script.json",
             "content_5": tmp_path / "content_5.json",
+            "string_threshold": tmp_path / "string_threshold.json",
+            "scores": tmp_path / "scores.json",
+            "true": tmp_path / "true.json",
+            "number_id": tmp_path / "number_id.jsonl",
         }
         files["empty"].write_text("")
         files["garbage"].write_text("not a trace\n")
@@ -1320,6 +1330,76 @@ class TestBadInput:
         files["oops"].write_text(json.dumps({"d": "oops"}))
         files["call_without_tool_script"].write_text(json.dumps({"d": {"content": "", "tool_calls": [{"args": {}}]}}))
         files["content_5"].write_text(json.dumps({"d": {"content": 5}}))
+        files["string_threshold"].write_text(json.dumps({"synth_forecast_short": "x"}))
+        files["true"].write_text(json.dumps({"synth_forecast_short": True}))
+        files["number_id"].write_text(json.dumps({"id": 7, "prediction": [1.0]}) + "\n")
         capsys.readouterr()
         assert main([arg.format(**files) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+FAMILY = {"name": "szn", "kind": "seasonal", "learn_count": 2, "eval_count": 1}
+MALFORMED_SPECS = {
+    "length-null": {"families": [{**FAMILY, "length": None}]},
+    "length-a-string": {"families": [{**FAMILY, "length": "x"}]},
+    "length-zero": {"families": [{**FAMILY, "length": 0}]},
+    "horizon-zero": {"families": [{**FAMILY, "horizon": 0}]},
+    "period-zero": {"families": [{**FAMILY, "period": 0}]},
+    "noise-nan": {"families": [{**FAMILY, "noise": "nan"}]},
+    "seed-a-string": {"seed": "x", "families": [FAMILY]},
+    "family-a-list": {"families": [[FAMILY]]},
+    "families-an-object": {"families": FAMILY},
+    "spec-an-array": [FAMILY],
+    "spec-not-utf-8": b"\xff\xfe{}",
+}
+MALFORMED_SCENARIOS = {
+    "measure-every-zero": {"measure_every": 0},
+    "top-k-zero": {"top_k": 0},
+    "alpha-zero": {"alpha": 0},
+    "n-tools-zero": {"n_tools": 0},
+    "selection-bias-inf": {"selection_bias": "inf"},
+    "protected-a-number": {"protected": 5},
+    "scenario-an-array": [{"n_tools": 4}],
+}
+
+
+class TestMalformedSpecs:
+    """A spec or scenario that cannot run is refused with an error line and
+    exit 2 before anything is written."""
+
+    @pytest.mark.parametrize("spec", list(MALFORMED_SPECS.values()), ids=list(MALFORMED_SPECS))
+    def test_gen_corpus_refuses_and_writes_nothing(self, spec, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
+        out = tmp_path / "corpus"
+        capsys.readouterr()
+        assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", list(MALFORMED_SCENARIOS.values()), ids=list(MALFORMED_SCENARIOS))
+    def test_simulate_dropout_refuses_and_writes_nothing(self, scenario, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "diag"
+        capsys.readouterr()
+        assert main(["simulate-dropout", "--scenario", str(path), "--seeds", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
+class TestStoreRoot:
+    @pytest.mark.parametrize("command", ["explore", "infer", "report"])
+    def test_a_store_that_is_a_file_is_refused(self, command, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.write_text("not a store\n")
+        argv = {
+            "explore": ["explore", "--corpus", str(corpus_dir / "learning.jsonl")],
+            "infer": ["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--out", str(tmp_path / "run" / "pred.jsonl")],
+            "report": ["report"],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--store", str(store)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: store {store} is not a directory")
+        assert store.read_text() == "not a store\n"
+        assert not (tmp_path / "run").exists()

@@ -34,10 +34,10 @@ from timeclaw.orchestrator import (
     run_inference,
 )
 from timeclaw.policy import exploration_policy, inference_policy, policy_gateway
-from timeclaw.registry import ToolRegistry
+from timeclaw.registry import ArgSpec, ToolCategory, ToolDescriptor, ToolRegistry
 from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore, LearningNote
-from timeclaw.toolkit import ORIGINAL_INPUT, builtin_toolkit
+from timeclaw.toolkit import ORIGINAL_INPUT, ArtifactKind, builtin_toolkit
 from timeclaw.util import canonical_json, digest_text
 
 
@@ -245,6 +245,51 @@ class TestEpisodeOutcomes:
         fresh = branch_lists(_deps(tmp_path / "fresh", policy_gateway("exploration")), 0)
         assert len(fresh) == 2 and all("naive" in tools for tools in fresh)
 
+    @pytest.mark.parametrize("protected", [True, False])
+    def test_a_tool_protected_in_the_scope_is_shown_to_every_branch(self, tmp_path, protected):
+        # a forecasting tool registered through the Python API with a
+        # protected_in glob that matches the scope, and the store's notes
+        # counting it 1000 times: dropout would hide it from every branch,
+        # as it does the same tool unprotected, but protection keeps it
+        scope = "synth_forecast_short"
+        store = ExperienceStore(tmp_path / "store")
+        store.commit_note(
+            LearningNote(
+                scope=scope, instance_id="prior", prompt_digest="d" * 16, winner_tools=(), loser_tools=(),
+                metrics={}, evidence_class="failure", insight="", recommendation="", trace_refs=(),
+                applicability={}, tools=("last_value",) * 1000,
+            )
+        )
+        store.close()
+        toolkit = builtin_toolkit()
+        toolkit.register(
+            ToolDescriptor(
+                tool_id="last_value",
+                category=ToolCategory.FORECASTING,
+                arg_schema={"horizon": ArgSpec("integer", required=True)},
+                protected_in=("synth_*",) if protected else (),
+            ),
+            lambda args, inputs, ctx: (ArtifactKind.SERIES, {"values": [inputs[0].payload["values"][-1]] * args["horizon"]}),
+        )
+        deps = EpisodeDeps(
+            toolkit=toolkit,
+            gateway=policy_gateway("exploration"),
+            store=ExperienceStore(tmp_path / "store"),
+            trace_dir=tmp_path / "traces",
+        )
+        assert deps.store.ledger.counts(scope) == {"last_value": 1000}
+        for seed in range(6):
+            run_exploration_episode(_instance(gt=[13.0] * 3, iid=f"e{seed}"), ExplorationConfig(seed=seed), deps)
+        deps.close()
+        listed = [
+            e["payload"]["tools"]
+            for block in read_trace(tmp_path / "traces" / f"{scope}.jsonl")
+            for e in block.events
+            if e["kind"] == "gateway_request" and e["branch"] is not None and "tools" in e["payload"]
+        ]
+        assert len(listed) == 12
+        assert [("last_value" in tools) for tools in listed] == [protected] * 12
+
 
 def _branch_loop_policy(branch_fn):
     """The built-in exploration policy for the main exchanges; branch turns
@@ -268,7 +313,7 @@ class TestBranchLoop:
         deps = _deps(tmp_path, _branch_loop_policy(branch_fn))
         if visible is not None:
             monkeypatch.setattr(
-                deps.registry, "sample_visible_subset", lambda *a, **k: frozenset(visible)
+                deps.toolkit, "sample_visible_subset", lambda *a, **k: frozenset(visible)
             )
         outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=3), deps)
         [block] = read_trace(outcome.trace_path)
@@ -349,7 +394,7 @@ class TestBranchLoop:
             return _forecast_reply([13.0] * 3)
 
         deps = _deps(tmp_path, _branch_loop_policy(branch_fn))
-        monkeypatch.setattr(deps.registry, "sample_visible_subset", lambda *a, **k: frozenset({"naive", "drift"}))
+        monkeypatch.setattr(deps.toolkit, "sample_visible_subset", lambda *a, **k: frozenset({"naive", "drift"}))
         inst = _instance(gt=[13.0] * 3)
         outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), deps)
         assert all(c.valid for c in outcome.candidates)
@@ -444,7 +489,7 @@ class TestContractVerdicts:
 
 class TestBranchSlots:
     def _registry(self, tmp_path):
-        return ToolRegistry(builtin_toolkit().descriptors())
+        return builtin_toolkit()
 
     def test_fresh_scope_distinct_hints(self, tmp_path):
         inst = _instance(gt=[13.0] * 3)
@@ -491,8 +536,6 @@ class TestBranchSlots:
                 assert slot.hint in slot.visible_tools
 
     def test_exactly_two_competitors_pigeonhole(self):
-        from timeclaw.registry import ToolCategory, ToolDescriptor
-
         registry = ToolRegistry(
             [
                 ToolDescriptor(tool_id="naive", category=ToolCategory.FORECASTING),
@@ -653,13 +696,12 @@ class TestRemoteReplies:
 class TestToolExposure:
     def test_exploration_minus_inference_is_exactly_the_special_categories(self, tmp_path):
         toolkit = builtin_toolkit()
-        registry = ToolRegistry(toolkit.descriptors())
-        exploration = set(registry.exploration_visible())
-        inference = set(registry.inference_visible())
+        exploration = set(toolkit.exploration_visible())
+        inference = set(toolkit.inference_visible())
         special = {
-            d.tool_id
-            for d in toolkit.descriptors()
-            if d.category.value in ("exploration_only", "orchestration")
+            t
+            for t in exploration
+            if toolkit.descriptor(t).category.value in ("exploration_only", "orchestration")
         }
         assert exploration - inference == special
 
@@ -791,7 +833,7 @@ class TestTraceLog:
             return _forecast_reply([13.0 + slot] * 3)
 
         deps = _deps(tmp_path, _branch_loop_policy(branch_fn))
-        monkeypatch.setattr(deps.registry, "sample_visible_subset", lambda *a, **k: frozenset({"naive", "drift"}))
+        monkeypatch.setattr(deps.toolkit, "sample_visible_subset", lambda *a, **k: frozenset({"naive", "drift"}))
         try:
             run_exploration_episode(_instance(gt=[13.0] * 3, iid=f"e{n}"), ExplorationConfig(seed=n), deps)
         finally:
@@ -829,7 +871,7 @@ class TestToolListsPerRun:
         # more threads than cores, switching as often as possible: each tool
         # set still maps to one list, equal to a fresh build of its schemas
         deps = _deps(tmp_path, policy_gateway("exploration"))
-        tools = sorted(deps.registry.inference_visible())
+        tools = sorted(deps.toolkit.inference_visible())
         sets = [frozenset(c) for c in itertools.combinations(tools, 3)]
 
         start = threading.Barrier(6)
@@ -863,9 +905,9 @@ class TestTraceLines:
         lines = (tmp_path / "s.jsonl").read_text(encoding="utf-8").split("\n")
         assert lines == [canonical_json(header), canonical_json({"branch": branch, "kind": kind, "payload": payload}), ""]
 
-    def test_an_unknown_kind_is_refused(self):
+    def test_an_unknown_kind_is_refused(self, tmp_path):
         with pytest.raises(ContractError, match="unknown trace event kind"):
-            TraceWriter(None, "s", {"mode": "inference"}).event("gossip", {})
+            TraceWriter(TraceLog(tmp_path), "s", {"mode": "inference"}).event("gossip", {})
 
 
 def _count_calls(monkeypatch, names):

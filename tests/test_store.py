@@ -93,6 +93,7 @@ class TestSummarizeEpisode:
             winner=winner,
             evidence_class=evidence_class,
             learning_summary=LearningSummaryText(*summary),
+            trace_path="traces/synth_forecast_short.jsonl",
             eval_evidence=reports is not None,
             eval_reports=reports or {},
         )
