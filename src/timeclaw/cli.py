@@ -4,7 +4,8 @@ gen-corpus, replay and lint.
 Every command is deterministic under (--seed, scripted/policy mock); run
 summaries carry the seed and config digest for provenance. Exit codes:
 0 success, 1 findings (a replay divergence or a lint violation), 2
-configuration error or malformed input, 3 partial (some instances failed).
+configuration error, malformed input or an OS error (see ``main``), 3
+partial (some instances failed).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Any, Optional, Sequence
 
 from . import __version__, corpus as corpus_mod, metrics, prompts, simulate
 from .core import CLASSIFICATION_TYPES, TaskInstance, validate_answer
-from .errors import ContractError, CorpusError, LogError, TimeclawError
+from .errors import ContractError, CorpusError, TimeclawError
 from .gateway import API_BASE_ENV, Gateway, RecordingGateway, RemoteGateway, ScriptedGateway
 from .orchestrator import (
     EpisodeDeps,
@@ -32,7 +33,7 @@ from .policy import policy_gateway
 from .replay import lint as lint_trace, replay as replay_trace
 from .store import ExperienceStore
 from .toolkit import builtin_toolkit
-from .util import canonical_json, write_atomic
+from .util import canonical_json, parse_json, read_json, read_lines, write_atomic
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -81,16 +82,12 @@ def cmd_explore(args: argparse.Namespace) -> int:
     # byte-comparable across run roots
     out_dir = Path(args.out) if args.out else store_root.parent
     trace_dir = Path(args.trace_dir) if args.trace_dir else store_root / "traces"
-    try:
-        config = ExplorationConfig(
-            branch_slots=args.branch_slots, max_steps=args.max_steps, alpha=args.alpha, seed=args.seed
-        )
-        load = corpus_mod.load_samples(Path(args.corpus), role="learning")
-        gateway = _build_gateway(args, policy="exploration")
-        deps = _build_deps(store_root, trace_dir, gateway)
-    except (CorpusError, ContractError, LogError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = ExplorationConfig(
+        branch_slots=args.branch_slots, max_steps=args.max_steps, alpha=args.alpha, seed=args.seed
+    )
+    load = corpus_mod.load_samples(Path(args.corpus), role="learning")
+    gateway = _build_gateway(args, policy="exploration")
+    deps = _build_deps(store_root, trace_dir, gateway)
 
     counts = {"comparative": 0, "single_execution": 0, "failure": 0}
     usage = {"tokens": 0, "gateway_calls": 0}
@@ -163,13 +160,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
         store_root = None
     out_path = Path(args.out)
     trace_dir = Path(args.trace_dir) if args.trace_dir else out_path.parent / "traces_infer"
-    try:
-        load = corpus_mod.load_samples(Path(args.corpus), role="evaluation")
-        gateway = _build_gateway(args, policy="inference")
-        deps = _build_deps(store_root, trace_dir, gateway)
-    except (CorpusError, ContractError, LogError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    load = corpus_mod.load_samples(Path(args.corpus), role="evaluation")
+    gateway = _build_gateway(args, policy="inference")
+    deps = _build_deps(store_root, trace_dir, gateway)
 
     results = []
     failed: list[str] = []
@@ -252,57 +245,43 @@ def _score_scope(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        load = corpus_mod.load_samples(Path(args.corpus), role="evaluation")
-        thresholds: dict[str, float] = {}
-        if args.threshold_file:
-            thresholds = json.loads(Path(args.threshold_file).read_text())
-            if not isinstance(thresholds, dict):
-                raise ContractError(f"{args.threshold_file}: not a JSON object of thresholds by scope")
-        predictions: dict[str, Any] = {}
-        # only "\n" ends a record: str.splitlines also splits at the U+2028
-        # and U+0085 that canonical_json writes raw inside strings
-        for line in Path(args.predictions).read_text().split("\n"):
-            if line.strip():
-                record = json.loads(line)
-                if not isinstance(record, dict) or not isinstance(record.get("id"), str):
-                    raise ContractError(f"{args.predictions}: a line is not an object with a string id")
-                predictions[record["id"]] = record.get("prediction")
-        by_scope: dict[str, list[TaskInstance]] = {}
-        for inst in load.instances:
-            by_scope.setdefault(inst.scope, []).append(inst)
-        reports = [
-            _score_scope(insts, predictions, scope, thresholds.get(scope))
-            for scope, insts in sorted(by_scope.items())
-        ]
-    except (CorpusError, ContractError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    load = corpus_mod.load_samples(Path(args.corpus), role="evaluation")
+    thresholds: dict[str, float] = {}
+    if args.threshold_file:
+        thresholds = read_json(Path(args.threshold_file))
+        if not isinstance(thresholds, dict):
+            raise ContractError(f"{args.threshold_file}: not a JSON object of thresholds by scope")
+    predictions: dict[str, Any] = {}
+    for line_no, line in enumerate(read_lines(Path(args.predictions)), start=1):
+        if line.strip():
+            record = parse_json(line, f"{args.predictions}: line {line_no}")
+            if not isinstance(record, dict) or not isinstance(record.get("id"), str):
+                raise ContractError(f"{args.predictions}: line {line_no} is not an object with a string id")
+            predictions[record["id"]] = record.get("prediction")
+    by_scope: dict[str, list[TaskInstance]] = {}
+    for inst in load.instances:
+        by_scope.setdefault(inst.scope, []).append(inst)
+    reports = [
+        _score_scope(insts, predictions, scope, thresholds.get(scope))
+        for scope, insts in sorted(by_scope.items())
+    ]
 
-    corpus_ids = {i.id for i in load.instances}
-    unknown_ids = sorted(set(predictions) - corpus_ids)
     out = {
         "command": "eval",
         "version": __version__,
         "scopes": reports,
-        "unknown_prediction_ids": unknown_ids,
+        "unknown_prediction_ids": sorted(set(predictions) - {i.id for i in load.instances}),
     }
     out_path = Path(args.out) if args.out else Path("scores.json")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(out_path, json.dumps(out, indent=1, sort_keys=True) + "\n")
+    _write_summary(out_path.parent, out_path.name, out)
     print(f"eval: {len(reports)} scope report(s) -> {out_path}")
     return EXIT_OK
 
 
 def cmd_simulate_dropout(args: argparse.Namespace) -> int:
-    try:
-        if args.seeds < 1:
-            raise ContractError("--seeds must be at least 1")
-        scenario_dict = json.loads(Path(args.scenario).read_text()) if args.scenario else {}
-        scenario = simulate.scenario_from_dict(scenario_dict)
-    except (ContractError, OSError, ValueError, TypeError, OverflowError) as exc:  # ValueError covers bad JSON
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.seeds < 1:
+        raise ContractError("--seeds must be at least 1")
+    scenario = simulate.scenario_from_dict(read_json(Path(args.scenario)) if args.scenario else {})
     seeds = list(range(args.seeds))
     result = simulate.compare_over_seeds(scenario, seeds)
     paths = simulate.write_outputs(result, Path(args.out))
@@ -317,13 +296,8 @@ def cmd_simulate_dropout(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     store_root = Path(args.store)
     if not store_root.exists():
-        print(f"error: store {store_root} does not exist", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        store = ExperienceStore(store_root)
-    except (ContractError, LogError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ContractError(f"store {store_root} does not exist")
+    store = ExperienceStore(store_root)
     report = store.report()
     for scope in report:
         report[scope]["entropy_history"] = store.ledger.entropy_history(scope)
@@ -336,24 +310,17 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
-    try:
-        summary = corpus_mod.generate_synthetic_corpus(
-            Path(args.spec), Path(args.out), seed=args.seed
-        )
-        # the pools as written: no evaluation source may also teach
-        learn, evaluate = (
-            corpus_mod.load_samples(Path(summary["files"][role]), role).manifest
-            for role in ("learning", "evaluation")
-        )
-    except (CorpusError, ContractError, OSError, ValueError, KeyError) as exc:  # ValueError covers bad JSON and UTF-8
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    summary = corpus_mod.generate_synthetic_corpus(Path(args.spec), Path(args.out), seed=args.seed)
+    # the pools as written: no evaluation source may also teach
+    learn, evaluate = (
+        corpus_mod.load_samples(Path(summary["files"][role]), role).manifest
+        for role in ("learning", "evaluation")
+    )
     check = corpus_mod.disjointness_check(learn, evaluate)
     print(f"gen-corpus: {summary['counts']} -> {args.out}")
     print(f"disjointness: {canonical_json(check)}")
     if not check["pass"]:
-        print("error: the learning and evaluation pools share sources", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CorpusError("the learning and evaluation pools share sources")
     return EXIT_OK
 
 
@@ -364,29 +331,19 @@ def _print_episode_reports(trace: str, reports: Sequence[Any]) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        # an evaluation-role load: an inference log's samples need no ground
-        # truth, and replay checks an exploration block's itself
-        samples = corpus_mod.load_samples(Path(args.corpus), role="evaluation").instances
-        reports = replay_trace(Path(args.trace), samples)
-    except (TimeclawError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return _print_episode_reports(args.trace, reports)
+    # an evaluation-role load: an inference log's samples need no ground
+    # truth, and replay checks an exploration block's itself
+    samples = corpus_mod.load_samples(Path(args.corpus), role="evaluation").instances
+    return _print_episode_reports(args.trace, replay_trace(Path(args.trace), samples))
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    try:
-        forbidden: list[str] = []
-        if args.forbidden_file:
-            forbidden = json.loads(Path(args.forbidden_file).read_text())
-            if not isinstance(forbidden, list) or not all(isinstance(s, str) for s in forbidden):
-                raise ContractError(f"{args.forbidden_file}: not a JSON array of strings")
-        reports = lint_trace(Path(args.trace), forbidden_substrings=forbidden)
-    except (TimeclawError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return _print_episode_reports(args.trace, reports)
+    forbidden: list[str] = []
+    if args.forbidden_file:
+        forbidden = read_json(Path(args.forbidden_file))
+        if not isinstance(forbidden, list) or not all(isinstance(s, str) for s in forbidden):
+            raise ContractError(f"{args.forbidden_file}: not a JSON array of strings")
+    return _print_episode_reports(args.trace, lint_trace(Path(args.trace), forbidden_substrings=forbidden))
 
 
 def _add_gateway_flags(p: argparse.ArgumentParser) -> None:
@@ -461,9 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    """Run one command; the one input boundary, where an engine or OS error prints ``error: ...``."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (TimeclawError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .core import (
     TextBlock,
 )
 from .errors import CorpusError
-from .util import digest_text, json_dumps, stable_rng, write_atomic
+from .util import digest_text, json_dumps, read_json, read_lines, stable_rng, write_atomic
 
 # the offline scorer/loader capability; never handed to prompt assembly
 _OFFLINE = EvaluatorCapability()
@@ -134,15 +134,13 @@ def load_samples(path: Path, role: str) -> LoadResult:
     rejects: list[dict[str, Any]] = []
     manifest = CorpusManifest(role=role)
     missing_gt: list[int] = []
-    # only "\n" ends a line: str.splitlines also splits inside a string
-    # holding U+2028 or U+0085
-    for line_no, line in enumerate(path.read_text().split("\n"), start=1):
+    for line_no, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            rejects.append({"line": line_no, "reason": f"invalid JSON: {exc.msg}"})
+        except (ValueError, RecursionError) as exc:  # also an int or a nesting past its limit
+            rejects.append({"line": line_no, "reason": f"invalid JSON: {getattr(exc, 'msg', exc)}"})
             continue
         try:
             instance = parse_record(record)
@@ -248,8 +246,9 @@ class FamilySpec:
 
 
 def family_from_dict(d: Mapping[str, Any]) -> FamilySpec:
-    """The family a spec object describes; TypeError or ValueError for a value
-    of another type, CorpusError for a length, horizon or period below 1."""
+    """The family a spec object describes; KeyError for one without a name or
+    kind, TypeError or ValueError for a value of another type, CorpusError
+    for a length, horizon or period below 1."""
     family = FamilySpec(
         name=d["name"],
         kind=d["kind"],
@@ -330,12 +329,14 @@ def generate_synthetic_corpus(
     Every sample is made before the first file is written, so a spec that
     fails partway writes nothing."""
     if isinstance(spec, (str, Path)):
-        spec = json.loads(Path(spec).read_text())
+        spec = read_json(spec)
     if not isinstance(spec, Mapping) or not isinstance(spec.get("families"), list):
         raise CorpusError("a synthetic spec is a JSON object with a list of families")
     try:
         seed = int(spec.get("seed", 0)) if seed is None else seed
         families = [family_from_dict(f) for f in spec["families"]]
+    except KeyError as exc:
+        raise CorpusError(f"synthetic spec: a family has no {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise CorpusError(f"synthetic spec: {exc}") from None
     pools = {

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 from .errors import ContractError, GatewayError, ScriptMissError, ToolCallParseError
-from .util import canonical_json, write_atomic
+from .util import canonical_json, read_json, write_atomic
 
 API_BASE_ENV = "TIMECLAW_API_BASE"
 API_KEY_ENV = "TIMECLAW_API_KEY"
@@ -185,7 +185,7 @@ class ScriptedGateway(Gateway):
 
     @classmethod
     def from_file(cls, path: Path) -> "ScriptedGateway":
-        return cls(json.loads(Path(path).read_text()))
+        return cls(read_json(path))
 
     def complete(self, exchange: ChatExchange) -> AssistantReply:
         digest = exchange_digest(exchange)

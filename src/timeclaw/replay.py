@@ -171,8 +171,11 @@ def lint(trace_path: Path, forbidden_substrings: Sequence[str] = ()) -> list[Lin
     """Per episode of a trace log: the contract verdict (exploration blocks)
     plus a byte-level scan for forbidden payloads such as ground-truth
     renderings; a leak names its log line."""
-    needles = [needle for needle in forbidden_substrings if needle]
-    lines = Path(trace_path).read_text().split("\n") if needles else []
+    # the log's bytes are searched, not its decoded text, so a log lints
+    # whenever read_trace reads it (a torn tail that is not UTF-8 included);
+    # a needle is encoded as json.loads decodes a log, surrogates passed
+    needles = [(needle, needle.encode("utf-8", "surrogatepass")) for needle in forbidden_substrings if needle]
+    lines = Path(trace_path).read_bytes().split(b"\n") if needles else []
     reports = []
     start = 0  # each block is its header line and one line per event
     for block in read_trace(trace_path):
@@ -181,9 +184,9 @@ def lint(trace_path: Path, forbidden_substrings: Sequence[str] = ()) -> list[Lin
         end = start + 1 + len(block.events)
         leaks = [
             {"line": line_no, "needle_head": needle[:40]}
-            for needle in needles
+            for needle, encoded in needles
             for line_no, line in enumerate(lines[start:end], start=start + 1)
-            if needle in line
+            if encoded in line
         ]
         reports.append(LintReport(episode=block.header["episode"], mode=mode, contract=contract, leaks=leaks))
         start = end

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -39,21 +39,20 @@ class DropoutScenario:
 
 
 def scenario_from_dict(d: Any) -> DropoutScenario:
-    """The scenario a JSON object describes; TypeError, ValueError or
-    OverflowError for a value of another type, ContractError for one that is
-    no object or a value out of range."""
+    """The scenario a JSON object describes, each field converted to its
+    default's type; ContractError for one that is no object, names a key
+    ``DropoutScenario`` does not have, or holds a value of another type or
+    out of range."""
     if not isinstance(d, Mapping):
         raise ContractError("a scenario is a JSON object")
-    scenario = DropoutScenario(
-        n_tools=int(d.get("n_tools", 10)),
-        episodes=int(d.get("episodes", 120)),
-        branch_count=int(d.get("branch_count", 2)),
-        selection_bias=float(d.get("selection_bias", 2.5)),
-        alpha=float(d.get("alpha", 1.5)),
-        measure_every=int(d.get("measure_every", 5)),
-        top_k=int(d.get("top_k", 5)),
-        protected=tuple(d.get("protected", ())),
-    )
+    defaults = {f.name: f.default for f in fields(DropoutScenario)}
+    unknown = sorted(set(d) - set(defaults))
+    if unknown:
+        raise ContractError(f"scenario: unknown key {unknown[0]!r}")
+    try:
+        scenario = DropoutScenario(**{key: type(defaults[key])(value) for key, value in d.items()})
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"scenario: {exc}") from None
     for name in ("n_tools", "measure_every", "top_k"):
         if getattr(scenario, name) < 1:
             raise ContractError(f"scenario: {name} must be at least 1")

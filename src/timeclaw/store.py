@@ -35,11 +35,11 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 from .core import EpisodeOutcome, EvidenceClass, TaskInstance
-from .errors import ContractError
+from .errors import ContractError, LogError
 from .prompts import SampleFingerprint, match, task_prompt
 from .registry import ToolUsageLedger
 from .util import (
-    AppendLog, TornRecord, canonical_json, digest_obj, digest_text, json_dumps, read_records, write_atomic,
+    AppendLog, TornRecord, canonical_json, digest_obj, digest_text, json_dumps, read_records, read_text, write_atomic,
 )
 
 MEMORY_CAP = 30
@@ -690,7 +690,9 @@ class ExperienceStore:
     when they hold evaluation evidence. :meth:`notes` decodes the
     shard in full, so a bad value inside a distilled note surfaces there.
     A shard holding fewer notes than its memory's ``distilled_through`` is
-    refused, as is a root that exists and is not a directory.
+    refused, as is a root that exists and is not a directory. A snapshot
+    record or memory layer that frames but does not decode is a
+    :class:`LogError` naming its log.
     """
 
     def __init__(self, root: Path):
@@ -706,20 +708,23 @@ class ExperienceStore:
         self._publish = threading.RLock()
         soul = self.root / "soul.md"
         # opening writes nothing: the first write writes soul.md
-        self._soul: Optional[str] = soul.read_text() if soul.is_file() else None
+        self._soul: Optional[str] = read_text(soul) if soul.is_file() else None
         for path in sorted((self.root / "snapshots").glob("*.log")):
             held = self._scope(path.stem)
             records, held.snapshot_log.end = read_records(path, _parse_snapshot)
             cursor = 0
-            for header, changed in records:
-                if "seq" not in header:
-                    cursor = int(header["distilled_through"])
-                    continue
-                held.snapshots.append({key: header[key] for key in ("seq", "digest", "notes")})
-                _fold_layers(held.last_snapshot, changed)
-            held.memory_text = held.last_snapshot.get(f"memory/{path.stem}.json")
-            if held.memory_text is not None:
-                held.memory = MemoryState.from_dict(json.loads(held.memory_text))
+            try:  # a record that frames but does not decode
+                for header, changed in records:
+                    if "seq" not in header:
+                        cursor = int(header["distilled_through"])
+                        continue
+                    held.snapshots.append({key: header[key] for key in ("seq", "digest", "notes")})
+                    _fold_layers(held.last_snapshot, changed)
+                held.memory_text = held.last_snapshot.get(f"memory/{path.stem}.json")
+                if held.memory_text is not None:
+                    held.memory = MemoryState.from_dict(json.loads(held.memory_text))
+            except (KeyError, TypeError, ValueError, AttributeError, RecursionError, ContractError) as exc:
+                raise LogError(f"{path}: a record does not decode: {exc!r}") from None
             if cursor > held.memory.distilled_through:  # the last publish took no snapshot
                 held.memory.distilled_through = cursor
                 held.memory_text = json_dumps(held.memory.to_dict(), sort_keys=True) + "\n"

@@ -1,5 +1,5 @@
-"""Small deterministic helpers: canonical JSON, digests, seeded RNG, atomic
-file rewrites, and append-only logs that survive a torn last record, each
+"""Small deterministic helpers: canonical JSON, digests, seeded RNG, UTF-8
+input reads, atomic file rewrites, and append-only logs that survive a torn last record, each
 written through one descriptor held from its first append to its owner's
 ``close()``.
 
@@ -23,7 +23,7 @@ from json.encoder import c_make_encoder, encode_basestring, encode_basestring_as
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
-from .errors import LogError
+from .errors import ContractError, LogError
 
 logger = logging.getLogger(__name__)
 
@@ -84,13 +84,43 @@ def stable_rng(*parts: Any) -> random.Random:
     return random.Random(stable_seed(*parts))
 
 
+def read_text(path: Path) -> str:
+    """The text of the input file at ``path``, decoded as UTF-8 whatever the
+    locale; :class:`ContractError` naming the file when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ContractError(f"{path} is not UTF-8 text") from None
+
+
+def read_lines(path: Path) -> list[str]:
+    """The lines of the UTF-8 input file at ``path``. Only "\\n" ends a line:
+    ``str.splitlines`` also splits at the U+2028 and U+0085 that
+    ``canonical_json`` writes raw inside strings."""
+    return read_text(path).split("\n")
+
+
+def parse_json(text: str, source: Any) -> Any:
+    """``json.loads(text)``; :class:`ContractError` naming ``source`` for text
+    that does not parse."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an int or a nesting past its limit
+        raise ContractError(f"{source}: not JSON: {exc}") from None
+
+
+def read_json(path: Path) -> Any:
+    """The JSON value of the UTF-8 input file at ``path``."""
+    return parse_json(read_text(path), path)
+
+
 def write_atomic(path: Path, text: str) -> None:
     """Replace ``path`` with ``text`` through a temp file and ``os.replace``, so
     a reader or a killed process finds the old file or the new one, never a
     truncated one. No fsync: this covers a crashed process, not a power cut."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -117,7 +147,7 @@ def iter_records(path: Path, parse: Callable[[bytes, int], tuple[Any, int]]) -> 
     while pos < len(data):
         try:
             record, pos_after = parse(data, pos)
-        except (TornRecord, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (TornRecord, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             line = data.count(b"\n", 0, pos) + 1
             if isinstance(exc, TornRecord) or data.find(b"\n", pos) in (-1, len(data) - 1):
                 logger.warning("%s: line %d: dropped a torn last record", path, line)

@@ -1241,6 +1241,26 @@ BAD_INPUT = {
     "explore-mock-script-call-without-tool": ["explore", "--corpus", "{learning}", "--store", "{store}",
                                               "--mock-script", "{call_without_tool_script}"],
     "infer-mock-script-content-a-number": ["infer", "--corpus", "{eval}", "--out", "{pred}", "--mock-script", "{content_5}"],
+    # an input file that is not UTF-8, at each file argument
+    "explore-corpus-not-utf-8": ["explore", "--corpus", "{not_utf8}", "--store", "{store}"],
+    "explore-mock-script-not-utf-8": ["explore", "--corpus", "{learning}", "--store", "{store}", "--mock-script", "{not_utf8}"],
+    "infer-corpus-not-utf-8": ["infer", "--corpus", "{not_utf8}", "--out", "{pred}"],
+    "infer-mock-script-not-utf-8": ["infer", "--corpus", "{eval}", "--out", "{pred}", "--mock-script", "{not_utf8}"],
+    "eval-predictions-not-utf-8": ["eval", "--predictions", "{not_utf8}", "--corpus", "{eval}", "--out", "{scores}"],
+    "eval-corpus-not-utf-8": ["eval", "--predictions", "{empty}", "--corpus", "{not_utf8}", "--out", "{scores}"],
+    "eval-threshold-file-not-utf-8": ["eval", "--predictions", "{empty}", "--corpus", "{eval}",
+                                      "--threshold-file", "{not_utf8}", "--out", "{scores}"],
+    "simulate-scenario-not-utf-8": ["simulate-dropout", "--scenario", "{not_utf8}", "--seeds", "1", "--out", "{store}"],
+    "replay-corpus-not-utf-8": ["replay", "--trace", "{golden_trace}", "--corpus", "{not_utf8}"],
+    "lint-forbidden-file-not-utf-8": ["lint", "--trace", "{golden_trace}", "--forbidden-file", "{not_utf8}"],
+    "report-soul-not-utf-8": ["report", "--store", "{soul_not_utf8}"],
+    "infer-soul-not-utf-8": ["infer", "--corpus", "{eval}", "--store", "{soul_not_utf8}", "--out", "{pred}"],
+    "explore-soul-not-utf-8": ["explore", "--corpus", "{learning}", "--store", "{soul_not_utf8}"],
+    # a predictions line that is not JSON, and JSON nested past the recursion limit
+    "eval-prediction-not-json": ["eval", "--predictions", "{garbage}", "--corpus", "{eval}", "--out", "{scores}"],
+    "eval-prediction-nested-too-deep": ["eval", "--predictions", "{deep}", "--corpus", "{eval}", "--out", "{scores}"],
+    "lint-forbidden-nested-too-deep": ["lint", "--trace", "{golden_trace}", "--forbidden-file", "{deep}"],
+    "lint-trace-line-nested-too-deep": ["lint", "--trace", "{deep_trace}"],
 }
 
 
@@ -1286,6 +1306,10 @@ class TestBadInput:
             "scores": tmp_path / "scores.json",
             "true": tmp_path / "true.json",
             "number_id": tmp_path / "number_id.jsonl",
+            "not_utf8": tmp_path / "not_utf8.json",
+            "soul_not_utf8": tmp_path / "soul_not_utf8",
+            "deep": tmp_path / "deep.json",
+            "deep_trace": tmp_path / "deep_trace.jsonl",
         }
         files["empty"].write_text("")
         files["garbage"].write_text("not a trace\n")
@@ -1333,9 +1357,58 @@ class TestBadInput:
         files["string_threshold"].write_text(json.dumps({"synth_forecast_short": "x"}))
         files["true"].write_text(json.dumps({"synth_forecast_short": True}))
         files["number_id"].write_text(json.dumps({"id": 7, "prediction": [1.0]}) + "\n")
+        files["not_utf8"].write_bytes(b"\xff\xfe{}")
+        files["soul_not_utf8"].mkdir()
+        (files["soul_not_utf8"] / "soul.md").write_bytes(b"\xff\xfe{}")
+        files["deep"].write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        files["deep_trace"].write_bytes(files["deep"].read_bytes() + files["golden_trace"].read_bytes())
+        before = _tree_with_dirs(tmp_path)
         capsys.readouterr()
         assert main([arg.format(**files) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert _tree_with_dirs(tmp_path) == before  # no output directory, store or file left behind
+
+    @pytest.mark.parametrize("command", ["report", "explore"])
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            b'{"rules": 5}\n',
+            b'{"rules": [{"rule_id": "r1"}]}\n',
+            b"not json\n",
+            json.dumps({"rules": [{"rule_id": "r1", "kind": "tool_preference", "applicability": {}, "preferred_tools": [],
+                                   "avoided_tools": [], "evidence": ["n1"], "confidence": 2.0, "injectable": True,
+                                   "seq": 1}]}).encode() + b"\n",
+        ],
+        ids=["rules-a-number", "rule-without-kind", "not-json", "rule-confidence-past-one"],
+    )
+    def test_a_memory_layer_that_does_not_decode_is_an_error_naming_its_log(
+        self, layer, command, corpus_dir, tmp_path, capsys
+    ):
+        # the record frames whole, so only decoding its layer finds it bad
+        store = tmp_path / "store"
+        log = store / "snapshots" / "s.log"
+        log.parent.mkdir(parents=True)
+        header = {"seq": 1, "digest": "d", "notes": 0, "layers": {"memory/s.json": len(layer)}}
+        log.write_bytes(json.dumps(header).encode() + b"\n" + layer)
+        before = _tree_with_dirs(tmp_path)
+        argv = {"report": ["report"], "explore": ["explore", "--corpus", str(corpus_dir / "learning.jsonl")]}[command]
+        capsys.readouterr()
+        assert main([*argv, "--store", str(store)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {log}: ")
+        assert _tree_with_dirs(tmp_path) == before
+
+    def test_lint_searches_a_log_whose_torn_tail_is_not_utf_8(self, tmp_path, capsys):
+        # read_trace drops the torn tail, so lint judges the blocks before it
+        golden = Path(__file__).parent / "data" / "traces" / "inference.jsonl"
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(golden.read_bytes() + b'{"mode": "\xff\xfe')
+        needles = ["seasonal_naive", "in no log"]
+        (tmp_path / "needles.json").write_text(json.dumps(needles))
+        capsys.readouterr()
+        assert main(["lint", "--trace", str(torn), "--forbidden-file", str(tmp_path / "needles.json")]) == 1
+        episodes = json.loads(capsys.readouterr().out)["episodes"]
+        assert episodes == [report.to_dict() for report in lint_trace(golden, needles)]
+        assert [leak["needle_head"] for leak in episodes[0]["leaks"]] == ["seasonal_naive"]
 
 
 FAMILY = {"name": "szn", "kind": "seasonal", "learn_count": 2, "eval_count": 1}
@@ -1351,6 +1424,7 @@ MALFORMED_SPECS = {
     "families-an-object": {"families": FAMILY},
     "spec-an-array": [FAMILY],
     "spec-not-utf-8": b"\xff\xfe{}",
+    "family-without-a-name": {"families": [{key: value for key, value in FAMILY.items() if key != "name"}]},
 }
 MALFORMED_SCENARIOS = {
     "measure-every-zero": {"measure_every": 0},
@@ -1360,6 +1434,8 @@ MALFORMED_SCENARIOS = {
     "selection-bias-inf": {"selection_bias": "inf"},
     "protected-a-number": {"protected": 5},
     "scenario-an-array": [{"n_tools": 4}],
+    "alpha-misspelt": {"aplha": 1e-6},
+    "deleted-noise-knob": {"noise": 0.1},
 }
 
 

@@ -19,7 +19,7 @@ from timeclaw.corpus import (
     reveal_for_scoring,
     write_samples,
 )
-from timeclaw.errors import CorpusError
+from timeclaw.errors import ContractError, CorpusError
 
 
 def _write_jsonl(path, records):
@@ -63,6 +63,27 @@ class TestLoader:
         result = load_samples(path, role="learning")
         assert len(result.instances) == 1
         assert result.rejects[0]["line"] == 2
+
+    @pytest.mark.parametrize(
+        "series",
+        ["[" + "1" * 5000 + "]", "[" * 100_000 + "]" * 100_000],
+        ids=["int-past-the-digit-limit", "nested-too-deep"],
+    )
+    def test_a_line_json_loads_refuses_without_a_decode_error_is_rejected(self, tmp_path, series):
+        # json.loads raises a plain ValueError past the digit limit, where one
+        # applies, and a RecursionError past the nesting limit
+        path = tmp_path / "c.jsonl"
+        bad = json.dumps(_record(1)).replace("[1.0, 2.0, 3.0, 4.0]", series)
+        path.write_text(json.dumps(_record(0)) + "\n" + bad + "\n")
+        result = load_samples(path, role="learning")
+        assert [instance.id for instance in result.instances] == ["s0"]
+        assert [reject["line"] for reject in result.rejects] == [2]
+
+    def test_a_file_that_is_not_utf_8_is_refused_naming_it(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(json.dumps(_record(0)).encode() + b"\n\xff\n")
+        with pytest.raises(ContractError, match="is not UTF-8 text"):
+            load_samples(path, role="learning")
 
     def test_learning_role_requires_ground_truth(self, tmp_path):
         record = _record(0)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from timeclaw import util
 from timeclaw.core import TaskType
+from timeclaw.errors import ContractError
 from timeclaw.util import canonical_json, json_dumps
 
 SCALARS = (
@@ -139,3 +140,32 @@ class TestAppendLog:
             log.append(b"%d\n" % n)
             assert path.read_bytes() == b"".join(b"%d\n" % k for k in range(n + 1))
         log.close()
+
+
+class TestTextFiles:
+    def test_read_text_refuses_bytes_that_are_not_utf_8_naming_the_file(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ContractError) as caught:
+            util.read_text(path)
+        assert str(caught.value) == f"{path} is not UTF-8 text"
+
+    def test_read_json_names_the_file_for_text_that_does_not_parse(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes('{"\u00e9": "\u2028"}'.encode("utf-8"))
+        assert util.read_json(path) == {"\u00e9": "\u2028"}
+        path.write_bytes(b'{"a": 1')
+        with pytest.raises(ContractError) as caught:
+            util.read_json(path)
+        assert str(caught.value).startswith(f"{path}: not JSON: ")
+
+    def test_read_lines_ends_a_line_at_newline_only(self, tmp_path):
+        # canonical_json writes U+2028 and U+0085 raw inside strings
+        path = tmp_path / "f.jsonl"
+        path.write_bytes("a\u2028b\u0085c\nd\n".encode("utf-8"))
+        assert util.read_lines(path) == ["a\u2028b\u0085c", "d", ""]
+
+    def test_write_atomic_writes_utf_8(self, tmp_path):
+        path = tmp_path / "f.json"
+        util.write_atomic(path, "\u00e9\u2028\n")
+        assert path.read_bytes() == "\u00e9\u2028\n".encode("utf-8")
