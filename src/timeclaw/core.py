@@ -233,25 +233,15 @@ class CandidateExecution:
     failure_reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class LearningSummaryText:
-    insight: str
-    recommendation: str
-
-
 @dataclass
 class EpisodeOutcome:
     instance_id: str
     candidates: list[CandidateExecution]
     winner: Optional[str]
     evidence_class: EvidenceClass
-    learning_summary: LearningSummaryText
     trace_path: str  # the scope's trace log that holds the episode's block
     eval_evidence: bool = False
-    # recorded evaluation evidence per branch, and the raw strings (ground
-    # truth / answer renderings) the cleaner must redact from evidence text
-    eval_reports: dict[str, Any] = field(default_factory=dict)
-    sensitive: tuple[str, ...] = ()
+    eval_reports: dict[str, Any] = field(default_factory=dict)  # recorded evaluation evidence per branch
     tokens_used: int = 0
     gateway_calls: int = 0
 

@@ -261,7 +261,16 @@ class RemoteGateway(Gateway):
         self._slots = threading.Semaphore(max_in_flight)
         self._idle: list[Any] = []  # connections not in use, closed with the gateway
         weakref.finalize(self, lambda idle: [conn.close() for conn in idle], self._idle)
-        url = urlsplit(self.base_url)
+
+        def split(text: str, name: str) -> Any:
+            try:
+                parts = urlsplit(text)
+                parts.port  # a port that is not a number in range raises here, not at the first request
+                return parts
+            except ValueError as exc:
+                raise ContractError(f"the {name} is not a URL: {exc}") from None
+
+        url = split(self.base_url, f"base URL ({API_BASE_ENV})")
         https = url.scheme.lower() == "https"
         self._kind, self._tunnel = (HTTPSConnection if https else HTTPConnection), None
         self._path, self._headers = f"{url.path}/chat/completions", {"Content-Type": "application/json"}
@@ -270,7 +279,7 @@ class RemoteGateway(Gateway):
         # the http proxy HTTP(S)_PROXY names, unless NO_PROXY lists the host:
         # a CONNECT tunnel to an https backend, absolute URLs to an http one
         proxy = None if proxy_bypass(url.netloc) else getproxies().get(url.scheme.lower())
-        via = urlsplit(proxy if "://" in proxy else f"http://{proxy}") if proxy else url
+        via = split(proxy if "://" in proxy else f"http://{proxy}", "proxy URL") if proxy else url
         self._host = via.netloc.rpartition("@")[2]
         if proxy:
             creds = f"{unquote(via.username or '')}:{unquote(via.password or '')}".encode()

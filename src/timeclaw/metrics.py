@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ContractError
 
-THREE_WAY_LABELS = ("down", "neutral", "up")
 LABEL_TASK_TYPES = ("trend", "trend_past", "correlation", "mcqa")
 
 

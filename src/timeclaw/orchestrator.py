@@ -39,7 +39,6 @@ from .core import (
     EpisodeOutcome,
     EvaluatorCapability,
     EvidenceClass,
-    LearningSummaryText,
     TaskInstance,
     TaskType,
     validate_answer,
@@ -70,7 +69,6 @@ from .util import (
     canonical_json,
     digest_obj,
     iter_records,
-    json_dumps,
     read_records,
     splice_json,
     stable_seed,
@@ -731,14 +729,6 @@ def run_exploration_episode(
         reply = main_exchange()
         final = parse_final(reply.content) if reply is not None else None
         final_type = final.get("answer_type") if final else None
-        summary_body = final.get("answer") if final else None
-        if isinstance(summary_body, Mapping):
-            summary = LearningSummaryText(
-                insight=str(summary_body.get("insight", "")),
-                recommendation=str(summary_body.get("recommendation", "")),
-            )
-        else:
-            summary = LearningSummaryText(insight="", recommendation="")
 
         scored_valid = [c for c in valid if c.quality is not None]
         if len(scored_valid) >= 2:
@@ -769,22 +759,14 @@ def run_exploration_episode(
         for record in records:
             runner.trace.event("verdict", record, branch=record["slot"])
 
-        # the renderings of the truth and the answers that cleaning redacts
-        # from the summary text, built only when there is text to clean
-        sensitive: list[str] = []
-        if summary.insight or summary.recommendation:
-            truth = instance.answer_key(runner.ctx.capability)
-            sensitive = [canonical_json(truth), json_dumps(truth), *(canonical_json(c.final_answer) for c in valid)]
         outcome = EpisodeOutcome(
             instance_id=instance.id,
             candidates=candidates,
             winner=winner.branch_id if winner is not None and evidence_class != EvidenceClass.FAILURE else None,
             evidence_class=evidence_class,
-            learning_summary=summary,
             trace_path=str(runner.trace.path),
             eval_evidence=eval_evidence,
             eval_reports=eval_reports,
-            sensitive=tuple(dict.fromkeys(sensitive)),
             tokens_used=runner.tokens_used,
             gateway_calls=runner.gateway_calls,
         )

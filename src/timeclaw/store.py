@@ -36,7 +36,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from .core import EpisodeOutcome, EvidenceClass, TaskInstance
 from .errors import ContractError, LogError
-from .prompts import SampleFingerprint, match, task_prompt
+from .prompts import SampleFingerprint, match
 from .registry import ToolUsageLedger
 from .util import (
     AppendLog, TornRecord, canonical_json, digest_obj, digest_text, json_dumps, read_records, read_text, write_atomic,
@@ -126,16 +126,11 @@ class LearningNote:
 
     scope: str
     instance_id: str
-    prompt_digest: str
     winner_tools: tuple[str, ...]
     loser_tools: tuple[str, ...]
     metrics: dict[str, Any]
     evidence_class: str
-    insight: str
-    recommendation: str
-    trace_refs: tuple[str, ...]
     applicability: dict[str, Any]
-    sensitive: tuple[str, ...] = ()  # scrubbed from the text on commit, never stored
     eval_evidence: bool = False
     tools: tuple[str, ...] = ()  # substantive tools run without error, repeats included
     sequence: Optional[int] = None
@@ -212,9 +207,10 @@ def summarize_episode(
 ) -> LearningNote:
     """Build the sample-level learning record for one finished episode.
 
-    The insight and recommendation are the episode's learning_summary text
-    as the model gave it ("" when it gave none). The stored winner and tool
-    chain always come from the evaluated outcome, not from the text.
+    The note holds what the comparison measured: the winner's and the
+    losers' tools, each branch's metrics and the evidence class, all taken
+    from the evaluated outcome. It holds no model text: the episode's
+    learning_summary reply is kept only in its trace.
     """
     chi = {"task_subtype": fp.task_subtype, "seasonal": fp.seasonal}
     winner = outcome.winning_candidate()
@@ -243,17 +239,11 @@ def summarize_episode(
     return LearningNote(
         scope=instance.scope,
         instance_id=instance.id,
-        prompt_digest=digest_text(task_prompt(instance))[:16],
         winner_tools=winner_tools,
         loser_tools=loser_tools,
         metrics=note_metrics,
         evidence_class=outcome.evidence_class.value,
-        insight=outcome.learning_summary.insight,
-        recommendation=outcome.learning_summary.recommendation,
-        # a file name, so store trees stay path-independent
-        trace_refs=(Path(outcome.trace_path).name,),
         applicability=chi,
-        sensitive=tuple(outcome.sensitive),
         eval_evidence=outcome.eval_evidence,
         tools=tuple(tools),
     )
@@ -263,44 +253,9 @@ def summarize_episode(
 # Clean
 # ---------------------------------------------------------------------------
 
-_NUMBER_ARRAY = re.compile(r"\[(?:\s*-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\s*,){3,}[^\[\]]*\]")
-_BRANCH_REF = re.compile(r"\b\S+#b\d+\b")
-_SLOT_REF = re.compile(r"\b(?:slot|sub-agent|subagent)\s*\d+\b", re.IGNORECASE)
-_ORCH_TERMS = (
-    ("evaluate_batch_against_gt", "the post-hoc comparison"),
-    ("evaluate_against_gt", "the post-hoc comparison"),
-    ("spawn_subagent", "branch exploration"),
-)
-
-
-def _scrub_refs(text: str) -> str:
-    text = _NUMBER_ARRAY.sub("[numbers redacted]", text)
-    for term, replacement in _ORCH_TERMS:
-        text = text.replace(term, replacement)
-    text = _BRANCH_REF.sub("a candidate branch", text)
-    return _SLOT_REF.sub("a candidate branch", text)
-
-
-def _clean_text(text: str, sensitive: Sequence[str], instance_id: str) -> str:
-    """Scrub answer leakage and framework vocabulary from evidence text,
-    keeping tool names and metric comparisons. Idempotent: cleaning clean
-    text again, even without the secrets, changes nothing."""
-    for secret in sensitive:
-        if secret:
-            text = text.replace(secret, "[redacted]")
-    # A rewritten branch ref can close a number array (the ref swallowed its
-    # "["), so scrub until nothing changes. Every rewrite removes digits, a
-    # "#" or an orchestration term, so this ends.
-    while (scrubbed := _scrub_refs(text)) != text:
-        text = scrubbed
-    if instance_id:
-        text = text.replace(instance_id, "this sample")
-    return re.sub(r"[ \t]{2,}", " ", text).strip()
-
-
 def clean(note: LearningNote) -> CleanEvidence:
     """The rule kind and the preferred and avoided tools a committed note's
-    evidence class supports. Its text was cleaned when it was committed."""
+    evidence class supports."""
     if note.sequence is None:
         raise ContractError("only committed notes can be cleaned")
     if note.evidence_class == EvidenceClass.FAILURE.value:
@@ -467,27 +422,23 @@ def update_memory(state: MemoryState, ev: CleanEvidence) -> str:
 _NOTE_OPEN = re.compile(r"<!-- note (\d+) -->")
 
 # A note's shard block: (key, LearningNote attribute, JSON read when the key
-# is missing), in the order the block lists them. ``sensitive`` is not among
-# them: the text is scrubbed before it is stored.
+# is missing), in the order the block lists them. A key not among them, such
+# as the four more that an older version's notes held, is skipped on read.
 _NOTE_FIELDS = (
     ("instance", "instance_id", '""'),
-    ("prompt_digest", "prompt_digest", '""'),
     ("evidence_class", "evidence_class", '"failure"'),
     ("winner_tools", "winner_tools", "[]"),
     ("loser_tools", "loser_tools", "[]"),
     ("tools", "tools", "[]"),
     ("applicability", "applicability", "{}"),
     ("metrics", "metrics", "{}"),
-    ("trace", "trace_refs", "[]"),
     ("eval_evidence", "eval_evidence", "false"),
-    ("insight", "insight", '""'),
-    ("recommendation", "recommendation", '""'),
 )
 
 
 def _note_from_block(scope: str, seq: int, block: Mapping[str, str]) -> LearningNote:
     values = {attr: json.loads(block.get(key, missing)) for key, attr, missing in _NOTE_FIELDS}
-    for attr in ("winner_tools", "loser_tools", "tools", "trace_refs"):
+    for attr in ("winner_tools", "loser_tools", "tools"):
         values[attr] = tuple(values[attr])
     return LearningNote(scope=scope, sequence=seq, **values)
 
@@ -796,15 +747,9 @@ class ExperienceStore:
         return [note for _, note, _ in _read_notes(self.root, scope)[0]]
 
     def commit_note(self, note: LearningNote) -> LearningNote:
-        """Append one note to its scope shard, its insight and recommendation
-        scrubbed of the note's sensitive strings, which are not stored, and
-        count its ``tools`` in :attr:`ledger`, under the scope's lock. Only a
-        note with evaluation evidence is distilled. Returns the note as stored."""
-        note = replace(
-            note,
-            insight=_clean_text(note.insight, note.sensitive, note.instance_id),
-            recommendation=_clean_text(note.recommendation, note.sensitive, note.instance_id),
-        )
+        """Append one note to its scope shard and count its ``tools`` in
+        :attr:`ledger`, under the scope's lock. Only a note with evaluation
+        evidence is distilled. Returns the note as stored."""
         self._lay_out()
         held = self._scope(note.scope)
         with held.lock:
@@ -820,7 +765,7 @@ class ExperienceStore:
             held.note_count = seq
             self.ledger.record(note.scope, note.tools)
             # equal to the note a reopened store decodes from the block
-            stored = replace(note, sequence=seq, sensitive=())
+            stored = replace(note, sequence=seq)
             if stored.eval_evidence:
                 held.pending.append(stored)
             return stored

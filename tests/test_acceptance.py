@@ -302,14 +302,10 @@ def test_c07_store_laws(tmp_path, report):
             note = LearningNote(
                 scope=scope,
                 instance_id=f"i{step}",
-                prompt_digest="d",
                 winner_tools=winner,
                 loser_tools=losers,
                 metrics={},
                 evidence_class="comparative",
-                insight="x",
-                recommendation="y",
-                trace_refs=(),
                 applicability={"seasonal": rng.random() < 0.5, "task_subtype": "forecast"},
                 eval_evidence=True,
             )
@@ -330,14 +326,10 @@ def test_c07_store_laws(tmp_path, report):
             LearningNote(
                 scope="tail_scope",
                 instance_id=f"i{i}",
-                prompt_digest="d",
                 winner_tools=("t0",),
                 loser_tools=(),
                 metrics={},
                 evidence_class="comparative",
-                insight="x",
-                recommendation="y",
-                trace_refs=(),
                 applicability={"task_subtype": "forecast", "seasonal": True},
                 eval_evidence=True,
             )
@@ -350,14 +342,10 @@ def test_c07_store_laws(tmp_path, report):
             LearningNote(
                 scope="tail_scope",
                 instance_id=f"j{i}",
-                prompt_digest="d",
                 winner_tools=(),
                 loser_tools=(),
                 metrics={},
                 evidence_class="single_execution",
-                insight="x",
-                recommendation="y",
-                trace_refs=(),
                 applicability={},
                 eval_evidence=True,
             )
@@ -439,7 +427,7 @@ SPEC = {
 @pytest.fixture(scope="module")
 def e2e(tmp_path_factory):
     root = tmp_path_factory.mktemp("e2e")
-    (root / "spec.json").write_text(json.dumps(SPEC))
+    (root / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
     assert cli_main(["gen-corpus", "--spec", str(root / "spec.json"), "--out", str(root / "corpus")]) == 0
     assert (
         cli_main(
@@ -568,7 +556,7 @@ def test_c11_end_to_end_ordering(e2e, tmp_path, report):
 
     def mae_per_sample(path):
         out = {}
-        for line in path.read_text().splitlines():
+        for line in path.read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
             truth = reveal_for_scoring(instances[record["id"]])
             aligned = metrics.align_length([float(v) for v in record["prediction"]], len(truth))
@@ -623,7 +611,7 @@ def test_c12_determinism_master_gate(tmp_path, report):
                     }
                 ],
             }
-        )
+        ), encoding="utf-8"
     )
     assert cli_main(["gen-corpus", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "c")]) == 0
     # record the deterministic policy into a digest-keyed mock script, then

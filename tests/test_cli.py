@@ -61,7 +61,7 @@ def _kill_at_rename_of(monkeypatch, name):
 @pytest.fixture
 def corpus_dir(tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(SPEC))
+    spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
     out = tmp_path / "corpus"
     assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(out)]) == 0
     return out
@@ -85,7 +85,7 @@ class TestGenCorpus:
         spec_path = tmp_path / "spec.json"
         out2 = tmp_path / "corpus2"
         assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(out2)]) == 0
-        assert (corpus_dir / "learning.jsonl").read_text() == (out2 / "learning.jsonl").read_text()
+        assert (corpus_dir / "learning.jsonl").read_text(encoding="utf-8") == (out2 / "learning.jsonl").read_text(encoding="utf-8")
 
     def test_checks_the_written_pools_are_disjoint(self, corpus_dir, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -103,7 +103,7 @@ class TestGenCorpus:
 
         monkeypatch.setattr(corpus, "generate_sample", one_source)
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(SPEC))
+        spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
         assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(tmp_path / "corpus")]) == 2
         out, err = capsys.readouterr()
         assert '"pass":false' in out
@@ -131,7 +131,7 @@ def _truth_renderings(truth):
 
 def _explore_mixed(tmp_path):
     """The store an explore of the MIXED_SPEC corpus writes under ``tmp_path``."""
-    (tmp_path / "spec.json").write_text(json.dumps(MIXED_SPEC))
+    (tmp_path / "spec.json").write_text(json.dumps(MIXED_SPEC), encoding="utf-8")
     assert main(["gen-corpus", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "corpus")]) == 0
     learning = tmp_path / "corpus" / "learning.jsonl"
     assert main(["explore", "--corpus", str(learning), "--store", str(tmp_path / "store"), "--seed", "2"]) == 0
@@ -146,7 +146,7 @@ class TestExplore:
 
     def test_notes_hold_no_rendering_of_any_truth(self, mixed_run):
         instances, store = mixed_run
-        shards = {p.name: p.read_text() for p in (store / "notes").glob("*.md")}
+        shards = {p.name: p.read_text(encoding="utf-8") for p in (store / "notes").glob("*.md")}
         assert len(shards) == 4
         leaks = [
             (inst.id, name)
@@ -238,7 +238,7 @@ class TestExplore:
             ]
         )
         assert code == 0
-        summary = json.loads((store.parent / "run_summary.json").read_text())
+        summary = json.loads((store.parent / "run_summary.json").read_text(encoding="utf-8"))
         assert summary["instances"] == 12
         assert sum(summary["episodes"].values()) == 12
         assert (store / "notes" / "synth_forecast_short.md").exists()
@@ -295,7 +295,7 @@ class TestExplore:
 
         notes = ExperienceStore(store).notes("synth_forecast_short")
         assert [n.sequence for n in notes] == list(range(1, len(notes) + 1))
-        summary = json.loads((store.parent / "run_summary.json").read_text())
+        summary = json.loads((store.parent / "run_summary.json").read_text(encoding="utf-8"))
         assert sum(summary["episodes"].values()) == 12
 
     def test_parallel_exploration_over_two_scopes(self, tmp_path):
@@ -304,7 +304,7 @@ class TestExplore:
             {"name": "lbl", "kind": "trend_label", "learn_count": 12, "eval_count": 2, "length": 96, "horizon": 24},
         ]
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"seed": 11, "families": families}))
+        spec_path.write_text(json.dumps({"seed": 11, "families": families}), encoding="utf-8")
         assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(tmp_path / "corpus")]) == 0
         learning = str(tmp_path / "corpus" / "learning.jsonl")
         store = tmp_path / "parallel" / "store"
@@ -343,7 +343,7 @@ class TestExplore:
 
     def test_script_misses_are_partial_failures_not_crashes(self, corpus_dir, tmp_path):
         empty_script = tmp_path / "empty.json"
-        empty_script.write_text("{}")
+        empty_script.write_text("{}", encoding="utf-8")
         code = main(
             [
                 "explore",
@@ -356,37 +356,37 @@ class TestExplore:
             ]
         )
         assert code == 3  # every instance failed, run still completed
-        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        summary = json.loads((tmp_path / "run_summary.json").read_text(encoding="utf-8"))
         assert len(summary["failed_instances"]) == 12
 
     def test_a_series_int_past_the_float_range_is_a_rejected_line(self, corpus_dir, tmp_path):
         lines = []
         for name in ("learning.jsonl", "eval.jsonl"):
             path = corpus_dir / name
-            lines = path.read_text().splitlines()
+            lines = path.read_text(encoding="utf-8").splitlines()
             record = {**json.loads(lines[0]), "id": "huge"}
             record["series"][0] = 10**400
-            path.write_text("".join(line + "\n" for line in [*lines, json.dumps(record)]))
+            path.write_text("".join(line + "\n" for line in [*lines, json.dumps(record)]), encoding="utf-8")
         store = tmp_path / "store"
         assert main(["explore", "--corpus", str(corpus_dir / "learning.jsonl"), "--store", str(store)]) == 0
-        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        summary = json.loads((tmp_path / "run_summary.json").read_text(encoding="utf-8"))
         assert summary["rejected_lines"] == [{"line": 13, "reason": "series values must be finite numbers"}]
         out = tmp_path / "infer" / "pred.jsonl"
         assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == len(lines) == 5
-        summary = json.loads((out.parent / "infer_summary.json").read_text())
+        assert len(out.read_text(encoding="utf-8").splitlines()) == len(lines) == 5
+        summary = json.loads((out.parent / "infer_summary.json").read_text(encoding="utf-8"))
         assert summary["instances"] == 5
         assert summary["rejected_lines"] == [{"line": 6, "reason": "series values must be finite numbers"}]
 
     def test_corpus_without_targets_exits_config_error(self, corpus_dir, tmp_path):
         # the eval corpus has targets; strip them to simulate a bad learning corpus
         lines = []
-        for line in (corpus_dir / "eval.jsonl").read_text().splitlines():
+        for line in (corpus_dir / "eval.jsonl").read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
             record.pop("ground_truth", None)
             lines.append(json.dumps(record))
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main(["explore", "--corpus", str(bad), "--store", str(tmp_path / "s")])
         assert code == 2
 
@@ -426,11 +426,11 @@ class TestInfer:
             )
             == 0
         )
-        records = [json.loads(l) for l in out.read_text().splitlines()]
+        records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert len(records) == 5
         for r in records:
             assert set(r) >= {"id", "prediction", "tool_chain", "execution_context", "degraded"}
-        summary = json.loads((tmp_path / "infer_summary.json").read_text())
+        summary = json.loads((tmp_path / "infer_summary.json").read_text(encoding="utf-8"))
         assert summary["store_untouched"] is True
         assert summary["noexp"] is False
 
@@ -440,7 +440,7 @@ class TestInfer:
         out = tmp_path / "infer" / "preds.jsonl"
         assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
         assert list(store.iterdir()) == []
-        summary = json.loads((out.parent / "infer_summary.json").read_text())
+        summary = json.loads((out.parent / "infer_summary.json").read_text(encoding="utf-8"))
         assert summary["noexp"] is False and summary["store_untouched"] is True
 
     def test_trace_events_carry_only_branch_kind_and_payload(self, corpus_dir, tmp_path):
@@ -472,7 +472,7 @@ class TestInfer:
             ]
         )
         assert code == 0
-        summary = json.loads((tmp_path / "infer_summary.json").read_text())
+        summary = json.loads((tmp_path / "infer_summary.json").read_text(encoding="utf-8"))
         assert summary["noexp"] is True
 
     @pytest.mark.parametrize("killed", ["preds.jsonl", "infer_summary.json"])
@@ -550,7 +550,7 @@ class TestEval:
         eval_path = corpus_dir / "eval.jsonl"
         instances = load_samples(eval_path, "evaluation").instances
         preds = tmp_path / "perfect.jsonl"
-        with preds.open("w") as fh:
+        with preds.open("w", encoding="utf-8") as fh:
             for inst in instances:
                 fh.write(json.dumps({"id": inst.id, "prediction": reveal_for_scoring(inst)}) + "\n")
         out = tmp_path / "scores.json"
@@ -558,7 +558,7 @@ class TestEval:
             main(["eval", "--predictions", str(preds), "--corpus", str(eval_path), "--out", str(out)])
             == 0
         )
-        scores = json.loads(out.read_text())
+        scores = json.loads(out.read_text(encoding="utf-8"))
         scope = scores["scopes"][0]
         assert scope["metrics"]["mae"] == 0.0
         assert scope["effective_n"] == 5
@@ -575,11 +575,11 @@ class TestEval:
                 )
                 + "\n"
                 for inst in load_samples(eval_path, "evaluation").instances
-            )
+            ), encoding="utf-8"
         )
         out = tmp_path / "scores.json"
         assert main(["eval", "--predictions", str(preds), "--corpus", str(eval_path), "--out", str(out)]) == 0
-        scope = json.loads(out.read_text())["scopes"][0]
+        scope = json.loads(out.read_text(encoding="utf-8"))["scopes"][0]
         assert (scope["effective_n"], scope["metrics"]["mae"]) == (5, 0.0)
 
     def test_a_prediction_holding_an_int_past_the_float_range_is_invalid(self, corpus_dir, tmp_path):
@@ -587,10 +587,12 @@ class TestEval:
         instances = load_samples(eval_path, "evaluation").instances
         preds = tmp_path / "preds.jsonl"
         lines = [json.dumps({"id": inst.id, "prediction": reveal_for_scoring(inst)}) for inst in instances[1:]]
-        preds.write_text("\n".join([f'{{"id": "{instances[0].id}", "prediction": [1{"0" * 400}]}}', *lines]) + "\n")
+        preds.write_text(
+            "\n".join([f'{{"id": "{instances[0].id}", "prediction": [1{"0" * 400}]}}', *lines]) + "\n", encoding="utf-8"
+        )
         out = tmp_path / "scores.json"
         assert main(["eval", "--predictions", str(preds), "--corpus", str(eval_path), "--out", str(out)]) == 0
-        scope = json.loads(out.read_text())["scopes"][0]
+        scope = json.loads(out.read_text(encoding="utf-8"))["scopes"][0]
         assert (scope["raw_n"], scope["effective_n"]) == (5, 4)
 
     def test_threshold_excludes_extreme_row(self, corpus_dir, tmp_path):
@@ -599,13 +601,13 @@ class TestEval:
         eval_path = corpus_dir / "eval.jsonl"
         instances = load_samples(eval_path, "evaluation").instances
         preds = tmp_path / "preds.jsonl"
-        with preds.open("w") as fh:
+        with preds.open("w", encoding="utf-8") as fh:
             for i, inst in enumerate(instances):
                 truth = reveal_for_scoring(inst)
                 pred = [v + 1e7 for v in truth] if i == 0 else truth
                 fh.write(json.dumps({"id": inst.id, "prediction": pred}) + "\n")
         thresholds = tmp_path / "thresholds.json"
-        thresholds.write_text(json.dumps({"synth_forecast_short": 100.0}))
+        thresholds.write_text(json.dumps({"synth_forecast_short": 100.0}), encoding="utf-8")
         out = tmp_path / "scores.json"
         main(
             [
@@ -620,7 +622,7 @@ class TestEval:
                 str(out),
             ]
         )
-        scope = json.loads(out.read_text())["scopes"][0]
+        scope = json.loads(out.read_text(encoding="utf-8"))["scopes"][0]
         assert scope["raw_n"] == 5
         assert scope["effective_n"] == 4
 
@@ -640,23 +642,23 @@ class TestEval:
                     "ground_truth": gt,
                 }
             )
-        corpus.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        corpus.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
         preds = tmp_path / "p.jsonl"
         # one off-by-one-bucket error inside the same 3-way group
         answers = [labels[0], labels[0], labels[2], labels[3], labels[4]]
         preds.write_text(
             "\n".join(json.dumps({"id": f"t{i}", "prediction": a}) for i, a in enumerate(answers))
-            + "\n"
+            + "\n", encoding="utf-8"
         )
         out = tmp_path / "scores.json"
         main(["eval", "--predictions", str(preds), "--corpus", str(corpus), "--out", str(out)])
-        scope = json.loads(out.read_text())["scopes"][0]
+        scope = json.loads(out.read_text(encoding="utf-8"))["scopes"][0]
         assert scope["metrics"]["acc_5"] == pytest.approx(0.8)
         assert scope["metrics"]["acc_3"] == pytest.approx(1.0)
 
     def test_unknown_prediction_ids_listed(self, corpus_dir, tmp_path):
         preds = tmp_path / "p.jsonl"
-        preds.write_text(json.dumps({"id": "not-in-corpus", "prediction": [1.0]}) + "\n")
+        preds.write_text(json.dumps({"id": "not-in-corpus", "prediction": [1.0]}) + "\n", encoding="utf-8")
         out = tmp_path / "scores.json"
         main(
             [
@@ -669,7 +671,7 @@ class TestEval:
                 str(out),
             ]
         )
-        scores = json.loads(out.read_text())
+        scores = json.loads(out.read_text(encoding="utf-8"))
         assert scores["unknown_prediction_ids"] == ["not-in-corpus"]
 
 
@@ -692,7 +694,7 @@ class TestBatchedProfile:
     @pytest.fixture
     def two_lengths(self, tmp_path):
         spec_path = tmp_path / "spec2.json"
-        spec_path.write_text(json.dumps(TWO_LENGTHS))
+        spec_path.write_text(json.dumps(TWO_LENGTHS), encoding="utf-8")
         assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(tmp_path / "c2")]) == 0
         return tmp_path / "c2"
 
@@ -749,7 +751,7 @@ class TestSeriesPastTheFloatRange:
         record = {"id": "big:0", "series": values[:48], "task_type": "forecast", "scope": "big", "horizon": 12,
                   "ground_truth": values[48:]}
         corpus = tmp_path / "big.jsonl"
-        corpus.write_text(json.dumps(record) + "\n")
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
         return corpus
 
     def test_explore_and_infer_run_a_series_whose_squares_overflow(self, tmp_path):
@@ -763,9 +765,9 @@ class TestSeriesPastTheFloatRange:
             assert main(["explore", "--corpus", str(corpus), "--store", str(run / "store")]) == 0
             assert main(["infer", "--corpus", str(corpus), "--store", str(run / "store"),
                          "--out", str(run / "pred.jsonl")]) == 0
-        assert json.loads((run / "run_summary.json").read_text())["failed_instances"] == []
-        assert json.loads((run / "infer_summary.json").read_text())["failed_instances"] == []
-        assert json.loads((run / "pred.jsonl").read_text())["prediction"]
+        assert json.loads((run / "run_summary.json").read_text(encoding="utf-8"))["failed_instances"] == []
+        assert json.loads((run / "infer_summary.json").read_text(encoding="utf-8"))["failed_instances"] == []
+        assert json.loads((run / "pred.jsonl").read_text(encoding="utf-8"))["prediction"]
         assert not [w for w in caught if Path(w.filename).name in ("seriesops.py", "prompts.py")]
 
     def test_explore_scores_its_candidates_without_a_warning(self, tmp_path):
@@ -797,9 +799,9 @@ class TestReportAndSimulate:
         )
         out = tmp_path / "report.json"
         assert main(["report", "--store", str(store), "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         scope = report["scopes"]["synth_forecast_short"]
-        summary = json.loads((store.parent / "run_summary.json").read_text())
+        summary = json.loads((store.parent / "run_summary.json").read_text(encoding="utf-8"))
         evidence_episodes = summary["episodes"]["comparative"] + summary["episodes"]["single_execution"]
         assert scope["notes"] == evidence_episodes
         assert scope["entropy_history"]
@@ -811,14 +813,14 @@ class TestReportAndSimulate:
         (tmp_path / "fresh").mkdir()
         out = tmp_path / "report.json"
         assert main(["report", "--store", str(tmp_path / "fresh"), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["scopes"] == {}
+        assert json.loads(out.read_text(encoding="utf-8"))["scopes"] == {}
 
     def test_simulate_dropout_outputs(self, tmp_path):
         out = tmp_path / "diag"
         code = main(["simulate-dropout", "--seeds", "3", "--out", str(out)])
         assert code == 0
         assert (out / "dropout_diag.csv").exists()
-        data = json.loads((out / "dropout_diag.json").read_text())
+        data = json.loads((out / "dropout_diag.json").read_text(encoding="utf-8"))
         assert data["prefixes"]
         assert len(data["on"]["coverage"]) == len(data["prefixes"])
 
@@ -849,7 +851,7 @@ class TestTornLogs:
             assert f"{store / rel}: line " in caplog.text
         out = tmp_path / "infer" / "preds.jsonl"
         assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
-        assert json.loads((out.parent / "infer_summary.json").read_text())["store_untouched"] is True
+        assert json.loads((out.parent / "infer_summary.json").read_text(encoding="utf-8"))["store_untouched"] is True
         assert self._tree(store) == before
         assert self._explore(corpus_dir, store) == 0
         caplog.clear()
@@ -973,7 +975,7 @@ class TestReplayCommand:
         learning = corpus_dir / "learning.jsonl"
         assert main(["explore", "--corpus", str(learning), "--store", str(tmp_path / "store")]) == 0
         [log] = sorted((tmp_path / "store" / "traces").glob("*.jsonl"))
-        records = [json.loads(line) for line in learning.read_text().splitlines()]
+        records = [json.loads(line) for line in learning.read_text(encoding="utf-8").splitlines()]
         moved = [{**records[0], "series": [math.nextafter(records[0]["series"][0], math.inf), *records[0]["series"][1:]]},
                  *records[1:]]
         corpora = {
@@ -981,9 +983,9 @@ class TestReplayCommand:
             "moved": tmp_path / "moved.jsonl",
             "no_truth": tmp_path / "no_truth.jsonl",
         }
-        corpora["moved"].write_text("".join(json.dumps(r) + "\n" for r in moved))
+        corpora["moved"].write_text("".join(json.dumps(r) + "\n" for r in moved), encoding="utf-8")
         corpora["no_truth"].write_text("".join(json.dumps({k: v for k, v in r.items() if k != "ground_truth"}) + "\n"
-                                               for r in records))
+                                               for r in records), encoding="utf-8")
         errors = {}
         for name, corpus in corpora.items():
             capsys.readouterr()
@@ -1002,7 +1004,7 @@ class TestTraceLogs:
 
     @staticmethod
     def _mixed_corpus(tmp_path):
-        (tmp_path / "spec.json").write_text(json.dumps(MIXED_SPEC))
+        (tmp_path / "spec.json").write_text(json.dumps(MIXED_SPEC), encoding="utf-8")
         assert main(["gen-corpus", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "corpus")]) == 0
         return tmp_path / "corpus" / "learning.jsonl"
 
@@ -1040,7 +1042,7 @@ class TestTraceLogs:
         for traces, corpus in ((store / "traces", learning), (out.parent / "traces_infer", learning.parent / "eval.jsonl")):
             samples = {i.id: i for i in load_samples(corpus, "evaluation").instances}
             for log in sorted(traces.glob("*.jsonl")):
-                lines = log.read_text().split("\n")
+                lines = log.read_text(encoding="utf-8").split("\n")
                 line = 0
                 for block in read_trace(log):
                     sample = samples[block.header["episode"]]
@@ -1147,7 +1149,7 @@ class TestGatewayChoice:
             fed.clear()
             sent.clear()
             assert main(["explore", "--corpus", learning, "--store", str(tmp_path / run / "store"), flag, script]) == 0
-            summary = json.loads((tmp_path / run / "run_summary.json").read_text())
+            summary = json.loads((tmp_path / run / "run_summary.json").read_text(encoding="utf-8"))
             assert len(sent) == summary["usage"]["gateway_calls"] > 0
             distinct = {(m.role, m.content) for ex in sent for m in ex.messages}
             text = sum(len(role.encode()) + len(content.encode()) for role, content in distinct)
@@ -1178,8 +1180,8 @@ class TestGatewayChoice:
         argv = ["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--out", str(tmp_path / "pred.jsonl")]
         script = tmp_path / "script.json"
         assert main([*argv, "--record-script", str(script)]) == 0
-        recorded = json.loads(script.read_text())
-        script.write_text(json.dumps({digest: corrupt(reply) for digest, reply in recorded.items()}))
+        recorded = json.loads(script.read_text(encoding="utf-8"))
+        script.write_text(json.dumps({digest: corrupt(reply) for digest, reply in recorded.items()}), encoding="utf-8")
         capsys.readouterr()
         assert main([*argv, "--mock-script", str(script)]) == 2
         assert capsys.readouterr().err.startswith("error: replay script entry")
@@ -1311,12 +1313,12 @@ class TestBadInput:
             "deep": tmp_path / "deep.json",
             "deep_trace": tmp_path / "deep_trace.jsonl",
         }
-        files["empty"].write_text("")
-        files["garbage"].write_text("not a trace\n")
-        files["list_header"].write_text("[1]\n")
+        files["empty"].write_text("", encoding="utf-8")
+        files["garbage"].write_text("not a trace\n", encoding="utf-8")
+        files["list_header"].write_text("[1]\n", encoding="utf-8")
         instance = {"id": "x", "series": [1.0, 2.0], "task_type": "forecast", "scope": "s", "horizon": 1}
         header = {"mode": "inference", "version": __version__, "episode": "x", "sample": parse_record(instance).digest}
-        files["list_event"].write_text(json.dumps(header) + "\n[2]\n")
+        files["list_event"].write_text(json.dumps(header) + "\n[2]\n", encoding="utf-8")
 
         def corpus(*records):
             return "".join(json.dumps(record) + "\n" for record in records)
@@ -1326,41 +1328,47 @@ class TestBadInput:
             lines.append({"branch": None, "kind": "outcome", "payload": {}})
             return "".join(json.dumps(line) + "\n" for line in lines)
 
-        files["no_instance"].write_text(block({key: header[key] for key in ("mode", "version", "episode")}))
+        files["no_instance"].write_text(block({key: header[key] for key in ("mode", "version", "episode")}), encoding="utf-8")
         files["call_without_tool"].write_text(
-            block(header, ("tool_call", {"call_id": "c001", "args": {}, "inputs": ["original"]}))
+            block(header, ("tool_call", {"call_id": "c001", "args": {}, "inputs": ["original"]})), encoding="utf-8"
         )
         candidate = {"type": "candidate", "branch": "x#b0", "substantive_chain": [], "answer": None,
                      "prior_guided": False, "alternative": False}
-        files["candidate_without_valid"].write_text(block({**header, "mode": "exploration"}, ("verdict", candidate)))
-        files["list_branch"].write_text(block(header, ("gateway_request", {"digest": "d"})).replace("null", "[0]", 1))
-        files["inference_x"].write_text(block(header))
-        files["exploration_x"].write_text(block({**header, "mode": "exploration"}))
-        files["sample_object"].write_text(block({**header, "sample": {**instance, "text": [5]}}))
-        files["sample_number"].write_text(block({**header, "sample": 10**400}))
-        files["sample_null"].write_text(block({**header, "sample": None}))
-        files["x_corpus"].write_text(corpus(instance))
-        files["x_changed"].write_text(corpus({**instance, "series": [1.0, 2.0000000000000004]}))
-        files["x_label_truth"].write_text(corpus({**instance, "ground_truth": "up"}))
-        files["bad_text"].write_text(corpus({**instance, "text": [5]}))
-        files["huge_int"].write_text(corpus({**instance, "series": [10**400, 2.0]}))
-        files["bool_horizon"].write_text(corpus({**instance, "horizon": True}))
-        files["string_labels"].write_text(corpus({**instance, "task_type": "trend", "label_space": "up"}))
-        files["torn_only"].write_text(block(header)[:-5])
-        files["threshold"].write_text(json.dumps({"synth_forecast_short": 0}))
-        files["scenario"].write_text(json.dumps({"episodes": "many"}))
-        files["five"].write_text("5")
-        files["numbers"].write_text("[5]")
-        files["oops"].write_text(json.dumps({"d": "oops"}))
-        files["call_without_tool_script"].write_text(json.dumps({"d": {"content": "", "tool_calls": [{"args": {}}]}}))
-        files["content_5"].write_text(json.dumps({"d": {"content": 5}}))
-        files["string_threshold"].write_text(json.dumps({"synth_forecast_short": "x"}))
-        files["true"].write_text(json.dumps({"synth_forecast_short": True}))
-        files["number_id"].write_text(json.dumps({"id": 7, "prediction": [1.0]}) + "\n")
+        files["candidate_without_valid"].write_text(
+            block({**header, "mode": "exploration"}, ("verdict", candidate)), encoding="utf-8"
+        )
+        files["list_branch"].write_text(
+            block(header, ("gateway_request", {"digest": "d"})).replace("null", "[0]", 1), encoding="utf-8"
+        )
+        files["inference_x"].write_text(block(header), encoding="utf-8")
+        files["exploration_x"].write_text(block({**header, "mode": "exploration"}), encoding="utf-8")
+        files["sample_object"].write_text(block({**header, "sample": {**instance, "text": [5]}}), encoding="utf-8")
+        files["sample_number"].write_text(block({**header, "sample": 10**400}), encoding="utf-8")
+        files["sample_null"].write_text(block({**header, "sample": None}), encoding="utf-8")
+        files["x_corpus"].write_text(corpus(instance), encoding="utf-8")
+        files["x_changed"].write_text(corpus({**instance, "series": [1.0, 2.0000000000000004]}), encoding="utf-8")
+        files["x_label_truth"].write_text(corpus({**instance, "ground_truth": "up"}), encoding="utf-8")
+        files["bad_text"].write_text(corpus({**instance, "text": [5]}), encoding="utf-8")
+        files["huge_int"].write_text(corpus({**instance, "series": [10**400, 2.0]}), encoding="utf-8")
+        files["bool_horizon"].write_text(corpus({**instance, "horizon": True}), encoding="utf-8")
+        files["string_labels"].write_text(corpus({**instance, "task_type": "trend", "label_space": "up"}), encoding="utf-8")
+        files["torn_only"].write_text(block(header)[:-5], encoding="utf-8")
+        files["threshold"].write_text(json.dumps({"synth_forecast_short": 0}), encoding="utf-8")
+        files["scenario"].write_text(json.dumps({"episodes": "many"}), encoding="utf-8")
+        files["five"].write_text("5", encoding="utf-8")
+        files["numbers"].write_text("[5]", encoding="utf-8")
+        files["oops"].write_text(json.dumps({"d": "oops"}), encoding="utf-8")
+        files["call_without_tool_script"].write_text(
+            json.dumps({"d": {"content": "", "tool_calls": [{"args": {}}]}}), encoding="utf-8"
+        )
+        files["content_5"].write_text(json.dumps({"d": {"content": 5}}), encoding="utf-8")
+        files["string_threshold"].write_text(json.dumps({"synth_forecast_short": "x"}), encoding="utf-8")
+        files["true"].write_text(json.dumps({"synth_forecast_short": True}), encoding="utf-8")
+        files["number_id"].write_text(json.dumps({"id": 7, "prediction": [1.0]}) + "\n", encoding="utf-8")
         files["not_utf8"].write_bytes(b"\xff\xfe{}")
         files["soul_not_utf8"].mkdir()
         (files["soul_not_utf8"] / "soul.md").write_bytes(b"\xff\xfe{}")
-        files["deep"].write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        files["deep"].write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
         files["deep_trace"].write_bytes(files["deep"].read_bytes() + files["golden_trace"].read_bytes())
         before = _tree_with_dirs(tmp_path)
         capsys.readouterr()
@@ -1403,7 +1411,7 @@ class TestBadInput:
         torn = tmp_path / "torn.jsonl"
         torn.write_bytes(golden.read_bytes() + b'{"mode": "\xff\xfe')
         needles = ["seasonal_naive", "in no log"]
-        (tmp_path / "needles.json").write_text(json.dumps(needles))
+        (tmp_path / "needles.json").write_text(json.dumps(needles), encoding="utf-8")
         capsys.readouterr()
         assert main(["lint", "--trace", str(torn), "--forbidden-file", str(tmp_path / "needles.json")]) == 1
         episodes = json.loads(capsys.readouterr().out)["episodes"]
@@ -1456,7 +1464,7 @@ class TestMalformedSpecs:
     @pytest.mark.parametrize("scenario", list(MALFORMED_SCENARIOS.values()), ids=list(MALFORMED_SCENARIOS))
     def test_simulate_dropout_refuses_and_writes_nothing(self, scenario, tmp_path, capsys):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
+        path.write_text(json.dumps(scenario), encoding="utf-8")
         out = tmp_path / "diag"
         capsys.readouterr()
         assert main(["simulate-dropout", "--scenario", str(path), "--seeds", "1", "--out", str(out)]) == 2
@@ -1468,7 +1476,7 @@ class TestStoreRoot:
     @pytest.mark.parametrize("command", ["explore", "infer", "report"])
     def test_a_store_that_is_a_file_is_refused(self, command, corpus_dir, tmp_path, capsys):
         store = tmp_path / "store"
-        store.write_text("not a store\n")
+        store.write_text("not a store\n", encoding="utf-8")
         argv = {
             "explore": ["explore", "--corpus", str(corpus_dir / "learning.jsonl")],
             "infer": ["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--out", str(tmp_path / "run" / "pred.jsonl")],
@@ -1477,5 +1485,5 @@ class TestStoreRoot:
         capsys.readouterr()
         assert main([*argv, "--store", str(store)]) == 2
         assert capsys.readouterr().err.startswith(f"error: store {store} is not a directory")
-        assert store.read_text() == "not a store\n"
+        assert store.read_text(encoding="utf-8") == "not a store\n"
         assert not (tmp_path / "run").exists()

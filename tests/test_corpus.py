@@ -23,7 +23,7 @@ from timeclaw.errors import ContractError, CorpusError
 
 
 def _write_jsonl(path, records):
-    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
 
 
 def _record(i=0, **kwargs):
@@ -59,7 +59,7 @@ class TestLoader:
 
     def test_invalid_json_line_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text(json.dumps(_record(0)) + "\n{broken\n")
+        path.write_text(json.dumps(_record(0)) + "\n{broken\n", encoding="utf-8")
         result = load_samples(path, role="learning")
         assert len(result.instances) == 1
         assert result.rejects[0]["line"] == 2
@@ -74,7 +74,7 @@ class TestLoader:
         # applies, and a RecursionError past the nesting limit
         path = tmp_path / "c.jsonl"
         bad = json.dumps(_record(1)).replace("[1.0, 2.0, 3.0, 4.0]", series)
-        path.write_text(json.dumps(_record(0)) + "\n" + bad + "\n")
+        path.write_text(json.dumps(_record(0)) + "\n" + bad + "\n", encoding="utf-8")
         result = load_samples(path, role="learning")
         assert [instance.id for instance in result.instances] == ["s0"]
         assert [reject["line"] for reject in result.rejects] == [2]
@@ -125,7 +125,10 @@ class TestLoader:
         # canonical_json writes U+2028 and U+0085 raw; only "\n" ends a line
         body = "first\u2028second\u0085third"
         path = tmp_path / "c.jsonl"
-        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (_record(0, text=[{"body": body}]), _record(1))))
+        path.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (_record(0, text=[{"body": body}]), _record(1))),
+            encoding="utf-8",
+        )
         result = load_samples(path, role="learning")
         assert result.rejects == []
         assert [instance.id for instance in result.instances] == ["s0", "s1"]
@@ -183,8 +186,8 @@ class TestSyntheticGenerator:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         generate_synthetic_corpus(spec, out_a)
         generate_synthetic_corpus(spec, out_b)
-        assert (out_a / "learning.jsonl").read_text() == (out_b / "learning.jsonl").read_text()
-        assert (out_a / "eval.jsonl").read_text() == (out_b / "eval.jsonl").read_text()
+        assert (out_a / "learning.jsonl").read_text(encoding="utf-8") == (out_b / "learning.jsonl").read_text(encoding="utf-8")
+        assert (out_a / "eval.jsonl").read_text(encoding="utf-8") == (out_b / "eval.jsonl").read_text(encoding="utf-8")
 
     def test_roles_have_disjoint_sources(self, tmp_path):
         spec = {

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from timeclaw import gateway as gateway_module
+from timeclaw.cli import main
 from timeclaw.errors import ContractError, GatewayError, ScriptMissError, ToolCallParseError
 from timeclaw.gateway import (
     AssistantReply,
@@ -414,6 +415,34 @@ class TestRemoteGateway:
         with pytest.raises(ContractError, match="needs an http"):
             RemoteGateway(base_url=base_url)
 
+    @pytest.mark.parametrize(
+        "base_url, proxy, named",
+        [
+            ("http://[::1", None, "base URL"),
+            ("http://127.0.0.1:abc", None, "base URL"),
+            ("http://127.0.0.1:9", "http://[::1", "proxy URL"),
+            ("http://127.0.0.1:9", "http://127.0.0.1:99999", "proxy URL"),
+        ],
+        ids=["base-url-ipv6", "base-url-port", "proxy-url-ipv6", "proxy-url-port"],
+    )
+    def test_a_url_that_does_not_parse_is_a_contract_error(self, tmp_path, monkeypatch, capsys, base_url, proxy, named):
+        for name in ("no_proxy", "NO_PROXY", "http_proxy", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        if proxy:
+            monkeypatch.setenv("http_proxy", proxy)
+        with pytest.raises(ContractError, match=f"the {named}.* is not a URL: "):
+            RemoteGateway(base_url=base_url)
+        # so infer prints an error line and exits 2, before any request
+        spec = {"families": [{"name": "s", "kind": "seasonal", "learn_count": 2, "eval_count": 2}]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["gen-corpus", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "corpus")]) == 0
+        capsys.readouterr()
+        argv = ["infer", "--corpus", str(tmp_path / "corpus" / "eval.jsonl"), "--api-base", base_url,
+                "--out", str(tmp_path / "pred.jsonl")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the {named}") and "Traceback" not in err
+
     @pytest.mark.parametrize("api_key", ["ключ", "k\n"], ids=["not-ascii", "a-newline"])
     def test_a_key_no_header_can_carry_is_a_contract_error(self, api_key):
         with pytest.raises(ContractError, match="must be printable ASCII"):
@@ -448,6 +477,6 @@ def test_the_remote_transport_is_imported_by_a_remote_call_only():
     """
     src = str(Path(gateway_module.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8", timeout=60)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[], "GatewayError", False]

@@ -38,7 +38,7 @@ from timeclaw.registry import ArgSpec, ToolCategory, ToolDescriptor, ToolRegistr
 from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore, LearningNote
 from timeclaw.toolkit import ORIGINAL_INPUT, ArtifactKind, builtin_toolkit
-from timeclaw.util import canonical_json, digest_text
+from timeclaw.util import canonical_json, digest_text, json_dumps
 
 
 def _instance(series=None, horizon=3, gt=None, task_type=TaskType.FORECAST, labels=None, iid="e1"):
@@ -222,9 +222,8 @@ class TestEpisodeOutcomes:
         store = ExperienceStore(tmp_path / "store")
         store.commit_note(
             LearningNote(
-                scope=scope, instance_id="prior", prompt_digest="d" * 16, winner_tools=(), loser_tools=(),
-                metrics={}, evidence_class="failure", insight="", recommendation="", trace_refs=(),
-                applicability={}, tools=("naive",) * 1000,
+                scope=scope, instance_id="prior", winner_tools=(), loser_tools=(), metrics={},
+                evidence_class="failure", applicability={}, tools=("naive",) * 1000,
             )
         )
         store.close()
@@ -255,9 +254,8 @@ class TestEpisodeOutcomes:
         store = ExperienceStore(tmp_path / "store")
         store.commit_note(
             LearningNote(
-                scope=scope, instance_id="prior", prompt_digest="d" * 16, winner_tools=(), loser_tools=(),
-                metrics={}, evidence_class="failure", insight="", recommendation="", trace_refs=(),
-                applicability={}, tools=("last_value",) * 1000,
+                scope=scope, instance_id="prior", winner_tools=(), loser_tools=(), metrics={},
+                evidence_class="failure", applicability={}, tools=("last_value",) * 1000,
             )
         )
         store.close()
@@ -710,7 +708,7 @@ class TestToolExposure:
         inst = _instance(gt=gt)
         deps = _deps(tmp_path, PolicyGateway(inference_policy), with_store=False)
         result = run_inference(inst, deps)
-        trace_text = Path(result.trace_path).read_text()
+        trace_text = Path(result.trace_path).read_text(encoding="utf-8")
         for needle in ("13.577", "14.211", "15.903"):
             assert needle not in trace_text
 
@@ -763,7 +761,7 @@ class TestTraceDeterminism:
         for run in ("a", "b"):
             deps = _deps(tmp_path / run, policy_gateway("exploration"))
             outcome = run_exploration_episode(inst, ExplorationConfig(seed=9), deps)
-            texts.append(Path(outcome.trace_path).read_text())
+            texts.append(Path(outcome.trace_path).read_text(encoding="utf-8"))
         assert texts[0] == texts[1]
 
     def test_a_raising_run_closes_its_trace(self, tmp_path):
@@ -1054,15 +1052,11 @@ class TestEncodeAndRenderOnce:
         (block,) = read_trace(tmp_path / "traces" / f"{runner.instance.scope}.jsonl")
         assert block.events[0]["payload"] == {"call_id": "c001", "tool": "naive", "args": args, "inputs": [ORIGINAL_INPUT]}
 
-    def test_an_empty_summary_leaves_nothing_to_redact(self, tmp_path):
-        deps = _deps(tmp_path, policy_gateway("exploration"))
-        outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=9), deps)
-        assert outcome.eval_evidence
-        assert (outcome.learning_summary.insight, outcome.learning_summary.recommendation) == ("", "")
-        assert outcome.sensitive == ()
-
-    def test_a_summary_that_quotes_the_truth_is_stored_redacted(self, tmp_path):
+    def test_a_summary_that_states_the_truth_leaves_it_in_no_note_or_snapshot(self, tmp_path):
+        # a note holds what the comparison measured and no model text: the
+        # learning_summary reply is kept only in the episode's trace
         truth = [13.0, 13.5, 12.0]
+        renderings = {json.dumps(truth), canonical_json(truth), json_dumps(truth)}
 
         def quoting(exchange):
             reply = exploration_policy(exchange)
@@ -1074,6 +1068,34 @@ class TestEncodeAndRenderOnce:
         deps = _deps(tmp_path, PolicyGateway(quoting))
         inst = _instance(gt=truth)
         outcome = run_exploration_episode(inst, ExplorationConfig(seed=9), deps)
-        assert json.dumps(truth) in outcome.sensitive and canonical_json(truth) in outcome.sensitive
-        (note,) = deps.store.notes(inst.scope)
-        assert (note.insight, note.recommendation) == ("the truth was [redacted]", "not [redacted]")
+        assert outcome.eval_evidence
+        assert json.dumps(truth).encode() in Path(outcome.trace_path).read_bytes()
+        deps.store.finalize(inst.scope)
+        assert deps.store.memory_state(inst.scope).rules
+        root = tmp_path / "store"
+        stored = [p for layer in ("notes", "snapshots") for p in sorted((root / layer).rglob("*")) if p.is_file()]
+        assert len(stored) == 2
+        for path in stored:
+            text = path.read_text(encoding="utf-8")
+            assert not any(r in text for r in renderings), path
+
+    def test_the_note_is_the_same_whatever_the_learning_summary_says(self, tmp_path):
+        # the note is built from the evaluated outcome alone
+        def summarizing(text):
+            def policy(exchange):
+                reply = exploration_policy(exchange)
+                if "## Comparison Result" in exchange.messages[-1].content:
+                    summary = {"insight": text, "recommendation": text}
+                    return AssistantReply(content=json.dumps({"answer_type": "learning_summary", "answer": summary}))
+                return reply
+            return policy
+
+        shards = []
+        for run, gateway in (("plain", policy_gateway("exploration")), ("said", PolicyGateway(summarizing("prefer naive")))):
+            deps = _deps(tmp_path / run, gateway)
+            inst = _instance(gt=[13.0, 13.5, 12.0])
+            outcome = run_exploration_episode(inst, ExplorationConfig(seed=9), deps)
+            assert outcome.eval_evidence
+            deps.store.close()
+            shards.append((tmp_path / run / "store" / "notes" / f"{inst.scope}.md").read_bytes())
+        assert shards[0] == shards[1]

@@ -95,7 +95,7 @@ def render_golden() -> str:
 
 
 def _golden_lines() -> list[dict[str, Any]]:
-    return [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    return [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
 
 
 def test_profiles_match_golden():
@@ -122,5 +122,5 @@ def test_golden_covers_every_profile_outcome():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(render_golden())
+    GOLDEN.write_text(render_golden(), encoding="utf-8")
     sys.exit(0)

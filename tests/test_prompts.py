@@ -190,7 +190,7 @@ class TestGoldenFrames:
     def _assert_stable(self, *names):
         frames = render_frames()
         for name in names:
-            assert frames[name] == (FRAMES / name).read_text(), f"{name} drifted from its golden"
+            assert frames[name] == (FRAMES / name).read_text(encoding="utf-8"), f"{name} drifted from its golden"
 
     def test_exploration_frame_is_byte_stable(self):
         self._assert_stable("exploration_system.txt", "exploration_user.txt")
@@ -202,7 +202,7 @@ class TestGoldenFrames:
         self._assert_stable("inference_system.txt", "inference_user.txt")
 
     def test_frame_section_order(self):
-        user = (FRAMES / "exploration_user.txt").read_text()
+        user = (FRAMES / "exploration_user.txt").read_text(encoding="utf-8")
         positions = [
             user.index("## Objective"),
             user.index("## Observation"),
@@ -368,5 +368,5 @@ class TestBoundaryEvent:
 if __name__ == "__main__":
     FRAMES.mkdir(parents=True, exist_ok=True)
     for name, text in render_frames().items():
-        (FRAMES / name).write_text(text)
+        (FRAMES / name).write_text(text, encoding="utf-8")
         print(f"wrote {FRAMES / name} ({len(text)} chars)", file=sys.stderr)

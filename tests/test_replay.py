@@ -51,7 +51,7 @@ class TestReplay:
         assert report.events > 0
 
     def test_mutated_tool_result_yields_exactly_one_divergence(self, exploration_trace, tmp_path):
-        lines = exploration_trace.read_text().splitlines()
+        lines = exploration_trace.read_text(encoding="utf-8").splitlines()
         mutated = []
         hits = 0
         for line in lines:
@@ -63,7 +63,7 @@ class TestReplay:
                     hits = 1
             mutated.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         target = tmp_path / "mutated.jsonl"
-        target.write_text("\n".join(mutated) + "\n")
+        target.write_text("\n".join(mutated) + "\n", encoding="utf-8")
         [report] = replay(target, [_instance()])
         assert len(report.divergences) == 1
         assert report.divergences[0].kind == "artifact_mismatch"
@@ -72,7 +72,7 @@ class TestReplay:
         # the artifact id digests the call's tool, args and inputs as well as
         # its payload, so a recorded call that differs only in an argument
         # left at its default no longer matches its recorded result
-        lines = exploration_trace.read_text().splitlines()
+        lines = exploration_trace.read_text(encoding="utf-8").splitlines()
         mutated = []
         for line in lines:
             record = json.loads(line)
@@ -80,12 +80,12 @@ class TestReplay:
                 record["payload"]["args"]["alpha"] = 0.3
             mutated.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         target = tmp_path / "default_arg.jsonl"
-        target.write_text("\n".join(mutated) + "\n")
+        target.write_text("\n".join(mutated) + "\n", encoding="utf-8")
         [report] = replay(target, [_instance()])
         assert [d.kind for d in report.divergences] == ["artifact_mismatch"]
 
     def test_unregistered_tool_is_structured_divergence(self, exploration_trace, tmp_path):
-        lines = exploration_trace.read_text().splitlines()
+        lines = exploration_trace.read_text(encoding="utf-8").splitlines()
         mutated = []
         for line in lines:
             record = json.loads(line)
@@ -95,16 +95,16 @@ class TestReplay:
                 record["payload"]["tool"] = "ghost_tool"
             mutated.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         target = tmp_path / "ghost.jsonl"
-        target.write_text("\n".join(mutated) + "\n")
+        target.write_text("\n".join(mutated) + "\n", encoding="utf-8")
         [report] = replay(target, [_instance()])
         assert any(d.kind == "unknown_tool" for d in report.divergences)
 
     def test_version_mismatch_is_refused_with_both_tags(self, exploration_trace, tmp_path):
-        lines = exploration_trace.read_text().splitlines()
+        lines = exploration_trace.read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
         header["version"] = "0.0.0-other"
         target = tmp_path / "old.jsonl"
-        target.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
+        target.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n", encoding="utf-8")
         with pytest.raises(ReplayError, match="0.0.0-other"):
             replay(target, [_instance()])
 
@@ -198,9 +198,9 @@ class TestLint:
         # now inject a fault: an event whose payload leaks the target, inside
         # the episode's block (before its closing outcome event)
         path = Path(result.trace_path)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         leak = '{"branch":null,"kind":"gateway_response","payload":{"reply":{"content":"gt was 99.123"}}}'
-        path.write_text("\n".join([*lines[:-1], leak, lines[-1]]) + "\n")
+        path.write_text("\n".join([*lines[:-1], leak, lines[-1]]) + "\n", encoding="utf-8")
         [dirty] = lint(path, forbidden_substrings=["99.123"])
         assert not dirty.clean
         assert dirty.leaks == [{"line": len(lines), "needle_head": "99.123"}]
@@ -263,7 +263,7 @@ def test_a_mutated_golden_is_reported_on_or_refused_never_a_traceback(name, data
     or an event payload deleted or set to any JSON, or a line cut short.
     ``replay`` (against the goldens' corpus) and ``lint`` report on it (exit
     0 or 1) or refuse it (exit 2); they never raise."""
-    lines = [json.loads(line) for line in (GOLDEN / name).read_text().splitlines()]
+    lines = [json.loads(line) for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines()]
     texts = [json.dumps(line) for line in lines]
     n = data.draw(st.integers(0, len(lines) - 1))
     if data.draw(st.integers(0, 4)) == 0:
@@ -279,6 +279,6 @@ def test_a_mutated_golden_is_reported_on_or_refused_never_a_traceback(name, data
             target[key] = data.draw(JSON_VALUES)
         texts[n] = json.dumps(record)
     path = tmp_path_factory.mktemp("mutated") / name
-    path.write_text("".join(text + "\n" for text in texts))
+    path.write_text("".join(text + "\n" for text in texts), encoding="utf-8")
     assert main(["replay", "--trace", str(path), "--corpus", str(golden_corpus)]) in (0, 1, 2)
     assert main(["lint", "--trace", str(path)]) in (0, 1, 2)

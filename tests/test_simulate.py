@@ -39,9 +39,9 @@ class TestCollapseSimulation:
     def test_outputs_are_written(self, tmp_path):
         result = compare_over_seeds(DropoutScenario(episodes=20), [0, 1])
         paths = write_outputs(result, tmp_path)
-        with open(paths["csv"]) as fh:
+        with open(paths["csv"], encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "prefix"
         assert len(rows) - 1 == len(result.prefixes)
-        data = json.loads(Path(paths["json"]).read_text())
+        data = json.loads(Path(paths["json"]).read_text(encoding="utf-8"))
         assert "mean_top_share_reduction" in data

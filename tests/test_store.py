@@ -8,18 +8,12 @@ import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
-from timeclaw.core import (
-    CandidateExecution,
-    EpisodeOutcome,
-    EvidenceClass,
-    LearningSummaryText,
-)
+from timeclaw.core import CandidateExecution, EpisodeOutcome, EvidenceClass
 from timeclaw.errors import ContractError, LogError
 from timeclaw.gateway import DeclaredTools
 from timeclaw.prompts import build_inference_prompt, fingerprint, render_memory_rules
@@ -33,7 +27,7 @@ from timeclaw.store import (
     ExperienceStore,
     LearningNote,
     MemoryState,
-    _clean_text,
+    _NOTE_FIELDS,
     clean,
     summarize_episode,
     update_memory,
@@ -49,9 +43,6 @@ def _note(
     losers=("naive",),
     evidence_class="comparative",
     chi=None,
-    insight="seasonal_naive tracked the cycle best",
-    recommendation="prefer seasonal_naive",
-    sensitive=(),
     scope=SCOPE,
     tools=(),
     eval_evidence=True,
@@ -59,20 +50,41 @@ def _note(
     return LearningNote(
         scope=scope,
         instance_id="inst42",
-        prompt_digest="d" * 16,
         winner_tools=tuple(winner),
         loser_tools=tuple(losers),
         metrics={},
         evidence_class=evidence_class,
-        insight=insight,
-        recommendation=recommendation,
-        trace_refs=(),
         applicability=chi or {"task_subtype": "forecast", "seasonal": True},
-        sensitive=tuple(sensitive),
         eval_evidence=eval_evidence,
         tools=tuple(tools),
         sequence=seq,
     )
+
+
+def _twelve_field_shard(notes):
+    """A notes shard as an older version wrote it: each block also held the
+    prompt's digest, the trace log's name and the learning_summary text."""
+    blocks = []
+    for seq, note in enumerate(notes, 1):
+        value = {attr: json_dumps(getattr(note, attr), sort_keys=True) for _, attr, _ in _NOTE_FIELDS}
+        blocks.append("\n".join([
+            f"<!-- note {seq} -->",
+            f"instance: {value['instance_id']}",
+            'prompt_digest: "46a017ea6592fa25"',
+            f"evidence_class: {value['evidence_class']}",
+            f"winner_tools: {value['winner_tools']}",
+            f"loser_tools: {value['loser_tools']}",
+            f"tools: {value['tools']}",
+            f"applicability: {value['applicability']}",
+            f"metrics: {value['metrics']}",
+            f'trace: ["{SCOPE}.jsonl"]',
+            f"eval_evidence: {value['eval_evidence']}",
+            'insight: "seasonal_naive tracked the cycle best"',
+            'recommendation: "prefer seasonal_naive"',
+            f"<!-- end note {seq} -->",
+            "",
+        ]))
+    return "".join(blocks)
 
 
 def _evidence(prefer=("seasonal_naive",), avoid=(), kind="tool_preference", chi=None, ref="n1"):
@@ -86,13 +98,12 @@ def _evidence(prefer=("seasonal_naive",), avoid=(), kind="tool_preference", chi=
 
 
 class TestSummarizeEpisode:
-    def _outcome(self, evidence_class, winner, candidates, reports=None, summary=("", "")):
+    def _outcome(self, evidence_class, winner, candidates, reports=None):
         return EpisodeOutcome(
             instance_id="i1",
             candidates=candidates,
             winner=winner,
             evidence_class=evidence_class,
-            learning_summary=LearningSummaryText(*summary),
             trace_path="traces/synth_forecast_short.jsonl",
             eval_evidence=reports is not None,
             eval_reports=reports or {},
@@ -113,13 +124,22 @@ class TestSummarizeEpisode:
             self._cand("b0", 0, ("seasonal_naive",), quality=-1.585),
             self._cand("b1", 1, ("naive",), quality=-1.821),
         ]
-        summary = ("seasonal_naive tracked the cycle", "")
-        outcome = self._outcome(EvidenceClass.COMPARATIVE, "b0", candidates, reports={"b0": {}, "b1": {}}, summary=summary)
+        outcome = self._outcome(EvidenceClass.COMPARATIVE, "b0", candidates, reports={"b0": {}, "b1": {}})
         note = summarize_episode(outcome, seasonal_instance, fingerprint(seasonal_instance))
         assert note.winner_tools == ("seasonal_naive",)
         assert note.loser_tools == ("naive",)
-        assert (note.insight, note.recommendation) == summary  # stored as the model gave it
         assert note.evidence_class == "comparative"
+
+    def test_the_note_does_not_depend_on_where_the_trace_is(self, seasonal_instance):
+        # notes name no file, so store trees stay path-independent
+        candidates = [
+            self._cand("b0", 0, ("seasonal_naive",), quality=-1.585),
+            self._cand("b1", 1, ("naive",), quality=-1.821),
+        ]
+        fp = fingerprint(seasonal_instance)
+        here = self._outcome(EvidenceClass.COMPARATIVE, "b0", candidates, reports={"b0": {}, "b1": {}})
+        there = replace(here, trace_path="/elsewhere/traces/other.jsonl")
+        assert summarize_episode(here, seasonal_instance, fp) == summarize_episode(there, seasonal_instance, fp)
 
     def test_failure_note_has_no_winner_chain(self, seasonal_instance):
         candidates = [self._cand("b0", 0, ("naive",), valid=False)]
@@ -136,94 +156,9 @@ class TestSummarizeEpisode:
         )
         note = summarize_episode(outcome, seasonal_instance, fingerprint(seasonal_instance))
         assert note.evidence_class == "single_execution"
-        assert (note.insight, note.recommendation) == ("", "")
-
-
-# Evidence text as a note commit sees it: ground-truth renderings, number
-# arrays (some never closed), orchestration terms, branch and slot refs and
-# instance ids, joined by nothing, spaces or commas.
-_IDS = ("synth_forecast_short:seasonal-L-03:3", "inst42", "s0")
-_SECRETS = ("[26.1,25.0,24.9,24.3]", "[26.1, 25.0, 24.9, 24.3]", "12.5", '"increasing"', '{"diff":3.0,"max":9.5,"min":6.5}')
-_EVIDENCE_TEXTS = st.lists(
-    st.lists(st.sampled_from(("1", "2.5", "-3e-2", "40")), min_size=1, max_size=5).flatmap(
-        lambda ns: st.sampled_from(("[", "")).map(lambda start: start + ", ".join(ns) + ",")
-    )
-    | st.builds(
-        lambda head, n, end: f"{head}#b{n}{end}",
-        st.text("ab[]:_-", min_size=1, max_size=3) | st.sampled_from(_IDS),
-        st.integers(0, 3),
-        st.sampled_from(("", "]")),
-    )
-    | st.builds(lambda word, n: f"{word}{n}", st.sampled_from(("slot ", "sub-agent ", "subagent", "Slot")), st.integers(0, 3))
-    | st.sampled_from(
-        ("[", "]", ",", "spawn_subagent", "evaluate_against_gt", "evaluate_batch_against_gt",
-         "seasonal_naive", "MAE 1.585", "  ", "\t", ".", *_SECRETS, *_IDS)
-    ),
-    max_size=8,
-).flatmap(
-    lambda parts: st.lists(st.sampled_from(("", " ", ", ")), min_size=len(parts), max_size=len(parts)).map(
-        lambda seps: "".join(part + sep for part, sep in zip(parts, seps))
-    )
-)
-
-
-def _committed(root, **note_fields):
-    """The note as a fresh store at ``root`` commits it: its text cleaned."""
-    return ExperienceStore(root).commit_note(_note(seq=None, **note_fields))
-
-
-def _committed_text(root, **note_fields):
-    note = _committed(root, **note_fields)
-    return f"{note.insight} {note.recommendation}"
 
 
 class TestClean:
-    def test_ground_truth_array_is_redacted(self, tmp_path):
-        gt = "[26.1, 25.0, 24.9, 24.3]"
-        text = _committed_text(tmp_path, insight=f"the truth was {gt} exactly", sensitive=(gt,))
-        assert gt not in text
-        assert "[redacted]" in text
-
-    def test_numeric_arrays_are_redacted_even_unhinted(self, tmp_path):
-        text = _committed_text(tmp_path, insight="prediction [1.0, 2.0, 3.0, 4.0, 5.0] was close")
-        assert "[1.0, 2.0" not in text
-        assert "[numbers redacted]" in text
-
-    def test_orchestration_vocabulary_is_stripped(self, tmp_path):
-        text = _committed_text(
-            tmp_path, insight="spawn_subagent created branches and evaluate_against_gt scored sub-agent 1"
-        )
-        assert "spawn_subagent" not in text
-        assert "evaluate_against_gt" not in text
-        assert "sub-agent 1" not in text
-
-    def test_instance_ids_are_generalized(self, tmp_path):
-        text = _committed_text(tmp_path, insight="on inst42 the slot 0 branch inst42#b0 won")
-        assert "inst42" not in text
-        assert "slot 0" not in text
-
-    def test_tool_names_and_metrics_survive(self, tmp_path):
-        text = _committed_text(tmp_path, insight="seasonal_naive beat naive with MAE 1.585 vs 1.821")
-        assert "seasonal_naive" in text
-        assert "1.585" in text
-
-    def test_idempotent(self, tmp_path):
-        secrets = ("[9.0, 9.0, 9.0, 9.0]",)
-        first = _committed(tmp_path / "a", insight="spawn_subagent on inst42 slot 1 gave [1.0, 2.0, 3.0, 4.0]",
-                           sensitive=secrets)
-        again = _committed(tmp_path / "b", insight=first.insight, recommendation=first.recommendation,
-                           sensitive=secrets)
-        assert (again.insight, again.recommendation) == (first.insight, first.recommendation)
-
-    @settings(max_examples=400, deadline=None)
-    @given(_EVIDENCE_TEXTS, st.lists(st.sampled_from(_SECRETS), unique=True), st.sampled_from(_IDS))
-    @example("[1, 2, 3, x[#b1]", [], "inst42")  # the rewritten ref closes a number array
-    def test_clean_text_is_idempotent_without_the_secrets(self, text, secrets, instance_id):
-        # notes store cleaned text without their secrets; cleaning it again
-        # without them changes nothing, so distillation reads it as stored
-        once = _clean_text(text, secrets, instance_id)
-        assert _clean_text(once, (), instance_id) == once
-
     def test_stance_derivation(self):
         comparative = clean(_note())
         assert comparative.kind == "tool_preference"
@@ -388,37 +323,86 @@ class TestStoreNotes:
         store = ExperienceStore(tmp_path)
         committed = store.commit_note(_note(seq=None, eval_evidence=False))
         assert store.notes(SCOPE) == [committed] and not committed.eval_evidence
-        assert "eval_evidence: false" in (tmp_path / "notes" / f"{SCOPE}.md").read_text()
+        assert "eval_evidence: false" in (tmp_path / "notes" / f"{SCOPE}.md").read_text(encoding="utf-8")
         assert store.pending_notes(SCOPE) == ExperienceStore(tmp_path).pending_notes(SCOPE) == []
 
     def test_committed_notes_are_never_mutated(self, tmp_path):
         store = ExperienceStore(tmp_path)
         store.commit_note(_note())
-        before = (tmp_path / "notes" / f"{SCOPE}.md").read_text()
+        before = (tmp_path / "notes" / f"{SCOPE}.md").read_text(encoding="utf-8")
         store.commit_note(_note())
-        after = (tmp_path / "notes" / f"{SCOPE}.md").read_text()
+        after = (tmp_path / "notes" / f"{SCOPE}.md").read_text(encoding="utf-8")
         assert after.startswith(before)
 
     def test_round_trip_preserves_fields(self, tmp_path):
         store = ExperienceStore(tmp_path)
-        original = _note(insight='tricky "quoted" text\nwith newline')
-        store.commit_note(original)
-        loaded = store.notes(SCOPE)[0]
-        assert loaded.insight == original.insight
-        assert loaded.winner_tools == original.winner_tools
-        assert loaded.applicability == original.applicability
+        original = replace(_note(tools=("naive", "naive")), metrics={"b0": {"failure_reason": 'tricky "quoted"\ntext'}})
+        assert store.commit_note(original) == original
+        assert store.notes(SCOPE) == ExperienceStore(tmp_path).notes(SCOPE) == [original]
+
+    def test_every_note_field_but_scope_and_sequence_is_stored(self):
+        # a field missing from the block would be dropped silently on commit
+        stored = {attr for _, attr, _ in _NOTE_FIELDS}
+        assert stored == {f.name for f in fields(LearningNote)} - {"scope", "sequence"}
 
 
-    def test_commit_stores_scrubbed_text_and_no_secrets(self, tmp_path):
-        gt = "[26.1, 25.0, 24.9, 24.3]"
+    def test_a_shard_in_the_twelve_field_format_opens_as_the_eight_field_one(self, tmp_path):
+        # notes once also held the prompt's digest, the trace log's name and
+        # the model's learning_summary text: a shard written so opens with
+        # the same notes, usage counts and distilled memory
+        notes = [
+            replace(_note(seq=None, winner=(f"tool_{i % 3}",), tools=(f"tool_{i % 3}", "naive")),
+                    metrics={"b0": {"quality": -1.5 - i, "valid": True}})
+            for i in range(13)
+        ]
+        new = ExperienceStore(tmp_path / "new")
+        for note in notes:
+            new.commit_note(note)
+        old_shard = _twelve_field_shard(notes)
+        dropped = ("prompt_digest: ", "trace: ", "insight: ", "recommendation: ")
+        new_shard = (tmp_path / "new" / "notes" / f"{SCOPE}.md").read_text(encoding="utf-8")
+        assert new_shard.splitlines() == [line for line in old_shard.splitlines() if not line.startswith(dropped)]
+        (tmp_path / "old" / "notes").mkdir(parents=True)
+        (tmp_path / "old" / "soul.md").write_text(DEFAULT_SOUL, encoding="utf-8")
+        (tmp_path / "old" / "notes" / f"{SCOPE}.md").write_text(old_shard, encoding="utf-8")
+        old = ExperienceStore(tmp_path / "old")
+        assert old.notes(SCOPE) == new.notes(SCOPE) == [replace(n, sequence=i) for i, n in enumerate(notes, 1)]
+        assert old.ledger.counts(SCOPE) == new.ledger.counts(SCOPE) == {"naive": 13, "tool_0": 5, "tool_1": 4, "tool_2": 4}
+        assert old.pending_notes(SCOPE) == new.pending_notes(SCOPE)
+        old.finalize(SCOPE)
+        new.finalize(SCOPE)
+        assert old.memory_state(SCOPE).rules
+        assert old.memory_state(SCOPE) == new.memory_state(SCOPE)
+        assert _tree(tmp_path / "old" / "snapshots") == _tree(tmp_path / "new" / "snapshots")
+
+    def test_a_twelve_field_shard_takes_new_notes_after_its_own(self, tmp_path):
+        # an older store is appended to in the eight-field format, its own
+        # blocks left as they were written
+        old_notes = [_note(seq=None, winner=(f"tool_{i}",), tools=(f"tool_{i}",)) for i in range(3)]
+        shard = tmp_path / "notes" / f"{SCOPE}.md"
+        shard.parent.mkdir(parents=True)
+        (tmp_path / "soul.md").write_text(DEFAULT_SOUL, encoding="utf-8")
+        shard.write_text(_twelve_field_shard(old_notes), encoding="utf-8")
+        before = shard.read_bytes()
         store = ExperienceStore(tmp_path)
-        committed = store.commit_note(_note(seq=None, insight=f"on inst42 the truth was {gt}", sensitive=(gt,)))
-        shard = (tmp_path / "notes" / f"{SCOPE}.md").read_text()
-        assert gt not in shard
-        assert "sensitive" not in shard
-        assert committed == store.notes(SCOPE)[0] == store.pending_notes(SCOPE)[0]
-        assert committed.insight == "on this sample the truth was [redacted]"
-        assert committed.sensitive == ()
+        added = store.commit_note(_note(seq=None, tools=("naive",)))
+        assert added.sequence == 4
+        after = shard.read_bytes()
+        assert after.startswith(before)
+        assert b"insight" not in after[len(before):] and b"prompt_digest" not in after[len(before):]
+        expected = [replace(n, sequence=i) for i, n in enumerate(old_notes, 1)] + [added]
+        assert store.notes(SCOPE) == ExperienceStore(tmp_path).notes(SCOPE) == expected
+        assert ExperienceStore(tmp_path).ledger.counts(SCOPE) == {"tool_0": 1, "tool_1": 1, "tool_2": 1, "naive": 1}
+
+    def test_a_block_without_a_key_reads_that_key_s_default(self, tmp_path):
+        shard = tmp_path / "notes" / f"{SCOPE}.md"
+        shard.parent.mkdir(parents=True)
+        shard.write_text('<!-- note 1 -->\ninstance: "inst7"\n<!-- end note 1 -->\n', encoding="utf-8")
+        (note,) = ExperienceStore(tmp_path).notes(SCOPE)
+        assert note == LearningNote(
+            scope=SCOPE, instance_id="inst7", winner_tools=(), loser_tools=(), metrics={},
+            evidence_class="failure", applicability={}, eval_evidence=False, tools=(), sequence=1,
+        )
 
     def test_torn_last_block_is_dropped_then_cut_off(self, tmp_path, caplog):
         store = ExperienceStore(tmp_path)
@@ -468,7 +452,7 @@ class TestStoreNotes:
         for _ in range(3):
             store.commit_note(_note(seq=None))
         shard = tmp_path / "notes" / f"{SCOPE}.md"
-        shard.write_text(shard.read_text().replace("note 2 -->", "note 7 -->"))
+        shard.write_text(shard.read_text(encoding="utf-8").replace("note 2 -->", "note 7 -->"), encoding="utf-8")
         with pytest.raises(ContractError, match="non-gapless"):
             store.notes(SCOPE)
         with pytest.raises(ContractError, match="non-gapless"):
@@ -701,20 +685,6 @@ class TestSnapshots:
         assert store.soul_text() == soul_before
 
 
-class TestLeakageInvariant:
-    def test_committed_evidence_never_contains_ground_truth(self, tmp_path):
-        gt_rendering = "[26.1, 25.0, 24.9, 24.3]"
-        store = ExperienceStore(tmp_path)
-        for _ in range(10):
-            store.commit_note(
-                _note(seq=None, insight=f"truth was {gt_rendering}", sensitive=(gt_rendering,))
-            )
-        store.maybe_trigger_distillation(SCOPE)
-        assert store.memory_state(SCOPE).rules
-        for path, data in _tree(tmp_path).items():
-            assert gt_rendering.encode() not in data, path
-
-
 def _tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -738,7 +708,7 @@ class TestLayout:
         store = ExperienceStore(tmp_path)
         store.commit_note(_note(seq=None))
         assert {p.name for p in tmp_path.iterdir()} == {"soul.md", "notes"}
-        assert (tmp_path / "soul.md").read_text() == DEFAULT_SOUL
+        assert (tmp_path / "soul.md").read_text(encoding="utf-8") == DEFAULT_SOUL
         store.finalize(SCOPE)
         assert {p.name for p in tmp_path.iterdir()} == {"soul.md", "notes", "snapshots"}
 
@@ -1011,7 +981,7 @@ class TestRenderedViews:
             rule["summary"] = "Prefer holt for samples with seasonal=true."
             rule["rationale"] = "holt tracked the level best"
         (root / "memory").mkdir()
-        (root / "memory" / f"{SCOPE}.json").write_text(json.dumps(memory, sort_keys=True, indent=1) + "\n")
+        (root / "memory" / f"{SCOPE}.json").write_text(json.dumps(memory, sort_keys=True, indent=1) + "\n", encoding="utf-8")
         found = _tree(root / "memory")
         reopened = ExperienceStore(root)
         assert reopened.memory_state(SCOPE).distilled_through == 10
@@ -1044,7 +1014,7 @@ class TestRenderedViews:
         }
         for rel, text in stale.items():
             (root / rel).parent.mkdir(parents=True, exist_ok=True)
-            (root / rel).write_text(text)
+            (root / rel).write_text(text, encoding="utf-8")
         layers = {**old.snapshot_layers(SCOPE, 1), **stale}
         log = root / "snapshots" / f"{SCOPE}.log"
         log.write_bytes(_log_record(layers, notes=10, seq=1))
@@ -1246,7 +1216,7 @@ class TestToolUsageLedger:
     def test_a_note_lists_its_tools_and_one_with_none_counts_nothing(self, tmp_path):
         store = ExperienceStore(tmp_path)
         self._commit(store, [("s", ["b", "a"]), ("s", []), ("t", ["a"])])
-        assert re.findall(r"^tools: .*$", (tmp_path / "notes" / "s.md").read_text(), re.M) == [
+        assert re.findall(r"^tools: .*$", (tmp_path / "notes" / "s.md").read_text(encoding="utf-8"), re.M) == [
             'tools: ["b", "a"]',
             "tools: []",
         ]
@@ -1302,7 +1272,7 @@ class TestTreeDigest:
         store = ExperienceStore(root)
         root.mkdir()  # opening a store writes nothing, not even its root
         for rel, text in files.items():
-            (root / rel).write_text(text)
+            (root / rel).write_text(text, encoding="utf-8")
         return store.tree_digest()
 
     def test_equal_trees_equal_digests(self, tmp_path):
