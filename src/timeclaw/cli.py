@@ -85,6 +85,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
     config = ExplorationConfig(
         branch_slots=args.branch_slots, max_steps=args.max_steps, alpha=args.alpha, seed=args.seed
     )
+    if args.parallel < 1:
+        raise ContractError("parallel must be >= 1")
     load = corpus_mod.load_samples(Path(args.corpus), role="learning")
     gateway = _build_gateway(args, policy="exploration")
     deps = _build_deps(store_root, trace_dir, gateway)
@@ -101,13 +103,12 @@ def cmd_explore(args: argparse.Namespace) -> int:
             usage["tokens"] += outcome.tokens_used
             usage["gateway_calls"] += outcome.gateway_calls
 
-    parallel = max(1, args.parallel)
     try:
         # at --parallel 1 the one worker runs the episodes in corpus order.
         # Every sample is profiled in one batched pass first; a fingerprint is
         # held by its pool work item only, which is dropped once its episode
         # has run.
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
+        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
             futures = {
                 pool.submit(run_one, inst, fp): inst
                 for inst, fp in zip(load.instances, prompts.fingerprints(load.instances))
@@ -137,7 +138,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "branch_slots": config.branch_slots,
             "max_steps": config.max_steps,
             "alpha": config.alpha,
-            "parallel": parallel,
+            "parallel": args.parallel,
             "gateway": args.mock_script or _api_base(args) or "exploration",
         },
         "episodes": counts,
@@ -154,6 +155,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    if args.max_steps < 1:
+        raise ContractError("max_steps must be >= 1")
     store_root = Path(args.store) if args.store else None
     noexp = store_root is None or not store_root.exists()
     if noexp:

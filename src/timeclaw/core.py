@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from .errors import CapabilityError, ContractError, GroundTruthSealedError
 from .util import canonical_json
@@ -226,11 +226,29 @@ class CandidateExecution:
     slot: int
     final_answer: Any
     valid: bool
-    quality: Optional[float] = None  # set only after ground-truth evaluation
+    quality: Optional[float] = None  # set by compare from its evaluation report
     substantive_chain: tuple[str, ...] = ()
     prior_guided: bool = False
     alternative: bool = False
     failure_reason: Optional[str] = None
+
+
+def compare(valid: Sequence[CandidateExecution], reports: Mapping[str, Any]) -> tuple[EvidenceClass, Optional[str], bool]:
+    """Score each valid candidate from its branch's evaluation report (one
+    without a ``quality`` leaves it unscored); return the evidence class, the
+    winner's branch id and whether any candidate was scored. The winner has
+    the best quality, then the shorter substantive chain, then the lower
+    slot; with none scored, it is the valid one first by the last two."""
+    for c in valid:
+        report = reports.get(c.branch_id)
+        if report and "quality" in report:
+            c.quality = float(report["quality"])
+    if not valid:
+        return EvidenceClass.FAILURE, None, False
+    scored = [c for c in valid if c.quality is not None]
+    winner = min(scored or valid, key=lambda c: (-(c.quality or 0.0), len(c.substantive_chain), c.slot))
+    evidence = EvidenceClass.COMPARATIVE if len(scored) >= 2 else EvidenceClass.SINGLE_EXECUTION
+    return evidence, winner.branch_id, bool(scored)
 
 
 @dataclass

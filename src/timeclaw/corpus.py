@@ -121,8 +121,9 @@ def parse_record(record: Mapping[str, Any]) -> TaskInstance:
 def load_samples(path: Path, role: str) -> LoadResult:
     """Load and schema-validate one JSONL corpus file.
 
-    Malformed lines are collected into a rejects report, never silently
-    dropped. A learning-role file in which any accepted sample lacks ground
+    Malformed lines, and a line that repeats an earlier accepted line's id,
+    are collected into a rejects report, never silently dropped. A
+    learning-role file in which any accepted sample lacks ground
     truth is a load error: exploration requires targets.
     """
     if role not in ("learning", "evaluation"):
@@ -134,6 +135,7 @@ def load_samples(path: Path, role: str) -> LoadResult:
     rejects: list[dict[str, Any]] = []
     manifest = CorpusManifest(role=role)
     missing_gt: list[int] = []
+    first_line: dict[str, int] = {}  # id -> the line that first held it
     for line_no, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
@@ -147,6 +149,10 @@ def load_samples(path: Path, role: str) -> LoadResult:
         except CorpusError as exc:
             rejects.append({"line": line_no, "reason": str(exc)})
             continue
+        if instance.id in first_line:
+            rejects.append({"line": line_no, "reason": f"id {instance.id!r} repeats line {first_line[instance.id]}"})
+            continue
+        first_line[instance.id] = line_no
         if role == "learning" and not instance.has_ground_truth:
             missing_gt.append(line_no)
             continue

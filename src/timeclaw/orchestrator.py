@@ -7,8 +7,8 @@ Exploration flow per instance:
     2. main exchange: the model spawns candidate branches
     3. each branch runs the step loop until it finishes with a task-typed
        answer or hits the step cap
-    4. valid candidates are evaluated against ground truth and the best one
-       is selected (ties: shorter substantive chain, then lower slot)
+    4. valid candidates are evaluated against ground truth, and ``compare``
+       scores them and decides the evidence class and the winner
     5. the model must finish with a learning_summary; the outcome and the
        tools the episode used are handed to the experience pipeline
 
@@ -38,9 +38,9 @@ from .core import (
     CandidateExecution,
     EpisodeOutcome,
     EvaluatorCapability,
-    EvidenceClass,
     TaskInstance,
     TaskType,
+    compare,
     validate_answer,
 )
 from .errors import ContractError, GatewayError, ScriptMissError
@@ -616,21 +616,6 @@ def _candidate_lines(candidates: Sequence[CandidateExecution]) -> str:
     return "\n".join(lines)
 
 
-def _pick_winner(valid: Sequence[CandidateExecution]) -> Optional[CandidateExecution]:
-    scored = [c for c in valid if c.quality is not None]
-    pool = scored if scored else list(valid)
-    if not pool:
-        return None
-    return min(
-        pool,
-        key=lambda c: (
-            -(c.quality if c.quality is not None else 0.0),
-            len(c.substantive_chain),
-            c.slot,
-        ),
-    )
-
-
 def evaluate_args(tool: str, sent: Mapping[str, Any], answers: Mapping[str, Any]) -> dict[str, Any]:
     """The arguments an evaluate tool runs with: those the model sent, and,
     for the batch tool, the valid candidates' answers when it named none."""
@@ -693,7 +678,6 @@ def run_exploration_episode(
         valid = [c for c in candidates if c.valid]
         answers = {c.branch_id: c.final_answer for c in valid}
         eval_reports: dict[str, Any] = {}
-        eval_evidence = False
         if valid:
             messages.append(ChatMessage(role="user", content=_candidate_lines(candidates)))
             reply = main_exchange()
@@ -713,11 +697,7 @@ def run_exploration_episode(
                     )
                     messages.append(ChatMessage(role="tool", content=art.text))
                     eval_reports = _evaluation_reports(art.payload)
-                    for c in valid:
-                        entry = eval_reports.get(c.branch_id)
-                        if entry and "quality" in entry:
-                            c.quality = float(entry["quality"])
-                            eval_evidence = True
+        evidence_class, winner, eval_evidence = compare(valid, eval_reports)
 
         # final learning_summary exchange
         messages.append(
@@ -729,15 +709,6 @@ def run_exploration_episode(
         reply = main_exchange()
         final = parse_final(reply.content) if reply is not None else None
         final_type = final.get("answer_type") if final else None
-
-        scored_valid = [c for c in valid if c.quality is not None]
-        if len(scored_valid) >= 2:
-            evidence_class = EvidenceClass.COMPARATIVE
-        elif len(valid) >= 1:
-            evidence_class = EvidenceClass.SINGLE_EXECUTION
-        else:
-            evidence_class = EvidenceClass.FAILURE
-        winner = _pick_winner(valid)
 
         # the contract check reads the records the trace carries, as lint
         # does, and the answers held in memory, which lint reads from each
@@ -762,7 +733,7 @@ def run_exploration_episode(
         outcome = EpisodeOutcome(
             instance_id=instance.id,
             candidates=candidates,
-            winner=winner.branch_id if winner is not None and evidence_class != EvidenceClass.FAILURE else None,
+            winner=winner,
             evidence_class=evidence_class,
             trace_path=str(runner.trace.path),
             eval_evidence=eval_evidence,

@@ -996,6 +996,22 @@ class TestReplayCommand:
         assert "no ground truth" in errors["no_truth"]
         assert main(["replay", "--trace", str(log), "--corpus", str(learning)]) == 0
 
+    def test_a_repeated_id_is_a_rejected_line_so_replay_runs_clean(self, corpus_dir, tmp_path):
+        """A line that repeats line 1's id with another series is rejected,
+        so explore and replay both read line 1's sample under that id."""
+        records = [json.loads(line) for line in (corpus_dir / "learning.jsonl").read_text(encoding="utf-8").splitlines()]
+        repeat = {**records[0], "series": [records[0]["series"][0] + 1.0, *records[0]["series"][1:]]}
+        learning = tmp_path / "repeat.jsonl"
+        learning.write_text("".join(json.dumps(r) + "\n" for r in [*records[:3], repeat]), encoding="utf-8")
+        assert main(["explore", "--corpus", str(learning), "--store", str(tmp_path / "run" / "store")]) == 0
+        summary = json.loads((tmp_path / "run" / "run_summary.json").read_text(encoding="utf-8"))
+        assert summary["instances"] == 3
+        assert summary["rejected_lines"] == [{"line": 4, "reason": f"id {records[0]['id']!r} repeats line 1"}]
+        logs = sorted((tmp_path / "run" / "store" / "traces").glob("*.jsonl"))
+        assert logs
+        for log in logs:
+            assert main(["replay", "--trace", str(log), "--corpus", str(learning)]) == 0
+
 
 class TestTraceLogs:
     """Each scope's episodes are the blocks of one append-only
@@ -1191,6 +1207,10 @@ BAD_INPUT = {
     "explore-one-branch-slot": ["explore", "--corpus", "{learning}", "--store", "{store}", "--branch-slots", "1"],
     "explore-zero-steps": ["explore", "--corpus", "{learning}", "--store", "{store}", "--max-steps", "0"],
     "explore-zero-alpha": ["explore", "--corpus", "{learning}", "--store", "{store}", "--alpha", "0"],
+    "explore-zero-parallel": ["explore", "--corpus", "{learning}", "--store", "{store}", "--parallel", "0"],
+    "explore-negative-parallel": ["explore", "--corpus", "{learning}", "--store", "{store}", "--parallel", "-4"],
+    "infer-zero-steps": ["infer", "--corpus", "{eval}", "--out", "{pred}", "--max-steps", "0"],
+    "infer-negative-steps": ["infer", "--corpus", "{eval}", "--store", "{store}", "--out", "{pred}", "--max-steps", "-2"],
     "replay-missing-trace": ["replay", "--trace", "{missing}", "--corpus", "{eval}"],
     "replay-empty-trace": ["replay", "--trace", "{empty}", "--corpus", "{eval}"],
     "replay-non-json-trace": ["replay", "--trace", "{garbage}", "--corpus", "{eval}"],

@@ -11,7 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from timeclaw.core import (
-    INDICATOR_FIELDS, EvaluatorCapability, SealedAnswer, TaskInstance, TaskType, Verdict, validate_answer,
+    INDICATOR_FIELDS, CandidateExecution, EvaluatorCapability, EvidenceClass, SealedAnswer, TaskInstance, TaskType,
+    Verdict, compare, validate_answer,
 )
 from timeclaw.corpus import parse_record
 from timeclaw.errors import ContractError, GroundTruthSealedError
@@ -177,6 +178,61 @@ class TestExecutionQuality:
         q_close = self._quality([2.0, 2.1, 2.0], inst)
         q_far = self._quality([0.0, 0.0, 0.0], inst)
         assert q_close > q_far
+
+
+# candidates as (branch, slot, substantive chain length), each valid
+_COMPARE_TABLE = {
+    "no-valid-candidate": ([], {}, (EvidenceClass.FAILURE, None, False)),
+    "one-valid-unscored": ([("b0", 0, 1)], {}, (EvidenceClass.SINGLE_EXECUTION, "b0", False)),
+    "none-scored-shorter-chain-wins": (
+        [("b0", 0, 2), ("b1", 1, 1)], {}, (EvidenceClass.SINGLE_EXECUTION, "b1", False)
+    ),
+    "none-scored-lower-slot-wins": (
+        [("b1", 1, 1), ("b0", 0, 1)], {}, (EvidenceClass.SINGLE_EXECUTION, "b0", False)
+    ),
+    "one-scored-beats-shorter-unscored": (
+        [("b0", 0, 3), ("b1", 1, 1)], {"b0": {"quality": -5.0}}, (EvidenceClass.SINGLE_EXECUTION, "b0", True)
+    ),
+    "two-scored-higher-quality-wins": (
+        [("b0", 0, 1), ("b1", 1, 2)],
+        {"b0": {"quality": -0.8}, "b1": {"quality": -0.2}},
+        (EvidenceClass.COMPARATIVE, "b1", True),
+    ),
+    "equal-quality-shorter-chain-wins": (
+        [("b0", 0, 2), ("b1", 1, 1)],
+        {"b0": {"quality": -0.5}, "b1": {"quality": -0.5}},
+        (EvidenceClass.COMPARATIVE, "b1", True),
+    ),
+    "equal-quality-and-chain-lower-slot-wins": (
+        [("b1", 1, 1), ("b0", 0, 1)],
+        {"b0": {"quality": 0}, "b1": {"quality": 0}},
+        (EvidenceClass.COMPARATIVE, "b0", True),
+    ),
+    "report-without-quality-stays-unscored": (
+        [("b0", 0, 1), ("b1", 1, 2)],
+        {"b0": {"report": {"mae": 0.1}}, "b1": {"quality": -0.3}},
+        (EvidenceClass.SINGLE_EXECUTION, "b1", True),
+    ),
+    "reports-without-quality-score-nothing": (
+        [("b0", 0, 2), ("b1", 1, 1)], {"b0": {}, "b1": {"report": {}}}, (EvidenceClass.SINGLE_EXECUTION, "b1", False)
+    ),
+}
+
+
+class TestCompare:
+    """``compare`` decides an episode's evidence class and winner from its
+    valid candidates and their evaluation reports alone."""
+
+    @pytest.mark.parametrize("rows, reports, expected", list(_COMPARE_TABLE.values()), ids=list(_COMPARE_TABLE))
+    def test_table(self, rows, reports, expected):
+        valid = [
+            CandidateExecution(branch_id=b, slot=slot, final_answer=None, valid=True, substantive_chain=("t",) * n)
+            for b, slot, n in rows
+        ]
+        assert compare(valid, reports) == expected
+        for c in valid:
+            report = reports.get(c.branch_id, {})
+            assert c.quality == (float(report["quality"]) if "quality" in report else None)
 
 
 class TestInstanceInvariants:

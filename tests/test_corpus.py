@@ -85,6 +85,21 @@ class TestLoader:
         with pytest.raises(ContractError, match="is not UTF-8 text"):
             load_samples(path, role="learning")
 
+    @pytest.mark.parametrize("role", ["learning", "evaluation"])
+    def test_a_repeated_id_is_rejected_naming_its_first_line(self, tmp_path, role):
+        # the id of a JSON number is its text, so 7 repeats "7"
+        records = [_record(0), _record(1, id=7), _record(2), _record(0, series=[9.0]), _record(3, id="7")]
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, records)
+        result = load_samples(path, role=role)
+        assert [i.id for i in result.instances] == ["s0", "7", "s2"]
+        assert result.instances[0].series == (1.0, 2.0, 3.0, 4.0)  # the first line's sample, not the last
+        assert result.rejects == [
+            {"line": 4, "reason": "id 's0' repeats line 1"},
+            {"line": 5, "reason": "id '7' repeats line 2"},
+        ]
+        assert result.manifest.counts == {"synth_forecast_short": 3}
+
     def test_learning_role_requires_ground_truth(self, tmp_path):
         record = _record(0)
         del record["ground_truth"]
