@@ -163,6 +163,11 @@ def cmd_infer(args: argparse.Namespace) -> int:
         store_root = None
     out_path = Path(args.out)
     trace_dir = Path(args.trace_dir) if args.trace_dir else out_path.parent / "traces_infer"
+    if args.store:
+        # infer reads its store and writes nothing into it
+        for flag, path in (("--out", out_path), ("--trace-dir", trace_dir)):
+            if path.resolve().is_relative_to(Path(args.store).resolve()):
+                raise ContractError(f"{flag} {path} lies inside the store {args.store}")
     load = corpus_mod.load_samples(Path(args.corpus), role="evaluation")
     gateway = _build_gateway(args, policy="inference")
     deps = _build_deps(store_root, trace_dir, gateway)
@@ -170,7 +175,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     results = []
     failed: list[str] = []
     try:
-        digest_before = deps.store.tree_digest() if deps.store else None
+        listing_before = deps.store.listing() if deps.store else None
         # every sample is profiled in one batched pass before the first; each
         # fingerprint is popped for its sample and not kept after it
         profiled = prompts.fingerprints(load.instances)[::-1]
@@ -179,7 +184,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
                 results.append(run_inference(instance, deps, max_steps=args.max_steps, fp=profiled.pop()))
             except TimeclawError as exc:
                 failed.append(f"{instance.id}: {exc}")
-        digest_after = deps.store.tree_digest() if deps.store else None
+        listing_after = deps.store.listing() if deps.store else None
     finally:
         deps.close()
     _save_recorded_script(gateway, args)
@@ -194,7 +199,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         "predictions": len(results),
         "degraded": sum(1 for r in results if r.degraded),
         "noexp": noexp,
-        "store_untouched": digest_before == digest_after,
+        "store_untouched": listing_before == listing_after,
         "failed_instances": failed,
         "out": str(out_path),
     }
@@ -255,11 +260,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not isinstance(thresholds, dict):
             raise ContractError(f"{args.threshold_file}: not a JSON object of thresholds by scope")
     predictions: dict[str, Any] = {}
+    first_line: dict[str, int] = {}  # by id
     for line_no, line in enumerate(read_lines(Path(args.predictions)), start=1):
         if line.strip():
             record = parse_json(line, f"{args.predictions}: line {line_no}")
             if not isinstance(record, dict) or not isinstance(record.get("id"), str):
                 raise ContractError(f"{args.predictions}: line {line_no} is not an object with a string id")
+            first = first_line.setdefault(record["id"], line_no)
+            if first != line_no:
+                raise ContractError(f"{args.predictions}: line {line_no}: id {record['id']!r} repeats line {first}")
             predictions[record["id"]] = record.get("prediction")
     by_scope: dict[str, list[TaskInstance]] = {}
     for inst in load.instances:

@@ -27,6 +27,7 @@ one event per line, so byte-identical reruns stay byte-identical.
 from __future__ import annotations
 
 import json
+import re
 import threading
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -69,7 +70,7 @@ from .util import (
     canonical_json,
     digest_obj,
     iter_records,
-    read_records,
+    records_end,
     splice_json,
     stable_seed,
 )
@@ -100,6 +101,9 @@ TRACE_HEADER: dict[str, type] = {"version": str, "mode": str, "episode": str, "s
 # What follows the branch in an event line of each kind: the line is
 # canonical_json({"branch", "kind", "payload"}), and those keys sort in that order.
 _EVENT_KIND = {kind: f',"kind":{canonical_json(kind)},"payload":' for kind in TRACE_KINDS}
+# the start of an outcome event's line, the last line of a block as written;
+# a tool's arguments may spell the same keys, but never at a line's start
+_OUTCOME_LINE = re.compile(rb'\{"branch":(?:null|-?[0-9]+)' + re.escape(_EVENT_KIND["outcome"].encode()))
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,9 @@ class TraceLog:
     the run's first episode of that scope starts, past its last whole block
     or, when ``fresh``, at its start, so that its first append cuts off what
     follows: inference starts its logs afresh, exploration adds to its
-    store's. :meth:`close` releases the logs' descriptors."""
+    store's. The last whole block's end is found from the log's tail, at its
+    last whole ``outcome`` line (``_OUTCOME_LINE``); the blocks before it are
+    not decoded. :meth:`close` releases the logs' descriptors."""
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
@@ -217,7 +223,8 @@ class TraceLog:
             log = self._logs.get(scope)
             if log is None:
                 path = self.directory / f"{scope}.jsonl"
-                log = self._logs[scope] = AppendLog(path, 0 if fresh else read_records(path, _parse_block)[1])
+                end = 0 if fresh else records_end(path, _parse_block, _OUTCOME_LINE)
+                log = self._logs[scope] = AppendLog(path, end)
             return log
 
     def append(self, log: AppendLog, block: str) -> None:

@@ -28,11 +28,12 @@ import hashlib
 import json
 import os
 import re
+import stat
 import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from .core import EpisodeOutcome, EvidenceClass, TaskInstance
 from .errors import ContractError, LogError
@@ -898,30 +899,49 @@ class ExperienceStore:
             _fold_layers(layers, changed)
         return layers
 
-    def tree_digest(self) -> str:
-        """Digest over every file in the store; unchanged digest means an
-        untouched store."""
-        h = hashlib.sha256()
+    def _tree(self) -> Iterator[tuple[str, os.DirEntry[str]]]:
+        """Every entry under the store with its relative path: children
+        sorted by name, each directory's entries right after its name, the
+        order of ``sorted(root.rglob("*"))``, which sorts by parts."""
 
-        def walk(directory: str, prefix: str) -> None:
-            # children sorted by name, each directory's files right after its
-            # name: the order of sorted(root.rglob("*")), which sorts by parts
+        def walk(directory: str, prefix: str) -> Iterator[tuple[str, os.DirEntry[str]]]:
             with os.scandir(directory) as it:
                 entries = sorted(it, key=lambda e: e.name)
             for entry in entries:
                 rel = prefix + entry.name
+                yield rel, entry
                 if entry.is_dir(follow_symlinks=False):
-                    walk(entry.path, rel + "/")
-                elif entry.is_file():
-                    with open(entry.path, "rb") as fh:
-                        data = fh.read()
-                    # length prefixes keep bytes from shifting across a file boundary
-                    for part in (rel.encode(), data):
-                        h.update(len(part).to_bytes(8, "big"))
-                        h.update(part)
+                    yield from walk(entry.path, rel + "/")
 
         if self.root.is_dir():
-            walk(str(self.root), "")
+            yield from walk(str(self.root), "")
+
+    def listing(self) -> list[tuple[str, int, int, int, int, int]]:
+        """Every file and directory under the store, in :meth:`tree_digest`'s
+        order, each with its relative path, its type (``S_IFMT`` of its
+        mode), ``st_size``, ``st_mtime_ns``, ``st_ctime_ns`` and ``st_ino``:
+        one ``lstat`` per entry, no byte read. Equal listings before and
+        after a command are its ``store_untouched`` check: a write that keeps
+        a file's size, mtime, ctime and inode is not seen, and no process can
+        set a ctime back."""
+        return [
+            (rel, stat.S_IFMT(st.st_mode), st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+            for rel, entry in self._tree()
+            for st in (entry.stat(follow_symlinks=False),)
+        ]
+
+    def tree_digest(self) -> str:
+        """SHA-256 over every file's relative path and bytes, in sorted path
+        order: equal digests mean byte-identical store trees."""
+        h = hashlib.sha256()
+        for rel, entry in self._tree():
+            if entry.is_file():
+                with open(entry.path, "rb") as fh:
+                    data = fh.read()
+                # length prefixes keep bytes from shifting across a file boundary
+                for part in (rel.encode(), data):
+                    h.update(len(part).to_bytes(8, "big"))
+                    h.update(part)
         return h.hexdigest()[:32]
 
     def report(self) -> dict[str, Any]:

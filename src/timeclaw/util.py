@@ -19,9 +19,10 @@ import json
 import logging
 import os
 import random
+import re
 from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ContractError, LogError
 
@@ -142,19 +143,82 @@ def iter_records(path: Path, parse: Callable[[bytes, int], tuple[Any, int]]) -> 
     first line is the file's last is dropped with a warning; a bad record
     before it raises :class:`LogError` naming the file and the line.
     """
-    data = path.read_bytes() if path.exists() else b""
+    yield from _frame(path.read_bytes() if path.exists() else b"", parse, path, lambda: 0)
+
+
+def _frame(
+    data: bytes, parse: Callable[[bytes, int], tuple[Any, int]], path: Path, lines_before: Callable[[], int]
+) -> Iterator[tuple[Any, int]]:
+    """:func:`iter_records` over ``data``, the bytes of ``path`` from some
+    line start to its end; ``lines_before()`` counts the lines before them,
+    and is called only to name a line in a warning or an error."""
     pos = 0
     while pos < len(data):
         try:
             record, pos_after = parse(data, pos)
         except (TornRecord, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-            line = data.count(b"\n", 0, pos) + 1
+            line = lines_before() + data.count(b"\n", 0, pos) + 1
             if isinstance(exc, TornRecord) or data.find(b"\n", pos) in (-1, len(data) - 1):
                 logger.warning("%s: line %d: dropped a torn last record", path, line)
                 break
             raise LogError(f"{path}: line {line}: bad record: {exc}") from exc
         yield record, pos_after
         pos = pos_after
+
+
+_TAIL_WINDOW = 1 << 16  # the bytes read first from a log's tail; doubled until enough
+
+
+def _last_line_end(fh: BinaryIO, size: int, line_start: re.Pattern[bytes]) -> int:
+    """The offset after the last whole line of the file ``fh`` of ``size``
+    bytes that ``line_start`` matches at its start; 0 when none does. The
+    file is read from its tail, in windows that double until one holds that
+    line or the whole file."""
+    window = _TAIL_WINDOW
+    while True:
+        offset = max(size - window, 0)
+        fh.seek(offset)
+        # a newline before the file's first byte makes its first line one that starts after a newline
+        data = fh.read() if offset else b"\n" + fh.read()
+        base = offset if offset else -1
+        term = data.rfind(b"\n")  # the end of the last whole line not yet looked at
+        while term > 0:
+            start = data.rfind(b"\n", 0, term) + 1
+            if not start:
+                break  # the line starts before the window
+            if line_start.match(data, start):
+                return base + term + 1
+            term = start - 1
+        if not offset:
+            return 0
+        window *= 2
+
+
+def records_end(path: Path, parse: Callable[[bytes, int], tuple[Any, int]], last_line: re.Pattern[bytes]) -> int:
+    """Where the last whole record of the log at ``path`` ends (0 when it is
+    absent), for a log whose records each end with a line that ``last_line``
+    matches at its start. The file is read from its tail back to its last
+    whole such line, and only what follows that line is framed, as
+    :func:`iter_records` frames a log: a torn last record is dropped with a
+    warning, a bad record before it raises :class:`LogError`. The records
+    before it are not read, so a bad one among them goes unseen here."""
+    try:
+        fh = path.open("rb")
+    except FileNotFoundError:
+        return 0
+    with fh:
+        end = _last_line_end(fh, fh.seek(0, os.SEEK_END), last_line)
+        fh.seek(end)
+        tail = fh.read()
+
+        def lines_before() -> int:
+            fh.seek(0)
+            return fh.read(end).count(b"\n")
+
+        framed = 0  # stays 0 unless ``last_line`` misses a record's last line, as in a log not written canonically
+        for _record, framed in _frame(tail, parse, path, lines_before):
+            pass
+        return end + framed
 
 
 def read_records(path: Path, parse: Callable[[bytes, int], tuple[Any, int]]) -> tuple[list[Any], int]:

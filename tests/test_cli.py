@@ -8,6 +8,7 @@ import math
 import os
 import re
 import sys
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -488,6 +489,52 @@ class TestInfer:
             main([*argv, "--store", str(tmp_path / "absent")])  # noexp: other predictions
         assert (tmp_path / killed).read_bytes() == before
         assert not list(tmp_path.glob(".*.tmp"))
+
+    def _untouched_after(self, corpus_dir, tmp_path, monkeypatch, meddle):
+        """``store_untouched`` of an infer whose gateway, at its first call,
+        runs ``meddle`` on a notes shard of the explored store it reads."""
+        store = tmp_path / "store"
+        self._explore(corpus_dir, store)
+        shard = store / "notes" / "synth_forecast_short.md"
+        policy = cli.policy_gateway
+
+        class Meddling(gateway_module.Gateway):
+            def __init__(self, inner):
+                self.inner, self.meddled = inner, False
+
+            def complete(self, exchange):
+                if not self.meddled:
+                    meddle(shard)
+                    self.meddled = True
+                return self.inner.complete(exchange)
+
+        monkeypatch.setattr(cli, "policy_gateway", lambda name: Meddling(policy(name)))
+        out = tmp_path / "infer" / "preds.jsonl"
+        assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
+        return json.loads((out.parent / "infer_summary.json").read_text(encoding="utf-8"))["store_untouched"]
+
+    def test_a_byte_appended_to_a_notes_shard_mid_run_is_seen(self, corpus_dir, tmp_path, monkeypatch):
+        def append(shard):
+            with shard.open("ab") as fh:
+                fh.write(b"\n")
+
+        assert self._untouched_after(corpus_dir, tmp_path, monkeypatch, append) is False
+
+    def test_a_same_size_rewrite_with_its_mtime_restored_is_seen(self, corpus_dir, tmp_path, monkeypatch):
+        def rewrite(shard):
+            # file times tick at the kernel clock's granularity: let a tick
+            # pass since the shard's last change, so the rewrite's ctime differs
+            time.sleep(0.05)
+            before = shard.stat()
+            data = shard.read_bytes()
+            with shard.open("r+b") as fh:
+                fh.write(b"%" if data.startswith(b"#") else b"#")
+            os.utime(shard, ns=(before.st_atime_ns, before.st_mtime_ns))
+            after = shard.stat()
+            assert shard.read_bytes() != data
+            assert (after.st_size, after.st_mtime_ns, after.st_ino) == (before.st_size, before.st_mtime_ns, before.st_ino)
+
+        assert self._untouched_after(corpus_dir, tmp_path, monkeypatch, rewrite) is False
 
 
 # A whole-file output, the argv that writes it, and an argv that rewrites it
@@ -1424,6 +1471,33 @@ class TestBadInput:
         assert main([*argv, "--store", str(store)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {log}: ")
         assert _tree_with_dirs(tmp_path) == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace-dir"])
+    def test_infer_refuses_an_output_inside_its_store(self, corpus_dir, tmp_path, capsys, flag):
+        # a trace dir inside the store would start the store's trace logs afresh
+        store = tmp_path / "store"
+        assert main(["explore", "--corpus", str(corpus_dir / "learning.jsonl"), "--store", str(store), "--seed", "3"]) == 0
+        inside = {"--out": store / "preds.jsonl", "--trace-dir": store / "traces"}[flag]
+        argv = ["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store),
+                "--out", str(tmp_path / "infer" / "preds.jsonl"), flag, str(inside)]
+        before = _tree_with_dirs(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} {inside} lies inside the store")
+        assert _tree_with_dirs(tmp_path) == before
+
+    def test_eval_refuses_a_repeated_prediction_id(self, corpus_dir, tmp_path, capsys):
+        instances = load_samples(corpus_dir / "eval.jsonl", "evaluation").instances
+        records = [{"id": inst.id, "prediction": reveal_for_scoring(inst)} for inst in instances]
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(json.dumps(r) + "\n" for r in [*records, records[1]]), encoding="utf-8")
+        scores = tmp_path / "scores.json"
+        capsys.readouterr()
+        assert main(["eval", "--predictions", str(preds), "--corpus", str(corpus_dir / "eval.jsonl"), "--out", str(scores)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {preds}: line {len(records) + 1}: id {instances[1].id!r} repeats line 2\n"
+        )
+        assert not scores.exists()
 
     def test_lint_searches_a_log_whose_torn_tail_is_not_utf_8(self, tmp_path, capsys):
         # read_trace drops the torn tail, so lint judges the blocks before it

@@ -864,6 +864,21 @@ class TestTraceLog:
         assert not caplog.text
 
 
+    def test_a_block_cut_inside_its_outcome_line_is_dropped_then_cut_off(self, tmp_path, monkeypatch, caplog):
+        path = self._explore(tmp_path, monkeypatch, 1)
+        kept = path.read_bytes()
+        full = self._explore(tmp_path, monkeypatch, 2).read_bytes()
+        outcome_line = full.rindex(b"\n", 0, len(full) - 1) + 1
+        assert json.loads(full[outcome_line:])["kind"] == "outcome"
+        path.write_bytes(full[: outcome_line + 30])  # the outcome line's envelope, cut with no newline
+        line = kept.count(b"\n") + 1
+        self._explore(tmp_path, monkeypatch, 3)
+        assert f"{path}: line {line}: dropped a torn last record" in caplog.text
+        assert path.read_bytes().startswith(kept)
+        caplog.clear()
+        assert [b.header["episode"] for b in read_trace(path)] == ["e1", "e3"]
+        assert not caplog.text
+
 class TestToolListsPerRun:
     def test_racing_branches_share_one_list_per_tool_set(self, tmp_path):
         # more threads than cores, switching as often as possible: each tool
