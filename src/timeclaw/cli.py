@@ -14,13 +14,13 @@ import argparse
 import json
 import os
 import sys
-import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import __version__, corpus as corpus_mod, metrics, prompts, simulate
-from .core import CLASSIFICATION_TYPES, TaskInstance, validate_answer
+from .core import CLASSIFICATION_TYPES, EvidenceClass, TaskInstance, validate_answer
 from .errors import ContractError, CorpusError, TimeclawError
 from .gateway import API_BASE_ENV, Gateway, RecordingGateway, RemoteGateway, ScriptedGateway
 from .orchestrator import (
@@ -51,7 +51,7 @@ def _build_gateway(args: argparse.Namespace, policy: str) -> Gateway:
     if args.mock_script:
         gateway: Gateway = ScriptedGateway.from_file(Path(args.mock_script))
     elif api_base:
-        gateway = RemoteGateway(base_url=api_base, api_key=args.api_key)
+        gateway = RemoteGateway(base_url=api_base, api_key=args.api_key, model=args.model)
     else:
         gateway = policy_gateway(policy)
     if args.record_script:
@@ -76,6 +76,43 @@ def _write_summary(out_dir: Path, name: str, summary: dict[str, Any]) -> Path:
     return path
 
 
+def _episodes_by_scope(
+    instances: Sequence[TaskInstance],
+) -> dict[str, list[tuple[TaskInstance, prompts.SampleFingerprint]]]:
+    """Each scope's samples with their fingerprints, in corpus order, the
+    scopes in the order they first appear. Every sample is profiled in one
+    batched pass."""
+    scopes: dict[str, list[tuple[TaskInstance, prompts.SampleFingerprint]]] = {}
+    for inst, fp in zip(instances, prompts.fingerprints(instances)):
+        scopes.setdefault(inst.scope, []).append((inst, fp))
+    return scopes
+
+
+def _explore_scope(
+    episodes: list[tuple[TaskInstance, prompts.SampleFingerprint]],
+    config: ExplorationConfig,
+    deps: EpisodeDeps,
+) -> tuple[Counter[str], dict[str, str]]:
+    """Run one scope's episodes in corpus order, one after another. Each is
+    popped before it runs, so its fingerprint is dropped once its episode
+    has run. Returns the scope's totals (episodes by evidence class, tokens,
+    gateway calls) and its failures by sample id."""
+    totals: Counter[str] = Counter()
+    failed: dict[str, str] = {}
+    episodes.reverse()
+    while episodes:
+        instance, fp = episodes.pop()
+        try:
+            outcome = run_exploration_episode(instance, config, deps, fp=fp)
+        except TimeclawError as exc:
+            failed[instance.id] = f"{instance.id}: {exc}"
+            continue
+        totals[outcome.evidence_class.value] += 1
+        totals["tokens"] += outcome.tokens_used
+        totals["gateway_calls"] += outcome.gateway_calls
+    return totals, failed
+
+
 def cmd_explore(args: argparse.Namespace) -> int:
     store_root = Path(args.store)
     # the summary lives beside the store, not inside it, so store trees stay
@@ -91,33 +128,21 @@ def cmd_explore(args: argparse.Namespace) -> int:
     gateway = _build_gateway(args, policy="exploration")
     deps = _build_deps(store_root, trace_dir, gateway)
 
-    counts = {"comparative": 0, "single_execution": 0, "failure": 0}
-    usage = {"tokens": 0, "gateway_calls": 0}
-    failed_instances: list[str] = []
-    summary_lock = threading.Lock()
-
-    def run_one(instance: TaskInstance, fp: prompts.SampleFingerprint) -> None:
-        outcome = run_exploration_episode(instance, config, deps, fp=fp)
-        with summary_lock:
-            counts[outcome.evidence_class.value] += 1
-            usage["tokens"] += outcome.tokens_used
-            usage["gateway_calls"] += outcome.gateway_calls
-
     try:
-        # at --parallel 1 the one worker runs the episodes in corpus order.
-        # Every sample is profiled in one batched pass first; a fingerprint is
-        # held by its pool work item only, which is dropped once its episode
-        # has run.
+        # One pool task per scope, which runs the scope's episodes in corpus
+        # order: all state that depends on episode order is a scope's own, so
+        # the store, traces and summary are the same bytes at every
+        # --parallel.
+        scopes = _episodes_by_scope(load.instances)
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            futures = {
-                pool.submit(run_one, inst, fp): inst
-                for inst, fp in zip(load.instances, prompts.fingerprints(load.instances))
-            }
-            for future, inst in futures.items():
-                try:
-                    future.result()
-                except TimeclawError as exc:
-                    failed_instances.append(f"{inst.id}: {exc}")
+            runs = [pool.submit(_explore_scope, episodes, config, deps) for episodes in scopes.values()]
+        totals: Counter[str] = Counter()
+        failed: dict[str, str] = {}
+        for run in runs:
+            scope_totals, scope_failed = run.result()
+            totals += scope_totals
+            failed.update(scope_failed)
+        failed_instances = [failed[inst.id] for inst in load.instances if inst.id in failed]
 
         stages_flushed: dict[str, list[str]] = {}
         if deps.store is not None:
@@ -141,8 +166,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "parallel": args.parallel,
             "gateway": args.mock_script or _api_base(args) or "exploration",
         },
-        "episodes": counts,
-        "usage": usage,
+        "episodes": {cls.value: totals[cls.value] for cls in EvidenceClass},
+        "usage": {key: totals[key] for key in ("tokens", "gateway_calls")},
         "instances": len(load.instances),
         "rejected_lines": load.rejects,
         "failed_instances": failed_instances,
@@ -362,6 +387,7 @@ def _add_gateway_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mock-script", help="digest-keyed replay script (JSON)")
     p.add_argument("--api-base", help="OpenAI-compatible base URL (or TIMECLAW_API_BASE)")
     p.add_argument("--api-key", help="API key (or TIMECLAW_API_KEY)")
+    p.add_argument("--model", help="model name the backend is asked for (or TIMECLAW_MODEL; default: default)")
     p.add_argument("--record-script", help="record every exchange into a replay script at PATH")
 
 

@@ -36,6 +36,7 @@ from .util import canonical_json, read_json, write_atomic
 
 API_BASE_ENV = "TIMECLAW_API_BASE"
 API_KEY_ENV = "TIMECLAW_API_KEY"
+MODEL_ENV = "TIMECLAW_MODEL"
 MAX_RETRY_WAIT_S = 30.0  # the longest a retry waits, whatever Retry-After asks
 
 
@@ -236,7 +237,7 @@ class RemoteGateway(Gateway):
         self,
         base_url: Optional[str] = None,
         api_key: Optional[str] = None,
-        model: str = "default",
+        model: Optional[str] = None,
         max_retries: int = 2,
         backoff: float = 0.5,
         timeout: float = 60.0,
@@ -254,7 +255,7 @@ class RemoteGateway(Gateway):
         self.api_key = api_key or os.environ.get(API_KEY_ENV, "")
         if not (self.api_key.isascii() and self.api_key.isprintable()):
             raise ContractError(f"the API key ({API_KEY_ENV}) must be printable ASCII")
-        self.model = model
+        self.model = model or os.environ.get(MODEL_ENV) or "default"
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import sys
 import time
@@ -21,6 +22,7 @@ from timeclaw import gateway as gateway_module
 from timeclaw import store as store_module
 from timeclaw.cli import _build_deps, _build_gateway, build_parser, main
 from timeclaw.corpus import load_samples, parse_record, reveal_for_scoring
+from timeclaw.errors import ContractError
 from timeclaw.gateway import RemoteGateway
 from timeclaw.orchestrator import ExplorationConfig, read_trace, run_exploration_episode
 from timeclaw.policy import policy_gateway
@@ -299,7 +301,10 @@ class TestExplore:
         summary = json.loads((store.parent / "run_summary.json").read_text(encoding="utf-8"))
         assert sum(summary["episodes"].values()) == 12
 
-    def test_parallel_exploration_over_two_scopes(self, tmp_path):
+    @staticmethod
+    def _two_scope_corpus(tmp_path):
+        """A learning corpus of two scopes whose lines are shuffled with a
+        fixed seed, so the scopes' samples interleave."""
         families = [
             {**SPEC["families"][0], "learn_count": 14},
             {"name": "lbl", "kind": "trend_label", "learn_count": 12, "eval_count": 2, "length": 96, "horizon": 24},
@@ -307,15 +312,38 @@ class TestExplore:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"seed": 11, "families": families}), encoding="utf-8")
         assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(tmp_path / "corpus")]) == 0
-        learning = str(tmp_path / "corpus" / "learning.jsonl")
-        store = tmp_path / "parallel" / "store"
+        learning = tmp_path / "corpus" / "learning.jsonl"
+        lines = learning.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(4).shuffle(lines)
+        learning.write_text("".join(lines), encoding="utf-8")
+        return learning
+
+    def test_parallel_exploration_over_two_scopes(self, tmp_path):
+        learning = str(self._two_scope_corpus(tmp_path))
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, so a missing lock shows
+        sys.setswitchinterval(1e-5)  # switch threads often, so a missing lock or an order race shows
         try:
-            code = main(["explore", "--corpus", learning, "--store", str(store), "--seed", "3", "--parallel", "3"])
+            for n in (1, 2, 4):
+                store = tmp_path / f"p{n}" / "store"
+                code = main(["explore", "--corpus", learning, "--store", str(store), "--seed", "3", "--parallel", str(n)])
+                assert code == 0
         finally:
             sys.setswitchinterval(interval)
-        assert code == 0
+        # each scope's episodes run in corpus order at every --parallel: the
+        # same store, the same trace logs and the same summary
+        assert len({ExperienceStore(tmp_path / f"p{n}" / "store").tree_digest() for n in (1, 2, 4)}) == 1
+        logs = {
+            n: {p.name: p.read_bytes() for p in (tmp_path / f"p{n}" / "store" / "traces").iterdir()} for n in (1, 2, 4)
+        }
+        assert len(logs[1]) == 2 and logs[1] == logs[2] == logs[4]
+        summaries = {}
+        for n in (1, 2, 4):
+            summary = json.loads((tmp_path / f"p{n}" / "run_summary.json").read_text(encoding="utf-8"))
+            assert summary["config"].pop("parallel") == n
+            summary.pop("store")
+            summaries[n] = summary
+        assert summaries[1] == summaries[2] == summaries[4]
+        store = tmp_path / "p4" / "store"
         reopened = ExperienceStore(store)
         assert reopened.scopes() == ["synth_forecast_short", "synth_trend_short"]
         for scope in reopened.scopes():
@@ -332,15 +360,49 @@ class TestExplore:
             assert snapped.content_fingerprint() == memory.content_fingerprint()
             assert store_module._tool_cards(snapped) == store_module._tool_cards(memory)
             assert store_module._skills_text(scope, snapped) == store_module._skills_text(scope, memory)
-        # In parallel the episode order, so what each scope's memory ends up
-        # injecting, is not fixed (ROADMAP item 8): a scope may end with no
-        # injectable rule and no card. Run in corpus order, both scopes
-        # render cards.
-        store = tmp_path / "sequential" / "store"
-        assert main(["explore", "--corpus", learning, "--store", str(store), "--seed", "3", "--parallel", "1"]) == 0
-        reopened = ExperienceStore(store)
+        # and both scopes' memories render cards
         cards = {scope: sorted(store_module._tool_cards(reopened.memory_state(scope))) for scope in reopened.scopes()}
-        assert cards == {"synth_forecast_short": ["seasonal_naive", "ses"], "synth_trend_short": ["autocorrelation", "segment"]}
+        assert cards == {
+            "synth_forecast_short": ["moving_average", "naive", "seasonal_naive", "ses"],
+            "synth_trend_short": ["autocorrelation", "segment"],
+        }
+
+    @pytest.mark.parametrize("across_scopes", [False, True])
+    def test_a_failed_episode_fails_its_sample_only(self, across_scopes, tmp_path, monkeypatch):
+        learning = self._two_scope_corpus(tmp_path)
+        instances = load_samples(learning, "learning").instances
+        by_scope: dict[str, list[str]] = {}
+        for inst in instances:
+            by_scope.setdefault(inst.scope, []).append(inst.id)
+        first, second = by_scope.values()
+        if across_scopes:
+            # the scopes run in the order they first appear; their failures
+            # are listed in corpus order, where these two come the other way
+            doomed = {first[-1], second[0]}
+            assert [inst.id for inst in instances if inst.id in doomed] == [second[0], first[-1]]
+        else:
+            doomed = {second[len(second) // 2]}  # a sample in the middle of a scope
+        run = cli.run_exploration_episode
+
+        def failing(instance, *args, **kwargs):
+            if instance.id in doomed:
+                raise ContractError("the backend went away")
+            return run(instance, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_exploration_episode", failing)
+        store = tmp_path / "run" / "store"
+        assert main(["explore", "--corpus", str(learning), "--store", str(store), "--parallel", "2"]) == 3
+        summary = json.loads((tmp_path / "run" / "run_summary.json").read_text(encoding="utf-8"))
+        assert summary["failed_instances"] == [
+            f"{inst.id}: the backend went away" for inst in instances if inst.id in doomed
+        ]
+        reopened = ExperienceStore(store)
+        noted = set()
+        for scope in reopened.scopes():
+            notes = reopened.notes(scope)
+            assert [n.sequence for n in notes] == list(range(1, len(notes) + 1))
+            noted |= {n.instance_id for n in notes}
+        assert noted == {inst.id for inst in instances} - doomed
 
     def test_script_misses_are_partial_failures_not_crashes(self, corpus_dir, tmp_path):
         empty_script = tmp_path / "empty.json"
@@ -1179,6 +1241,25 @@ class TestGatewayChoice:
         gateway = _build_gateway(args, policy="exploration")
         assert isinstance(gateway, RemoteGateway)
         assert gateway.base_url == "http://127.0.0.1:9/v1"
+
+    @pytest.mark.parametrize("command", ["explore", "infer"])
+    def test_the_remote_backend_is_asked_for_the_model_given(self, command, corpus_dir, tmp_path, monkeypatch, stub_server):
+        stub_server.mode = "ok"
+        monkeypatch.delenv(gateway_module.MODEL_ENV, raising=False)
+        if command == "explore":
+            argv = ["explore", "--corpus", str(corpus_dir / "learning.jsonl"), "--store", str(tmp_path / "run" / "store")]
+        else:
+            argv = ["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--out", str(tmp_path / "run" / "pred.jsonl")]
+        sent = []
+        for flags, env in (([], None), (["--model", "m7"], None), ([], "m8"), (["--model", "m7"], "m8")):
+            if env is not None:
+                monkeypatch.setenv(gateway_module.MODEL_ENV, env)
+            stub_server.requests.clear()
+            assert main([*argv, "--api-base", stub_server.url, *flags]) == 0
+            assert stub_server.requests
+            sent.append({json.loads(body)["model"] for _method, _path, _headers, body in stub_server.requests})
+        # the flag, else TIMECLAW_MODEL, else "default"
+        assert sent == [{"default"}, {"m7"}, {"m8"}, {"m7"}]
 
     def test_a_recorded_or_scripted_run_hashes_each_message_once(self, corpus_dir, tmp_path, monkeypatch):
         """Each message's text is hashed once, however many later turns

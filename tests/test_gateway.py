@@ -282,7 +282,8 @@ class TestRequestShape:
             "temperature": 0.0,
         }
 
-    def test_declared_tools_add_tools_and_tool_choice(self, stub_server):
+    def test_declared_tools_add_tools_and_tool_choice(self, stub_server, monkeypatch):
+        monkeypatch.delenv(gateway_module.MODEL_ENV, raising=False)
         exchange = ChatExchange(messages=[ChatMessage(role="user", content="hi")], declared_tools=[self.SCHEMA])
         *_, body = self._sent(stub_server, exchange, base_url=stub_server.url)
         assert body == {
