@@ -154,6 +154,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         deps.close()
 
     _save_recorded_script(gateway, args)
+    backend = gateway.inner if isinstance(gateway, RecordingGateway) else gateway
     summary = {
         "command": "explore",
         "version": __version__,
@@ -165,6 +166,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "alpha": config.alpha,
             "parallel": args.parallel,
             "gateway": args.mock_script or _api_base(args) or "exploration",
+            "model": backend.model if isinstance(backend, RemoteGateway) else None,
         },
         "episodes": {cls.value: totals[cls.value] for cls in EvidenceClass},
         "usage": {key: totals[key] for key in ("tokens", "gateway_calls")},

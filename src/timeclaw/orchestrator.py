@@ -9,8 +9,8 @@ Exploration flow per instance:
        answer or hits the step cap
     4. valid candidates are evaluated against ground truth, and ``compare``
        scores them and decides the evidence class and the winner
-    5. the model must finish with a learning_summary; the outcome and the
-       tools the episode used are handed to the experience pipeline
+    5. the episode ends there: the outcome and the tools it used are handed
+       to the experience pipeline
 
 Branches and inference share one step loop, ``_step_loop``: gateway call ->
 tool invoke -> observation, over the per-run state of an ``_EpisodeRunner``
@@ -673,14 +673,11 @@ def run_exploration_episode(
 
         candidates: list[CandidateExecution] = []
         reply = main_exchange()
-        spawned = reply is not None and any(c.tool == SPAWN_TOOL for c in reply.tool_calls)
-        if reply is not None:
+        if reply is not None and any(c.tool == SPAWN_TOOL for c in reply.tool_calls):
             messages.append(
                 ChatMessage(role="assistant", content=reply.content or "", tool_calls=reply.tool_calls)
             )
-        if spawned:
-            for slot in slots:
-                candidates.append(_run_branch(runner, slot))
+            candidates = [_run_branch(runner, slot) for slot in slots]
 
         valid = [c for c in candidates if c.valid]
         answers = {c.branch_id: c.final_answer for c in valid}
@@ -688,34 +685,19 @@ def run_exploration_episode(
         if valid:
             messages.append(ChatMessage(role="user", content=_candidate_lines(candidates)))
             reply = main_exchange()
-            if reply is not None:
-                messages.append(
-                    ChatMessage(role="assistant", content=reply.content or "", tool_calls=reply.tool_calls)
+            calls = reply.tool_calls if reply is not None else ()
+            eval_call = next((c for c in calls if c.tool in EVALUATE_TOOLS), None)
+            if eval_call is not None:
+                runner.ctx.candidates = answers
+                art = runner.invoke_tool(
+                    eval_call.tool,
+                    evaluate_args(eval_call.tool, eval_call.args, answers),
+                    [ORIGINAL_INPUT],
+                    branch=None,
+                    sent_args=eval_call.args,
                 )
-                eval_call = next((c for c in reply.tool_calls if c.tool in EVALUATE_TOOLS), None)
-                if eval_call is not None:
-                    runner.ctx.candidates = answers
-                    art = runner.invoke_tool(
-                        eval_call.tool,
-                        evaluate_args(eval_call.tool, eval_call.args, answers),
-                        [ORIGINAL_INPUT],
-                        branch=None,
-                        sent_args=eval_call.args,
-                    )
-                    messages.append(ChatMessage(role="tool", content=art.text))
-                    eval_reports = _evaluation_reports(art.payload)
+                eval_reports = _evaluation_reports(art.payload)
         evidence_class, winner, eval_evidence = compare(valid, eval_reports)
-
-        # final learning_summary exchange
-        messages.append(
-            ChatMessage(
-                role="user",
-                content="## Comparison Result\nFinish the learning run now with a learning_summary.",
-            )
-        )
-        reply = main_exchange()
-        final = parse_final(reply.content) if reply is not None else None
-        final_type = final.get("answer_type") if final else None
 
         # the contract check reads the records the trace carries, as lint
         # does, and the answers held in memory, which lint reads from each
@@ -749,7 +731,7 @@ def run_exploration_episode(
             gateway_calls=runner.gateway_calls,
         )
 
-        verdict = _contract_check(records, answers, set(eval_reports), final_type, runner.prior_exists)
+        verdict = _contract_check(records, answers, set(eval_reports), runner.prior_exists)
         runner.trace.event("verdict", {"type": "contract", **asdict(verdict)})
         runner.trace.event(
             "outcome",
@@ -757,7 +739,6 @@ def run_exploration_episode(
                 "winner": outcome.winner,
                 "evidence_class": outcome.evidence_class.value,
                 "eval_evidence": eval_evidence,
-                "final_type": final_type,
                 "tokens_used": runner.tokens_used,
             },
         )
@@ -814,7 +795,6 @@ def _contract_check(
     candidate_records: Sequence[Mapping[str, Any]],
     answers: Mapping[str, Any],
     evaluated_branches: set[str],
-    final_type: Optional[str],
     prior_exists: bool,
 ) -> ContractVerdict:
     """The contract verdict over the candidate verdict records and the valid
@@ -825,8 +805,6 @@ def _contract_check(
         violations.append("too_few_valid")
     if len(valid) >= 2 and len(evaluated_branches & {c["branch"] for c in valid}) < 2:
         violations.append("no_comparison")
-    if final_type != prompts.LEARNING_SUMMARY_TYPE:
-        violations.append("wrong_final_type")
     if len(valid) >= 2 and not _distinct_pair_exists(valid, answers):
         violations.append("no_distinct_pair")
     if prior_exists and candidate_records:
@@ -874,14 +852,8 @@ def enforce_exploration_contract(
     for e in events:
         if e["kind"] == "tool_result" and e["payload"]["call_id"] in evaluate_calls:
             evaluated.update(_evaluation_reports(e["payload"]["artifact"].get("payload", {})))
-    final_type: Optional[str] = None
-    for e in events:
-        if e["kind"] == "gateway_response":
-            final = parse_final(e["payload"]["reply"].get("content"))
-            if final is not None:
-                final_type = final.get("answer_type")
     answers = candidate_answers(header["episode"], events)
-    return _contract_check(candidate_records, answers, evaluated, final_type, bool(header.get("prior_exists")))
+    return _contract_check(candidate_records, answers, evaluated, bool(header.get("prior_exists")))
 
 
 # ---------------------------------------------------------------------------

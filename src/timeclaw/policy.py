@@ -3,9 +3,9 @@
 These implement the agent side of the conversation as a pure function of the
 rendered prompt text, so whole runs are reproducible and recordable into
 digest-keyed replay scripts. The exploration policy spawns branches, drives
-each branch through its hinted tool, requests the post-hoc comparison, and
-finishes with a learning_summary; the inference policy follows injected
-memory when present and falls back to the simplest valid path otherwise.
+each branch through its hinted tool and requests the post-hoc comparison,
+which ends the episode; the inference policy follows injected memory when
+present and falls back to the simplest valid path otherwise.
 """
 
 from __future__ import annotations
@@ -180,12 +180,6 @@ def exploration_policy(exchange: ChatExchange) -> AssistantReply:
     last_user = _last_user(exchange)
     if "### Branch Goal" in _first_user(exchange):
         return _branch_reply(exchange)
-    if "## Comparison Result" in last_user:
-        return _final(
-            "learning_summary",
-            {"insight": "", "recommendation": ""},
-            reasoning="no summary text: the note keeps the winner and tool chain the evaluation chose",
-        )
     if "## Candidates Ready" in last_user:
         return _tool_reply("evaluate_batch_against_gt", {})
     slots = len(re.findall(r"^- slot \d+ ", _first_user(exchange), flags=re.MULTILINE))

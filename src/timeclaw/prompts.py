@@ -36,8 +36,6 @@ from .errors import ContractError
 from .gateway import ChatMessage, DeclaredTools
 from .util import json_dumps
 
-LEARNING_SUMMARY_TYPE = "learning_summary"
-
 LENGTH_BANDS = ((100, "short"), (500, "medium"))
 
 
@@ -238,7 +236,6 @@ def _series_preview(instance: TaskInstance, k: int = 5) -> str:
 def _objective_section(
     instance: TaskInstance,
     fp: SampleFingerprint,
-    required_final_type: str,
     execution_context: str,
     control_lines: Sequence[str],
 ) -> str:
@@ -255,7 +252,6 @@ def _objective_section(
         execution_context,
         "### Control Context",
         "- state = need_evidence",
-        f"- required_final_type = {required_final_type}",
     ]
     lines.extend(control_lines)
     lines.append("### Output Contract")
@@ -398,14 +394,13 @@ def build_exploration_prompt(
     declared_tools: DeclaredTools,
     soul: str = "",
 ) -> PromptBundle:
-    """Main-agent exploration context: spawn/evaluate guidance, slot hints,
-    and a learning_summary completion contract. With prior rules, it also
-    asks for a prior-guided and an alternative candidate."""
+    """Main-agent exploration context: spawn/evaluate guidance and slot
+    hints; the episode ends once the candidates are evaluated. With prior
+    rules, it also asks for a prior-guided and an alternative candidate."""
     rules = getattr(selection, "rules", ())
     objective = _objective_section(
         instance,
         fp,
-        LEARNING_SUMMARY_TYPE,
         "- exploration episode: compare candidate executions before finishing",
         control_lines=[f"- branch_slots = {len(slots)}"],
     )
@@ -420,7 +415,6 @@ def build_exploration_prompt(
         "- evaluate_* tools are for post-hoc validation, not for solving the task itself.",
         "- Evaluate at least one task-valid candidate before finishing.",
         "- Compare at least 2 candidate paths before finishing when possible.",
-        f'- If you finish the learning run itself, answer_type must be "{LEARNING_SUMMARY_TYPE}".',
     ]
     if rules:
         decision_lines.append("### Prior Requirement")
@@ -456,9 +450,8 @@ def build_branch_prompt(
     objective = _objective_section(
         instance,
         fp,
-        instance.task_type.value,
         "- exploration branch: produce one candidate execution",
-        control_lines=[f"- slot = {slot.slot}"],
+        control_lines=[f"- required_final_type = {instance.task_type.value}", f"- slot = {slot.slot}"],
     )
     observation = _observation_section(fp, selection)
     decision = "\n".join(
@@ -496,9 +489,8 @@ def build_inference_prompt(
     objective = _objective_section(
         instance,
         fp,
-        instance.task_type.value,
         "- inference: solve the task with previously distilled experience",
-        control_lines=[],
+        control_lines=[f"- required_final_type = {instance.task_type.value}"],
     )
     observation = _observation_section(fp, selection)
     decision = "\n".join(
@@ -509,7 +501,6 @@ def build_inference_prompt(
             "  simplest tool that satisfies the output contract.",
             "### Completion",
             f"- ordinary task answer contract (answer_type = {instance.task_type.value})",
-            "- no learning_summary",
         ]
     )
     return PromptBundle(

@@ -211,7 +211,7 @@ def summarize_episode(
     The note holds what the comparison measured: the winner's and the
     losers' tools, each branch's metrics and the evidence class, all taken
     from the evaluated outcome. It holds no model text: the episode's
-    learning_summary reply is kept only in its trace.
+    replies are kept only in its trace.
     """
     chi = {"task_subtype": fp.task_subtype, "seasonal": fp.seasonal}
     winner = outcome.winning_candidate()

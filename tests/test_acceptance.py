@@ -197,7 +197,7 @@ def _fixture_instance():
     )
 
 
-def _fixture_policy(branch_answers, final_type="learning_summary"):
+def _fixture_policy(branch_answers):
     def fn(exchange):
         first_user = next(m.content for m in exchange.messages if m.role == "user")
         last_user = [m.content for m in exchange.messages if m.role == "user"][-1]
@@ -205,12 +205,6 @@ def _fixture_policy(branch_answers, final_type="learning_summary"):
             slot = int(first_user.split("- slot = ")[1].split("\n")[0])
             return AssistantReply(
                 content=json.dumps({"answer_type": "forecast", "answer": branch_answers[slot]})
-            )
-        if "## Comparison Result" in last_user:
-            return AssistantReply(
-                content=json.dumps(
-                    {"answer_type": final_type, "answer": {"insight": "i", "recommendation": "r"}}
-                )
             )
         if "## Candidates Ready" in last_user:
             return AssistantReply(
@@ -255,11 +249,6 @@ def test_c06_exploration_contract_fixtures(tmp_path, report):
     out_dup, v_dup = _run_fixture_via_script(
         tmp_path, "dup", _fixture_policy({0: [14.0, 14.0, 14.0], 1: [14.0, 14.0, 14.0]})
     )
-    out_wrong, v_wrong = _run_fixture_via_script(
-        tmp_path,
-        "wrong",
-        _fixture_policy({0: [14.0, 14.0, 14.0], 1: [15.0, 15.0, 15.0]}, final_type="forecast"),
-    )
     out_single, v_single = _run_fixture_via_script(
         tmp_path, "single", _fixture_policy({0: [14.0, 14.0, 14.0], 1: "garbage"})
     )
@@ -269,7 +258,6 @@ def test_c06_exploration_contract_fixtures(tmp_path, report):
     verdicts_ok = (
         v_pass.satisfied
         and v_dup.violations == ("no_distinct_pair",)
-        and v_wrong.violations == ("wrong_final_type",)
     )
     evidence_ok = (
         out_pass.evidence_class.value == "comparative"
@@ -279,7 +267,7 @@ def test_c06_exploration_contract_fixtures(tmp_path, report):
     report(
         6,
         verdicts_ok and evidence_ok,
-        f"verdicts pass/{v_dup.violations}/{v_wrong.violations}; "
+        f"verdicts pass/{v_dup.violations}; "
         f"evidence {out_pass.evidence_class.value}/{out_single.evidence_class.value}/{out_fail.evidence_class.value}",
     )
 

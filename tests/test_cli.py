@@ -1105,6 +1105,47 @@ class TestReplayCommand:
         assert "no ground truth" in errors["no_truth"]
         assert main(["replay", "--trace", str(log), "--corpus", str(learning)]) == 0
 
+    def test_a_0_7_0_trace_lints_but_does_not_replay(self, corpus_dir, tmp_path, capsys):
+        """0.7.0 ended each exploration episode with one more main exchange,
+        a closing summary whose answer type lint no longer reads: an old
+        store's traces lint clean, and replay refuses them by version."""
+        learning = corpus_dir / "learning.jsonl"
+        assert main(["explore", "--corpus", str(learning), "--store", str(tmp_path / "store")]) == 0
+        [log] = sorted((tmp_path / "store" / "traces").glob("*.jsonl"))
+        lines = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        retagged = tmp_path / "retagged.jsonl"
+        retagged.write_text(
+            "".join(canonical_json({**r, "version": "0.7.0"} if "version" in r else r) + "\n" for r in lines),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(retagged), "--corpus", str(learning)]) == 2
+        [error] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert "'0.7.0'" in error and repr(__version__) in error
+
+        # each block as 0.7.0 wrote it: the closing exchange before the
+        # verdicts, and its reply's answer type in the outcome
+        summary = {"answer_type": "learning_summary", "answer": {"insight": "", "recommendation": ""}}
+        closing = [
+            {"branch": None, "kind": "gateway_request", "payload": {"digest": "0" * 16}},
+            {"branch": None, "kind": "gateway_response",
+             "payload": {"reply": {"content": json.dumps(summary), "tool_calls": []}, "usage": {}}},
+        ]
+        old, closed = [], False
+        for r in lines:
+            if "version" in r:
+                r, closed = {**r, "version": "0.7.0"}, False
+            elif r["kind"] == "verdict" and not closed:
+                old.extend(closing)
+                closed = True
+            elif r["kind"] == "outcome":
+                r = {**r, "payload": {**r["payload"], "final_type": summary["answer_type"]}}
+            old.append(r)
+        old_log = tmp_path / "old.jsonl"
+        old_log.write_text("".join(canonical_json(r) + "\n" for r in old), encoding="utf-8")
+        assert len(old) == len(lines) + 2 * sum(1 for r in lines if "version" in r)
+        assert main(["lint", "--trace", str(old_log)]) == 0
+
     def test_a_repeated_id_is_a_rejected_line_so_replay_runs_clean(self, corpus_dir, tmp_path):
         """A line that repeats line 1's id with another series is rejected,
         so explore and replay both read line 1's sample under that id."""
@@ -1260,6 +1301,31 @@ class TestGatewayChoice:
             sent.append({json.loads(body)["model"] for _method, _path, _headers, body in stub_server.requests})
         # the flag, else TIMECLAW_MODEL, else "default"
         assert sent == [{"default"}, {"m7"}, {"m8"}, {"m7"}]
+
+    def test_the_explore_summary_names_the_model_asked_for(self, corpus_dir, tmp_path, monkeypatch, stub_server):
+        stub_server.mode = "ok"
+        monkeypatch.delenv(gateway_module.MODEL_ENV, raising=False)
+        learning = str(corpus_dir / "learning.jsonl")
+        script = str(tmp_path / "script.json")
+        runs = {
+            "m1": ["--api-base", stub_server.url, "--model", "m1"],
+            "m2": ["--api-base", stub_server.url, "--model", "m2"],
+            "unnamed": ["--api-base", stub_server.url],
+            "recorded": ["--api-base", stub_server.url, "--model", "m1", "--record-script", script],
+            "mock": [],
+            "scripted": ["--mock-script", script],
+        }
+        summaries = {}
+        for run, flags in runs.items():
+            assert main(["explore", "--corpus", learning, "--store", str(tmp_path / run / "store"), *flags]) == 0
+            summary = json.loads((tmp_path / run / "run_summary.json").read_text(encoding="utf-8"))
+            summaries[run] = {k: v for k, v in summary.items() if k != "store"}
+        assert {run: s["config"]["model"] for run, s in summaries.items()} == {
+            "m1": "m1", "m2": "m2", "unnamed": "default", "recorded": "m1", "mock": None, "scripted": None,
+        }
+        assert summaries["m1"] != summaries["m2"]
+        # the digest covers the exploration config only
+        assert summaries["m1"]["config_digest"] == summaries["m2"]["config_digest"]
 
     def test_a_recorded_or_scripted_run_hashes_each_message_once(self, corpus_dir, tmp_path, monkeypatch):
         """Each message's text is hashed once, however many later turns

@@ -65,7 +65,7 @@ def _deps(tmp_path, gateway, with_store=True):
     )
 
 
-def _scripted_branch_policy(branch_answers, final_type="learning_summary", evaluate=True, eval_args=None):
+def _scripted_branch_policy(branch_answers, evaluate=True, eval_args=None):
     """Build a deterministic policy that forces specific branch behavior.
 
     branch_answers: slot -> (tool or None, final answer payload)
@@ -86,15 +86,6 @@ def _scripted_branch_policy(branch_answers, final_type="learning_summary", evalu
                 )
             return AssistantReply(
                 content=json.dumps({"answer_type": "forecast", "answer": answer})
-            )
-        if "## Comparison Result" in last_user:
-            return AssistantReply(
-                content=json.dumps(
-                    {
-                        "answer_type": final_type,
-                        "answer": {"insight": "i", "recommendation": "r"},
-                    }
-                )
             )
         if "## Candidates Ready" in last_user:
             if evaluate:
@@ -445,13 +436,6 @@ class TestContractVerdicts:
         gw = _scripted_branch_policy({0: (None, [14.0] * 3), 1: (None, [14.0] * 3)})
         verdict = self._run_and_lint(tmp_path, gw)
         assert verdict.violations == ("no_distinct_pair",)
-
-    def test_wrong_final_type_detected(self, tmp_path):
-        gw = _scripted_branch_policy(
-            {0: (None, [14.0] * 3), 1: ("naive", [15.0] * 3)}, final_type="forecast"
-        )
-        verdict = self._run_and_lint(tmp_path, gw)
-        assert verdict.violations == ("wrong_final_type",)
 
     def test_skipped_evaluation_flags_no_comparison(self, tmp_path):
         gw = _scripted_branch_policy(
@@ -1067,17 +1051,17 @@ class TestEncodeAndRenderOnce:
         (block,) = read_trace(tmp_path / "traces" / f"{runner.instance.scope}.jsonl")
         assert block.events[0]["payload"] == {"call_id": "c001", "tool": "naive", "args": args, "inputs": [ORIGINAL_INPUT]}
 
-    def test_a_summary_that_states_the_truth_leaves_it_in_no_note_or_snapshot(self, tmp_path):
+    def test_a_reply_that_states_the_truth_leaves_it_in_no_note_or_snapshot(self, tmp_path):
         # a note holds what the comparison measured and no model text: the
-        # learning_summary reply is kept only in the episode's trace
+        # text beside the evaluate request is kept only in the episode's trace
         truth = [13.0, 13.5, 12.0]
         renderings = {json.dumps(truth), canonical_json(truth), json_dumps(truth)}
 
         def quoting(exchange):
             reply = exploration_policy(exchange)
-            if "## Comparison Result" in exchange.messages[-1].content:
-                summary = {"insight": f"the truth was {json.dumps(truth)}", "recommendation": f"not {canonical_json(truth)}"}
-                return AssistantReply(content=json.dumps({"answer_type": "learning_summary", "answer": summary}))
+            if "## Candidates Ready" in exchange.messages[-1].content:
+                text = f"the truth was {json.dumps(truth)}, not {canonical_json(truth)}"
+                return AssistantReply(content=text, tool_calls=reply.tool_calls)
             return reply
 
         deps = _deps(tmp_path, PolicyGateway(quoting))
@@ -1094,19 +1078,18 @@ class TestEncodeAndRenderOnce:
             text = path.read_text(encoding="utf-8")
             assert not any(r in text for r in renderings), path
 
-    def test_the_note_is_the_same_whatever_the_learning_summary_says(self, tmp_path):
+    def test_the_note_is_the_same_whatever_the_main_agent_says(self, tmp_path):
         # the note is built from the evaluated outcome alone
-        def summarizing(text):
+        def saying(text):
             def policy(exchange):
                 reply = exploration_policy(exchange)
-                if "## Comparison Result" in exchange.messages[-1].content:
-                    summary = {"insight": text, "recommendation": text}
-                    return AssistantReply(content=json.dumps({"answer_type": "learning_summary", "answer": summary}))
+                if "## Candidates Ready" in exchange.messages[-1].content:
+                    return AssistantReply(content=text, tool_calls=reply.tool_calls)
                 return reply
             return policy
 
         shards = []
-        for run, gateway in (("plain", policy_gateway("exploration")), ("said", PolicyGateway(summarizing("prefer naive")))):
+        for run, gateway in (("plain", policy_gateway("exploration")), ("said", PolicyGateway(saying("prefer naive")))):
             deps = _deps(tmp_path / run, gateway)
             inst = _instance(gt=[13.0, 13.5, 12.0])
             outcome = run_exploration_episode(inst, ExplorationConfig(seed=9), deps)

@@ -121,9 +121,6 @@ def _evaluate_by(tool, args, values=(13.0, 12.0)):
         if "### Branch Goal" in first_user:
             value = values[0] if "- slot = 0" in first_user else values[1]
             return AssistantReply(content=json.dumps({"answer_type": "forecast", "answer": [value] * 3}))
-        if "## Comparison Result" in last_user:
-            summary = {"insight": "", "recommendation": ""}
-            return AssistantReply(content=json.dumps({"answer_type": "learning_summary", "answer": summary}))
         if "## Candidates Ready" in last_user:
             return AssistantReply(content="", tool_calls=(ToolCallRequest(tool=tool, args=args),))
         return AssistantReply(content="", tool_calls=(ToolCallRequest(tool="spawn_subagent", args={"n_tasks": 2}),))
@@ -204,41 +201,6 @@ class TestLint:
         [dirty] = lint(path, forbidden_substrings=["99.123"])
         assert not dirty.clean
         assert dirty.leaks == [{"line": len(lines), "needle_head": "99.123"}]
-
-    def test_missing_learning_summary_is_wrong_final_type(self, tmp_path):
-        from timeclaw.gateway import AssistantReply, PolicyGateway, ToolCallRequest
-
-        def fn(exchange):
-            first_user = next(m.content for m in exchange.messages if m.role == "user")
-            last_user = [m.content for m in exchange.messages if m.role == "user"][-1]
-            if "### Branch Goal" in first_user:
-                return AssistantReply(
-                    content=json.dumps({"answer_type": "forecast", "answer": [1.0, 2.0, 3.0]})
-                )
-            if "## Comparison Result" in last_user:
-                # finishes with a task answer instead of a learning summary
-                return AssistantReply(
-                    content=json.dumps({"answer_type": "forecast", "answer": [1.0, 2.0, 3.0]})
-                )
-            if "## Candidates Ready" in last_user:
-                return AssistantReply(
-                    content="",
-                    tool_calls=(ToolCallRequest(tool="evaluate_batch_against_gt", args={}),),
-                )
-            return AssistantReply(
-                content="", tool_calls=(ToolCallRequest(tool="spawn_subagent", args={"n_tasks": 2}),)
-            )
-
-        toolkit = builtin_toolkit()
-        deps = EpisodeDeps(
-            toolkit=toolkit,
-            gateway=PolicyGateway(fn),
-            store=None,
-            trace_dir=tmp_path / "tr",
-        )
-        outcome = run_exploration_episode(_instance(), ExplorationConfig(seed=4), deps)
-        [report] = lint(outcome.trace_path)
-        assert "wrong_final_type" in report.contract.violations
 
 
 GOLDEN = Path(__file__).parent / "data" / "traces"

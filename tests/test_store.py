@@ -63,7 +63,8 @@ def _note(
 
 def _twelve_field_shard(notes):
     """A notes shard as an older version wrote it: each block also held the
-    prompt's digest, the trace log's name and the learning_summary text."""
+    prompt's digest, the trace log's name and the insight and recommendation
+    of the summary the model once ended each episode with."""
     blocks = []
     for seq, note in enumerate(notes, 1):
         value = {attr: json_dumps(getattr(note, attr), sort_keys=True) for _, attr, _ in _NOTE_FIELDS}
@@ -348,8 +349,8 @@ class TestStoreNotes:
 
     def test_a_shard_in_the_twelve_field_format_opens_as_the_eight_field_one(self, tmp_path):
         # notes once also held the prompt's digest, the trace log's name and
-        # the model's learning_summary text: a shard written so opens with
-        # the same notes, usage counts and distilled memory
+        # the text of the model's closing summary: a shard written so opens
+        # with the same notes, usage counts and distilled memory
         notes = [
             replace(_note(seq=None, winner=(f"tool_{i % 3}",), tools=(f"tool_{i % 3}", "naive")),
                     metrics={"b0": {"quality": -1.5 - i, "valid": True}})

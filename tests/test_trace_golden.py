@@ -10,6 +10,7 @@ intended trace change, regenerate them with::
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -59,8 +60,14 @@ def render_traces(root: Path) -> dict[str, bytes]:
 
 def test_golden_exploration_episode_spawns_evaluates_and_finishes(tmp_path):
     text = render_traces(tmp_path)["exploration.jsonl"].decode()
-    for needle in ('"tool":"spawn_subagent"', '"tool":"evaluate_batch_against_gt"', "learning_summary"):
+    for needle in ('"tool":"spawn_subagent"', '"tool":"evaluate_batch_against_gt"'):
         assert needle in text
+    # the episode ends at the comparison: no main exchange follows the
+    # evaluate tool's result
+    events = [json.loads(line) for line in text.splitlines()[1:]]
+    [evaluate] = [e["payload"]["call_id"] for e in events if e["kind"] == "tool_call" and e["branch"] is None]
+    [result] = [i for i, e in enumerate(events) if e["kind"] == "tool_result" and e["payload"]["call_id"] == evaluate]
+    assert not [e for e in events[result:] if e["kind"] == "gateway_request" and e["branch"] is None]
 
 
 def test_traces_match_checked_in_goldens(tmp_path):
