@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0, help="dropout strength (> 0)")
     p.add_argument("--branch-slots", type=int, default=2)
     p.add_argument("--max-steps", type=int, default=6)
-    p.add_argument("--parallel", type=int, default=1, help="episodes run at once")
+    p.add_argument("--parallel", type=int, default=1, help="scopes explored at once")
     p.add_argument("--trace-dir")
     p.add_argument("--out", help="directory for run_summary.json (default: the store's parent)")
     _add_gateway_flags(p)

@@ -12,13 +12,16 @@ batch pays off where samples share a series length: a sample alone in its
 length is profiled as a batch of one, the dearest case per sample. The
 builders only format that profile.
 
-What a prompt takes from the store depends only on the retrieval Selection
-(and the soul), so the system message and the Support lines are rendered once
-per Selection and kept on it (see ``_rendered``), not once per prompt. Likewise
-the series preview and the Fingerprint and Profiling lines are rendered once
-per sample and kept on its SampleFingerprint, which every prompt of an episode
-shares, and the Available Tools section once per tool list, on the
-``DeclaredTools`` a run builds once per tool set.
+What a prompt takes from the store is the retrieval Selection's rules, each
+rendered once, as one Memory line of the system message; the user text holds
+none of them. So the system message depends only on the Selection (and the
+soul), and is rendered once per Selection and kept on it (see ``_rendered``),
+not once per prompt. Likewise the series preview and the Fingerprint and
+Profiling lines are rendered once per sample and kept on its
+SampleFingerprint, which every prompt of an episode shares, and the Available
+Tools section once per tool list, on the ``DeclaredTools`` a run builds once
+per tool set. Only the branch and inference frames, which ask for an answer,
+carry an Output Contract.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ class PromptBundle:
         return self.system.content
 
 
-# A store layer longer than this is cut before it enters a prompt.
+# A Memory render longer than this is cut before it enters a prompt.
 MAX_LAYER_CHARS = 4000
 
 
@@ -254,7 +257,12 @@ def _objective_section(
         "- state = need_evidence",
     ]
     lines.extend(control_lines)
-    lines.append("### Output Contract")
+    return "\n".join(lines)
+
+
+def _output_contract(instance: TaskInstance) -> str:
+    """The answer a branch or an inference must finish with."""
+    lines = ["### Output Contract"]
     t = instance.task_type
     if t == TaskType.FORECAST:
         lines.append(f"- answer: JSON array of {instance.horizon} numbers")
@@ -290,18 +298,12 @@ def _fingerprint_lines(fp: SampleFingerprint) -> list[str]:
 
 
 def _profiling_lines(fp: SampleFingerprint) -> list[str]:
-    if fp.dominant_period is not None:
-        autocorr = f"best_lag = {fp.dominant_period}, r = {_fmt(fp.period_r)}"
-    else:
-        autocorr = "undefined"
+    """The profile values the Sample Fingerprint does not already state."""
+    autocorr = f"r = {_fmt(fp.period_r)}" if fp.dominant_period is not None else "undefined"
     return [
-        f"- basic_stats: mean = {_fmt(fp.mean)}, std = {_fmt(fp.std)}, min = {_fmt(fp.vmin)}, max = {_fmt(fp.vmax)}",
         f"- autocorrelation: {autocorr}",
         f"- stationarity_check: stationary = {_fmt(fp.stationary)}, mean_shift = {_fmt(fp.mean_shift)}",
-        (
-            f"- detect_trend: label = {fp.trend_class}, slope = {_fmt(fp.trend_slope)}, "
-            f"normalized = {_fmt(fp.trend_normalized)}"
-        ),
+        f"- detect_trend: slope = {_fmt(fp.trend_slope)}, normalized = {_fmt(fp.trend_normalized)}",
         f"- detect_anomaly: n_flagged = {fp.n_anomalies}",
     ]
 
@@ -337,24 +339,6 @@ def _rendered(source: Any, key: Any, build: Callable[[], _T]) -> _T:
     return value
 
 
-def _support_lines(selection: Any) -> list[str]:
-    """Skills and focused tool notes (user-prompt layers)."""
-    lines: list[str] = []
-    skills = getattr(selection, "skills_text", "") if selection is not None else ""
-    tool_notes = getattr(selection, "tool_notes", {}) if selection is not None else {}
-    lines.append("#### Skills")
-    lines.append(_cap(skills) if skills else "(none)")
-    lines.append("#### Focused Tool Notes")
-    if tool_notes:
-        for tool_id in sorted(tool_notes):
-            lines.append(f"- {tool_id}:")
-            for note_line in _cap(tool_notes[tool_id]).splitlines():
-                lines.append(f"  {note_line}")
-    else:
-        lines.append("(none)")
-    return lines
-
-
 def _system_text(soul: str, rules: Sequence[Any]) -> str:
     return f"{soul.strip()}\n\n## Memory\n{render_memory_rules(rules)}\n"
 
@@ -374,16 +358,14 @@ def _frame(objective: str, observation: str, decision: str, tools: str) -> str:
     return f"{objective}\n\n{observation}\n\n{decision}\n\n{tools}\n"
 
 
-def _observation_section(fp: SampleFingerprint, selection: Any) -> str:
-    sample = _rendered(
+def _observation_section(fp: SampleFingerprint) -> str:
+    return _rendered(
         fp,
         "observation",
         lambda: "\n".join(
             ["## Observation", "### Sample Fingerprint", *_fingerprint_lines(fp), "### Profiling", *_profiling_lines(fp)]
         ),
     )
-    support = _rendered(selection, "support", lambda: "\n".join(_support_lines(selection)))
-    return f"{sample}\n### Support\n{support}"
 
 
 def build_exploration_prompt(
@@ -404,7 +386,7 @@ def build_exploration_prompt(
         "- exploration episode: compare candidate executions before finishing",
         control_lines=[f"- branch_slots = {len(slots)}"],
     )
-    observation = _observation_section(fp, selection)
+    observation = _observation_section(fp)
 
     decision_lines = [
         "## Decision",
@@ -452,8 +434,8 @@ def build_branch_prompt(
         fp,
         "- exploration branch: produce one candidate execution",
         control_lines=[f"- required_final_type = {instance.task_type.value}", f"- slot = {slot.slot}"],
-    )
-    observation = _observation_section(fp, selection)
+    ) + "\n" + _output_contract(instance)
+    observation = _observation_section(fp)
     decision = "\n".join(
         [
             "## Decision",
@@ -491,8 +473,8 @@ def build_inference_prompt(
         fp,
         "- inference: solve the task with previously distilled experience",
         control_lines=[f"- required_final_type = {instance.task_type.value}"],
-    )
-    observation = _observation_section(fp, selection)
+    ) + "\n" + _output_contract(instance)
+    observation = _observation_section(fp)
     decision = "\n".join(
         [
             "## Decision",

@@ -1,7 +1,6 @@
 """Hierarchical distilled experience: Soul, Notes and Memory layers, the
-Tool-note and Skills views rendered from Memory, the Summarize -> Clean ->
-Distill pipeline that feeds them and the retrieval filter that reinjects
-them.
+Summarize -> Clean -> Distill pipeline that feeds them and the retrieval
+filter that reinjects them.
 
 Layer roles:
 
@@ -13,10 +12,8 @@ Layer roles:
 * Memory — bounded structured rules (kind, applicability, preferred/avoided
   tools, evidence, confidence, injectable). Publishing a scope's memory
   appends one record to its snapshot log, and opening the store reads the
-  memory back from that log.
-* Tool notes / Skills — views, never stored: retrieval renders them from
-  the scope's published memory, with every line written once, so they
-  always agree with it. A tool card lists only injectable rules' stances.
+  memory back from that log. Retrieval reinjects its injectable rules that
+  match a sample, each rendered once, as one line of the system message.
 
 Every mutation of one scope is serialized; notes sequence numbers are
 gapless and committed notes are never modified.
@@ -521,73 +518,25 @@ def _fold_layers(layers: dict[str, str], changed: Mapping[str, Optional[str]]) -
 @dataclass(frozen=True)
 class Selection:
     """What retrieval injects for one scope and fingerprint: the matching
-    injectable rules, best first, and the scope's skills and the tool cards
-    of the rules' preferred tools, both rendered from the same memory.
+    injectable rules of the scope's published memory, best first.
 
     ``retrieve`` memoizes a Selection per published memory, so one Selection
     is shared by every sample whose fingerprint has the same predicate
     fields: it is read-only, and callers must not mutate it or its parts.
     ``rendered`` holds what the prompt builders render from it (its system
-    message, its Support lines), so each is built once per Selection rather
-    than once per prompt."""
+    message), so it is built once per Selection rather than once per
+    prompt."""
 
     rules: tuple[MemoryRule, ...] = ()
-    skills_text: str = ""
-    tool_notes: Mapping[str, str] = field(default_factory=dict)
     rendered: dict[Any, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _chain_text(tools: Sequence[str]) -> str:
-    return " -> ".join(tools) if tools else "(no tools)"
-
-
-def _tool_cards(state: MemoryState) -> dict[str, str]:
-    """The boundary card of every tool the injectable rules name: one line
-    per stance such a rule takes on the tool. A demoted rule, or one in an
-    open conflict, is not reinjected, so neither is its stance."""
-    per_tool: dict[str, set[str]] = {}
-    for rule in (r for r in state.rules if r.injectable):
-        for stance, tools in (("preferred", rule.preferred_tools), ("avoided", rule.avoided_tools)):
-            line = (
-                f"- {stance} ({rule.kind}, confidence {rule.confidence:.2f}, "
-                f"when {json_dumps(rule.applicability, sort_keys=True)})"
-            )
-            for tool in tools:
-                per_tool.setdefault(tool, set()).add(line)
-    return {tool: "\n".join([f"# Tool notes: {tool}", *sorted(lines)]) + "\n" for tool, lines in per_tool.items()}
-
-
-def _skills_text(scope: str, state: MemoryState) -> str:
-    """One line per procedure of the scope's top rules, in rank order;
-    rules that read the same give one line. Empty while the memory holds no
-    rule."""
-    if not state.rules:
-        return ""
-    ranked = sorted((r for r in state.rules if r.injectable), key=lambda r: (-r.confidence, r.seq))
-    lines = []
-    for rule in ranked[:8]:
-        line = (
-            f"- When {json_dumps(rule.applicability, sort_keys=True)}: "
-            f"prefer {_chain_text(sorted(rule.preferred_tools))}"
-        )
-        if rule.avoided_tools:
-            line += f"; avoid {_chain_text(sorted(rule.avoided_tools))}"
-        lines.append(line + f" (confidence {rule.confidence:.2f}, evidence {len(rule.evidence)}).")
-    body = list(dict.fromkeys(lines)) or ["(no stable procedures yet)"]
-    return "\n".join([f"# Procedures: {scope}", "", *body]) + "\n"
-
-
-def _select(scope: str, state: MemoryState, fp: SampleFingerprint) -> Selection:
+def _select(state: MemoryState, fp: SampleFingerprint) -> Selection:
     rules = sorted(
         (r for r in state.rules if r.injectable and match(r.applicability, fp)),
         key=lambda r: (-r.confidence, r.seq),
     )
-    cards = _tool_cards(state)
-    return Selection(
-        rules=tuple(rules),
-        skills_text=_skills_text(scope, state),
-        tool_notes={t: cards[t] for t in sorted({t for r in rules for t in r.preferred_tools})},
-    )
+    return Selection(rules=tuple(rules))
 
 
 @dataclass
@@ -836,9 +785,8 @@ class ExperienceStore:
     # -- retrieval ----------------------------------------------------------
 
     def retrieve(self, scope: str, fp: SampleFingerprint) -> Selection:
-        """Injectable rules matching the fingerprint, plus the scope's skills
-        and its tool notes on the selected rules' preferred tools, rendered
-        from the scope's published memory.
+        """The injectable rules of the scope's published memory that match
+        the fingerprint.
 
         ``match`` reads only ``fp.fields()``, so the result is memoized per
         published memory, keyed by those fields' values: samples that agree
@@ -848,10 +796,10 @@ class ExperienceStore:
         with self._publish:
             held = self._scopes.get(scope)
             if held is None:
-                return _select(scope, MemoryState(), fp)
+                return _select(MemoryState(), fp)
             selection = held.selections.get(key)
             if selection is None:
-                selection = held.selections[key] = _select(scope, held.memory, fp)
+                selection = held.selections[key] = _select(held.memory, fp)
             return selection
 
     # -- snapshots and audit ------------------------------------------------

@@ -174,16 +174,19 @@ class Toolkit(ToolRegistry):
         }
 
     def _validated_args(self, descriptor: ToolDescriptor, args: Mapping[str, Any]) -> dict[str, Any]:
+        """The call's arguments checked against the schema, with defaults
+        filled in. An argument given as null counts as not given: it takes
+        its default, and a required one is missing."""
         schema = descriptor.arg_schema
         unknown = sorted(set(args) - set(schema))
         if unknown:
             raise ToolError("schema_violation", f"unknown argument(s): {', '.join(unknown)}")
         out: dict[str, Any] = {}
         for name, spec in schema.items():
-            if name in args:
-                value = args[name]
+            value = args.get(name)
+            if value is not None:
                 check = _TYPE_CHECKS.get(spec.type)
-                if check is not None and value is not None and not check(value):
+                if check is not None and not check(value):
                     raise ToolError("schema_violation", f"argument {name} must be of type {spec.type}")
                 out[name] = value
             elif spec.required:
@@ -445,10 +448,7 @@ def _an_value_at(args, inputs, ctx):
     payload: dict[str, Any] = {"value": value, "index": idx}
     reference = args.get("reference")
     if reference is not None:
-        if len(inputs) > 1:
-            ref_values = [float(v) for v in inputs[1].payload["values"]]
-        else:
-            ref_values = values
+        ref_values = _series_input(inputs[1:]) if len(inputs) > 1 else values
         ref_value, _ = _select(ref_values, reference)
         payload["reference_value"] = ref_value
         if ref_value != 0.0:
@@ -552,7 +552,7 @@ def _evaluate_answer(answer: Any, instance: TaskInstance, capability: EvaluatorC
 
 def _ev_against_gt(args, inputs, ctx):
     capability = _require_evaluator(ctx)
-    if "answer" in args and args["answer"] is not None:
+    if "answer" in args:
         answer = args["answer"]
         branch_id = args.get("branch_id", "direct")
     else:

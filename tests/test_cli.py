@@ -351,18 +351,24 @@ class TestExplore:
             assert [n.sequence for n in notes] == list(range(1, len(notes) + 1))
             assert reopened.memory_state(scope).distilled_through == len(notes)
         # no memory, card or skills file is stored; each scope's last
-        # snapshot holds its final memory's content, so renders its views
+        # snapshot holds its final memory's content, so retrieval from it
+        # selects what retrieval from the reopened store selects
         assert {p.name for p in store.iterdir()} == {"soul.md", "notes", "snapshots", "traces"}
+        instances = load_samples(learning, "learning").instances
         for scope in reopened.scopes():
             memory = reopened.memory_state(scope)
             snapshot = reopened.snapshot_layers(scope, len(reopened.snapshot_timeline(scope)))
             snapped = MemoryState.from_dict(json.loads(snapshot[f"memory/{scope}.json"]))
             assert snapped.content_fingerprint() == memory.content_fingerprint()
-            assert store_module._tool_cards(snapped) == store_module._tool_cards(memory)
-            assert store_module._skills_text(scope, snapped) == store_module._skills_text(scope, memory)
-        # and both scopes' memories render cards
-        cards = {scope: sorted(store_module._tool_cards(reopened.memory_state(scope))) for scope in reopened.scopes()}
-        assert cards == {
+            for fp in prompts.fingerprints([inst for inst in instances if inst.scope == scope]):
+                selection = reopened.retrieve(scope, fp)
+                assert [r.to_dict() for r in store_module._select(snapped, fp).rules] == [r.to_dict() for r in selection.rules]
+        # and both scopes' memories hold injectable rules, which name these tools
+        named = {
+            scope: sorted({t for r in reopened.memory_state(scope).rules if r.injectable for t in (*r.preferred_tools, *r.avoided_tools)})
+            for scope in reopened.scopes()
+        }
+        assert named == {
             "synth_forecast_short": ["moving_average", "naive", "seasonal_naive", "ses"],
             "synth_trend_short": ["autocorrelation", "segment"],
         }

@@ -18,7 +18,8 @@ from timeclaw.core import SealedAnswer, TaskInstance, TaskType, TextBlock
 from timeclaw.errors import ContractError
 from timeclaw.gateway import DeclaredTools
 from timeclaw.orchestrator import BranchSlot
-from timeclaw.store import MemoryRule
+from timeclaw.store import ExperienceStore, LearningNote, MemoryRule
+from timeclaw.util import json_dumps
 
 FRAMES = Path(__file__).parent / "data" / "frames"
 
@@ -42,8 +43,6 @@ def _rule(injectable=True, **kwargs):
 class _Selection:
     def __init__(self, rules):
         self.rules = rules
-        self.skills_text = "1. When seasonal: prefer seasonal_naive."
-        self.tool_notes = {"seasonal_naive": "- strong on daily cycles"}
 
 
 def _golden_instance():
@@ -259,27 +258,18 @@ class TestInferenceBundle:
         bundle = prompts.build_inference_prompt(
             _golden_instance(), _golden_fp(), None, DeclaredTools([{"name": "naive", "description": ""}])
         )
-        assert "### Support" in bundle.user_text
-        assert "(none)" in bundle.user_text
-
-    def test_focused_tool_notes_only_for_selected_tools(self):
-        bundle = prompts.build_inference_prompt(
-            _golden_instance(),
-            _golden_fp(),
-            _Selection([_rule()]),
-            DeclaredTools([{"name": "naive", "description": ""}]),
-        )
-        assert "- seasonal_naive:" in bundle.user_text
-        assert "- drift:" not in bundle.user_text
+        assert "(no injectable memory)" in bundle.system_text
+        assert "### Output Contract" in bundle.user_text
 
     def test_a_long_layer_renders_cut(self):
-        selection = _Selection([_rule()])
-        selection.skills_text = "x" * (prompts.MAX_LAYER_CHARS + 1)
+        rules = [_rule(rule_id=f"r{i:04d}", seq=i) for i in range(1, 101)]
+        whole = "\n".join(prompts.render_memory_rules([rule]) for rule in rules)
+        assert len(whole) > prompts.MAX_LAYER_CHARS
         bundle = prompts.build_inference_prompt(
-            _golden_instance(), _golden_fp(), selection, DeclaredTools([{"name": "naive", "description": ""}])
+            _golden_instance(), _golden_fp(), _Selection(rules), DeclaredTools([{"name": "naive", "description": ""}])
         )
-        assert "#### Skills\n" + "x" * prompts.MAX_LAYER_CHARS + "\n...[truncated]\n" in bundle.user_text
-        assert "x" * (prompts.MAX_LAYER_CHARS + 1) not in bundle.user_text
+        assert "## Memory\n" + whole[: prompts.MAX_LAYER_CHARS] + "\n...[truncated]\n" in bundle.system_text
+        assert whole not in bundle.system_text
 
     def test_exploration_only_tools_cannot_be_declared(self):
         with pytest.raises(ContractError):
@@ -318,6 +308,42 @@ class TestInferenceBundle:
         for needle in ("[11.0, 13.0, 10.0, 12.0]", "11.0,13.0,10.0,12.0"):
             assert needle not in bundle.user_text
             assert needle not in bundle.system_text
+
+
+class TestReinject:
+    def test_a_retrieved_rule_renders_in_one_line_of_each_frame(self, tmp_path):
+        """Each line that states a rule's stance names its applicability: in
+        every frame, system and user text together hold exactly one."""
+        fp = _golden_fp()
+        when = {"seasonal": fp.seasonal, "task_subtype": fp.task_subtype}
+        store = ExperienceStore(tmp_path)
+        store.commit_note(
+            LearningNote(
+                scope="synth_forecast_short",
+                instance_id="golden1",
+                winner_tools=("seasonal_naive",),
+                loser_tools=("naive",),
+                metrics={},
+                evidence_class="comparative",
+                applicability=when,
+                eval_evidence=True,
+            )
+        )
+        store.finalize("synth_forecast_short")
+        selection = store.retrieve("synth_forecast_short", fp)
+        assert [r.injectable for r in selection.rules] == [True]
+        tools = DeclaredTools({"name": n, "description": ""} for n in ("naive", "drift", "seasonal_naive"))
+        soul = store.soul_text()
+        bundles = {
+            "exploration": prompts.build_exploration_prompt(_golden_instance(), fp, selection, _slots(), tools, soul=soul),
+            "branch": prompts.build_branch_prompt(_golden_instance(), fp, _slots()[0], tools, selection=selection, soul=soul),
+            "inference": prompts.build_inference_prompt(_golden_instance(), fp, selection, tools, soul=soul),
+        }
+        stance = json_dumps(when, sort_keys=True)
+        for frame, bundle in bundles.items():
+            lines = [line for line in (bundle.system_text + bundle.user_text).splitlines() if stance in line]
+            assert len(lines) == 1, (frame, lines)
+            assert "prefer: seasonal_naive; avoid: naive" in lines[0] and lines[0] in bundle.system_text
 
 
 class TestBoundaryEvent:

@@ -516,8 +516,7 @@ class TestDistillationTriggers:
         stages = store.maybe_trigger_distillation(SCOPE)
         assert stages == ["notes_to_memory", "snapshot"]
         selection = store.retrieve(SCOPE, fingerprint(seasonal_instance))
-        assert "prefer seasonal_naive; avoid naive" in selection.skills_text
-        assert set(selection.tool_notes) == {"seasonal_naive"}
+        assert [(r.preferred_tools, r.avoided_tools) for r in selection.rules] == [(("seasonal_naive",), ("naive",))]
         assert not (tmp_path / "skills").exists() and not (tmp_path / "tools").exists()
 
 
@@ -531,7 +530,7 @@ class TestRetrieve:
         selection = store.retrieve(SCOPE, fp)
         assert selection.rules
         assert all(r.injectable for r in selection.rules)
-        assert "seasonal_naive" in selection.tool_notes
+        assert "seasonal_naive" in selection.rules[0].preferred_tools
 
     def test_non_matching_fingerprint_excluded(self, tmp_path, trend_instance):
         store = ExperienceStore(tmp_path)
@@ -545,7 +544,6 @@ class TestRetrieve:
         store = ExperienceStore(tmp_path)
         selection = store.retrieve("nowhere", fingerprint(seasonal_instance))
         assert selection.rules == ()
-        assert selection.skills_text == ""
 
     def test_non_injectable_rules_are_excluded(self, tmp_path, seasonal_instance):
         store = ExperienceStore(tmp_path)
@@ -580,7 +578,7 @@ class TestRetrieve:
         fp = fingerprint(seasonal_instance)
         _commit_and_distill(store, [_note(seq=None) for _ in range(10)])
         before = store.retrieve(SCOPE, fp)
-        # holt wins from now on: the memory, the skills and the cards change
+        # holt wins from now on: the memory and its matching rules change
         stages = store.finalize(SCOPE) or []
         for _ in range(10):
             store.commit_note(_note(seq=None, winner=("holt",), losers=("seasonal_naive",)))
@@ -588,10 +586,8 @@ class TestRetrieve:
         assert "snapshot" in stages
         after, reopened = store.retrieve(SCOPE, fp), ExperienceStore(tmp_path).retrieve(SCOPE, fp)
         assert [r.to_dict() for r in after.rules] == [r.to_dict() for r in reopened.rules]
-        assert after.skills_text == reopened.skills_text
-        assert after.tool_notes == reopened.tool_notes
         assert [r.to_dict() for r in after.rules] != [r.to_dict() for r in before.rules]
-        assert after.tool_notes != before.tool_notes
+        assert "holt" in after.rules[0].preferred_tools
 
     def test_retrievals_racing_distillations_end_on_the_published_memory(self, tmp_path, seasonal_instance):
         store = ExperienceStore(tmp_path)
@@ -621,7 +617,6 @@ class TestRetrieve:
             sys.setswitchinterval(interval)
         after, reopened = store.retrieve(SCOPE, fp), ExperienceStore(tmp_path).retrieve(SCOPE, fp)
         assert [r.to_dict() for r in after.rules] == [r.to_dict() for r in reopened.rules]
-        assert (after.skills_text, after.tool_notes) == (reopened.skills_text, reopened.tool_notes)
         assert render(after) == render(reopened)
 
 
@@ -789,7 +784,8 @@ class TestInMemoryState:
         selection = store.retrieve(SCOPE, fp)
         monkeypatch.undo()
         assert "snapshot" in stages
-        assert {"holt", "seasonal_naive"} <= set(selection.tool_notes)
+        assert [r.to_dict() for r in selection.rules] == [r.to_dict() for r in ExperienceStore(tmp_path).retrieve(SCOPE, fp).rules]
+        assert {"holt", "seasonal_naive"} <= {tool for r in selection.rules for tool in r.preferred_tools}
 
     def test_distillation_leaves_a_held_selection_unchanged(self, tmp_path, seasonal_instance):
         store = ExperienceStore(tmp_path)
@@ -850,14 +846,18 @@ def _log_record(layers, notes, seq, digest="0" * 16):
     return canonical_json(header).encode() + b"\n" + "".join(layers[rel] for rel in sorted(layers)).encode()
 
 
-def _views(scope, layers):
-    """Every tool card and the skills text that the memory among ``layers`` renders."""
-    memory = MemoryState.from_dict(json.loads(layers[f"memory/{scope}.json"]))
-    return store_module._tool_cards(memory), store_module._skills_text(scope, memory)
+def _memory(scope, layers):
+    """The memory among ``layers``."""
+    return MemoryState.from_dict(json.loads(layers[f"memory/{scope}.json"]))
 
 
-# Two scopes whose distillations add tool cards and, once memory is full and
-# evicts, remove them.
+def _injectable_tools(memory):
+    """Every tool an injectable rule of ``memory`` prefers or avoids."""
+    return sorted({tool for r in memory.rules if r.injectable for tool in (*r.preferred_tools, *r.avoided_tools)})
+
+
+# Two scopes whose distillations add the tools their injectable rules name
+# and, once memory is full and evicts, remove them.
 OTHER = "synth_other_short"
 CHURN = [_note(seq=None, winner=(f"t{i:02d}",), losers=()) for i in range(70)]
 CHURN[2::3] = [_note(seq=None, scope=OTHER, winner=(f"t{i % 5:02d}",), losers=()) for i in range(len(CHURN[2::3]))]
@@ -870,7 +870,7 @@ class TestScopeLocalLayers:
         store.finalize(OTHER)
         fp = fingerprint(seasonal_instance)
         selection, digest = store.retrieve(OTHER, fp), store.snapshot(OTHER)
-        assert set(selection.tool_notes) == {"b"}
+        assert [(r.preferred_tools, r.avoided_tools) for r in selection.rules] == [(("b",), ("a",))]
         # SCOPE's rules name OTHER's tools too; its second and third rules
         # both prefer b at confidence 0.50, the third in a conflict
         for winner, loser in (("d", "c"), ("b", "a"), ("b", "d")):
@@ -878,40 +878,20 @@ class TestScopeLocalLayers:
             assert "snapshot" in store.finalize(SCOPE)
         assert store.retrieve(OTHER, fp) == selection
         assert store.snapshot(OTHER) == digest
-        views = {scope: _views(scope, _held_layers(store, scope)) for scope in (OTHER, SCOPE)}
-        # only SCOPE's second rule is injectable, so its cards are a and b too
-        assert [sorted(cards) for cards, _skills in views.values()] == [["a", "b"], ["a", "b"]]
-        for cards, skills in views.values():
-            for text in (*cards.values(), skills):
-                lines = text.splitlines()
-                assert len(lines) == len(set(lines)), text
+        memories = [_memory(scope, _held_layers(store, scope)) for scope in (OTHER, SCOPE)]
+        # only SCOPE's second rule is injectable, so it names a and b too
+        assert [_injectable_tools(memory) for memory in memories] == [["a", "b"], ["a", "b"]]
+        for scope in (OTHER, SCOPE):
+            prompt = build_inference_prompt(seasonal_instance, fp, store.retrieve(scope, fp), DeclaredTools())
+            lines = [line for line in (prompt.system_text + prompt.user_text).splitlines() if line]
+            assert len(lines) == len(set(lines)), prompt.system_text
 
 
 class Killed(BaseException):
     """Stands in for the process dying."""
 
 
-class TestRenderedViews:
-    def test_cards_hold_only_the_stances_of_injectable_rules(self, tmp_path, seasonal_instance):
-        store = ExperienceStore(tmp_path)
-        fp = fingerprint(seasonal_instance)
-        here = json.dumps({"seasonal": True, "task_subtype": "forecast"}, sort_keys=True)
-        there = {"task_subtype": "trend", "seasonal": False}
-        for winner, loser, chi in (("holt", (), None), ("drift", ("holt",), there), ("holt", ("drift",), there)):
-            store.commit_note(_note(seq=None, winner=(winner,), losers=loser, chi=chi))
-        store.finalize(SCOPE)
-        assert [r.injectable for r in store.memory_state(SCOPE).rules] == [True, False, False]  # the last two conflict
-        selection = store.retrieve(SCOPE, fp)
-        assert selection.tool_notes == {"holt": f"# Tool notes: holt\n- preferred (tool_preference, confidence 0.50, when {here})\n"}
-        for _ in range(2):  # the third rule wins its conflict and the second is demoted
-            store.commit_note(_note(seq=None, winner=("holt",), losers=("drift",), chi=there))
-        store.finalize(SCOPE)
-        rules = store.memory_state(SCOPE).rules
-        assert [(r.injectable, r.demoted) for r in rules] == [(True, False), (False, True), (True, False)]
-        card = store.retrieve(SCOPE, fp).tool_notes["holt"]
-        assert "avoided" not in card and "confidence 0.25" not in card
-        assert card.count("- preferred") == 2
-
+class TestPublishedMemory:
     @pytest.mark.parametrize("kill", ["before", "after"])
     def test_a_store_killed_around_its_snapshot_append_ends_as_one_never_killed(
         self, tmp_path, seasonal_instance, monkeypatch, kill
@@ -948,8 +928,7 @@ class TestRenderedViews:
         fp = fingerprint(seasonal_instance)
         retrieved, expected = reopened.retrieve(SCOPE, fp), whole.retrieve(SCOPE, fp)
         assert [r.to_dict() for r in retrieved.rules] == [r.to_dict() for r in expected.rules]
-        assert (retrieved.skills_text, retrieved.tool_notes) == (expected.skills_text, expected.tool_notes)
-        assert "holt" in retrieved.skills_text
+        assert "holt" in retrieved.rules[0].preferred_tools
         assert reopened.snapshot_timeline(SCOPE) == whole.snapshot_timeline(SCOPE)
         last = reopened.snapshot_layers(SCOPE, 2)[f"memory/{SCOPE}.json"]
         assert MemoryState.from_dict(json.loads(last)).content_fingerprint() == (
@@ -992,7 +971,6 @@ class TestRenderedViews:
         fp = fingerprint(seasonal_instance)
         retrieved, expected = reopened.retrieve(SCOPE, fp), whole.retrieve(SCOPE, fp)
         assert [r.to_dict() for r in retrieved.rules] == [r.to_dict() for r in expected.rules]
-        assert (retrieved.skills_text, retrieved.tool_notes) == (expected.skills_text, expected.tool_notes)
         assert reopened.memory_state(SCOPE) == whole.memory_state(SCOPE)
         assert reopened.snapshot_timeline(SCOPE) == whole.snapshot_timeline(SCOPE)
         for rel in (f"snapshots/{SCOPE}.log", f"notes/{SCOPE}.md"):
@@ -1000,7 +978,7 @@ class TestRenderedViews:
         assert _tree(root / "memory") == found
         assert ExperienceStore(root).finalize(SCOPE) == []
 
-    def test_a_store_that_kept_cards_and_skills_renders_views_and_drops_them_from_its_snapshots(
+    def test_a_store_that_kept_cards_and_skills_retrieves_its_memory_and_drops_them_from_its_snapshots(
         self, tmp_path, seasonal_instance
     ):
         # A store as older versions wrote it: a skills file and tool cards
@@ -1027,8 +1005,9 @@ class TestRenderedViews:
         store = ExperienceStore(root)
         digest = store.tree_digest()
         selection, expected = store.retrieve(SCOPE, fp), fresh.retrieve(SCOPE, fp)
-        assert (selection.skills_text, selection.tool_notes) == (expected.skills_text, expected.tool_notes)
-        assert "(stale)" not in selection.skills_text + "".join(selection.tool_notes.values())
+        assert [r.to_dict() for r in selection.rules] == [r.to_dict() for r in expected.rules]
+        prompt = build_inference_prompt(seasonal_instance, fp, selection, DeclaredTools(), soul=store.soul_text())
+        assert "(stale)" not in prompt.system_text + prompt.user_text
         assert store.tree_digest() == digest  # retrieval wrote nothing
         assert store.snapshot_layers(SCOPE, 1) == layers
 
@@ -1040,7 +1019,7 @@ class TestRenderedViews:
         assert store.snapshot_layers(SCOPE, 1) == layers
         assert store.snapshot_layers(SCOPE, 2) == _held_layers(store, SCOPE)
         reopened, expected = ExperienceStore(root).retrieve(SCOPE, fp), fresh.retrieve(SCOPE, fp)
-        assert (reopened.skills_text, reopened.tool_notes) == (expected.skills_text, expected.tool_notes)
+        assert [r.to_dict() for r in reopened.rules] == [r.to_dict() for r in expected.rules]
 
 
 class TestSnapshotLog:
@@ -1058,12 +1037,11 @@ class TestSnapshotLog:
         rebuilt = {seq: store.snapshot_layers(SCOPE, seq) for seq in held}
         assert rebuilt == held
         assert ExperienceStore(tmp_path).snapshot_layers(SCOPE, 2) == held[2]
-        views = {seq: _views(SCOPE, layers) for seq, layers in rebuilt.items()}
+        memories = {seq: _memory(SCOPE, layers) for seq, layers in rebuilt.items()}
         for seq, selection in retrieved.items():
-            cards, skills = views[seq]
-            assert selection.skills_text == skills
-            assert selection.tool_notes == {tool: cards[tool] for tool in selection.tool_notes}
-        assert set(views[3][0]) - set(views[4][0])  # a tool card went away
+            expected = store_module._select(memories[seq], fp)
+            assert [r.to_dict() for r in selection.rules] == [r.to_dict() for r in expected.rules]
+        assert set(_injectable_tools(memories[3])) - set(_injectable_tools(memories[4]))  # a named tool went away
 
     def test_reopened_store_appends_the_same_log_bytes(self, tmp_path):
         _commit_and_distill(ExperienceStore(tmp_path / "whole"), CHURN)

@@ -345,6 +345,52 @@ class TestInvocationContract:
         with pytest.raises(CapabilityError):
             toolkit.invoke(ToolInvocation("spawn_subagent", {}, (ORIGINAL_INPUT,)), store, ctx)
 
+    @pytest.mark.parametrize("mode", ["exploration", "inference"])
+    def test_any_value_of_any_argument_comes_back_as_an_artifact(self, toolkit, mode):
+        """A model may send any JSON value for an argument: each gives an
+        artifact, and the only exception is inference's refusal of a tool
+        that is not substantive."""
+        instance = _series_instance(
+            [1.0, 3.0, 2.0, 4.0, 3.0, 5.0],
+            horizon=2,
+            ground_truth=SealedAnswer([4.0, 6.0]),
+            timestamps=tuple(f"2024-01-{d:02d}" for d in range(1, 7)),
+            text_context=(TextBlock(body="strong growth", date="2024-01-06"),),
+        )
+        ctx = InvocationContext(
+            mode=mode, instance=instance, capability=EvaluatorCapability(), candidates={"b0": [4.0, 6.0]}
+        )
+        valid = {"horizon": 2, "period": 2, "lag": 1, "window": 2}
+        for tool_id in toolkit.exploration_visible():
+            schema = toolkit.descriptor(tool_id).arg_schema
+            base = {name: valid[name] for name, spec in schema.items() if spec.required}
+            for name in schema:
+                for value in (None, True, "x", 1.5, -1, 0, [], {}):
+                    call = (tool_id, {**base, name: value})
+                    if mode == "inference" and tool_id not in toolkit.inference_visible():
+                        with pytest.raises(CapabilityError):
+                            _invoke(toolkit, instance, ctx, *call)
+                        continue
+                    art, _ = _invoke(toolkit, instance, ctx, *call)
+                    assert art.artifact_id, call
+
+    def test_a_null_argument_takes_its_default(self, toolkit):
+        instance = _series_instance([1.0, 5.0, 2.0, 8.0], horizon=3)
+        ctx = InvocationContext(mode="inference", instance=instance)
+        given, _ = _invoke(toolkit, instance, ctx, "holt", {"horizon": 3, "alpha": None, "beta": None})
+        assert given.payload == _invoke(toolkit, instance, ctx, "holt", {"horizon": 3})[0].payload
+        missing, _ = _invoke(toolkit, instance, ctx, "naive", {"horizon": None})
+        assert missing.payload["error"] == "schema_violation"
+
+    def test_value_at_refuses_a_reference_input_that_is_not_a_series(self, toolkit):
+        instance = _series_instance([1.0, 2.0, 3.0], horizon=1)
+        ctx = InvocationContext(mode="inference", instance=instance)
+        stats, store = _invoke(toolkit, instance, ctx, "basic_stats")
+        art, _ = _invoke(
+            toolkit, instance, ctx, "value_at", {"reference": "last"}, inputs=(ORIGINAL_INPUT, stats.artifact_id), store=store
+        )
+        assert art.payload["error"] == "contract"
+
     def test_determinism_byte_identical(self, toolkit):
         instance = _series_instance([1.0, 5.0, 2.0, 8.0], horizon=3)
         ctx = InvocationContext(mode="inference", instance=instance)
