@@ -225,6 +225,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
         "rejected_lines": load.rejects,
         "predictions": len(results),
         "degraded": sum(1 for r in results if r.degraded),
+        "usage": {
+            "tokens": sum(r.tokens_used for r in results),
+            "gateway_calls": sum(r.gateway_calls for r in results),
+        },
         "noexp": noexp,
         "store_untouched": listing_before == listing_after,
         "failed_instances": failed,

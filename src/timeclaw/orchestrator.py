@@ -4,11 +4,14 @@ fallbacks, plus inference-time reuse with exploration tools removed.
 Exploration flow per instance:
 
     1. retrieve prior experience, sample slot-local visible tool subsets
-    2. main exchange: the model spawns candidate branches
+    2. main exchange: the model spawns candidate branches; it is the
+       episode's one main exchange, and it declares only the spawn tool
     3. each branch runs the step loop until it finishes with a task-typed
        answer or hits the step cap
-    4. valid candidates are evaluated against ground truth, and ``compare``
-       scores them and decides the evidence class and the winner
+    4. the engine evaluates every valid candidate's own answer against
+       ground truth, as one evaluate tool call traced on the main branch,
+       and ``compare`` scores them and decides the evidence class and the
+       winner: the metric decides Compare, not the model
     5. the episode ends there: the outcome and the tools it used are handed
        to the experience pipeline
 
@@ -77,7 +80,7 @@ from .util import (
 
 # An exploration episode must yield at least this many valid candidates.
 MIN_VALID_CANDIDATES = 2
-EVALUATE_TOOLS = ("evaluate_against_gt", "evaluate_batch_against_gt")
+EVALUATE_TOOL = "evaluate_batch_against_gt"
 SPAWN_TOOL = "spawn_subagent"
 ANSWER_TOLERANCE = 1e-9
 
@@ -170,8 +173,9 @@ class EpisodeDeps:
 
     @cached_property
     def exploration_tools(self) -> DeclaredTools:
-        """The tools an exploration episode's main exchange declares."""
-        return self._declared(self.toolkit.exploration_visible())
+        """The tools an exploration episode's main exchange declares: the
+        spawn tool, the one request that exchange honours."""
+        return self._declared([SPAWN_TOOL])
 
     def branch_tools(self, visible: frozenset[str]) -> DeclaredTools:
         """The tools a branch whose slot sees ``visible`` declares, by name."""
@@ -482,24 +486,13 @@ class _EpisodeRunner:
         )
         return reply
 
-    def invoke_tool(
-        self,
-        tool: str,
-        args: Mapping[str, Any],
-        inputs: Sequence[str],
-        branch: Optional[int],
-        sent_args: Optional[Mapping[str, Any]] = None,
-    ) -> ToolArtifact:
-        """Run one tool call and trace it. The ``tool_call`` line records
-        ``sent_args``, the arguments as the model sent them, when the tool
-        runs with arguments the orchestrator filled in; replay fills them in
-        again the same way."""
+    def invoke_tool(self, tool: str, args: Mapping[str, Any], inputs: Sequence[str], branch: Optional[int]) -> ToolArtifact:
+        """Run one tool call and trace it."""
         self.call_counter += 1
         call_id = f"c{self.call_counter:03d}"
         call = ToolInvocation(tool_id=tool, args=dict(args), inputs=tuple(inputs))
         encoded = {"call_id": canonical_json(call_id), "tool": canonical_json(tool), "inputs": canonical_json(list(inputs))}
-        recorded = call.args_json if sent_args is None else canonical_json(dict(sent_args))
-        self.trace.event("tool_call", splice_json({**encoded, "args": recorded}), branch=branch)
+        self.trace.event("tool_call", splice_json({**encoded, "args": call.args_json}), branch=branch)
         artifact = self.deps.toolkit.invoke(call, self.artifacts, self.ctx)
         self.trace.event(
             "tool_result",
@@ -588,7 +581,7 @@ def _run_branch(runner: _EpisodeRunner, slot: BranchSlot) -> CandidateExecution:
     )
 
     def reject(tool: str) -> Optional[str]:
-        if tool == SPAWN_TOOL or tool in EVALUATE_TOOLS:
+        if tool in (SPAWN_TOOL, EVALUATE_TOOL):
             return "not_available_in_branch"
         return None if tool in slot.visible_tools else "tool_not_visible"
 
@@ -612,24 +605,6 @@ def _run_branch(runner: _EpisodeRunner, slot: BranchSlot) -> CandidateExecution:
         alternative=slot.alternative,
         failure_reason=failure_reason or (None if verdict.valid else verdict.reason),
     )
-
-
-def _candidate_lines(candidates: Sequence[CandidateExecution]) -> str:
-    lines = ["## Candidates Ready"]
-    for c in candidates:
-        chain = " -> ".join(c.substantive_chain) or "(no tools)"
-        lines.append(f"- branch {c.branch_id}: slot = {c.slot}, valid = {c.valid}, chain = {chain}")
-    lines.append("Evaluate the task-valid candidates before finishing.")
-    return "\n".join(lines)
-
-
-def evaluate_args(tool: str, sent: Mapping[str, Any], answers: Mapping[str, Any]) -> dict[str, Any]:
-    """The arguments an evaluate tool runs with: those the model sent, and,
-    for the batch tool, the valid candidates' answers when it named none."""
-    args = dict(sent)
-    if tool == "evaluate_batch_against_gt":
-        args.setdefault("candidates", answers)
-    return args
 
 
 def run_exploration_episode(
@@ -660,43 +635,29 @@ def run_exploration_episode(
             deps.exploration_tools,
             soul=deps.store.soul_text() if deps.store else "",
         )
-        messages = [bundle.system, ChatMessage(role="user", content=bundle.user_text)]
-
-        def main_exchange() -> Optional[AssistantReply]:
-            exchange = ChatExchange(messages=messages, declared_tools=bundle.declared_tools)
-            try:
-                return runner.complete(exchange, branch=None)
-            except ScriptMissError:
-                raise  # a stale replay script is a test-configuration error
-            except GatewayError:
-                return None
-
+        exchange = ChatExchange(
+            messages=[bundle.system, ChatMessage(role="user", content=bundle.user_text)],
+            declared_tools=bundle.declared_tools,
+        )
         candidates: list[CandidateExecution] = []
-        reply = main_exchange()
+        try:
+            reply: Optional[AssistantReply] = runner.complete(exchange, branch=None)
+        except ScriptMissError:
+            raise  # a stale replay script is a test-configuration error
+        except GatewayError:
+            reply = None
         if reply is not None and any(c.tool == SPAWN_TOOL for c in reply.tool_calls):
-            messages.append(
-                ChatMessage(role="assistant", content=reply.content or "", tool_calls=reply.tool_calls)
-            )
             candidates = [_run_branch(runner, slot) for slot in slots]
 
+        # Compare is metric-supervised: the engine scores each valid
+        # candidate's own answer, and no model reply chooses what is scored
         valid = [c for c in candidates if c.valid]
         answers = {c.branch_id: c.final_answer for c in valid}
         eval_reports: dict[str, Any] = {}
         if valid:
-            messages.append(ChatMessage(role="user", content=_candidate_lines(candidates)))
-            reply = main_exchange()
-            calls = reply.tool_calls if reply is not None else ()
-            eval_call = next((c for c in calls if c.tool in EVALUATE_TOOLS), None)
-            if eval_call is not None:
-                runner.ctx.candidates = answers
-                art = runner.invoke_tool(
-                    eval_call.tool,
-                    evaluate_args(eval_call.tool, eval_call.args, answers),
-                    [ORIGINAL_INPUT],
-                    branch=None,
-                    sent_args=eval_call.args,
-                )
-                eval_reports = _evaluation_reports(art.payload)
+            runner.ctx.candidates = answers
+            art = runner.invoke_tool(EVALUATE_TOOL, {}, [ORIGINAL_INPUT], branch=None)
+            eval_reports = _evaluation_reports(art.payload)
         evidence_class, winner, eval_evidence = compare(valid, eval_reports)
 
         # the contract check reads the records the trace carries, as lint
@@ -754,16 +715,12 @@ def run_exploration_episode(
 
 
 def _evaluation_reports(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """The reports, by branch id, that an evaluate tool's artifact payload
-    holds: its ``reports``, or one report when a ``branch_id`` sits beside a
-    ``quality``. An error artifact holds none. The runtime and lint both read
-    the evaluated branches from here, so they judge an episode alike."""
+    """The reports, by branch id, that the evaluate tool's artifact payload
+    holds as its ``reports``. An error artifact holds none. The runtime and
+    lint both read the evaluated branches from here, so they judge an
+    episode alike."""
     reports = payload.get("reports")
-    if isinstance(reports, Mapping):
-        return dict(reports)
-    if isinstance(payload.get("branch_id"), str) and "quality" in payload:
-        return {payload["branch_id"]: {k: payload[k] for k in ("report", "quality") if k in payload}}
-    return {}
+    return dict(reports) if isinstance(reports, Mapping) else {}
 
 
 def _answers_distinct(a: Any, b: Any) -> bool:
@@ -846,7 +803,7 @@ def enforce_exploration_contract(
     evaluate_calls = {
         e["payload"]["call_id"]
         for e in events
-        if e["kind"] == "tool_call" and e["payload"]["tool"] in EVALUATE_TOOLS
+        if e["kind"] == "tool_call" and e["payload"]["tool"] == EVALUATE_TOOL
     }
     evaluated: set[str] = set()
     for e in events:
@@ -869,6 +826,8 @@ class InferenceResult:
     execution_context: str
     degraded: bool
     trace_path: str
+    tokens_used: int
+    gateway_calls: int
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -951,4 +910,6 @@ def run_inference(
         execution_context="\n".join(context_lines),
         degraded=degraded,
         trace_path=str(runner.trace.path),
+        tokens_used=runner.tokens_used,
+        gateway_calls=runner.gateway_calls,
     )

@@ -2,10 +2,10 @@
 
 These implement the agent side of the conversation as a pure function of the
 rendered prompt text, so whole runs are reproducible and recordable into
-digest-keyed replay scripts. The exploration policy spawns branches, drives
-each branch through its hinted tool and requests the post-hoc comparison,
-which ends the episode; the inference policy follows injected memory when
-present and falls back to the simplest valid path otherwise.
+digest-keyed replay scripts. The exploration policy spawns branches and
+drives each branch through its hinted tool (the engine then evaluates the
+candidates); the inference policy follows injected memory when present and
+falls back to the simplest valid path otherwise.
 """
 
 from __future__ import annotations
@@ -18,13 +18,6 @@ from .gateway import AssistantReply, ChatExchange, ChatMessage, PolicyGateway, T
 from .util import json_dumps
 
 FORECAST_TOOLS = ("naive", "drift", "seasonal_naive", "ses", "holt", "moving_average")
-
-
-def _last_user(exchange: ChatExchange) -> str:
-    for m in reversed(exchange.messages):
-        if m.role == "user":
-            return m.content
-    return ""
 
 
 def _first_user(exchange: ChatExchange) -> str:
@@ -177,11 +170,8 @@ def _branch_reply(exchange: ChatExchange) -> AssistantReply:
 
 
 def exploration_policy(exchange: ChatExchange) -> AssistantReply:
-    last_user = _last_user(exchange)
     if "### Branch Goal" in _first_user(exchange):
         return _branch_reply(exchange)
-    if "## Candidates Ready" in last_user:
-        return _tool_reply("evaluate_batch_against_gt", {})
     slots = len(re.findall(r"^- slot \d+ ", _first_user(exchange), flags=re.MULTILINE))
     return _tool_reply("spawn_subagent", {"n_tasks": max(2, slots)})
 

@@ -376,9 +376,10 @@ def build_exploration_prompt(
     declared_tools: DeclaredTools,
     soul: str = "",
 ) -> PromptBundle:
-    """Main-agent exploration context: spawn/evaluate guidance and slot
-    hints; the episode ends once the candidates are evaluated. With prior
-    rules, it also asks for a prior-guided and an alternative candidate."""
+    """Main-agent exploration context: spawn guidance and slot hints. The
+    main agent's one move is to spawn the branches; the engine evaluates
+    their answers. With prior rules, it also asks for a prior-guided and an
+    alternative candidate."""
     rules = getattr(selection, "rules", ())
     objective = _objective_section(
         instance,
@@ -393,10 +394,6 @@ def build_exploration_prompt(
         "### Spawn Guidance",
         "- Prefer spawn_subagent to explore multiple candidate branches for comparison.",
         f"- The first spawn round must create at least {max(2, len(slots))} distinct candidate branches.",
-        "### Evaluate Guidance",
-        "- evaluate_* tools are for post-hoc validation, not for solving the task itself.",
-        "- Evaluate at least one task-valid candidate before finishing.",
-        "- Compare at least 2 candidate paths before finishing when possible.",
     ]
     if rules:
         decision_lines.append("### Prior Requirement")
@@ -465,7 +462,7 @@ def build_inference_prompt(
     for r in getattr(selection, "rules", ()):
         if not r.injectable:
             raise ContractError(f"rule {r.rule_id} is not injectable and cannot be rendered")
-    forbidden = {"spawn_subagent", "evaluate_against_gt", "evaluate_batch_against_gt"}
+    forbidden = {"spawn_subagent", "evaluate_batch_against_gt"}
     if forbidden.intersection(declared_tools.names):
         raise ContractError("exploration-only tools cannot be declared at inference")
     objective = _objective_section(

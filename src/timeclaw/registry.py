@@ -165,9 +165,6 @@ class ToolRegistry:
         and orchestration categories are removed."""
         return sorted(t for t, d in self._tools.items() if d.substantive)
 
-    def exploration_visible(self) -> list[str]:
-        return sorted(self._tools)
-
     def competing_sets(self, scope: str) -> dict[str, list[str]]:
         """Non-protected substantive tools grouped by category; tools only
         compete against tools of their own category."""

@@ -19,13 +19,11 @@ from . import __version__
 from .core import EvaluatorCapability, TaskInstance, validate_answer
 from .errors import ReplayError
 from .orchestrator import (
-    EVALUATE_TOOLS,
     SPAWN_TOOL,
     ContractVerdict,
     TraceBlock,
     candidate_answers,
     enforce_exploration_contract,
-    evaluate_args,
     read_trace,
 )
 from .toolkit import ArtifactStore, InvocationContext, ToolArtifact, Toolkit, ToolInvocation, builtin_toolkit
@@ -97,7 +95,7 @@ def _replay_block(block: TraceBlock, samples: Mapping[str, TaskInstance], toolki
     sample = _block_sample(header, samples)
     ctx = InvocationContext(mode=mode, instance=sample)
     if mode == "exploration":
-        # the evaluate call runs as the orchestrator ran it: with the valid
+        # the evaluate call runs as the engine ran it: over the valid
         # candidates' answers, rebuilt from their branches' final messages
         ctx.capability = EvaluatorCapability()
         ctx.candidates = candidate_answers(header["episode"], events)
@@ -126,11 +124,8 @@ def _replay_block(block: TraceBlock, samples: Mapping[str, TaskInstance], toolki
             )
             continue
         result_index, recorded = results_by_call[payload["call_id"]]
-        args = payload["args"]
-        if tool in EVALUATE_TOOLS and ctx.candidates is not None:
-            args = evaluate_args(tool, args, ctx.candidates)
         produced = toolkit.invoke(
-            ToolInvocation(tool_id=tool, args=dict(args), inputs=tuple(payload["inputs"])),
+            ToolInvocation(tool_id=tool, args=dict(payload["args"]), inputs=tuple(payload["inputs"])),
             artifacts,
             ctx,
         )

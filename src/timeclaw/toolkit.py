@@ -429,17 +429,12 @@ def _an_window_stats(args, inputs, ctx):
     return ArtifactKind.METRIC_REPORT, payload
 
 
-def _select(values: Sequence[float], which: Any) -> tuple[float, int]:
+def _select(values: Sequence[float], which: str) -> tuple[float, int]:
     if which == "first":
         return values[0], 0
     if which == "last":
         return values[-1], len(values) - 1
-    if isinstance(which, int):
-        if not -len(values) <= which < len(values):
-            raise ToolError("out_of_range", f"index {which} out of bounds")
-        idx = which % len(values)
-        return values[idx], idx
-    raise ToolError("schema_violation", "which must be 'first', 'last', or an integer index")
+    raise ToolError("schema_violation", f"selector {which!r} is neither 'first' nor 'last'")
 
 
 def _an_value_at(args, inputs, ctx):
@@ -550,29 +545,15 @@ def _evaluate_answer(answer: Any, instance: TaskInstance, capability: EvaluatorC
     return {"report": report.to_dict(), "quality": -loss}
 
 
-def _ev_against_gt(args, inputs, ctx):
-    capability = _require_evaluator(ctx)
-    if "answer" in args:
-        answer = args["answer"]
-        branch_id = args.get("branch_id", "direct")
-    else:
-        branch_id = args.get("branch_id")
-        if ctx.candidates is None or branch_id not in ctx.candidates:
-            raise ToolError("contract", f"no candidate answer for branch {branch_id!r}")
-        answer = ctx.candidates[branch_id]
-    result = _evaluate_answer(answer, ctx.instance, capability)
-    payload = {"branch_id": branch_id, **result}
-    return ArtifactKind.METRIC_REPORT, payload
-
-
 def _ev_batch_against_gt(args, inputs, ctx):
+    """Score each of the episode's candidates, the answers the engine put in
+    ``ctx.candidates``: a call names no answer of its own to score."""
     capability = _require_evaluator(ctx)
-    candidates = args.get("candidates") or ctx.candidates
-    if not candidates:
+    if not ctx.candidates:
         raise ToolError("contract", "no candidates supplied for batch evaluation")
     reports = {
         branch_id: _evaluate_answer(answer, ctx.instance, capability)
-        for branch_id, answer in sorted(candidates.items())
+        for branch_id, answer in sorted(ctx.candidates.items())
     }
     return ArtifactKind.METRIC_REPORT, {"reports": reports}
 
@@ -698,20 +679,9 @@ def builtin_toolkit() -> Toolkit:
     )
     tk.register(
         _d(
-            "evaluate_against_gt",
-            ToolCategory.EXPLORATION_ONLY,
-            "score one candidate answer against the sealed ground truth",
-            branch_id=ArgSpec("string"),
-            answer=ArgSpec("any"),
-        ),
-        _ev_against_gt,
-    )
-    tk.register(
-        _d(
             "evaluate_batch_against_gt",
             ToolCategory.EXPLORATION_ONLY,
             "score every pending candidate against the sealed ground truth",
-            candidates=ArgSpec("object"),
         ),
         _ev_batch_against_gt,
     )

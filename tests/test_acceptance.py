@@ -200,15 +200,10 @@ def _fixture_instance():
 def _fixture_policy(branch_answers):
     def fn(exchange):
         first_user = next(m.content for m in exchange.messages if m.role == "user")
-        last_user = [m.content for m in exchange.messages if m.role == "user"][-1]
         if "### Branch Goal" in first_user:
             slot = int(first_user.split("- slot = ")[1].split("\n")[0])
             return AssistantReply(
                 content=json.dumps({"answer_type": "forecast", "answer": branch_answers[slot]})
-            )
-        if "## Candidates Ready" in last_user:
-            return AssistantReply(
-                content="", tool_calls=(ToolCallRequest(tool="evaluate_batch_against_gt", args={}),)
             )
         return AssistantReply(
             content="", tool_calls=(ToolCallRequest(tool="spawn_subagent", args={"n_tasks": 2}),)

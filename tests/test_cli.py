@@ -503,6 +503,22 @@ class TestInfer:
         assert summary["store_untouched"] is True
         assert summary["noexp"] is False
 
+    def test_the_summary_counts_the_gateway_calls_and_tokens_of_its_traces(self, corpus_dir, tmp_path):
+        store = tmp_path / "store"
+        self._explore(corpus_dir, store)
+        out = tmp_path / "infer" / "preds.jsonl"
+        assert main(["infer", "--corpus", str(corpus_dir / "eval.jsonl"), "--store", str(store), "--out", str(out)]) == 0
+        responses = [
+            e["payload"]
+            for log in sorted((out.parent / "traces_infer").glob("*.jsonl"))
+            for block in read_trace(log)
+            for e in block.events
+            if e["kind"] == "gateway_response"
+        ]
+        usage = json.loads((out.parent / "infer_summary.json").read_text(encoding="utf-8"))["usage"]
+        assert usage == {"gateway_calls": len(responses), "tokens": sum(sum(r["usage"].values()) for r in responses)}
+        assert usage["gateway_calls"] >= 5 and usage["tokens"] > 0
+
     def test_empty_store_directory_stays_empty(self, corpus_dir, tmp_path):
         store = tmp_path / "store"
         store.mkdir()
@@ -1151,6 +1167,37 @@ class TestReplayCommand:
         old_log.write_text("".join(canonical_json(r) + "\n" for r in old), encoding="utf-8")
         assert len(old) == len(lines) + 2 * sum(1 for r in lines if "version" in r)
         assert main(["lint", "--trace", str(old_log)]) == 0
+
+    def test_a_0_8_0_trace_lints_but_does_not_replay(self, corpus_dir, tmp_path, capsys):
+        """0.8.0 asked the main agent, in a second main exchange, to request
+        the evaluation that the engine now runs itself: an old store's
+        traces lint clean, and replay refuses them by version."""
+        learning = corpus_dir / "learning.jsonl"
+        assert main(["explore", "--corpus", str(learning), "--store", str(tmp_path / "store")]) == 0
+        [log] = sorted((tmp_path / "store" / "traces").glob("*.jsonl"))
+        lines = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        # each block as 0.8.0 wrote it: the exchange whose reply requested the
+        # evaluate call just before that call
+        old = []
+        for r in lines:
+            if "version" in r:
+                r = {**r, "version": "0.8.0"}
+            elif r["kind"] == "tool_call" and r["branch"] is None:
+                request = {"args": r["payload"]["args"], "tool": r["payload"]["tool"]}
+                old += [
+                    {"branch": None, "kind": "gateway_request", "payload": {"digest": "0" * 16}},
+                    {"branch": None, "kind": "gateway_response",
+                     "payload": {"reply": {"content": "", "tool_calls": [request]}, "usage": {}}},
+                ]
+            old.append(r)
+        old_log = tmp_path / "old.jsonl"
+        old_log.write_text("".join(canonical_json(r) + "\n" for r in old), encoding="utf-8")
+        assert len(old) == len(lines) + 2 * sum(1 for r in lines if "version" in r)
+        assert main(["lint", "--trace", str(old_log)]) == 0
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(old_log), "--corpus", str(learning)]) == 2
+        [error] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert "'0.8.0'" in error and repr(__version__) in error
 
     def test_a_repeated_id_is_a_rejected_line_so_replay_runs_clean(self, corpus_dir, tmp_path):
         """A line that repeats line 1's id with another series is rejected,

@@ -20,6 +20,8 @@ from timeclaw.gateway import (
     AssistantReply, DeclaredTools, Gateway, PolicyGateway, RemoteGateway, ScriptedGateway, ToolCallRequest,
 )
 from timeclaw.orchestrator import (
+    EVALUATE_TOOL,
+    SPAWN_TOOL,
     BranchSlot,
     EpisodeDeps,
     ExplorationConfig,
@@ -37,7 +39,7 @@ from timeclaw.policy import exploration_policy, inference_policy, policy_gateway
 from timeclaw.registry import ArgSpec, ToolCategory, ToolDescriptor, ToolRegistry
 from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore, LearningNote
-from timeclaw.toolkit import ORIGINAL_INPUT, ArtifactKind, builtin_toolkit
+from timeclaw.toolkit import ORIGINAL_INPUT, ArtifactKind, ToolError, builtin_toolkit
 from timeclaw.util import canonical_json, digest_text, json_dumps
 
 
@@ -65,16 +67,14 @@ def _deps(tmp_path, gateway, with_store=True):
     )
 
 
-def _scripted_branch_policy(branch_answers, evaluate=True, eval_args=None):
+def _scripted_branch_policy(branch_answers):
     """Build a deterministic policy that forces specific branch behavior.
 
     branch_answers: slot -> (tool or None, final answer payload)
-    eval_args: the arguments of the main agent's evaluate_batch_against_gt call
     """
 
     def fn(exchange):
         first_user = next(m.content for m in exchange.messages if m.role == "user")
-        last_user = [m.content for m in exchange.messages if m.role == "user"][-1]
         if "### Branch Goal" in first_user:
             slot = int(first_user.split("- slot = ")[1].split("\n")[0])
             tool, answer = branch_answers[slot]
@@ -87,18 +87,30 @@ def _scripted_branch_policy(branch_answers, evaluate=True, eval_args=None):
             return AssistantReply(
                 content=json.dumps({"answer_type": "forecast", "answer": answer})
             )
-        if "## Candidates Ready" in last_user:
-            if evaluate:
-                return AssistantReply(
-                    content="",
-                    tool_calls=(ToolCallRequest(tool="evaluate_batch_against_gt", args=eval_args or {}),),
-                )
-            return AssistantReply(content="skipping evaluation")
         return AssistantReply(
             content="", tool_calls=(ToolCallRequest(tool="spawn_subagent", args={"n_tasks": 2}),)
         )
 
     return PolicyGateway(fn)
+
+
+def _failing_evaluator(monkeypatch, toolkit):
+    """Make the toolkit's evaluate tool return an error artifact."""
+
+    def fail(args, inputs, ctx):
+        raise ToolError("contract", "the evaluator is down")
+
+    monkeypatch.setitem(toolkit._fns, EVALUATE_TOOL, fail)
+
+
+def _edited_trace(path, tmp_path, edit):
+    """A copy of a one-block trace log with ``edit(event)`` applied to each
+    event: it returns the event to keep, or None to drop it."""
+    header, *events = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    kept = [e for e in (edit(e) for e in events) if e is not None]
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(canonical_json(r) + "\n" for r in [header, *kept]), encoding="utf-8")
+    return edited
 
 
 class TestEpisodeOutcomes:
@@ -112,6 +124,28 @@ class TestEpisodeOutcomes:
         q = {c.branch_id: c.quality for c in outcome.candidates}
         assert q[f"{inst.id}#b0"] == pytest.approx(-1.0)
         assert q[f"{inst.id}#b1"] == pytest.approx(-2.0)
+
+    def test_a_main_agent_cannot_score_answers_in_place_of_the_branches(self, tmp_path):
+        # a main agent that, asked to request the evaluation, would send a
+        # swapped map, with branch 1's answer (50 against a truth of 13)
+        # under branch 0's id: the engine asks it nothing and scores each
+        # branch's own answer, so branch 0 wins
+        inst = _instance(gt=[13.0, 13.0, 13.0])
+        branches = _scripted_branch_policy({0: (None, [14.0] * 3), 1: (None, [50.0] * 3)})
+        swapped = {f"{inst.id}#b0": [50.0] * 3, f"{inst.id}#b1": [14.0] * 3}
+
+        def spoofing(exchange):
+            if "## Candidates Ready" in exchange.messages[-1].content:
+                call = ToolCallRequest(tool="evaluate_batch_against_gt", args={"candidates": swapped})
+                return AssistantReply(content="", tool_calls=(call,))
+            return branches.complete(exchange)
+
+        outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), _deps(tmp_path, PolicyGateway(spoofing)))
+        assert outcome.winner == f"{inst.id}#b0"
+        q = {c.branch_id: c.quality for c in outcome.candidates}
+        assert q == {f"{inst.id}#b0": pytest.approx(-1.0), f"{inst.id}#b1": pytest.approx(-37.0)}
+        [report] = lint(outcome.trace_path)
+        assert report.clean
 
     def test_single_valid_candidate_is_single_execution(self, tmp_path):
         inst = _instance(gt=[13.0, 13.0, 13.0])
@@ -129,16 +163,20 @@ class TestEpisodeOutcomes:
         assert not outcome.eval_evidence
 
     @pytest.mark.parametrize(
-        "branches, evaluate, tools",
+        "branches, evaluator_fails, tools",
         [
-            ({0: (None, "bad"), 1: (None, "also bad")}, True, {}),
-            ({0: ("naive", [13.0] * 3), 1: ("drift", [14.0] * 3)}, False, {"naive": 1, "drift": 1}),
+            ({0: (None, "bad"), 1: (None, "also bad")}, False, {}),
+            ({0: ("naive", [13.0] * 3), 1: ("drift", [14.0] * 3)}, True, {"naive": 1, "drift": 1}),
         ],
         ids=["failure", "unevaluated"],
     )
-    def test_an_episode_without_eval_evidence_commits_a_note_never_distilled(self, tmp_path, branches, evaluate, tools):
+    def test_an_episode_without_eval_evidence_commits_a_note_never_distilled(
+        self, tmp_path, monkeypatch, branches, evaluator_fails, tools
+    ):
         inst = _instance(gt=[13.0, 13.0, 13.0])
-        deps = _deps(tmp_path, _scripted_branch_policy(branches, evaluate=evaluate))
+        deps = _deps(tmp_path, _scripted_branch_policy(branches))
+        if evaluator_fails:
+            _failing_evaluator(monkeypatch, deps.toolkit)
         assert not run_exploration_episode(inst, ExplorationConfig(seed=3), deps).eval_evidence
         [note] = deps.store.notes(inst.scope)
         assert not note.eval_evidence and sorted(note.tools) == sorted(tools)
@@ -368,7 +406,7 @@ class TestBranchLoop:
         [
             ([("naive", {"horizon": 3}), ("naive", {"horizon": 3}), ("drift", {"horizon": 3})], {"naive": 4, "drift": 2}),
             ([("naive", {"horizon": 3, "_inputs": 5}), ("drift", {"horizon": "x"})], {}),
-            ([("not_a_tool", {}), ("spawn_subagent", {}), ("evaluate_against_gt", {})], {}),
+            ([("not_a_tool", {}), ("spawn_subagent", {}), ("evaluate_batch_against_gt", {})], {}),
             ([], {}),
         ],
         ids=["repeats", "errors", "rejected", "none"],
@@ -437,12 +475,28 @@ class TestContractVerdicts:
         verdict = self._run_and_lint(tmp_path, gw)
         assert verdict.violations == ("no_distinct_pair",)
 
+    def _compliant_trace(self, tmp_path):
+        gw = _scripted_branch_policy({0: (None, [14.0] * 3), 1: ("naive", [15.0] * 3)})
+        outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=3), _deps(tmp_path, gw))
+        [report] = lint(outcome.trace_path)
+        assert report.clean
+        return outcome.trace_path
+
     def test_skipped_evaluation_flags_no_comparison(self, tmp_path):
-        gw = _scripted_branch_policy(
-            {0: (None, [14.0] * 3), 1: ("naive", [15.0] * 3)}, evaluate=False
+        # a trace whose evaluate call and result are cut out
+        path = self._compliant_trace(tmp_path)
+        [evaluate] = [
+            e["payload"]["call_id"]
+            for block in read_trace(path)
+            for e in block.events
+            if e["kind"] == "tool_call" and e["payload"]["tool"] == EVALUATE_TOOL
+        ]
+        edited = _edited_trace(
+            path, tmp_path,
+            lambda e: None if e["kind"] in ("tool_call", "tool_result") and e["payload"]["call_id"] == evaluate else e,
         )
-        verdict = self._run_and_lint(tmp_path, gw)
-        assert "no_comparison" in verdict.violations
+        [report] = lint(edited)
+        assert report.contract.violations == ("no_comparison",)
 
     def test_answers_differing_within_tolerance_are_not_distinct(self, tmp_path):
         gw = _scripted_branch_policy(
@@ -451,15 +505,14 @@ class TestContractVerdicts:
         verdict = self._run_and_lint(tmp_path, gw)
         assert "no_distinct_pair" in verdict.violations
 
-    def test_an_evaluation_that_failed_is_no_comparison_at_runtime_and_under_lint(self, tmp_path):
-        # the call names both branches, but one answer does not score, so the
-        # toolkit returns an error artifact and no branch was evaluated
-        inst = _instance(gt=[13.0, 13.0, 13.0])
-        candidates = {f"{inst.id}#b0": [14.0] * 3, f"{inst.id}#b1": "garbage"}
-        gw = _scripted_branch_policy(
-            {0: (None, [14.0] * 3), 1: ("naive", [15.0] * 3)}, eval_args={"candidates": candidates}
-        )
-        outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), _deps(tmp_path, gw))
+    def test_an_evaluation_that_failed_is_no_comparison_at_runtime_and_under_lint(self, tmp_path, monkeypatch):
+        # the evaluate tool returns an error artifact, so no branch was
+        # evaluated: the runtime verdict says so, and lint agrees
+        gw = _scripted_branch_policy({0: (None, [14.0] * 3), 1: ("naive", [15.0] * 3)})
+        deps = _deps(tmp_path / "run", gw)
+        _failing_evaluator(monkeypatch, deps.toolkit)
+        outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=3), deps)
+        assert not outcome.eval_evidence
         [block] = read_trace(outcome.trace_path)
         [runtime] = [e["payload"] for e in block.events if e["kind"] == "verdict" and e["payload"]["type"] == "contract"]
         linted = enforce_exploration_contract(block.header, block.events)
@@ -467,6 +520,17 @@ class TestContractVerdicts:
         assert (linted.satisfied, list(linted.violations)) == (runtime["satisfied"], runtime["violations"])
         [report] = lint(outcome.trace_path)
         assert report.contract == linted
+
+        # a compliant trace whose evaluate artifact is edited into an error
+        error = {"artifact_id": "0" * 12, "kind": "text", "payload": {"error": "contract", "message": "down"}}
+
+        def failed(e):
+            if e["kind"] == "tool_result" and e["branch"] is None:
+                return {**e, "payload": {**e["payload"], "artifact": error}}
+            return e
+
+        [report] = lint(_edited_trace(self._compliant_trace(tmp_path / "compliant"), tmp_path, failed))
+        assert report.contract.violations == ("no_comparison",)
 
 
 class TestBranchSlots:
@@ -633,7 +697,7 @@ class TestInference:
             if calls["n"] == 1:
                 return AssistantReply(
                     content="",
-                    tool_calls=(ToolCallRequest(tool="evaluate_against_gt", args={}),),
+                    tool_calls=(ToolCallRequest(tool="evaluate_batch_against_gt", args={}),),
                 )
             feedback.append(exchange.messages[-1].content)
             return AssistantReply(
@@ -645,7 +709,7 @@ class TestInference:
         [block] = read_trace(result.trace_path)
         tool_events = [e for e in block.events if e["kind"] == "tool_call"]
         assert tool_events == []  # the forbidden request never became a tool event
-        assert feedback == ['{"error":"tool_not_available","tool":"evaluate_against_gt"}']
+        assert feedback == ['{"error":"tool_not_available","tool":"evaluate_batch_against_gt"}']
         assert result.prediction == [1.0, 1.0, 1.0]
 
 
@@ -678,14 +742,26 @@ class TestRemoteReplies:
 class TestToolExposure:
     def test_exploration_minus_inference_is_exactly_the_special_categories(self, tmp_path):
         toolkit = builtin_toolkit()
-        exploration = set(toolkit.exploration_visible())
+        registered = set(toolkit._tools)
         inference = set(toolkit.inference_visible())
         special = {
             t
-            for t in exploration
+            for t in registered
             if toolkit.descriptor(t).category.value in ("exploration_only", "orchestration")
         }
-        assert exploration - inference == special
+        assert registered - inference == special == {SPAWN_TOOL, EVALUATE_TOOL}
+
+    def test_an_episode_makes_one_main_exchange_which_declares_only_spawn(self, tmp_path):
+        deps = _deps(tmp_path, policy_gateway("exploration"))
+        outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=3), deps)
+        [block] = read_trace(outcome.trace_path)
+        main = [e for e in block.events if e["branch"] is None and e["kind"].startswith(("gateway", "tool"))]
+        assert [e["kind"] for e in main] == ["gateway_request", "gateway_response", "tool_call", "tool_result"]
+        assert main[0]["payload"]["tools"] == [SPAWN_TOOL]
+        assert (main[2]["payload"]["tool"], main[2]["payload"]["args"]) == (EVALUATE_TOOL, {})
+        assert outcome.gateway_calls == 1 + sum(
+            1 for e in block.events if e["kind"] == "gateway_request" and e["branch"] is not None
+        )
 
     def test_inference_trace_never_contains_ground_truth(self, tmp_path):
         gt = [13.577, 14.211, 15.903]
@@ -1053,13 +1129,13 @@ class TestEncodeAndRenderOnce:
 
     def test_a_reply_that_states_the_truth_leaves_it_in_no_note_or_snapshot(self, tmp_path):
         # a note holds what the comparison measured and no model text: the
-        # text beside the evaluate request is kept only in the episode's trace
+        # text beside the spawn request is kept only in the episode's trace
         truth = [13.0, 13.5, 12.0]
         renderings = {json.dumps(truth), canonical_json(truth), json_dumps(truth)}
 
         def quoting(exchange):
             reply = exploration_policy(exchange)
-            if "## Candidates Ready" in exchange.messages[-1].content:
+            if reply.tool_calls and reply.tool_calls[0].tool == SPAWN_TOOL:
                 text = f"the truth was {json.dumps(truth)}, not {canonical_json(truth)}"
                 return AssistantReply(content=text, tool_calls=reply.tool_calls)
             return reply
@@ -1083,7 +1159,7 @@ class TestEncodeAndRenderOnce:
         def saying(text):
             def policy(exchange):
                 reply = exploration_policy(exchange)
-                if "## Candidates Ready" in exchange.messages[-1].content:
+                if reply.tool_calls and reply.tool_calls[0].tool == SPAWN_TOOL:
                     return AssistantReply(content=text, tool_calls=reply.tool_calls)
                 return reply
             return policy

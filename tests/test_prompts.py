@@ -141,16 +141,7 @@ def render_frames() -> dict[str, str]:
         _golden_fp(),
         _Selection([_rule()]),
         _slots(),
-        DeclaredTools(
-            {"name": n, "description": d}
-            for n, d in [
-                ("naive", "repeat last"),
-                ("drift", "slope"),
-                ("seasonal_naive", "period repeat"),
-                ("spawn_subagent", "spawn"),
-                ("evaluate_against_gt", "score"),
-            ]
-        ),
+        DeclaredTools([{"name": "spawn_subagent", "description": "spawn"}]),
         soul="# Soul\nBe careful.",
     )
     slot = _slots()[0]
@@ -240,17 +231,16 @@ class TestExplorationBundle:
         sys_text = bundle.system_text
         assert sys_text.index("r0002") < sys_text.index("r0005") < sys_text.index("r0009")
 
-    def test_exploration_declares_spawn_and_evaluate(self):
-        names = ["spawn_subagent", "evaluate_against_gt", "naive"]
+    def test_exploration_declares_spawn_and_asks_for_no_evaluation(self):
         bundle = prompts.build_exploration_prompt(
             _golden_instance(),
             _golden_fp(),
             None,
             _slots(),
-            DeclaredTools({"name": n, "description": ""} for n in names),
+            DeclaredTools([{"name": "spawn_subagent", "description": ""}]),
         )
-        assert "spawn_subagent" in bundle.declared_tools.names
-        assert "evaluate_against_gt" in bundle.declared_tools.names
+        assert bundle.declared_tools.names == ("spawn_subagent",)
+        assert "evaluat" not in bundle.user_text.lower()
 
 
 class TestInferenceBundle:
@@ -277,7 +267,7 @@ class TestInferenceBundle:
                 _golden_instance(),
                 _golden_fp(),
                 None,
-                DeclaredTools([{"name": "evaluate_against_gt", "description": ""}]),
+                DeclaredTools([{"name": "evaluate_batch_against_gt", "description": ""}]),
             )
         with pytest.raises(ContractError):
             prompts.build_inference_prompt(

@@ -224,7 +224,7 @@ def _reference_subset(reg, counts, scope, slot, seed, alpha, extra_protected):
     """The dropout draw as it was written before its set-up was kept per
     scope: protected set and competing sets worked out again for every slot."""
     rng = stable_rng("visible", seed, scope, slot)
-    descriptors = {t: reg.descriptor(t) for t in reg.exploration_visible()}
+    descriptors = dict(reg._tools)
     protected = {
         t for t, d in descriptors.items() if d.substantive and (d.protected_for(scope) or t in set(extra_protected))
     }

@@ -109,54 +109,48 @@ class TestReplay:
             replay(target, [_instance()])
 
 
-def _evaluate_by(tool, args, values=(13.0, 12.0)):
+def _answering(values=(13.0, 12.0)):
     """A policy that spawns two branches, which call no tool and forecast
-    ``values[slot]`` three times, then calls ``tool`` with ``args`` once the
-    candidates are ready."""
+    ``values[slot]`` three times."""
     from timeclaw.gateway import AssistantReply, PolicyGateway, ToolCallRequest
 
     def fn(exchange):
         first_user = next(m.content for m in exchange.messages if m.role == "user")
-        last_user = [m.content for m in exchange.messages if m.role == "user"][-1]
         if "### Branch Goal" in first_user:
             value = values[0] if "- slot = 0" in first_user else values[1]
             return AssistantReply(content=json.dumps({"answer_type": "forecast", "answer": [value] * 3}))
-        if "## Candidates Ready" in last_user:
-            return AssistantReply(content="", tool_calls=(ToolCallRequest(tool=tool, args=args),))
         return AssistantReply(content="", tool_calls=(ToolCallRequest(tool="spawn_subagent", args={"n_tasks": 2}),))
 
     return PolicyGateway(fn)
 
 
 class TestEvaluateCall:
-    """The evaluate call's ``tool_call`` line records the arguments the model
-    sent; the tool ran, and replay runs it again, with the valid candidates'
-    answers filled in from the branches' final messages."""
+    """The engine's evaluate call names no answer: its ``tool_call`` line
+    records empty arguments, the tool scores the valid candidates' answers,
+    and replay scores them again, rebuilt from the branches' final
+    messages."""
 
-    @pytest.mark.parametrize(
-        "tool, args",
-        [
-            ("evaluate_batch_against_gt", {}),
-            ("evaluate_against_gt", {"branch_id": "rp1#b0"}),
-            ("evaluate_against_gt", {"branch_id": "rp1#b1"}),
-        ],
-    )
-    def test_replays_divergence_free_from_the_recorded_arguments(self, tmp_path, tool, args):
-        toolkit = builtin_toolkit()
-        deps = EpisodeDeps(
-            toolkit=toolkit,
-            gateway=_evaluate_by(tool, args),
-            trace_dir=tmp_path / "traces",
-        )
+    def test_replays_divergence_free_from_the_branches_answers(self, tmp_path):
+        deps = EpisodeDeps(toolkit=builtin_toolkit(), gateway=_answering(), trace_dir=tmp_path / "traces")
         outcome = run_exploration_episode(_instance(), ExplorationConfig(seed=4), deps)
         [block] = read_trace(outcome.trace_path)
-        [call] = [e["payload"] for e in block.events if e["kind"] == "tool_call" and e["payload"]["tool"] == tool]
-        [result] = [e["payload"]["artifact"] for e in block.events
-                    if e["kind"] == "tool_result" and e["payload"]["call_id"] == call["call_id"]]
-        assert call["args"] == args
-        assert result["kind"] == "metric_report"  # the tool ran with the candidates
+        [call] = [e for e in block.events if e["kind"] == "tool_call"]
+        [result] = [e["payload"]["artifact"] for e in block.events if e["kind"] == "tool_result"]
+        assert (call["branch"], call["payload"]["tool"], call["payload"]["args"]) == (None, "evaluate_batch_against_gt", {})
+        assert sorted(result["payload"]["reports"]) == ["rp1#b0", "rp1#b1"]
         [report] = replay(outcome.trace_path, [_instance()])
         assert report.clean, report.to_dict()
+
+    def test_a_call_edited_to_name_its_own_answers_diverges(self, tmp_path):
+        deps = EpisodeDeps(toolkit=builtin_toolkit(), gateway=_answering(), trace_dir=tmp_path / "traces")
+        path = Path(run_exploration_episode(_instance(), ExplorationConfig(seed=4), deps).trace_path)
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for line in lines:
+            if line.get("kind") == "tool_call":
+                line["payload"]["args"] = {"candidates": {"rp1#b0": [12.0] * 3, "rp1#b1": [13.0] * 3}}
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        [report] = replay(path, [_instance()])
+        assert [d.kind for d in report.divergences] == ["artifact_mismatch"]
 
 
 class TestLint:
@@ -172,7 +166,7 @@ class TestLint:
         toolkit = builtin_toolkit()
         deps = EpisodeDeps(
             toolkit=toolkit,
-            gateway=_evaluate_by("evaluate_batch_against_gt", {}, values),
+            gateway=_answering(values),
             trace_dir=tmp_path / "traces",
         )
         outcome = run_exploration_episode(_instance(), ExplorationConfig(seed=4), deps)

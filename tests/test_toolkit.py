@@ -258,55 +258,61 @@ class TestTextTools:
         assert art.payload["n"] == 0
 
 
+def _evaluate(toolkit, instance, ctx, answer):
+    """The one report the evaluate tool gives for a sole candidate ``answer``."""
+    ctx.candidates = {"b0": answer}
+    art, _ = _invoke(toolkit, instance, ctx, "evaluate_batch_against_gt")
+    return art.payload["reports"]["b0"]
+
+
 class TestEvaluators:
     def test_perfect_forecast_zero_errors(self, toolkit, exploration_ctx):
         instance, ctx = exploration_ctx
-        art, _ = _invoke(
-            toolkit, instance, ctx, "evaluate_against_gt", {"answer": [4.0, 4.0]}
-        )
-        assert art.payload["report"]["mae"] == 0.0
-        assert art.payload["quality"] == 0.0
+        report = _evaluate(toolkit, instance, ctx, [4.0, 4.0])
+        assert report["report"]["mae"] == 0.0
+        assert report["quality"] == 0.0
 
     def test_hand_computed_errors(self, toolkit):
         instance = _series_instance(
             [0.0, 1.0], horizon=2, ground_truth=SealedAnswer([1.0, 1.0])
         )
         ctx = InvocationContext(mode="exploration", instance=instance, capability=EvaluatorCapability())
-        art, _ = _invoke(toolkit, instance, ctx, "evaluate_against_gt", {"answer": [0.0, 2.0]})
-        assert art.payload["report"]["mae"] == pytest.approx(1.0)
-        assert art.payload["report"]["mse"] == pytest.approx(1.0)
-        assert art.payload["quality"] == pytest.approx(-1.0)  # q = -MAE on this scope
+        report = _evaluate(toolkit, instance, ctx, [0.0, 2.0])
+        assert report["report"]["mae"] == pytest.approx(1.0)
+        assert report["report"]["mse"] == pytest.approx(1.0)
+        assert report["quality"] == pytest.approx(-1.0)  # q = -MAE on this scope
 
     def test_label_correctness(self, toolkit, trend_instance):
         ctx = InvocationContext(
             mode="exploration", instance=trend_instance, capability=EvaluatorCapability()
         )
-        store = ArtifactStore(trend_instance)
         for answer, correct, quality in (("stable", True, 0.0), ("increasing", False, -1.0)):
-            art = toolkit.invoke(
-                ToolInvocation("evaluate_against_gt", {"answer": answer}, (ORIGINAL_INPUT,)),
-                store,
-                ctx,
-            )
-            assert art.payload["report"]["correct"] is correct
-            assert art.payload["quality"] == quality
+            report = _evaluate(toolkit, trend_instance, ctx, answer)
+            assert report["report"]["correct"] is correct
+            assert report["quality"] == quality
 
     def test_inference_mode_is_hard_capability_error(self, toolkit, exploration_ctx):
         instance, _ = exploration_ctx
-        ctx = InvocationContext(mode="inference", instance=instance)
+        ctx = InvocationContext(mode="inference", instance=instance, candidates={"b0": [4.0, 4.0]})
         store = ArtifactStore(instance)
         with pytest.raises(CapabilityError):
-            toolkit.invoke(
-                ToolInvocation("evaluate_against_gt", {"answer": [4.0, 4.0]}, (ORIGINAL_INPUT,)),
-                store,
-                ctx,
-            )
+            toolkit.invoke(ToolInvocation("evaluate_batch_against_gt", {}, (ORIGINAL_INPUT,)), store, ctx)
 
     def test_missing_ground_truth_is_capability_error(self, toolkit):
         instance = _series_instance([1.0, 2.0, 3.0])
         ctx = InvocationContext(mode="exploration", instance=instance, capability=EvaluatorCapability())
         with pytest.raises(CapabilityError):
-            _invoke(toolkit, instance, ctx, "evaluate_against_gt", {"answer": [4.0]})
+            _evaluate(toolkit, instance, ctx, [4.0])
+
+    def test_a_call_cannot_name_answers_of_its_own(self, toolkit, exploration_ctx):
+        # only the engine's candidates are scored: a candidates argument is
+        # refused, and without candidates there is nothing to score
+        instance, ctx = exploration_ctx
+        spoof = {"candidates": {"b0": [4.0, 4.0]}}
+        art, _ = _invoke(toolkit, instance, ctx, "evaluate_batch_against_gt", spoof)
+        assert art.payload["error"] == "schema_violation"
+        art, _ = _invoke(toolkit, instance, ctx, "evaluate_batch_against_gt")
+        assert art.payload["error"] == "contract"
 
     def test_batch_evaluation(self, toolkit, exploration_ctx):
         instance, ctx = exploration_ctx
@@ -361,7 +367,7 @@ class TestInvocationContract:
             mode=mode, instance=instance, capability=EvaluatorCapability(), candidates={"b0": [4.0, 6.0]}
         )
         valid = {"horizon": 2, "period": 2, "lag": 1, "window": 2}
-        for tool_id in toolkit.exploration_visible():
+        for tool_id in sorted(toolkit._tools):
             schema = toolkit.descriptor(tool_id).arg_schema
             base = {name: valid[name] for name, spec in schema.items() if spec.required}
             for name in schema:
@@ -381,6 +387,14 @@ class TestInvocationContract:
         assert given.payload == _invoke(toolkit, instance, ctx, "holt", {"horizon": 3})[0].payload
         missing, _ = _invoke(toolkit, instance, ctx, "naive", {"horizon": None})
         assert missing.payload["error"] == "schema_violation"
+
+    @pytest.mark.parametrize("selector", [0, -1, "0", "middle"])
+    @pytest.mark.parametrize("name", ["which", "reference"])
+    def test_value_at_takes_first_or_last_only(self, toolkit, name, selector):
+        instance = _series_instance([1.0, 2.0, 3.0], horizon=1)
+        ctx = InvocationContext(mode="inference", instance=instance)
+        art, _ = _invoke(toolkit, instance, ctx, "value_at", {name: selector})
+        assert art.payload["error"] == "schema_violation"
 
     def test_value_at_refuses_a_reference_input_that_is_not_a_series(self, toolkit):
         instance = _series_instance([1.0, 2.0, 3.0], horizon=1)

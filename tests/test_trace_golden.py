@@ -62,9 +62,10 @@ def test_golden_exploration_episode_spawns_evaluates_and_finishes(tmp_path):
     text = render_traces(tmp_path)["exploration.jsonl"].decode()
     for needle in ('"tool":"spawn_subagent"', '"tool":"evaluate_batch_against_gt"'):
         assert needle in text
-    # the episode ends at the comparison: no main exchange follows the
-    # evaluate tool's result
+    # the episode ends at the comparison: its one main exchange is the
+    # spawn, and the engine's evaluate call follows the branches
     events = [json.loads(line) for line in text.splitlines()[1:]]
+    assert sum(e["kind"] == "gateway_request" and e["branch"] is None for e in events) == 1
     [evaluate] = [e["payload"]["call_id"] for e in events if e["kind"] == "tool_call" and e["branch"] is None]
     [result] = [i for i, e in enumerate(events) if e["kind"] == "tool_result" and e["payload"]["call_id"] == evaluate]
     assert not [e for e in events[result:] if e["kind"] == "gateway_request" and e["branch"] is None]
