@@ -15,7 +15,9 @@ scripts can be generated instead of hand-written.
 
 The exchange digest is a digest of digests, one per message and one per tool
 list, so a turn reads no earlier message's text. Scripts recorded before 0.7.0
-keyed by a whole-body digest and miss.
+keyed by a whole-body digest and miss. Tool-call ids, which a backend names
+and a tool message echoes, are in neither the digest nor a reply's dict, so a
+script or trace reads the same whatever ids a run was given.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ MAX_RETRY_WAIT_S = 30.0  # the longest a retry waits, whatever Retry-After asks
 class ToolCallRequest:
     tool: str
     args: Mapping[str, Any]
+    id: str = ""  # the backend's id for the call, echoed by its tool message
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,7 @@ class ChatMessage:
     role: str  # system | user | assistant | tool
     content: str = ""
     tool_calls: tuple[ToolCallRequest, ...] = ()
+    tool_call_id: str = ""  # a tool message's answer to that call
 
     @cached_property
     def _digest_piece(self) -> bytes:
@@ -121,13 +125,14 @@ def reply_from_dict(data: Any, name: str) -> AssistantReply:
     calls = data.get("tool_calls", []) if isinstance(data, Mapping) else None
     if not isinstance(calls, list) or not isinstance(data.get("content"), (str, type(None))) or not all(
         isinstance(c, Mapping) and isinstance(c.get("tool"), str) and isinstance(c.get("args", {}), Mapping)
+        and isinstance(c.get("id", ""), str)
         for c in calls
     ):
         raise ContractError(f'{name} is not a reply {{"content": string or null, '
                             '"tool_calls": [{"tool": string, "args": object}, ...]}')
     reply = AssistantReply(
         content=data.get("content"),
-        tool_calls=tuple(ToolCallRequest(tool=c["tool"], args=dict(c.get("args", {}))) for c in calls),
+        tool_calls=tuple(ToolCallRequest(c["tool"], dict(c.get("args", {})), c.get("id", "")) for c in calls),
     )
     if not _encodable(reply):
         raise ContractError(f"{name} holds a lone surrogate, which UTF-8 cannot encode")
@@ -292,7 +297,20 @@ class RemoteGateway(Gateway):
                 self._headers.update(auth)
 
     def _payload(self, exchange: ChatExchange) -> dict[str, Any]:
-        messages = [{"role": m.role, "content": m.content} for m in exchange.messages]
+        """The request body: each message in the chat-completions wire
+        format, an assistant's tool calls and a tool message's call id
+        included, so a backend accepts a conversation past its first call."""
+        messages: list[dict[str, Any]] = []
+        for m in exchange.messages:
+            message: dict[str, Any] = {"role": m.role, "content": m.content}
+            if m.tool_calls:
+                message["tool_calls"] = [
+                    {"id": c.id, "type": "function", "function": {"name": c.tool, "arguments": json.dumps(dict(c.args))}}
+                    for c in m.tool_calls
+                ]
+            if m.role == "tool":
+                message["tool_call_id"] = m.tool_call_id
+            messages.append(message)
         payload: dict[str, Any] = {"model": self.model, "messages": messages, "temperature": 0.0}
         if exchange.declared_tools:
             payload["tools"] = [
@@ -370,7 +388,7 @@ class RemoteGateway(Gateway):
                     args = json.loads(raw_args) if isinstance(raw_args, str) else dict(raw_args)
                 except (ValueError, TypeError) as exc:
                     raise ToolCallParseError(f"tool call arguments are not valid JSON: {exc}") from exc
-                calls.append({"tool": fn.get("name", ""), "args": args})
+                calls.append({"tool": fn.get("name", ""), "args": args, "id": str(tc.get("id") or "")})
             reply = reply_from_dict({"content": message.get("content"), "tool_calls": calls}, "completion reply")
             reply.usage = {
                 k: int(v)

@@ -3,23 +3,23 @@ fallbacks, plus inference-time reuse with exploration tools removed.
 
 Exploration flow per instance:
 
-    1. retrieve prior experience, sample slot-local visible tool subsets
-    2. main exchange: the model spawns candidate branches; it is the
-       episode's one main exchange, and it declares only the spawn tool
-    3. each branch runs the step loop until it finishes with a task-typed
-       answer or hits the step cap
-    4. the engine evaluates every valid candidate's own answer against
+    1. retrieve prior experience, and assign each branch slot its goal, hint
+       and visible tool subset (task-aware dropout)
+    2. each branch runs the step loop until it finishes with a task-typed
+       answer or hits the step cap; the branches are the episode's only
+       gateway exchanges
+    3. the engine evaluates every valid candidate's own answer against
        ground truth, as one evaluate tool call traced on the main branch,
        and ``compare`` scores them and decides the evidence class and the
        winner: the metric decides Compare, not the model
-    5. the episode ends there: the outcome and the tools it used are handed
+    4. the episode ends there: the outcome and the tools it used are handed
        to the experience pipeline
 
 Branches and inference share one step loop, ``_step_loop``: gateway call ->
 tool invoke -> observation, over the per-run state of an ``_EpisodeRunner``
 (trace, artifacts, invocation context, call ids, gateway totals). The two
-modes differ only in which tool requests they reject (a branch refuses
-spawn/evaluate tools and tools outside its slot's subset; inference refuses
+modes differ only in which tool requests they reject (a branch refuses the
+evaluate tool and tools outside its slot's subset; inference refuses
 anything outside the inference-visible set) and in what they record from the
 loop's steps (branch candidates vs. an inference tool chain and context).
 
@@ -81,7 +81,6 @@ from .util import (
 # An exploration episode must yield at least this many valid candidates.
 MIN_VALID_CANDIDATES = 2
 EVALUATE_TOOL = "evaluate_batch_against_gt"
-SPAWN_TOOL = "spawn_subagent"
 ANSWER_TOLERANCE = 1e-9
 
 # Each trace event kind, with the payload fields its readers index and their
@@ -146,8 +145,8 @@ class EpisodeDeps:
     """What the episodes of one run share. The toolkit is the run's one tool
     catalog, and dropout runs over it. It does not change while a run goes,
     so each distinct tool list its prompts declare is built once per run:
-    the exploration list, one per distinct set of tools a branch sees, and
-    the inference list. Threads that race to build a list build equal ones.
+    one per distinct set of tools a branch sees, and the inference list.
+    Threads that race to build a list build equal ones.
     Every episode appends its trace to the run's logs under ``trace_dir``.
     The store, when there is one, holds the usage counts that dropout reads;
     a run without a store counts nothing."""
@@ -170,12 +169,6 @@ class EpisodeDeps:
 
     def _declared(self, tools: Sequence[str]) -> DeclaredTools:
         return DeclaredTools([self.toolkit.tool_schema(t) for t in tools])
-
-    @cached_property
-    def exploration_tools(self) -> DeclaredTools:
-        """The tools an exploration episode's main exchange declares: the
-        spawn tool, the one request that exchange honours."""
-        return self._declared([SPAWN_TOOL])
 
     def branch_tools(self, visible: frozenset[str]) -> DeclaredTools:
         """The tools a branch whose slot sees ``visible`` declares, by name."""
@@ -471,7 +464,7 @@ class _EpisodeRunner:
     def complete(self, exchange: ChatExchange, branch: Optional[int]) -> AssistantReply:
         request: dict[str, Any] = {"digest": exchange_digest(exchange)}
         # a request lists its tools only when they differ from the previous
-        # request's on the same branch (None: the main exchange)
+        # request's on the same branch (None: inference)
         tools = exchange.declared_tools.names
         if self.declared.get(branch) != tools:
             request["tools"] = self.declared[branch] = tools
@@ -552,14 +545,13 @@ def _step_loop(
             )
             error = reject(call.tool)
             if error is not None:
-                messages.append(
-                    ChatMessage(role="tool", content=canonical_json({"error": error, "tool": call.tool}))
-                )
-                continue
-            args, inputs = _split_call_args(call.args)
-            art = runner.invoke_tool(call.tool, args, inputs, branch)
-            steps.append((call.tool, art))
-            messages.append(ChatMessage(role="tool", content=art.text))
+                content = canonical_json({"error": error, "tool": call.tool})
+            else:
+                args, inputs = _split_call_args(call.args)
+                art = runner.invoke_tool(call.tool, args, inputs, branch)
+                steps.append((call.tool, art))
+                content = art.text
+            messages.append(ChatMessage(role="tool", content=content, tool_call_id=call.id))
             continue
         final = parse_final(reply.content)
         if final is not None:
@@ -568,20 +560,12 @@ def _step_loop(
     return steps, None, "step_cap"
 
 
-def _run_branch(runner: _EpisodeRunner, slot: BranchSlot) -> CandidateExecution:
+def _run_branch(runner: _EpisodeRunner, slot: BranchSlot, bundle: prompts.PromptBundle) -> CandidateExecution:
     instance = runner.instance
     deps = runner.deps
-    bundle = prompts.build_branch_prompt(
-        instance,
-        runner.fp,
-        slot,
-        deps.branch_tools(slot.visible_tools),
-        selection=runner.selection,
-        soul=deps.store.soul_text() if deps.store else "",
-    )
 
     def reject(tool: str) -> Optional[str]:
-        if tool in (SPAWN_TOOL, EVALUATE_TOOL):
+        if tool == EVALUATE_TOOL:
             return "not_available_in_branch"
         return None if tool in slot.visible_tools else "tool_not_visible"
 
@@ -614,10 +598,10 @@ def run_exploration_episode(
     fp: Optional[prompts.SampleFingerprint] = None,
 ) -> EpisodeOutcome:
     """Run one exploration episode end to end (Explore -> Compare -> hand off
-    to Distill). Never raises for in-episode failures: zero completed
-    branches simply becomes a failure outcome. ``fp`` is the instance's
-    fingerprint when the caller profiled it already (see
-    ``prompts.fingerprints``)."""
+    to Distill): its branches, then the engine's evaluation. Never raises for
+    in-episode failures: zero completed branches simply becomes a failure
+    outcome. ``fp`` is the instance's fingerprint when the caller profiled it
+    already (see ``prompts.fingerprints``)."""
     if not instance.has_ground_truth:
         raise ContractError("exploration requires targets (ground truth) on every instance")
     runner = _EpisodeRunner(instance, deps, config, fp)
@@ -627,27 +611,15 @@ def run_exploration_episode(
         slots = assign_branch_slots(
             instance, config, runner.prior_exists, deps.toolkit, counts, runner.selection, episode_seed
         )
-        bundle = prompts.build_exploration_prompt(
+        bundles = prompts.build_exploration_prompt(
             instance,
             runner.fp,
             runner.selection,
             slots,
-            deps.exploration_tools,
+            [deps.branch_tools(slot.visible_tools) for slot in slots],
             soul=deps.store.soul_text() if deps.store else "",
         )
-        exchange = ChatExchange(
-            messages=[bundle.system, ChatMessage(role="user", content=bundle.user_text)],
-            declared_tools=bundle.declared_tools,
-        )
-        candidates: list[CandidateExecution] = []
-        try:
-            reply: Optional[AssistantReply] = runner.complete(exchange, branch=None)
-        except ScriptMissError:
-            raise  # a stale replay script is a test-configuration error
-        except GatewayError:
-            reply = None
-        if reply is not None and any(c.tool == SPAWN_TOOL for c in reply.tool_calls):
-            candidates = [_run_branch(runner, slot) for slot in slots]
+        candidates = [_run_branch(runner, slot, bundle) for slot, bundle in zip(slots, bundles)]
 
         # Compare is metric-supervised: the engine scores each valid
         # candidate's own answer, and no model reply chooses what is scored

@@ -2,10 +2,10 @@
 
 These implement the agent side of the conversation as a pure function of the
 rendered prompt text, so whole runs are reproducible and recordable into
-digest-keyed replay scripts. The exploration policy spawns branches and
-drives each branch through its hinted tool (the engine then evaluates the
-candidates); the inference policy follows injected memory when present and
-falls back to the simplest valid path otherwise.
+digest-keyed replay scripts. The exploration policy drives each branch
+through its hinted tool (the engine then evaluates the candidates); the
+inference policy follows injected memory when present and falls back to the
+simplest valid path otherwise.
 """
 
 from __future__ import annotations
@@ -131,7 +131,9 @@ def _answer_from_artifact(
     return _final(final_type, None, reasoning="no label space")
 
 
-def _branch_reply(exchange: ChatExchange) -> AssistantReply:
+def exploration_policy(exchange: ChatExchange) -> AssistantReply:
+    """A branch's reply: run the hinted tool when it is usable, then answer
+    from its artifact."""
     prompt = _first_user(exchange)
     final_type = _required_final_type(prompt)
     labels = _label_space(prompt)
@@ -167,13 +169,6 @@ def _branch_reply(exchange: ChatExchange) -> AssistantReply:
         if "detect_trend" in available:
             return _tool_reply("detect_trend", {})
     return _answer_from_artifact(final_type, artifact, labels, used)
-
-
-def exploration_policy(exchange: ChatExchange) -> AssistantReply:
-    if "### Branch Goal" in _first_user(exchange):
-        return _branch_reply(exchange)
-    slots = len(re.findall(r"^- slot \d+ ", _first_user(exchange), flags=re.MULTILINE))
-    return _tool_reply("spawn_subagent", {"n_tasks": max(2, slots)})
 
 
 def inference_policy(exchange: ChatExchange) -> AssistantReply:

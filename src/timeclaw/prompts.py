@@ -20,8 +20,9 @@ not once per prompt. Likewise the series preview and the Fingerprint and
 Profiling lines are rendered once per sample and kept on its
 SampleFingerprint, which every prompt of an episode shares, and the Available
 Tools section once per tool list, on the ``DeclaredTools`` a run builds once
-per tool set. Only the branch and inference frames, which ask for an answer,
-carry an Output Contract.
+per tool set. There are two frames, the branch and the inference frame, and
+both ask for an answer under an Output Contract: an exploration episode's
+prompts are its branches' (``build_exploration_prompt``).
 """
 
 from __future__ import annotations
@@ -373,47 +374,17 @@ def build_exploration_prompt(
     fp: SampleFingerprint,
     selection: Any,
     slots: Sequence[Any],
-    declared_tools: DeclaredTools,
+    declared_tools: Sequence[DeclaredTools],
     soul: str = "",
-) -> PromptBundle:
-    """Main-agent exploration context: spawn guidance and slot hints. The
-    main agent's one move is to spawn the branches; the engine evaluates
-    their answers. With prior rules, it also asks for a prior-guided and an
-    alternative candidate."""
-    rules = getattr(selection, "rules", ())
-    objective = _objective_section(
-        instance,
-        fp,
-        "- exploration episode: compare candidate executions before finishing",
-        control_lines=[f"- branch_slots = {len(slots)}"],
-    )
-    observation = _observation_section(fp)
-
-    decision_lines = [
-        "## Decision",
-        "### Spawn Guidance",
-        "- Prefer spawn_subagent to explore multiple candidate branches for comparison.",
-        f"- The first spawn round must create at least {max(2, len(slots))} distinct candidate branches.",
+) -> list[PromptBundle]:
+    """One exploration episode's prompts: each slot's branch prompt (see
+    ``build_branch_prompt``), declaring the tool list at the same position of
+    ``declared_tools``. The engine has fixed each slot's goal, hint and
+    visible tools, so the branches are the whole of Explore."""
+    return [
+        build_branch_prompt(instance, fp, slot, tools, selection=selection, soul=soul)
+        for slot, tools in zip(slots, declared_tools, strict=True)
     ]
-    if rules:
-        decision_lines.append("### Prior Requirement")
-        decision_lines.append(
-            "- Include both a prior-guided candidate and an alternative candidate."
-        )
-    decision_lines.append("### Slot Hints")
-    for slot in slots:
-        visible = ", ".join(sorted(slot.visible_tools))
-        role = "prior-guided" if slot.prior_guided else ("alternative" if slot.alternative else "open")
-        decision_lines.append(
-            f"- slot {slot.slot} ({role}): goal = {slot.goal}; hint = {slot.hint}; visible = {visible}"
-        )
-    decision = "\n".join(decision_lines)
-
-    return PromptBundle(
-        system=_system_message(selection, soul),
-        user_text=_frame(objective, observation, decision, declared_tools.section),
-        declared_tools=declared_tools,
-    )
 
 
 def build_branch_prompt(
@@ -462,8 +433,7 @@ def build_inference_prompt(
     for r in getattr(selection, "rules", ()):
         if not r.injectable:
             raise ContractError(f"rule {r.rule_id} is not injectable and cannot be rendered")
-    forbidden = {"spawn_subagent", "evaluate_batch_against_gt"}
-    if forbidden.intersection(declared_tools.names):
+    if "evaluate_batch_against_gt" in declared_tools.names:
         raise ContractError("exploration-only tools cannot be declared at inference")
     objective = _objective_section(
         instance,

@@ -28,7 +28,6 @@ class ToolCategory(str, enum.Enum):
     ANALYSIS = "analysis"
     TEXT = "text"
     EXPLORATION_ONLY = "exploration_only"
-    ORCHESTRATION = "orchestration"
 
 
 SUBSTANTIVE_CATEGORIES = frozenset(
@@ -161,8 +160,8 @@ class ToolRegistry:
         return self._tools.get(tool_id)
 
     def inference_visible(self) -> list[str]:
-        """Tools exposed at inference, the substantive ones: exploration-only
-        and orchestration categories are removed."""
+        """Tools exposed at inference, the substantive ones: the
+        exploration-only category is removed."""
         return sorted(t for t, d in self._tools.items() if d.substantive)
 
     def competing_sets(self, scope: str) -> dict[str, list[str]]:

@@ -19,7 +19,6 @@ from . import __version__
 from .core import EvaluatorCapability, TaskInstance, validate_answer
 from .errors import ReplayError
 from .orchestrator import (
-    SPAWN_TOOL,
     ContractVerdict,
     TraceBlock,
     candidate_answers,
@@ -111,8 +110,6 @@ def _replay_block(block: TraceBlock, samples: Mapping[str, TaskInstance], toolki
             continue
         payload = event["payload"]
         tool = payload["tool"]
-        if tool == SPAWN_TOOL:
-            continue  # orchestrator-handled; nothing to re-execute
         if toolkit.descriptor(tool) is None:
             report.divergences.append(
                 Divergence(index=i, kind="unknown_tool", detail=f"tool {tool!r} is not registered")

@@ -558,10 +558,6 @@ def _ev_batch_against_gt(args, inputs, ctx):
     return ArtifactKind.METRIC_REPORT, {"reports": reports}
 
 
-def _orc_spawn(args, inputs, ctx):
-    raise ToolError("orchestrator_only", "spawn_subagent is handled by the orchestrator, not the toolkit")
-
-
 def _d(tool_id: str, category: ToolCategory, description: str, **args: ArgSpec) -> ToolDescriptor:
     return ToolDescriptor(tool_id=tool_id, category=category, arg_schema=args, description=description)
 
@@ -684,14 +680,5 @@ def builtin_toolkit() -> Toolkit:
             "score every pending candidate against the sealed ground truth",
         ),
         _ev_batch_against_gt,
-    )
-    tk.register(
-        _d(
-            "spawn_subagent",
-            ToolCategory.ORCHESTRATION,
-            "launch candidate exploration branches",
-            n_tasks=ArgSpec("integer", default=2),
-        ),
-        _orc_spawn,
     )
     return tk

@@ -20,7 +20,6 @@ from timeclaw.gateway import (
     PolicyGateway,
     RecordingGateway,
     ScriptedGateway,
-    ToolCallRequest,
 )
 from timeclaw.orchestrator import (
     EpisodeDeps,
@@ -200,13 +199,9 @@ def _fixture_instance():
 def _fixture_policy(branch_answers):
     def fn(exchange):
         first_user = next(m.content for m in exchange.messages if m.role == "user")
-        if "### Branch Goal" in first_user:
-            slot = int(first_user.split("- slot = ")[1].split("\n")[0])
-            return AssistantReply(
-                content=json.dumps({"answer_type": "forecast", "answer": branch_answers[slot]})
-            )
+        slot = int(first_user.split("- slot = ")[1].split("\n")[0])
         return AssistantReply(
-            content="", tool_calls=(ToolCallRequest(tool="spawn_subagent", args={"n_tasks": 2}),)
+            content=json.dumps({"answer_type": "forecast", "answer": branch_answers[slot]})
         )
 
     return fn

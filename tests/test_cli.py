@@ -182,7 +182,7 @@ class TestExplore:
             for e in block.events:
                 if e["kind"] == "gateway_request":
                     requests.setdefault(e["branch"], []).append("tools" in e["payload"])
-            assert set(requests) == {None, 0, 1}, episode
+            assert set(requests) == {0, 1}, episode
             for listed in requests.values():
                 assert listed[0] and listed.count(True) == 1, episode
 
@@ -204,8 +204,8 @@ class TestExplore:
         assert committed == {scope: ExperienceStore(root).notes(scope) for scope in committed}
 
     def test_a_run_builds_one_tool_list_per_distinct_tool_set(self, tmp_path, monkeypatch):
-        """One DeclaredTools per distinct set a branch sees, plus the
-        exploration list; inference builds its one list."""
+        """One DeclaredTools per distinct set a branch sees; inference builds
+        its one list."""
         built = []
 
         def counted(cls, *args):
@@ -221,7 +221,7 @@ class TestExplore:
             for e in block.events
             if e["kind"] == "gateway_request" and e["branch"] is not None and "tools" in e["payload"]
         }
-        assert 1 < len(branch_sets) and len(built) == len(branch_sets) + 1
+        assert 1 < len(branch_sets) and len(built) == len(branch_sets)
         built.clear()
         infer = ["infer", "--corpus", str(tmp_path / "corpus" / "eval.jsonl"), "--store", str(root)]
         assert main([*infer, "--out", str(tmp_path / "pred.jsonl")]) == 0
@@ -1198,6 +1198,33 @@ class TestReplayCommand:
         assert main(["replay", "--trace", str(old_log), "--corpus", str(learning)]) == 2
         [error] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert "'0.8.0'" in error and repr(__version__) in error
+
+    def test_a_0_9_0_trace_lints_but_does_not_replay(self, corpus_dir, tmp_path, capsys):
+        """0.9.0 opened each exploration episode with a main exchange whose
+        reply spawned the branches the engine had already assigned: an old
+        store's traces lint clean, and replay refuses them by version."""
+        learning = corpus_dir / "learning.jsonl"
+        assert main(["explore", "--corpus", str(learning), "--store", str(tmp_path / "store")]) == 0
+        [log] = sorted((tmp_path / "store" / "traces").glob("*.jsonl"))
+        lines = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        # each block as 0.9.0 wrote it: the spawn exchange right after the header
+        spawn = {"args": {"n_tasks": 2}, "tool": "spawn_subagent"}
+        opening = [
+            {"branch": None, "kind": "gateway_request", "payload": {"digest": "0" * 16, "tools": ["spawn_subagent"]}},
+            {"branch": None, "kind": "gateway_response",
+             "payload": {"reply": {"content": "", "tool_calls": [spawn]}, "usage": {}}},
+        ]
+        old = []
+        for r in lines:
+            old += [{**r, "version": "0.9.0"}, *opening] if "version" in r else [r]
+        old_log = tmp_path / "old.jsonl"
+        old_log.write_text("".join(canonical_json(r) + "\n" for r in old), encoding="utf-8")
+        assert len(old) == len(lines) + 2 * sum(1 for r in lines if "version" in r)
+        assert main(["lint", "--trace", str(old_log)]) == 0
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(old_log), "--corpus", str(learning)]) == 2
+        [error] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert "'0.9.0'" in error and repr(__version__) in error
 
     def test_a_repeated_id_is_a_rejected_line_so_replay_runs_clean(self, corpus_dir, tmp_path):
         """A line that repeats line 1's id with another series is rejected,

@@ -68,6 +68,18 @@ class TestDigest:
     def test_declared_tools_participate(self):
         assert exchange_digest(_exchange("a", ("x",))) != exchange_digest(_exchange("a", ("y",)))
 
+    def test_tool_call_ids_do_not_change_it(self):
+        # a backend names the ids, so a script keyed by digest replays
+        # whatever ids the recording run was given
+        def answered(call_id):
+            call = ToolCallRequest(tool="ses", args={}, id=call_id)
+            return ChatExchange(messages=[
+                ChatMessage(role="assistant", tool_calls=(call,)),
+                ChatMessage(role="tool", content="{}", tool_call_id=call_id),
+            ])
+
+        assert exchange_digest(answered("call_1")) == exchange_digest(answered("call_2")) == exchange_digest(answered(""))
+
     def test_an_exchange_without_messages_is_refused(self):
         with pytest.raises(ContractError, match="at least one message"):
             ChatExchange(messages=[])
@@ -238,11 +250,12 @@ class TestRemoteReplyShape:
             _stub_gateway(stub_server, message).complete(_exchange("hi"))
 
     def test_a_well_formed_reply_keeps_its_calls_and_usage(self, stub_server):
-        call = {"function": {"name": "ses", "arguments": '{"alpha": 0.5}'}}
+        call = {"id": "call_1", "type": "function", "function": {"name": "ses", "arguments": '{"alpha": 0.5}'}}
         body = {"choices": [{"message": {"content": None, "tool_calls": [call]}}], "usage": {"prompt_tokens": 4}}
         stub_server.mode, stub_server.body = "reply", body
         reply = RemoteGateway(base_url=stub_server.url).complete(_exchange("hi"))
         assert reply.to_dict() == {"content": None, "tool_calls": [{"tool": "ses", "args": {"alpha": 0.5}}]}
+        assert [c.id for c in reply.tool_calls] == ["call_1"]  # kept for the tool message, not the trace
         assert reply.usage == {"prompt_tokens": 4}
 
 
@@ -293,6 +306,44 @@ class TestRequestShape:
             "tools": [{"type": "function", "function": self.SCHEMA}],
             "tool_choice": "auto",
         }
+
+
+    def test_a_conversation_past_a_tool_call_is_in_the_wire_format(self, stub_server):
+        call = ToolCallRequest(tool="ses", args={"alpha": 0.5}, id="call_1")
+        exchange = ChatExchange(messages=[
+            ChatMessage(role="user", content="hi"),
+            ChatMessage(role="assistant", content="", tool_calls=(call,)),
+            ChatMessage(role="tool", content='{"payload":{}}', tool_call_id="call_1"),
+        ])
+        *_, body = self._sent(stub_server, exchange, base_url=stub_server.url)
+        [sent_call] = body["messages"][1]["tool_calls"]
+        assert json.loads(sent_call["function"].pop("arguments")) == {"alpha": 0.5}
+        assert body["messages"] == [
+            {"role": "user", "content": "hi"},
+            {"role": "assistant", "content": "", "tool_calls": [
+                {"id": "call_1", "type": "function", "function": {"name": "ses"}},
+            ]},
+            {"role": "tool", "content": '{"payload":{}}', "tool_call_id": "call_1"},
+        ]
+
+    @pytest.mark.parametrize("tool", ["naive", "evaluate_batch_against_gt"], ids=["run", "rejected"])
+    def test_each_tool_message_of_a_loop_answers_its_call_by_id(self, stub_server, seasonal_instance, tmp_path, tool):
+        # an inference loop whose backend requests, on every turn, a tool the
+        # sample may use or one it may not: the next request echoes the
+        # call and answers it, by its id, with the artifact or the feedback
+        from timeclaw.orchestrator import EpisodeDeps, run_inference
+        from timeclaw.toolkit import builtin_toolkit
+
+        call = {"id": "call_7", "type": "function", "function": {"name": tool, "arguments": '{"horizon": 2}'}}
+        stub_server.mode, stub_server.body = "reply", {"choices": [{"message": {"content": None, "tool_calls": [call]}}]}
+        deps = EpisodeDeps(toolkit=builtin_toolkit(), gateway=RemoteGateway(base_url=stub_server.url), trace_dir=tmp_path)
+        run_inference(seasonal_instance, deps, max_steps=2)
+        deps.close()
+        first, second = (json.loads(body)["messages"] for *_, body in stub_server.requests)
+        assistant, answer = second[len(first):]
+        assert [(c["id"], c["function"]["name"]) for c in assistant["tool_calls"]] == [("call_7", tool)]
+        assert (answer["role"], answer["tool_call_id"]) == ("tool", "call_7")
+        assert ("tool_not_available" in answer["content"]) == (tool != "naive")
 
 
 class TestRemoteGateway:

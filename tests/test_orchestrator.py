@@ -21,7 +21,6 @@ from timeclaw.gateway import (
 )
 from timeclaw.orchestrator import (
     EVALUATE_TOOL,
-    SPAWN_TOOL,
     BranchSlot,
     EpisodeDeps,
     ExplorationConfig,
@@ -75,20 +74,16 @@ def _scripted_branch_policy(branch_answers):
 
     def fn(exchange):
         first_user = next(m.content for m in exchange.messages if m.role == "user")
-        if "### Branch Goal" in first_user:
-            slot = int(first_user.split("- slot = ")[1].split("\n")[0])
-            tool, answer = branch_answers[slot]
-            last = exchange.messages[-1]
-            if tool is not None and last.role != "tool":
-                horizon = int(first_user.split("- horizon = ")[1].split("\n")[0])
-                return AssistantReply(
-                    content="", tool_calls=(ToolCallRequest(tool=tool, args={"horizon": horizon}),)
-                )
+        slot = int(first_user.split("- slot = ")[1].split("\n")[0])
+        tool, answer = branch_answers[slot]
+        last = exchange.messages[-1]
+        if tool is not None and last.role != "tool":
+            horizon = int(first_user.split("- horizon = ")[1].split("\n")[0])
             return AssistantReply(
-                content=json.dumps({"answer_type": "forecast", "answer": answer})
+                content="", tool_calls=(ToolCallRequest(tool=tool, args={"horizon": horizon}),)
             )
         return AssistantReply(
-            content="", tool_calls=(ToolCallRequest(tool="spawn_subagent", args={"n_tasks": 2}),)
+            content=json.dumps({"answer_type": "forecast", "answer": answer})
         )
 
     return PolicyGateway(fn)
@@ -201,7 +196,7 @@ class TestEpisodeOutcomes:
         outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), _deps(tmp_path, gw))
         assert outcome.winner == f"{inst.id}#b0"
 
-    def test_gateway_error_on_main_exchange_degrades_to_failure(self, tmp_path):
+    def test_gateway_error_on_every_branch_degrades_to_failure(self, tmp_path):
         class Down(Gateway):
             def complete(self, exchange):
                 raise GatewayError("backend went away")
@@ -210,6 +205,21 @@ class TestEpisodeOutcomes:
         outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), _deps(tmp_path, Down()))  # must not raise
         assert outcome.evidence_class == EvidenceClass.FAILURE
         assert outcome.winner is None
+        assert [c.failure_reason for c in outcome.candidates] == ["gateway_error: backend went away"] * 2
+
+    def test_a_plain_answer_to_an_episode_s_first_prompt_is_a_branch_candidate(self, tmp_path):
+        # a backend that answers each prompt at once, with no tool call: the
+        # episode's first prompt is branch 0's, so its answer is a candidate
+        answers = iter([[14.0] * 3, [15.0] * 3])
+
+        def answering(exchange):
+            return AssistantReply(content=json.dumps({"answer_type": "forecast", "answer": next(answers)}))
+
+        inst = _instance(gt=[13.0, 13.0, 13.0])
+        outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), _deps(tmp_path, PolicyGateway(answering)))
+        assert outcome.evidence_class == EvidenceClass.COMPARATIVE
+        assert [(c.branch_id, c.valid) for c in outcome.candidates] == [(f"{inst.id}#b0", True), (f"{inst.id}#b1", True)]
+        assert outcome.winner == f"{inst.id}#b0" and outcome.gateway_calls == 2
 
     def test_ground_truth_required(self, tmp_path):
         inst = _instance(gt=None)
@@ -319,14 +329,11 @@ class TestEpisodeOutcomes:
 
 
 def _branch_loop_policy(branch_fn):
-    """The built-in exploration policy for the main exchanges; branch turns
-    go to branch_fn(slot, exchange)."""
+    """Each branch turn goes to branch_fn(slot, exchange)."""
 
     def fn(exchange):
         first_user = next(m.content for m in exchange.messages if m.role == "user")
-        if "### Branch Goal" in first_user:
-            return branch_fn(int(first_user.split("- slot = ")[1].split("\n")[0]), exchange)
-        return exploration_policy(exchange)
+        return branch_fn(int(first_user.split("- slot = ")[1].split("\n")[0]), exchange)
 
     return PolicyGateway(fn)
 
@@ -348,7 +355,11 @@ class TestBranchLoop:
 
     @pytest.mark.parametrize(
         "tool, error",
-        [("spawn_subagent", "not_available_in_branch"), ("holt", "tool_not_visible")],
+        [
+            ("evaluate_batch_against_gt", "not_available_in_branch"),
+            ("spawn_subagent", "tool_not_visible"),
+            ("holt", "tool_not_visible"),
+        ],
     )
     def test_rejected_request_gets_feedback_not_execution(self, tmp_path, monkeypatch, tool, error):
         feedback = []
@@ -356,13 +367,13 @@ class TestBranchLoop:
         def branch_fn(slot, exchange):
             last = exchange.messages[-1]
             if last.role == "user":
-                return AssistantReply(content="", tool_calls=(ToolCallRequest(tool=tool, args={}),))
-            feedback.append(last.content)
+                return AssistantReply(content="", tool_calls=(ToolCallRequest(tool=tool, args={}, id=f"call_{slot}"),))
+            feedback.append((last.content, last.tool_call_id))
             return _forecast_reply([13.0] * 3)
 
         outcome, events = self._run(tmp_path, branch_fn, monkeypatch, visible={"naive", "drift"})
         expected = json.dumps({"error": error, "tool": tool}, separators=(",", ":"))
-        assert feedback == [expected, expected]  # one per branch
+        assert feedback == [(expected, "call_0"), (expected, "call_1")]  # one per branch, answering its call
         assert all(c.valid for c in outcome.candidates)
         called = [e["payload"]["tool"] for e in events if e["kind"] == "tool_call"]
         assert called == ["evaluate_batch_against_gt"]
@@ -747,21 +758,22 @@ class TestToolExposure:
         special = {
             t
             for t in registered
-            if toolkit.descriptor(t).category.value in ("exploration_only", "orchestration")
+            if toolkit.descriptor(t).category == ToolCategory.EXPLORATION_ONLY
         }
-        assert registered - inference == special == {SPAWN_TOOL, EVALUATE_TOOL}
+        assert registered - inference == special == {EVALUATE_TOOL}
 
-    def test_an_episode_makes_one_main_exchange_which_declares_only_spawn(self, tmp_path):
+    def test_the_main_branch_holds_only_the_evaluation_the_verdict_and_the_outcome(self, tmp_path):
+        # every gateway exchange of an episode is a branch's
         deps = _deps(tmp_path, policy_gateway("exploration"))
         outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=3), deps)
         [block] = read_trace(outcome.trace_path)
-        main = [e for e in block.events if e["branch"] is None and e["kind"].startswith(("gateway", "tool"))]
-        assert [e["kind"] for e in main] == ["gateway_request", "gateway_response", "tool_call", "tool_result"]
-        assert main[0]["payload"]["tools"] == [SPAWN_TOOL]
-        assert (main[2]["payload"]["tool"], main[2]["payload"]["args"]) == (EVALUATE_TOOL, {})
-        assert outcome.gateway_calls == 1 + sum(
-            1 for e in block.events if e["kind"] == "gateway_request" and e["branch"] is not None
-        )
+        main = [e for e in block.events if e["branch"] is None]
+        assert [e["kind"] for e in main] == ["tool_call", "tool_result", "verdict", "outcome"]
+        assert (main[0]["payload"]["tool"], main[0]["payload"]["args"]) == (EVALUATE_TOOL, {})
+        assert main[2]["payload"]["type"] == "contract"
+        requests = [e for e in block.events if e["kind"] == "gateway_request"]
+        assert requests and all(e["branch"] is not None for e in requests)
+        assert outcome.gateway_calls == len(requests)
 
     def test_inference_trace_never_contains_ground_truth(self, tmp_path):
         gt = [13.577, 14.211, 15.903]
@@ -1024,7 +1036,7 @@ class TestProfileOnce:
         batches = _count_profiled(monkeypatch)
         calls = _count_calls(monkeypatch, ["dominant_period"])
         outcome = run_exploration_episode(inst, ExplorationConfig(seed=9), _deps(tmp_path / "a", policy_gateway("exploration")))
-        assert len(outcome.candidates) == 2  # main and both branch prompts were built
+        assert len(outcome.candidates) == 2  # both branch prompts were built
         assert batches == [["e1"]] and calls == []
         given = run_exploration_episode(inst, ExplorationConfig(seed=9), _deps(tmp_path / "b", policy_gateway("exploration")), fp)
         assert batches == [["e1"]]
@@ -1063,7 +1075,7 @@ class TestProfileOnce:
         )
         slot = BranchSlot(slot=0, goal="g", hint="naive", visible_tools=frozenset({"naive"}))
         tools = DeclaredTools([{"name": "naive", "description": ""}])
-        prompts.build_exploration_prompt(inst, fp, None, [slot], tools)
+        prompts.build_exploration_prompt(inst, fp, None, [slot], [tools])
         prompts.build_branch_prompt(inst, fp, slot, tools)
         prompts.build_inference_prompt(inst, fp, None, tools)
         assert calls == []
@@ -1098,7 +1110,7 @@ class TestEncodeAndRenderOnce:
         calls = _count_prompt_helpers(monkeypatch, ["_series_preview", "_fingerprint_lines", "_profiling_lines"])
         deps = _deps(tmp_path, policy_gateway("exploration"))
         outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=9), deps)
-        assert len(outcome.candidates) == 2  # main and both branch prompts were built
+        assert len(outcome.candidates) == 2  # both branch prompts were built
         assert sorted(calls) == ["_fingerprint_lines", "_profiling_lines", "_series_preview"]
 
     def test_a_prompt_from_a_rendered_sample_reads_as_from_a_fresh_one(self):
@@ -1129,13 +1141,13 @@ class TestEncodeAndRenderOnce:
 
     def test_a_reply_that_states_the_truth_leaves_it_in_no_note_or_snapshot(self, tmp_path):
         # a note holds what the comparison measured and no model text: the
-        # text beside the spawn request is kept only in the episode's trace
+        # text beside a branch's tool request is kept only in the episode's trace
         truth = [13.0, 13.5, 12.0]
         renderings = {json.dumps(truth), canonical_json(truth), json_dumps(truth)}
 
         def quoting(exchange):
             reply = exploration_policy(exchange)
-            if reply.tool_calls and reply.tool_calls[0].tool == SPAWN_TOOL:
+            if reply.tool_calls:
                 text = f"the truth was {json.dumps(truth)}, not {canonical_json(truth)}"
                 return AssistantReply(content=text, tool_calls=reply.tool_calls)
             return reply
@@ -1154,12 +1166,13 @@ class TestEncodeAndRenderOnce:
             text = path.read_text(encoding="utf-8")
             assert not any(r in text for r in renderings), path
 
-    def test_the_note_is_the_same_whatever_the_main_agent_says(self, tmp_path):
-        # the note is built from the evaluated outcome alone
+    def test_the_note_is_the_same_whatever_a_branch_says(self, tmp_path):
+        # the note is built from the evaluated outcome alone, not from the
+        # text beside a branch's tool request
         def saying(text):
             def policy(exchange):
                 reply = exploration_policy(exchange)
-                if reply.tool_calls and reply.tool_calls[0].tool == SPAWN_TOOL:
+                if reply.tool_calls:
                     return AssistantReply(content=text, tool_calls=reply.tool_calls)
                 return reply
             return policy

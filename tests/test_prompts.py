@@ -134,25 +134,22 @@ class TestMatch:
         assert not prompts.match({"moon_phase": "full"}, prompts.fingerprint(seasonal_instance))
 
 
+def _slot_tools(slots):
+    return [DeclaredTools({"name": n, "description": ""} for n in sorted(s.visible_tools)) for s in slots]
+
+
 def render_frames() -> dict[str, str]:
-    """The golden exploration, branch and inference prompts, by frame file name."""
-    exploration = prompts.build_exploration_prompt(
+    """The golden exploration and inference prompts, by frame file name. An
+    exploration episode's prompts are its branches': the branch frame is
+    slot 0's, and the exploration system message is the one they share."""
+    branch = prompts.build_exploration_prompt(
         _golden_instance(),
         _golden_fp(),
         _Selection([_rule()]),
         _slots(),
-        DeclaredTools([{"name": "spawn_subagent", "description": "spawn"}]),
+        _slot_tools(_slots()),
         soul="# Soul\nBe careful.",
-    )
-    slot = _slots()[0]
-    branch = prompts.build_branch_prompt(
-        _golden_instance(),
-        _golden_fp(),
-        slot,
-        DeclaredTools({"name": n, "description": ""} for n in sorted(slot.visible_tools)),
-        selection=_Selection([_rule()]),
-        soul="# Soul\nBe careful.",
-    )
+    )[0]
     inference = prompts.build_inference_prompt(
         _golden_instance(),
         _golden_fp(),
@@ -168,8 +165,7 @@ def render_frames() -> dict[str, str]:
         soul="# Soul\nBe careful.",
     )
     return {
-        "exploration_system.txt": exploration.system_text,
-        "exploration_user.txt": exploration.user_text,
+        "exploration_system.txt": branch.system_text,
         "branch_user.txt": branch.user_text,
         "inference_system.txt": inference.system_text,
         "inference_user.txt": inference.user_text,
@@ -183,7 +179,7 @@ class TestGoldenFrames:
             assert frames[name] == (FRAMES / name).read_text(encoding="utf-8"), f"{name} drifted from its golden"
 
     def test_exploration_frame_is_byte_stable(self):
-        self._assert_stable("exploration_system.txt", "exploration_user.txt")
+        self._assert_stable("exploration_system.txt")
 
     def test_branch_frame_is_byte_stable(self):
         self._assert_stable("branch_user.txt")
@@ -192,7 +188,7 @@ class TestGoldenFrames:
         self._assert_stable("inference_system.txt", "inference_user.txt")
 
     def test_frame_section_order(self):
-        user = (FRAMES / "exploration_user.txt").read_text(encoding="utf-8")
+        user = (FRAMES / "branch_user.txt").read_text(encoding="utf-8")
         positions = [
             user.index("## Objective"),
             user.index("## Observation"),
@@ -204,16 +200,31 @@ class TestGoldenFrames:
 
 
 class TestExplorationBundle:
-    def test_fresh_scope_has_no_memory_but_spawn_guidance(self):
-        bundle = prompts.build_exploration_prompt(
-            _golden_instance(),
-            _golden_fp(),
-            None,
-            _slots(),
-            DeclaredTools([{"name": "spawn_subagent", "description": ""}, {"name": "naive", "description": ""}]),
+    def test_an_episode_s_prompts_are_its_slots_branch_prompts(self):
+        selection, slots = _Selection([_rule()]), _slots()
+        bundles = prompts.build_exploration_prompt(
+            _golden_instance(), _golden_fp(), selection, slots, _slot_tools(slots), soul="# Soul"
         )
-        assert "(no injectable memory)" in bundle.system_text
-        assert "### Spawn Guidance" in bundle.user_text
+        assert [(b.system_text, b.user_text, b.declared_tools) for b in bundles] == [
+            (b.system_text, b.user_text, b.declared_tools)
+            for b in (
+                prompts.build_branch_prompt(_golden_instance(), _golden_fp(), slot, tools, selection, soul="# Soul")
+                for slot, tools in zip(slots, _slot_tools(slots))
+            )
+        ]
+
+    def test_each_slot_gets_one_prompt_and_its_own_tool_list(self):
+        slots = _slots()
+        with pytest.raises(ValueError):
+            prompts.build_exploration_prompt(_golden_instance(), _golden_fp(), None, slots, _slot_tools(slots[:1]))
+        bundles = prompts.build_exploration_prompt(_golden_instance(), _golden_fp(), None, slots, _slot_tools(slots))
+        assert [b.declared_tools.names for b in bundles] == [tuple(sorted(s.visible_tools)) for s in slots]
+
+    def test_fresh_scope_has_no_memory_but_each_slot_s_goal(self):
+        bundles = prompts.build_exploration_prompt(_golden_instance(), _golden_fp(), None, _slots(), _slot_tools(_slots()))
+        for slot, bundle in zip(_slots(), bundles):
+            assert "(no injectable memory)" in bundle.system_text
+            assert f"### Branch Goal\n- slot = {slot.slot}\n- goal = {slot.goal}\n- hint = {slot.hint}\n" in bundle.user_text
 
     def test_rules_render_in_retrieve_order(self):
         rules = [
@@ -221,26 +232,18 @@ class TestExplorationBundle:
             _rule(rule_id="r0005", confidence=0.6, seq=5),
             _rule(rule_id="r0009", confidence=0.4, seq=9),
         ]
-        bundle = prompts.build_exploration_prompt(
-            _golden_instance(),
-            _golden_fp(),
-            _Selection(rules),
-            _slots(),
-            DeclaredTools([{"name": "naive", "description": ""}]),
-        )
-        sys_text = bundle.system_text
-        assert sys_text.index("r0002") < sys_text.index("r0005") < sys_text.index("r0009")
+        for bundle in prompts.build_exploration_prompt(
+            _golden_instance(), _golden_fp(), _Selection(rules), _slots(), _slot_tools(_slots())
+        ):
+            sys_text = bundle.system_text
+            assert sys_text.index("r0002") < sys_text.index("r0005") < sys_text.index("r0009")
 
-    def test_exploration_declares_spawn_and_asks_for_no_evaluation(self):
-        bundle = prompts.build_exploration_prompt(
-            _golden_instance(),
-            _golden_fp(),
-            None,
-            _slots(),
-            DeclaredTools([{"name": "spawn_subagent", "description": ""}]),
-        )
-        assert bundle.declared_tools.names == ("spawn_subagent",)
-        assert "evaluat" not in bundle.user_text.lower()
+    def test_no_prompt_asks_for_a_spawn_or_an_evaluation(self):
+        for bundle in prompts.build_exploration_prompt(
+            _golden_instance(), _golden_fp(), _Selection([_rule()]), _slots(), _slot_tools(_slots())
+        ):
+            assert "spawn" not in bundle.user_text.lower()
+            assert "evaluat" not in bundle.user_text.lower()
 
 
 class TestInferenceBundle:
@@ -268,13 +271,6 @@ class TestInferenceBundle:
                 _golden_fp(),
                 None,
                 DeclaredTools([{"name": "evaluate_batch_against_gt", "description": ""}]),
-            )
-        with pytest.raises(ContractError):
-            prompts.build_inference_prompt(
-                _golden_instance(),
-                _golden_fp(),
-                None,
-                DeclaredTools([{"name": "spawn_subagent", "description": ""}]),
             )
 
     def test_non_injectable_rule_is_a_contract_error(self):
@@ -324,9 +320,9 @@ class TestReinject:
         assert [r.injectable for r in selection.rules] == [True]
         tools = DeclaredTools({"name": n, "description": ""} for n in ("naive", "drift", "seasonal_naive"))
         soul = store.soul_text()
+        branches = prompts.build_exploration_prompt(_golden_instance(), fp, selection, _slots(), [tools] * 2, soul=soul)
         bundles = {
-            "exploration": prompts.build_exploration_prompt(_golden_instance(), fp, selection, _slots(), tools, soul=soul),
-            "branch": prompts.build_branch_prompt(_golden_instance(), fp, _slots()[0], tools, selection=selection, soul=soul),
+            **{f"branch {i}": bundle for i, bundle in enumerate(branches)},
             "inference": prompts.build_inference_prompt(_golden_instance(), fp, selection, tools, soul=soul),
         }
         stance = json_dumps(when, sort_keys=True)

@@ -89,9 +89,7 @@ class TestReplay:
         mutated = []
         for line in lines:
             record = json.loads(line)
-            if record.get("kind") == "tool_call" and record["payload"]["tool"] not in (
-                "spawn_subagent",
-            ):
+            if record.get("kind") == "tool_call":
                 record["payload"]["tool"] = "ghost_tool"
             mutated.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         target = tmp_path / "ghost.jsonl"
@@ -110,16 +108,14 @@ class TestReplay:
 
 
 def _answering(values=(13.0, 12.0)):
-    """A policy that spawns two branches, which call no tool and forecast
-    ``values[slot]`` three times."""
-    from timeclaw.gateway import AssistantReply, PolicyGateway, ToolCallRequest
+    """A policy whose two branches call no tool and forecast ``values[slot]``
+    three times."""
+    from timeclaw.gateway import AssistantReply, PolicyGateway
 
     def fn(exchange):
         first_user = next(m.content for m in exchange.messages if m.role == "user")
-        if "### Branch Goal" in first_user:
-            value = values[0] if "- slot = 0" in first_user else values[1]
-            return AssistantReply(content=json.dumps({"answer_type": "forecast", "answer": [value] * 3}))
-        return AssistantReply(content="", tool_calls=(ToolCallRequest(tool="spawn_subagent", args={"n_tasks": 2}),))
+        value = values[0] if "- slot = 0" in first_user else values[1]
+        return AssistantReply(content=json.dumps({"answer_type": "forecast", "answer": [value] * 3}))
 
     return PolicyGateway(fn)
 

@@ -339,18 +339,6 @@ class TestInvocationContract:
         assert art.is_error
         assert art.payload["error"] == "unknown_tool"
 
-    def test_spawn_is_orchestrator_only(self, toolkit, exploration_ctx):
-        instance, ctx = exploration_ctx
-        art, _ = _invoke(toolkit, instance, ctx, "spawn_subagent", {"n_tasks": 2})
-        assert art.is_error
-
-    def test_orchestration_rejected_at_inference(self, toolkit):
-        instance = _series_instance([1.0, 2.0])
-        ctx = InvocationContext(mode="inference", instance=instance)
-        store = ArtifactStore(instance)
-        with pytest.raises(CapabilityError):
-            toolkit.invoke(ToolInvocation("spawn_subagent", {}, (ORIGINAL_INPUT,)), store, ctx)
-
     @pytest.mark.parametrize("mode", ["exploration", "inference"])
     def test_any_value_of_any_argument_comes_back_as_an_artifact(self, toolkit, mode):
         """A model may send any JSON value for an argument: each gives an
