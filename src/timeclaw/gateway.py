@@ -65,10 +65,10 @@ class ChatMessage:
 
 
 class DeclaredTools(tuple):
-    """The tool schemas an exchange declares. A run builds one list per
-    distinct tool set and every prompt with that set declares it, so its
-    sorted names, their digest and its prompt section are worked out once
-    per list, not once per prompt or exchange."""
+    """The tool schemas an exchange declares, the only place a prompt names
+    its tools. A run builds one list per distinct tool set and every prompt
+    with that set declares it, so its sorted names and their digest are
+    worked out once per list, not once per prompt or exchange."""
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -78,15 +78,6 @@ class DeclaredTools(tuple):
     def digest(self) -> bytes:
         """SHA-256 of the canonical JSON of :attr:`names`."""
         return hashlib.sha256(canonical_json(self.names).encode()).digest()
-
-    @cached_property
-    def section(self) -> str:
-        """The prompt's ``### Available Tools`` section: one
-        ``- name: description`` line per tool, by name."""
-        lines = ["### Available Tools"]
-        for schema in sorted(self, key=lambda s: s["name"]):
-            lines.append(f"- {schema['name']}: {schema.get('description', '')}")
-        return "\n".join(lines)
 
 
 @dataclass

@@ -57,6 +57,10 @@ def _required_final_type(text: str) -> str:
     return _find(r"- required_final_type = (\w+)", text) or "forecast"
 
 
+def _hint(text: str) -> str:
+    return _find(r"- hint = (\S+)", text) or "naive"
+
+
 def _label_space(text: str) -> list[str]:
     raw = _find(r"- label_space = (\[.*\])", text)
     return json.loads(raw) if raw else []
@@ -137,7 +141,7 @@ def exploration_policy(exchange: ChatExchange) -> AssistantReply:
     prompt = _first_user(exchange)
     final_type = _required_final_type(prompt)
     labels = _label_space(prompt)
-    hint = _find(r"- hint = (\S+)", prompt) or "naive"
+    hint = _hint(prompt)
     available = set(exchange.declared_tools.names)
     last = _last_message(exchange)
 

@@ -1,6 +1,5 @@
 """Prompt assembly in the fixed frame order (Objective -> Observation ->
-Decision -> Available Tools), sample fingerprints, and applicability
-matching for memory rules.
+Decision), sample fingerprints, and applicability matching for memory rules.
 
 Prompt construction is pure and never touches ground truth (which is sealed
 anyway). fingerprints() profiles many instances in one batched pass: the
@@ -12,17 +11,18 @@ batch pays off where samples share a series length: a sample alone in its
 length is profiled as a batch of one, the dearest case per sample. The
 builders only format that profile.
 
-What a prompt takes from the store is the retrieval Selection's rules, each
-rendered once, as one Memory line of the system message; the user text holds
-none of them. So the system message depends only on the Selection (and the
-soul), and is rendered once per Selection and kept on it (see ``_rendered``),
-not once per prompt. Likewise the series preview and the Fingerprint and
-Profiling lines are rendered once per sample and kept on its
-SampleFingerprint, which every prompt of an episode shares, and the Available
-Tools section once per tool list, on the ``DeclaredTools`` a run builds once
-per tool set. There are two frames, the branch and the inference frame, and
-both ask for an answer under an Output Contract: an exploration episode's
-prompts are its branches' (``build_exploration_prompt``).
+A prompt states each fact once. What it takes from the store is the retrieval
+Selection's rules, each rendered once, as one Memory line of the system
+message; the user text holds none of them. So the system message depends only
+on the Selection (and the soul), and is rendered once per Selection and kept on
+it (see ``_rendered``), not once per prompt. Likewise the series preview and
+the Fingerprint and Profiling lines are rendered once per sample and kept on
+its SampleFingerprint, which every prompt of an episode shares. The user text
+lists no tools: each exchange declares them in its ``tools`` schemas (the
+prompt's ``DeclaredTools``), which is where a model reads them. There are two
+frames, the branch and the inference frame, and both ask for an answer under
+an Output Contract: an exploration episode's prompts are its branches'
+(``build_exploration_prompt``).
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ class SampleFingerprint:
     renders under Profiling."""
 
     length: int
-    first: float
-    last: float
     vmin: float
     vmax: float
     mean: float
@@ -135,17 +133,13 @@ def fingerprints(instances: Sequence[TaskInstance]) -> list[SampleFingerprint]:
                 block,
                 seriesops.dominant_periods(rows),
                 seriesops.profiles(rows),
-                rows[:, 0].tolist(),
-                rows[:, -1].tolist(),
                 rows.min(axis=1).tolist(),
                 rows.max(axis=1).tolist(),
             )
-            for i, (period, significant, period_r), profile, first, last, vmin, vmax in stats:
+            for i, (period, significant, period_r), profile, vmin, vmax in stats:
                 instance = instances[i]
                 out[i] = SampleFingerprint(
                     length=rows.shape[1],
-                    first=first,
-                    last=last,
                     vmin=vmin,
                     vmax=vmax,
                     mean=profile.mean,
@@ -237,12 +231,8 @@ def _series_preview(instance: TaskInstance, k: int = 5) -> str:
     return f"[{body}]"
 
 
-def _objective_section(
-    instance: TaskInstance,
-    fp: SampleFingerprint,
-    execution_context: str,
-    control_lines: Sequence[str],
-) -> str:
+def _objective_section(instance: TaskInstance, fp: SampleFingerprint, execution_context: str) -> str:
+    """The task, its boundary and the answer it must finish with."""
     lines = [
         "## Objective",
         "### Task Prompt",
@@ -250,15 +240,13 @@ def _objective_section(
         "### Task Boundary",
         f"- scope = {instance.scope}",
         f"- horizon = {instance.horizon}",
-        f"- series_length = {len(instance.series)}",
         f"- series_preview = {_rendered(fp, 'preview', lambda: _series_preview(instance))}",
         "### Execution Context",
         execution_context,
         "### Control Context",
-        "- state = need_evidence",
+        f"- required_final_type = {instance.task_type.value}",
     ]
-    lines.extend(control_lines)
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n" + _output_contract(instance)
 
 
 def _output_contract(instance: TaskInstance) -> str:
@@ -284,8 +272,6 @@ def _fingerprint_lines(fp: SampleFingerprint) -> list[str]:
     )
     return [
         f"- length = {fp.length}",
-        f"- first = {_fmt(fp.first)}",
-        f"- last = {_fmt(fp.last)}",
         f"- min = {_fmt(fp.vmin)}",
         f"- max = {_fmt(fp.vmax)}",
         f"- mean = {_fmt(fp.mean)}",
@@ -355,8 +341,8 @@ def _system_message(selection: Any, soul: str) -> ChatMessage:
     )
 
 
-def _frame(objective: str, observation: str, decision: str, tools: str) -> str:
-    return f"{objective}\n\n{observation}\n\n{decision}\n\n{tools}\n"
+def _frame(objective: str, observation: str, decision: str) -> str:
+    return f"{objective}\n\n{observation}\n\n{decision}\n"
 
 
 def _observation_section(fp: SampleFingerprint) -> str:
@@ -397,12 +383,7 @@ def build_branch_prompt(
 ) -> PromptBundle:
     """Sub-agent variant: same frame plus a branch-local goal and slot-local
     tool hint; the branch finishes with an ordinary task answer."""
-    objective = _objective_section(
-        instance,
-        fp,
-        "- exploration branch: produce one candidate execution",
-        control_lines=[f"- required_final_type = {instance.task_type.value}", f"- slot = {slot.slot}"],
-    ) + "\n" + _output_contract(instance)
+    objective = _objective_section(instance, fp, "- exploration branch: produce one candidate execution")
     observation = _observation_section(fp)
     decision = "\n".join(
         [
@@ -416,7 +397,7 @@ def build_branch_prompt(
     )
     return PromptBundle(
         system=_system_message(selection, soul),
-        user_text=_frame(objective, observation, decision, declared_tools.section),
+        user_text=_frame(objective, observation, decision),
         declared_tools=declared_tools,
     )
 
@@ -435,12 +416,7 @@ def build_inference_prompt(
             raise ContractError(f"rule {r.rule_id} is not injectable and cannot be rendered")
     if "evaluate_batch_against_gt" in declared_tools.names:
         raise ContractError("exploration-only tools cannot be declared at inference")
-    objective = _objective_section(
-        instance,
-        fp,
-        "- inference: solve the task with previously distilled experience",
-        control_lines=[f"- required_final_type = {instance.task_type.value}"],
-    ) + "\n" + _output_contract(instance)
+    objective = _objective_section(instance, fp, "- inference: solve the task with previously distilled experience")
     observation = _observation_section(fp)
     decision = "\n".join(
         [
@@ -448,12 +424,10 @@ def build_inference_prompt(
             "### Decision Guidance",
             "- Follow remembered preferences when they apply; otherwise use the",
             "  simplest tool that satisfies the output contract.",
-            "### Completion",
-            f"- ordinary task answer contract (answer_type = {instance.task_type.value})",
         ]
     )
     return PromptBundle(
         system=_system_message(selection, soul),
-        user_text=_frame(objective, observation, decision, declared_tools.section),
+        user_text=_frame(objective, observation, decision),
         declared_tools=declared_tools,
     )

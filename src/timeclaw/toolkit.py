@@ -600,8 +600,8 @@ def builtin_toolkit() -> Toolkit:
             f,
             "Holt linear-trend smoothing",
             horizon=_HORIZON,
-            alpha=ArgSpec("number", default=0.3),
-            beta=ArgSpec("number", default=0.1),
+            alpha=ArgSpec("number", default=0.3, description="level smoothing weight in (0, 1]; default 0.3"),
+            beta=ArgSpec("number", default=0.1, description="trend smoothing weight in (0, 1]; default 0.1"),
         ),
         _fc_holt,
     )
@@ -611,14 +611,19 @@ def builtin_toolkit() -> Toolkit:
             f,
             "flat continuation of the trailing-window mean",
             horizon=_HORIZON,
-            window=ArgSpec("integer", default=3),
+            window=ArgSpec("integer", default=3, description="number of trailing values averaged; default 3"),
         ),
         _fc_moving_average,
     )
     tk.register(_d("basic_stats", a, "summary statistics of a series"), _an_basic_stats)
     tk.register(_d("detect_trend", a, "trend label from the normalized OLS slope"), _an_detect_trend)
     tk.register(
-        _d("detect_anomaly", a, "z-score outlier flags", threshold=ArgSpec("number", default=3.0)),
+        _d(
+            "detect_anomaly",
+            a,
+            "z-score outlier flags",
+            threshold=ArgSpec("number", default=3.0, description="flag values whose |z| exceeds this; default 3.0"),
+        ),
         _an_detect_anomaly,
     )
     tk.register(
@@ -626,13 +631,18 @@ def builtin_toolkit() -> Toolkit:
             "autocorrelation",
             a,
             "lagged correlation of a series with itself",
-            lag=ArgSpec("integer", required=True),
+            lag=ArgSpec("integer", required=True, description="positive shift in steps"),
         ),
         _an_autocorrelation,
     )
     tk.register(_d("stationarity_check", a, "split-half stationarity diagnostic"), _an_stationarity)
     tk.register(
-        _d("segment", a, "partition into fixed-size windows", window=ArgSpec("integer", required=True)),
+        _d(
+            "segment",
+            a,
+            "partition into fixed-size windows",
+            window=ArgSpec("integer", required=True, description="window size in steps, at most the series length"),
+        ),
         _an_segment,
     )
     tk.register(
@@ -640,8 +650,8 @@ def builtin_toolkit() -> Toolkit:
             "window_stats",
             a,
             "mean/min/max over an index window",
-            start=ArgSpec("integer"),
-            end=ArgSpec("integer"),
+            start=ArgSpec("integer", description="first index of the window, negative from the end; default 0"),
+            end=ArgSpec("integer", description="index just past the window, negative from the end; default the length"),
             reference_mean=ArgSpec("number", description="mean to diff against"),
         ),
         _an_window_stats,
@@ -651,17 +661,27 @@ def builtin_toolkit() -> Toolkit:
             "value_at",
             a,
             "single value with optional percent change vs a reference",
-            which=ArgSpec("string", default="last"),
-            reference=ArgSpec("string", description="selector applied to the reference input"),
+            which=ArgSpec("string", default="last", description="'first' or 'last'; default 'last'"),
+            reference=ArgSpec("string", description="'first' or 'last' of the reference input, else of the series"),
         ),
         _an_value_at,
     )
     tk.register(
-        _d("keyword_extract", t, "top-k tokens by frequency", k=ArgSpec("integer", default=5)),
+        _d(
+            "keyword_extract",
+            t,
+            "top-k tokens by frequency",
+            k=ArgSpec("integer", default=5, description="number of tokens to return; default 5"),
+        ),
         _tx_keyword_extract,
     )
     tk.register(
-        _d("sentiment_lexicon", t, "lexicon sentiment score in [-1, 1]", text=ArgSpec("string")),
+        _d(
+            "sentiment_lexicon",
+            t,
+            "lexicon sentiment score in [-1, 1]",
+            text=ArgSpec("string", description="text to score; default the sample's text context"),
+        ),
         _tx_sentiment,
     )
     tk.register(
@@ -669,7 +689,9 @@ def builtin_toolkit() -> Toolkit:
             "temporal_align_text",
             t,
             "text blocks whose date anchors fall inside the series window",
-            boundary_frac=ArgSpec("number", default=0.1),
+            boundary_frac=ArgSpec(
+                "number", default=0.1, description="share of the window at each end that is its boundary; default 0.1"
+            ),
         ),
         _tx_temporal_align,
     )

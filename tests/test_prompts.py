@@ -8,13 +8,15 @@ an intended frame change, regenerate them with::
 from __future__ import annotations
 
 import math
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from timeclaw import prompts
+from timeclaw import policy, prompts
 from timeclaw.core import SealedAnswer, TaskInstance, TaskType, TextBlock
+from timeclaw.corpus import FamilySpec, generate_sample
 from timeclaw.errors import ContractError
 from timeclaw.gateway import DeclaredTools
 from timeclaw.orchestrator import BranchSlot
@@ -138,18 +140,17 @@ def _slot_tools(slots):
     return [DeclaredTools({"name": n, "description": ""} for n in sorted(s.visible_tools)) for s in slots]
 
 
-def render_frames() -> dict[str, str]:
-    """The golden exploration and inference prompts, by frame file name. An
-    exploration episode's prompts are its branches': the branch frame is
-    slot 0's, and the exploration system message is the one they share."""
-    branch = prompts.build_exploration_prompt(
+def golden_bundles() -> tuple[list[prompts.PromptBundle], prompts.PromptBundle]:
+    """The golden episode's branch prompts, one per slot, and the golden
+    inference prompt."""
+    branches = prompts.build_exploration_prompt(
         _golden_instance(),
         _golden_fp(),
         _Selection([_rule()]),
         _slots(),
         _slot_tools(_slots()),
         soul="# Soul\nBe careful.",
-    )[0]
+    )
     inference = prompts.build_inference_prompt(
         _golden_instance(),
         _golden_fp(),
@@ -164,6 +165,15 @@ def render_frames() -> dict[str, str]:
         ),
         soul="# Soul\nBe careful.",
     )
+    return branches, inference
+
+
+def render_frames() -> dict[str, str]:
+    """The golden exploration and inference prompts, by frame file name. An
+    exploration episode's prompts are its branches': the branch frame is
+    slot 0's, and the exploration system message is the one they share."""
+    branches, inference = golden_bundles()
+    branch = branches[0]
     return {
         "exploration_system.txt": branch.system_text,
         "branch_user.txt": branch.user_text,
@@ -194,9 +204,62 @@ class TestGoldenFrames:
             user.index("## Observation"),
             user.index("### Sample Fingerprint"),
             user.index("## Decision"),
-            user.index("### Available Tools"),
+            user.index("### Branch Goal"),
         ]
         assert positions == sorted(positions)
+
+
+class TestEachFactOnce:
+    """The user text states each fact once: no ``- key = `` key twice, and
+    no tool the exchange already declares in its schemas."""
+
+    @staticmethod
+    def _bundles():
+        branches, inference = golden_bundles()
+        return {**{f"branch {i}": b for i, b in enumerate(branches)}, "inference": inference}
+
+    def test_no_key_is_stated_twice(self):
+        for frame, bundle in self._bundles().items():
+            keys = re.findall(r"^- (\w+) = ", bundle.user_text, flags=re.MULTILINE)
+            assert keys and len(keys) == len(set(keys)), (frame, sorted(k for k in keys if keys.count(k) > 1))
+
+    def test_no_line_restates_a_declared_tool(self):
+        for frame, bundle in self._bundles().items():
+            tool_lines = {f"- {t['name']}: {t.get('description', '')}" for t in bundle.declared_tools}
+            assert tool_lines and not tool_lines & set(bundle.user_text.splitlines()), frame
+
+
+def _policy_instances():
+    """A forecast, an indicator and a trend-label instance, each with its
+    own horizon and period."""
+    families = [
+        FamilySpec(name="f", kind="seasonal", learn_count=1, eval_count=0, horizon=12, period=12),
+        FamilySpec(name="i", kind="indicator", learn_count=1, eval_count=0, length=96, horizon=7, period=7),
+        FamilySpec(name="t", kind="trend_label", learn_count=1, eval_count=0, horizon=20, period=24),
+    ]
+    return [generate_sample(family, "learning", 0, seed=3)[0] for family in families]
+
+
+class TestPolicyInputs:
+    def test_the_policies_read_each_instance_s_own_values(self):
+        """The lines the offline policies parse survive in every frame, each
+        carrying the instance's own value."""
+        instances = _policy_instances()
+        assert len({i.horizon for i in instances}) == len(instances) and any(i.label_space for i in instances)
+        periods = set()
+        for instance, fp in zip(instances, prompts.fingerprints(instances)):
+            slots = _slots()
+            branches = prompts.build_exploration_prompt(instance, fp, None, slots, _slot_tools(slots))
+            inference = prompts.build_inference_prompt(instance, fp, None, DeclaredTools([{"name": "naive"}]))
+            period = fp.dominant_period if fp.period_significant else None
+            for text in [b.user_text for b in branches] + [inference.user_text]:
+                assert policy._horizon(text) == instance.horizon
+                assert policy._required_final_type(text) == instance.task_type.value
+                assert policy._label_space(text) == list(instance.label_space or ())
+                assert policy._dominant_period(text) == period
+            assert [policy._hint(b.user_text) for b in branches] == [s.hint for s in slots]
+            periods.add(period)
+        assert len(periods - {None}) > 1
 
 
 class TestExplorationBundle:

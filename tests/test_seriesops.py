@@ -370,8 +370,6 @@ def _reference_fingerprint(instance):
     p = _reference_profile(v)
     return prompts.SampleFingerprint(
         length=len(v),
-        first=float(v[0]),
-        last=float(v[-1]),
         vmin=float(v.min()),
         vmax=float(v.max()),
         mean=p.mean,

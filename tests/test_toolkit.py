@@ -326,6 +326,17 @@ class TestEvaluators:
         assert reports["b2"]["quality"] > reports["b1"]["quality"]
 
 
+class TestSchemas:
+    def test_every_tool_and_argument_is_described(self, toolkit):
+        """The declared schema is the only place a model reads a tool's
+        contract: each tool and each of its arguments says what it is."""
+        for tool_id in sorted(toolkit._tools):
+            schema = toolkit.tool_schema(tool_id)
+            assert schema["description"].strip(), tool_id
+            for name, prop in schema["parameters"]["properties"].items():
+                assert prop["description"].strip(), f"{tool_id}.{name}"
+
+
 class TestInvocationContract:
     def test_schema_violation_is_error_artifact(self, toolkit, exploration_ctx):
         instance, ctx = exploration_ctx
