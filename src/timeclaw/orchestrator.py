@@ -17,7 +17,9 @@ Exploration flow per instance:
 
 Branches and inference share one step loop, ``_step_loop``: gateway call ->
 tool invoke -> observation, over the per-run state of an ``_EpisodeRunner``
-(trace, artifacts, invocation context, call ids, gateway totals). The two
+(trace, artifacts, invocation context, call ids, gateway totals), until a
+final message, or a tool call whose reply answers from its artifact
+(``answer_from``, see ``_resolve_answer``). The two
 modes differ only in which tool requests they reject (a branch refuses the
 evaluate tool and tools outside its slot's subset; inference refuses
 anything outside the inference-visible set) and in what they record from the
@@ -512,6 +514,38 @@ def _split_call_args(raw_args: Mapping[str, Any]) -> tuple[dict[str, Any], list[
 
 
 _Step = tuple[str, ToolArtifact]
+# The payload field an ``answer_from`` answer is read from, by the kind of the
+# artifact it names: a forecast tool's series or ``detect_trend``'s label.
+_ANSWER_FIELDS = {ArtifactKind.SERIES.value: "values", ArtifactKind.LABEL.value: "label"}
+
+
+def _resolve_answer(
+    final: Optional[Mapping[str, Any]],
+    tool: Optional[str] = None,
+    artifact: Optional[Mapping[str, Any]] = None,
+    task_type: Optional[TaskType] = None,
+) -> tuple[Any, Optional[str]]:
+    """The answer a final message gives, and the failure reason of its own
+    when it gives none. A plain final gives its ``answer``. One that carries
+    ``answer_from`` gives the ``values`` of the series, or the ``label`` of
+    the label, that ``artifact`` (a ``ToolArtifact.to_dict()``) holds: the
+    artifact of ``tool``, the call its reply carried. It fails with
+    ``answer_from_other_tool`` when it names another tool (or its reply
+    carried none), and with ``answer_from_indicator`` on an indicator task,
+    whose answer is derived from a series, not read from one. Lint passes no
+    ``task_type``: it reads only valid candidates' answers."""
+    if final is None:
+        return None, None
+    if "answer_from" not in final:
+        return final.get("answer"), None
+    if tool is None or final["answer_from"] != tool:
+        return None, "answer_from_other_tool"
+    if task_type == TaskType.INDICATOR:
+        return None, "answer_from_indicator"
+    artifact = artifact or {}  # none in a trace whose call has no result
+    payload, field_name = artifact.get("payload"), _ANSWER_FIELDS.get(artifact.get("kind"))
+    answer = payload.get(field_name) if field_name and isinstance(payload, Mapping) else None
+    return (list(answer) if isinstance(answer, list) else answer), None  # not the artifact's own list
 
 
 def _step_loop(
@@ -520,16 +554,20 @@ def _step_loop(
     max_steps: int,
     reject: Callable[[str], Optional[str]],
     branch: Optional[int] = None,
-) -> tuple[list[_Step], Optional[dict[str, Any]], Optional[str]]:
+) -> tuple[list[_Step], Optional[dict[str, Any]], Any, Optional[str]]:
     """The gateway -> tool -> observation loop shared by branches and
     inference. ``reject(tool)`` names the error fed back, instead of running
-    the tool, for a request the caller does not accept (None: run it).
+    the tool, for a request the caller does not accept (None: run it). A
+    reply that carries a tool call and an ``answer_from`` final ends the loop
+    once the call's artifact is not an error; an error artifact is fed back.
 
-    Returns the invoked (tool, artifact) steps, the parsed final
-    message (None without one), and the failure reason: ``gateway_error: ...``,
-    ``step_cap``, or None once a final message arrived."""
+    Returns the invoked (tool, artifact) steps, the parsed final message
+    (None without one), its answer (see ``_resolve_answer``), and the failure
+    reason: ``gateway_error: ...``, ``step_cap``, ``_resolve_answer``'s, or
+    None."""
     messages = [bundle.system, ChatMessage(role="user", content=bundle.user_text)]
     steps: list[_Step] = []
+    task_type = runner.instance.task_type
     for _step in range(max_steps):
         exchange = ChatExchange(messages=messages, declared_tools=bundle.declared_tools)
         try:
@@ -537,7 +575,8 @@ def _step_loop(
         except ScriptMissError:
             raise  # a stale replay script is a test-configuration error
         except GatewayError as exc:
-            return steps, None, f"gateway_error: {exc}"
+            return steps, None, None, f"gateway_error: {exc}"
+        final = parse_final(reply.content)
         if reply.tool_calls:
             call = reply.tool_calls[0]  # one tool call per gateway turn
             messages.append(
@@ -550,14 +589,15 @@ def _step_loop(
                 args, inputs = _split_call_args(call.args)
                 art = runner.invoke_tool(call.tool, args, inputs, branch)
                 steps.append((call.tool, art))
+                if final is not None and "answer_from" in final and not art.is_error:
+                    return steps, final, *_resolve_answer(final, call.tool, art.to_dict(), task_type)
                 content = art.text
             messages.append(ChatMessage(role="tool", content=content, tool_call_id=call.id))
             continue
-        final = parse_final(reply.content)
         if final is not None:
-            return steps, final, None
+            return steps, final, *_resolve_answer(final, task_type=task_type)
         messages.append(ChatMessage(role="assistant", content=reply.content or ""))
-    return steps, None, "step_cap"
+    return steps, None, None, "step_cap"
 
 
 def _run_branch(runner: _EpisodeRunner, slot: BranchSlot, bundle: prompts.PromptBundle) -> CandidateExecution:
@@ -569,10 +609,9 @@ def _run_branch(runner: _EpisodeRunner, slot: BranchSlot, bundle: prompts.Prompt
             return "not_available_in_branch"
         return None if tool in slot.visible_tools else "tool_not_visible"
 
-    steps, final, failure_reason = _step_loop(
+    steps, _final, final_answer, failure_reason = _step_loop(
         runner, bundle, runner.config.max_steps, reject, branch=slot.slot
     )
-    final_answer = final.get("answer") if final else None
     verdict = validate_answer(final_answer, instance)
     substantive = tuple(
         tool
@@ -748,22 +787,34 @@ def _candidate_verdicts(events: Sequence[Mapping[str, Any]]) -> list[Mapping[str
     return [e for e in events if e["kind"] == "verdict" and e["payload"]["type"] == "candidate"]
 
 
-def candidate_answers(episode: str, events: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
+def candidate_answers(
+    episode: str, events: Sequence[Mapping[str, Any]], produced: Mapping[str, Mapping[str, Any]] = {}
+) -> dict[str, Any]:
     """The valid candidates' answers of one trace block, by branch id
     ``<episode>#b<slot>``, as the orchestrator held them: each is the answer
-    of its branch's last ``gateway_response``, the one message
-    ``_step_loop`` accepted as final (None when that message is not one).
-    Lint and replay both read the answers from here."""
-    finals: dict[int, Any] = {}
+    (``_resolve_answer``) of its branch's last ``gateway_response``, the one
+    message ``_step_loop`` accepted as final (None when that message is not
+    one). An ``answer_from`` reads the artifact of the branch's call that
+    follows that response: the one ``produced`` holds by call id (replay's,
+    re-executed), else the recorded ``tool_result``. Lint and replay both
+    read the answers from here."""
+    ends: dict[int, list[Any]] = {}  # branch -> [final, its reply's tool, that tool's artifact]
     for e in events:
-        if e["kind"] == "gateway_response" and e.get("branch") is not None:
-            reply = e["payload"]["reply"]
-            final = None if reply.get("tool_calls") else parse_final(reply.get("content"))
-            finals[e["branch"]] = final.get("answer") if final is not None else None
+        branch, payload = e.get("branch"), e["payload"]
+        if branch is None:
+            continue
+        if e["kind"] == "gateway_response":
+            reply = payload["reply"]
+            calls, final = reply.get("tool_calls"), parse_final(reply.get("content"))
+            if calls and final is not None and "answer_from" not in final:
+                final = None  # a call's plain answer is not final: the loop ran the call
+            call = calls[0] if isinstance(calls, list) and calls else None
+            ends[branch] = [final, call.get("tool") if isinstance(call, Mapping) else None, None]
+        elif e["kind"] == "tool_result" and branch in ends:
+            ends[branch][2] = produced.get(payload["call_id"], payload["artifact"])
     return {
-        f"{episode}#b{e.get('branch')}": finals.get(e.get("branch"))
-        for e in _candidate_verdicts(events)
-        if e["payload"]["valid"]
+        f"{episode}#b{branch}": _resolve_answer(*ends[branch])[0] if branch in ends else None
+        for branch in (e.get("branch") for e in _candidate_verdicts(events) if e["payload"]["valid"])
     }
 
 
@@ -859,10 +910,9 @@ def run_inference(
             # undeclared (or exploration-only) tool: feedback, no tool event
             return None if tool in visible else "tool_not_available"
 
-        steps, final, _failure = _step_loop(runner, bundle, max_steps, reject)
+        steps, final, final_answer, _failure = _step_loop(runner, bundle, max_steps, reject)
         tool_chain = [tool for tool, _art in steps]
         context_lines = [_context_line(i, tool, art) for i, (tool, art) in enumerate(steps, 1)]
-        final_answer = final.get("answer") if final else None
         if final and final.get("reasoning"):
             context_lines.append(f"{len(context_lines) + 1}. final: {final['reasoning']}")
         degraded = not validate_answer(final_answer, view).valid

@@ -5,7 +5,9 @@ rendered prompt text, so whole runs are reproducible and recordable into
 digest-keyed replay scripts. The exploration policy drives each branch
 through its hinted tool (the engine then evaluates the candidates); the
 inference policy follows injected memory when present and falls back to the
-simplest valid path otherwise.
+simplest valid path otherwise. Where a tool's artifact is the answer itself,
+both answer from it in the reply that calls the tool (``_call``); an
+indicator, derived from a series, is restated in a second reply.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import re
 from typing import Any, Optional
 
+from .corpus import TREND_LABELS
 from .gateway import AssistantReply, ChatExchange, ChatMessage, PolicyGateway, ToolCallRequest
 from .util import json_dumps
 
@@ -83,8 +86,24 @@ def _forecast_args(tool: str, text: str) -> dict[str, Any]:
     return args
 
 
-def _tool_reply(tool: str, args: dict[str, Any]) -> AssistantReply:
-    return AssistantReply(content="", tool_calls=(ToolCallRequest(tool=tool, args=args),))
+def _tool_reply(tool: str, args: dict[str, Any], content: str = "") -> AssistantReply:
+    return AssistantReply(content=content, tool_calls=(ToolCallRequest(tool=tool, args=args),))
+
+
+def _call(tool: str, args: dict[str, Any], final_type: str, labels: list[str], source: str) -> AssistantReply:
+    """A call of ``tool``. When its artifact is the answer itself (a forecast
+    tool's series on a forecast task, or ``detect_trend``'s label where the
+    label space holds every label it gives), the reply also carries the final
+    that answers from it, its reasoning naming the tool as ``source``: the
+    answer ``_answer_from_artifact`` would restate from that artifact."""
+    if final_type == "forecast" and tool in FORECAST_TOOLS:
+        reasoning = f"{source} continuation"
+    elif tool == "detect_trend" and set(TREND_LABELS) <= set(labels):
+        reasoning = f"{source} label"
+    else:
+        return _tool_reply(tool, args)
+    final = {"answer_type": final_type, "answer_from": tool, "reasoning": reasoning}
+    return _tool_reply(tool, args, json_dumps(final, sort_keys=True))
 
 
 def _final(answer_type: str, answer: Any, reasoning: str = "") -> AssistantReply:
@@ -136,7 +155,7 @@ def _answer_from_artifact(
 
 
 def exploration_policy(exchange: ChatExchange) -> AssistantReply:
-    """A branch's reply: run the hinted tool when it is usable, then answer
+    """A branch's reply: run the hinted tool when it is usable, answering
     from its artifact."""
     prompt = _first_user(exchange)
     final_type = _required_final_type(prompt)
@@ -153,16 +172,16 @@ def exploration_policy(exchange: ChatExchange) -> AssistantReply:
                 tool = next((t for t in FORECAST_TOOLS if t in available), None)
             if tool is None:
                 return _final(final_type, None, reasoning="no forecasting tool visible")
-            return _tool_reply(tool, _forecast_args(tool, prompt))
+            return _call(tool, _forecast_args(tool, prompt), final_type, labels, tool)
         if final_type in ("trend", "trend_past"):
             if hint in available and hint != "detect_trend":
                 return _tool_reply(hint, _forecast_args(hint, prompt) if hint in FORECAST_TOOLS else {})
             if "detect_trend" in available:
-                return _tool_reply("detect_trend", {})
+                return _call("detect_trend", {}, final_type, labels, "detect_trend")
             return _final(final_type, sorted(labels)[0] if labels else None)
         # correlation / mcqa
         if hint in available and hint not in FORECAST_TOOLS:
-            return _tool_reply(hint, {})
+            return _call(hint, {}, final_type, labels, hint)
         return _final(final_type, sorted(labels)[0] if labels else None)
 
     artifact = _parse_artifact(last)
@@ -171,7 +190,7 @@ def exploration_policy(exchange: ChatExchange) -> AssistantReply:
     used = artifact.get("payload", {}).get("tool", "") or _find(r'"tool":"(\w+)"', last.content) or "tool"
     if final_type in ("trend", "trend_past") and "label" not in artifact.get("payload", {}):
         if "detect_trend" in available:
-            return _tool_reply("detect_trend", {})
+            return _call("detect_trend", {}, final_type, labels, "detect_trend")
     return _answer_from_artifact(final_type, artifact, labels, used)
 
 
@@ -192,10 +211,10 @@ def inference_policy(exchange: ChatExchange) -> AssistantReply:
                 )
             if tool is None:
                 return _final(final_type, None, reasoning="no forecasting tool visible")
-            return _tool_reply(tool, _forecast_args(tool, prompt))
+            return _call(tool, _forecast_args(tool, prompt), final_type, labels, "selected tool")
         if final_type in ("trend", "trend_past"):
             if "detect_trend" in available:
-                return _tool_reply("detect_trend", {})
+                return _call("detect_trend", {}, final_type, labels, "selected tool")
             return _final(final_type, sorted(labels)[0] if labels else None)
         return _final(final_type, sorted(labels)[0] if labels else None)
 

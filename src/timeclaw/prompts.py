@@ -253,14 +253,22 @@ def _output_contract(instance: TaskInstance) -> str:
     """The answer a branch or an inference must finish with."""
     lines = ["### Output Contract"]
     t = instance.task_type
+    # what an answer_from reads from the artifact of the call beside it; an
+    # indicator is derived from a series, so it is always stated
+    source = None
     if t == TaskType.FORECAST:
         lines.append(f"- answer: JSON array of {instance.horizon} numbers")
+        source = "the values of the series it returns"
     elif t == TaskType.INDICATOR:
         lines.append("- answer: JSON object with numeric fields max, min, diff")
     else:
         lines.append("- answer: exactly one label from the label space")
         lines.append(f"- label_space = {json_dumps(list(instance.label_space or ()))}")
-    lines.append('- finish with JSON: {"answer_type": ..., "answer": ..., "reasoning": ...}')
+        source = "the label it returns"
+    finish = '- finish with JSON: {"answer_type": ..., "answer": ..., "reasoning": ...}'
+    if source:
+        finish += f'; or send {{"answer_type": ..., "answer_from": "<tool>", "reasoning": ...}} beside one call of that tool to answer with {source}'
+    lines.append(finish)
     return "\n".join(lines)
 
 

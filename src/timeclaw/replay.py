@@ -19,6 +19,7 @@ from . import __version__
 from .core import EvaluatorCapability, TaskInstance, validate_answer
 from .errors import ReplayError
 from .orchestrator import (
+    EVALUATE_TOOL,
     ContractVerdict,
     TraceBlock,
     candidate_answers,
@@ -94,11 +95,9 @@ def _replay_block(block: TraceBlock, samples: Mapping[str, TaskInstance], toolki
     sample = _block_sample(header, samples)
     ctx = InvocationContext(mode=mode, instance=sample)
     if mode == "exploration":
-        # the evaluate call runs as the engine ran it: over the valid
-        # candidates' answers, rebuilt from their branches' final messages
         ctx.capability = EvaluatorCapability()
-        ctx.candidates = candidate_answers(header["episode"], events)
     artifacts = ArtifactStore(sample)
+    produced_by_call: dict[str, dict[str, Any]] = {}
     results_by_call = {
         e["payload"]["call_id"]: (i, e["payload"]["artifact"])
         for i, e in enumerate(events)
@@ -121,11 +120,17 @@ def _replay_block(block: TraceBlock, samples: Mapping[str, TaskInstance], toolki
             )
             continue
         result_index, recorded = results_by_call[payload["call_id"]]
+        if tool == EVALUATE_TOOL:
+            # the evaluate call runs as the engine ran it: over the valid
+            # candidates' answers, rebuilt from their branches' final
+            # messages and the artifacts re-executed here
+            ctx.candidates = candidate_answers(header["episode"], events, produced_by_call)
         produced = toolkit.invoke(
             ToolInvocation(tool_id=tool, args=dict(payload["args"]), inputs=tuple(payload["inputs"])),
             artifacts,
             ctx,
         )
+        produced_by_call[payload["call_id"]] = produced.to_dict()
         if produced.text != canonical_json(recorded):
             report.divergences.append(
                 Divergence(

@@ -150,6 +150,16 @@ _TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
 }
 
 
+# The argument through which any call names the artifacts it reads
+# (``orchestrator._split_call_args``), declared in every tool's schema.
+_INPUTS_SCHEMA = {
+    "type": "array",
+    "items": {"type": "string"},
+    "description": "ids of the artifacts the call reads, each the artifact_id of an earlier tool result; "
+    f'default ["{ORIGINAL_INPUT}"], the sample\'s series',
+}
+
+
 class Toolkit(ToolRegistry):
     """The tool catalog: a :class:`ToolRegistry` of the tools' descriptors,
     plus each tool's function and the invoke() contract that wraps them."""
@@ -163,8 +173,11 @@ class Toolkit(ToolRegistry):
         self.add(descriptor)
         self._fns[descriptor.tool_id] = fn
         props = {
-            name: {"type": spec.type, "description": spec.description}
-            for name, spec in sorted(descriptor.arg_schema.items())
+            "_inputs": _INPUTS_SCHEMA,
+            **{
+                name: {"type": spec.type, "description": spec.description}
+                for name, spec in sorted(descriptor.arg_schema.items())
+            },
         }
         required = sorted(name for name, spec in descriptor.arg_schema.items() if spec.required)
         self._schemas[descriptor.tool_id] = {

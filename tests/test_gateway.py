@@ -346,6 +346,34 @@ class TestRequestShape:
         assert ("tool_not_available" in answer["content"]) == (tool != "naive")
 
 
+    @pytest.mark.parametrize("horizon", [2, "two"], ids=["artifact", "error"])
+    def test_a_reply_that_answers_from_its_call_is_sent_back_whole_until_its_artifact_answers(
+        self, stub_server, seasonal_instance, tmp_path, horizon
+    ):
+        # the backend calls naive and answers from it on every turn: a
+        # series ends the loop after one request, and an error artifact is
+        # fed back after the reply, its content and its call intact
+        from timeclaw.orchestrator import EpisodeDeps, run_inference
+        from timeclaw.toolkit import builtin_toolkit
+
+        final = json.dumps({"answer_type": "forecast", "answer_from": "naive", "reasoning": "last value"})
+        call = {"id": "call_3", "type": "function", "function": {"name": "naive", "arguments": json.dumps({"horizon": horizon})}}
+        stub_server.mode = "reply"
+        stub_server.body = {"choices": [{"message": {"content": final, "tool_calls": [call]}}]}
+        deps = EpisodeDeps(toolkit=builtin_toolkit(), gateway=RemoteGateway(base_url=stub_server.url), trace_dir=tmp_path)
+        result = run_inference(seasonal_instance, deps, max_steps=2)
+        deps.close()
+        sent = [json.loads(body)["messages"] for *_, body in stub_server.requests]
+        if horizon == 2:
+            assert len(sent) == 1
+            assert result.prediction == [seasonal_instance.series[-1]] * 2 and not result.degraded
+            return
+        first, second = sent
+        assistant, answer = second[len(first):]
+        assert assistant == {"role": "assistant", "content": final, "tool_calls": [call]}
+        assert (answer["tool_call_id"], json.loads(answer["content"])["payload"]["error"]) == ("call_3", "schema_violation")
+
+
 class TestRemoteGateway:
     def test_retry_on_500_then_success(self, stub_server):
         gw = RemoteGateway(base_url=stub_server.url, api_key="k", backoff=0.01)

@@ -467,6 +467,146 @@ class TestBranchLoop:
         assert turns == [0] * 6 + [1] * 6  # ExplorationConfig.max_steps turns per branch
 
 
+def _answer_from_reply(tool, args, answer_type="forecast", source=None):
+    """One tool call, with the final that answers from ``source``'s artifact
+    (the called tool's by default)."""
+    final = {"answer_type": answer_type, "answer_from": source or tool, "reasoning": f"{tool} says"}
+    return AssistantReply(content=json.dumps(final), tool_calls=(ToolCallRequest(tool=tool, args=args),))
+
+
+def _indicator_instance():
+    return TaskInstance(
+        id="ind1",
+        series=tuple(10.0 + (i % 4) for i in range(24)),
+        task_type=TaskType.INDICATOR,
+        horizon=8,
+        scope="synth_indicator_short",
+        ground_truth=SealedAnswer({"max": 13.0, "min": 10.0, "diff": 3.0}),
+    )
+
+
+class TestAnswerFrom:
+    """A reply may carry one tool call and a final that answers from that
+    call's artifact: the branch or inference ends after that one call."""
+
+    TREND = dict(series=[1.0 + 0.5 * i for i in range(12)], task_type=TaskType.TREND,
+                 labels=("decreasing", "increasing", "stable"), gt="increasing", horizon=2)
+
+    def _explore(self, tmp_path, monkeypatch, branch_fn, inst):
+        deps = _deps(tmp_path, _branch_loop_policy(branch_fn))
+        monkeypatch.setattr(
+            deps.toolkit, "sample_visible_subset", lambda *a, **k: frozenset({"naive", "drift", "detect_trend"})
+        )
+        outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), deps)
+        [block] = read_trace(outcome.trace_path)
+        return outcome, block.events
+
+    @pytest.mark.parametrize(
+        "tool, args, answer_type, field",
+        [("naive", {"horizon": 3}, "forecast", "values"), ("detect_trend", {}, "trend", "label")],
+        ids=["forecast", "label"],
+    )
+    def test_a_branch_ends_after_one_call_with_its_artifacts_answer(
+        self, tmp_path, monkeypatch, tool, args, answer_type, field
+    ):
+        inst = _instance(gt=[13.0] * 3) if answer_type == "forecast" else _instance(**self.TREND)
+        turns = []
+
+        def branch_fn(slot, exchange):
+            turns.append(slot)
+            return _answer_from_reply(tool, args, answer_type)
+
+        outcome, events = self._explore(tmp_path, monkeypatch, branch_fn, inst)
+        assert turns == [0, 1] and outcome.gateway_calls == 2
+        results = [e["payload"]["artifact"] for e in events if e["kind"] == "tool_result" and e["branch"] is not None]
+        assert [c.final_answer for c in outcome.candidates] == [r["payload"][field] for r in results]
+        assert all(c.valid and c.failure_reason is None for c in outcome.candidates)
+        assert replay(outcome.trace_path, [inst])[0].clean
+        [runtime] = [e["payload"] for e in events if e["kind"] == "verdict" and e["payload"]["type"] == "contract"]
+        [report] = lint(outcome.trace_path)
+        assert (report.contract.satisfied, list(report.contract.violations)) == (runtime["satisfied"], runtime["violations"])
+
+    def test_the_exploration_policy_makes_one_call_per_forecast_branch(self, tmp_path):
+        inst = _instance(gt=[13.0] * 3)
+        outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), _deps(tmp_path, policy_gateway("exploration")))
+        assert outcome.gateway_calls == 2
+        assert all(c.valid for c in outcome.candidates)
+        [report] = lint(outcome.trace_path)
+        assert report.clean and replay(outcome.trace_path, [inst])[0].clean
+
+    def test_an_error_artifact_is_fed_back_and_the_branch_goes_on(self, tmp_path, monkeypatch):
+        feedback = []
+
+        def branch_fn(slot, exchange):
+            last = exchange.messages[-1]
+            if last.role == "user":
+                return _answer_from_reply("naive", {"horizon": "three"})
+            feedback.append(json.loads(last.content)["payload"]["error"])
+            return _answer_from_reply("naive", {"horizon": 3})
+
+        outcome, _events = self._explore(tmp_path, monkeypatch, branch_fn, _instance(gt=[13.0] * 3))
+        assert feedback == ["schema_violation"] * 2
+        assert outcome.gateway_calls == 4
+        assert [c.final_answer for c in outcome.candidates] == [[12.0] * 3] * 2
+
+    @pytest.mark.parametrize(
+        "reply, inst, reason",
+        [
+            (_answer_from_reply("naive", {"horizon": 3}, source="drift"), _instance(gt=[13.0] * 3),
+             "answer_from_other_tool"),
+            (AssistantReply(content=json.dumps({"answer_type": "forecast", "answer_from": "naive"})),
+             _instance(gt=[13.0] * 3), "answer_from_other_tool"),
+            (_answer_from_reply("naive", {"horizon": 8}, "indicator"), _indicator_instance(), "answer_from_indicator"),
+        ],
+        ids=["another-tool", "no-call", "indicator"],
+    )
+    def test_an_answer_from_it_cannot_serve_is_an_invalid_candidate(self, tmp_path, monkeypatch, reply, inst, reason):
+        outcome, _events = self._explore(tmp_path, monkeypatch, lambda slot, exchange: reply, inst)
+        assert outcome.gateway_calls == 2
+        assert [(c.valid, c.final_answer, c.failure_reason) for c in outcome.candidates] == [(False, None, reason)] * 2
+
+    def test_lint_reads_each_branchs_answer_from_its_recorded_artifact(self, tmp_path, monkeypatch):
+        # the same tool on both branches: only the resolved answers, three
+        # values against two, tell the pair apart
+        horizons = {0: 3, 1: 2}
+        outcome, events = self._explore(
+            tmp_path, monkeypatch,
+            lambda slot, exchange: _answer_from_reply("naive", {"horizon": horizons[slot]}),
+            _instance(gt=[13.0] * 3),
+        )
+        [runtime] = [e["payload"] for e in events if e["kind"] == "verdict" and e["payload"]["type"] == "contract"]
+        [report] = lint(outcome.trace_path)
+        assert runtime["satisfied"] and report.contract.satisfied
+
+    def test_inference_makes_one_call_per_forecast_sample(self, tmp_path):
+        deps = _deps(tmp_path, PolicyGateway(inference_policy), with_store=False)
+        result = run_inference(_instance(gt=[13.0] * 3), deps)
+        assert (result.gateway_calls, result.prediction, result.degraded) == (1, [12.0] * 3, False)
+        assert result.execution_context.splitlines()[-1] == "2. final: selected tool continuation"
+
+    @pytest.mark.parametrize(
+        "labels, calls",
+        [(("decreasing", "increasing", "stable"), 1), (("decreasing", "flat", "increasing"), 2)],
+        ids=["trend-labels", "another-space"],
+    )
+    def test_a_label_answers_from_detect_trend_where_its_space_holds_every_label_it_gives(self, tmp_path, labels, calls):
+        inst = _instance(**{**self.TREND, "labels": labels})
+        result = run_inference(inst, _deps(tmp_path, PolicyGateway(inference_policy), with_store=False))
+        assert (result.gateway_calls, result.prediction) == (calls, "increasing")
+        [block] = read_trace(result.trace_path)
+        first = next(e["payload"]["reply"] for e in block.events if e["kind"] == "gateway_response")
+        assert first["tool_calls"] == [{"tool": "detect_trend", "args": {}}]
+        expected = {"answer_type": "trend", "answer_from": "detect_trend", "reasoning": "selected tool label"}
+        assert (json.loads(first["content"]) if first["content"] else None) == (expected if calls == 1 else None)
+
+    def test_an_indicator_keeps_two_calls_and_a_plain_answer(self, tmp_path):
+        result = run_inference(_indicator_instance(), _deps(tmp_path, PolicyGateway(inference_policy), with_store=False))
+        assert (result.gateway_calls, result.degraded) == (2, False)
+        [block] = read_trace(result.trace_path)
+        replies = [e["payload"]["reply"] for e in block.events if e["kind"] == "gateway_response"]
+        assert "answer" in json.loads(replies[-1]["content"]) and not replies[-1]["tool_calls"]
+
+
 class TestContractVerdicts:
     def _run_and_lint(self, tmp_path, gw, inst=None):
         inst = inst or _instance(gt=[13.0, 13.0, 13.0])

@@ -329,11 +329,16 @@ class TestEvaluators:
 class TestSchemas:
     def test_every_tool_and_argument_is_described(self, toolkit):
         """The declared schema is the only place a model reads a tool's
-        contract: each tool and each of its arguments says what it is."""
+        contract: each tool and each of its arguments says what it is,
+        ``_inputs``, through which any call names the artifacts it reads,
+        included."""
         for tool_id in sorted(toolkit._tools):
             schema = toolkit.tool_schema(tool_id)
             assert schema["description"].strip(), tool_id
-            for name, prop in schema["parameters"]["properties"].items():
+            properties = schema["parameters"]["properties"]
+            assert properties["_inputs"]["type"] == "array", tool_id
+            assert "_inputs" not in schema["parameters"]["required"], tool_id
+            for name, prop in properties.items():
                 assert prop["description"].strip(), f"{tool_id}.{name}"
 
 
