@@ -8,7 +8,7 @@ Three backends ship:
   failing loudly on a miss so prompt drift invalidates scripts instead of
   silently shifting replies.
 * ``PolicyGateway`` wraps a deterministic function of the exchange; the
-  built-in offline policies in :mod:`timeclaw.policy` use it.
+  built-in offline model in :mod:`timeclaw.policy` is one.
 
 ``RecordingGateway`` captures digest->reply pairs from any backend so replay
 scripts can be generated instead of hand-written.

@@ -12,9 +12,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from .core import CLASSIFICATION_TYPES
 from .errors import ContractError
-
-LABEL_TASK_TYPES = ("trend", "trend_past", "correlation", "mcqa")
 
 
 def _as_pair(pred: Sequence[float], truth: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +98,7 @@ def supervision_metric(task_type: str, scope: str) -> str:
     trajectories use MSE, as do named-scalar indicator tasks. Label tasks use
     0/1 accuracy.
     """
-    if task_type in LABEL_TASK_TYPES:
+    if task_type in CLASSIFICATION_TYPES:
         return "accuracy"
     if task_type == "indicator":
         return "mse"
@@ -171,7 +170,7 @@ def label_report(pred: str, truth: str) -> MetricReport:
 def answer_report(answer: Any, truth: Any, task_type: str) -> MetricReport:
     """Score one answer: labels 0/1, indicators over their keys in sorted
     order, forecasts after aligning to the ground-truth length."""
-    if task_type in LABEL_TASK_TYPES:
+    if task_type in CLASSIFICATION_TYPES:
         return label_report(answer, truth)
     if task_type == "indicator":
         order = sorted(truth.keys())

@@ -1,13 +1,16 @@
-"""Deterministic built-in gateway policies for offline runs.
+"""The offline model: a deterministic stand-in for the frozen base model.
 
-These implement the agent side of the conversation as a pure function of the
-rendered prompt text, so whole runs are reproducible and recordable into
-digest-keyed replay scripts. The exploration policy drives each branch
-through its hinted tool (the engine then evaluates the candidates); the
-inference policy follows injected memory when present and falls back to the
-simplest valid path otherwise. Where a tool's artifact is the answer itself,
-both answer from it in the reply that calls the tool (``_call``); an
-indicator, derived from a series, is restated in a second reply.
+The paper runs Explore and Reinject on one base model that only sees
+different prompts, so one policy answers every exchange here, as a pure
+function of that exchange: it is never told whether it drives an
+exploration branch or an inference. Its first tool is the branch prompt's
+hint when there is one, else the first tool its remembered preferences name
+that answers the task, else the first visible tool that does. Where a tool's
+artifact is the answer itself, it answers from it in the reply that calls
+the tool (``_call``); an indicator, derived from a series, is restated in a
+second reply. Every final that answers from a tool names it in its
+reasoning. Whole runs are reproducible and recordable into digest-keyed
+replay scripts.
 """
 
 from __future__ import annotations
@@ -16,29 +19,18 @@ import json
 import re
 from typing import Any, Optional
 
+from .core import NUMERIC_TYPES
 from .corpus import TREND_LABELS
 from .gateway import AssistantReply, ChatExchange, ChatMessage, PolicyGateway, ToolCallRequest
 from .util import json_dumps
 
 FORECAST_TOOLS = ("naive", "drift", "seasonal_naive", "ses", "holt", "moving_average")
+_TREND_FINALS = ("trend", "trend_past")
 
 
-def _first_user(exchange: ChatExchange) -> str:
-    for m in exchange.messages:
-        if m.role == "user":
-            return m.content
-    return ""
-
-
-def _system(exchange: ChatExchange) -> str:
-    for m in exchange.messages:
-        if m.role == "system":
-            return m.content
-    return ""
-
-
-def _last_message(exchange: ChatExchange) -> ChatMessage:
-    return exchange.messages[-1]
+def _content(exchange: ChatExchange, role: str) -> str:
+    """The text of the exchange's first ``role`` message ("" without one)."""
+    return next((m.content for m in exchange.messages if m.role == role), "")
 
 
 def _find(pattern: str, text: str) -> Optional[str]:
@@ -60,8 +52,8 @@ def _required_final_type(text: str) -> str:
     return _find(r"- required_final_type = (\w+)", text) or "forecast"
 
 
-def _hint(text: str) -> str:
-    return _find(r"- hint = (\S+)", text) or "naive"
+def _hint(text: str) -> Optional[str]:
+    return _find(r"- hint = (\S+)", text)
 
 
 def _label_space(text: str) -> list[str]:
@@ -79,27 +71,48 @@ def _memory_preferred(system_text: str) -> list[str]:
     return tools
 
 
-def _forecast_args(tool: str, text: str) -> dict[str, Any]:
-    args: dict[str, Any] = {"horizon": _horizon(text)}
-    if tool == "seasonal_naive":
-        args["period"] = _dominant_period(text) or 2
-    return args
+def _first_tool(final_type: str, hint: Optional[str], system_text: str, available: set[str]) -> Optional[str]:
+    """The tool a reply opens with. A forecast or indicator answers from a
+    forecast tool's series and a trend label from ``detect_trend``, which any
+    hinted tool may precede; a correlation or multiple-choice label answers
+    from its hinted analysis tool alone. The hint comes first when it
+    applies, then the tools remembered in ``system_text`` that answer the
+    task, then the visible ones that do."""
+    if final_type in NUMERIC_TYPES:
+        answering, hint_applies = FORECAST_TOOLS, hint in FORECAST_TOOLS
+    elif final_type in _TREND_FINALS:
+        answering, hint_applies = ("detect_trend",), True
+    else:
+        answering, hint_applies = (), hint not in FORECAST_TOOLS
+    if hint and hint_applies and hint in available:
+        return hint
+    options = [t for t in _memory_preferred(system_text) if t in answering] + list(answering)
+    return next((t for t in options if t in available), None)
+
+
+def _args(tool: str, exchange: ChatExchange, prompt: str) -> dict[str, Any]:
+    """The arguments that ``tool``'s declared schema requires: ``horizon``
+    is the prompt's, and any other (a period, lag or window) the significant
+    dominant period, else 2."""
+    schema = next(t for t in exchange.declared_tools if t["name"] == tool)
+    required = schema.get("parameters", {}).get("required", ())
+    return {name: _horizon(prompt) if name == "horizon" else (_dominant_period(prompt) or 2) for name in required}
 
 
 def _tool_reply(tool: str, args: dict[str, Any], content: str = "") -> AssistantReply:
     return AssistantReply(content=content, tool_calls=(ToolCallRequest(tool=tool, args=args),))
 
 
-def _call(tool: str, args: dict[str, Any], final_type: str, labels: list[str], source: str) -> AssistantReply:
+def _call(tool: str, args: dict[str, Any], final_type: str, labels: list[str]) -> AssistantReply:
     """A call of ``tool``. When its artifact is the answer itself (a forecast
     tool's series on a forecast task, or ``detect_trend``'s label where the
     label space holds every label it gives), the reply also carries the final
-    that answers from it, its reasoning naming the tool as ``source``: the
-    answer ``_answer_from_artifact`` would restate from that artifact."""
+    that answers from it: the answer ``_answer_from_artifact`` would restate
+    from that artifact."""
     if final_type == "forecast" and tool in FORECAST_TOOLS:
-        reasoning = f"{source} continuation"
+        reasoning = f"{tool} continuation"
     elif tool == "detect_trend" and set(TREND_LABELS) <= set(labels):
-        reasoning = f"{source} label"
+        reasoning = f"{tool} label"
     else:
         return _tool_reply(tool, args)
     final = {"answer_type": final_type, "answer_from": tool, "reasoning": reasoning}
@@ -131,106 +144,57 @@ def _indicator_from_series(values: list[float]) -> dict[str, float]:
     }
 
 
-def _answer_from_artifact(
-    final_type: str, artifact: dict[str, Any], labels: list[str], used_tool: str
-) -> AssistantReply:
-    payload = artifact.get("payload", {})
-    if final_type in ("forecast",):
+def _answer_from_artifact(final_type: str, payload: dict[str, Any], labels: list[str], tool: str) -> AssistantReply:
+    """The final restated from ``tool``'s artifact ``payload``."""
+    if final_type in NUMERIC_TYPES:
         values = payload.get("values")
-        if isinstance(values, list) and values:
-            return _final(final_type, values, reasoning=f"{used_tool} continuation")
-        return _final(final_type, None, reasoning=f"{used_tool} failed")
-    if final_type == "indicator":
-        values = payload.get("values")
-        if isinstance(values, list) and values:
-            return _final(final_type, _indicator_from_series(values), reasoning=f"{used_tool} summary")
-        return _final(final_type, None, reasoning=f"{used_tool} failed")
+        if not (isinstance(values, list) and values):
+            return _final(final_type, None, reasoning=f"{tool} failed")
+        if final_type == "forecast":
+            return _final(final_type, values, reasoning=f"{tool} continuation")
+        return _final(final_type, _indicator_from_series(values), reasoning=f"{tool} summary")
     # label tasks: use a trend label when one is available
     label = payload.get("label")
     if label in labels:
-        return _final(final_type, label, reasoning=f"{used_tool} label")
+        return _final(final_type, label, reasoning=f"{tool} label")
     if labels:
         return _final(final_type, sorted(labels)[0], reasoning="default label")
     return _final(final_type, None, reasoning="no label space")
 
 
-def exploration_policy(exchange: ChatExchange) -> AssistantReply:
-    """A branch's reply: run the hinted tool when it is usable, answering
-    from its artifact."""
-    prompt = _first_user(exchange)
+def offline_policy(exchange: ChatExchange) -> AssistantReply:
+    """The offline model's reply to ``exchange``: open with the first tool
+    that applies (see ``_first_tool``), answering from its artifact."""
+    prompt = _content(exchange, "user")
     final_type = _required_final_type(prompt)
     labels = _label_space(prompt)
-    hint = _hint(prompt)
     available = set(exchange.declared_tools.names)
-    last = _last_message(exchange)
+    last = exchange.messages[-1]
 
     if last.role != "tool":
-        # first move: run the hinted tool when it is usable for the task
-        if final_type in ("forecast", "indicator"):
-            tool = hint if hint in FORECAST_TOOLS and hint in available else None
-            if tool is None:
-                tool = next((t for t in FORECAST_TOOLS if t in available), None)
-            if tool is None:
+        tool = _first_tool(final_type, _hint(prompt), _content(exchange, "system"), available)
+        if tool is None:
+            if final_type in NUMERIC_TYPES:
                 return _final(final_type, None, reasoning="no forecasting tool visible")
-            return _call(tool, _forecast_args(tool, prompt), final_type, labels, tool)
-        if final_type in ("trend", "trend_past"):
-            if hint in available and hint != "detect_trend":
-                return _tool_reply(hint, _forecast_args(hint, prompt) if hint in FORECAST_TOOLS else {})
-            if "detect_trend" in available:
-                return _call("detect_trend", {}, final_type, labels, "detect_trend")
             return _final(final_type, sorted(labels)[0] if labels else None)
-        # correlation / mcqa
-        if hint in available and hint not in FORECAST_TOOLS:
-            return _call(hint, {}, final_type, labels, hint)
-        return _final(final_type, sorted(labels)[0] if labels else None)
+        return _call(tool, _args(tool, exchange, prompt), final_type, labels)
 
     artifact = _parse_artifact(last)
     if artifact is None:
         return _final(final_type, None, reasoning="unreadable tool result")
-    used = artifact.get("payload", {}).get("tool", "") or _find(r'"tool":"(\w+)"', last.content) or "tool"
-    if final_type in ("trend", "trend_past") and "label" not in artifact.get("payload", {}):
+    payload, used = artifact["payload"], exchange.messages[-2].tool_calls[0].tool  # the call it answers
+    if final_type in _TREND_FINALS and "label" not in payload and used != "detect_trend":
         if "detect_trend" in available:
-            return _call("detect_trend", {}, final_type, labels, "detect_trend")
-    return _answer_from_artifact(final_type, artifact, labels, used)
-
-
-def inference_policy(exchange: ChatExchange) -> AssistantReply:
-    prompt = _first_user(exchange)
-    final_type = _required_final_type(prompt)
-    labels = _label_space(prompt)
-    available = set(exchange.declared_tools.names)
-    last = _last_message(exchange)
-
-    if last.role != "tool":
-        preferred = [t for t in _memory_preferred(_system(exchange)) if t in available]
-        if final_type in ("forecast", "indicator"):
-            tool = next((t for t in preferred if t in FORECAST_TOOLS), None)
-            if tool is None:
-                tool = "naive" if "naive" in available else next(
-                    (t for t in FORECAST_TOOLS if t in available), None
-                )
-            if tool is None:
-                return _final(final_type, None, reasoning="no forecasting tool visible")
-            return _call(tool, _forecast_args(tool, prompt), final_type, labels, "selected tool")
-        if final_type in ("trend", "trend_past"):
-            if "detect_trend" in available:
-                return _call("detect_trend", {}, final_type, labels, "selected tool")
-            return _final(final_type, sorted(labels)[0] if labels else None)
-        return _final(final_type, sorted(labels)[0] if labels else None)
-
-    artifact = _parse_artifact(last)
-    if artifact is None:
-        return _final(final_type, None, reasoning="unreadable tool result")
-    return _answer_from_artifact(final_type, artifact, labels, "selected tool")
-
-
-BUILTIN_POLICIES = {
-    "exploration": exploration_policy,
-    "inference": inference_policy,
-}
+            return _call("detect_trend", {}, final_type, labels)
+    return _answer_from_artifact(final_type, payload, labels, used)
 
 
 def policy_gateway(name: str) -> PolicyGateway:
-    if name not in BUILTIN_POLICIES:
-        raise KeyError(f"unknown policy {name!r}; choose from {sorted(BUILTIN_POLICIES)}")
-    return PolicyGateway(BUILTIN_POLICIES[name])
+    """A gateway answering with the offline model. ``name`` is the run that
+    asks, "exploration" or "inference"; both get the same model, as Explore
+    and Reinject share one base model. The argument stays because the
+    benchmark (``perfbench/run.py``) patches ``cli.policy_gateway`` with a
+    one-argument stand-in that passes it on."""
+    if name not in ("exploration", "inference"):
+        raise KeyError(f"unknown policy {name!r}; choose from ['exploration', 'inference']")
+    return PolicyGateway(offline_policy)

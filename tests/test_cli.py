@@ -186,6 +186,37 @@ class TestExplore:
             for listed in requests.values():
                 assert listed[0] and listed.count(True) == 1, episode
 
+    def test_every_tool_call_gives_each_argument_its_schema_requires(self, mixed_run):
+        _instances, store = mixed_run
+        results = [
+            e["payload"]["artifact"]["payload"]
+            for path in sorted((store / "traces").glob("*.jsonl"))
+            for block in read_trace(path)
+            for e in block.events
+            if e["kind"] == "tool_result"
+        ]
+        assert results and [r for r in results if r.get("error") == "schema_violation"] == []
+
+    def test_every_final_from_a_tool_names_a_tool_its_branch_called(self, mixed_run):
+        _instances, store = mixed_run
+        kinds = set()
+        for path in sorted((store / "traces").glob("*.jsonl")):
+            for block in read_trace(path):
+                called: dict = {}
+                named: dict = {}
+                for e in block.events:
+                    if e["kind"] == "tool_call":
+                        called.setdefault(e["branch"], set()).add(e["payload"]["tool"])
+                    elif e["kind"] == "gateway_response" and e["payload"]["reply"]["content"]:
+                        reasoning = json.loads(e["payload"]["reply"]["content"])["reasoning"]
+                        if reasoning != "default label":  # the one final that reads no artifact here
+                            tool, kind = reasoning.split()
+                            named.setdefault(e["branch"], set()).add(tool)
+                            kinds.add(kind)
+                for branch, tools in named.items():
+                    assert tools <= called[branch], (block.header["episode"], branch)
+        assert kinds == {"continuation", "summary", "label"}
+
     def test_each_committed_note_is_the_note_its_block_holds(self, tmp_path, monkeypatch):
         """commit_note keeps the note it encoded instead of decoding its block
         back, so what it returns, and distills while the store stays open,
@@ -370,7 +401,7 @@ class TestExplore:
         }
         assert named == {
             "synth_forecast_short": ["moving_average", "naive", "seasonal_naive", "ses"],
-            "synth_trend_short": ["autocorrelation", "segment"],
+            "synth_trend_short": ["autocorrelation", "stationarity_check", "value_at", "window_stats"],
         }
 
     @pytest.mark.parametrize("across_scopes", [False, True])

@@ -34,7 +34,7 @@ from timeclaw.orchestrator import (
     run_exploration_episode,
     run_inference,
 )
-from timeclaw.policy import exploration_policy, inference_policy, policy_gateway
+from timeclaw.policy import offline_policy, policy_gateway
 from timeclaw.registry import ArgSpec, ToolCategory, ToolDescriptor, ToolRegistry
 from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore, LearningNote
@@ -526,7 +526,7 @@ class TestAnswerFrom:
         [report] = lint(outcome.trace_path)
         assert (report.contract.satisfied, list(report.contract.violations)) == (runtime["satisfied"], runtime["violations"])
 
-    def test_the_exploration_policy_makes_one_call_per_forecast_branch(self, tmp_path):
+    def test_the_offline_policy_makes_one_call_per_forecast_branch(self, tmp_path):
         inst = _instance(gt=[13.0] * 3)
         outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), _deps(tmp_path, policy_gateway("exploration")))
         assert outcome.gateway_calls == 2
@@ -579,10 +579,10 @@ class TestAnswerFrom:
         assert runtime["satisfied"] and report.contract.satisfied
 
     def test_inference_makes_one_call_per_forecast_sample(self, tmp_path):
-        deps = _deps(tmp_path, PolicyGateway(inference_policy), with_store=False)
+        deps = _deps(tmp_path, PolicyGateway(offline_policy), with_store=False)
         result = run_inference(_instance(gt=[13.0] * 3), deps)
         assert (result.gateway_calls, result.prediction, result.degraded) == (1, [12.0] * 3, False)
-        assert result.execution_context.splitlines()[-1] == "2. final: selected tool continuation"
+        assert result.execution_context.splitlines()[-1] == "2. final: naive continuation"
 
     @pytest.mark.parametrize(
         "labels, calls",
@@ -591,16 +591,16 @@ class TestAnswerFrom:
     )
     def test_a_label_answers_from_detect_trend_where_its_space_holds_every_label_it_gives(self, tmp_path, labels, calls):
         inst = _instance(**{**self.TREND, "labels": labels})
-        result = run_inference(inst, _deps(tmp_path, PolicyGateway(inference_policy), with_store=False))
+        result = run_inference(inst, _deps(tmp_path, PolicyGateway(offline_policy), with_store=False))
         assert (result.gateway_calls, result.prediction) == (calls, "increasing")
         [block] = read_trace(result.trace_path)
         first = next(e["payload"]["reply"] for e in block.events if e["kind"] == "gateway_response")
         assert first["tool_calls"] == [{"tool": "detect_trend", "args": {}}]
-        expected = {"answer_type": "trend", "answer_from": "detect_trend", "reasoning": "selected tool label"}
+        expected = {"answer_type": "trend", "answer_from": "detect_trend", "reasoning": "detect_trend label"}
         assert (json.loads(first["content"]) if first["content"] else None) == (expected if calls == 1 else None)
 
     def test_an_indicator_keeps_two_calls_and_a_plain_answer(self, tmp_path):
-        result = run_inference(_indicator_instance(), _deps(tmp_path, PolicyGateway(inference_policy), with_store=False))
+        result = run_inference(_indicator_instance(), _deps(tmp_path, PolicyGateway(offline_policy), with_store=False))
         assert (result.gateway_calls, result.degraded) == (2, False)
         [block] = read_trace(result.trace_path)
         replies = [e["payload"]["reply"] for e in block.events if e["kind"] == "gateway_response"]
@@ -750,7 +750,7 @@ class TestBranchSlots:
 class TestInference:
     def test_empty_store_baseline_forecast(self, tmp_path):
         inst = _instance(gt=[13.0] * 3)
-        deps = _deps(tmp_path, PolicyGateway(inference_policy), with_store=False)
+        deps = _deps(tmp_path, PolicyGateway(offline_policy), with_store=False)
         result = run_inference(inst, deps)
         assert not result.degraded
         assert len(result.prediction) == inst.horizon
@@ -764,7 +764,7 @@ class TestInference:
             gt="stable",
             horizon=2,
         )
-        deps = _deps(tmp_path, PolicyGateway(inference_policy), with_store=False)
+        deps = _deps(tmp_path, PolicyGateway(offline_policy), with_store=False)
         result = run_inference(inst, deps)
         assert result.prediction in inst.label_space
 
@@ -797,7 +797,7 @@ class TestInference:
             scope="synth_indicator_short",
             ground_truth=SealedAnswer({"max": 13.0, "min": 10.0, "diff": 3.0}),
         )
-        deps = _deps(tmp_path, PolicyGateway(inference_policy), with_store=False)
+        deps = _deps(tmp_path, PolicyGateway(offline_policy), with_store=False)
         result = run_inference(inst, deps)
         assert not result.degraded
         assert set(result.prediction) == {"max", "min", "diff"}
@@ -812,13 +812,13 @@ class TestInference:
             label_space=("option_a", "option_b", "option_c", "option_d"),
             ground_truth=SealedAnswer("option_b"),
         )
-        deps = _deps(tmp_path, PolicyGateway(inference_policy), with_store=False)
+        deps = _deps(tmp_path, PolicyGateway(offline_policy), with_store=False)
         result = run_inference(inst, deps)
         assert result.prediction in inst.label_space
 
     def test_no_store_or_ledger_writes(self, tmp_path):
         inst = _instance(gt=[13.0] * 3)
-        deps = _deps(tmp_path, PolicyGateway(inference_policy), with_store=True)
+        deps = _deps(tmp_path, PolicyGateway(offline_policy), with_store=True)
         digest_before = deps.store.tree_digest()
         run_inference(inst, deps)
         assert deps.store.tree_digest() == digest_before
@@ -918,7 +918,7 @@ class TestToolExposure:
     def test_inference_trace_never_contains_ground_truth(self, tmp_path):
         gt = [13.577, 14.211, 15.903]
         inst = _instance(gt=gt)
-        deps = _deps(tmp_path, PolicyGateway(inference_policy), with_store=False)
+        deps = _deps(tmp_path, PolicyGateway(offline_policy), with_store=False)
         result = run_inference(inst, deps)
         trace_text = Path(result.trace_path).read_text(encoding="utf-8")
         for needle in ("13.577", "14.211", "15.903"):
@@ -942,7 +942,7 @@ class TestReinjectOncePerMemory:
 
         def spy(exchange):
             systems.append(exchange.messages[0])
-            return inference_policy(exchange)
+            return offline_policy(exchange)
 
         def deps(trace_dir):
             toolkit = builtin_toolkit()
@@ -1188,9 +1188,9 @@ class TestProfileOnce:
         fp = prompts.fingerprint(inst)
         batches = _count_profiled(monkeypatch)
         calls = _count_calls(monkeypatch, ["dominant_period"])
-        result = run_inference(inst, _deps(tmp_path / "a", PolicyGateway(inference_policy)))
+        result = run_inference(inst, _deps(tmp_path / "a", PolicyGateway(offline_policy)))
         assert batches == [["e1"]] and calls == []
-        given = run_inference(inst, _deps(tmp_path / "b", PolicyGateway(inference_policy)), fp=fp)
+        given = run_inference(inst, _deps(tmp_path / "b", PolicyGateway(offline_policy)), fp=fp)
         assert batches == [["e1"]]
         assert given.prediction == result.prediction
         assert _trace_bytes(tmp_path / "b") == _trace_bytes(tmp_path / "a")
@@ -1286,7 +1286,7 @@ class TestEncodeAndRenderOnce:
         renderings = {json.dumps(truth), canonical_json(truth), json_dumps(truth)}
 
         def quoting(exchange):
-            reply = exploration_policy(exchange)
+            reply = offline_policy(exchange)
             if reply.tool_calls:
                 text = f"the truth was {json.dumps(truth)}, not {canonical_json(truth)}"
                 return AssistantReply(content=text, tool_calls=reply.tool_calls)
@@ -1311,7 +1311,7 @@ class TestEncodeAndRenderOnce:
         # text beside a branch's tool request
         def saying(text):
             def policy(exchange):
-                reply = exploration_policy(exchange)
+                reply = offline_policy(exchange)
                 if reply.tool_calls:
                     return AssistantReply(content=text, tool_calls=reply.tool_calls)
                 return reply

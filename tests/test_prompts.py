@@ -242,8 +242,9 @@ def _policy_instances():
 
 class TestPolicyInputs:
     def test_the_policies_read_each_instance_s_own_values(self):
-        """The lines the offline policies parse survive in every frame, each
-        carrying the instance's own value."""
+        """The lines the offline model parses survive in every frame, each
+        carrying the instance's own value; only a branch prompt names a
+        hint."""
         instances = _policy_instances()
         assert len({i.horizon for i in instances}) == len(instances) and any(i.label_space for i in instances)
         periods = set()
@@ -258,6 +259,7 @@ class TestPolicyInputs:
                 assert policy._label_space(text) == list(instance.label_space or ())
                 assert policy._dominant_period(text) == period
             assert [policy._hint(b.user_text) for b in branches] == [s.hint for s in slots]
+            assert policy._hint(inference.user_text) is None
             periods.add(period)
         assert len(periods - {None}) > 1
 
