@@ -16,14 +16,15 @@ Exploration flow per instance:
        to the experience pipeline
 
 Branches and inference share one step loop, ``_step_loop``: gateway call ->
-tool invoke -> observation, over the per-run state of an ``_EpisodeRunner``
-(trace, artifacts, invocation context, call ids, gateway totals), until a
-final message, or a tool call whose reply answers from its artifact
-(``answer_from``, see ``_resolve_answer``). The two
-modes differ only in which tool requests they reject (a branch refuses the
-evaluate tool and tools outside its slot's subset; inference refuses
-anything outside the inference-visible set) and in what they record from the
-loop's steps (branch candidates vs. an inference tool chain and context).
+each tool call the reply carries, invoked in order -> one observation per
+call, over the per-run state of an ``_EpisodeRunner`` (trace, artifacts,
+invocation context, call ids, gateway totals), until a final message, or a
+reply whose final answers from the artifact of one of its calls
+(``answer_from``, see ``_resolve_answer``). The two modes differ only in
+which tool requests they reject (a branch refuses the evaluate tool and
+tools outside its slot's subset; inference refuses anything outside the
+inference-visible set) and in what they record from the loop's steps
+(branch candidates vs. an inference tool chain and context).
 
 Each episode appends one block to its scope's trace log: a header line, then
 one event per line, so byte-identical reruns stay byte-identical.
@@ -521,28 +522,29 @@ _ANSWER_FIELDS = {ArtifactKind.SERIES.value: "values", ArtifactKind.LABEL.value:
 
 def _resolve_answer(
     final: Optional[Mapping[str, Any]],
-    tool: Optional[str] = None,
-    artifact: Optional[Mapping[str, Any]] = None,
+    ran: Sequence[tuple[str, Mapping[str, Any]]] = (),
     task_type: Optional[TaskType] = None,
 ) -> tuple[Any, Optional[str]]:
     """The answer a final message gives, and the failure reason of its own
     when it gives none. A plain final gives its ``answer``. One that carries
     ``answer_from`` gives the ``values`` of the series, or the ``label`` of
-    the label, that ``artifact`` (a ``ToolArtifact.to_dict()``) holds: the
-    artifact of ``tool``, the call its reply carried. It fails with
-    ``answer_from_other_tool`` when it names another tool (or its reply
-    carried none), and with ``answer_from_indicator`` on an indicator task,
-    whose answer is derived from a series, not read from one. Lint passes no
-    ``task_type``: it reads only valid candidates' answers."""
+    the label, that the named call's artifact (a ``ToolArtifact.to_dict()``)
+    holds, among ``ran``, the (tool, artifact) of each call its reply ran. It
+    fails with ``answer_from_other_tool`` when its reply ran no such call,
+    with ``answer_from_ambiguous`` when it ran more than one, and with
+    ``answer_from_indicator`` on an indicator task, whose answer is derived
+    from a series, not read from one. Lint passes no ``task_type``: it reads
+    only valid candidates' answers."""
     if final is None:
         return None, None
     if "answer_from" not in final:
         return final.get("answer"), None
-    if tool is None or final["answer_from"] != tool:
-        return None, "answer_from_other_tool"
+    artifacts = [artifact for tool, artifact in ran if tool == final["answer_from"]]
+    if len(artifacts) != 1:
+        return None, "answer_from_ambiguous" if artifacts else "answer_from_other_tool"
     if task_type == TaskType.INDICATOR:
         return None, "answer_from_indicator"
-    artifact = artifact or {}  # none in a trace whose call has no result
+    [artifact] = artifacts
     payload, field_name = artifact.get("payload"), _ANSWER_FIELDS.get(artifact.get("kind"))
     answer = payload.get(field_name) if field_name and isinstance(payload, Mapping) else None
     return (list(answer) if isinstance(answer, list) else answer), None  # not the artifact's own list
@@ -556,10 +558,13 @@ def _step_loop(
     branch: Optional[int] = None,
 ) -> tuple[list[_Step], Optional[dict[str, Any]], Any, Optional[str]]:
     """The gateway -> tool -> observation loop shared by branches and
-    inference. ``reject(tool)`` names the error fed back, instead of running
-    the tool, for a request the caller does not accept (None: run it). A
-    reply that carries a tool call and an ``answer_from`` final ends the loop
-    once the call's artifact is not an error; an error artifact is fed back.
+    inference. Each tool call a reply carries runs in order, and each gets
+    one tool message: its artifact, or, for a request the caller does not
+    accept, the error ``reject(tool)`` names (None: run it). A reply that
+    also carries an ``answer_from`` final ends the loop unless a call it
+    answers from was rejected or gave an error artifact: a call of the tool
+    it names, or, when the reply called no such tool, any of its calls. Then
+    every tool message is fed back.
 
     Returns the invoked (tool, artifact) steps, the parsed final message
     (None without one), its answer (see ``_resolve_answer``), and the failure
@@ -578,21 +583,26 @@ def _step_loop(
             return steps, None, None, f"gateway_error: {exc}"
         final = parse_final(reply.content)
         if reply.tool_calls:
-            call = reply.tool_calls[0]  # one tool call per gateway turn
-            messages.append(
-                ChatMessage(role="assistant", content=reply.content or "", tool_calls=(call,))
-            )
-            error = reject(call.tool)
-            if error is not None:
-                content = canonical_json({"error": error, "tool": call.tool})
-            else:
-                args, inputs = _split_call_args(call.args)
-                art = runner.invoke_tool(call.tool, args, inputs, branch)
-                steps.append((call.tool, art))
-                if final is not None and "answer_from" in final and not art.is_error:
-                    return steps, final, *_resolve_answer(final, call.tool, art.to_dict(), task_type)
-                content = art.text
-            messages.append(ChatMessage(role="tool", content=content, tool_call_id=call.id))
+            messages.append(ChatMessage(role="assistant", content=reply.content or "", tool_calls=reply.tool_calls))
+            first, failed = len(steps), set()  # the tools of the calls that cannot answer
+            for call in reply.tool_calls:
+                error = reject(call.tool)
+                if error is not None:
+                    content = canonical_json({"error": error, "tool": call.tool})
+                else:
+                    args, inputs = _split_call_args(call.args)
+                    art = runner.invoke_tool(call.tool, args, inputs, branch)
+                    steps.append((call.tool, art))
+                    content = art.text
+                if error is not None or art.is_error:
+                    failed.add(call.tool)
+                messages.append(ChatMessage(role="tool", content=content, tool_call_id=call.id))
+            if final is not None and "answer_from" in final:
+                called = {call.tool for call in reply.tool_calls}
+                answers_from = {final["answer_from"]} if final["answer_from"] in called else called
+                if not failed & answers_from:
+                    ran = [(tool, art.to_dict()) for tool, art in steps[first:]]
+                    return steps, final, *_resolve_answer(final, ran, task_type)
             continue
         if final is not None:
             return steps, final, *_resolve_answer(final, task_type=task_type)
@@ -794,11 +804,13 @@ def candidate_answers(
     ``<episode>#b<slot>``, as the orchestrator held them: each is the answer
     (``_resolve_answer``) of its branch's last ``gateway_response``, the one
     message ``_step_loop`` accepted as final (None when that message is not
-    one). An ``answer_from`` reads the artifact of the branch's call that
-    follows that response: the one ``produced`` holds by call id (replay's,
-    re-executed), else the recorded ``tool_result``. Lint and replay both
-    read the answers from here."""
-    ends: dict[int, list[Any]] = {}  # branch -> [final, its reply's tool, that tool's artifact]
+    one). An ``answer_from`` reads the artifact of the named call among the
+    branch's calls that follow that response, matched by call id and tool:
+    the artifact ``produced`` holds by call id (replay's, re-executed), else
+    the recorded ``tool_result``. Lint and replay both read the answers from
+    here."""
+    ends: dict[int, tuple[Any, list[Any]]] = {}  # branch -> (final, the (tool, artifact) of each call that ran)
+    tools: dict[str, str] = {}  # call id -> tool
     for e in events:
         branch, payload = e.get("branch"), e["payload"]
         if branch is None:
@@ -808,10 +820,12 @@ def candidate_answers(
             calls, final = reply.get("tool_calls"), parse_final(reply.get("content"))
             if calls and final is not None and "answer_from" not in final:
                 final = None  # a call's plain answer is not final: the loop ran the call
-            call = calls[0] if isinstance(calls, list) and calls else None
-            ends[branch] = [final, call.get("tool") if isinstance(call, Mapping) else None, None]
+            ends[branch] = (final, [])
+        elif e["kind"] == "tool_call":
+            tools[payload["call_id"]] = payload["tool"]
         elif e["kind"] == "tool_result" and branch in ends:
-            ends[branch][2] = produced.get(payload["call_id"], payload["artifact"])
+            call_id = payload["call_id"]
+            ends[branch][1].append((tools.get(call_id), produced.get(call_id, payload["artifact"])))
     return {
         f"{episode}#b{branch}": _resolve_answer(*ends[branch])[0] if branch in ends else None
         for branch in (e.get("branch") for e in _candidate_verdicts(events) if e["payload"]["valid"])

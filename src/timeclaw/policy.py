@@ -7,10 +7,13 @@ exploration branch or an inference. Its first tool is the branch prompt's
 hint when there is one, else the first tool its remembered preferences name
 that answers the task, else the first visible tool that does. Where a tool's
 artifact is the answer itself, it answers from it in the reply that calls
-the tool (``_call``); an indicator, derived from a series, is restated in a
-second reply. Every final that answers from a tool names it in its
-reasoning. Whole runs are reproducible and recordable into digest-keyed
-replay scripts.
+the tool (``_call``). A trend label whose first tool is another one calls
+``detect_trend`` in that same reply, after it, when ``detect_trend`` is
+visible, and answers from it; with it hidden, a second reply restates a
+label after reading the first tool's artifact. An indicator, derived from a
+series, is restated in a second reply. Every final that answers from a tool
+names it in its reasoning. Whole runs are reproducible and recordable into
+digest-keyed replay scripts.
 """
 
 from __future__ import annotations
@@ -99,24 +102,23 @@ def _args(tool: str, exchange: ChatExchange, prompt: str) -> dict[str, Any]:
     return {name: _horizon(prompt) if name == "horizon" else (_dominant_period(prompt) or 2) for name in required}
 
 
-def _tool_reply(tool: str, args: dict[str, Any], content: str = "") -> AssistantReply:
-    return AssistantReply(content=content, tool_calls=(ToolCallRequest(tool=tool, args=args),))
-
-
-def _call(tool: str, args: dict[str, Any], final_type: str, labels: list[str]) -> AssistantReply:
-    """A call of ``tool``. When its artifact is the answer itself (a forecast
-    tool's series on a forecast task, or ``detect_trend``'s label where the
-    label space holds every label it gives), the reply also carries the final
-    that answers from it: the answer ``_answer_from_artifact`` would restate
-    from that artifact."""
+def _call(calls: list[tuple[str, dict[str, Any]]], final_type: str, labels: list[str]) -> AssistantReply:
+    """A reply carrying ``calls``, (tool, args) pairs run in order. When the
+    last call's artifact is the answer itself (a forecast tool's series on a
+    forecast task, or ``detect_trend``'s label where the label space holds
+    every label it gives), the reply also carries the final that answers
+    from it: the answer ``_answer_from_artifact`` would restate from that
+    artifact."""
+    requests = tuple(ToolCallRequest(tool=tool, args=args) for tool, args in calls)
+    tool = calls[-1][0]
     if final_type == "forecast" and tool in FORECAST_TOOLS:
         reasoning = f"{tool} continuation"
     elif tool == "detect_trend" and set(TREND_LABELS) <= set(labels):
         reasoning = f"{tool} label"
     else:
-        return _tool_reply(tool, args)
+        return AssistantReply(content="", tool_calls=requests)
     final = {"answer_type": final_type, "answer_from": tool, "reasoning": reasoning}
-    return _tool_reply(tool, args, json_dumps(final, sort_keys=True))
+    return AssistantReply(content=json_dumps(final, sort_keys=True), tool_calls=requests)
 
 
 def _final(answer_type: str, answer: Any, reasoning: str = "") -> AssistantReply:
@@ -177,15 +179,17 @@ def offline_policy(exchange: ChatExchange) -> AssistantReply:
             if final_type in NUMERIC_TYPES:
                 return _final(final_type, None, reasoning="no forecasting tool visible")
             return _final(final_type, sorted(labels)[0] if labels else None)
-        return _call(tool, _args(tool, exchange, prompt), final_type, labels)
+        calls = [(tool, _args(tool, exchange, prompt))]
+        if final_type in _TREND_FINALS and tool != "detect_trend" and "detect_trend" in available:
+            calls.append(("detect_trend", {}))  # its label is the answer
+        return _call(calls, final_type, labels)
 
     artifact = _parse_artifact(last)
     if artifact is None:
         return _final(final_type, None, reasoning="unreadable tool result")
-    payload, used = artifact["payload"], exchange.messages[-2].tool_calls[0].tool  # the call it answers
-    if final_type in _TREND_FINALS and "label" not in payload and used != "detect_trend":
-        if "detect_trend" in available:
-            return _call("detect_trend", {}, final_type, labels)
+    # the last tool message answers the last call of the assistant message before the tool messages
+    reply = next(m for m in reversed(exchange.messages) if m.role == "assistant")
+    payload, used = artifact["payload"], reply.tool_calls[-1].tool
     return _answer_from_artifact(final_type, payload, labels, used)
 
 

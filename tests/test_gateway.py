@@ -346,6 +346,28 @@ class TestRequestShape:
         assert ("tool_not_available" in answer["content"]) == (tool != "naive")
 
 
+    def test_every_call_of_a_reply_is_echoed_and_answered_in_order(self, stub_server, seasonal_instance, tmp_path):
+        # a backend that requests two tools in one message, as parallel
+        # function calling does: the next request echoes the message with
+        # both calls, ids intact, then answers each by its id, in order
+        from timeclaw.orchestrator import EpisodeDeps, run_inference
+        from timeclaw.toolkit import builtin_toolkit
+
+        calls = [
+            {"id": f"call_{tool}", "type": "function", "function": {"name": tool, "arguments": '{"horizon": 2}'}}
+            for tool in ("naive", "drift")
+        ]
+        stub_server.mode, stub_server.body = "reply", {"choices": [{"message": {"content": None, "tool_calls": calls}}]}
+        deps = EpisodeDeps(toolkit=builtin_toolkit(), gateway=RemoteGateway(base_url=stub_server.url), trace_dir=tmp_path)
+        run_inference(seasonal_instance, deps, max_steps=2)
+        deps.close()
+        first, second = (json.loads(body)["messages"] for *_, body in stub_server.requests)
+        assistant, *answers = second[len(first):]
+        assert assistant == {"role": "assistant", "content": "", "tool_calls": calls}
+        assert [(m["role"], m["tool_call_id"]) for m in answers] == [("tool", "call_naive"), ("tool", "call_drift")]
+        naive, drift = (json.loads(m["content"])["payload"]["values"] for m in answers)
+        assert naive == [seasonal_instance.series[-1]] * 2 and len(drift) == 2 and drift != naive
+
     @pytest.mark.parametrize("horizon", [2, "two"], ids=["artifact", "error"])
     def test_a_reply_that_answers_from_its_call_is_sent_back_whole_until_its_artifact_answers(
         self, stub_server, seasonal_instance, tmp_path, horizon

@@ -474,6 +474,14 @@ def _answer_from_reply(tool, args, answer_type="forecast", source=None):
     return AssistantReply(content=json.dumps(final), tool_calls=(ToolCallRequest(tool=tool, args=args),))
 
 
+def _answer_from_calls(calls, source, answer_type="forecast"):
+    """The (tool, args) ``calls`` in one reply, with ids ``call_0``, ...,
+    and the final that answers from ``source``'s artifact."""
+    final = {"answer_type": answer_type, "answer_from": source, "reasoning": f"{source} says"}
+    requests = tuple(ToolCallRequest(tool=tool, args=args, id=f"call_{i}") for i, (tool, args) in enumerate(calls))
+    return AssistantReply(content=json.dumps(final), tool_calls=requests)
+
+
 def _indicator_instance():
     return TaskInstance(
         id="ind1",
@@ -486,8 +494,9 @@ def _indicator_instance():
 
 
 class TestAnswerFrom:
-    """A reply may carry one tool call and a final that answers from that
-    call's artifact: the branch or inference ends after that one call."""
+    """A reply may carry tool calls and a final that answers from the
+    artifact of one of them: the branch or inference ends after that one
+    gateway call, every call of the reply run in order."""
 
     TREND = dict(series=[1.0 + 0.5 * i for i in range(12)], task_type=TaskType.TREND,
                  labels=("decreasing", "increasing", "stable"), gt="increasing", horizon=2)
@@ -557,13 +566,63 @@ class TestAnswerFrom:
             (AssistantReply(content=json.dumps({"answer_type": "forecast", "answer_from": "naive"})),
              _instance(gt=[13.0] * 3), "answer_from_other_tool"),
             (_answer_from_reply("naive", {"horizon": 8}, "indicator"), _indicator_instance(), "answer_from_indicator"),
+            (_answer_from_calls([("naive", {"horizon": 3}), ("naive", {"horizon": 2})], "naive"),
+             _instance(gt=[13.0] * 3), "answer_from_ambiguous"),
         ],
-        ids=["another-tool", "no-call", "indicator"],
+        ids=["another-tool", "no-call", "indicator", "named-twice"],
     )
     def test_an_answer_from_it_cannot_serve_is_an_invalid_candidate(self, tmp_path, monkeypatch, reply, inst, reason):
         outcome, _events = self._explore(tmp_path, monkeypatch, lambda slot, exchange: reply, inst)
         assert outcome.gateway_calls == 2
         assert [(c.valid, c.final_answer, c.failure_reason) for c in outcome.candidates] == [(False, None, reason)] * 2
+
+    def test_a_reply_answers_from_its_second_call_after_running_both(self, tmp_path, monkeypatch):
+        inst = _instance(gt=[13.0] * 3)
+        reply = _answer_from_calls([("naive", {"horizon": 3}), ("drift", {"horizon": 3})], "drift")
+        outcome, events = self._explore(tmp_path, monkeypatch, lambda slot, exchange: reply, inst)
+        assert outcome.gateway_calls == 2
+        ran = [(e["branch"], e["payload"]["call_id"], e["payload"]["tool"]) for e in events
+               if e["kind"] == "tool_call" and e["branch"] is not None]
+        assert ran == [(0, "c001", "naive"), (0, "c002", "drift"), (1, "c003", "naive"), (1, "c004", "drift")]
+        assert [(c.final_answer, c.substantive_chain) for c in outcome.candidates] == [
+            ([13.0, 14.0, 15.0], ("naive", "drift"))
+        ] * 2
+        assert replay(outcome.trace_path, [inst])[0].clean
+        [runtime] = [e["payload"] for e in events if e["kind"] == "verdict" and e["payload"]["type"] == "contract"]
+        [report] = lint(outcome.trace_path)
+        assert list(report.contract.violations) == runtime["violations"] == ["no_distinct_pair"]
+
+    @pytest.mark.parametrize(
+        "second, args, named, answer",
+        [
+            ("holt", {"horizon": 3}, "holt", {"error": "tool_not_visible", "tool": "holt"}),
+            ("drift", {"horizon": "three"}, "drift", "schema_violation"),
+            # a reply that called no call of the named tool answers from all of them
+            ("holt", {"horizon": 3}, "drift", {"error": "tool_not_visible", "tool": "holt"}),
+        ],
+        ids=["rejected", "error-artifact", "another-tool-rejected"],
+    )
+    def test_a_named_call_that_cannot_answer_feeds_back_every_tool_message(
+        self, tmp_path, monkeypatch, second, args, named, answer
+    ):
+        feedback = []
+
+        def branch_fn(slot, exchange):
+            if exchange.messages[-1].role == "user":
+                return _answer_from_calls([("naive", {"horizon": 3}), (second, args)], named)
+            assistant, *answers = exchange.messages[2:]
+            assert [c.id for c in assistant.tool_calls] == ["call_0", "call_1"]
+            feedback.append([(m.role, m.tool_call_id, json.loads(m.content)) for m in answers])
+            return _forecast_reply([13.0] * 3)
+
+        outcome, _events = self._explore(tmp_path, monkeypatch, branch_fn, _instance(gt=[13.0] * 3))
+        assert outcome.gateway_calls == 4
+        for first, second in feedback:
+            assert first[:2] == ("tool", "call_0") and first[2]["payload"]["values"] == [12.0] * 3
+            assert second[:2] == ("tool", "call_1")
+            assert (second[2] if "error" in second[2] else second[2]["payload"]["error"]) == answer
+        assert len(feedback) == 2
+        assert [c.final_answer for c in outcome.candidates] == [[13.0] * 3] * 2
 
     def test_lint_reads_each_branchs_answer_from_its_recorded_artifact(self, tmp_path, monkeypatch):
         # the same tool on both branches: only the resolved answers, three
@@ -598,6 +657,35 @@ class TestAnswerFrom:
         assert first["tool_calls"] == [{"tool": "detect_trend", "args": {}}]
         expected = {"answer_type": "trend", "answer_from": "detect_trend", "reasoning": "detect_trend label"}
         assert (json.loads(first["content"]) if first["content"] else None) == (expected if calls == 1 else None)
+
+    @pytest.mark.parametrize(
+        "visible, labels, calls, chains",
+        [
+            ({"basic_stats", "detect_trend", "naive"}, TREND["labels"], [1, 1],
+             [("basic_stats", "detect_trend"), ("detect_trend",)]),
+            ({"basic_stats", "detect_trend", "naive"}, ("decreasing", "flat", "increasing"), [2, 2],
+             [("basic_stats", "detect_trend"), ("detect_trend",)]),
+            ({"basic_stats", "stationarity_check", "naive"}, TREND["labels"], [2, 2],
+             [("basic_stats",), ("stationarity_check",)]),
+        ],
+        ids=["detect_trend-visible", "another-space", "detect_trend-hidden"],
+    )
+    def test_a_label_branch_hinted_at_an_analysis_tool_calls_detect_trend_in_its_first_reply(
+        self, tmp_path, monkeypatch, visible, labels, calls, chains
+    ):
+        # slot 0 is hinted at basic_stats: with detect_trend visible it calls
+        # both in one reply and answers from detect_trend, in that reply where
+        # the label space holds every label detect_trend gives, else in the
+        # next; with it hidden it reads basic_stats' artifact before it answers
+        inst = _instance(**{**self.TREND, "labels": labels})
+        deps = _deps(tmp_path, policy_gateway("exploration"))
+        monkeypatch.setattr(deps.toolkit, "sample_visible_subset", lambda *a, **k: frozenset(visible))
+        outcome = run_exploration_episode(inst, ExplorationConfig(seed=3), deps)
+        [block] = read_trace(outcome.trace_path)
+        assert [sum(e["kind"] == "gateway_request" and e["branch"] == slot for e in block.events) for slot in (0, 1)] == calls
+        assert [c.substantive_chain for c in outcome.candidates] == chains
+        assert all(c.valid for c in outcome.candidates)
+        assert replay(outcome.trace_path, [inst])[0].clean and lint(outcome.trace_path)[0].clean
 
     def test_an_indicator_keeps_two_calls_and_a_plain_answer(self, tmp_path):
         result = run_inference(_indicator_instance(), _deps(tmp_path, PolicyGateway(offline_policy), with_store=False))

@@ -10,7 +10,9 @@ from timeclaw.cli import main
 from timeclaw.corpus import write_samples
 from timeclaw.core import SealedAnswer, TaskInstance, TaskType
 from timeclaw.errors import ReplayError
-from timeclaw.orchestrator import EpisodeDeps, ExplorationConfig, read_trace, run_exploration_episode, run_inference
+from timeclaw.orchestrator import (
+    EpisodeDeps, ExplorationConfig, candidate_answers, read_trace, run_exploration_episode, run_inference,
+)
 from timeclaw.policy import policy_gateway
 from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore
@@ -147,6 +149,59 @@ class TestEvaluateCall:
         path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
         [report] = replay(path, [_instance()])
         assert [d.kind for d in report.divergences] == ["artifact_mismatch"]
+
+
+def _naive_then_drift(named):
+    """A policy whose branches each call naive, then drift, in one reply,
+    slot ``s`` answering from the artifact of ``named[s]``."""
+    from timeclaw.gateway import AssistantReply, PolicyGateway, ToolCallRequest
+
+    def fn(exchange):
+        first_user = next(m.content for m in exchange.messages if m.role == "user")
+        source = named[0] if "- slot = 0" in first_user else named[1]
+        final = {"answer_type": "forecast", "answer_from": source, "reasoning": f"{source} continuation"}
+        calls = tuple(ToolCallRequest(tool=tool, args={"horizon": 3}) for tool in ("naive", "drift"))
+        return AssistantReply(content=json.dumps(final), tool_calls=calls)
+
+    return PolicyGateway(fn)
+
+
+class TestMultiCallBranch:
+    """A branch's one reply calls naive, then drift, and answers from one of
+    them: lint and replay read the answer from the named call's artifact."""
+
+    NAIVE, DRIFT = [12.0] * 3, [13.0, 14.0, 15.0]
+
+    def _explore(self, tmp_path, named):
+        deps = EpisodeDeps(toolkit=builtin_toolkit(), gateway=_naive_then_drift(named), trace_dir=tmp_path / "traces")
+        outcome = run_exploration_episode(_instance(), ExplorationConfig(seed=4), deps)
+        assert outcome.gateway_calls == 2 and all(c.substantive_chain == ("naive", "drift") for c in outcome.candidates)
+        return outcome
+
+    def test_a_mutated_second_call_result_is_one_divergence(self, tmp_path):
+        # the evaluate call is rebuilt from the re-executed drift artifact,
+        # so it does not diverge a second time
+        outcome = self._explore(tmp_path, ("drift", "drift"))
+        assert [c.final_answer for c in outcome.candidates] == [self.DRIFT] * 2
+        header, *events = [json.loads(line) for line in Path(outcome.trace_path).read_text(encoding="utf-8").splitlines()]
+        drift = next(e["payload"]["call_id"] for e in events if e["kind"] == "tool_call" and e["payload"]["tool"] == "drift")
+        [index] = [i for i, e in enumerate(events) if e["kind"] == "tool_result" and e["payload"]["call_id"] == drift]
+        events[index]["payload"]["artifact"]["payload"]["values"][0] += 1.0
+        target = tmp_path / "mutated.jsonl"
+        target.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in [header, *events]),
+                          encoding="utf-8")
+        [report] = replay(target, [_instance()])
+        assert [(d.index, d.kind) for d in report.divergences] == [(index, "artifact_mismatch")]
+
+    def test_lint_reads_the_named_calls_artifact_not_the_first_calls(self, tmp_path):
+        # both branches run the same chain: only the answers, drift's on one
+        # and naive's on the other, tell the pair apart
+        outcome = self._explore(tmp_path, ("drift", "naive"))
+        [block] = read_trace(outcome.trace_path)
+        assert candidate_answers("rp1", block.events) == {"rp1#b0": self.DRIFT, "rp1#b1": self.NAIVE}
+        [recorded] = [e["payload"] for e in block.events if e["kind"] == "verdict" and e["payload"]["type"] == "contract"]
+        [report] = lint(outcome.trace_path)
+        assert recorded["satisfied"] and report.clean
 
 
 class TestLint:
