@@ -81,6 +81,8 @@ def _optional_array(record: Mapping[str, Any], key: str) -> Optional[tuple[Any, 
 
 def parse_record(record: Mapping[str, Any]) -> TaskInstance:
     """One sample from its JSON record; ``ground_truth``, when present, is sealed."""
+    if not isinstance(record, Mapping):
+        raise CorpusError("a sample is a JSON object")
     for key in ("id", "series", "task_type", "scope"):
         if key not in record:
             raise CorpusError(f"missing key {key}")

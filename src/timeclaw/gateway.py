@@ -125,20 +125,17 @@ def reply_from_dict(data: Any, name: str) -> AssistantReply:
         content=data.get("content"),
         tool_calls=tuple(ToolCallRequest(c["tool"], dict(c.get("args", {})), c.get("id", "")) for c in calls),
     )
-    if not _encodable(reply):
-        raise ContractError(f"{name} holds a lone surrogate, which UTF-8 cannot encode")
-    return reply
-
-
-def _encodable(reply: AssistantReply) -> bool:
-    """Whether the reply's content, tool names and arguments encode as UTF-8.
-    JSON's ``\\ud800`` escape decodes to a lone surrogate, which does not, so
-    the next turn's exchange digest and the trace write would fail on it."""
+    # JSON's \ud800 escape decodes to a lone surrogate, which the next turn's
+    # exchange digest and the trace write fail on; its NaN and Infinity
+    # decode to numbers the trace would write as tokens strict JSON refuses
+    fields = [reply.content, [[c.tool, c.args] for c in reply.tool_calls]]
     try:
-        canonical_json([reply.content, [[c.tool, c.args] for c in reply.tool_calls]]).encode()
+        json.dumps(fields, ensure_ascii=False, allow_nan=False).encode()
     except UnicodeEncodeError:
-        return False
-    return True
+        raise ContractError(f"{name} holds a lone surrogate, which UTF-8 cannot encode") from None
+    except ValueError:
+        raise ContractError(f"{name} holds a NaN or an infinity, which JSON cannot encode") from None
+    return reply
 
 
 def _normalize(content: str) -> str:

@@ -35,12 +35,36 @@ SUBSTANTIVE_CATEGORIES = frozenset(
 )
 
 
+BOUNDS = ("minimum", "exclusiveMinimum", "maximum", "enum")
+
+
 @dataclass(frozen=True)
 class ArgSpec:
+    """One argument of a tool. ``default`` and the bounds are the JSON
+    Schema keywords of those names; a tool's schema declares each one set."""
+
     type: str  # number | integer | string | boolean | array | object
     required: bool = False
     default: Any = None
     description: str = ""
+    minimum: Optional[float] = None
+    exclusiveMinimum: Optional[float] = None  # noqa: N815, the JSON Schema keyword
+    maximum: Optional[float] = None
+    enum: Optional[tuple[Any, ...]] = None
+
+    def keywords(self, names: Sequence[str] = ("default", *BOUNDS)) -> dict[str, Any]:
+        """Those of the keywords ``names`` that the argument sets."""
+        return {k: getattr(self, k) for k in names if getattr(self, k) is not None}
+
+    def admits(self, value: Any) -> bool:
+        """Whether a value of the argument's type is in its bounds. Each bound
+        is a comparison that NaN fails."""
+        return (
+            (self.minimum is None or value >= self.minimum)
+            and (self.exclusiveMinimum is None or value > self.exclusiveMinimum)
+            and (self.maximum is None or value <= self.maximum)
+            and (self.enum is None or value in self.enum)
+        )
 
 
 @dataclass(frozen=True)

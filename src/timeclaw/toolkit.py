@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics, seriesops
 from .core import EvaluatorCapability, TaskInstance, validate_answer
 from .errors import CapabilityError, ContractError, TimeclawError
-from .registry import ArgSpec, ToolCategory, ToolDescriptor, ToolRegistry
+from .registry import BOUNDS, ArgSpec, ToolCategory, ToolDescriptor, ToolRegistry
 from .util import canonical_json, digest_text, splice_json
 
 ORIGINAL_INPUT = "original_input"
@@ -155,8 +155,9 @@ _TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
 _INPUTS_SCHEMA = {
     "type": "array",
     "items": {"type": "string"},
-    "description": "ids of the artifacts the call reads, each the artifact_id of an earlier tool result; "
-    f'default ["{ORIGINAL_INPUT}"], the sample\'s series',
+    "description": "ids of the artifacts the call reads, each the artifact_id of an earlier tool result "
+    f"or {ORIGINAL_INPUT}, the sample's series",
+    "default": [ORIGINAL_INPUT],
 }
 
 
@@ -175,7 +176,7 @@ class Toolkit(ToolRegistry):
         props = {
             "_inputs": _INPUTS_SCHEMA,
             **{
-                name: {"type": spec.type, "description": spec.description}
+                name: {"type": spec.type, "description": spec.description, **spec.keywords()}
                 for name, spec in sorted(descriptor.arg_schema.items())
             },
         }
@@ -187,9 +188,13 @@ class Toolkit(ToolRegistry):
         }
 
     def _validated_args(self, descriptor: ToolDescriptor, args: Mapping[str, Any]) -> dict[str, Any]:
-        """The call's arguments checked against the schema, with defaults
-        filled in. An argument given as null counts as not given: it takes
-        its default, and a required one is missing."""
+        """The call's arguments checked against the schema, the only check
+        they get, with defaults filled in. An argument given as null counts as
+        not given: it takes its default, and a required one is missing. An
+        ``_inputs`` still among them is not the list of ids that the caller
+        splits off as the call's inputs."""
+        if "_inputs" in args:
+            raise ToolError("schema_violation", "argument _inputs must be an array of artifact ids")
         schema = descriptor.arg_schema
         unknown = sorted(set(args) - set(schema))
         if unknown:
@@ -201,6 +206,8 @@ class Toolkit(ToolRegistry):
                 check = _TYPE_CHECKS.get(spec.type)
                 if check is not None and not check(value):
                     raise ToolError("schema_violation", f"argument {name} must be of type {spec.type}")
+                if not spec.admits(value):
+                    raise ToolError("schema_violation", f"argument {name} must meet {canonical_json(spec.keywords(BOUNDS))}")
                 out[name] = value
             elif spec.required:
                 raise ToolError("schema_violation", f"missing required argument {name}")
@@ -261,13 +268,6 @@ def _require_history(values: Sequence[float], minimum: int) -> None:
         raise ToolError("insufficient_history", f"need at least {minimum} points, got {len(values)}")
 
 
-def _horizon(args: Mapping[str, Any]) -> int:
-    h = args.get("horizon")
-    if not isinstance(h, int) or h < 1:
-        raise ToolError("schema_violation", "horizon must be a positive integer")
-    return h
-
-
 def _forecast_payload(values: Sequence[float]) -> dict[str, Any]:
     return {"values": [float(v) for v in values]}
 
@@ -275,71 +275,56 @@ def _forecast_payload(values: Sequence[float]) -> dict[str, Any]:
 def _fc_naive(args, inputs, ctx):
     values = _series_input(inputs)
     _require_history(values, 2)
-    h = _horizon(args)
-    out = [values[-1]] * h
+    out = [values[-1]] * args["horizon"]
     return ArtifactKind.SERIES, _forecast_payload(out)
 
 
 def _fc_drift(args, inputs, ctx):
     values = _series_input(inputs)
     _require_history(values, 2)
-    h = _horizon(args)
     slope = (values[-1] - values[0]) / (len(values) - 1)
-    out = [values[-1] + slope * (i + 1) for i in range(h)]
+    out = [values[-1] + slope * (i + 1) for i in range(args["horizon"])]
     return ArtifactKind.SERIES, _forecast_payload(out)
 
 
 def _fc_seasonal_naive(args, inputs, ctx):
     values = _series_input(inputs)
-    m = args.get("period")
-    if not isinstance(m, int) or m < 1:
-        raise ToolError("schema_violation", "period must be a positive integer")
+    m = args["period"]
     _require_history(values, max(2, m))
-    h = _horizon(args)
     last_period = values[len(values) - m :]
-    out = [last_period[i % m] for i in range(h)]
+    out = [last_period[i % m] for i in range(args["horizon"])]
     return ArtifactKind.SERIES, _forecast_payload(out)
 
 
 def _fc_ses(args, inputs, ctx):
     values = _series_input(inputs)
     _require_history(values, 2)
-    h = _horizon(args)
-    a = float(args.get("alpha", 0.3))
-    if not 0.0 < a <= 1.0:
-        raise ToolError("schema_violation", "alpha must be in (0, 1]")
+    a = float(args["alpha"])
     level = values[0]
     for v in values[1:]:
         level = a * v + (1.0 - a) * level
-    return ArtifactKind.SERIES, _forecast_payload([level] * h)
+    return ArtifactKind.SERIES, _forecast_payload([level] * args["horizon"])
 
 
 def _fc_holt(args, inputs, ctx):
     values = _series_input(inputs)
     _require_history(values, 2)
-    h = _horizon(args)
-    a = float(args.get("alpha", 0.3))
-    b = float(args.get("beta", 0.1))
-    if not 0.0 < a <= 1.0 or not 0.0 < b <= 1.0:
-        raise ToolError("schema_violation", "alpha and beta must be in (0, 1]")
+    a, b = float(args["alpha"]), float(args["beta"])
     level, trend = values[0], values[1] - values[0]
     for v in values[1:]:
         new_level = a * v + (1.0 - a) * (level + trend)
         trend = b * (new_level - level) + (1.0 - b) * trend
         level = new_level
-    out = [level + (i + 1) * trend for i in range(h)]
+    out = [level + (i + 1) * trend for i in range(args["horizon"])]
     return ArtifactKind.SERIES, _forecast_payload(out)
 
 
 def _fc_moving_average(args, inputs, ctx):
     values = _series_input(inputs)
-    w = args.get("window", 3)
-    if not isinstance(w, int) or w < 1:
-        raise ToolError("schema_violation", "window must be a positive integer")
+    w = args["window"]
     _require_history(values, max(2, w))
-    h = _horizon(args)
     level = float(np.mean(values[-w:]))
-    return ArtifactKind.SERIES, _forecast_payload([level] * h)
+    return ArtifactKind.SERIES, _forecast_payload([level] * args["horizon"])
 
 
 def _an_basic_stats(args, inputs, ctx):
@@ -364,7 +349,7 @@ def _an_detect_trend(args, inputs, ctx):
 
 def _an_detect_anomaly(args, inputs, ctx):
     values = _series_input(inputs)
-    threshold = float(args.get("threshold", 3.0))
+    threshold = float(args["threshold"])
     events = [
         {"index": i, "value": values[i], "z": z}
         for i, z in enumerate(seriesops.zscores(values))
@@ -375,9 +360,7 @@ def _an_detect_anomaly(args, inputs, ctx):
 
 def _an_autocorrelation(args, inputs, ctx):
     values = _series_input(inputs)
-    lag = args.get("lag")
-    if not isinstance(lag, int) or lag < 1:
-        raise ToolError("schema_violation", "lag must be a positive integer")
+    lag = args["lag"]
     r, defined = seriesops.lagged_correlation(values, lag)
     return ArtifactKind.SCALAR, {"lag": lag, "r": r, "defined": defined}
 
@@ -389,9 +372,7 @@ def _an_stationarity(args, inputs, ctx):
 
 def _an_segment(args, inputs, ctx):
     values = _series_input(inputs)
-    w = args.get("window")
-    if not isinstance(w, int) or w < 1:
-        raise ToolError("schema_violation", "window must be a positive integer")
+    w = args["window"]
     if w > len(values):
         raise ToolError("out_of_range", f"window {w} exceeds series length {len(values)}")
     windows = []
@@ -411,10 +392,7 @@ def _an_segment(args, inputs, ctx):
 
 
 def _slice_bounds(args: Mapping[str, Any], n: int) -> tuple[int, int]:
-    start = args.get("start", 0)
-    end = args.get("end", n)
-    if not isinstance(start, int) or not isinstance(end, int):
-        raise ToolError("schema_violation", "start/end must be integers")
+    start, end = args["start"], args.get("end", n)
     if start < 0:
         start += n
     if end < 0:
@@ -443,16 +421,12 @@ def _an_window_stats(args, inputs, ctx):
 
 
 def _select(values: Sequence[float], which: str) -> tuple[float, int]:
-    if which == "first":
-        return values[0], 0
-    if which == "last":
-        return values[-1], len(values) - 1
-    raise ToolError("schema_violation", f"selector {which!r} is neither 'first' nor 'last'")
+    return (values[0], 0) if which == "first" else (values[-1], len(values) - 1)
 
 
 def _an_value_at(args, inputs, ctx):
     values = _series_input(inputs)
-    value, idx = _select(values, args.get("which", "last"))
+    value, idx = _select(values, args["which"])
     payload: dict[str, Any] = {"value": value, "index": idx}
     reference = args.get("reference")
     if reference is not None:
@@ -494,14 +468,11 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _tx_keyword_extract(args, inputs, ctx):
-    k = args.get("k", 5)
-    if not isinstance(k, int) or k < 1:
-        raise ToolError("schema_violation", "k must be a positive integer")
     counts: dict[str, int] = {}
     for block in _text_blocks(ctx):
         for token in _tokenize(block["body"]):
             counts[token] = counts.get(token, 0) + 1
-    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: args["k"]]
     payload = {"keywords": [{"token": t, "count": c} for t, c in top]}
     return ArtifactKind.EVENT_LIST, payload
 
@@ -518,7 +489,7 @@ def _tx_sentiment(args, inputs, ctx):
 
 
 def _tx_temporal_align(args, inputs, ctx):
-    boundary_frac = float(args.get("boundary_frac", 0.1))
+    boundary_frac = float(args["boundary_frac"])
     blocks = _text_blocks(ctx)
     instance = ctx.instance
     if instance is None or instance.timestamps is None or not blocks:
@@ -575,7 +546,8 @@ def _d(tool_id: str, category: ToolCategory, description: str, **args: ArgSpec) 
     return ToolDescriptor(tool_id=tool_id, category=category, arg_schema=args, description=description)
 
 
-_HORIZON = ArgSpec("integer", required=True, description="number of future steps")
+_HORIZON = ArgSpec("integer", required=True, minimum=1, description="number of future steps")
+_SELECTOR = ("first", "last")
 
 
 def builtin_toolkit() -> Toolkit:
@@ -593,7 +565,7 @@ def builtin_toolkit() -> Toolkit:
             f,
             "repeat the last full seasonal period",
             horizon=_HORIZON,
-            period=ArgSpec("integer", required=True, description="season length"),
+            period=ArgSpec("integer", required=True, minimum=1, description="season length"),
         ),
         _fc_seasonal_naive,
     )
@@ -603,7 +575,7 @@ def builtin_toolkit() -> Toolkit:
             f,
             "simple exponential smoothing",
             horizon=_HORIZON,
-            alpha=ArgSpec("number", default=0.3, description="smoothing weight"),
+            alpha=ArgSpec("number", default=0.3, exclusiveMinimum=0, maximum=1, description="smoothing weight"),
         ),
         _fc_ses,
     )
@@ -613,8 +585,8 @@ def builtin_toolkit() -> Toolkit:
             f,
             "Holt linear-trend smoothing",
             horizon=_HORIZON,
-            alpha=ArgSpec("number", default=0.3, description="level smoothing weight in (0, 1]; default 0.3"),
-            beta=ArgSpec("number", default=0.1, description="trend smoothing weight in (0, 1]; default 0.1"),
+            alpha=ArgSpec("number", default=0.3, exclusiveMinimum=0, maximum=1, description="level smoothing weight"),
+            beta=ArgSpec("number", default=0.1, exclusiveMinimum=0, maximum=1, description="trend smoothing weight"),
         ),
         _fc_holt,
     )
@@ -624,7 +596,7 @@ def builtin_toolkit() -> Toolkit:
             f,
             "flat continuation of the trailing-window mean",
             horizon=_HORIZON,
-            window=ArgSpec("integer", default=3, description="number of trailing values averaged; default 3"),
+            window=ArgSpec("integer", default=3, minimum=1, description="number of trailing values averaged"),
         ),
         _fc_moving_average,
     )
@@ -635,7 +607,7 @@ def builtin_toolkit() -> Toolkit:
             "detect_anomaly",
             a,
             "z-score outlier flags",
-            threshold=ArgSpec("number", default=3.0, description="flag values whose |z| exceeds this; default 3.0"),
+            threshold=ArgSpec("number", default=3.0, description="flag values whose |z| exceeds this"),
         ),
         _an_detect_anomaly,
     )
@@ -644,7 +616,7 @@ def builtin_toolkit() -> Toolkit:
             "autocorrelation",
             a,
             "lagged correlation of a series with itself",
-            lag=ArgSpec("integer", required=True, description="positive shift in steps"),
+            lag=ArgSpec("integer", required=True, minimum=1, description="shift in steps"),
         ),
         _an_autocorrelation,
     )
@@ -654,7 +626,9 @@ def builtin_toolkit() -> Toolkit:
             "segment",
             a,
             "partition into fixed-size windows",
-            window=ArgSpec("integer", required=True, description="window size in steps, at most the series length"),
+            window=ArgSpec(
+                "integer", required=True, minimum=1, description="window size in steps, at most the series length"
+            ),
         ),
         _an_segment,
     )
@@ -663,7 +637,7 @@ def builtin_toolkit() -> Toolkit:
             "window_stats",
             a,
             "mean/min/max over an index window",
-            start=ArgSpec("integer", description="first index of the window, negative from the end; default 0"),
+            start=ArgSpec("integer", default=0, description="first index of the window, negative from the end"),
             end=ArgSpec("integer", description="index just past the window, negative from the end; default the length"),
             reference_mean=ArgSpec("number", description="mean to diff against"),
         ),
@@ -674,8 +648,10 @@ def builtin_toolkit() -> Toolkit:
             "value_at",
             a,
             "single value with optional percent change vs a reference",
-            which=ArgSpec("string", default="last", description="'first' or 'last'; default 'last'"),
-            reference=ArgSpec("string", description="'first' or 'last' of the reference input, else of the series"),
+            which=ArgSpec("string", default="last", enum=_SELECTOR, description="the end of the series to read"),
+            reference=ArgSpec(
+                "string", enum=_SELECTOR, description="the end of the reference input, else of the series, to compare with"
+            ),
         ),
         _an_value_at,
     )
@@ -684,7 +660,7 @@ def builtin_toolkit() -> Toolkit:
             "keyword_extract",
             t,
             "top-k tokens by frequency",
-            k=ArgSpec("integer", default=5, description="number of tokens to return; default 5"),
+            k=ArgSpec("integer", default=5, minimum=1, description="number of tokens to return"),
         ),
         _tx_keyword_extract,
     )
@@ -703,7 +679,7 @@ def builtin_toolkit() -> Toolkit:
             t,
             "text blocks whose date anchors fall inside the series window",
             boundary_frac=ArgSpec(
-                "number", default=0.1, description="share of the window at each end that is its boundary; default 0.1"
+                "number", default=0.1, description="share of the window at each end that is its boundary"
             ),
         ),
         _tx_temporal_align,

@@ -64,6 +64,13 @@ class TestLoader:
         assert len(result.instances) == 1
         assert result.rejects[0]["line"] == 2
 
+    def test_a_line_that_is_not_an_object_is_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("5\nnull\ntrue\n" + json.dumps(_record(0)) + "\n", encoding="utf-8")
+        result = load_samples(path, role="learning")
+        assert [i.id for i in result.instances] == ["s0"]
+        assert result.rejects == [{"line": n, "reason": "a sample is a JSON object"} for n in (1, 2, 3)]
+
     @pytest.mark.parametrize(
         "series",
         ["[" + "1" * 5000 + "]", "[" * 100_000 + "]" * 100_000],

@@ -218,6 +218,27 @@ class TestLoneSurrogates:
             gw.complete(_exchange("hi"))
 
 
+class TestNonFiniteNumbers:
+    """json.loads reads NaN and Infinity, which strict JSON has no text for,
+    so a reply holding one is refused where it enters, before its tool call
+    is written to a trace."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_a_script_entry_is_a_contract_error_naming_it(self, tmp_path, token):
+        path = tmp_path / "script.json"
+        call = f'{{"tool": "window_stats", "args": {{"reference_mean": {token}}}}}'
+        path.write_text(f'{{"d": {{"content": "", "tool_calls": [{call}]}}}}', encoding="utf-8")
+        with pytest.raises(ContractError, match="^replay script entry 'd' holds a NaN or an infinity"):
+            ScriptedGateway.from_file(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_a_remote_reply_is_a_gateway_error(self, stub_server, token):
+        call = {"function": {"name": "window_stats", "arguments": f'{{"reference_mean": {token}}}'}}
+        gw = _stub_gateway(stub_server, {"content": None, "tool_calls": [call]})
+        with pytest.raises(GatewayError, match="^completion reply holds a NaN or an infinity"):
+            gw.complete(_exchange("hi"))
+
+
 def _stub_gateway(server, message):
     server.mode, server.body = "reply", {"choices": [{"message": message}]}
     return RemoteGateway(base_url=server.url, backoff=0.0)

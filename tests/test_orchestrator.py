@@ -392,7 +392,7 @@ class TestBranchLoop:
 
         outcome, events = self._run(tmp_path, branch_fn)
         assert [r["payload"]["error"] for r in results] == ["schema_violation"] * 2
-        assert all(r["payload"]["message"] == "unknown argument(s): _inputs" for r in results)
+        assert all(r["payload"]["message"] == "argument _inputs must be an array of artifact ids" for r in results)
         assert all(c.valid for c in outcome.candidates)
         assert replay(outcome.trace_path, [_instance(gt=[13.0] * 3)])[0].clean
 

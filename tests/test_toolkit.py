@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -326,6 +327,48 @@ class TestEvaluators:
         assert reports["b2"]["quality"] > reports["b1"]["quality"]
 
 
+_AT_LEAST_ONE = {"minimum": 1}
+_UNIT = {"exclusiveMinimum": 0, "maximum": 1}
+_SELECTOR = {"enum": ("first", "last")}
+# Every argument of a built-in tool whose schema declares a default, a bound
+# or an enum, with the keywords it declares besides its type and description
+_KEYWORDS = {
+    **{
+        (tool, "horizon"): _AT_LEAST_ONE
+        for tool in ("naive", "drift", "seasonal_naive", "ses", "holt", "moving_average")
+    },
+    ("seasonal_naive", "period"): _AT_LEAST_ONE,
+    ("ses", "alpha"): {**_UNIT, "default": 0.3},
+    ("holt", "alpha"): {**_UNIT, "default": 0.3},
+    ("holt", "beta"): {**_UNIT, "default": 0.1},
+    ("moving_average", "window"): {**_AT_LEAST_ONE, "default": 3},
+    ("detect_anomaly", "threshold"): {"default": 3.0},
+    ("autocorrelation", "lag"): _AT_LEAST_ONE,
+    ("segment", "window"): _AT_LEAST_ONE,
+    ("window_stats", "start"): {"default": 0},
+    ("value_at", "which"): {**_SELECTOR, "default": "last"},
+    ("value_at", "reference"): _SELECTOR,
+    ("keyword_extract", "k"): {**_AT_LEAST_ONE, "default": 5},
+    ("temporal_align_text", "boundary_frac"): {"default": 0.1},
+}
+_REQUIRED = {"horizon": 2, "period": 2, "lag": 1, "window": 2}
+
+
+def _edges(keywords):
+    """The values on an inclusive bound or in the enum, and the nearest
+    values outside them. Every argument with a minimum is an integer, so the
+    nearest value below it is one less."""
+    inside = [keywords.get("minimum"), keywords.get("maximum"), *keywords.get("enum", ())]
+    outside = [
+        keywords["minimum"] - 1 if "minimum" in keywords else None,
+        keywords.get("exclusiveMinimum"),
+        math.nextafter(keywords["maximum"], math.inf) if "maximum" in keywords else None,
+        "middle" if "enum" in keywords else None,
+        math.nan,
+    ]
+    return [v for v in inside if v is not None], [v for v in outside if v is not None]
+
+
 class TestSchemas:
     def test_every_tool_and_argument_is_described(self, toolkit):
         """The declared schema is the only place a model reads a tool's
@@ -337,9 +380,23 @@ class TestSchemas:
             assert schema["description"].strip(), tool_id
             properties = schema["parameters"]["properties"]
             assert properties["_inputs"]["type"] == "array", tool_id
+            assert properties["_inputs"]["default"] == [ORIGINAL_INPUT], tool_id
             assert "_inputs" not in schema["parameters"]["required"], tool_id
             for name, prop in properties.items():
                 assert prop["description"].strip(), f"{tool_id}.{name}"
+
+    def test_each_default_bound_and_enum_is_declared_in_the_schema_alone(self, toolkit):
+        """A model learns a valid call from the schema: each argument's
+        default, bounds and choices are its schema's keywords, and its
+        description does not restate them."""
+        declared = {}
+        for tool_id in sorted(toolkit._tools):
+            for name, prop in toolkit.tool_schema(tool_id)["parameters"]["properties"].items():
+                keywords = {k: v for k, v in prop.items() if k not in ("type", "description", "items")}
+                if keywords and name != "_inputs":
+                    declared[tool_id, name] = keywords
+                    assert not any(w in prop["description"] for w in ("default", "(0, 1]", "positive")), name
+        assert declared == _KEYWORDS
 
 
 class TestInvocationContract:
@@ -370,12 +427,11 @@ class TestInvocationContract:
         ctx = InvocationContext(
             mode=mode, instance=instance, capability=EvaluatorCapability(), candidates={"b0": [4.0, 6.0]}
         )
-        valid = {"horizon": 2, "period": 2, "lag": 1, "window": 2}
         for tool_id in sorted(toolkit._tools):
             schema = toolkit.descriptor(tool_id).arg_schema
-            base = {name: valid[name] for name, spec in schema.items() if spec.required}
+            base = {name: _REQUIRED[name] for name, spec in schema.items() if spec.required}
             for name in schema:
-                for value in (None, True, "x", 1.5, -1, 0, [], {}):
+                for value in (None, True, "x", 1.5, -1, 0, [], {}, math.nan, math.inf):
                     call = (tool_id, {**base, name: value})
                     if mode == "inference" and tool_id not in toolkit.inference_visible():
                         with pytest.raises(CapabilityError):
@@ -383,6 +439,22 @@ class TestInvocationContract:
                         continue
                     art, _ = _invoke(toolkit, instance, ctx, *call)
                     assert art.artifact_id, call
+
+    @pytest.mark.parametrize("tool_id, name", sorted(k for k, v in _KEYWORDS.items() if set(v) - {"default"}))
+    def test_a_value_on_a_bound_runs_and_the_nearest_outside_is_a_schema_violation(self, toolkit, tool_id, name):
+        instance = _series_instance(
+            [1.0, 3.0, 2.0, 4.0, 3.0, 5.0], horizon=2, text_context=(TextBlock(body="strong growth"),)
+        )
+        ctx = InvocationContext(mode="inference", instance=instance)
+        schema = toolkit.descriptor(tool_id).arg_schema
+        base = {arg: _REQUIRED[arg] for arg, spec in schema.items() if spec.required}
+        inside, outside = _edges(_KEYWORDS[tool_id, name])
+        for value in inside:
+            art, _ = _invoke(toolkit, instance, ctx, tool_id, {**base, name: value})
+            assert not art.is_error, (value, art.payload)
+        for value in outside:
+            art, _ = _invoke(toolkit, instance, ctx, tool_id, {**base, name: value})
+            assert art.payload["error"] == "schema_violation", (value, art.payload)
 
     def test_a_null_argument_takes_its_default(self, toolkit):
         instance = _series_instance([1.0, 5.0, 2.0, 8.0], horizon=3)
