@@ -314,6 +314,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "version": __version__,
         "scopes": reports,
         "unknown_prediction_ids": sorted(set(predictions) - {i.id for i in load.instances}),
+        "rejected_lines": load.rejects,
     }
     out_path = Path(args.out) if args.out else Path("scores.json")
     _write_summary(out_path.parent, out_path.name, out)

@@ -2,8 +2,9 @@
 executions, and episode outcomes.
 
 Ground truth is sealed behind a field-level capability gate: only holders of
-an :class:`EvaluatorCapability` (exploration-only evaluators and the offline
-scorer) may read it. Prompt assembly and inference code paths never hold one.
+an :class:`EvaluatorCapability` (the engine's Compare evaluation and the
+offline scorer) may read it. Tools, prompt assembly and inference code paths
+never hold one.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ INDICATOR_FIELDS = ("max", "min", "diff")
 class EvaluatorCapability:
     """Opaque token authorizing ground-truth access.
 
-    Constructed only by exploration-time evaluation and offline scoring
+    Constructed only by the engine's Compare evaluation and offline scoring
     entry points; everything else works with sealed instances.
     """
 

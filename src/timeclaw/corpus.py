@@ -20,6 +20,7 @@ from .core import (
     TaskInstance,
     TaskType,
     TextBlock,
+    validate_answer,
 )
 from .errors import CorpusError
 from .util import digest_text, json_dumps, read_json, read_lines, stable_rng, write_atomic
@@ -80,7 +81,8 @@ def _optional_array(record: Mapping[str, Any], key: str) -> Optional[tuple[Any, 
 
 
 def parse_record(record: Mapping[str, Any]) -> TaskInstance:
-    """One sample from its JSON record; ``ground_truth``, when present, is sealed."""
+    """One sample from its JSON record; ``ground_truth``, when present, is
+    sealed, and is refused unless it is a valid answer to the sample."""
     if not isinstance(record, Mapping):
         raise CorpusError("a sample is a JSON object")
     for key in ("id", "series", "task_type", "scope"):
@@ -105,7 +107,7 @@ def parse_record(record: Mapping[str, Any]) -> TaskInstance:
         text = None
         if record.get("text") is not None:
             text = tuple(TextBlock(body=b["body"], date=b.get("date")) for b in record["text"])
-        return TaskInstance(
+        instance = TaskInstance(
             id=str(record["id"]),
             series=values,
             task_type=task_type,
@@ -118,6 +120,9 @@ def parse_record(record: Mapping[str, Any]) -> TaskInstance:
         )
     except Exception as exc:
         raise CorpusError(str(exc)) from None
+    if gt is not None and not (verdict := validate_answer(gt, instance)).valid:
+        raise CorpusError(f"ground_truth is not a valid answer ({verdict.reason})")
+    return instance
 
 
 def load_samples(path: Path, role: str) -> LoadResult:

@@ -14,7 +14,7 @@ class CapabilityError(TimeclawError):
 
 
 class GroundTruthSealedError(CapabilityError):
-    """Ground truth was read without the exploration-evaluator capability."""
+    """Ground truth was read without the evaluator capability."""
 
 
 class GatewayError(TimeclawError):

@@ -12,7 +12,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .core import CLASSIFICATION_TYPES
+from .core import CLASSIFICATION_TYPES, INDICATOR_FIELDS
 from .errors import ContractError
 
 
@@ -168,12 +168,13 @@ def label_report(pred: str, truth: str) -> MetricReport:
 
 
 def answer_report(answer: Any, truth: Any, task_type: str) -> MetricReport:
-    """Score one answer: labels 0/1, indicators over their keys in sorted
-    order, forecasts after aligning to the ground-truth length."""
+    """Score one answer: labels 0/1, indicators over their fields
+    (``INDICATOR_FIELDS``) in sorted order, forecasts after aligning to the
+    ground-truth length. Both are valid answers (``core.validate_answer``)."""
     if task_type in CLASSIFICATION_TYPES:
         return label_report(answer, truth)
     if task_type == "indicator":
-        order = sorted(truth.keys())
+        order = sorted(INDICATOR_FIELDS)
         return numeric_report([float(answer[k]) for k in order], [float(truth[k]) for k in order])
     aligned = align_length([float(v) for v in answer], len(truth))
     return numeric_report(aligned, [float(v) for v in truth])

@@ -1,5 +1,5 @@
 """The episode engine: exploration with branching, comparison, and
-fallbacks, plus inference-time reuse with exploration tools removed.
+fallbacks, plus inference-time reuse of what exploration learned.
 
 Exploration flow per instance:
 
@@ -9,8 +9,9 @@ Exploration flow per instance:
        answer or hits the step cap; the branches are the episode's only
        gateway exchanges
     3. the engine evaluates every valid candidate's own answer against
-       ground truth, as one evaluate tool call traced on the main branch,
-       and ``compare`` scores them and decides the evidence class and the
+       ground truth (``evaluate``, the only reader of the ground truth),
+       traced on the main branch as one call of the evaluate tool, and
+       ``compare`` scores them and decides the evidence class and the
        winner: the metric decides Compare, not the model
     4. the episode ends there: the outcome and the tools it used are handed
        to the experience pipeline
@@ -18,12 +19,11 @@ Exploration flow per instance:
 Branches and inference share one step loop, ``_step_loop``: gateway call ->
 each tool call the reply carries, invoked in order -> one observation per
 call, over the per-run state of an ``_EpisodeRunner`` (trace, artifacts,
-invocation context, call ids, gateway totals), until a final message, or a
-reply whose final answers from the artifact of one of its calls
-(``answer_from``, see ``_resolve_answer``). The two modes differ only in
-which tool requests they reject (a branch refuses the evaluate tool and
-tools outside its slot's subset; inference refuses anything outside the
-inference-visible set) and in what they record from the loop's steps
+call ids, gateway totals), until a final message, or a reply whose final
+answers from the artifact of one of its calls (``answer_from``, see
+``_resolve_answer``). The two modes differ only in which tool requests they
+reject (a branch refuses tools outside its slot's subset; inference refuses
+anything outside the catalog) and in what they record from the loop's steps
 (branch candidates vs. an inference tool chain and context).
 
 Each episode appends one block to its scope's trace log: a header line, then
@@ -40,7 +40,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
-from . import __version__, prompts
+from . import __version__, metrics, prompts
 from .core import (
     CandidateExecution,
     EpisodeOutcome,
@@ -65,7 +65,6 @@ from .toolkit import (
     ORIGINAL_INPUT,
     ArtifactKind,
     ArtifactStore,
-    InvocationContext,
     ToolArtifact,
     Toolkit,
     ToolInvocation,
@@ -183,7 +182,7 @@ class EpisodeDeps:
     @cached_property
     def inference_tools(self) -> tuple[frozenset[str], DeclaredTools]:
         """The tools inference exposes, and the list it declares."""
-        visible = self.toolkit.inference_visible()
+        visible = self.toolkit.tool_ids()
         return frozenset(visible), self._declared(visible)
 
 
@@ -423,7 +422,7 @@ def assign_branch_slots(
 class _EpisodeRunner:
     """Per-run state of one exploration episode (``config`` given) or one
     inference sample (``config`` None): sample profile and retrieval, trace,
-    artifacts, invocation context, call ids, and gateway totals."""
+    artifacts, call ids, and gateway totals."""
 
     def __init__(
         self,
@@ -439,7 +438,7 @@ class _EpisodeRunner:
         self.call_counter = 0
         self.tokens_used = 0
         self.gateway_calls = 0
-        self.substantive_used: list[str] = []
+        self.tools_used: list[str] = []
         self.declared: dict[Optional[int], tuple[str, ...]] = {}  # last tool list requested, per branch
         self.fp = fp if fp is not None else prompts.fingerprint(instance)
         self.selection = deps.store.retrieve(instance.scope, self.fp) if deps.store else None
@@ -452,10 +451,7 @@ class _EpisodeRunner:
             "episode": instance.id,
             "sample": instance.digest,
         }
-        if config is None:
-            self.ctx = InvocationContext(mode="inference", instance=instance)
-        else:
-            self.ctx = InvocationContext(mode="exploration", instance=instance, capability=EvaluatorCapability())
+        if config is not None:
             header.update(
                 config_digest=config.digest(),
                 mode="exploration",
@@ -482,22 +478,33 @@ class _EpisodeRunner:
         )
         return reply
 
-    def invoke_tool(self, tool: str, args: Mapping[str, Any], inputs: Sequence[str], branch: Optional[int]) -> ToolArtifact:
-        """Run one tool call and trace it."""
+    def traced(
+        self, call: ToolInvocation, branch: Optional[int], run: Callable[[ToolInvocation], ToolArtifact]
+    ) -> ToolArtifact:
+        """Run one call with ``run`` and trace it as a ``tool_call`` and its
+        ``tool_result``."""
         self.call_counter += 1
-        call_id = f"c{self.call_counter:03d}"
-        call = ToolInvocation(tool_id=tool, args=dict(args), inputs=tuple(inputs))
-        encoded = {"call_id": canonical_json(call_id), "tool": canonical_json(tool), "inputs": canonical_json(list(inputs))}
+        encoded = {
+            "call_id": canonical_json(f"c{self.call_counter:03d}"),
+            "tool": canonical_json(call.tool_id),
+            "inputs": canonical_json(list(call.inputs)),
+        }
         self.trace.event("tool_call", splice_json({**encoded, "args": call.args_json}), branch=branch)
-        artifact = self.deps.toolkit.invoke(call, self.artifacts, self.ctx)
+        artifact = run(call)
         self.trace.event(
             "tool_result",
             splice_json({"call_id": encoded["call_id"], "artifact": artifact.text}),
             branch=branch,
         )
-        descriptor = self.deps.toolkit.descriptor(tool)
-        if descriptor is not None and descriptor.substantive and not artifact.is_error:
-            self.substantive_used.append(tool)
+        return artifact
+
+    def invoke_tool(self, tool: str, args: Mapping[str, Any], inputs: Sequence[str], branch: Optional[int]) -> ToolArtifact:
+        """Run one tool call and trace it; a call that runs without error
+        counts as one use of its tool."""
+        call = ToolInvocation(tool_id=tool, args=dict(args), inputs=tuple(inputs))
+        artifact = self.traced(call, branch, lambda c: self.deps.toolkit.invoke(c, self.artifacts))
+        if not artifact.is_error:
+            self.tools_used.append(tool)
         return artifact
 
 
@@ -612,28 +619,20 @@ def _step_loop(
 
 def _run_branch(runner: _EpisodeRunner, slot: BranchSlot, bundle: prompts.PromptBundle) -> CandidateExecution:
     instance = runner.instance
-    deps = runner.deps
 
     def reject(tool: str) -> Optional[str]:
-        if tool == EVALUATE_TOOL:
-            return "not_available_in_branch"
         return None if tool in slot.visible_tools else "tool_not_visible"
 
     steps, _final, final_answer, failure_reason = _step_loop(
         runner, bundle, runner.config.max_steps, reject, branch=slot.slot
     )
     verdict = validate_answer(final_answer, instance)
-    substantive = tuple(
-        tool
-        for tool, _art in steps
-        if (d := deps.toolkit.descriptor(tool)) is not None and d.substantive
-    )
     return CandidateExecution(
         branch_id=f"{instance.id}#b{slot.slot}",
         slot=slot.slot,
         final_answer=final_answer,
         valid=verdict.valid,
-        substantive_chain=substantive,
+        substantive_chain=tuple(tool for tool, _art in steps),
         prior_guided=slot.prior_guided,
         alternative=slot.alternative,
         failure_reason=failure_reason or (None if verdict.valid else verdict.reason),
@@ -676,8 +675,7 @@ def run_exploration_episode(
         answers = {c.branch_id: c.final_answer for c in valid}
         eval_reports: dict[str, Any] = {}
         if valid:
-            runner.ctx.candidates = answers
-            art = runner.invoke_tool(EVALUATE_TOOL, {}, [ORIGINAL_INPUT], branch=None)
+            art = runner.traced(ToolInvocation(EVALUATE_TOOL), None, lambda call: evaluate(call, instance, answers))
             eval_reports = _evaluation_reports(art.payload)
         evidence_class, winner, eval_evidence = compare(valid, eval_reports)
 
@@ -726,8 +724,32 @@ def run_exploration_episode(
         )
 
     if deps.store is not None:
-        deps.store.record_episode(outcome, instance, runner.fp, runner.substantive_used)
+        deps.store.record_episode(outcome, instance, runner.fp, runner.tools_used)
     return outcome
+
+
+def evaluate(call: ToolInvocation, instance: TaskInstance, answers: Mapping[str, Any]) -> ToolArtifact:
+    """Compare's evaluation, the one reader of the ground truth: each answer,
+    by branch id, scored against ``instance``'s ground truth with its
+    scope's supervision metric, as the artifact of ``call`` (the trace's
+    evaluate tool call). The payload's ``reports`` hold, per branch, the
+    metric report and ``quality``, the negated loss. No answers, or an
+    answer that is not valid, give a ``contract`` error artifact. The engine
+    runs it on its candidates' answers, and replay re-runs it on the answers
+    a trace holds."""
+    if not answers:
+        return ToolArtifact.error(call, "contract", "no candidates supplied for batch evaluation")
+    truth = instance.answer_key(EvaluatorCapability())
+    task = instance.task_type.value
+    metric = metrics.supervision_metric(task, instance.scope)
+    reports = {}
+    for branch_id, answer in sorted(answers.items()):
+        verdict = validate_answer(answer, instance)
+        if not verdict.valid:
+            return ToolArtifact.error(call, "contract", f"cannot score an invalid answer ({verdict.reason})")
+        report = metrics.answer_report(answer, truth, task)
+        reports[branch_id] = {"report": report.to_dict(), "quality": -report.loss(metric)}
+    return ToolArtifact.of_call(call, ArtifactKind.METRIC_REPORT, {"reports": reports})
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +943,7 @@ def run_inference(
         )
 
         def reject(tool: str) -> Optional[str]:
-            # undeclared (or exploration-only) tool: feedback, no tool event
+            # a tool outside the catalog: feedback, no tool event
             return None if tool in visible else "tool_not_available"
 
         steps, final, final_answer, _failure = _step_loop(runner, bundle, max_steps, reject)

@@ -422,8 +422,6 @@ def build_inference_prompt(
     for r in getattr(selection, "rules", ()):
         if not r.injectable:
             raise ContractError(f"rule {r.rule_id} is not injectable and cannot be rendered")
-    if "evaluate_batch_against_gt" in declared_tools.names:
-        raise ContractError("exploration-only tools cannot be declared at inference")
     objective = _objective_section(instance, fp, "- inference: solve the task with previously distilled experience")
     observation = _observation_section(fp)
     decision = "\n".join(

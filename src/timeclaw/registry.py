@@ -27,12 +27,6 @@ class ToolCategory(str, enum.Enum):
     FORECASTING = "forecasting"
     ANALYSIS = "analysis"
     TEXT = "text"
-    EXPLORATION_ONLY = "exploration_only"
-
-
-SUBSTANTIVE_CATEGORIES = frozenset(
-    {ToolCategory.FORECASTING, ToolCategory.ANALYSIS, ToolCategory.TEXT}
-)
 
 
 BOUNDS = ("minimum", "exclusiveMinimum", "maximum", "enum")
@@ -74,10 +68,6 @@ class ToolDescriptor:
     arg_schema: Mapping[str, ArgSpec] = field(default_factory=dict)
     protected_in: tuple[str, ...] = ()  # scope globs where never_drop applies
     description: str = ""
-
-    @property
-    def substantive(self) -> bool:
-        return self.category in SUBSTANTIVE_CATEGORIES
 
     def protected_for(self, scope: str) -> bool:
         return any(fnmatch.fnmatchcase(scope, pat) for pat in self.protected_in)
@@ -183,18 +173,18 @@ class ToolRegistry:
     def descriptor(self, tool_id: str) -> Optional[ToolDescriptor]:
         return self._tools.get(tool_id)
 
-    def inference_visible(self) -> list[str]:
-        """Tools exposed at inference, the substantive ones: the
-        exploration-only category is removed."""
-        return sorted(t for t, d in self._tools.items() if d.substantive)
+    def tool_ids(self) -> list[str]:
+        """The catalog's tool ids, sorted: every tool is one a model may
+        call, so these are also the tools inference exposes."""
+        return sorted(self._tools)
 
     def competing_sets(self, scope: str) -> dict[str, list[str]]:
-        """Non-protected substantive tools grouped by category; tools only
-        compete against tools of their own category."""
+        """Non-protected tools grouped by category; tools only compete
+        against tools of their own category."""
         groups: dict[str, list[str]] = {}
         for tool_id in sorted(self._tools):
             d = self._tools[tool_id]
-            if not d.substantive or d.protected_for(scope):
+            if d.protected_for(scope):
                 continue
             groups.setdefault(d.category.value, []).append(tool_id)
         return groups
@@ -208,7 +198,7 @@ class ToolRegistry:
         alpha: float,
         extra_protected: Sequence[str] = (),
     ) -> frozenset[str]:
-        """Slot-local visible substantive tool subset for one branch.
+        """Slot-local visible tool subset for one branch.
 
         Pure function of (counts, scope, slot, seed, alpha), where
         ``counts`` are the scope's usage counts by tool id (a tool missing
@@ -220,7 +210,7 @@ class ToolRegistry:
         """
         rng = stable_rng("visible", seed, scope, slot)
         scope_protected, groups = self._dropout_setup(scope)
-        hinted = {t for t in extra_protected if (d := self._tools.get(t)) is not None and d.substantive}
+        hinted = {t for t in extra_protected if t in self._tools}
         kept: set[str] = {*scope_protected, *hinted}
 
         survivors: list[str] = []
@@ -250,18 +240,18 @@ class ToolRegistry:
         return frozenset(kept)
 
     def _dropout_setup(self, scope: str) -> tuple[frozenset[str], tuple[tuple[str, ...], ...]]:
-        """The substantive tools protected in ``scope`` and its competing sets,
-        sorted by category: worked out once per scope, not once per slot."""
+        """The tools protected in ``scope`` and its competing sets, sorted by
+        category: worked out once per scope, not once per slot."""
         setup = self._dropout.get(scope)
         if setup is None:
-            protected = frozenset(t for t, d in self._tools.items() if d.substantive and d.protected_for(scope))
+            protected = frozenset(t for t, d in self._tools.items() if d.protected_for(scope))
             groups = tuple(tuple(tools) for _category, tools in sorted(self.competing_sets(scope).items()))
             setup = self._dropout[scope] = (protected, groups)
         return setup
 
     def coverage_rate(self, scope: str, prefix_traces: Sequence[Iterable[str]]) -> float:
         """|union of tools invoked in the prefix| / |visible universe|."""
-        universe = set(self.inference_visible())
+        universe = set(self._tools)
         if not universe:
             raise ContractError("empty visible-tool universe")
         used: set[str] = set()

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from . import __version__
-from .core import EvaluatorCapability, TaskInstance, validate_answer
+from .core import TaskInstance
 from .errors import ReplayError
 from .orchestrator import (
     EVALUATE_TOOL,
@@ -24,9 +24,10 @@ from .orchestrator import (
     TraceBlock,
     candidate_answers,
     enforce_exploration_contract,
+    evaluate,
     read_trace,
 )
-from .toolkit import ArtifactStore, InvocationContext, ToolArtifact, Toolkit, ToolInvocation, builtin_toolkit
+from .toolkit import ArtifactStore, ToolArtifact, Toolkit, ToolInvocation, builtin_toolkit
 from .util import canonical_json
 
 
@@ -58,8 +59,8 @@ def replay(trace_path: Path, samples: Iterable[TaskInstance]) -> list[ReplayRepo
 
     Refuses traces produced by a different engine version, and a block whose
     sample is missing from ``samples`` or has another digest than the header
-    names, or, in an exploration block, carries no ground truth that is a
-    valid answer.
+    names, or, in an exploration block, carries no ground truth (the loader
+    admits only a ground truth that is a valid answer).
     """
     toolkit = builtin_toolkit()
     by_id = {sample.id: sample for sample in samples}
@@ -79,8 +80,8 @@ def _block_sample(header: Mapping[str, Any], samples: Mapping[str, TaskInstance]
         )
     if header["mode"] != "exploration":
         return replace(sample, ground_truth=None)
-    if not sample.has_ground_truth or not validate_answer(sample.answer_key(EvaluatorCapability()), sample).valid:
-        raise ReplayError(f"episode {episode!r}: the corpus sample has no ground truth that is a valid answer")
+    if not sample.has_ground_truth:
+        raise ReplayError(f"episode {episode!r}: the corpus sample has no ground truth")
     return sample
 
 
@@ -91,11 +92,7 @@ def _replay_block(block: TraceBlock, samples: Mapping[str, TaskInstance], toolki
         raise ReplayError(
             f"trace version {version!r} does not match engine version {__version__!r}"
         )
-    mode = header["mode"]
     sample = _block_sample(header, samples)
-    ctx = InvocationContext(mode=mode, instance=sample)
-    if mode == "exploration":
-        ctx.capability = EvaluatorCapability()
     artifacts = ArtifactStore(sample)
     produced_by_call: dict[str, dict[str, Any]] = {}
     results_by_call = {
@@ -109,7 +106,7 @@ def _replay_block(block: TraceBlock, samples: Mapping[str, TaskInstance], toolki
             continue
         payload = event["payload"]
         tool = payload["tool"]
-        if toolkit.descriptor(tool) is None:
+        if tool != EVALUATE_TOOL and toolkit.descriptor(tool) is None:
             report.divergences.append(
                 Divergence(index=i, kind="unknown_tool", detail=f"tool {tool!r} is not registered")
             )
@@ -120,16 +117,15 @@ def _replay_block(block: TraceBlock, samples: Mapping[str, TaskInstance], toolki
             )
             continue
         result_index, recorded = results_by_call[payload["call_id"]]
+        call = ToolInvocation(tool_id=tool, args=dict(payload["args"]), inputs=tuple(payload["inputs"]))
         if tool == EVALUATE_TOOL:
-            # the evaluate call runs as the engine ran it: over the valid
-            # candidates' answers, rebuilt from their branches' final
-            # messages and the artifacts re-executed here
-            ctx.candidates = candidate_answers(header["episode"], events, produced_by_call)
-        produced = toolkit.invoke(
-            ToolInvocation(tool_id=tool, args=dict(payload["args"]), inputs=tuple(payload["inputs"])),
-            artifacts,
-            ctx,
-        )
+            # the evaluate call is the engine's, not a tool's, and runs as
+            # the engine ran it: over the valid candidates' answers, rebuilt
+            # from their branches' final messages and the artifacts
+            # re-executed here
+            produced = evaluate(call, sample, candidate_answers(header["episode"], events, produced_by_call))
+        else:
+            produced = toolkit.invoke(call, artifacts)
         produced_by_call[payload["call_id"]] = produced.to_dict()
         if produced.text != canonical_json(recorded):
             report.divergences.append(

@@ -130,7 +130,7 @@ class LearningNote:
     evidence_class: str
     applicability: dict[str, Any]
     eval_evidence: bool = False
-    tools: tuple[str, ...] = ()  # substantive tools run without error, repeats included
+    tools: tuple[str, ...] = ()  # tools run without error, repeats included
     sequence: Optional[int] = None
 
     def note_ref(self) -> str:
@@ -776,7 +776,7 @@ class ExperienceStore:
         self, outcome: EpisodeOutcome, instance: TaskInstance, fp: SampleFingerprint, tools: Sequence[str]
     ) -> tuple[LearningNote, list[str]]:
         """The episode handoff: summarize the episode into one note that
-        lists ``tools``, the substantive tools it ran without error, commit
+        lists ``tools``, the tools it ran without error, commit
         it, and run any due distillation. Every episode commits its note; one
         without evaluation evidence is never distilled."""
         note = self.commit_note(summarize_episode(outcome, instance, fp, tools))

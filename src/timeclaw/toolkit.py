@@ -1,10 +1,11 @@
-"""Built-in tool library: forecasting, series analysis, text analysis, and
-exploration-only evaluators, all behind one invocation contract.
+"""Built-in tool library: forecasting, series analysis and text analysis,
+all behind one invocation contract. Every tool is one a model may call, at
+exploration and at inference alike; none reads the ground truth (Compare's
+evaluation is an engine step, ``orchestrator.evaluate``).
 
 Tool failures are returned in-band as error artifacts (kind=text with an
 error payload) so the agent loop can observe and recover, and so traces
-capture failures verbatim. Mode violations (exploration-only tools invoked
-at inference) are hard capability errors instead.
+capture failures verbatim.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import enum
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import metrics, seriesops
-from .core import EvaluatorCapability, TaskInstance, validate_answer
-from .errors import CapabilityError, ContractError, TimeclawError
+from . import seriesops
+from .core import TaskInstance
+from .errors import ContractError, TimeclawError
 from .registry import BOUNDS, ArgSpec, ToolCategory, ToolDescriptor, ToolRegistry
 from .util import canonical_json, digest_text, splice_json
 
@@ -80,14 +81,21 @@ class ToolArtifact:
         return artifact
 
     @classmethod
+    def error(cls, call: "ToolInvocation", code: str, message: str) -> "ToolArtifact":
+        """The in-band error artifact a call produced."""
+        return cls.of_call(call, ArtifactKind.TEXT, {"error": code, "message": message, "tool": call.tool_id})
+
+    @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ToolArtifact":
         return cls(artifact_id=data["artifact_id"], kind=ArtifactKind(data["kind"]), payload=data["payload"])
 
 
 class ArtifactStore:
-    """Per-episode artifact map rooted at the reserved original input."""
+    """Per-episode artifact map rooted at the reserved original input, the
+    series of ``instance``, the sample every call of the episode reads."""
 
     def __init__(self, instance: TaskInstance):
+        self.instance = instance
         original = ToolArtifact(
             artifact_id=ORIGINAL_INPUT,
             kind=ArtifactKind.SERIES,
@@ -117,16 +125,6 @@ class ToolInvocation:
         return canonical_json(dict(self.args))
 
 
-@dataclass
-class InvocationContext:
-    """Execution context: the mode gate plus whatever the evaluators need."""
-
-    mode: str  # "exploration" | "inference"
-    instance: Optional[TaskInstance] = None
-    capability: Optional[EvaluatorCapability] = None
-    candidates: Optional[Mapping[str, Any]] = None  # branch_id -> final answer
-
-
 class ToolError(TimeclawError):
     """Internal signal converted into an in-band error artifact."""
 
@@ -136,7 +134,7 @@ class ToolError(TimeclawError):
 
 
 ToolFn = Callable[
-    [Mapping[str, Any], Sequence[ToolArtifact], InvocationContext],
+    [Mapping[str, Any], Sequence[ToolArtifact], TaskInstance],
     tuple[ArtifactKind, Any],
 ]
 
@@ -215,33 +213,27 @@ class Toolkit(ToolRegistry):
                 out[name] = spec.default
         return out
 
-    def invoke(self, call: ToolInvocation, store: ArtifactStore, ctx: InvocationContext) -> ToolArtifact:
-        """Run one tool call and return a typed artifact.
+    def invoke(self, call: ToolInvocation, store: ArtifactStore) -> ToolArtifact:
+        """Run one tool call on the sample ``store`` was built from and
+        return a typed artifact.
 
         Deterministic given (tool, args, inputs); schema and execution
-        failures come back as error artifacts, mode violations raise.
+        failures come back as error artifacts.
         """
         descriptor = self.descriptor(call.tool_id)
         if descriptor is None:
-            return self._error_artifact(call, "unknown_tool", f"tool {call.tool_id} is not registered")
-        if ctx.mode == "inference" and not descriptor.substantive:
-            raise CapabilityError(f"tool {call.tool_id} is not available at inference time")
+            return ToolArtifact.error(call, "unknown_tool", f"tool {call.tool_id} is not registered")
         try:
             args = self._validated_args(descriptor, call.args)
             inputs = [store.get(a) for a in call.inputs]
-            kind, payload = self._fns[call.tool_id](args, inputs, ctx)
+            kind, payload = self._fns[call.tool_id](args, inputs, store.instance)
         except ToolError as exc:
-            return self._error_artifact(call, exc.code, str(exc))
+            return ToolArtifact.error(call, exc.code, str(exc))
         except ContractError as exc:
-            return self._error_artifact(call, "contract", str(exc))
+            return ToolArtifact.error(call, "contract", str(exc))
         artifact = ToolArtifact.of_call(call, kind, payload)
         store.add(artifact)
         return artifact
-
-    def _error_artifact(self, call: ToolInvocation, code: str, message: str) -> ToolArtifact:
-        return ToolArtifact.of_call(
-            call, ArtifactKind.TEXT, {"error": code, "message": message, "tool": call.tool_id}
-        )
 
     def tool_schema(self, tool_id: str) -> dict[str, Any]:
         """OpenAI-style function schema for prompt declaration, built once at
@@ -272,14 +264,14 @@ def _forecast_payload(values: Sequence[float]) -> dict[str, Any]:
     return {"values": [float(v) for v in values]}
 
 
-def _fc_naive(args, inputs, ctx):
+def _fc_naive(args, inputs, instance):
     values = _series_input(inputs)
     _require_history(values, 2)
     out = [values[-1]] * args["horizon"]
     return ArtifactKind.SERIES, _forecast_payload(out)
 
 
-def _fc_drift(args, inputs, ctx):
+def _fc_drift(args, inputs, instance):
     values = _series_input(inputs)
     _require_history(values, 2)
     slope = (values[-1] - values[0]) / (len(values) - 1)
@@ -287,7 +279,7 @@ def _fc_drift(args, inputs, ctx):
     return ArtifactKind.SERIES, _forecast_payload(out)
 
 
-def _fc_seasonal_naive(args, inputs, ctx):
+def _fc_seasonal_naive(args, inputs, instance):
     values = _series_input(inputs)
     m = args["period"]
     _require_history(values, max(2, m))
@@ -296,7 +288,7 @@ def _fc_seasonal_naive(args, inputs, ctx):
     return ArtifactKind.SERIES, _forecast_payload(out)
 
 
-def _fc_ses(args, inputs, ctx):
+def _fc_ses(args, inputs, instance):
     values = _series_input(inputs)
     _require_history(values, 2)
     a = float(args["alpha"])
@@ -306,7 +298,7 @@ def _fc_ses(args, inputs, ctx):
     return ArtifactKind.SERIES, _forecast_payload([level] * args["horizon"])
 
 
-def _fc_holt(args, inputs, ctx):
+def _fc_holt(args, inputs, instance):
     values = _series_input(inputs)
     _require_history(values, 2)
     a, b = float(args["alpha"]), float(args["beta"])
@@ -319,7 +311,7 @@ def _fc_holt(args, inputs, ctx):
     return ArtifactKind.SERIES, _forecast_payload(out)
 
 
-def _fc_moving_average(args, inputs, ctx):
+def _fc_moving_average(args, inputs, instance):
     values = _series_input(inputs)
     w = args["window"]
     _require_history(values, max(2, w))
@@ -327,7 +319,7 @@ def _fc_moving_average(args, inputs, ctx):
     return ArtifactKind.SERIES, _forecast_payload([level] * args["horizon"])
 
 
-def _an_basic_stats(args, inputs, ctx):
+def _an_basic_stats(args, inputs, instance):
     values = _series_input(inputs)
     payload = {
         "n": len(values),
@@ -341,13 +333,13 @@ def _an_basic_stats(args, inputs, ctx):
     return ArtifactKind.METRIC_REPORT, payload
 
 
-def _an_detect_trend(args, inputs, ctx):
+def _an_detect_trend(args, inputs, instance):
     values = _series_input(inputs)
     label, slope, normalized = seriesops.trend_label(values)
     return ArtifactKind.LABEL, {"label": label, "slope": slope, "normalized_slope": normalized}
 
 
-def _an_detect_anomaly(args, inputs, ctx):
+def _an_detect_anomaly(args, inputs, instance):
     values = _series_input(inputs)
     threshold = float(args["threshold"])
     events = [
@@ -358,19 +350,19 @@ def _an_detect_anomaly(args, inputs, ctx):
     return ArtifactKind.EVENT_LIST, {"events": events, "n_events": len(events)}
 
 
-def _an_autocorrelation(args, inputs, ctx):
+def _an_autocorrelation(args, inputs, instance):
     values = _series_input(inputs)
     lag = args["lag"]
     r, defined = seriesops.lagged_correlation(values, lag)
     return ArtifactKind.SCALAR, {"lag": lag, "r": r, "defined": defined}
 
 
-def _an_stationarity(args, inputs, ctx):
+def _an_stationarity(args, inputs, instance):
     values = _series_input(inputs)
     return ArtifactKind.METRIC_REPORT, seriesops.split_half_stationarity(values)
 
 
-def _an_segment(args, inputs, ctx):
+def _an_segment(args, inputs, instance):
     values = _series_input(inputs)
     w = args["window"]
     if w > len(values):
@@ -402,7 +394,7 @@ def _slice_bounds(args: Mapping[str, Any], n: int) -> tuple[int, int]:
     return start, end
 
 
-def _an_window_stats(args, inputs, ctx):
+def _an_window_stats(args, inputs, instance):
     values = _series_input(inputs)
     start, end = _slice_bounds(args, len(values))
     chunk = values[start:end]
@@ -424,7 +416,7 @@ def _select(values: Sequence[float], which: str) -> tuple[float, int]:
     return (values[0], 0) if which == "first" else (values[-1], len(values) - 1)
 
 
-def _an_value_at(args, inputs, ctx):
+def _an_value_at(args, inputs, instance):
     values = _series_input(inputs)
     value, idx = _select(values, args["which"])
     payload: dict[str, Any] = {"value": value, "index": idx}
@@ -457,19 +449,17 @@ _NEGATIVE_WORDS = frozenset(
 )
 
 
-def _text_blocks(ctx: InvocationContext) -> list[dict[str, Any]]:
-    if ctx.instance is None or not ctx.instance.text_context:
-        return []
-    return [{"body": b.body, "date": b.date} for b in ctx.instance.text_context]
+def _text_blocks(instance: TaskInstance) -> list[dict[str, Any]]:
+    return [{"body": b.body, "date": b.date} for b in instance.text_context or ()]
 
 
 def _tokenize(text: str) -> list[str]:
     return [t for t in re.findall(r"[a-z']+", text.lower()) if t not in _STOPWORDS]
 
 
-def _tx_keyword_extract(args, inputs, ctx):
+def _tx_keyword_extract(args, inputs, instance):
     counts: dict[str, int] = {}
-    for block in _text_blocks(ctx):
+    for block in _text_blocks(instance):
         for token in _tokenize(block["body"]):
             counts[token] = counts.get(token, 0) + 1
     top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: args["k"]]
@@ -477,10 +467,10 @@ def _tx_keyword_extract(args, inputs, ctx):
     return ArtifactKind.EVENT_LIST, payload
 
 
-def _tx_sentiment(args, inputs, ctx):
+def _tx_sentiment(args, inputs, instance):
     text = args.get("text")
     if text is None:
-        text = " ".join(b["body"] for b in _text_blocks(ctx))
+        text = " ".join(b["body"] for b in _text_blocks(instance))
     tokens = _tokenize(text)
     pos = sum(1 for t in tokens if t in _POSITIVE_WORDS)
     neg = sum(1 for t in tokens if t in _NEGATIVE_WORDS)
@@ -488,11 +478,10 @@ def _tx_sentiment(args, inputs, ctx):
     return ArtifactKind.SCALAR, {"score": score, "positive": pos, "negative": neg}
 
 
-def _tx_temporal_align(args, inputs, ctx):
+def _tx_temporal_align(args, inputs, instance):
     boundary_frac = float(args["boundary_frac"])
-    blocks = _text_blocks(ctx)
-    instance = ctx.instance
-    if instance is None or instance.timestamps is None or not blocks:
+    blocks = _text_blocks(instance)
+    if instance.timestamps is None or not blocks:
         return ArtifactKind.EVENT_LIST, {"blocks": [], "n": 0}
     t0, t1 = instance.timestamps[0], instance.timestamps[-1]
     aligned = []
@@ -509,44 +498,11 @@ def _tx_temporal_align(args, inputs, ctx):
     return ArtifactKind.EVENT_LIST, {"blocks": aligned, "n": len(aligned)}
 
 
-def _require_evaluator(ctx: InvocationContext) -> EvaluatorCapability:
-    if ctx.mode != "exploration":
-        raise CapabilityError("ground-truth evaluation is exploration-only")
-    if ctx.capability is None:
-        raise CapabilityError("evaluator capability required")
-    if ctx.instance is None or not ctx.instance.has_ground_truth:
-        raise CapabilityError("instance carries no ground truth")
-    return ctx.capability
-
-
-def _evaluate_answer(answer: Any, instance: TaskInstance, capability: EvaluatorCapability) -> dict[str, Any]:
-    verdict = validate_answer(answer, instance)
-    if not verdict.valid:
-        raise ToolError("contract", f"cannot score an invalid answer ({verdict.reason})")
-    truth = instance.answer_key(capability)
-    report = metrics.answer_report(answer, truth, instance.task_type.value)
-    loss = report.loss(metrics.supervision_metric(instance.task_type.value, instance.scope))
-    return {"report": report.to_dict(), "quality": -loss}
-
-
-def _ev_batch_against_gt(args, inputs, ctx):
-    """Score each of the episode's candidates, the answers the engine put in
-    ``ctx.candidates``: a call names no answer of its own to score."""
-    capability = _require_evaluator(ctx)
-    if not ctx.candidates:
-        raise ToolError("contract", "no candidates supplied for batch evaluation")
-    reports = {
-        branch_id: _evaluate_answer(answer, ctx.instance, capability)
-        for branch_id, answer in sorted(ctx.candidates.items())
-    }
-    return ArtifactKind.METRIC_REPORT, {"reports": reports}
-
-
 def _d(tool_id: str, category: ToolCategory, description: str, **args: ArgSpec) -> ToolDescriptor:
     return ToolDescriptor(tool_id=tool_id, category=category, arg_schema=args, description=description)
 
 
-_HORIZON = ArgSpec("integer", required=True, minimum=1, description="number of future steps")
+_HORIZON = ArgSpec("integer", required=True, minimum=1, maximum=10_000, description="number of future steps")
 _SELECTOR = ("first", "last")
 
 
@@ -683,13 +639,5 @@ def builtin_toolkit() -> Toolkit:
             ),
         ),
         _tx_temporal_align,
-    )
-    tk.register(
-        _d(
-            "evaluate_batch_against_gt",
-            ToolCategory.EXPLORATION_ONLY,
-            "score every pending candidate against the sealed ground truth",
-        ),
-        _ev_batch_against_gt,
     )
     return tk

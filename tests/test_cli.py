@@ -818,6 +818,41 @@ class TestEval:
         assert scope["metrics"]["acc_5"] == pytest.approx(0.8)
         assert scope["metrics"]["acc_3"] == pytest.approx(1.0)
 
+    def test_a_ground_truth_that_is_no_answer_is_a_rejected_line_and_an_extra_field_is_ignored(
+        self, corpus_dir, tmp_path
+    ):
+        # a forecast truth holding a string is a rejected line for explore
+        # and eval alike; an indicator truth with a field besides max, min and
+        # diff is a valid answer, scored over those three
+        series = [float(v % 5) for v in range(24)]
+        bad = {"id": "bad-gt", "series": series, "task_type": "forecast", "horizon": 3,
+               "scope": "synth_forecast_short", "ground_truth": [13, "x", 15]}
+        extra = {"id": "ind-mean", "series": series, "task_type": "indicator", "horizon": 3,
+                 "scope": "synth_indicator_short", "ground_truth": {"max": 3, "min": 1, "diff": 2, "mean": 2}}
+        reject = {"reason": "ground_truth is not a valid answer (non_numeric_element)"}
+        for name in ("learning.jsonl", "eval.jsonl"):
+            path = corpus_dir / name
+            path.write_text(path.read_text(encoding="utf-8") + json.dumps(bad) + "\n" + json.dumps(extra) + "\n",
+                            encoding="utf-8")
+        store = tmp_path / "store"
+        assert main(["explore", "--corpus", str(corpus_dir / "learning.jsonl"), "--store", str(store)]) == 0
+        summary = json.loads((tmp_path / "run_summary.json").read_text(encoding="utf-8"))
+        assert summary["rejected_lines"] == [{"line": 13, **reject}]
+        assert (summary["instances"], summary["failed_instances"]) == (13, [])
+
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(json.dumps(p) + "\n" for p in (
+            {"id": "bad-gt", "prediction": [13.0, 14.0, 15.0]},
+            {"id": "ind-mean", "prediction": {"max": 3.0, "min": 1.0, "diff": 2.0}},
+        )), encoding="utf-8")
+        out = tmp_path / "scores.json"
+        assert main(["eval", "--predictions", str(preds), "--corpus", str(corpus_dir / "eval.jsonl"), "--out", str(out)]) == 0
+        scores = json.loads(out.read_text(encoding="utf-8"))
+        assert scores["rejected_lines"] == [{"line": 6, **reject}]
+        assert scores["unknown_prediction_ids"] == ["bad-gt"]
+        [indicator] = [s for s in scores["scopes"] if s["scope"] == "synth_indicator_short"]
+        assert (indicator["metrics"]["mse"], indicator["effective_n"]) == (0.0, 1)
+
     def test_unknown_prediction_ids_listed(self, corpus_dir, tmp_path):
         preds = tmp_path / "p.jsonl"
         preds.write_text(json.dumps({"id": "not-in-corpus", "prediction": [1.0]}) + "\n", encoding="utf-8")

@@ -16,7 +16,8 @@ from timeclaw.core import (
 )
 from timeclaw.corpus import parse_record
 from timeclaw.errors import ContractError, GroundTruthSealedError
-from timeclaw.toolkit import _evaluate_answer
+from timeclaw.orchestrator import EVALUATE_TOOL, evaluate
+from timeclaw.toolkit import ToolInvocation
 
 
 class TestValidateAnswer:
@@ -145,7 +146,7 @@ class TestExecutionQuality:
 
     @staticmethod
     def _quality(answer, instance):
-        return _evaluate_answer(answer, instance, EvaluatorCapability())["quality"]
+        return evaluate(ToolInvocation(EVALUATE_TOOL), instance, {"b0": answer}).payload["reports"]["b0"]["quality"]
 
     def test_zero_loss_on_identical_vectors(self, forecast_instance):
         assert self._quality([13.0, 14.0, 15.0], forecast_instance) == 0.0

@@ -133,8 +133,22 @@ class TestLoader:
                 "label_space must be an array",
             ),
             ({"timestamps": "abcd"}, "timestamps must be an array"),
+            ({"ground_truth": [13, "x", 15]}, "ground_truth is not a valid answer (non_numeric_element)"),
+            ({"ground_truth": []}, "ground_truth is not a valid answer (empty_sequence)"),
+            (
+                {"task_type": "trend", "label_space": ["up", "down"], "ground_truth": "sideways"},
+                "ground_truth is not a valid answer (label_not_in_space)",
+            ),
+            (
+                {"task_type": "indicator", "ground_truth": {"max": 3, "min": 1}},
+                "ground_truth is not a valid answer (missing_field:diff)",
+            ),
         ],
-        ids=["int-past-the-float-range", "bool-horizon", "string-label-space", "string-timestamps"],
+        ids=[
+            "int-past-the-float-range", "bool-horizon", "string-label-space", "string-timestamps",
+            "forecast-truth-with-a-string", "empty-forecast-truth", "label-truth-outside-its-space",
+            "indicator-truth-without-a-field",
+        ],
     )
     def test_a_value_of_the_wrong_kind_is_rejected_with_a_reason(self, tmp_path, fields, reason):
         path = tmp_path / "c.jsonl"
@@ -142,6 +156,15 @@ class TestLoader:
         result = load_samples(path, role="learning")
         assert [instance.id for instance in result.instances] == ["s0"]
         assert result.rejects == [{"line": 2, "reason": reason}]
+
+    def test_an_indicator_ground_truth_may_carry_a_field_it_is_not_scored_on(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        truth = {"max": 3, "min": 1, "diff": 2, "mean": 2}
+        _write_jsonl(path, [_record(0, task_type="indicator", ground_truth=truth)])
+        [instance] = load_samples(path, role="learning").instances
+        assert reveal_for_scoring(instance) == truth
+        report = metrics.answer_report({"max": 3.0, "min": 1.0, "diff": 2.0}, truth, "indicator")
+        assert (report.mse, report.n_points) == (0.0, 3)
 
     def test_a_line_separator_inside_a_string_stays_in_its_line(self, tmp_path):
         # canonical_json writes U+2028 and U+0085 raw; only "\n" ends a line

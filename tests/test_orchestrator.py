@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from timeclaw import __version__, prompts, seriesops
+from timeclaw import __version__, orchestrator, prompts, seriesops
 from timeclaw.core import EvidenceClass, SealedAnswer, TaskInstance, TaskType
 from timeclaw.corpus import generate_sample
 from timeclaw.errors import ContractError, GatewayError, ScriptMissError
@@ -38,7 +38,7 @@ from timeclaw.policy import offline_policy, policy_gateway
 from timeclaw.registry import ArgSpec, ToolCategory, ToolDescriptor, ToolRegistry
 from timeclaw.replay import lint, replay
 from timeclaw.store import ExperienceStore, LearningNote
-from timeclaw.toolkit import ORIGINAL_INPUT, ArtifactKind, ToolError, builtin_toolkit
+from timeclaw.toolkit import ORIGINAL_INPUT, ArtifactKind, ToolArtifact, builtin_toolkit
 from timeclaw.util import canonical_json, digest_text, json_dumps
 
 
@@ -89,13 +89,13 @@ def _scripted_branch_policy(branch_answers):
     return PolicyGateway(fn)
 
 
-def _failing_evaluator(monkeypatch, toolkit):
-    """Make the toolkit's evaluate tool return an error artifact."""
+def _failing_evaluator(monkeypatch):
+    """Make the engine's evaluation return an error artifact."""
 
-    def fail(args, inputs, ctx):
-        raise ToolError("contract", "the evaluator is down")
+    def fail(call, instance, answers):
+        return ToolArtifact.error(call, "contract", "the evaluator is down")
 
-    monkeypatch.setitem(toolkit._fns, EVALUATE_TOOL, fail)
+    monkeypatch.setattr(orchestrator, "evaluate", fail)
 
 
 def _edited_trace(path, tmp_path, edit):
@@ -171,7 +171,7 @@ class TestEpisodeOutcomes:
         inst = _instance(gt=[13.0, 13.0, 13.0])
         deps = _deps(tmp_path, _scripted_branch_policy(branches))
         if evaluator_fails:
-            _failing_evaluator(monkeypatch, deps.toolkit)
+            _failing_evaluator(monkeypatch)
         assert not run_exploration_episode(inst, ExplorationConfig(seed=3), deps).eval_evidence
         [note] = deps.store.notes(inst.scope)
         assert not note.eval_evidence and sorted(note.tools) == sorted(tools)
@@ -356,7 +356,7 @@ class TestBranchLoop:
     @pytest.mark.parametrize(
         "tool, error",
         [
-            ("evaluate_batch_against_gt", "not_available_in_branch"),
+            ("evaluate_batch_against_gt", "tool_not_visible"),
             ("spawn_subagent", "tool_not_visible"),
             ("holt", "tool_not_visible"),
         ],
@@ -749,7 +749,7 @@ class TestContractVerdicts:
         # evaluated: the runtime verdict says so, and lint agrees
         gw = _scripted_branch_policy({0: (None, [14.0] * 3), 1: ("naive", [15.0] * 3)})
         deps = _deps(tmp_path / "run", gw)
-        _failing_evaluator(monkeypatch, deps.toolkit)
+        _failing_evaluator(monkeypatch)
         outcome = run_exploration_episode(_instance(gt=[13.0] * 3), ExplorationConfig(seed=3), deps)
         assert not outcome.eval_evidence
         [block] = read_trace(outcome.trace_path)
@@ -760,7 +760,9 @@ class TestContractVerdicts:
         [report] = lint(outcome.trace_path)
         assert report.contract == linted
 
-        # a compliant trace whose evaluate artifact is edited into an error
+        # a compliant trace, from the engine's own evaluation, whose evaluate
+        # artifact is edited into an error
+        monkeypatch.undo()
         error = {"artifact_id": "0" * 12, "kind": "text", "payload": {"error": "contract", "message": "down"}}
 
         def failed(e):
@@ -979,16 +981,11 @@ class TestRemoteReplies:
 
 
 class TestToolExposure:
-    def test_exploration_minus_inference_is_exactly_the_special_categories(self, tmp_path):
-        toolkit = builtin_toolkit()
-        registered = set(toolkit._tools)
-        inference = set(toolkit.inference_visible())
-        special = {
-            t
-            for t in registered
-            if toolkit.descriptor(t).category == ToolCategory.EXPLORATION_ONLY
-        }
-        assert registered - inference == special == {EVALUATE_TOOL}
+    def test_inference_exposes_the_whole_catalog_and_it_holds_no_evaluate_tool(self, tmp_path):
+        deps = _deps(tmp_path, policy_gateway("inference"), with_store=False)
+        visible, declared = deps.inference_tools
+        assert sorted(visible) == list(declared.names) == sorted(deps.toolkit._tools)
+        assert EVALUATE_TOOL not in visible
 
     def test_the_main_branch_holds_only_the_evaluation_the_verdict_and_the_outcome(self, tmp_path):
         # every gateway exchange of an episode is a branch's
@@ -1184,7 +1181,7 @@ class TestToolListsPerRun:
         # more threads than cores, switching as often as possible: each tool
         # set still maps to one list, equal to a fresh build of its schemas
         deps = _deps(tmp_path, policy_gateway("exploration"))
-        tools = sorted(deps.toolkit.inference_visible())
+        tools = deps.toolkit.tool_ids()
         sets = [frozenset(c) for c in itertools.combinations(tools, 3)]
 
         start = threading.Barrier(6)

@@ -329,15 +329,6 @@ class TestInferenceBundle:
         assert "## Memory\n" + whole[: prompts.MAX_LAYER_CHARS] + "\n...[truncated]\n" in bundle.system_text
         assert whole not in bundle.system_text
 
-    def test_exploration_only_tools_cannot_be_declared(self):
-        with pytest.raises(ContractError):
-            prompts.build_inference_prompt(
-                _golden_instance(),
-                _golden_fp(),
-                None,
-                DeclaredTools([{"name": "evaluate_batch_against_gt", "description": ""}]),
-            )
-
     def test_non_injectable_rule_is_a_contract_error(self):
         with pytest.raises(ContractError):
             prompts.build_inference_prompt(

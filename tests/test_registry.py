@@ -226,7 +226,7 @@ def _reference_subset(reg, counts, scope, slot, seed, alpha, extra_protected):
     rng = stable_rng("visible", seed, scope, slot)
     descriptors = dict(reg._tools)
     protected = {
-        t for t, d in descriptors.items() if d.substantive and (d.protected_for(scope) or t in set(extra_protected))
+        t for t, d in descriptors.items() if d.protected_for(scope) or t in set(extra_protected)
     }
     kept = set(protected)
     survivors, all_competitors = [], []

@@ -2,20 +2,20 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timeclaw.core import EvaluatorCapability, SealedAnswer, TaskInstance, TaskType, TextBlock
+from timeclaw.core import SealedAnswer, TaskInstance, TaskType, TextBlock
 from timeclaw.errors import CapabilityError
 from timeclaw.gateway import AssistantReply, PolicyGateway
-from timeclaw.orchestrator import EpisodeDeps, _EpisodeRunner
+from timeclaw.orchestrator import EVALUATE_TOOL, EpisodeDeps, _EpisodeRunner, evaluate
 from timeclaw.registry import ArgSpec, ToolCategory, ToolDescriptor
 from timeclaw.toolkit import (
     ORIGINAL_INPUT,
     ArtifactKind,
     ArtifactStore,
-    InvocationContext,
     ToolError,
     ToolInvocation,
     Toolkit,
@@ -35,16 +35,13 @@ def _series_instance(values, horizon=3, **kwargs):
 
 
 @pytest.fixture
-def exploration_ctx():
-    instance = _series_instance([1.0, 2.0, 3.0], ground_truth=SealedAnswer([4.0, 4.0]))
-    return instance, InvocationContext(
-        mode="exploration", instance=instance, capability=EvaluatorCapability()
-    )
+def gt_instance():
+    return _series_instance([1.0, 2.0, 3.0], ground_truth=SealedAnswer([4.0, 4.0]))
 
 
-def _invoke(toolkit, instance, ctx, tool, args=None, inputs=(ORIGINAL_INPUT,), store=None):
+def _invoke(toolkit, instance, tool, args=None, inputs=(ORIGINAL_INPUT,), store=None):
     store = store or ArtifactStore(instance)
-    artifact = toolkit.invoke(ToolInvocation(tool_id=tool, args=args or {}, inputs=inputs), store, ctx)
+    artifact = toolkit.invoke(ToolInvocation(tool_id=tool, args=args or {}, inputs=inputs), store)
     return artifact, store
 
 
@@ -54,77 +51,66 @@ def _series_values(artifact):
 
 
 class TestForecastTools:
-    def test_naive_repeats_last(self, toolkit, exploration_ctx):
-        instance, ctx = exploration_ctx
-        art, _ = _invoke(toolkit, instance, ctx, "naive", {"horizon": 2})
+    def test_naive_repeats_last(self, toolkit, gt_instance):
+        art, _ = _invoke(toolkit, gt_instance, "naive", {"horizon": 2})
         assert _series_values(art) == [3.0, 3.0]
 
     def test_drift_extrapolates_slope(self, toolkit):
         instance = _series_instance([0.0, 2.0], horizon=2)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "drift", {"horizon": 2})
+        art, _ = _invoke(toolkit, instance, "drift", {"horizon": 2})
         assert _series_values(art) == pytest.approx([4.0, 6.0])
 
     def test_seasonal_naive_repeats_last_period(self, toolkit):
         instance = _series_instance([1.0, 2.0, 1.0, 2.0], horizon=3)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "seasonal_naive", {"horizon": 3, "period": 2})
+        art, _ = _invoke(toolkit, instance, "seasonal_naive", {"horizon": 3, "period": 2})
         assert _series_values(art) == [1.0, 2.0, 1.0]
 
     def test_seasonal_naive_full_period_reproduces_series(self, toolkit):
         values = [3.0, 1.0, 4.0, 1.0, 5.0]
         instance = _series_instance(values, horizon=5)
-        ctx = InvocationContext(mode="inference", instance=instance)
         art, _ = _invoke(
-            toolkit, instance, ctx, "seasonal_naive", {"horizon": 5, "period": 5}
+            toolkit, instance, "seasonal_naive", {"horizon": 5, "period": 5}
         )
         assert _series_values(art) == values
 
     def test_insufficient_history_is_error_artifact(self, toolkit):
         instance = _series_instance([1.0, 2.0, 3.0], horizon=2)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "seasonal_naive", {"horizon": 2, "period": 12})
+        art, _ = _invoke(toolkit, instance, "seasonal_naive", {"horizon": 2, "period": 12})
         assert art.is_error
         assert art.payload["error"] == "insufficient_history"
 
     def test_ses_constant_level(self, toolkit):
         instance = _series_instance([5.0, 5.0, 5.0, 5.0], horizon=3)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "ses", {"horizon": 3})
+        art, _ = _invoke(toolkit, instance, "ses", {"horizon": 3})
         assert _series_values(art) == pytest.approx([5.0, 5.0, 5.0])
 
     def test_holt_linear_trend(self, toolkit):
         instance = _series_instance([1.0, 2.0, 3.0, 4.0], horizon=2)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "holt", {"horizon": 2, "alpha": 1.0, "beta": 1.0})
+        art, _ = _invoke(toolkit, instance, "holt", {"horizon": 2, "alpha": 1.0, "beta": 1.0})
         assert _series_values(art) == pytest.approx([5.0, 6.0])
 
     def test_moving_average_window(self, toolkit):
         instance = _series_instance([1.0, 2.0, 3.0, 7.0], horizon=2)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "moving_average", {"horizon": 2, "window": 2})
+        art, _ = _invoke(toolkit, instance, "moving_average", {"horizon": 2, "window": 2})
         assert _series_values(art) == pytest.approx([5.0, 5.0])
 
 
 class TestAnalysisTools:
     def test_basic_stats_constant_series(self, toolkit):
         instance = _series_instance([5.0, 5.0, 5.0])
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "basic_stats")
+        art, _ = _invoke(toolkit, instance, "basic_stats")
         assert art.payload["mean"] == 5.0
         assert art.payload["std"] == 0.0
 
     def test_segment_336_hourly_into_14_days(self, toolkit):
         instance = _series_instance(list(range(336)), horizon=24)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "segment", {"window": 24})
+        art, _ = _invoke(toolkit, instance, "segment", {"window": 24})
         assert art.payload["n_windows"] == 14
         assert art.payload["exact"] is True
 
     def test_segment_flags_trailing_partial_window(self, toolkit):
         instance = _series_instance(list(range(10)), horizon=1)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "segment", {"window": 4})
+        art, _ = _invoke(toolkit, instance, "segment", {"window": 4})
         assert art.payload["exact"] is False
         assert art.payload["windows"][-1]["partial"] is True
 
@@ -134,26 +120,23 @@ class TestAnalysisTools:
         last_day = [16.4] * 23 + [16.435416666666665 * 24 - 16.4 * 23]
         values = [20.0] * 312 + last_day
         instance = _series_instance(values, horizon=24)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "window_stats", {"start": -24})
+        art, _ = _invoke(toolkit, instance, "window_stats", {"start": -24})
         assert art.payload["mean"] == pytest.approx(target_mean, abs=1e-9)
         assert art.payload["n"] == 24
 
     def test_window_stats_delta_vs_reference(self, toolkit):
         instance = _series_instance([1.0, 2.0, 3.0, 4.0], horizon=1)
-        ctx = InvocationContext(mode="inference", instance=instance)
         art, _ = _invoke(
-            toolkit, instance, ctx, "window_stats", {"start": 2, "end": 4, "reference_mean": 1.5}
+            toolkit, instance, "window_stats", {"start": 2, "end": 4, "reference_mean": 1.5}
         )
         assert art.payload["mean_delta_vs_reference"] == pytest.approx(2.0)
 
     def test_value_at_pct_change_vs_reference_artifact(self, toolkit):
         # forecast endpoint 62.544 vs latest observed 61.94 -> +0.975%
         instance = _series_instance([61.0, 61.5, 61.94], horizon=1)
-        ctx = InvocationContext(mode="inference", instance=instance)
         store = ArtifactStore(instance)
         forecast, _ = _invoke(
-            toolkit, instance, ctx, "naive", {"horizon": 1}, store=store
+            toolkit, instance, "naive", {"horizon": 1}, store=store
         )
         # overwrite with a fixed endpoint so the ratio is exact
         from timeclaw.toolkit import ArtifactKind, ToolArtifact
@@ -163,7 +146,6 @@ class TestAnalysisTools:
         art, _ = _invoke(
             toolkit,
             instance,
-            ctx,
             "value_at",
             {"which": "last", "reference": "last"},
             inputs=("fc1", ORIGINAL_INPUT),
@@ -175,34 +157,25 @@ class TestAnalysisTools:
 
     def test_value_at_last_with_first_reference(self, toolkit):
         instance = _series_instance([60.0, 61.0, 61.94], horizon=1)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "value_at", {"which": "last", "reference": "first"})
+        art, _ = _invoke(toolkit, instance, "value_at", {"which": "last", "reference": "first"})
         assert art.payload["value"] == 61.94
         assert "pct_change_vs_reference" in art.payload
 
     def test_autocorrelation_alternating_series(self, toolkit):
         instance = _series_instance([1.0, -1.0, 1.0, -1.0], horizon=1)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "autocorrelation", {"lag": 1})
+        art, _ = _invoke(toolkit, instance, "autocorrelation", {"lag": 1})
         assert art.payload["r"] == pytest.approx(-1.0)
 
     def test_detect_trend_labels(self, toolkit):
-        ctx_for = lambda vals: (
-            _series_instance(vals),
-            InvocationContext(mode="inference", instance=_series_instance(vals)),
-        )
-        inst, ctx = ctx_for([1.0, 2.0, 3.0, 4.0, 5.0])
-        art, _ = _invoke(toolkit, inst, ctx, "detect_trend")
+        art, _ = _invoke(toolkit, _series_instance([1.0, 2.0, 3.0, 4.0, 5.0]), "detect_trend")
         assert art.payload["label"] == "increasing"
-        inst, ctx = ctx_for([5.0, 5.0, 5.0, 5.0])
-        art, _ = _invoke(toolkit, inst, ctx, "detect_trend")
+        art, _ = _invoke(toolkit, _series_instance([5.0, 5.0, 5.0, 5.0]), "detect_trend")
         assert art.payload["label"] == "stable"
 
     def test_detect_anomaly_flags_outlier(self, toolkit):
         values = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95] * 10 + [50.0]
         instance = _series_instance(values)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "detect_anomaly")
+        art, _ = _invoke(toolkit, instance, "detect_anomaly")
         assert art.payload["n_events"] == 1
         assert art.payload["events"][0]["index"] == len(values) - 1
 
@@ -221,22 +194,19 @@ class TestTextTools:
 
     def test_sentiment_positive(self, toolkit):
         instance = self._text_instance([TextBlock(body="strong growth, record profit")])
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "sentiment_lexicon")
+        art, _ = _invoke(toolkit, instance, "sentiment_lexicon")
         assert art.payload["score"] > 0
 
     def test_sentiment_empty_is_zero(self, toolkit):
         instance = _series_instance([1.0, 2.0])
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "sentiment_lexicon", {"text": ""})
+        art, _ = _invoke(toolkit, instance, "sentiment_lexicon", {"text": ""})
         assert art.payload["score"] == 0.0
 
     def test_keyword_extract_orders_by_frequency(self, toolkit):
         instance = self._text_instance(
             [TextBlock(body="storm storm storm hail hail wind")]
         )
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "keyword_extract", {"k": 2})
+        art, _ = _invoke(toolkit, instance, "keyword_extract", {"k": 2})
         tokens = [k["token"] for k in art.payload["keywords"]]
         assert tokens == ["storm", "hail"]
 
@@ -246,85 +216,80 @@ class TestTextTools:
             [TextBlock(body="hail report", date="2024-01-04"), TextBlock(body="old", date="2023-12-01")],
             timestamps=timestamps,
         )
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "temporal_align_text")
+        art, _ = _invoke(toolkit, instance, "temporal_align_text")
         assert art.payload["n"] == 1
         assert art.payload["blocks"][0]["boundary_aligned"] is True
 
     def test_no_text_context_is_empty_result_not_error(self, toolkit):
         instance = _series_instance([1.0, 2.0])
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "temporal_align_text")
+        art, _ = _invoke(toolkit, instance, "temporal_align_text")
         assert not art.is_error
         assert art.payload["n"] == 0
 
 
-def _evaluate(toolkit, instance, ctx, answer):
-    """The one report the evaluate tool gives for a sole candidate ``answer``."""
-    ctx.candidates = {"b0": answer}
-    art, _ = _invoke(toolkit, instance, ctx, "evaluate_batch_against_gt")
+def _evaluate(instance, answer):
+    """The one report the engine's evaluation gives for a sole candidate ``answer``."""
+    art = evaluate(ToolInvocation(EVALUATE_TOOL), instance, {"b0": answer})
     return art.payload["reports"]["b0"]
 
 
 class TestEvaluators:
-    def test_perfect_forecast_zero_errors(self, toolkit, exploration_ctx):
-        instance, ctx = exploration_ctx
-        report = _evaluate(toolkit, instance, ctx, [4.0, 4.0])
+    def test_perfect_forecast_zero_errors(self, gt_instance):
+        report = _evaluate(gt_instance, [4.0, 4.0])
         assert report["report"]["mae"] == 0.0
         assert report["quality"] == 0.0
 
-    def test_hand_computed_errors(self, toolkit):
+    def test_hand_computed_errors(self):
         instance = _series_instance(
             [0.0, 1.0], horizon=2, ground_truth=SealedAnswer([1.0, 1.0])
         )
-        ctx = InvocationContext(mode="exploration", instance=instance, capability=EvaluatorCapability())
-        report = _evaluate(toolkit, instance, ctx, [0.0, 2.0])
+        report = _evaluate(instance, [0.0, 2.0])
         assert report["report"]["mae"] == pytest.approx(1.0)
         assert report["report"]["mse"] == pytest.approx(1.0)
         assert report["quality"] == pytest.approx(-1.0)  # q = -MAE on this scope
 
-    def test_label_correctness(self, toolkit, trend_instance):
-        ctx = InvocationContext(
-            mode="exploration", instance=trend_instance, capability=EvaluatorCapability()
-        )
+    def test_label_correctness(self, trend_instance):
         for answer, correct, quality in (("stable", True, 0.0), ("increasing", False, -1.0)):
-            report = _evaluate(toolkit, trend_instance, ctx, answer)
+            report = _evaluate(trend_instance, answer)
             assert report["report"]["correct"] is correct
             assert report["quality"] == quality
 
-    def test_inference_mode_is_hard_capability_error(self, toolkit, exploration_ctx):
-        instance, _ = exploration_ctx
-        ctx = InvocationContext(mode="inference", instance=instance, candidates={"b0": [4.0, 4.0]})
-        store = ArtifactStore(instance)
-        with pytest.raises(CapabilityError):
-            toolkit.invoke(ToolInvocation("evaluate_batch_against_gt", {}, (ORIGINAL_INPUT,)), store, ctx)
-
-    def test_missing_ground_truth_is_capability_error(self, toolkit):
+    def test_missing_ground_truth_is_capability_error(self):
         instance = _series_instance([1.0, 2.0, 3.0])
-        ctx = InvocationContext(mode="exploration", instance=instance, capability=EvaluatorCapability())
         with pytest.raises(CapabilityError):
-            _evaluate(toolkit, instance, ctx, [4.0])
+            _evaluate(instance, [4.0])
 
-    def test_a_call_cannot_name_answers_of_its_own(self, toolkit, exploration_ctx):
-        # only the engine's candidates are scored: a candidates argument is
-        # refused, and without candidates there is nothing to score
-        instance, ctx = exploration_ctx
+    def test_a_call_cannot_name_answers_of_its_own(self, toolkit, gt_instance):
+        # only the engine's candidates are scored: no tool a call can name
+        # scores anything, and without candidates there is nothing to score
         spoof = {"candidates": {"b0": [4.0, 4.0]}}
-        art, _ = _invoke(toolkit, instance, ctx, "evaluate_batch_against_gt", spoof)
-        assert art.payload["error"] == "schema_violation"
-        art, _ = _invoke(toolkit, instance, ctx, "evaluate_batch_against_gt")
-        assert art.payload["error"] == "contract"
+        art, _ = _invoke(toolkit, gt_instance, EVALUATE_TOOL, spoof)
+        assert art.payload["error"] == "unknown_tool"
+        art = evaluate(ToolInvocation(EVALUATE_TOOL), gt_instance, {})
+        assert art.payload == {
+            "error": "contract", "message": "no candidates supplied for batch evaluation", "tool": EVALUATE_TOOL
+        }
 
-    def test_batch_evaluation(self, toolkit, exploration_ctx):
-        instance, ctx = exploration_ctx
-        ctx.candidates = {"b0": [4.0, 4.0], "b1": [0.0, 0.0], "b2": [4.0, 4.5]}
-        art, _ = _invoke(toolkit, instance, ctx, "evaluate_batch_against_gt")
-        reports = art.payload["reports"]
+    def test_batch_evaluation(self, gt_instance):
+        answers = {"b0": [4.0, 4.0], "b1": [0.0, 0.0], "b2": [4.0, 4.5]}
+        reports = evaluate(ToolInvocation(EVALUATE_TOOL), gt_instance, answers).payload["reports"]
         assert reports["b0"]["quality"] == 0.0
         assert reports["b1"]["quality"] == pytest.approx(-4.0)
         assert reports["b2"]["quality"] == pytest.approx(-0.25)
         # the closer of two imperfect forecasts scores the higher quality
         assert reports["b2"]["quality"] > reports["b1"]["quality"]
+
+
+def _text_instance(ground_truth):
+    """A sample every built-in tool has something to read in: a series,
+    dated text inside its timestamps, and ``ground_truth``."""
+    return _series_instance(
+        [1.0, 3.0, 2.0, 4.0, 3.0, 5.0],
+        horizon=2,
+        ground_truth=ground_truth,
+        timestamps=tuple(f"2024-01-{d:02d}" for d in range(1, 7)),
+        text_context=(TextBlock(body="strong growth", date="2024-01-06"),),
+    )
 
 
 _AT_LEAST_ONE = {"minimum": 1}
@@ -334,7 +299,7 @@ _SELECTOR = {"enum": ("first", "last")}
 # or an enum, with the keywords it declares besides its type and description
 _KEYWORDS = {
     **{
-        (tool, "horizon"): _AT_LEAST_ONE
+        (tool, "horizon"): {**_AT_LEAST_ONE, "maximum": 10_000}
         for tool in ("naive", "drift", "seasonal_naive", "ses", "holt", "moving_average")
     },
     ("seasonal_naive", "period"): _AT_LEAST_ONE,
@@ -354,15 +319,18 @@ _KEYWORDS = {
 _REQUIRED = {"horizon": 2, "period": 2, "lag": 1, "window": 2}
 
 
-def _edges(keywords):
+def _edges(keywords, integer):
     """The values on an inclusive bound or in the enum, and the nearest
-    values outside them. Every argument with a minimum is an integer, so the
-    nearest value below it is one less."""
+    values outside them: one past a bound of an ``integer`` argument, the
+    next float past that of a number. Every argument with a minimum is an
+    integer, so the nearest value below it is one less."""
     inside = [keywords.get("minimum"), keywords.get("maximum"), *keywords.get("enum", ())]
     outside = [
         keywords["minimum"] - 1 if "minimum" in keywords else None,
         keywords.get("exclusiveMinimum"),
-        math.nextafter(keywords["maximum"], math.inf) if "maximum" in keywords else None,
+        (keywords["maximum"] + 1 if integer else math.nextafter(keywords["maximum"], math.inf))
+        if "maximum" in keywords
+        else None,
         "middle" if "enum" in keywords else None,
         math.nan,
     ]
@@ -400,93 +368,85 @@ class TestSchemas:
 
 
 class TestInvocationContract:
-    def test_schema_violation_is_error_artifact(self, toolkit, exploration_ctx):
-        instance, ctx = exploration_ctx
-        art, _ = _invoke(toolkit, instance, ctx, "naive", {"horizon": 2, "bogus": 1})
+    def test_schema_violation_is_error_artifact(self, toolkit, gt_instance):
+        art, _ = _invoke(toolkit, gt_instance, "naive", {"horizon": 2, "bogus": 1})
         assert art.is_error
         assert art.payload["error"] == "schema_violation"
 
-    def test_unknown_tool_is_error_artifact(self, toolkit, exploration_ctx):
-        instance, ctx = exploration_ctx
-        art, _ = _invoke(toolkit, instance, ctx, "no_such_tool")
+    def test_unknown_tool_is_error_artifact(self, toolkit, gt_instance):
+        art, _ = _invoke(toolkit, gt_instance, "no_such_tool")
         assert art.is_error
         assert art.payload["error"] == "unknown_tool"
 
-    @pytest.mark.parametrize("mode", ["exploration", "inference"])
-    def test_any_value_of_any_argument_comes_back_as_an_artifact(self, toolkit, mode):
-        """A model may send any JSON value for an argument: each gives an
-        artifact, and the only exception is inference's refusal of a tool
-        that is not substantive."""
-        instance = _series_instance(
-            [1.0, 3.0, 2.0, 4.0, 3.0, 5.0],
-            horizon=2,
-            ground_truth=SealedAnswer([4.0, 6.0]),
-            timestamps=tuple(f"2024-01-{d:02d}" for d in range(1, 7)),
-            text_context=(TextBlock(body="strong growth", date="2024-01-06"),),
-        )
-        ctx = InvocationContext(
-            mode=mode, instance=instance, capability=EvaluatorCapability(), candidates={"b0": [4.0, 6.0]}
-        )
+    @pytest.mark.parametrize("ground_truth", [SealedAnswer([4.0, 6.0]), None], ids=["exploration", "inference"])
+    def test_any_value_of_any_argument_comes_back_as_an_artifact(self, toolkit, ground_truth):
+        """A model may send any JSON value for an argument of any tool, on a
+        sample with its ground truth or with it withheld: each gives an
+        artifact."""
+        instance = _text_instance(ground_truth)
         for tool_id in sorted(toolkit._tools):
             schema = toolkit.descriptor(tool_id).arg_schema
             base = {name: _REQUIRED[name] for name, spec in schema.items() if spec.required}
             for name in schema:
                 for value in (None, True, "x", 1.5, -1, 0, [], {}, math.nan, math.inf):
-                    call = (tool_id, {**base, name: value})
-                    if mode == "inference" and tool_id not in toolkit.inference_visible():
-                        with pytest.raises(CapabilityError):
-                            _invoke(toolkit, instance, ctx, *call)
-                        continue
-                    art, _ = _invoke(toolkit, instance, ctx, *call)
-                    assert art.artifact_id, call
+                    art, _ = _invoke(toolkit, instance, tool_id, {**base, name: value})
+                    assert art.artifact_id, (tool_id, name, value)
+
+    def test_no_tool_artifact_depends_on_the_ground_truth(self, toolkit):
+        """Only the engine reads the ground truth: each tool, called with its
+        required arguments, gives the same bytes on a sample with its ground
+        truth as on the sample with it withheld."""
+        sample = _text_instance(SealedAnswer([4.0, 6.0]))
+        for tool_id in sorted(toolkit._tools):
+            schema = toolkit.descriptor(tool_id).arg_schema
+            args = {name: _REQUIRED[name] for name, spec in schema.items() if spec.required}
+            with_truth, _ = _invoke(toolkit, sample, tool_id, args)
+            withheld, _ = _invoke(toolkit, replace(sample, ground_truth=None), tool_id, args)
+            assert not with_truth.is_error, (tool_id, with_truth.payload)
+            assert with_truth.text == withheld.text, tool_id
 
     @pytest.mark.parametrize("tool_id, name", sorted(k for k, v in _KEYWORDS.items() if set(v) - {"default"}))
     def test_a_value_on_a_bound_runs_and_the_nearest_outside_is_a_schema_violation(self, toolkit, tool_id, name):
         instance = _series_instance(
             [1.0, 3.0, 2.0, 4.0, 3.0, 5.0], horizon=2, text_context=(TextBlock(body="strong growth"),)
         )
-        ctx = InvocationContext(mode="inference", instance=instance)
         schema = toolkit.descriptor(tool_id).arg_schema
         base = {arg: _REQUIRED[arg] for arg, spec in schema.items() if spec.required}
-        inside, outside = _edges(_KEYWORDS[tool_id, name])
+        inside, outside = _edges(_KEYWORDS[tool_id, name], schema[name].type == "integer")
         for value in inside:
-            art, _ = _invoke(toolkit, instance, ctx, tool_id, {**base, name: value})
+            art, _ = _invoke(toolkit, instance, tool_id, {**base, name: value})
             assert not art.is_error, (value, art.payload)
         for value in outside:
-            art, _ = _invoke(toolkit, instance, ctx, tool_id, {**base, name: value})
+            art, _ = _invoke(toolkit, instance, tool_id, {**base, name: value})
             assert art.payload["error"] == "schema_violation", (value, art.payload)
 
     def test_a_null_argument_takes_its_default(self, toolkit):
         instance = _series_instance([1.0, 5.0, 2.0, 8.0], horizon=3)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        given, _ = _invoke(toolkit, instance, ctx, "holt", {"horizon": 3, "alpha": None, "beta": None})
-        assert given.payload == _invoke(toolkit, instance, ctx, "holt", {"horizon": 3})[0].payload
-        missing, _ = _invoke(toolkit, instance, ctx, "naive", {"horizon": None})
+        given, _ = _invoke(toolkit, instance, "holt", {"horizon": 3, "alpha": None, "beta": None})
+        assert given.payload == _invoke(toolkit, instance, "holt", {"horizon": 3})[0].payload
+        missing, _ = _invoke(toolkit, instance, "naive", {"horizon": None})
         assert missing.payload["error"] == "schema_violation"
 
     @pytest.mark.parametrize("selector", [0, -1, "0", "middle"])
     @pytest.mark.parametrize("name", ["which", "reference"])
     def test_value_at_takes_first_or_last_only(self, toolkit, name, selector):
         instance = _series_instance([1.0, 2.0, 3.0], horizon=1)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        art, _ = _invoke(toolkit, instance, ctx, "value_at", {name: selector})
+        art, _ = _invoke(toolkit, instance, "value_at", {name: selector})
         assert art.payload["error"] == "schema_violation"
 
     def test_value_at_refuses_a_reference_input_that_is_not_a_series(self, toolkit):
         instance = _series_instance([1.0, 2.0, 3.0], horizon=1)
-        ctx = InvocationContext(mode="inference", instance=instance)
-        stats, store = _invoke(toolkit, instance, ctx, "basic_stats")
+        stats, store = _invoke(toolkit, instance, "basic_stats")
         art, _ = _invoke(
-            toolkit, instance, ctx, "value_at", {"reference": "last"}, inputs=(ORIGINAL_INPUT, stats.artifact_id), store=store
+            toolkit, instance, "value_at", {"reference": "last"}, inputs=(ORIGINAL_INPUT, stats.artifact_id), store=store
         )
         assert art.payload["error"] == "contract"
 
     def test_determinism_byte_identical(self, toolkit):
         instance = _series_instance([1.0, 5.0, 2.0, 8.0], horizon=3)
-        ctx = InvocationContext(mode="inference", instance=instance)
         dumps = set()
         for _ in range(5):
-            art, _ = _invoke(toolkit, instance, ctx, "holt", {"horizon": 3})
+            art, _ = _invoke(toolkit, instance, "holt", {"horizon": 3})
             dumps.add(canonical_json(art.to_dict()))
         assert len(dumps) == 1
 
@@ -518,7 +478,7 @@ class TestSplicedArtifactText:
         id's digest input and its tool_result line, gives the bytes that
         encoding each of them whole gives, for results and error artifacts."""
 
-        def echo(args, inputs, ctx):
+        def echo(args, inputs, instance):
             if outcome == "tool_error":
                 raise ToolError("contract", text)
             return ArtifactKind.TEXT, payload
