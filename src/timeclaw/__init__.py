@@ -7,4 +7,4 @@ hierarchical external experience store, and reinjects that experience at
 inference time while keeping the base model frozen.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -463,12 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command; the one input boundary, where an engine or OS error prints ``error: ...``."""
+    """Run one command; the one input boundary, where an engine or OS error,
+    or running out of memory, prints ``error: ...``."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (TimeclawError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -31,7 +31,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .errors import ContractError, GatewayError, ScriptMissError, ToolCallParseError
 from .util import canonical_json, read_json, write_atomic
@@ -67,8 +67,16 @@ class ChatMessage:
 class DeclaredTools(tuple):
     """The tool schemas an exchange declares, the only place a prompt names
     its tools. A run builds one list per distinct tool set and every prompt
-    with that set declares it, so its sorted names and their digest are
-    worked out once per list, not once per prompt or exchange."""
+    with that set declares it, so its sorted names, their digest and the
+    catalog tools it leaves out are worked out once per list, not once per
+    prompt or exchange."""
+
+    hidden: tuple[str, ...]  # the sorted names of the run's catalog the list does not declare
+
+    def __new__(cls, schemas: Iterable[Mapping[str, Any]] = (), hidden: Iterable[str] = ()) -> "DeclaredTools":
+        declared = super().__new__(cls, schemas)
+        declared.hidden = tuple(sorted(hidden))
+        return declared
 
     @cached_property
     def names(self) -> tuple[str, ...]:

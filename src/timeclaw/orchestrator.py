@@ -88,14 +88,19 @@ ANSWER_TOLERANCE = 1e-9
 # Each trace event kind, with the payload fields its readers index and their
 # types. A verdict also holds the fields of its type, and a block's header
 # those of TRACE_HEADER: the header names its sample by ``TaskInstance.digest``.
+# TRACE_OPTIONAL holds the indexed fields a writer may leave out: a call's
+# ``inputs`` is read as ``[ORIGINAL_INPUT]`` when absent. No reader indexes a
+# request's ``hidden`` tools (``tools``, the declared names, before 0.13.0) or
+# a candidate's ``failure_reason``, left out when null.
 TRACE_KINDS: dict[str, dict[str, type]] = {
     "gateway_request": {"digest": str},
     "gateway_response": {"reply": dict},
-    "tool_call": {"call_id": str, "tool": str, "args": dict, "inputs": list},
+    "tool_call": {"call_id": str, "tool": str, "args": dict},
     "tool_result": {"call_id": str, "artifact": dict},
     "verdict": {"type": str},
     "outcome": {},
 }
+TRACE_OPTIONAL: dict[str, dict[str, type]] = {"tool_call": {"inputs": list}}
 VERDICT_FIELDS: dict[str, dict[str, type]] = {
     "candidate": {"branch": str, "valid": bool, "substantive_chain": list, "prior_guided": bool,
                   "alternative": bool},
@@ -146,8 +151,9 @@ class ExplorationConfig:
 class EpisodeDeps:
     """What the episodes of one run share. The toolkit is the run's one tool
     catalog, and dropout runs over it. It does not change while a run goes,
-    so each distinct tool list its prompts declare is built once per run:
-    one per distinct set of tools a branch sees, and the inference list.
+    so each distinct tool list its prompts declare is built once per run,
+    with the catalog tools it hides: one per distinct set of tools a branch
+    sees, and the inference list.
     Threads that race to build a list build equal ones.
     Every episode appends its trace to the run's logs under ``trace_dir``.
     The store, when there is one, holds the usage counts that dropout reads;
@@ -170,7 +176,8 @@ class EpisodeDeps:
             self.store.close()
 
     def _declared(self, tools: Sequence[str]) -> DeclaredTools:
-        return DeclaredTools([self.toolkit.tool_schema(t) for t in tools])
+        hidden = set(self.toolkit.tool_ids()).difference(tools)
+        return DeclaredTools([self.toolkit.tool_schema(t) for t in tools], hidden=hidden)
 
     def branch_tools(self, visible: frozenset[str]) -> DeclaredTools:
         """The tools a branch whose slot sees ``visible`` declares, by name."""
@@ -290,12 +297,17 @@ def _parse_block(data: bytes, pos: int) -> tuple[list[dict[str, Any]], int]:
             return records, pos
 
 
-def _require(record: Any, fields: Mapping[str, type], what: str) -> None:
+def _require(record: Any, fields: Mapping[str, type], what: str, optional: Mapping[str, type] = {}) -> None:
+    """``record`` is an object holding each of ``fields``, and each of
+    ``optional`` that it holds, with the type named."""
     if not isinstance(record, dict):
         raise ContractError(f"{what} is not an object")
     for key, kind in fields.items():
         if key not in record or not isinstance(record[key], kind):
             raise ContractError(f"{what} has no {kind.__name__} {key!r}")
+    for key, kind in optional.items():
+        if key in record and not isinstance(record[key], kind):
+            raise ContractError(f"{what}'s {key!r} is not a {kind.__name__}")
 
 
 def _checked_block(header: dict[str, Any], events: list[dict[str, Any]]) -> TraceBlock:
@@ -305,7 +317,7 @@ def _checked_block(header: dict[str, Any], events: list[dict[str, Any]]) -> Trac
         if branch is not None and type(branch) is not int:
             raise ContractError(f"event {n}'s branch is neither null nor an integer")
         payload = event.get("payload")
-        _require(payload, TRACE_KINDS[event["kind"]], f"event {n}'s payload")
+        _require(payload, TRACE_KINDS[event["kind"]], f"event {n}'s payload", TRACE_OPTIONAL.get(event["kind"], {}))
         if event["kind"] == "verdict":
             _require(payload, VERDICT_FIELDS.get(payload["type"], {}), f"event {n}'s payload")
     return TraceBlock(header, events)
@@ -317,7 +329,7 @@ def read_trace(path: Path) -> Iterator[TraceBlock]:
     that does not frame, and ContractError when the log holds no whole block,
     or an event's branch is neither null nor an integer, or a field
     ``TRACE_HEADER``, ``TRACE_KINDS`` or ``VERDICT_FIELDS`` names is missing
-    or of another type."""
+    or of another type, or one ``TRACE_OPTIONAL`` names is of another type."""
     line = 1
     for (header, *events), _end in iter_records(Path(path), _parse_block):
         try:
@@ -462,11 +474,13 @@ class _EpisodeRunner:
 
     def complete(self, exchange: ChatExchange, branch: Optional[int]) -> AssistantReply:
         request: dict[str, Any] = {"digest": exchange_digest(exchange)}
-        # a request lists its tools only when they differ from the previous
-        # request's on the same branch (None: inference)
-        tools = exchange.declared_tools.names
-        if self.declared.get(branch) != tools:
-            request["tools"] = self.declared[branch] = tools
+        # a request lists the catalog tools it hides only when its declared
+        # tools differ from the previous request's on the same branch (None:
+        # inference)
+        declared = exchange.declared_tools
+        if self.declared.get(branch) != declared.names:
+            self.declared[branch] = declared.names
+            request["hidden"] = declared.hidden
         self.trace.event("gateway_request", request, branch=branch)
         reply = self.deps.gateway.complete(exchange)
         self.gateway_calls += 1
@@ -481,14 +495,13 @@ class _EpisodeRunner:
     def traced(
         self, call: ToolInvocation, branch: Optional[int], run: Callable[[ToolInvocation], ToolArtifact]
     ) -> ToolArtifact:
-        """Run one call with ``run`` and trace it as a ``tool_call`` and its
-        ``tool_result``."""
+        """Run one call with ``run`` and trace it as a ``tool_call``, whose
+        ``inputs`` are left out when the call reads only the original series,
+        and its ``tool_result``."""
         self.call_counter += 1
-        encoded = {
-            "call_id": canonical_json(f"c{self.call_counter:03d}"),
-            "tool": canonical_json(call.tool_id),
-            "inputs": canonical_json(list(call.inputs)),
-        }
+        encoded = {"call_id": canonical_json(f"c{self.call_counter:03d}"), "tool": canonical_json(call.tool_id)}
+        if call.inputs != (ORIGINAL_INPUT,):
+            encoded["inputs"] = canonical_json(list(call.inputs))
         self.trace.event("tool_call", splice_json({**encoded, "args": call.args_json}), branch=branch)
         artifact = run(call)
         self.trace.event(
@@ -681,9 +694,11 @@ def run_exploration_episode(
 
         # the contract check reads the records the trace carries, as lint
         # does, and the answers held in memory, which lint reads from each
-        # branch's final message (see candidate_answers)
-        records = [
-            {
+        # branch's final message (see candidate_answers); a null failure
+        # reason is left out
+        records = []
+        for c in candidates:
+            record = {
                 "type": "candidate",
                 "branch": c.branch_id,
                 "slot": c.slot,
@@ -692,12 +707,11 @@ def run_exploration_episode(
                 "prior_guided": c.prior_guided,
                 "alternative": c.alternative,
                 "quality": c.quality,
-                "failure_reason": c.failure_reason,
             }
-            for c in candidates
-        ]
-        for record in records:
-            runner.trace.event("verdict", record, branch=record["slot"])
+            if c.failure_reason is not None:
+                record["failure_reason"] = c.failure_reason
+            records.append(record)
+            runner.trace.event("verdict", record, branch=c.slot)
 
         outcome = EpisodeOutcome(
             instance_id=instance.id,

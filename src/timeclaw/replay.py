@@ -27,7 +27,7 @@ from .orchestrator import (
     evaluate,
     read_trace,
 )
-from .toolkit import ArtifactStore, ToolArtifact, Toolkit, ToolInvocation, builtin_toolkit
+from .toolkit import ORIGINAL_INPUT, ArtifactStore, ToolArtifact, Toolkit, ToolInvocation, builtin_toolkit
 from .util import canonical_json
 
 
@@ -117,7 +117,8 @@ def _replay_block(block: TraceBlock, samples: Mapping[str, TaskInstance], toolki
             )
             continue
         result_index, recorded = results_by_call[payload["call_id"]]
-        call = ToolInvocation(tool_id=tool, args=dict(payload["args"]), inputs=tuple(payload["inputs"]))
+        inputs = tuple(payload.get("inputs", [ORIGINAL_INPUT]))
+        call = ToolInvocation(tool_id=tool, args=dict(payload["args"]), inputs=inputs)
         if tool == EVALUATE_TOOL:
             # the evaluate call is the engine's, not a tool's, and runs as
             # the engine ran it: over the valid candidates' answers, rebuilt

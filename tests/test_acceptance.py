@@ -463,18 +463,19 @@ def test_c09_leakage_and_tool_exposure(e2e, tmp_path, report):
             if any(needle in p for p in captured_prompts) or needle in trace_text:
                 leak = True
         events = block.events
-        listed: set = set()  # branches whose tool list the trace has given
+        listed: set = set()  # branches whose hidden tools the trace has given
         for e in events:
             if e["kind"] == "tool_call" and e["payload"]["tool"] in special:
                 exposure_ok = False
             if e["kind"] == "gateway_request":
-                # a request lists its tools only when they change on its
-                # branch, so every branch's first request must list them
-                if e["branch"] not in listed and "tools" not in e["payload"]:
+                # a request lists the catalog tools it hides only when its
+                # tools change on its branch, so every branch's first request
+                # must list them; it declares the rest of the catalog
+                if e["branch"] not in listed and "hidden" not in e["payload"]:
                     exposure_ok = False
-                if "tools" in e["payload"]:
+                if "hidden" in e["payload"]:
                     listed.add(e["branch"])
-                    if set(e["payload"]["tools"]) & special:
+                    if (set(toolkit.tool_ids()) - set(e["payload"]["hidden"])) & special:
                         exposure_ok = False
     report(
         9,

@@ -20,6 +20,7 @@ import pytest
 from timeclaw import __version__, cli, prompts, util
 from timeclaw import gateway as gateway_module
 from timeclaw import store as store_module
+from timeclaw import toolkit as toolkit_module
 from timeclaw.cli import _build_deps, _build_gateway, build_parser, main
 from timeclaw.corpus import load_samples, parse_record, reveal_for_scoring
 from timeclaw.errors import ContractError
@@ -181,7 +182,7 @@ class TestExplore:
             requests: dict = {}
             for e in block.events:
                 if e["kind"] == "gateway_request":
-                    requests.setdefault(e["branch"], []).append("tools" in e["payload"])
+                    requests.setdefault(e["branch"], []).append("hidden" in e["payload"])
             assert set(requests) == {0, 1}, episode
             for listed in requests.values():
                 assert listed[0] and listed.count(True) == 1, episode
@@ -239,18 +240,20 @@ class TestExplore:
         its one list."""
         built = []
 
-        def counted(cls, *args):
+        new = gateway_module.DeclaredTools.__new__
+
+        def counted(cls, *args, **kwargs):
             built.append(cls)
-            return tuple.__new__(cls, *args)
+            return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(gateway_module.DeclaredTools, "__new__", counted)
         root = _explore_mixed(tmp_path)
         branch_sets = {
-            tuple(e["payload"]["tools"])
+            tuple(e["payload"]["hidden"])
             for path in (root / "traces").glob("*.jsonl")
             for block in read_trace(path)
             for e in block.events
-            if e["kind"] == "gateway_request" and e["branch"] is not None and "tools" in e["payload"]
+            if e["kind"] == "gateway_request" and e["branch"] is not None and "hidden" in e["payload"]
         }
         assert 1 < len(branch_sets) and len(built) == len(branch_sets)
         built.clear()
@@ -1088,6 +1091,37 @@ class TestTornLogs:
         assert self._tree(store) == before
 
 
+class TestOutOfMemory:
+    def test_a_tool_out_of_memory_exits_2_and_leaves_only_whole_blocks(self, corpus_dir, tmp_path, monkeypatch, capsys, caplog):
+        """A MemoryError in a tool is neither a finding (exit 1) nor a
+        traceback: explore prints an error line and exits 2, and the episode
+        it cut off appends no part of its trace block or note."""
+        calls = []
+        drift = toolkit_module._fc_drift
+
+        def starved(args, inputs, instance):
+            calls.append(instance.id)
+            if len(calls) == 3:
+                raise MemoryError  # raised, not provoked by allocating
+            return drift(args, inputs, instance)
+
+        monkeypatch.setattr(toolkit_module, "_fc_drift", starved)
+        store = tmp_path / "store"
+        capsys.readouterr()
+        assert main(["explore", "--corpus", str(corpus_dir / "learning.jsonl"), "--store", str(store), "--seed", "3"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert len(calls) == 3
+        caplog.clear()
+        reopened = ExperienceStore(store)
+        logs = sorted((store / "traces").glob("*.jsonl"))
+        episodes = {path.stem: [block.header["episode"] for block in read_trace(path)] for path in logs}
+        assert "torn" not in caplog.text and sum(map(len, episodes.values())) >= 1
+        for scope, ran in episodes.items():
+            assert ran == [note.instance_id for note in reopened.notes(scope)]
+            assert calls[-1] not in ran
+        assert all(path.read_bytes().endswith(b"}\n") for path in logs)
+
+
 
 def _open_descriptors():
     return sorted(os.listdir("/proc/self/fd"))
@@ -1797,13 +1831,13 @@ class TestBadInput:
         golden = Path(__file__).parent / "data" / "traces" / "inference.jsonl"
         torn = tmp_path / "torn.jsonl"
         torn.write_bytes(golden.read_bytes() + b'{"mode": "\xff\xfe')
-        needles = ["seasonal_naive", "in no log"]
+        needles = ["prediction_valid", "in no log"]
         (tmp_path / "needles.json").write_text(json.dumps(needles), encoding="utf-8")
         capsys.readouterr()
         assert main(["lint", "--trace", str(torn), "--forbidden-file", str(tmp_path / "needles.json")]) == 1
         episodes = json.loads(capsys.readouterr().out)["episodes"]
         assert episodes == [report.to_dict() for report in lint_trace(golden, needles)]
-        assert [leak["needle_head"] for leak in episodes[0]["leaks"]] == ["seasonal_naive"]
+        assert [leak["needle_head"] for leak in episodes[0]["leaks"]] == ["prediction_valid"]
 
 
 FAMILY = {"name": "szn", "kind": "seasonal", "learn_count": 2, "eval_count": 1}

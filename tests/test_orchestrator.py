@@ -17,7 +17,7 @@ from timeclaw.core import EvidenceClass, SealedAnswer, TaskInstance, TaskType
 from timeclaw.corpus import generate_sample
 from timeclaw.errors import ContractError, GatewayError, ScriptMissError
 from timeclaw.gateway import (
-    AssistantReply, DeclaredTools, Gateway, PolicyGateway, RemoteGateway, ScriptedGateway, ToolCallRequest,
+    AssistantReply, ChatExchange, DeclaredTools, Gateway, PolicyGateway, RemoteGateway, ScriptedGateway, ToolCallRequest,
 )
 from timeclaw.orchestrator import (
     EVALUATE_TOOL,
@@ -267,21 +267,21 @@ class TestEpisodeOutcomes:
         )
         store.close()
 
-        def branch_lists(deps, seed):
+        def branch_hidden(deps, seed):
             outcome = run_exploration_episode(_instance(gt=[13.0] * 3, iid=f"e{seed}"), ExplorationConfig(seed=seed), deps)
             *_, block = read_trace(outcome.trace_path)
             return [
-                e["payload"]["tools"]
+                e["payload"]["hidden"]
                 for e in block.events
-                if e["kind"] == "gateway_request" and e["branch"] is not None and "tools" in e["payload"]
+                if e["kind"] == "gateway_request" and e["branch"] is not None and "hidden" in e["payload"]
             ]
 
         deps = _deps(tmp_path, policy_gateway("exploration"))
         assert deps.store.ledger.counts(scope) == {"naive": 1000}
-        listed = [tools for seed in range(4) for tools in branch_lists(deps, seed)]
-        assert len(listed) == 8 and not any("naive" in tools for tools in listed)
-        fresh = branch_lists(_deps(tmp_path / "fresh", policy_gateway("exploration")), 0)
-        assert len(fresh) == 2 and all("naive" in tools for tools in fresh)
+        listed = [hidden for seed in range(4) for hidden in branch_hidden(deps, seed)]
+        assert len(listed) == 8 and all("naive" in hidden for hidden in listed)
+        fresh = branch_hidden(_deps(tmp_path / "fresh", policy_gateway("exploration")), 0)
+        assert len(fresh) == 2 and not any("naive" in hidden for hidden in fresh)
 
     @pytest.mark.parametrize("protected", [True, False])
     def test_a_tool_protected_in_the_scope_is_shown_to_every_branch(self, tmp_path, protected):
@@ -319,13 +319,13 @@ class TestEpisodeOutcomes:
             run_exploration_episode(_instance(gt=[13.0] * 3, iid=f"e{seed}"), ExplorationConfig(seed=seed), deps)
         deps.close()
         listed = [
-            e["payload"]["tools"]
+            e["payload"]["hidden"]
             for block in read_trace(tmp_path / "traces" / f"{scope}.jsonl")
             for e in block.events
-            if e["kind"] == "gateway_request" and e["branch"] is not None and "tools" in e["payload"]
+            if e["kind"] == "gateway_request" and e["branch"] is not None and "hidden" in e["payload"]
         ]
         assert len(listed) == 12
-        assert [("last_value" in tools) for tools in listed] == [protected] * 12
+        assert [("last_value" not in hidden) for hidden in listed] == [protected] * 12
 
 
 def _branch_loop_policy(branch_fn):
@@ -1201,6 +1201,62 @@ class TestToolListsPerRun:
             lists = {id(lists[k]) for lists in built for k in range(n, len(lists), len(sets))}
             assert len(lists) == 1
             assert deps.branch_tools(s) == tuple(deps.toolkit.tool_schema(t) for t in sorted(s))
+            assert deps.branch_tools(s).hidden == tuple(t for t in tools if t not in s)
+
+
+    def test_the_catalog_minus_a_branch_s_last_hidden_list_is_what_each_exchange_declared(self, tmp_path):
+        """A request records the catalog tools its exchange does not declare,
+        on a branch's first request and whenever its list changes, so the
+        catalog minus the last ``hidden`` list on a branch must be, for every
+        exchange the gateway received, the tools that exchange declared."""
+        sent: list = []
+        inner = policy_gateway("exploration")
+        thinking = "thinking it over"
+
+        class Capturing(Gateway):
+            """Opens every branch and sample with a reply that neither calls
+            nor answers, so each makes a second request on the same list;
+            then the offline model answers as if that reply had not been."""
+
+            def complete(self, exchange):
+                sent.append(exchange)
+                if len(exchange.messages) == 2:
+                    return AssistantReply(content=thinking, usage={"prompt_tokens": 1})
+                messages = [m for m in exchange.messages if m.content != thinking]
+                return inner.complete(ChatExchange(messages=messages, declared_tools=exchange.declared_tools))
+
+        # the store's notes count naive heavily, so dropout hides it from
+        # some branches and every episode's branches see other sets
+        store = ExperienceStore(tmp_path / "store")
+        store.commit_note(
+            LearningNote(
+                scope="synth_forecast_short", instance_id="prior", winner_tools=(), loser_tools=(), metrics={},
+                evidence_class="failure", applicability={}, tools=("naive",) * 1000,
+            )
+        )
+        store.close()
+        explore = _deps(tmp_path, Capturing())
+        for seed in range(6):
+            run_exploration_episode(_instance(gt=[13.0] * 3, iid=f"e{seed}"), ExplorationConfig(seed=seed), explore)
+        explore.close()
+        infer = EpisodeDeps(toolkit=builtin_toolkit(), gateway=Capturing(), trace_dir=tmp_path / "infer")
+        for n in range(2):
+            run_inference(_instance(iid=f"i{n}"), infer)
+        infer.close()
+        catalog = set(builtin_toolkit().tool_ids())
+        declared, seen = [], []  # per request, in order: the tools the trace says it declared
+        for path in (tmp_path / "traces" / "synth_forecast_short.jsonl", tmp_path / "infer" / "synth_forecast_short.jsonl"):
+            for block in read_trace(path):
+                hidden: dict = {}  # branch -> the last hidden list recorded on it
+                for e in block.events:
+                    if e["kind"] == "gateway_request":
+                        if "hidden" in e["payload"]:
+                            hidden[e["branch"]] = e["payload"]["hidden"]
+                            seen.append(hidden[e["branch"]])
+                        assert set(hidden[e["branch"]]) <= catalog
+                        declared.append(tuple(sorted(catalog - set(hidden[e["branch"]]))))
+        assert declared == [exchange.declared_tools.names for exchange in sent]
+        assert len(sent) >= 2 * len(seen) == 28 and any("naive" in h for h in seen) and [] in seen
 
 
 class TestTraceLines:
@@ -1214,6 +1270,17 @@ class TestTraceLines:
             trace.event(kind, canonical_json(payload) if encoded else payload, branch=branch)
         lines = (tmp_path / "s.jsonl").read_text(encoding="utf-8").split("\n")
         assert lines == [canonical_json(header), canonical_json({"branch": branch, "kind": kind, "payload": payload}), ""]
+
+    @pytest.mark.parametrize("inputs", ["original_input", {"0": "original_input"}, None])
+    def test_a_call_s_inputs_may_be_left_out_but_not_given_as_another_type(self, tmp_path, inputs):
+        header = {"version": __version__, "mode": "inference", "episode": "e", "sample": "0" * 16}
+        call = {"call_id": "c001", "tool": "naive", "args": {}}
+        with TraceWriter(TraceLog(tmp_path), "s", header) as trace:
+            trace.event("tool_call", call)
+            trace.event("tool_call", {**call, "inputs": inputs})
+            trace.event("outcome", {})
+        with pytest.raises(ContractError, match="event 2's payload's 'inputs' is not a list"):
+            list(read_trace(tmp_path / "s.jsonl"))
 
     def test_an_unknown_kind_is_refused(self, tmp_path):
         with pytest.raises(ContractError, match="unknown trace event kind"):
@@ -1362,7 +1429,7 @@ class TestEncodeAndRenderOnce:
         identity = {"tool": "naive", "args": args, "parents": [ORIGINAL_INPUT], "payload": artifact.payload}
         assert artifact.artifact_id == digest_text(canonical_json(identity))[:12]
         (block,) = read_trace(tmp_path / "traces" / f"{runner.instance.scope}.jsonl")
-        assert block.events[0]["payload"] == {"call_id": "c001", "tool": "naive", "args": args, "inputs": [ORIGINAL_INPUT]}
+        assert block.events[0]["payload"] == {"call_id": "c001", "tool": "naive", "args": args}  # the inputs default
 
     def test_a_reply_that_states_the_truth_leaves_it_in_no_note_or_snapshot(self, tmp_path):
         # a note holds what the comparison measured and no model text: the
